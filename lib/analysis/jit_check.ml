@@ -55,10 +55,50 @@ let regions (srcs : Code.src_entry array) =
     srcs;
   List.rev_map (fun (m, parents, pcs) -> (m, parents, List.rev !pcs)) !order
 
-let check p (code : Code.t) : Diag.t list =
+(* Typed in-states of a source root: unknown until first needed, then
+   the converged states or the analysis' failure. *)
+type root_states = Unknown | Failed | States of Typecheck.state option array
+
+type facts = {
+  f_program : Program.t;
+  root_states : root_states array;  (* [method] *)
+  depths : Acsi_deopt.Deopt.depths;
+}
+
+let facts p =
+  {
+    f_program = p;
+    root_states = Array.make (Program.method_count p) Unknown;
+    depths = Acsi_deopt.Deopt.depths p;
+  }
+
+let deopt_depths f = f.depths
+
+(* The typed in-state of a source root at [pc], from the root's
+   analysis run once per [f]; [None] where unreachable, or everywhere
+   when the analysis failed. *)
+let rec root_state f (root : Meth.t) pc =
+  let i = (root.Meth.id :> int) in
+  match f.root_states.(i) with
+  | States states -> states.(pc)
+  | Failed -> None
+  | Unknown ->
+      f.root_states.(i) <-
+        (match Typecheck.analyze f.f_program root with
+        | states -> States states
+        | exception (Verify.Error _ | Dataflow.Join_error _) -> Failed);
+      root_state f root pc
+
+let check ?facts:memo p (code : Code.t) : Diag.t list =
   match code.Code.src with
   | None -> []
   | Some srcs -> (
+      let memo =
+        match memo with
+        | Some f when f.f_program == p -> f
+        | Some _ -> invalid_arg "Jit_check.check: facts of another program"
+        | None -> facts p
+      in
       let root = Program.meth p code.Code.meth in
       let wrapper = wrapper_of p code in
       (* Structural verification first; the remaining invariants assume a
@@ -81,8 +121,10 @@ let check p (code : Code.t) : Diag.t list =
                   Diag.make ~meth:wrapper.Meth.name ~pc message :: !diags)
               fmt
           in
-          (* Typed verification of the expanded body. *)
-          diags := List.rev (Typecheck.meth_diags p wrapper);
+          (* Typed verification of the expanded body; its states also
+             serve the OSR check below. *)
+          let opt_states, typed = Typecheck.analyze_diags p wrapper in
+          diags := List.rev typed;
           (* Inline-map validity. *)
           Array.iteri
             (fun pc (e : Code.src_entry) ->
@@ -129,7 +171,9 @@ let check p (code : Code.t) : Diag.t list =
              reconstruct source frames at or before the region. *)
           let deopt_pcs =
             lazy
-              (let tbl = Acsi_deopt.Deopt.table_of_code p code in
+              (let tbl =
+                 Acsi_deopt.Deopt.table_of_code ~depths:memo.depths p code
+               in
                let pcs = ref [] in
                for pc = n - 1 downto 0 do
                  if Acsi_deopt.Deopt.covered tbl ~pc then pcs := pc :: !pcs
@@ -256,53 +300,52 @@ let check p (code : Code.t) : Diag.t list =
           (* OSR compatibility: the interpreter transfers a root frame
              onto the first entry matching its root-level source pc,
              carrying the operand stack over. *)
-          (try
-             let opt_states = Typecheck.analyze p wrapper in
-             let src_states = lazy (Typecheck.analyze p root) in
-             let seen = Hashtbl.create 16 in
-             Array.iteri
-               (fun pc (e : Code.src_entry) ->
-                 if
-                   e.Code.parents = [] && e.Code.src_pc >= 0
-                   && Ids.Method_id.equal e.Code.src_meth root.Meth.id
-                   && e.Code.src_pc < Array.length root.Meth.body
-                   && not (Hashtbl.mem seen e.Code.src_pc)
-                 then begin
-                   Hashtbl.add seen e.Code.src_pc ();
-                   match
-                     (opt_states.(pc), (Lazy.force src_states).(e.Code.src_pc))
-                   with
-                   | Some o, Some s ->
-                       let od = List.length o.Typecheck.stack in
-                       let sd = List.length s.Typecheck.stack in
-                       (* A depth mismatch is legal: peephole folding
-                          can leave an entry on an instruction with a
-                          different depth than its source pc, and the
-                          interpreter refuses such transfers. A
-                          transferable entry (equal depth) must carry
-                          compatible types, or the carried-over stack
-                          would be misinterpreted. *)
-                       if od = sd then
-                         List.iteri
-                           (fun i (a, b) ->
-                             if not (Ty.compatible a b) then
-                               add ~pc
-                                 "OSR entry for source pc %d: stack slot %d is %s in optimized code but %s at source"
-                                 e.Code.src_pc i (Ty.to_string p a)
-                                 (Ty.to_string p b))
-                           (List.combine o.Typecheck.stack
-                              s.Typecheck.stack)
-                   | _, _ -> ()
-                 end)
-               srcs
-           with Verify.Error _ | Dataflow.Join_error _ ->
-             (* already reported via the typed verification above *)
-             ());
+          (match opt_states with
+          | None ->
+              (* already reported via the typed verification above *)
+              ()
+          | Some opt_states ->
+              let seen = Hashtbl.create 16 in
+              Array.iteri
+                (fun pc (e : Code.src_entry) ->
+                  if
+                    e.Code.parents = [] && e.Code.src_pc >= 0
+                    && Ids.Method_id.equal e.Code.src_meth root.Meth.id
+                    && e.Code.src_pc < Array.length root.Meth.body
+                    && not (Hashtbl.mem seen e.Code.src_pc)
+                  then begin
+                    Hashtbl.add seen e.Code.src_pc ();
+                    match
+                      (opt_states.(pc), root_state memo root e.Code.src_pc)
+                    with
+                    | Some o, Some s ->
+                        let od = List.length o.Typecheck.stack in
+                        let sd = List.length s.Typecheck.stack in
+                        (* A depth mismatch is legal: peephole folding
+                           can leave an entry on an instruction with a
+                           different depth than its source pc, and the
+                           interpreter refuses such transfers. A
+                           transferable entry (equal depth) must carry
+                           compatible types, or the carried-over stack
+                           would be misinterpreted. *)
+                        if od = sd then
+                          List.iteri
+                            (fun i (a, b) ->
+                              if not (Ty.compatible a b) then
+                                add ~pc
+                                  "OSR entry for source pc %d: stack slot %d is %s in optimized code but %s at source"
+                                  e.Code.src_pc i (Ty.to_string p a)
+                                  (Ty.to_string p b))
+                            (List.combine o.Typecheck.stack
+                               s.Typecheck.stack)
+                    | _, _ -> ()
+                  end)
+                srcs);
           List.stable_sort
             (fun (a : Diag.t) b ->
               compare (Option.value a.pc ~default:(-1))
                 (Option.value b.pc ~default:(-1)))
             (List.rev !diags))
 
-let check_exn p code =
-  match check p code with [] -> () | d :: _ -> raise (Diag.Error d)
+let check_exn ?facts p code =
+  match check ?facts p code with [] -> () | d :: _ -> raise (Diag.Error d)

@@ -29,9 +29,25 @@ val wrapper_of : Program.t -> Code.t -> Meth.t
 (** The compiled body wrapped as a method (named [root$opt]) so the
     verifier and the typed checker can run on it unchanged. *)
 
-val check : Program.t -> Code.t -> Diag.t list
-(** All findings, in pc order. Baseline code (no source map) is the
-    method body itself and trivially passes. *)
+type facts
+(** What install checks re-read of one program and never change: each
+    source root's typed in-states and the baseline entry depths deopt
+    tables need, filled on first use. Mutable, so a value belongs to one
+    adaptive system (one domain at a time); the class-hierarchy facts
+    every check also reads are fixed in the program at sealing. *)
 
-val check_exn : Program.t -> Code.t -> unit
+val facts : Program.t -> facts
+(** Empty facts for the program. *)
+
+val deopt_depths : facts -> Acsi_deopt.Deopt.depths
+(** The baseline entry-depth memo, for deopt tables built alongside. *)
+
+val check : ?facts:facts -> Program.t -> Code.t -> Diag.t list
+(** All findings, in pc order. Baseline code (no source map) is the
+    method body itself and trivially passes. [facts] (default: fresh)
+    carries per-program work over from earlier checks; the findings
+    are the same either way. Raises [Invalid_argument] when [facts]
+    were made for another program. *)
+
+val check_exn : ?facts:facts -> Program.t -> Code.t -> unit
 (** Raises {!Diag.Error} with the first finding, if any. *)

@@ -57,17 +57,15 @@ let compatible a b =
   let is_ref = function Null | Ref _ | Arr | Any_ref -> true | _ -> false in
   not ((is_int a && is_ref b) || (is_ref a && is_int b))
 
-let cone p c =
-  Array.to_list (Program.classes p)
-  |> List.filter (fun k -> Program.is_subclass p ~sub:k.Clazz.id ~super:c)
-
 let cone_max_fields p c =
-  List.fold_left (fun acc k -> max acc (Clazz.field_count k)) 0 (cone p c)
+  Array.fold_left
+    (fun acc k -> max acc (Clazz.field_count k))
+    0 (Program.cone p c)
 
 let cone_implements p c sel =
-  List.exists
+  Array.exists
     (fun k -> Option.is_some (Program.dispatch p k.Clazz.id sel))
-    (cone p c)
+    (Program.cone p c)
 
 let related p c1 c2 =
   Program.is_subclass p ~sub:c1 ~super:c2

@@ -30,10 +30,10 @@ let state_join p a b =
    messages; the fixpoint pass uses [ignore], the check pass collects.
    Shapes (pops/pushes, local and call validity) come from
    [Verify.effect_of] so this can never disagree with the depth
-   verifier. *)
+   verifier. Message text, the instruction's included, is built only
+   for an error. *)
 let step p m ~report ~pc instr (st : state) =
   let pops, pushes = Verify.effect_of p m pc instr in
-  let what = Instr.to_string instr in
   let err fmt = Format.kasprintf report fmt in
   let clash = "a type clash at join (int vs reference)" in
   let name_of ty =
@@ -43,19 +43,22 @@ let step p m ~report ~pc instr (st : state) =
     match ty with
     | Ty.Bot | Ty.Int | Ty.Top -> ()
     | Ty.Conflict | Ty.Null | Ty.Ref _ | Ty.Arr | Ty.Any_ref ->
-        err "%s expects an int but got %s" what (name_of ty)
+        err "%s expects an int but got %s" (Instr.to_string instr)
+          (name_of ty)
   in
   let want_obj ty =
     match ty with
     | Ty.Bot | Ty.Top | Ty.Any_ref | Ty.Ref _ -> ()
     | Ty.Conflict | Ty.Int | Ty.Null | Ty.Arr ->
-        err "%s expects an object but got %s" what (name_of ty)
+        err "%s expects an object but got %s" (Instr.to_string instr)
+          (name_of ty)
   in
   let want_arr ty =
     match ty with
     | Ty.Bot | Ty.Top | Ty.Any_ref | Ty.Arr -> ()
     | Ty.Conflict | Ty.Int | Ty.Null | Ty.Ref _ ->
-        err "%s expects an array but got %s" what (name_of ty)
+        err "%s expects an array but got %s" (Instr.to_string instr)
+          (name_of ty)
   in
   let field_bounds i ty =
     match ty with
@@ -63,7 +66,7 @@ let step p m ~report ~pc instr (st : state) =
         let bound = Ty.cone_max_fields p c in
         if i < 0 || i >= bound then
           err "%s out of bounds: %s and its subclasses have at most %d fields"
-            what
+            (Instr.to_string instr)
             (Program.clazz p c).Clazz.name
             bound
     | Ty.Bot | Ty.Int | Ty.Null | Ty.Arr | Ty.Any_ref | Ty.Conflict | Ty.Top
@@ -145,7 +148,8 @@ let step p m ~report ~pc instr (st : state) =
         want_obj recv;
         (match recv with
         | Ty.Ref c when not (Ty.related p c callee.Meth.owner) ->
-            err "%s on receiver %s unrelated to %s" what
+            err "%s on receiver %s unrelated to %s"
+              (Instr.to_string instr)
               (Program.clazz p c).Clazz.name
               (Program.clazz p callee.Meth.owner).Clazz.name
         | _ -> ());
@@ -155,7 +159,8 @@ let step p m ~report ~pc instr (st : state) =
         want_obj recv;
         (match recv with
         | Ty.Ref c when not (Ty.cone_implements p c sel) ->
-            err "%s unanswerable: no subclass of %s implements %s" what
+            err "%s unanswerable: no subclass of %s implements %s"
+              (Instr.to_string instr)
               (Program.clazz p c).Clazz.name
               (Program.selector_name p sel)
         | _ -> ());
@@ -203,27 +208,28 @@ let analyze p m =
     ~transfer:(fun ~pc instr st -> step p m ~report:ignore ~pc instr st)
     ~refine_edge:(refine p) ()
 
-let meth_diags p m =
-  try
-    let states = analyze p m in
-    let diags = ref [] in
-    Array.iteri
-      (fun pc st ->
-        match st with
-        | None -> ()
-        | Some st -> (
-            let report msg =
-              diags := Diag.make ~meth:m.Meth.name ~pc msg :: !diags
-            in
-            try ignore (step p m ~report ~pc m.Meth.body.(pc) st)
-            with Verify.Error msg ->
-              diags := Diag.of_verify_error msg :: !diags))
-      states;
-    List.rev !diags
-  with
-  | Verify.Error msg -> [ Diag.of_verify_error msg ]
-  | Dataflow.Join_error { pc; message } ->
-      [ Diag.make ~meth:m.Meth.name ~pc message ]
+let analyze_diags p m =
+  match analyze p m with
+  | states ->
+      let diags = ref [] in
+      Array.iteri
+        (fun pc st ->
+          match st with
+          | None -> ()
+          | Some st -> (
+              let report msg =
+                diags := Diag.make ~meth:m.Meth.name ~pc msg :: !diags
+              in
+              try ignore (step p m ~report ~pc m.Meth.body.(pc) st)
+              with Verify.Error msg ->
+                diags := Diag.of_verify_error msg :: !diags))
+        states;
+      (Some states, List.rev !diags)
+  | exception Verify.Error msg -> (None, [ Diag.of_verify_error msg ])
+  | exception Dataflow.Join_error { pc; message } ->
+      (None, [ Diag.make ~meth:m.Meth.name ~pc message ])
+
+let meth_diags p m = snd (analyze_diags p m)
 
 let check_meth p m =
   match meth_diags p m with [] -> () | d :: _ -> raise (Diag.Error d)

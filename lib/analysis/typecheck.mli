@@ -37,6 +37,11 @@ val analyze : Program.t -> Meth.t -> state option array
     {!Acsi_bytecode.Verify.Error} (shape problems) or
     {!Dataflow.Join_error} on malformed bodies. *)
 
+val analyze_diags :
+  Program.t -> Meth.t -> state option array option * Diag.t list
+(** {!analyze} and {!meth_diags} from one fixpoint: the converged
+    states ([None] when the analysis itself failed) and the findings. *)
+
 val meth_diags : Program.t -> Meth.t -> Diag.t list
 (** All definite type errors, in pc order. Never raises: shape and
     join failures become diagnostics. *)

@@ -160,13 +160,17 @@ type t = {
   (* speculation & deoptimization: current optimized installs with their
      frame-state tables ([deopt_tables], keyed by method id); reverted
      codes whose active stale frames still await a downward transfer
-     ([pending_deopt], matched by physical code identity); per-(method,
-     pc) guard-failure counters; memoized pre-existence analyses *)
+     ([pending_deopt], matched by physical code identity); guard-failure
+     counters per method, indexed by pc and kept across reinstalls;
+     memoized pre-existence analyses *)
   deopt_tables : (int, Acsi_vm.Code.t * Acsi_deopt.Deopt.table) Hashtbl.t;
   mutable pending_deopt :
     (Acsi_vm.Code.t * Acsi_deopt.Deopt.table * Interp.deopt_reason) list;
-  guard_fails : (int * int, int ref) Hashtbl.t;
+  guard_fails : int array array;
   preexist_cache : (int, bool array) Hashtbl.t;
+  (* per-program facts every install check re-reads (root typings,
+     baseline depths), owned here so no other domain ever sees them *)
+  install_facts : Acsi_analysis.Jit_check.facts;
   mutable speculative_installs : int;
   mutable dropped_installs : int;
   mutable rules : Rules.t;
@@ -605,6 +609,48 @@ let assumptions_hold t (code : Acsi_vm.Code.t) =
       | None -> false)
     code.Acsi_vm.Code.assumptions
 
+(* --- closure-tier promotion --- *)
+
+let record_tier t mid outcome =
+  match t.obs.Acsi_obs.Control.prov with
+  | Some prov -> Acsi_obs.Provenance.add_tier prov mid outcome
+  | None -> ()
+
+let record_tier_failure t mid exn =
+  let why = Printexc.to_string exn in
+  Log.warn (fun m ->
+      m "closure tier failed on %s, staying on interpreter: %s"
+        (Program.meth t.program mid).Meth.name why);
+  record_tier t mid (Acsi_obs.Provenance.Tier_fell_back why)
+
+(* A method whose tier compile raises stays on the interpreter tier,
+   and the failure is logged and recorded, never swallowed. *)
+let tier_install t mid code =
+  match Acsi_vm.Tier.install t.vm mid code with
+  | () -> true
+  | exception exn ->
+      record_tier_failure t mid exn;
+      false
+
+(* The [Jit_check] gate in front of the tier when [verify_installed] is
+   off (when it is on, install already aborted on any finding): a
+   rejected method stays on the interpreter tier. *)
+let tier_gate t mid code =
+  if t.cfg.verify_installed then true
+  else
+    match
+      Acsi_analysis.Jit_check.check ~facts:t.install_facts t.program code
+    with
+    | [] -> true
+    | d :: _ ->
+        Log.info (fun m ->
+            m "closure tier rejected %s: %s"
+              (Program.meth t.program mid).Meth.name
+              (Acsi_analysis.Diag.to_string d));
+        record_tier t mid
+          (Acsi_obs.Provenance.Tier_rejected (Acsi_analysis.Diag.to_string d));
+        false
+
 (* Take [mid] off its current optimized code: future invocations run the
    baseline again (closure tier reinstalled to match), frames still
    executing the stale code are drained by [drain_pending_deopt] at the
@@ -629,8 +675,7 @@ let revert_optimized t (mid : Ids.Method_id.t) ~reason ~ev =
             }));
       let bcode = Interp.baseline_code_of t.vm mid in
       Interp.install_code t.vm mid bcode;
-      (if t.cfg.native_tier then
-         try Acsi_vm.Tier.install t.vm mid bcode with _ -> ());
+      if t.cfg.native_tier then ignore (tier_install t mid bcode);
       charge ~ev t Accounting.Controller t.cost.Cost.controller_per_event;
       Log.info (fun m ->
           m "deopt %s: reverted to baseline (%s)"
@@ -642,17 +687,20 @@ let revert_optimized t (mid : Ids.Method_id.t) ~reason ~ev =
 
 let on_guard_miss t (mid : Ids.Method_id.t) pc =
   if Hashtbl.mem t.deopt_tables (mid :> int) then begin
-    let key = ((mid :> int), pc) in
-    let r =
-      match Hashtbl.find_opt t.guard_fails key with
-      | Some r -> r
-      | None ->
-          let r = ref 0 in
-          Hashtbl.add t.guard_fails key r;
-          r
+    let old = t.guard_fails.((mid :> int)) in
+    let counts =
+      if pc < Array.length old then old
+      else begin
+        (* A longer reinstall: grow, keeping every pc's count. *)
+        let grown = Array.make (max (pc + 1) (2 * Array.length old)) 0 in
+        Array.blit old 0 grown 0 (Array.length old);
+        t.guard_fails.((mid :> int)) <- grown;
+        grown
+      end
     in
-    incr r;
-    if !r = t.cfg.deopt_guard_threshold then
+    let n = counts.(pc) + 1 in
+    counts.(pc) <- n;
+    if n = t.cfg.deopt_guard_threshold then
       revert_optimized t mid ~reason:Interp.Guard_storm ~ev:"deopt-guard-storm"
   end
 
@@ -732,50 +780,24 @@ let install_compiled t mid code stats ~rule_stamp =
   end
   else begin
   if t.cfg.verify_installed then
-    Acsi_analysis.Jit_check.check_exn t.program code;
+    Acsi_analysis.Jit_check.check_exn ~facts:t.install_facts t.program code;
   Interp.install_code t.vm mid code;
   (* Closure-tier promotion, gated on {!Acsi_analysis.Jit_check}: the
      tier's closures inherit the interpreter's verifier-bounded unsafe
      accesses, so code must re-verify to be promoted — a rejected method
-     simply stays on the interpreter tier. When [verify_installed] is on,
-     the [check_exn] above already is that gate (install would have
-     aborted on a finding); otherwise the gate runs here, demoted from
-     exception to tier refusal. Like the re-verification, tier compilation
-     is host-side work the modeled system doesn't perform: no virtual
-     cycles are charged, so the flag can never perturb timer samples or
-     reported totals. *)
-  (if t.cfg.native_tier then
-     let record outcome =
-       match t.obs.Acsi_obs.Control.prov with
-       | Some prov -> Acsi_obs.Provenance.add_tier prov mid outcome
-       | None -> ()
-     in
-     let gate =
-       if t.cfg.verify_installed then []
-       else Acsi_analysis.Jit_check.check t.program code
-     in
-     match gate with
-     | d :: _ ->
-         Log.info (fun m ->
-             m "closure tier rejected %s: %s"
-               (Program.meth t.program mid).Meth.name
-               (Acsi_analysis.Diag.to_string d));
-         record
-           (Acsi_obs.Provenance.Tier_rejected (Acsi_analysis.Diag.to_string d))
-     | [] -> (
-         match Acsi_vm.Tier.install t.vm mid code with
-         | () -> record Acsi_obs.Provenance.Tier_compiled
-         | exception exn ->
-             Log.warn (fun m ->
-                 m "closure tier failed on %s, staying on interpreter: %s"
-                   (Program.meth t.program mid).Meth.name
-                   (Printexc.to_string exn));
-             record
-               (Acsi_obs.Provenance.Tier_fell_back (Printexc.to_string exn))));
+     simply stays on the interpreter tier. Like the re-verification, tier
+     compilation is host-side work the modeled system doesn't perform:
+     no virtual cycles are charged, so the flag can never perturb timer
+     samples or reported totals. *)
+  if t.cfg.native_tier && tier_gate t mid code && tier_install t mid code then
+    record_tier t mid Acsi_obs.Provenance.Tier_compiled;
   (if t.cfg.speculate then begin
      Hashtbl.replace t.deopt_tables
        (mid :> int)
-       (code, Acsi_deopt.Deopt.table_of_code t.program code);
+       ( code,
+         Acsi_deopt.Deopt.table_of_code
+           ~depths:(Acsi_analysis.Jit_check.deopt_depths t.install_facts)
+           t.program code );
      if code.Acsi_vm.Code.assumptions <> [] then
        t.speculative_installs <- t.speculative_installs + 1
    end);
@@ -996,20 +1018,14 @@ let adopt_compiled t mid code stats ~rule_stamp ~native =
       "System.adopt_compiled: speculative code is shard-local (its CHA \
        assumptions hold against the publisher's loaded universe, not ours)";
   if t.cfg.verify_installed then
-    Acsi_analysis.Jit_check.check_exn t.program code;
+    Acsi_analysis.Jit_check.check_exn ~facts:t.install_facts t.program code;
   Interp.install_code t.vm mid code;
   (match native with
   | Some (fns, entry_depths) when t.cfg.native_tier ->
       Interp.install_native t.vm mid ~fns ~entry_depths
   | _ ->
-      if t.cfg.native_tier then
-        let gate =
-          if t.cfg.verify_installed then []
-          else Acsi_analysis.Jit_check.check t.program code
-        in
-        (match gate with
-        | [] -> ( try Acsi_vm.Tier.install t.vm mid code with _ -> ())
-        | _ :: _ -> ()));
+      if t.cfg.native_tier && tier_gate t mid code then
+        ignore (tier_install t mid code));
   Registry.record t.registry mid stats ~rule_stamp;
   t.adopted_installs <- t.adopted_installs + 1;
   Db.record_adoption t.db ~meth:mid
@@ -1100,21 +1116,12 @@ let on_first_execution t mid =
      the baseline-compile cost above, which is tier-independent. *)
   (if t.cfg.native_tier then
      match Acsi_vm.Tier.install t.vm mid (Interp.code_of t.vm mid) with
-     | () -> (
-         match t.obs.Acsi_obs.Control.prov with
-         | Some prov ->
-             Acsi_obs.Provenance.add_tier prov mid
-               Acsi_obs.Provenance.Tier_compiled
-         | None -> ())
-     | exception exn -> (
+     | () -> record_tier t mid Acsi_obs.Provenance.Tier_compiled
+     | exception exn ->
+         let why = Printexc.to_string exn in
          Log.debug (fun f ->
-             f "closure tier skipped baseline %s: %s" m.Meth.name
-               (Printexc.to_string exn));
-         match t.obs.Acsi_obs.Control.prov with
-         | Some prov ->
-             Acsi_obs.Provenance.add_tier prov mid
-               (Acsi_obs.Provenance.Tier_fell_back (Printexc.to_string exn))
-         | None -> ()));
+             f "closure tier skipped baseline %s: %s" m.Meth.name why);
+         record_tier t mid (Acsi_obs.Provenance.Tier_fell_back why));
   (* The static pre-warm oracle replaces the just-installed baseline code
      with summary-driven optimized code before the first frame is even
      pushed — the hook fires ahead of the push, so the very first
@@ -1167,8 +1174,9 @@ let create ?profile cfg vm =
       static_seeds = 0;
       deopt_tables = Hashtbl.create 16;
       pending_deopt = [];
-      guard_fails = Hashtbl.create 16;
+      guard_fails = Array.make (Program.method_count program) [||];
       preexist_cache = Hashtbl.create 16;
+      install_facts = Acsi_analysis.Jit_check.facts program;
       speculative_installs = 0;
       dropped_installs = 0;
       rules = Rules.empty ();

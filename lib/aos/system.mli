@@ -226,6 +226,12 @@ val adopt_compiled :
     (speculative) code: its CHA proofs hold against the publisher's
     loaded universe, not the adopter's. *)
 
+val record_tier_failure : t -> Acsi_bytecode.Ids.Method_id.t -> exn -> unit
+(** A closure-tier compile of the method raised: log a warning and
+    record {!Acsi_obs.Provenance.Tier_fell_back} with the exception's
+    text. Every tier install the system performs reports its failures
+    this way; callers compiling for the tier themselves use it too. *)
+
 val adopted_installs : t -> int
 (** Cross-shard adoptions performed via {!adopt_compiled}. *)
 

@@ -5,6 +5,10 @@ type t = {
   selector_names : string array;
   global_names : string array;
   main : Ids.Method_id.t;
+  (* Class-hierarchy facts, fixed at [seal] so readers on any domain
+     share them without synchronisation. *)
+  impls : Ids.Method_id.t list array;  (* [selector], ascending ids *)
+  cones : Clazz.t array array;  (* [class]: itself and every subclass *)
 }
 
 let classes p = p.classes
@@ -19,16 +23,8 @@ let selector_count p = Array.length p.selector_names
 let dispatch p (cid : Ids.Class_id.t) (sel : Ids.Selector.t) =
   p.dispatch_table.((cid :> int)).((sel :> int))
 
-let implementations p (sel : Ids.Selector.t) =
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun row ->
-      match row.((sel :> int)) with
-      | Some m when not (Hashtbl.mem seen m) -> Hashtbl.add seen m ()
-      | Some _ | None -> ())
-    p.dispatch_table;
-  Hashtbl.fold (fun m () acc -> m :: acc) seen []
-  |> List.sort Ids.Method_id.compare
+let implementations p (sel : Ids.Selector.t) = p.impls.((sel :> int))
+let cone p (cid : Ids.Class_id.t) = p.cones.((cid :> int))
 
 let monomorphic_target p sel =
   match implementations p sel with [ m ] -> Some m | [] | _ :: _ :: _ -> None
@@ -267,6 +263,33 @@ module Builder = struct
           row)
         classes
     in
+    let impls =
+      (* A declared instance method is its own class's dispatch target,
+         and every dispatch target is declared somewhere: the distinct
+         targets of a selector are exactly its declarations. *)
+      let decls = Array.make nsel [] in
+      Array.iter
+        (fun (c : Clazz.t) ->
+          List.iter
+            (fun ((sel : Ids.Selector.t), mid) ->
+              decls.((sel :> int)) <- mid :: decls.((sel :> int)))
+            c.own_methods)
+        classes;
+      Array.map (List.sort Ids.Method_id.compare) decls
+    in
+    let cones =
+      (* Each class joins the cone of itself and every ancestor; walking
+         the classes backwards leaves each cone in ascending id order. *)
+      let members = Array.make (Array.length classes) [] in
+      for k = Array.length classes - 1 downto 0 do
+        let rec up (cid : Ids.Class_id.t) =
+          members.((cid :> int)) <- classes.(k) :: members.((cid :> int));
+          Option.iter up classes.((cid :> int)).Clazz.parent
+        in
+        up classes.(k).Clazz.id
+      done;
+      Array.map Array.of_list members
+    in
     let main_meth = methods.((main :> int)) in
     (match (main_meth.Meth.kind, main_meth.Meth.arity) with
     | Meth.Static, 0 -> ()
@@ -279,5 +302,7 @@ module Builder = struct
       selector_names = Array.of_list (List.rev b.b_selector_names);
       global_names = Array.of_list (List.rev b.b_global_names);
       main;
+      impls;
+      cones;
     }
 end

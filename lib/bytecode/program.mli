@@ -26,6 +26,10 @@ val implementations : t -> Ids.Selector.t -> Ids.Method_id.t list
 (** Class-hierarchy analysis: every method a virtual call on this selector
     could reach in the sealed universe (distinct dispatch targets). *)
 
+val cone : t -> Ids.Class_id.t -> Clazz.t array
+(** The class and every subclass, in class-id order. Like
+    {!implementations}, computed once at sealing. *)
+
 val monomorphic_target : t -> Ids.Selector.t -> Ids.Method_id.t option
 (** [Some m] when CHA proves the selector has a single possible target. *)
 

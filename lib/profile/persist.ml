@@ -47,18 +47,18 @@ let of_string s =
         match String.split_on_char ' ' line with
         | "trace" :: callee :: weight :: (_ :: _ as chain) -> (
             match (int_of_string_opt callee, float_of_string_opt weight) with
-            | Some callee, Some weight when callee >= 0 && weight >= 0.0 ->
+            | Some callee, Some weight
+              when callee >= 0 && weight >= 0.0 && Float.is_finite weight ->
                 let trace =
                   Trace.of_chain
                     ~callee:(Ids.Method_id.of_int callee)
                     ~chain:(Array.of_list (List.map parse_entry chain))
                 in
-                (* weights replay as whole samples; the sub-sample
-                   fraction lost to rounding is below profiling noise *)
-                let n = max 1 (int_of_float (Float.round weight)) in
-                for _ = 1 to n do
-                  Dcg.add_sample dcg trace
-                done
+                (* weights restore as whole samples, at least one; the
+                   sub-sample fraction lost to rounding is below
+                   profiling noise. One addition of the count equals
+                   that many single samples for counts below 2^53. *)
+                Dcg.add_weight dcg trace (Float.max 1.0 (Float.round weight))
             | _ -> raise (Malformed ("bad trace line: " ^ line)))
         | _ -> raise (Malformed ("bad line: " ^ line)))
     lines;

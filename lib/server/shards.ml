@@ -349,7 +349,11 @@ let collect_publications published shards pubs_rev =
               if Interp.native_installed sd.sd_vm mid then
                 match Tier.compile sd.sd_vm code with
                 | r -> Some r
-                | exception _ -> None
+                | exception exn ->
+                    (* published without closures: adopters compile
+                       their own, or stay on the interpreter *)
+                    System.record_tier_failure sd.sd_sys mid exn;
+                    None
               else None
             in
             let p =

@@ -66,7 +66,11 @@ let region_bases program (code : Code.t) (entries : Code.src_entry array) =
 
 exception Invalid
 
-let table_of_code program (code : Code.t) =
+type depths = int array option array
+
+let depths program = Array.make (Program.method_count program) None
+
+let table_of_code ?depths:memo program (code : Code.t) =
   match code.Code.src with
   | None ->
       {
@@ -88,13 +92,13 @@ let table_of_code program (code : Code.t) =
       in
       let opt_depths = Verify.entry_depths program wrapper in
       let bases = region_bases program code entries in
-      let depth_cache : (int, int array) Hashtbl.t = Hashtbl.create 16 in
+      let memo = match memo with Some m -> m | None -> depths program in
       let depths_of (mid : Ids.Method_id.t) =
-        match Hashtbl.find_opt depth_cache (mid :> int) with
+        match memo.((mid :> int)) with
         | Some d -> d
         | None ->
             let d = Verify.entry_depths program (Program.meth program mid) in
-            Hashtbl.add depth_cache (mid :> int) d;
+            memo.((mid :> int)) <- Some d;
             d
       in
       let depth_at (mid : Ids.Method_id.t) pc =

@@ -36,9 +36,19 @@ type point = Interp.frame_plan array
 
 type table
 
-val table_of_code : Program.t -> Code.t -> table
+type depths
+(** Verifier entry depths of baseline methods, filled on first use. A
+    pure function of the program, so one value serves every table built
+    against it; it is mutable, so it must stay on one domain. *)
+
+val depths : Program.t -> depths
+(** An empty memo for the program's methods. *)
+
+val table_of_code : ?depths:depths -> Program.t -> Code.t -> table
 (** Build the deopt table for [code]. Baseline code yields an empty
-    table (no pc needs a mapping — the code {e is} the source). *)
+    table (no pc needs a mapping — the code {e is} the source).
+    [depths] (default: a fresh memo) must have been made for
+    [program]. *)
 
 val meth : table -> Ids.Method_id.t
 

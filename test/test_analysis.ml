@@ -447,6 +447,299 @@ let test_summary_render_jobs_invariant () =
   let pooled = Parallel.map ~jobs:3 render benches in
   Alcotest.(check (list string)) "tables independent of --jobs" serial pooled
 
+(* --- Exact diagnostics over a mutation corpus ---------------------- *)
+
+(* Real installs: every optimized code left installed after a
+   speculative, OSR-enabled run of a corpus program, in method order. *)
+let installed_codes name ~scale ~policy =
+  let spec = Acsi_workloads.Workloads.find name in
+  let program = spec.Acsi_workloads.Workloads.build ~scale in
+  let cfg = Config.default ~policy in
+  let aos =
+    { cfg.Config.aos with Acsi_aos.System.speculate = true; enable_osr = true }
+  in
+  let result = Runtime.run { cfg with Config.aos } program in
+  let codes =
+    Array.to_list (Program.methods program)
+    |> List.filter_map (fun (m : Meth.t) ->
+           let code = Acsi_vm.Interp.code_of result.Runtime.vm m.Meth.id in
+           match code.Acsi_vm.Code.tier with
+           | Acsi_vm.Code.Optimized -> Some code
+           | Acsi_vm.Code.Baseline -> None)
+  in
+  (program, codes)
+
+let first_pc arr f =
+  let n = Array.length arr in
+  let rec go i = if i >= n then None else if f i arr.(i) then Some i else go (i + 1) in
+  go 0
+
+(* Each mutation rewrites one copy of an installed code at the first pc
+   it applies to, or returns [None] when the code has no such pc. *)
+let mutations p : (string * (Acsi_vm.Code.t -> Acsi_vm.Code.t option)) list =
+  let module C = Acsi_vm.Code in
+  let srcs (c : C.t) = Option.get c.C.src in
+  let with_instr (c : C.t) pc i =
+    let instrs = Array.copy c.C.instrs in
+    instrs.(pc) <- i;
+    { c with C.instrs }
+  in
+  let with_srcs (c : C.t) f =
+    { c with C.src = Some (Array.mapi f (srcs c)) }
+  in
+  let root_level (e : C.src_entry) = e.C.parents = [] && e.C.src_pc >= 0 in
+  let first_guard (c : C.t) =
+    first_pc c.C.instrs (fun _ i ->
+        match i with Instr.Guard_method _ -> true | _ -> false)
+  in
+  let speculate_unguarded c =
+    Option.map
+      (fun pc ->
+        match c.C.instrs.(pc) with
+        | Instr.Guard_method g ->
+            {
+              (with_instr c pc Instr.Nop) with
+              C.assumptions = (g.Instr.sel, g.Instr.expected) :: c.C.assumptions;
+            }
+        | _ -> assert false)
+      (first_guard c)
+  in
+  [
+    ( "drop-guard",
+      fun c -> Option.map (fun pc -> with_instr c pc Instr.Nop) (first_guard c) );
+    ("speculate-unguarded", speculate_unguarded);
+    ( "speculate-unmapped",
+      (* ... and with every root-level entry synthetic, no deopt point is
+         left to dominate the speculative region. *)
+      fun c ->
+        Option.map
+          (fun c ->
+            with_srcs c (fun _ (e : C.src_entry) ->
+                if e.C.parents = [] then { e with C.src_pc = -1 } else e))
+          (speculate_unguarded c) );
+    ( "retarget-jump",
+      (* A jump inside an inline region sent back to the region's first
+         pc: rewritten returns must never land in their own region. *)
+      fun c ->
+        let s = srcs c in
+        Option.map
+          (fun pc ->
+            let region = s.(pc).C.parents and m = s.(pc).C.src_meth in
+            let start =
+              Option.get
+                (first_pc s (fun _ (e : C.src_entry) ->
+                     e.C.parents = region && Ids.Method_id.equal e.C.src_meth m))
+            in
+            with_instr c pc (Instr.Jump start))
+          (first_pc c.C.instrs (fun pc i ->
+               match i with
+               | Instr.Jump _ -> s.(pc).C.parents <> []
+               | _ -> false)) );
+    ( "local-out-of-range",
+      fun c ->
+        Option.map
+          (fun pc -> with_instr c pc (Instr.Load c.C.max_locals))
+          (first_pc c.C.instrs (fun _ i ->
+               match i with Instr.Load _ -> true | _ -> false)) );
+    ( "field-out-of-range",
+      fun c ->
+        Option.map
+          (fun pc ->
+            match c.C.instrs.(pc) with
+            | Instr.Get_field k -> with_instr c pc (Instr.Get_field (k + 50))
+            | Instr.Put_field k -> with_instr c pc (Instr.Put_field (k + 50))
+            | _ -> assert false)
+          (first_pc c.C.instrs (fun _ i ->
+               match i with
+               | Instr.Get_field _ | Instr.Put_field _ -> true
+               | _ -> false)) );
+    ( "foreign-selector",
+      (* A virtual call re-aimed at the first other selector with the same
+         shape, so only the typed cone check can object. *)
+      fun c ->
+        let shape_ok sel argc returns =
+          match Program.implementations p sel with
+          | [] -> false
+          | impls ->
+              List.for_all
+                (fun mid ->
+                  let m = Program.meth p mid in
+                  m.Meth.kind = Meth.Instance && m.Meth.arity = argc
+                  && Bool.equal m.Meth.returns returns)
+                impls
+        in
+        Option.bind
+          (first_pc c.C.instrs (fun _ i ->
+               match i with Instr.Call_virtual _ -> true | _ -> false))
+          (fun pc ->
+            match c.C.instrs.(pc) with
+            | Instr.Call_virtual (sel, argc) ->
+                let returns =
+                  (Program.meth p (List.hd (Program.implementations p sel)))
+                    .Meth.returns
+                in
+                let rec pick k =
+                  if k >= Program.selector_count p then None
+                  else
+                    let s = Ids.Selector.of_int k in
+                    if (not (Ids.Selector.equal s sel)) && shape_ok s argc returns
+                    then Some (with_instr c pc (Instr.Call_virtual (s, argc)))
+                    else pick (k + 1)
+                in
+                pick 0
+            | _ -> assert false) );
+    ( "swap-parent",
+      (* Every entry of the first inline region takes the parent chain of
+         the next distinct region. *)
+      fun c ->
+        let s = srcs c in
+        Option.bind
+          (first_pc s (fun _ (e : C.src_entry) -> e.C.parents <> []))
+          (fun i ->
+            let first = s.(i).C.parents in
+            Option.map
+              (fun j ->
+                let other = s.(j).C.parents in
+                with_srcs c (fun _ (e : C.src_entry) ->
+                    if e.C.parents = first then { e with C.parents = other }
+                    else e))
+              (first_pc s (fun _ (e : C.src_entry) ->
+                   e.C.parents <> [] && e.C.parents <> first))) );
+    ( "parent-not-a-call",
+      fun c ->
+        let s = srcs c in
+        Option.map
+          (fun i ->
+            with_srcs c (fun pc (e : C.src_entry) ->
+                if pc = i then
+                  match e.C.parents with
+                  | (m, _) :: rest -> { e with C.parents = (m, 0) :: rest }
+                  | [] -> e
+                else e))
+          (first_pc s (fun _ (e : C.src_entry) ->
+               match e.C.parents with
+               | (m, cs) :: _ ->
+                   cs <> 0 && not (Instr.is_call (Program.meth p m).Meth.body.(0))
+               | [] -> false)) );
+    ( "stale-source-pc",
+      fun c ->
+        let s = srcs c in
+        Option.map
+          (fun i ->
+            with_srcs c (fun pc (e : C.src_entry) ->
+                if pc = i then { e with C.src_pc = e.C.src_pc + 10_000 } else e))
+          (first_pc s (fun _ e -> root_level e)) );
+    ( "foreign-root-entry",
+      fun c ->
+        let s = srcs c in
+        let other =
+          Ids.Method_id.of_int
+            (((c.C.meth :> int) + 1) mod Program.method_count p)
+        in
+        Option.map
+          (fun i ->
+            with_srcs c (fun pc (e : C.src_entry) ->
+                if pc = i then { e with C.src_meth = other; src_pc = -1 } else e))
+          (first_pc s (fun _ e -> root_level e)) );
+    ( "carried-slot-kind",
+      (* An int constant a root-level entry carries becomes null. *)
+      fun c ->
+        let s = srcs c in
+        Option.map
+          (fun pc -> with_instr c pc Instr.Const_null)
+          (first_pc c.C.instrs (fun pc i ->
+               match i with
+               | Instr.Const _ -> root_level s.(pc)
+               | _ -> false)) );
+  ]
+
+let mutant_corpus =
+  [
+    ("dispatch", 4, Policy.Adaptive_resolving 3);
+    ("richards", 1, Policy.Fixed 3);
+    ("javac", 30, Policy.Hybrid_param_class 4);
+    ("db", 22, Policy.Context_insensitive);
+  ]
+
+(* The rendered report: for each corpus program and installed code, the
+   unmutated findings then each applicable mutation's findings. *)
+let render_mutant_report () =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (name, scale, policy) ->
+      let p, codes = installed_codes name ~scale ~policy in
+      Printf.bprintf buf "== %s scale %d %s: %d installed codes\n" name scale
+        (Policy.to_string policy) (List.length codes);
+      List.iter
+        (fun (code : Acsi_vm.Code.t) ->
+          let label = (Program.meth p code.Acsi_vm.Code.meth).Meth.name in
+          let emit what c =
+            let ds = Jit_check.check p c in
+            Printf.bprintf buf "%s/%s: %d\n" label what (List.length ds);
+            List.iter
+              (fun d -> Printf.bprintf buf "  %s\n" (Diag.to_string d))
+              ds
+          in
+          emit "original" code;
+          List.iter
+            (fun (what, mutate) ->
+              match mutate code with Some c -> emit what c | None -> ())
+            (mutations p))
+        codes)
+    mutant_corpus;
+  Buffer.contents buf
+
+let golden_mutants = "golden_jit_check_mutants.txt"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Pins every diagnostic's exact text: findings render lazily, so a
+   drifting message (or a lost or extra finding) shows up as a diff. On
+   mismatch the actual report is written next to the golden. *)
+let test_mutant_diagnostics_golden () =
+  let actual = render_mutant_report () in
+  let expected = read_file golden_mutants in
+  if not (String.equal actual expected) then begin
+    Out_channel.with_open_bin (golden_mutants ^ ".actual") (fun oc ->
+        Out_channel.output_string oc actual);
+    Alcotest.failf "Jit_check diagnostics differ from %s (actual report in %s.actual)"
+      golden_mutants golden_mutants
+  end
+
+(* Install checks share nothing mutable: checking installed and mutated
+   codes on two domains at once must give exactly the serial findings.
+   The work alternates between two programs, so a cache shared across
+   calls would also be shared across programs. *)
+let test_jit_check_domain_safe () =
+  let variants name ~scale ~policy =
+    let p, codes = installed_codes name ~scale ~policy in
+    List.concat_map
+      (fun code ->
+        (p, code)
+        :: List.filter_map
+             (fun (_, mutate) -> Option.map (fun c -> (p, c)) (mutate code))
+             (mutations p))
+      codes
+  in
+  let rec interleave a b =
+    match (a, b) with
+    | x :: a, y :: b -> x :: y :: interleave a b
+    | rest, [] | [], rest -> rest
+  in
+  let variants =
+    interleave
+      (variants "javac" ~scale:30 ~policy:(Policy.Hybrid_param_class 4))
+      (variants "richards" ~scale:1 ~policy:(Policy.Fixed 3))
+  in
+  let work = List.concat [ variants; variants; variants ] in
+  let render (p, code) = diag_strings (Jit_check.check p code) in
+  let serial = Parallel.map ~jobs:1 render work in
+  Alcotest.(check bool) "corpus has findings" true
+    (List.exists (fun ds -> ds <> []) serial);
+  Alcotest.(check (list (list string)))
+    "2 domains = serial" serial
+    (Parallel.map ~jobs:2 render work)
+
 let suite =
   [
     Alcotest.test_case "type clash at join" `Quick test_type_clash_at_join;
@@ -466,6 +759,10 @@ let suite =
       test_always_throws_traps;
     Alcotest.test_case "summary table invariant under --jobs" `Quick
       test_summary_render_jobs_invariant;
+    Alcotest.test_case "mutant diagnostics match golden" `Quick
+      test_mutant_diagnostics_golden;
+    Alcotest.test_case "install checks are domain-safe" `Quick
+      test_jit_check_domain_safe;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

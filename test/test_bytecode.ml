@@ -180,6 +180,39 @@ let test_cha () =
   check_bool "not monomorphic" true
     (Program.monomorphic_target p sel = None)
 
+(* The hierarchy facts sealing precomputes equal their definitions:
+   implementations are the distinct dispatch targets over all classes,
+   in ascending id order; a cone is every subclass, in class order. *)
+let test_sealed_hierarchy_facts () =
+  List.iter
+    (fun (name, p) ->
+      let classes = Array.to_list (Program.classes p) in
+      for s = 0 to Program.selector_count p - 1 do
+        let sel = Ids.Selector.of_int s in
+        let targets =
+          List.filter_map (fun (c : Clazz.t) -> Program.dispatch p c.id sel) classes
+          |> List.sort_uniq Ids.Method_id.compare
+        in
+        check_bool
+          (Printf.sprintf "%s: implementations of %s" name
+             (Program.selector_name p sel))
+          true
+          (List.equal Ids.Method_id.equal targets (Program.implementations p sel))
+      done;
+      List.iter
+        (fun (c : Clazz.t) ->
+          let expected =
+            List.filter
+              (fun (k : Clazz.t) -> Program.is_subclass p ~sub:k.id ~super:c.id)
+              classes
+          in
+          check_bool
+            (Printf.sprintf "%s: cone of %s" name c.name)
+            true
+            (List.equal ( == ) expected (Array.to_list (Program.cone p c.id))))
+        classes)
+    (Acsi_workloads.Workloads.build_all ~scale_factor:0.05 ())
+
 let test_is_subclass () =
   let p, base, mid, leaf, _, _ = build_hierarchy () in
   check_bool "leaf <= base" true (Program.is_subclass p ~sub:leaf ~super:base);
@@ -340,6 +373,8 @@ let suite =
     Alcotest.test_case "dispatch override" `Quick test_dispatch_override;
     Alcotest.test_case "field layout inheritance" `Quick test_field_layout_inheritance;
     Alcotest.test_case "class hierarchy analysis" `Quick test_cha;
+    Alcotest.test_case "sealed hierarchy facts" `Quick
+      test_sealed_hierarchy_facts;
     Alcotest.test_case "subclass relation" `Quick test_is_subclass;
     Alcotest.test_case "find class and method" `Quick test_find_class_and_method;
     Alcotest.test_case "duplicate class rejected" `Quick test_duplicate_class_rejected;

@@ -62,6 +62,37 @@ let test_file_roundtrip () =
       let restored = Persist.load path in
       check_int "file roundtrip" (Dcg.size dcg) (Dcg.size restored))
 
+(* A heavy trace restores in one step: a weight of a billion loads well
+   inside a second, and small weights give exactly the DCG that replaying
+   them sample by sample builds (weights, total, site views). *)
+let test_heavy_weights () =
+  let t0 = Unix.gettimeofday () in
+  let big = Persist.of_string "acsi-profile 1\ntrace 3 1e9 1:2\n" in
+  let dt = Unix.gettimeofday () -. t0 in
+  check_bool "1e9-weight line loads in under a second" true (dt < 1.0);
+  check_bool "weight is exact" true (Dcg.weight big (trace 3 [ (1, 2) ]) = 1e9);
+  let text =
+    "acsi-profile 1\ntrace 3 7 1:2\ntrace 4 0.4 1:2 5:6\ntrace 3 2.6 9:1\n"
+  in
+  let replayed = Dcg.create () in
+  List.iter
+    (fun (n, tr) ->
+      for _ = 1 to n do
+        Dcg.add_sample replayed tr
+      done)
+    [ (7, trace 3 [ (1, 2) ]); (1, trace 4 [ (1, 2); (5, 6) ]); (3, trace 3 [ (9, 1) ]) ];
+  let restored = Persist.of_string text in
+  Alcotest.(check string) "same profile as the replay"
+    (Persist.to_string replayed) (Persist.to_string restored);
+  check_bool "same total" true
+    (Dcg.total_weight restored = Dcg.total_weight replayed);
+  Alcotest.(check (list (pair int (float 0.0))))
+    "same site view"
+    (List.map (fun ((m : Ids.Method_id.t), w) -> ((m :> int), w))
+       (Dcg.site_distribution replayed ~caller:(mid 1) ~callsite:2))
+    (List.map (fun ((m : Ids.Method_id.t), w) -> ((m :> int), w))
+       (Dcg.site_distribution restored ~caller:(mid 1) ~callsite:2))
+
 (* The offline experiment: collect a profile in run 1, seed run 2 with it;
    the seeded run must reach its inlining decisions with at most as many
    optimizing compilations as the cold run (no warm-up churn). *)
@@ -94,5 +125,7 @@ let suite =
     Alcotest.test_case "stable canonical output" `Quick test_stable_output;
     Alcotest.test_case "malformed inputs rejected" `Quick test_malformed_inputs;
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+    Alcotest.test_case "heavy weights restore in one step" `Quick
+      test_heavy_weights;
     Alcotest.test_case "offline profile seeding" `Quick test_offline_seeding;
   ]

@@ -132,6 +132,56 @@ let test_malformed_code_rejected () =
     "no closure code installed" false
     (Interp.native_installed vm main)
 
+(* A tier compile that raises is never swallowed: the adopting system
+   keeps the method on the interpreter tier and records why. The code
+   carries no source map, so the install check trusts it and only the
+   tier compiler's own verification pass sees the underflow. *)
+let test_tier_failure_visible () =
+  let program = Compile.prog counter_prog in
+  let vm = Interp.create program in
+  let aos =
+    {
+      (System.default_config (Policy.Fixed 3)) with
+      System.obs =
+        { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true };
+    }
+  in
+  let sys = System.create aos vm in
+  let main = Acsi_bytecode.Program.main program in
+  let bad =
+    {
+      (Interp.code_of vm main) with
+      Code.tier = Code.Optimized;
+      Code.instrs = [| Acsi_bytecode.Instr.Pop; Acsi_bytecode.Instr.Return_void |];
+      Code.src = None;
+    }
+  in
+  let stats =
+    {
+      Acsi_jit.Expand.expanded_units = 2;
+      inline_count = 0;
+      guard_count = 0;
+      compile_cycles = 0;
+      code_bytes = 0;
+      inlined_edges = [];
+    }
+  in
+  System.adopt_compiled sys main bad stats ~rule_stamp:0 ~native:None;
+  Alcotest.(check bool)
+    "no closure code installed" false
+    (Interp.native_installed vm main);
+  match System.provenance sys with
+  | None -> Alcotest.fail "provenance store missing"
+  | Some prov -> (
+      match Provenance.tier_all prov with
+      | [ { Provenance.td_outcome = Provenance.Tier_fell_back why; td_meth; _ } ]
+        ->
+          Alcotest.(check int) "recorded for main" (main :> int) (td_meth :> int);
+          Alcotest.(check bool)
+            "reason names the verifier error" true
+            (Test_bytecode.contains why "stack underflow")
+      | _ -> Alcotest.fail "expected exactly one fell-back tier decision")
+
 (* --- satellite: tier decisions recorded in provenance --- *)
 
 let test_provenance_records_tier_decisions () =
@@ -371,6 +421,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tier_differential;
     Alcotest.test_case "install gate rejects malformed code" `Quick
       test_malformed_code_rejected;
+    Alcotest.test_case "tier failure is visible" `Quick
+      test_tier_failure_visible;
     Alcotest.test_case "tier decisions recorded in provenance" `Quick
       test_provenance_records_tier_decisions;
     Alcotest.test_case "preemption across tiers" `Quick
