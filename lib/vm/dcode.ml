@@ -100,7 +100,7 @@ let width = function
 let plain (i : Instr.t) : op =
   match i with
   | Instr.Const n -> Const (Value.of_int n)
-  | Instr.Const_null -> Const Value.Null
+  | Instr.Const_null -> Const Value.null
   | Instr.Load i -> Load i
   | Instr.Store i -> Store i
   | Instr.Dup -> Dup

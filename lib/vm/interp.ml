@@ -503,23 +503,74 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
 
 (* --- helpers --- *)
 
-let[@inline] as_int v =
-  match (v : Value.t) with
-  | Value.Int n -> n
-  | Value.Null | Value.Obj _ | Value.Arr _ ->
-      rerr "expected an integer, got %a" Value.pp v
+(* Value primitives, defined here rather than called in {!Value}: every
+   library builds with [-opaque] in dune's dev profile, so a call into
+   another module is never inlined, and these sit on the interpreter's
+   hottest paths. They follow {!Value}'s representation: an integer is an
+   immediate, everything else a block, and no match on a [Value.t] runs
+   before an [is_int] test. *)
+
+let[@inline] is_int (v : Value.t) = Obj.is_int (Obj.repr v)
+let[@inline] int_of (v : Value.t) : int = Obj.magic v
+let[@inline] of_int (n : int) : Value.t = Obj.magic n
+
+let[@inline] truthy v =
+  if is_int v then int_of v <> 0
+  else
+    match (v : Value.t) with
+    | Value.Null_c _ -> false
+    | Value.Obj_c _ | Value.Arr_c _ -> true
+
+let[@inline] equal_cmp a b =
+  if is_int a || is_int b then a == b
+  else
+    match ((a : Value.t), (b : Value.t)) with
+    | Value.Null_c _, Value.Null_c _ -> true
+    | Value.Obj_c x, Value.Obj_c y -> x == y
+    | Value.Arr_c x, Value.Arr_c y -> x == y
+    | (Value.Null_c _ | Value.Obj_c _ | Value.Arr_c _), _ -> false
+
+(* Stores into a [Value.t array]. OCaml's write barrier ([caml_modify])
+   has work to do only when the new value is a block (it may need a
+   remembered-set entry) or the old one is (the concurrent marker must
+   see it before it is overwritten). When both are immediates the store
+   is exactly what the compiler emits for an [int array], so these write
+   through an [int array] view in that case and keep the barrier in all
+   others. *)
+let[@inline] set (a : Value.t array) i (v : Value.t) =
+  if is_int v && is_int (Array.unsafe_get a i) then
+    Array.unsafe_set (Obj.magic a : int array) i (int_of v)
+  else Array.unsafe_set a i v
+
+let[@inline] set_int (a : Value.t array) i n =
+  if is_int (Array.unsafe_get a i) then
+    Array.unsafe_set (Obj.magic a : int array) i n
+  else Array.unsafe_set a i (of_int n)
+
+(* Bounds-checked [set], for indices the verifier does not bound. *)
+let[@inline] store (a : Value.t array) i (v : Value.t) =
+  if is_int v && is_int a.(i) then
+    Array.unsafe_set (Obj.magic a : int array) i (int_of v)
+  else a.(i) <- v
+
+let[@inline never] not_int v = rerr "expected an integer, got %a" Value.pp v
+let[@inline] as_int v = if is_int v then int_of v else not_int v
 
 let[@inline] as_obj v =
-  match (v : Value.t) with
-  | Value.Obj o -> o
-  | Value.Null -> rerr "null dereference"
-  | Value.Int _ | Value.Arr _ -> rerr "expected an object, got %a" Value.pp v
+  if is_int v then rerr "expected an object, got %a" Value.pp v
+  else
+    match (v : Value.t) with
+    | Value.Obj_c o -> o
+    | Value.Null_c _ -> rerr "null dereference"
+    | Value.Arr_c _ -> rerr "expected an object, got %a" Value.pp v
 
 let[@inline] as_arr v =
-  match (v : Value.t) with
-  | Value.Arr a -> a
-  | Value.Null -> rerr "null array dereference"
-  | Value.Int _ | Value.Obj _ -> rerr "expected an array, got %a" Value.pp v
+  if is_int v then rerr "expected an array, got %a" Value.pp v
+  else
+    match (v : Value.t) with
+    | Value.Arr_c a -> a
+    | Value.Null_c _ -> rerr "null array dereference"
+    | Value.Obj_c _ -> rerr "expected an array, got %a" Value.pp v
 
 let[@inline] eval_binop op a b =
   match (op : Instr.binop) with
@@ -537,8 +588,8 @@ let[@inline] eval_binop op a b =
 let[@inline] eval_cmp c a b =
   let r =
     match (c : Instr.cmp) with
-    | Instr.Eq -> Value.equal_cmp a b
-    | Instr.Ne -> not (Value.equal_cmp a b)
+    | Instr.Eq -> equal_cmp a b
+    | Instr.Ne -> not (equal_cmp a b)
     | Instr.Lt -> as_int a < as_int b
     | Instr.Le -> as_int a <= as_int b
     | Instr.Gt -> as_int a > as_int b
@@ -575,7 +626,7 @@ let invoke t (mid : Ids.Method_id.t) =
   let nslots = t.param_slots.((mid :> int)) in
   for k = nslots - 1 downto 0 do
     caller.f_sp <- caller.f_sp - 1;
-    Array.unsafe_set fr.f_regs k (Array.unsafe_get caller.f_regs caller.f_sp)
+    set fr.f_regs k (Array.unsafe_get caller.f_regs caller.f_sp)
   done;
   t.invoke_countdown <- t.invoke_countdown - 1;
   if t.invoke_countdown <= 0 then begin
@@ -637,20 +688,20 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
   else begin
     match Array.unsafe_get ops pc with
     | Dcode.Const v ->
-        Array.unsafe_set stack sp v;
+        set stack sp v;
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Load i ->
-        Array.unsafe_set stack sp (Array.unsafe_get locals i);
+        set stack sp (Array.unsafe_get locals i);
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Store i ->
         let sp = sp - 1 in
-        Array.unsafe_set locals i (Array.unsafe_get stack sp);
+        set locals i (Array.unsafe_get stack sp);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Dup ->
-        Array.unsafe_set stack sp (Array.unsafe_get stack (sp - 1));
+        set stack sp (Array.unsafe_get stack (sp - 1));
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Pop ->
@@ -658,32 +709,31 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (ninstr + 1)
     | Dcode.Swap ->
         let a = Array.unsafe_get stack (sp - 1) in
-        Array.unsafe_set stack (sp - 1) (Array.unsafe_get stack (sp - 2));
-        Array.unsafe_set stack (sp - 2) a;
+        set stack (sp - 1) (Array.unsafe_get stack (sp - 2));
+        set stack (sp - 2) a;
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Binop op ->
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         let sp = sp - 1 in
-        Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+        set_int stack (sp - 1) (eval_binop op a b);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Neg ->
-        Array.unsafe_set stack (sp - 1)
-          (Value.of_int (-as_int (Array.unsafe_get stack (sp - 1))));
+        set_int stack (sp - 1) (-as_int (Array.unsafe_get stack (sp - 1)));
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Not ->
-        Array.unsafe_set stack (sp - 1)
-          (Value.of_bool (not (Value.truthy (Array.unsafe_get stack (sp - 1)))));
+        set_int stack (sp - 1)
+          (if truthy (Array.unsafe_get stack (sp - 1)) then 0 else 1);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Cmp c ->
         let b = Array.unsafe_get stack (sp - 1) in
         let a = Array.unsafe_get stack (sp - 2) in
         let sp = sp - 1 in
-        Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+        set_int stack (sp - 1) (eval_cmp c a b);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Jump target ->
@@ -691,7 +741,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (ninstr + 1)
     | Dcode.Jump_if target ->
         let sp = sp - 1 in
-        if Value.truthy (Array.unsafe_get stack sp) then
+        if truthy (Array.unsafe_get stack sp) then
           step t fr ops icost stack locals target sp (remaining - icost)
             (ninstr + 1)
         else
@@ -699,7 +749,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
             (ninstr + 1)
     | Dcode.Jump_ifnot target ->
         let sp = sp - 1 in
-        if Value.truthy (Array.unsafe_get stack sp) then
+        if truthy (Array.unsafe_get stack sp) then
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         else
@@ -714,22 +764,22 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (t.next_sample - t.cycles) 0
     | Dcode.Get_field i ->
         let o = as_obj (Array.unsafe_get stack (sp - 1)) in
-        Array.unsafe_set stack (sp - 1) o.Value.fields.(i);
+        set stack (sp - 1) o.Value.fields.(i);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Put_field i ->
         let v = Array.unsafe_get stack (sp - 1) in
         let o = as_obj (Array.unsafe_get stack (sp - 2)) in
-        o.Value.fields.(i) <- v;
+        store o.Value.fields i v;
         step t fr ops icost stack locals (pc + 1) (sp - 2) (remaining - icost)
           (ninstr + 1)
     | Dcode.Get_global i ->
-        Array.unsafe_set stack sp t.globals.(i);
+        set stack sp t.globals.(i);
         step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
           (ninstr + 1)
     | Dcode.Put_global i ->
         let sp = sp - 1 in
-        t.globals.(i) <- Array.unsafe_get stack sp;
+        store t.globals i (Array.unsafe_get stack sp);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Array_new ->
@@ -738,7 +788,8 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         flush t icost (ninstr + 1);
         t.cycles <-
           t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-        Array.unsafe_set stack (sp - 1) (Value.Arr (Array.make n Value.zero));
+        Array.unsafe_set stack (sp - 1)
+          (Value.of_arr (Array.make n Value.zero));
         step t fr ops icost stack locals (pc + 1) sp
           (t.next_sample - t.cycles) 0
     | Dcode.Array_get ->
@@ -747,7 +798,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if i < 0 || i >= Array.length a then
           rerr "array index %d out of bounds (length %d)" i (Array.length a);
         let sp = sp - 1 in
-        Array.unsafe_set stack (sp - 1) (Array.unsafe_get a i);
+        set stack (sp - 1) (Array.unsafe_get a i);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Array_set ->
@@ -756,12 +807,12 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let a = as_arr (Array.unsafe_get stack (sp - 3)) in
         if i < 0 || i >= Array.length a then
           rerr "array index %d out of bounds (length %d)" i (Array.length a);
-        Array.unsafe_set a i v;
+        set a i v;
         step t fr ops icost stack locals (pc + 1) (sp - 3) (remaining - icost)
           (ninstr + 1)
     | Dcode.Array_len ->
         let a = as_arr (Array.unsafe_get stack (sp - 1)) in
-        Array.unsafe_set stack (sp - 1) (Value.of_int (Array.length a));
+        set_int stack (sp - 1) (Array.length a);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Call mid ->
@@ -783,12 +834,14 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         t.cycles <- t.cycles + t.cost.Cost.guard;
         let recv = Array.unsafe_get stack (sp - 1 - g.Instr.argc) in
         let ok =
+          (not (is_int recv))
+          &&
           match recv with
-          | Value.Obj o -> (
+          | Value.Obj_c o -> (
               match Program.dispatch t.program o.Value.cls g.Instr.sel with
               | Some target -> Ids.Method_id.equal target g.Instr.expected
               | None -> false)
-          | Value.Null | Value.Int _ | Value.Arr _ -> false
+          | Value.Null_c _ | Value.Arr_c _ -> false
         in
         let pc =
           if ok then begin
@@ -808,7 +861,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         t.depth <- t.depth - 1;
         if t.depth > 0 then begin
           let caller = t.frames.(t.depth - 1) in
-          caller.f_regs.(caller.f_sp) <- result;
+          store caller.f_regs caller.f_sp result;
           caller.f_sp <- caller.f_sp + 1;
           caller.f_pc <- caller.f_pc + 1;
           continue_window t
@@ -822,13 +875,16 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           continue_window t
         end
     | Dcode.Instance_of cid ->
+        let v = Array.unsafe_get stack (sp - 1) in
         let r =
-          match Array.unsafe_get stack (sp - 1) with
-          | Value.Obj o ->
+          (not (is_int v))
+          &&
+          match v with
+          | Value.Obj_c o ->
               Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
-          | Value.Null | Value.Int _ | Value.Arr _ -> false
+          | Value.Null_c _ | Value.Arr_c _ -> false
         in
-        Array.unsafe_set stack (sp - 1) (Value.of_bool r);
+        set_int stack (sp - 1) (if r then 1 else 0);
         step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Dcode.Print_int ->
@@ -848,26 +904,26 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if remaining > 2 * icost then begin
           let b = as_int (Array.unsafe_get locals j) in
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set stack sp (Value.of_int (eval_binop op a b));
+          set_int stack sp (eval_binop op a b);
           step t fr ops icost stack locals (pc + 3) (sp + 1)
             (remaining - (3 * icost))
             (ninstr + 3)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_const_binop (i, n, op) ->
         if remaining > 2 * icost then begin
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set stack sp (Value.of_int (eval_binop op a n));
+          set_int stack sp (eval_binop op a n);
           step t fr ops icost stack locals (pc + 3) (sp + 1)
             (remaining - (3 * icost))
             (ninstr + 3)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -875,39 +931,39 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if remaining > 3 * icost then begin
           let b = as_int (Array.unsafe_get locals j) in
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set locals d (Value.of_int (eval_binop op a b));
+          set_int locals d (eval_binop op a b);
           step t fr ops icost stack locals (pc + 4) sp
             (remaining - (4 * icost))
             (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_const_binop_store (i, n, op, d) ->
         if remaining > 3 * icost then begin
           let a = as_int (Array.unsafe_get locals i) in
-          Array.unsafe_set locals d (Value.of_int (eval_binop op a n));
+          set_int locals d (eval_binop op a n);
           step t fr ops icost stack locals (pc + 4) sp
             (remaining - (4 * icost))
             (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_getfield_store (i, f, d) ->
         if remaining > 2 * icost then begin
           let o = as_obj (Array.unsafe_get locals i) in
-          Array.unsafe_set locals d o.Value.fields.(f);
+          set locals d o.Value.fields.(f);
           step t fr ops icost stack locals (pc + 3) sp
             (remaining - (3 * icost))
             (ninstr + 3)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -926,7 +982,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
               (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -943,57 +999,57 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
               (ninstr + 4)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_store (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals j (Array.unsafe_get locals i);
+          set locals j (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Const_store (v, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals j v;
+          set locals j v;
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp v;
+          set stack sp v;
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load_getfield (i, f) ->
         if remaining > icost then begin
           let o = as_obj (Array.unsafe_get locals i) in
-          Array.unsafe_set stack sp o.Value.fields.(f);
+          set stack sp o.Value.fields.(f);
           step t fr ops icost stack locals (pc + 2) (sp + 1)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Load2 (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
-          Array.unsafe_set stack (sp + 1) (Array.unsafe_get locals j);
+          set stack sp (Array.unsafe_get locals i);
+          set stack (sp + 1) (Array.unsafe_get locals j);
           step t fr ops icost stack locals (pc + 2) (sp + 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1013,7 +1069,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+          set_int stack (sp - 1) (eval_cmp c a b);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1033,7 +1089,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+          set_int stack (sp - 1) (eval_cmp c a b);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1041,84 +1097,84 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         if remaining > icost then begin
-          Array.unsafe_set locals j (Value.of_int (eval_binop op a b));
+          set_int locals j (eval_binop op a b);
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+          set_int stack (sp - 1) (eval_binop op a b);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Const_binop (n, op) ->
         if remaining > icost then begin
-          (* the constant is the top operand [b]; it is an [Int] by
+          (* the constant is the top operand [b]; it is an integer by
              construction, so only [a] needs the dynamic check *)
           let a = as_int (Array.unsafe_get stack (sp - 1)) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a n));
+          set_int stack (sp - 1) (eval_binop op a n);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Value.of_int n);
+          set_int stack sp n;
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
     | Dcode.Store_load (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals i (Array.unsafe_get stack (sp - 1));
-          Array.unsafe_set stack (sp - 1) (Array.unsafe_get locals j);
+          set locals i (Array.unsafe_get stack (sp - 1));
+          set stack (sp - 1) (Array.unsafe_get locals j);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set locals i (Array.unsafe_get stack sp);
+          set locals i (Array.unsafe_get stack sp);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Store_store (i, j) ->
         if remaining > icost then begin
-          Array.unsafe_set locals i (Array.unsafe_get stack (sp - 1));
-          Array.unsafe_set locals j (Array.unsafe_get stack (sp - 2));
+          set locals i (Array.unsafe_get stack (sp - 1));
+          set locals j (Array.unsafe_get stack (sp - 2));
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set locals i (Array.unsafe_get stack sp);
+          set locals i (Array.unsafe_get stack sp);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Store_jump (i, target) ->
         if remaining > icost then begin
-          Array.unsafe_set locals i (Array.unsafe_get stack (sp - 1));
+          set locals i (Array.unsafe_get stack (sp - 1));
           step t fr ops icost stack locals target (sp - 1)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set locals i (Array.unsafe_get stack sp);
+          set locals i (Array.unsafe_get stack sp);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Getfield_load (f, j) ->
         let o = as_obj (Array.unsafe_get stack (sp - 1)) in
         if remaining > icost then begin
-          Array.unsafe_set stack (sp - 1) o.Value.fields.(f);
-          Array.unsafe_set stack sp (Array.unsafe_get locals j);
+          set stack (sp - 1) o.Value.fields.(f);
+          set stack sp (Array.unsafe_get locals j);
           step t fr ops icost stack locals (pc + 2) (sp + 1)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack (sp - 1) o.Value.fields.(f);
+          set stack (sp - 1) o.Value.fields.(f);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1127,13 +1183,13 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           (* the loaded local is the top operand [b] of the binop *)
           let b = as_int (Array.unsafe_get locals i) in
           let a = as_int (Array.unsafe_get stack (sp - 1)) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+          set_int stack (sp - 1) (eval_binop op a b);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1141,13 +1197,13 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if remaining > icost then begin
           let b = Array.unsafe_get locals i in
           let a = Array.unsafe_get stack (sp - 1) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a b));
+          set_int stack (sp - 1) (eval_cmp c a b);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1158,13 +1214,13 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           if idx < 0 || idx >= Array.length a then
             rerr "array index %d out of bounds (length %d)" idx
               (Array.length a);
-          Array.unsafe_set stack (sp - 1) (Array.unsafe_get a idx);
+          set stack (sp - 1) (Array.unsafe_get a idx);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1172,15 +1228,15 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         if remaining > icost then begin
-          Array.unsafe_set stack (sp - 2) (Value.of_int (eval_binop op a b));
-          Array.unsafe_set stack (sp - 1) v;
+          set_int stack (sp - 2) (eval_binop op a b);
+          set stack (sp - 1) v;
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op a b));
+          set_int stack (sp - 1) (eval_binop op a b);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
@@ -1188,32 +1244,31 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         if remaining > icost then begin
-          (* the first result is the (always-Int) top operand of the
-             second binop, so it never needs boxing *)
+          (* the first result is the (always-integer) top operand of
+             the second binop, so it is never stored *)
           let r1 = eval_binop op1 a b in
           let a2 = as_int (Array.unsafe_get stack (sp - 3)) in
-          Array.unsafe_set stack (sp - 3)
-            (Value.of_int (eval_binop op2 a2 r1));
+          set_int stack (sp - 3) (eval_binop op2 a2 r1);
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_binop op1 a b));
+          set_int stack (sp - 1) (eval_binop op1 a b);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Const_cmp (v, c) ->
         if remaining > icost then begin
           let a = Array.unsafe_get stack (sp - 1) in
-          Array.unsafe_set stack (sp - 1) (Value.of_int (eval_cmp c a v));
+          set_int stack (sp - 1) (eval_cmp c a v);
           step t fr ops icost stack locals (pc + 2) sp
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp v;
+          set stack sp v;
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1223,20 +1278,20 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         if idx < 0 || idx >= Array.length a then
           rerr "array index %d out of bounds (length %d)" idx (Array.length a);
         if remaining > icost then begin
-          Array.unsafe_set locals j (Array.unsafe_get a idx);
+          set locals j (Array.unsafe_get a idx);
           step t fr ops icost stack locals (pc + 2) (sp - 2)
             (remaining - (2 * icost))
             (ninstr + 2)
         end
         else begin
           let sp = sp - 1 in
-          Array.unsafe_set stack (sp - 1) (Array.unsafe_get a idx);
+          set stack (sp - 1) (Array.unsafe_get a idx);
           step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         end
     | Dcode.Load_jumpifnot (i, target) ->
         if remaining > icost then begin
-          if Value.truthy (Array.unsafe_get locals i) then
+          if truthy (Array.unsafe_get locals i) then
             step t fr ops icost stack locals (pc + 2) sp
               (remaining - (2 * icost))
               (ninstr + 2)
@@ -1246,7 +1301,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
               (ninstr + 2)
         end
         else begin
-          Array.unsafe_set stack sp (Array.unsafe_get locals i);
+          set stack sp (Array.unsafe_get locals i);
           step t fr ops icost stack locals (pc + 1) (sp + 1)
             (remaining - icost) (ninstr + 1)
         end
@@ -1391,11 +1446,11 @@ let run_reference ?(cycle_limit = max_int) t =
     let stack = fr.f_regs in
     (match instr with
     | Instr.Const n ->
-        stack.(fr.f_sp) <- Value.Int n;
+        stack.(fr.f_sp) <- Value.of_int n;
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Const_null ->
-        stack.(fr.f_sp) <- Value.Null;
+        stack.(fr.f_sp) <- Value.null;
         fr.f_sp <- fr.f_sp + 1;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Load i ->
@@ -1422,20 +1477,20 @@ let run_reference ?(cycle_limit = max_int) t =
         let b = as_int stack.(fr.f_sp - 1) in
         let a = as_int stack.(fr.f_sp - 2) in
         fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- Value.Int (eval_binop op a b);
+        stack.(fr.f_sp - 1) <- Value.of_int (eval_binop op a b);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Neg ->
-        stack.(fr.f_sp - 1) <- Value.Int (-as_int stack.(fr.f_sp - 1));
+        stack.(fr.f_sp - 1) <- Value.of_int (-as_int stack.(fr.f_sp - 1));
         fr.f_pc <- fr.f_pc + 1
     | Instr.Not ->
         stack.(fr.f_sp - 1) <-
-          Value.Int (if Value.truthy stack.(fr.f_sp - 1) then 0 else 1);
+          Value.of_int (if Value.truthy stack.(fr.f_sp - 1) then 0 else 1);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Cmp c ->
         let b = stack.(fr.f_sp - 1) in
         let a = stack.(fr.f_sp - 2) in
         fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- Value.Int (eval_cmp c a b);
+        stack.(fr.f_sp - 1) <- Value.of_int (eval_cmp c a b);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Jump target -> fr.f_pc <- target
     | Instr.Jump_if target ->
@@ -1475,7 +1530,7 @@ let run_reference ?(cycle_limit = max_int) t =
         if n < 0 then rerr "negative array size %d" n;
         t.cycles <-
           t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-        stack.(fr.f_sp - 1) <- Value.Arr (Array.make n Value.zero);
+        stack.(fr.f_sp - 1) <- Value.of_arr (Array.make n Value.zero);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Array_get ->
         let i = as_int stack.(fr.f_sp - 1) in
@@ -1496,7 +1551,7 @@ let run_reference ?(cycle_limit = max_int) t =
         fr.f_pc <- fr.f_pc + 1
     | Instr.Array_len ->
         let a = as_arr stack.(fr.f_sp - 1) in
-        stack.(fr.f_sp - 1) <- Value.Int (Array.length a);
+        stack.(fr.f_sp - 1) <- Value.of_int (Array.length a);
         fr.f_pc <- fr.f_pc + 1
     | Instr.Call_static mid -> invoke t mid
     | Instr.Call_direct mid -> invoke t mid
@@ -1508,12 +1563,14 @@ let run_reference ?(cycle_limit = max_int) t =
         t.cycles <- t.cycles + t.cost.Cost.guard;
         let recv = stack.(fr.f_sp - 1 - g.Instr.argc) in
         let ok =
+          (not (Value.is_int recv))
+          &&
           match recv with
-          | Value.Obj o -> (
+          | Value.Obj_c o -> (
               match Program.dispatch t.program o.Value.cls g.Instr.sel with
               | Some target -> Ids.Method_id.equal target g.Instr.expected
               | None -> false)
-          | Value.Null | Value.Int _ | Value.Arr _ -> false
+          | Value.Null_c _ | Value.Arr_c _ -> false
         in
         if ok then begin
           t.guard_hits <- t.guard_hits + 1;
@@ -1540,15 +1597,18 @@ let run_reference ?(cycle_limit = max_int) t =
           caller.f_pc <- caller.f_pc + 1
         end
     | Instr.Instance_of cid ->
+        let v = stack.(fr.f_sp - 1) in
         let r =
-          match stack.(fr.f_sp - 1) with
-          | Value.Obj o ->
-              if Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
-              then 1
-              else 0
-          | Value.Null | Value.Int _ | Value.Arr _ -> 0
+          if Value.is_int v then 0
+          else
+            match v with
+            | Value.Obj_c o ->
+                if Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
+                then 1
+                else 0
+            | Value.Null_c _ | Value.Arr_c _ -> 0
         in
-        stack.(fr.f_sp - 1) <- Value.Int r;
+        stack.(fr.f_sp - 1) <- Value.of_int r;
         fr.f_pc <- fr.f_pc + 1
     | Instr.Print_int ->
         fr.f_sp <- fr.f_sp - 1;

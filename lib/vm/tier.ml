@@ -48,53 +48,71 @@ open Interp
    naive [run_reference] loop) enforces byte-identical cycles, counters,
    output and hook timing on top of that argument.
 
-   The tiny value helpers are redefined locally (same definitions, same
-   error messages) because without flambda, cross-module calls into
-   [Interp] would not inline into the effect closures. *)
+   The value helpers are redefined locally (same definitions, same error
+   messages as {!Interp}'s) because dune's dev profile compiles every
+   library with [-opaque]: no call into another module is inlined, so
+   calling [Interp]'s copies would cost a call per use inside the effect
+   closures. *)
 
 let rerr fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 
-let[@inline] as_int v =
-  match (v : Value.t) with
-  | Value.Int n -> n
-  | Value.Null | Value.Obj _ | Value.Arr _ ->
-      rerr "expected an integer, got %a" Value.pp v
-
-let[@inline] as_obj v =
-  match (v : Value.t) with
-  | Value.Obj o -> o
-  | Value.Null -> rerr "null dereference"
-  | Value.Int _ | Value.Arr _ -> rerr "expected an object, got %a" Value.pp v
-
-let[@inline] as_arr v =
-  match (v : Value.t) with
-  | Value.Arr a -> a
-  | Value.Null -> rerr "null array dereference"
-  | Value.Int _ | Value.Obj _ -> rerr "expected an array, got %a" Value.pp v
-
-let[@inline] equal_cmp a b =
-  match ((a : Value.t), (b : Value.t)) with
-  | Value.Int x, Value.Int y -> x = y
-  | Value.Null, Value.Null -> true
-  | Value.Obj x, Value.Obj y -> x == y
-  | Value.Arr x, Value.Arr y -> x == y
-  | (Value.Int _ | Value.Null | Value.Obj _ | Value.Arr _), _ -> false
+(* An integer is an immediate and everything else a block (see
+   {!Value}); no match on a [Value.t] runs before an [is_int] test. *)
+let[@inline] is_int (v : Value.t) = Obj.is_int (Obj.repr v)
+let[@inline] int_of (v : Value.t) : int = Obj.magic v
+let[@inline] of_int (n : int) : Value.t = Obj.magic n
 
 let[@inline] truthy v =
-  match (v : Value.t) with
-  | Value.Int 0 | Value.Null -> false
-  | Value.Int _ | Value.Obj _ | Value.Arr _ -> true
+  if is_int v then int_of v <> 0
+  else
+    match (v : Value.t) with
+    | Value.Null_c _ -> false
+    | Value.Obj_c _ | Value.Arr_c _ -> true
 
-(* Same shared cells as {!Value.of_int} builds its results from — a
-   separate cache array is fine because [Int] values are compared
-   structurally, never by identity. *)
-let small = Array.init 1152 (fun i -> Value.Int (i - 128))
+let[@inline] equal_cmp a b =
+  if is_int a || is_int b then a == b
+  else
+    match ((a : Value.t), (b : Value.t)) with
+    | Value.Null_c _, Value.Null_c _ -> true
+    | Value.Obj_c x, Value.Obj_c y -> x == y
+    | Value.Arr_c x, Value.Arr_c y -> x == y
+    | (Value.Null_c _ | Value.Obj_c _ | Value.Arr_c _), _ -> false
 
-let[@inline] of_int n =
-  if n >= -128 && n < 1024 then Array.unsafe_get small (n + 128)
-  else Value.Int n
+(* Barrier-free when both the old and the new value are immediates, the
+   one case where [caml_modify] does nothing (see [Interp]'s [set]). *)
+let[@inline] set (a : Value.t array) i (v : Value.t) =
+  if is_int v && is_int (Array.unsafe_get a i) then
+    Array.unsafe_set (Obj.magic a : int array) i (int_of v)
+  else Array.unsafe_set a i v
 
-let[@inline] of_bool b = if b then Value.one else Value.zero
+let[@inline] set_int (a : Value.t array) i n =
+  if is_int (Array.unsafe_get a i) then
+    Array.unsafe_set (Obj.magic a : int array) i n
+  else Array.unsafe_set a i (of_int n)
+
+let[@inline] store (a : Value.t array) i (v : Value.t) =
+  if is_int v && is_int a.(i) then
+    Array.unsafe_set (Obj.magic a : int array) i (int_of v)
+  else a.(i) <- v
+
+let[@inline never] not_int v = rerr "expected an integer, got %a" Value.pp v
+let[@inline] as_int v = if is_int v then int_of v else not_int v
+
+let[@inline] as_obj v =
+  if is_int v then rerr "expected an object, got %a" Value.pp v
+  else
+    match (v : Value.t) with
+    | Value.Obj_c o -> o
+    | Value.Null_c _ -> rerr "null dereference"
+    | Value.Arr_c _ -> rerr "expected an object, got %a" Value.pp v
+
+let[@inline] as_arr v =
+  if is_int v then rerr "expected an array, got %a" Value.pp v
+  else
+    match (v : Value.t) with
+    | Value.Arr_c a -> a
+    | Value.Null_c _ -> rerr "null array dereference"
+    | Value.Obj_c _ -> rerr "expected an array, got %a" Value.pp v
 
 let[@inline] eval_binop op a b =
   match (op : Instr.binop) with
@@ -200,12 +218,14 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
               Array.unsafe_get st.w_regs (st.w_sp - 1 - g.Instr.argc)
             in
             let ok =
+              (not (is_int recv))
+              &&
               match recv with
-              | Value.Obj o -> (
+              | Value.Obj_c o -> (
                   match Program.dispatch t.program o.Value.cls g.Instr.sel with
                   | Some target -> Ids.Method_id.equal target g.Instr.expected
                   | None -> false)
-              | Value.Null | Value.Int _ | Value.Arr _ -> false
+              | Value.Null_c _ | Value.Arr_c _ -> false
             in
             let pc' =
               if ok then begin
@@ -264,7 +284,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
               t.cycles + t.cost.Cost.alloc
               + (len * t.cost.Cost.alloc_array_word);
             Array.unsafe_set regs (sp - 1)
-              (Value.Arr (Array.make len Value.zero));
+              (Value.of_arr (Array.make len Value.zero));
             st.w_rem <- t.next_sample - t.cycles;
             st.w_nin <- 0;
             (Array.unsafe_get nfns (pc + 1)) st
@@ -285,7 +305,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             t.depth <- t.depth - 1;
             if t.depth > 0 then begin
               let caller = t.frames.(t.depth - 1) in
-              caller.f_regs.(caller.f_sp) <- result;
+              store caller.f_regs caller.f_sp result;
               caller.f_sp <- caller.f_sp + 1;
               caller.f_pc <- caller.f_pc + 1;
               continue_window t
@@ -322,28 +342,28 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
     | Dcode.Const v ->
         fun st ->
           let sp = st.w_sp in
-          Array.unsafe_set st.w_regs sp v;
+          set st.w_regs sp v;
           st.w_sp <- sp + 1;
           k st
     | Dcode.Load i ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
-          Array.unsafe_set regs sp (Array.unsafe_get regs i);
+          set regs sp (Array.unsafe_get regs i);
           st.w_sp <- sp + 1;
           k st
     | Dcode.Store i ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp - 1 in
-          Array.unsafe_set regs i (Array.unsafe_get regs sp);
+          set regs i (Array.unsafe_get regs sp);
           st.w_sp <- sp;
           k st
     | Dcode.Dup ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
-          Array.unsafe_set regs sp (Array.unsafe_get regs (sp - 1));
+          set regs sp (Array.unsafe_get regs (sp - 1));
           st.w_sp <- sp + 1;
           k st
     | Dcode.Pop ->
@@ -355,8 +375,8 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let sp = st.w_sp in
           let a = Array.unsafe_get regs (sp - 1) in
-          Array.unsafe_set regs (sp - 1) (Array.unsafe_get regs (sp - 2));
-          Array.unsafe_set regs (sp - 2) a;
+          set regs (sp - 1) (Array.unsafe_get regs (sp - 2));
+          set regs (sp - 2) a;
           k st
     | Dcode.Binop op ->
         fun st ->
@@ -365,22 +385,21 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let b = as_int (Array.unsafe_get regs (sp - 1)) in
           let a = as_int (Array.unsafe_get regs (sp - 2)) in
           let sp = sp - 1 in
-          Array.unsafe_set regs (sp - 1) (of_int (eval_binop op a b));
+          set_int regs (sp - 1) (eval_binop op a b);
           st.w_sp <- sp;
           k st
     | Dcode.Neg ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
-          Array.unsafe_set regs (sp - 1)
-            (of_int (-as_int (Array.unsafe_get regs (sp - 1))));
+          set_int regs (sp - 1) (-as_int (Array.unsafe_get regs (sp - 1)));
           k st
     | Dcode.Not ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
-          Array.unsafe_set regs (sp - 1)
-            (of_bool (not (truthy (Array.unsafe_get regs (sp - 1)))));
+          set_int regs (sp - 1)
+            (if truthy (Array.unsafe_get regs (sp - 1)) then 0 else 1);
           k st
     | Dcode.Cmp c ->
         fun st ->
@@ -389,7 +408,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let b = Array.unsafe_get regs (sp - 1) in
           let a = Array.unsafe_get regs (sp - 2) in
           let sp = sp - 1 in
-          Array.unsafe_set regs (sp - 1) (of_int (eval_cmp c a b));
+          set_int regs (sp - 1) (eval_cmp c a b);
           st.w_sp <- sp;
           k st
     | Dcode.Get_field i ->
@@ -397,7 +416,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let sp = st.w_sp in
           let o = as_obj (Array.unsafe_get regs (sp - 1)) in
-          Array.unsafe_set regs (sp - 1) o.Value.fields.(i);
+          set regs (sp - 1) o.Value.fields.(i);
           k st
     | Dcode.Put_field i ->
         fun st ->
@@ -405,19 +424,19 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let sp = st.w_sp in
           let v = Array.unsafe_get regs (sp - 1) in
           let o = as_obj (Array.unsafe_get regs (sp - 2)) in
-          o.Value.fields.(i) <- v;
+          store o.Value.fields i v;
           st.w_sp <- sp - 2;
           k st
     | Dcode.Get_global i ->
         fun st ->
           let sp = st.w_sp in
-          Array.unsafe_set st.w_regs sp st.w_t.globals.(i);
+          set st.w_regs sp st.w_t.globals.(i);
           st.w_sp <- sp + 1;
           k st
     | Dcode.Put_global i ->
         fun st ->
           let sp = st.w_sp - 1 in
-          st.w_t.globals.(i) <- Array.unsafe_get st.w_regs sp;
+          store st.w_t.globals i (Array.unsafe_get st.w_regs sp);
           st.w_sp <- sp;
           k st
     | Dcode.Array_get ->
@@ -429,7 +448,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           if i < 0 || i >= Array.length a then
             rerr "array index %d out of bounds (length %d)" i (Array.length a);
           let sp = sp - 1 in
-          Array.unsafe_set regs (sp - 1) (Array.unsafe_get a i);
+          set regs (sp - 1) (Array.unsafe_get a i);
           st.w_sp <- sp;
           k st
     | Dcode.Array_set ->
@@ -441,7 +460,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let a = as_arr (Array.unsafe_get regs (sp - 3)) in
           if i < 0 || i >= Array.length a then
             rerr "array index %d out of bounds (length %d)" i (Array.length a);
-          Array.unsafe_set a i v;
+          set a i v;
           st.w_sp <- sp - 3;
           k st
     | Dcode.Array_len ->
@@ -449,19 +468,22 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let sp = st.w_sp in
           let a = as_arr (Array.unsafe_get regs (sp - 1)) in
-          Array.unsafe_set regs (sp - 1) (of_int (Array.length a));
+          set_int regs (sp - 1) (Array.length a);
           k st
     | Dcode.Instance_of cid ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
+          let v = Array.unsafe_get regs (sp - 1) in
           let r =
-            match Array.unsafe_get regs (sp - 1) with
-            | Value.Obj o ->
+            (not (is_int v))
+            &&
+            match v with
+            | Value.Obj_c o ->
                 Program.is_subclass st.w_t.program ~sub:o.Value.cls ~super:cid
-            | Value.Null | Value.Int _ | Value.Arr _ -> false
+            | Value.Null_c _ | Value.Arr_c _ -> false
           in
-          Array.unsafe_set regs (sp - 1) (of_bool r);
+          set_int regs (sp - 1) (if r then 1 else 0);
           k st
     | Dcode.Print_int ->
         fun st ->
@@ -478,7 +500,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let sp = st.w_sp in
           let b = as_int (Array.unsafe_get regs j) in
           let a = as_int (Array.unsafe_get regs i) in
-          Array.unsafe_set regs sp (of_int (eval_binop op a b));
+          set_int regs sp (eval_binop op a b);
           st.w_sp <- sp + 1;
           k st
     | Dcode.Load_const_binop (i, c, op) ->
@@ -486,7 +508,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let sp = st.w_sp in
           let a = as_int (Array.unsafe_get regs i) in
-          Array.unsafe_set regs sp (of_int (eval_binop op a c));
+          set_int regs sp (eval_binop op a c);
           st.w_sp <- sp + 1;
           k st
     | Dcode.Load2_binop_store (i, j, op, d) ->
@@ -494,43 +516,43 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let b = as_int (Array.unsafe_get regs j) in
           let a = as_int (Array.unsafe_get regs i) in
-          Array.unsafe_set regs d (of_int (eval_binop op a b));
+          set_int regs d (eval_binop op a b);
           k st
     | Dcode.Load_const_binop_store (i, c, op, d) ->
         fun st ->
           let regs = st.w_regs in
           let a = as_int (Array.unsafe_get regs i) in
-          Array.unsafe_set regs d (of_int (eval_binop op a c));
+          set_int regs d (eval_binop op a c);
           k st
     | Dcode.Load_getfield_store (i, f, d) ->
         fun st ->
           let regs = st.w_regs in
           let o = as_obj (Array.unsafe_get regs i) in
-          Array.unsafe_set regs d o.Value.fields.(f);
+          set regs d o.Value.fields.(f);
           k st
     | Dcode.Load_store (i, j) ->
         fun st ->
           let regs = st.w_regs in
-          Array.unsafe_set regs j (Array.unsafe_get regs i);
+          set regs j (Array.unsafe_get regs i);
           k st
     | Dcode.Const_store (v, j) ->
         fun st ->
-          Array.unsafe_set st.w_regs j v;
+          set st.w_regs j v;
           k st
     | Dcode.Load_getfield (i, f) ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
           let o = as_obj (Array.unsafe_get regs i) in
-          Array.unsafe_set regs sp o.Value.fields.(f);
+          set regs sp o.Value.fields.(f);
           st.w_sp <- sp + 1;
           k st
     | Dcode.Load2 (i, j) ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
-          Array.unsafe_set regs sp (Array.unsafe_get regs i);
-          Array.unsafe_set regs (sp + 1) (Array.unsafe_get regs j);
+          set regs sp (Array.unsafe_get regs i);
+          set regs (sp + 1) (Array.unsafe_get regs j);
           st.w_sp <- sp + 2;
           k st
     | Dcode.Binop_store (op, j) ->
@@ -539,7 +561,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let sp = st.w_sp in
           let b = as_int (Array.unsafe_get regs (sp - 1)) in
           let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          Array.unsafe_set regs j (of_int (eval_binop op a b));
+          set_int regs j (eval_binop op a b);
           st.w_sp <- sp - 2;
           k st
     | Dcode.Const_binop (c, op) ->
@@ -547,21 +569,21 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let sp = st.w_sp in
           let a = as_int (Array.unsafe_get regs (sp - 1)) in
-          Array.unsafe_set regs (sp - 1) (of_int (eval_binop op a c));
+          set_int regs (sp - 1) (eval_binop op a c);
           k st
     | Dcode.Store_load (i, j) ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
-          Array.unsafe_set regs i (Array.unsafe_get regs (sp - 1));
-          Array.unsafe_set regs (sp - 1) (Array.unsafe_get regs j);
+          set regs i (Array.unsafe_get regs (sp - 1));
+          set regs (sp - 1) (Array.unsafe_get regs j);
           k st
     | Dcode.Store_store (i, j) ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
-          Array.unsafe_set regs i (Array.unsafe_get regs (sp - 1));
-          Array.unsafe_set regs j (Array.unsafe_get regs (sp - 2));
+          set regs i (Array.unsafe_get regs (sp - 1));
+          set regs j (Array.unsafe_get regs (sp - 2));
           st.w_sp <- sp - 2;
           k st
     | Dcode.Getfield_load (f, j) ->
@@ -569,8 +591,8 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let sp = st.w_sp in
           let o = as_obj (Array.unsafe_get regs (sp - 1)) in
-          Array.unsafe_set regs (sp - 1) o.Value.fields.(f);
-          Array.unsafe_set regs sp (Array.unsafe_get regs j);
+          set regs (sp - 1) o.Value.fields.(f);
+          set regs sp (Array.unsafe_get regs j);
           st.w_sp <- sp + 1;
           k st
     | Dcode.Load_binop (i, op) ->
@@ -579,7 +601,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let sp = st.w_sp in
           let b = as_int (Array.unsafe_get regs i) in
           let a = as_int (Array.unsafe_get regs (sp - 1)) in
-          Array.unsafe_set regs (sp - 1) (of_int (eval_binop op a b));
+          set_int regs (sp - 1) (eval_binop op a b);
           k st
     | Dcode.Load_cmp (i, c) ->
         fun st ->
@@ -587,7 +609,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let sp = st.w_sp in
           let b = Array.unsafe_get regs i in
           let a = Array.unsafe_get regs (sp - 1) in
-          Array.unsafe_set regs (sp - 1) (of_int (eval_cmp c a b));
+          set_int regs (sp - 1) (eval_cmp c a b);
           k st
     | Dcode.Load_arrayget i ->
         fun st ->
@@ -598,7 +620,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           if idx < 0 || idx >= Array.length a then
             rerr "array index %d out of bounds (length %d)" idx
               (Array.length a);
-          Array.unsafe_set regs (sp - 1) (Array.unsafe_get a idx);
+          set regs (sp - 1) (Array.unsafe_get a idx);
           k st
     | Dcode.Binop_const (op, v) ->
         fun st ->
@@ -606,8 +628,8 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let sp = st.w_sp in
           let b = as_int (Array.unsafe_get regs (sp - 1)) in
           let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          Array.unsafe_set regs (sp - 2) (of_int (eval_binop op a b));
-          Array.unsafe_set regs (sp - 1) v;
+          set_int regs (sp - 2) (eval_binop op a b);
+          set regs (sp - 1) v;
           k st
     | Dcode.Binop_binop (op1, op2) ->
         fun st ->
@@ -617,7 +639,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let a = as_int (Array.unsafe_get regs (sp - 2)) in
           let r1 = eval_binop op1 a b in
           let a2 = as_int (Array.unsafe_get regs (sp - 3)) in
-          Array.unsafe_set regs (sp - 3) (of_int (eval_binop op2 a2 r1));
+          set_int regs (sp - 3) (eval_binop op2 a2 r1);
           st.w_sp <- sp - 2;
           k st
     | Dcode.Const_cmp (v, c) ->
@@ -625,7 +647,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           let regs = st.w_regs in
           let sp = st.w_sp in
           let a = Array.unsafe_get regs (sp - 1) in
-          Array.unsafe_set regs (sp - 1) (of_int (eval_cmp c a v));
+          set_int regs (sp - 1) (eval_cmp c a v);
           k st
     | Dcode.Arrayget_store j ->
         fun st ->
@@ -636,7 +658,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           if idx < 0 || idx >= Array.length a then
             rerr "array index %d out of bounds (length %d)" idx
               (Array.length a);
-          Array.unsafe_set regs j (Array.unsafe_get a idx);
+          set regs j (Array.unsafe_get a idx);
           st.w_sp <- sp - 2;
           k st
     | Dcode.Jump _ | Dcode.Jump_if _ | Dcode.Jump_ifnot _
@@ -703,7 +725,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp - 1 in
-          Array.unsafe_set regs i (Array.unsafe_get regs sp);
+          set regs i (Array.unsafe_get regs sp);
           st.w_sp <- sp;
           (Array.unsafe_get nfns target) st
     | Dcode.Load_jumpifnot (i, target) ->

@@ -1,58 +1,48 @@
 open Acsi_bytecode
 
-type t =
-  | Int of int
-  | Null
-  | Obj of obj
-  | Arr of t array
+type t = Null_c of unit | Obj_c of obj | Arr_c of t array
 
 and obj = {
   cls : Ids.Class_id.t;
   fields : t array;
 }
 
-let zero = Int 0
-let one = Int 1
-
-(* Shared immutable cells for common integers, so that the interpreter's
-   constant pushes and arithmetic results do not allocate. [Int] values
-   are compared structurally ({!equal_cmp}), never by identity, so sharing
-   is unobservable. *)
-let small_lo = -128
-let small_hi = 1024
-let small = Array.init (small_hi - small_lo) (fun i -> Int (i + small_lo))
-
-let[@inline] of_int n =
-  if n >= small_lo && n < small_hi then Array.unsafe_get small (n - small_lo)
-  else Int n
-
-let[@inline] of_bool b = if b then one else zero
+let null = Null_c ()
+let[@inline] of_int (n : int) : t = Obj.magic n
+let[@inline] is_int (v : t) = Obj.is_int (Obj.repr v)
+let[@inline] to_int (v : t) : int = Obj.magic v
+let zero = of_int 0
+let of_obj o = Obj_c o
+let of_arr a = Arr_c a
 
 let alloc program cid =
   let cls = Program.clazz program cid in
-  Obj { cls = cid; fields = Array.make (Clazz.field_count cls) zero }
+  Obj_c { cls = cid; fields = Array.make (Clazz.field_count cls) zero }
 
-let[@inline] equal_cmp a b =
-  match (a, b) with
-  | Int x, Int y -> x = y
-  | Null, Null -> true
-  | Obj x, Obj y -> x == y
-  | Arr x, Arr y -> x == y
-  | (Int _ | Null | Obj _ | Arr _), _ -> false
+let equal_cmp a b =
+  if is_int a || is_int b then a == b
+  else
+    match (a, b) with
+    | Null_c _, Null_c _ -> true
+    | Obj_c x, Obj_c y -> x == y
+    | Arr_c x, Arr_c y -> x == y
+    | (Null_c _ | Obj_c _ | Arr_c _), _ -> false
 
-let[@inline] truthy = function
-  | Int 0 | Null -> false
-  | Int _ | Obj _ | Arr _ -> true
+let truthy v =
+  if is_int v then v != zero
+  else match v with Null_c _ -> false | Obj_c _ | Arr_c _ -> true
 
-let rec pp fmt = function
-  | Int n -> Format.fprintf fmt "%d" n
-  | Null -> Format.fprintf fmt "null"
-  | Obj o -> Format.fprintf fmt "obj<%a>" Ids.Class_id.pp o.cls
-  | Arr a ->
-      Format.fprintf fmt "[|";
-      Array.iteri
-        (fun i v ->
-          if i > 0 then Format.fprintf fmt "; ";
-          if i < 8 then pp fmt v else if i = 8 then Format.fprintf fmt "...")
-        a;
-      Format.fprintf fmt "|]"
+let rec pp fmt v =
+  if is_int v then Format.fprintf fmt "%d" (to_int v)
+  else
+    match v with
+    | Null_c _ -> Format.fprintf fmt "null"
+    | Obj_c o -> Format.fprintf fmt "obj<%a>" Ids.Class_id.pp o.cls
+    | Arr_c a ->
+        Format.fprintf fmt "[|";
+        Array.iteri
+          (fun i v ->
+            if i > 0 then Format.fprintf fmt "; ";
+            if i < 8 then pp fmt v else if i = 8 then Format.fprintf fmt "...")
+          a;
+        Format.fprintf fmt "|]"

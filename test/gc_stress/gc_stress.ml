@@ -1,0 +1,54 @@
+(* Runs the eight suite programs at default scale with the closure tier
+   on, under a 4096-word minor heap and [space_overhead] 20, and checks
+   every run against the same program with the tier off and against the
+   AOS-free baseline run: output, cycles, counters and the whole metrics
+   record. Linked with the debug runtime (see dune), so a store that
+   skipped a needed write barrier shows up as a failed runtime assertion
+   or as diverging results. Exits non-zero on the first mismatch. *)
+
+module Interp = Acsi_vm.Interp
+module System = Acsi_aos.System
+module Config = Acsi_core.Config
+module Runtime = Acsi_core.Runtime
+module Metrics = Acsi_core.Metrics
+module Policy = Acsi_policy.Policy
+module Workloads = Acsi_workloads.Workloads
+
+let with_tier on (cfg : Config.t) =
+  { cfg with Config.aos = { cfg.Config.aos with System.native_tier = on } }
+
+let counters vm =
+  ( Interp.cycles vm,
+    Interp.instructions_executed vm,
+    Interp.calls_executed vm,
+    Interp.guard_hits vm,
+    Interp.guard_misses vm )
+
+let () =
+  Gc.set { (Gc.get ()) with Gc.verbose = 0 };
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4096; space_overhead = 20 };
+  let failures = ref 0 in
+  let check name what ok =
+    if not ok then begin
+      incr failures;
+      Printf.eprintf "gc-stress: %s: %s differs\n%!" name what
+    end
+  in
+  let cfg = Config.default ~policy:(Policy.Fixed 3) in
+  List.iter
+    (fun (name, program) ->
+      let on = Runtime.run (with_tier true cfg) program in
+      let off = Runtime.run (with_tier false cfg) program in
+      let base = Runtime.run_no_aos cfg program in
+      let out r = Interp.output r.Runtime.vm in
+      check name "output (tier on vs off)" (out on = out off);
+      check name "output (tier on vs no AOS)" (out on = Interp.output base);
+      check name "cycles and counters (tier on vs off)"
+        (counters on.Runtime.vm = counters off.Runtime.vm);
+      check name "metrics record (tier on vs off)"
+        (on.Runtime.metrics = off.Runtime.metrics))
+    (Workloads.build_all ());
+  let minor = Gc.minor_words () in
+  if !failures > 0 then exit 1;
+  Printf.printf "gc-stress: 8 programs agree (%.0fM minor words)\n"
+    (minor /. 1e6)

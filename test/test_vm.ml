@@ -11,37 +11,102 @@ let check_bool = Alcotest.(check bool)
 let compile ?(classes = []) ?(globals = []) main =
   Compile.prog (Dsl.prog ~globals classes main)
 
-let expect_runtime_error program fragment =
-  let vm = Interp.create program in
-  match Interp.run vm with
-  | () -> Alcotest.failf "expected a runtime error mentioning %S" fragment
-  | exception Interp.Runtime_error msg ->
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i =
-          i + m <= n && (String.equal (String.sub s i m) sub || go (i + 1))
-        in
-        go 0
-      in
-      check_bool (Printf.sprintf "%S mentions %S" msg fragment) true
-        (contains msg fragment)
+(* --- one program, every engine --- *)
+
+(* The three execution engines: the naive [run_reference] loop, the
+   decoded-stream interpreter (with and without superinstructions), and
+   the closure tier with every method installed before the run. Each is
+   an independent implementation of the kind checks, so each case below
+   runs on all of them and must end identically. *)
+type outcome = Printed of int list | Failed of string
+type engine = Reference | Interpreter | Unfused | Closure_tier
+
+let engines = [ Reference; Interpreter; Unfused; Closure_tier ]
+
+let engine_name = function
+  | Reference -> "reference"
+  | Interpreter -> "interpreter"
+  | Unfused -> "unfused interpreter"
+  | Closure_tier -> "closure tier"
+
+let pp_outcome fmt = function
+  | Printed out ->
+      Format.fprintf fmt "printed [%s]"
+        (String.concat "; " (List.map string_of_int out))
+  | Failed msg -> Format.fprintf fmt "failed %S" msg
+
+let outcome = Alcotest.testable pp_outcome ( = )
+
+(* [prepare] runs on the fresh VM before the engine installs anything:
+   hand-assembled code goes in there. Every run reports its guard
+   outcomes; runs that finish also report cycles and instructions. *)
+type run = {
+  got : outcome;
+  guards : int * int;  (* hits, misses *)
+  clock : (int * int) option;  (* cycles, instructions *)
+}
+
+let run_engine ?(prepare = ignore) engine program =
+  let vm = Interp.create ~fuse:(engine <> Unfused) program in
+  prepare vm;
+  if engine = Closure_tier then
+    Array.iter
+      (fun (m : Meth.t) ->
+        Tier.install vm m.Meth.id (Interp.code_of vm m.Meth.id))
+      (Program.methods program);
+  let got =
+    match
+      if engine = Reference then Interp.run_reference vm else Interp.run vm
+    with
+    | () -> Printed (Interp.output vm)
+    | exception Interp.Runtime_error msg -> Failed msg
+  in
+  {
+    got;
+    guards = (Interp.guard_hits vm, Interp.guard_misses vm);
+    clock =
+      (match got with
+      | Printed _ -> Some (Interp.cycles vm, Interp.instructions_executed vm)
+      | Failed _ -> None);
+  }
+
+(* Runs [program] on every engine, checks each outcome against
+   [expected] and each engine's counters against the reference's, and
+   returns the reference run. *)
+let expect_on_all_engines ?prepare label program expected =
+  match List.map (fun e -> (e, run_engine ?prepare e program)) engines with
+  | [] -> assert false
+  | (_, reference) :: _ as runs ->
+      List.iter
+        (fun (engine, r) ->
+          let what = Printf.sprintf "%s on the %s" label (engine_name engine) in
+          Alcotest.check outcome what expected r.got;
+          check_bool (what ^ ": guard counters") true
+            (r.guards = reference.guards);
+          check_bool (what ^ ": cycles and instructions") true
+            (r.clock = reference.clock))
+        runs;
+      reference
+
+let expect_runtime_error program msg =
+  ignore (expect_on_all_engines msg program (Failed msg))
 
 (* --- values --- *)
 
 let test_value_equal_cmp () =
-  let o1 = Value.Obj { Value.cls = Ids.Class_id.of_int 0; fields = [||] } in
-  let o2 = Value.Obj { Value.cls = Ids.Class_id.of_int 0; fields = [||] } in
-  check_bool "ints" true (Value.equal_cmp (Value.Int 3) (Value.Int 3));
-  check_bool "nulls" true (Value.equal_cmp Value.Null Value.Null);
+  let o1 = Value.of_obj { Value.cls = Ids.Class_id.of_int 0; fields = [||] } in
+  let o2 = Value.of_obj { Value.cls = Ids.Class_id.of_int 0; fields = [||] } in
+  check_bool "ints" true (Value.equal_cmp (Value.of_int 3) (Value.of_int 3));
+  check_bool "nulls" true (Value.equal_cmp Value.null Value.null);
   check_bool "same obj" true (Value.equal_cmp o1 o1);
   check_bool "distinct objs" false (Value.equal_cmp o1 o2);
-  check_bool "mixed" false (Value.equal_cmp (Value.Int 0) Value.Null)
+  check_bool "mixed" false (Value.equal_cmp (Value.of_int 0) Value.null)
 
 let test_value_truthy () =
-  check_bool "zero" false (Value.truthy (Value.Int 0));
-  check_bool "null" false (Value.truthy Value.Null);
-  check_bool "nonzero" true (Value.truthy (Value.Int (-2)));
-  check_bool "array" true (Value.truthy (Value.Arr [||]))
+  check_bool "zero" false (Value.truthy (Value.of_int 0));
+  check_bool "null" false (Value.truthy Value.null);
+  check_bool "nonzero" true (Value.truthy (Value.of_int (-2)));
+  check_bool "array" true (Value.truthy (Value.of_arr [||]))
 
 (* --- runtime errors --- *)
 
@@ -62,13 +127,13 @@ let test_array_bounds () =
   Dsl.(
     expect_runtime_error
       (compile [ let_ "a" (arr_new (i 2)); print (arr_get (v "a") (i 5)) ])
-      "out of bounds")
+      "array index 5 out of bounds (length 2)")
 
 let test_negative_array_size () =
   Dsl.(
     expect_runtime_error
       (compile [ let_ "a" (arr_new (i (-3))); print (arr_len (v "a")) ])
-      "negative array size")
+      "negative array size -3")
 
 let test_int_receiver () =
   let classes =
@@ -77,7 +142,281 @@ let test_int_receiver () =
   Dsl.(
     expect_runtime_error
       (compile ~classes [ let_ "x" (i 5); print (inv (v "x") "f" []) ])
-      "expected an object")
+      "expected an object, got 5")
+
+(* --- kind mismatches on every engine --- *)
+
+(* Every check here depends on telling an immediate integer from a block
+   before looking inside it: integers where arrays or objects are
+   expected and the other way round, null where an array is expected,
+   receiver tests on integers and null, and equality across kinds and
+   by reference. Fused and unfused forms both appear (locals feed the
+   superinstructions, expressions the plain ops). *)
+let kind_classes = Dsl.[ cls "A" ~fields:[ "x" ] []; cls "B" ~fields:[] [] ]
+
+let kind_cases =
+  let open Dsl in
+  let arr = "[|0; 0|]" in
+  let err m = Failed m in
+  [
+    ( "int as array",
+      [ let_ "x" (i 3); print (arr_get (v "x") (i 0)) ],
+      err "expected an array, got 3" );
+    ( "int as array, fused",
+      [ let_ "x" (i 3); let_ "k" (i 0); print (arr_get (v "x") (v "k")) ],
+      err "expected an array, got 3" );
+    ( "length of an int",
+      [ print (arr_len (i 7)) ],
+      err "expected an array, got 7" );
+    ( "store into an int",
+      [ let_ "x" (i (-1)); arr_set (v "x") (i 0) (i 1) ],
+      err "expected an array, got -1" );
+    ( "object as array",
+      [ print (arr_len (new_ "A" [])) ],
+      err "expected an array, got obj<#0>" );
+    ( "object as int",
+      [ let_ "o" (new_ "A" []); print (add (v "o") (i 1)) ],
+      err "expected an integer, got obj<#0>" );
+    ( "object as int, fused",
+      [ let_ "o" (new_ "A" []); let_ "k" (i 1); print (add (v "k") (v "o")) ],
+      err "expected an integer, got obj<#0>" );
+    ( "array as int",
+      [ let_ "a" (arr_new (i 2)); print (v "a") ],
+      err ("expected an integer, got " ^ arr) );
+    ( "array as index",
+      [ let_ "a" (arr_new (i 2)); print (arr_get (v "a") (v "a")) ],
+      err ("expected an integer, got " ^ arr) );
+    ( "array as size",
+      [ let_ "a" (arr_new (i 2)); print (arr_len (arr_new (v "a"))) ],
+      err ("expected an integer, got " ^ arr) );
+    ( "array in an ordering",
+      [ let_ "a" (arr_new (i 2)); print (lt (v "a") (i 1)) ],
+      err ("expected an integer, got " ^ arr) );
+    ( "null as int",
+      [ print (mul null (i 2)) ],
+      err "expected an integer, got null" );
+    ( "null in an ordering, fused",
+      [ let_ "n" null; if_ (lt (v "n") (i 0)) [ print (i 1) ] [] ],
+      err "expected an integer, got null" );
+    ( "length of null",
+      [ print (arr_len null) ],
+      err "null array dereference" );
+    ( "element of null",
+      [ let_ "n" null; print (arr_get (v "n") (i 0)) ],
+      err "null array dereference" );
+    ( "int as object",
+      [ print (fld "A" (i 4) "x") ],
+      err "expected an object, got 4" );
+    ( "array as object",
+      [ let_ "a" (arr_new (i 2)); setf "A" (v "a") "x" (i 1) ],
+      err ("expected an object, got " ^ arr) );
+    ( "instanceof on int and null",
+      [
+        print (instof (i 3) "A");
+        print (instof null "A");
+        print (instof (arr_new (i 1)) "A");
+        print (instof (new_ "A" []) "A");
+        print (instof (new_ "B" []) "A");
+      ],
+      Printed [ 0; 0; 0; 1; 0 ] );
+    ( "0 against null",
+      [
+        print (eq (i 0) null);
+        print (ne (i 0) null);
+        print (eq null null);
+        print (not_ null);
+        let_ "z" (i 0);
+        let_ "n" null;
+        print (eq (v "z") (v "n"));
+        print (eq (v "n") (i 0));
+        if_ (eq (v "n") (i 0)) [ print (i 10) ] [ print (i 11) ];
+        if_ (v "n") [ print (i 12) ] [ print (i 13) ];
+        if_ (v "z") [ print (i 14) ] [ print (i 15) ];
+      ],
+      Printed [ 0; 1; 1; 1; 0; 0; 11; 13; 15 ] );
+    ( "reference identity",
+      [
+        let_ "a" (arr_new (i 2));
+        let_ "b" (arr_new (i 2));
+        let_ "o" (new_ "A" []);
+        let_ "p" (new_ "A" []);
+        print (eq (v "a") (v "a"));
+        print (eq (v "a") (v "b"));
+        print (ne (v "a") (v "b"));
+        print (eq (v "o") (v "o"));
+        print (eq (v "o") (v "p"));
+        arr_set (v "a") (i 0) (v "o");
+        print (eq (arr_get (v "a") (i 0)) (v "o"));
+        print (eq (arr_get (v "a") (i 0)) (v "p"));
+        print (eq (arr_get (v "b") (i 0)) (i 0));
+        setf "A" (v "p") "x" (v "a");
+        print (eq (fld "A" (v "p") "x") (v "a"));
+        print (eq (fld "A" (v "o") "x") (i 0));
+        print (eq (v "o") (v "a"));
+      ],
+      Printed [ 1; 0; 1; 1; 0; 1; 0; 1; 1; 1; 0 ] );
+  ]
+
+let test_kind_matrix () =
+  List.iter
+    (fun (label, main, expected) ->
+      ignore
+        (expect_on_all_engines label
+           (compile ~classes:kind_classes main)
+           expected))
+    kind_cases
+
+(* --- the value representation against its specification --- *)
+
+(* The boxed representation integers had before they became immediates,
+   kept as the specification: [of_int]/[as_int], [equal_cmp], [truthy]
+   and [pp] on the real values must agree with it. Objects and arrays
+   keep their identity through [pool], so reference equality is part of
+   what is compared. *)
+module Spec = struct
+  type t = Int of int | Null | Obj of Value.obj | Arr of t array
+
+  let equal_cmp a b =
+    match (a, b) with
+    | Int x, Int y -> x = y
+    | Null, Null -> true
+    | Obj x, Obj y -> x == y
+    | Arr x, Arr y -> x == y
+    | (Int _ | Null | Obj _ | Arr _), _ -> false
+
+  let truthy = function Int 0 | Null -> false | Int _ | Obj _ | Arr _ -> true
+
+  let rec pp fmt = function
+    | Int n -> Format.fprintf fmt "%d" n
+    | Null -> Format.fprintf fmt "null"
+    | Obj o -> Format.fprintf fmt "obj<%a>" Ids.Class_id.pp o.Value.cls
+    | Arr a ->
+        Format.fprintf fmt "[|";
+        Array.iteri
+          (fun i v ->
+            if i > 0 then Format.fprintf fmt "; ";
+            if i < 8 then pp fmt v else if i = 8 then Format.fprintf fmt "...")
+          a;
+        Format.fprintf fmt "|]"
+
+  (* Arrays are not mapped here: they keep their identity through
+     [pool]. *)
+  let scalar_value = function
+    | Int n -> Value.of_int n
+    | Null -> Value.null
+    | Obj o -> Value.of_obj o
+    | Arr _ -> invalid_arg "Spec.scalar_value: arrays come from the pool"
+end
+
+let edge_ints = [ min_int; max_int; -129; -128; -1; 0; 1; 1023; 1024 ]
+
+(* Objects and arrays, each paired once with its real value. Two objects
+   of one class and two arrays of equal contents differ only by
+   identity; the long array exercises [pp]'s elision. *)
+let pool =
+  let obj cls fields = { Value.cls = Ids.Class_id.of_int cls; fields } in
+  let o1 = obj 0 [||] and o2 = obj 0 [||] in
+  let o3 = obj 1 [| Value.of_int 7 |] in
+  let arr spec =
+    (Spec.Arr spec, Value.of_arr (Array.map Spec.scalar_value spec))
+  in
+  [
+    (Spec.Obj o1, Value.of_obj o1);
+    (Spec.Obj o2, Value.of_obj o2);
+    (Spec.Obj o3, Value.of_obj o3);
+    arr [||];
+    arr Spec.[| Int 1; Int 2; Int 3 |];
+    arr Spec.[| Int 1; Int 2; Int 3 |];
+    arr Spec.[| Null; Obj o1; Int min_int |];
+    arr (Array.init 10 (fun k -> Spec.Int (k - 5)));
+  ]
+
+let of_spec s =
+  match s with Spec.Arr _ -> List.assq s pool | _ -> Spec.scalar_value s
+
+let show v = Format.asprintf "%a" Value.pp v
+let show_spec s = Format.asprintf "%a" Spec.pp s
+
+let result f v =
+  match f v with r -> Ok r | exception Interp.Runtime_error m -> Error m
+
+(* One value against the model: representation, [as_int] and the other
+   kind checks, [truthy], [pp]. *)
+let agrees_one s =
+  let v = of_spec s in
+  let text = show_spec s in
+  let kind_error what = function
+    | Ok _ -> false
+    | Error m -> m = Printf.sprintf "expected %s, got %s" what text
+  in
+  let as_int_ok =
+    match s with
+    | Spec.Int n ->
+        result Interp.as_int v = Ok n && Value.is_int v && Value.to_int v = n
+    | Spec.Null | Spec.Obj _ | Spec.Arr _ ->
+        (not (Value.is_int v)) && kind_error "an integer" (result Interp.as_int v)
+  in
+  let as_obj_ok =
+    match (s, result Interp.as_obj v) with
+    | Spec.Obj o, Ok o' -> o == o'
+    | Spec.Null, Error m -> m = "null dereference"
+    | (Spec.Int _ | Spec.Arr _), r -> kind_error "an object" r
+    | _ -> false
+  in
+  let as_arr_ok =
+    match (s, result Interp.as_arr v) with
+    | Spec.Arr _, Ok a -> Value.equal_cmp v (Value.of_arr a)
+    | Spec.Null, Error m -> m = "null array dereference"
+    | (Spec.Int _ | Spec.Obj _), r -> kind_error "an array" r
+    | _ -> false
+  in
+  as_int_ok && as_obj_ok && as_arr_ok
+  && Value.truthy v = Spec.truthy s
+  && show v = text
+
+let agrees_pair a b =
+  let va = of_spec a and vb = of_spec b in
+  let eq = Spec.equal_cmp a b in
+  Value.equal_cmp va vb = eq
+  && Interp.eval_cmp Instr.Eq va vb = Bool.to_int eq
+  && Interp.eval_cmp Instr.Ne va vb = Bool.to_int (not eq)
+
+let all_specs =
+  List.map (fun n -> Spec.Int n) edge_ints @ (Spec.Null :: List.map fst pool)
+
+let test_value_model_edges () =
+  List.iter
+    (fun a ->
+      check_bool (show_spec a ^ " agrees with the model") true (agrees_one a);
+      List.iter
+        (fun b ->
+          check_bool
+            (Printf.sprintf "%s = %s agrees with the model" (show_spec a)
+               (show_spec b))
+            true (agrees_pair a b))
+        all_specs)
+    all_specs
+
+let arbitrary_spec =
+  let open QCheck.Gen in
+  let gen =
+    frequency
+      [
+        (4, map (fun n -> Spec.Int n) int);
+        (2, map (fun n -> Spec.Int n) (oneofl edge_ints));
+        (2, map (fun n -> Spec.Int n) (int_range (-2000) 2000));
+        (1, return Spec.Null);
+        (3, map fst (oneofl pool));
+      ]
+  in
+  QCheck.make ~print:show_spec gen
+
+let prop_value_model =
+  QCheck.Test.make ~name:"immediate values agree with the boxed model"
+    ~count:500
+    (QCheck.pair arbitrary_spec arbitrary_spec)
+    (fun (a, b) ->
+      agrees_one a && agrees_one b && agrees_pair a b && agrees_pair b a)
 
 (* --- determinism and accounting --- *)
 
@@ -166,7 +505,7 @@ let test_timer_hook () =
 (* Two classes implementing [pick]: A.pick = 10, B.pick = 20. A hand-built
    optimized body for a static method guards on A's implementation with a
    fallback virtual call, so we can exercise both guard outcomes. *)
-let guard_program () =
+let guard_program ?(recvs = Dsl.[ new_ "A" []; new_ "B" [] ]) () =
   let open Dsl in
   let classes =
     [
@@ -179,19 +518,14 @@ let guard_program () =
         ];
     ]
   in
-  compile ~classes
-    [
-      print (call "D" "dispatch" [ new_ "A" [] ]);
-      print (call "D" "dispatch" [ new_ "B" [] ]);
-    ]
+  compile ~classes (List.map (fun r -> print (call "D" "dispatch" [ r ])) recvs)
 
-let test_guard_hit_and_miss () =
-  let program = guard_program () in
+(* Optimized dispatch body: guard for A.pick, inline [Const 10], fall
+   back to the virtual call. Receiver arrives in local 0. *)
+let install_guarded_dispatch program vm =
   let dispatch = Program.find_method program ~cls:"D" ~name:"dispatch" in
   let pick_a = Program.find_method program ~cls:"A" ~name:"pick" in
   let sel = pick_a.Meth.selector in
-  (* Optimized dispatch body: guard for A.pick, inline [Const 10], fall
-     back to the virtual call. Receiver arrives in local 0. *)
   let instrs =
     [|
       Instr.Load 0;
@@ -215,12 +549,34 @@ let test_guard_hit_and_miss () =
       assumptions = [];
     }
   in
-  let vm = Interp.create program in
-  Interp.install_code vm dispatch.Meth.id code;
-  Interp.run vm;
-  Alcotest.(check (list int)) "behaviour preserved" [ 10; 20 ] (Interp.output vm);
-  check_int "one hit" 1 (Interp.guard_hits vm);
-  check_int "one miss" 1 (Interp.guard_misses vm)
+  Interp.install_code vm dispatch.Meth.id code
+
+let test_guard_hit_and_miss () =
+  let program = guard_program () in
+  let r =
+    expect_on_all_engines ~prepare:(install_guarded_dispatch program)
+      "behaviour preserved" program (Printed [ 10; 20 ])
+  in
+  check_int "one hit" 1 (fst r.guards);
+  check_int "one miss" 1 (snd r.guards)
+
+(* A guard whose receiver is not an object misses, on every engine, and
+   the fallback virtual call then reports the receiver's kind. *)
+let test_guard_on_non_objects () =
+  List.iter
+    (fun (label, recv, msg) ->
+      let program = guard_program ~recvs:[ recv ] () in
+      let r =
+        expect_on_all_engines ~prepare:(install_guarded_dispatch program) label
+          program (Failed msg)
+      in
+      check_bool (label ^ ": the guard missed") true (r.guards = (0, 1)))
+    Dsl.
+      [
+        ("guard on an int", i 5, "expected an object, got 5");
+        ("guard on null", null, "null dereference");
+        ("guard on an array", arr_new (i 1), "expected an object, got [|0|]");
+      ]
 
 let test_install_code_affects_next_invocation () =
   let program = guard_program () in
@@ -269,11 +625,14 @@ let suite =
   [
     Alcotest.test_case "value equal_cmp" `Quick test_value_equal_cmp;
     Alcotest.test_case "value truthy" `Quick test_value_truthy;
+    Alcotest.test_case "value model at the edges" `Quick test_value_model_edges;
+    QCheck_alcotest.to_alcotest prop_value_model;
     Alcotest.test_case "division by zero" `Quick test_division_by_zero;
     Alcotest.test_case "null dereference" `Quick test_null_dereference;
     Alcotest.test_case "array bounds" `Quick test_array_bounds;
     Alcotest.test_case "negative array size" `Quick test_negative_array_size;
     Alcotest.test_case "dispatch on integer" `Quick test_int_receiver;
+    Alcotest.test_case "kind mismatches on every engine" `Quick test_kind_matrix;
     Alcotest.test_case "deterministic cycles" `Quick test_cycle_determinism;
     Alcotest.test_case "costs move the clock" `Quick test_costs_move_the_clock;
     Alcotest.test_case "charge advances clock" `Quick test_charge_advances_clock;
@@ -282,6 +641,7 @@ let suite =
     Alcotest.test_case "invoke stride hook" `Quick test_invoke_stride_hook;
     Alcotest.test_case "timer hook" `Quick test_timer_hook;
     Alcotest.test_case "guard hit and miss" `Quick test_guard_hit_and_miss;
+    Alcotest.test_case "guard on non-objects" `Quick test_guard_on_non_objects;
     Alcotest.test_case "installed code tier" `Quick
       test_install_code_affects_next_invocation;
     Alcotest.test_case "source stack walk" `Quick test_walk_source_stack_baseline;
