@@ -20,15 +20,67 @@ let open_loop_arrivals ~seed ~period ~n =
   done;
   arrivals
 
-let percentile xs p =
+(* In-place ascending sort of [a.(lo..hi)]: quicksort with a
+   median-of-three pivot and Hoare partitioning (runs of equal keys split
+   evenly, so all-equal samples stay n log n), insertion sort below 16
+   elements. Monomorphic, so every comparison is an inline integer
+   compare rather than a call through [Int.compare]. Recursing into the
+   smaller side first bounds the stack at log n. *)
+let rec sort_ints (a : int array) lo hi =
+  if hi - lo < 16 then
+    for i = lo + 1 to hi do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi) in
+    let pivot =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if !j - lo < hi - !i then begin
+      sort_ints a lo !j;
+      sort_ints a !i hi
+    end
+    else begin
+      sort_ints a !i hi;
+      sort_ints a lo !j
+    end
+  end
+
+let percentiles xs ps =
   let n = Array.length xs in
-  if n = 0 then 0
+  if n = 0 then Array.map (fun _ -> 0) ps
   else begin
     let sorted = Array.copy xs in
-    Array.sort Int.compare sorted;
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-    sorted.(min (n - 1) (max 0 (rank - 1)))
+    sort_ints sorted 0 (n - 1);
+    Array.map
+      (fun p ->
+        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+        sorted.(min (n - 1) (max 0 (rank - 1))))
+      ps
   end
+
+let percentile xs p = (percentiles xs [| p |]).(0)
 
 let mean xs =
   let n = Array.length xs in

@@ -14,12 +14,19 @@ val open_loop_arrivals : seed:int -> period:int -> n:int -> int array
     period/2 + period]], so the mean inter-arrival is about [period]
     and arrivals are strictly increasing. *)
 
+val percentiles : int array -> float array -> int array
+(** [percentiles xs ps] is the nearest-rank percentile of the (unsorted)
+    sample [xs] for each [p] in [ps], in order; 0 for every [p] on an
+    empty sample. Exact: one copy of [xs] is sorted and every rank is
+    read from it, so asking for p50/p95/p99 together costs one sort.
+    This is the reference spec the log-bucketed
+    {!Acsi_obs.Hist.quantile} is differentially tested against, and it
+    computes the pinned summary percentiles; histograms serve the
+    telemetry surfaces. *)
+
 val percentile : int array -> float -> int
-(** Nearest-rank percentile of an (unsorted) sample; [percentile xs 50.0]
-    is the median. 0 on an empty sample. Exact (full copy + sort): this
-    is the reference spec the log-bucketed {!Acsi_obs.Hist.quantile} is
-    differentially tested against, and it keeps computing the pinned
-    summary percentiles; histograms serve the telemetry surfaces. *)
+(** [percentile xs p] is [(percentiles xs [| p |]).(0)];
+    [percentile xs 50.0] is the median. *)
 
 val mean : int array -> float
 (** Arithmetic mean; 0 on an empty sample. *)

@@ -3,7 +3,6 @@ module Interp = Acsi_vm.Interp
 type entry = {
   e_tid : int;
   e_thread : Interp.thread;
-  mutable e_resumes : int;
   mutable e_enqueued_at : int;  (* slice index when (re)enqueued *)
 }
 
@@ -15,14 +14,12 @@ type t = {
   on_switch : unit -> unit;
   tracer : Acsi_obs.Tracer.t;
   ready : entry Queue.t;
-  resumes_by_tid : (int, int) Hashtbl.t;
   mutable live : int;
   mutable max_live : int;
   mutable slices : int;
   mutable switches : int;
   mutable last_tid : int;  (* -1 before the first slice *)
   mutable max_resume_gap : int;
-  mutable completions_rev : (int * int) list;
 }
 
 let create ?(quantum = 25_000) ?(switch_cost = 200) ?(cycle_limit = max_int)
@@ -38,23 +35,20 @@ let create ?(quantum = 25_000) ?(switch_cost = 200) ?(cycle_limit = max_int)
     on_switch;
     tracer;
     ready = Queue.create ();
-    resumes_by_tid = Hashtbl.create 64;
     live = 0;
     max_live = 0;
     slices = 0;
     switches = 0;
     last_tid = -1;
     max_resume_gap = 0;
-    completions_rev = [];
   }
 
 let spawn t =
   let th = Interp.spawn t.vm in
   let tid = Interp.thread_id th in
   Queue.add
-    { e_tid = tid; e_thread = th; e_resumes = 0; e_enqueued_at = t.slices }
+    { e_tid = tid; e_thread = th; e_enqueued_at = t.slices }
     t.ready;
-  Hashtbl.replace t.resumes_by_tid tid 0;
   t.live <- t.live + 1;
   t.max_live <- max t.max_live t.live;
   tid
@@ -64,10 +58,6 @@ let max_live t = t.max_live
 let slices t = t.slices
 let switches t = t.switches
 let max_resume_gap t = t.max_resume_gap
-let completions t = List.rev t.completions_rev
-
-let resumes t ~tid =
-  match Hashtbl.find_opt t.resumes_by_tid tid with Some n -> n | None -> 0
 
 let run_slice t =
   match Queue.take_opt t.ready with
@@ -81,8 +71,6 @@ let run_slice t =
       end;
       t.last_tid <- e.e_tid;
       t.on_switch ();
-      e.e_resumes <- e.e_resumes + 1;
-      Hashtbl.replace t.resumes_by_tid e.e_tid e.e_resumes;
       let t0 = Interp.cycles t.vm in
       let status =
         Interp.resume ~cycle_limit:t.cycle_limit t.vm e.e_thread
@@ -101,8 +89,5 @@ let run_slice t =
       | Interp.Running ->
           e.e_enqueued_at <- t.slices;
           Queue.add e t.ready
-      | Interp.Done ->
-          t.live <- t.live - 1;
-          t.completions_rev <-
-            (e.e_tid, Interp.cycles t.vm) :: t.completions_rev);
+      | Interp.Done -> t.live <- t.live - 1);
       Some (e.e_tid, status)

@@ -6,7 +6,12 @@
     AOS sampling in threaded runs fires at thread switches exactly as in
     Jikes RVM. Everything is driven by the virtual clock — no wall clock,
     no host threads — so a schedule is a pure function of (program,
-    config, spawn order) and replays identically. *)
+    config, spawn order) and replays identically.
+
+    The scheduler keeps no per-thread history: its state is the ready
+    ring plus a few counters, so a server that runs millions of threads
+    through one scheduler holds only the live ones. Callers that want
+    per-thread facts collect them from {!run_slice}'s results. *)
 
 type t
 
@@ -48,16 +53,9 @@ val slices : t -> int
 val switches : t -> int
 (** Slices that changed the running thread (charged [switch_cost]). *)
 
-val resumes : t -> tid:int -> int
-(** Times the given thread has been resumed. *)
-
 val max_resume_gap : t -> int
 (** Fairness witness: the maximum number of slices any thread ever
     waited between two consecutive resumes (or between spawn and first
     resume). Under round-robin this is bounded by the number of
     simultaneously live threads — the no-starvation invariant the test
     suite pins. *)
-
-val completions : t -> (int * int) list
-(** [(tid, finish_cycle)] for every completed thread, in completion
-    order. *)

@@ -273,6 +273,8 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1)
     in
     pair snaps
   in
+  (* p100 is the maximum latency (0 when nothing was served). *)
+  let pct = Load.percentiles latencies [| 50.0; 95.0; 99.0; 100.0 |] in
   let summary =
     {
       sv_workload = name;
@@ -283,10 +285,10 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1)
       sv_throughput_rpmc =
         float_of_int n_total *. 1_000_000.0 /. float_of_int (max 1 total_cycles);
       sv_mean_latency = Load.mean latencies;
-      sv_p50 = Load.percentile latencies 50.0;
-      sv_p95 = Load.percentile latencies 95.0;
-      sv_p99 = Load.percentile latencies 99.0;
-      sv_max_latency = Array.fold_left max 0 latencies;
+      sv_p50 = pct.(0);
+      sv_p95 = pct.(1);
+      sv_p99 = pct.(2);
+      sv_max_latency = pct.(3);
       sv_warmup_requests = warmup;
       sv_steady_latency = steady;
       sv_slices = Sched.slices sched;

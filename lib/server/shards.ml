@@ -128,22 +128,26 @@ type result = {
   telemetry : telemetry;
 }
 
-(* One virtual processor. [sd_home] is the shard's slice of the global
-   arrival schedule (ascending arrival; [sd_head] marks the next
-   unadmitted entry) and [sd_stolen] holds sessions stolen from other
-   shards at barriers. Sessions are (arrival, rid) tuples until
-   admission spawns a virtual thread for them — which is what keeps a
-   million-session backlog cheap. *)
+(* One virtual processor. [sd_home_at]/[sd_home_rid] are the shard's
+   slice of the global arrival schedule as two parallel vectors
+   (ascending arrival; [sd_head] marks the next unadmitted entry) and
+   [sd_stolen] holds (arrival, rid) sessions stolen from other shards at
+   barriers. A session is two ints until admission spawns a virtual
+   thread for it — which is what keeps a million-session backlog cheap.
+   [sd_lat] is indexed by thread id (dense per shard VM, and only
+   admission spawns threads): the slot holds the session's arrival while
+   it runs and its latency once it completes, so every served session
+   costs the shard one word of bookkeeping. *)
 type shard = {
   sd_id : int;
   sd_vm : Interp.t;
   sd_sys : System.t;
   sd_sched : Sched.t;
-  sd_home : (int * int) array;
+  sd_home_at : int array;
+  sd_home_rid : int array;
   mutable sd_head : int;
   sd_stolen : (int * int) Queue.t;
-  sd_by_tid : (int, int * int) Hashtbl.t;
-  mutable sd_latencies_rev : int list;
+  mutable sd_lat : int array;
   mutable sd_served : int;
   mutable sd_steals_in : int;
   mutable sd_steals_out : int;
@@ -165,30 +169,38 @@ type publication = {
   p_native : (Interp.nfn array * int array) option;
 }
 
+(* Arrival of the next unadmitted home / stolen session; [max_int] when
+   that queue is empty. *)
+let home_at sd =
+  if sd.sd_head < Array.length sd.sd_home_at then sd.sd_home_at.(sd.sd_head)
+  else max_int
+
+let stolen_at sd =
+  if Queue.is_empty sd.sd_stolen then max_int else fst (Queue.peek sd.sd_stolen)
+
+(* Earliest arrival the shard still has queued (home or stolen). *)
+let next_arrival sd = Int.min (home_at sd) (stolen_at sd)
+
 let admit max_live sd =
   let now = Interp.cycles sd.sd_vm in
-  let n_home = Array.length sd.sd_home in
   let rec go () =
     if Sched.live sd.sd_sched < max_live then begin
-      let home_at =
-        if sd.sd_head < n_home then fst sd.sd_home.(sd.sd_head) else max_int
-      in
-      let stolen_at =
-        match Queue.peek_opt sd.sd_stolen with
-        | Some (at, _) -> at
-        | None -> max_int
-      in
-      if min home_at stolen_at <= now then begin
-        let at, rid =
-          if stolen_at <= home_at then Queue.pop sd.sd_stolen
+      let h_at = home_at sd and s_at = stolen_at sd in
+      if Int.min h_at s_at <= now then begin
+        let at =
+          if s_at <= h_at then fst (Queue.pop sd.sd_stolen)
           else begin
-            let e = sd.sd_home.(sd.sd_head) in
             sd.sd_head <- sd.sd_head + 1;
-            e
+            h_at
           end
         in
         let tid = Sched.spawn sd.sd_sched in
-        Hashtbl.replace sd.sd_by_tid tid (rid, at);
+        if tid >= Array.length sd.sd_lat then begin
+          let bigger = Array.make (max (tid + 1) (2 * tid)) 0 in
+          Array.blit sd.sd_lat 0 bigger 0 (Array.length sd.sd_lat);
+          sd.sd_lat <- bigger
+        end;
+        sd.sd_lat.(tid) <- at;
         go ()
       end
     end
@@ -197,29 +209,11 @@ let admit max_live sd =
 
 let finish_one sd tid =
   let finish = Interp.cycles sd.sd_vm in
-  let _rid, arrival =
-    match Hashtbl.find_opt sd.sd_by_tid tid with
-    | Some x -> x
-    | None -> assert false
-  in
-  Hashtbl.remove sd.sd_by_tid tid;
-  sd.sd_latencies_rev <- (finish - arrival) :: sd.sd_latencies_rev;
-  Acsi_obs.Hist.record sd.sd_latency_hist (finish - arrival);
+  let latency = finish - sd.sd_lat.(tid) in
+  sd.sd_lat.(tid) <- latency;
+  Acsi_obs.Hist.record sd.sd_latency_hist latency;
   sd.sd_served <- sd.sd_served + 1;
   sd.sd_busy_last <- finish
-
-(* Earliest arrival the shard still has queued (home or stolen). *)
-let next_arrival sd =
-  let home_at =
-    if sd.sd_head < Array.length sd.sd_home then fst sd.sd_home.(sd.sd_head)
-    else max_int
-  in
-  let stolen_at =
-    match Queue.peek_opt sd.sd_stolen with
-    | Some (at, _) -> at
-    | None -> max_int
-  in
-  min home_at stolen_at
 
 (* Run one shard up to the round's virtual-time limit. Touches only the
    shard's own state, so shards run on concurrent host domains; the
@@ -249,13 +243,13 @@ let run_round max_live limit sd =
    admitted, plus live threads. Only the un-admitted part is movable. *)
 let due_home sd =
   let now = Interp.cycles sd.sd_vm in
-  let n = Array.length sd.sd_home in
+  let n = Array.length sd.sd_home_at in
   (* First index with arrival > now, binary search over the sorted
      suffix starting at sd_head. *)
   let lo = ref sd.sd_head and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if fst sd.sd_home.(mid) <= now then lo := mid + 1 else hi := mid
+    if sd.sd_home_at.(mid) <= now then lo := mid + 1 else hi := mid
   done;
   !lo - sd.sd_head
 
@@ -292,17 +286,12 @@ let steal_pass shards ~seed ~round ~now ~tel =
         let v = shards.(!victim) and t = shards.(!thief) in
         let session =
           (* Oldest due session first: compare the two queue heads. *)
-          let home_at =
-            if v.sd_head < Array.length v.sd_home then
-              fst v.sd_home.(v.sd_head)
-            else max_int
-          in
-          match Queue.peek_opt v.sd_stolen with
-          | Some (at, _) when at <= home_at -> Queue.pop v.sd_stolen
-          | _ ->
-              let e = v.sd_home.(v.sd_head) in
-              v.sd_head <- v.sd_head + 1;
-              e
+          if stolen_at v <= home_at v then Queue.pop v.sd_stolen
+          else begin
+            let h = v.sd_head in
+            v.sd_head <- h + 1;
+            (v.sd_home_at.(h), v.sd_home_rid.(h))
+          end
         in
         Queue.add session t.sd_stolen;
         v.sd_steals_out <- v.sd_steals_out + 1;
@@ -417,13 +406,27 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
   let weight = max 1 hot_shard_weight in
   let total_shares = weight + (n_shards - 1) in
   let home = Array.make sessions 0 in
+  let home_count = Array.make n_shards 0 in
   let st = ref (Load.next_rand (seed lxor 0x2545F4914F6CDD1D)) in
   for rid = 0 to sessions - 1 do
     st := Load.next_rand !st;
     (if n_shards > 1 then
        let pick = !st mod total_shares in
        home.(rid) <-
-         (if pick < weight then 0 else 1 + ((pick - weight) mod (n_shards - 1))))
+         (if pick < weight then 0 else 1 + ((pick - weight) mod (n_shards - 1))));
+    home_count.(home.(rid)) <- home_count.(home.(rid)) + 1
+  done;
+  (* Each shard's slice of the schedule, split in one pass; rids ascend,
+     so each slice keeps ascending arrival. *)
+  let slice_at = Array.map (fun c -> Array.make c 0) home_count in
+  let slice_rid = Array.map (fun c -> Array.make c 0) home_count in
+  let fill = Array.make n_shards 0 in
+  for rid = 0 to sessions - 1 do
+    let h = home.(rid) in
+    let k = fill.(h) in
+    slice_at.(h).(k) <- arrivals.(rid);
+    slice_rid.(h).(k) <- rid;
+    fill.(h) <- k + 1
   done;
   let n_methods = Acsi_bytecode.Program.method_count program in
   let mk_shard id =
@@ -452,20 +455,16 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
         ~on_switch:(fun () -> System.poll_async_installs sys)
         vm
     in
-    let mine = ref [] in
-    for rid = sessions - 1 downto 0 do
-      if home.(rid) = id then mine := (arrivals.(rid), rid) :: !mine
-    done;
     {
       sd_id = id;
       sd_vm = vm;
       sd_sys = sys;
       sd_sched = sched;
-      sd_home = Array.of_list !mine;
+      sd_home_at = slice_at.(id);
+      sd_home_rid = slice_rid.(id);
       sd_head = 0;
       sd_stolen = Queue.create ();
-      sd_by_tid = Hashtbl.create 64;
-      sd_latencies_rev = [];
+      sd_lat = Array.make home_count.(id) 0;
       sd_served = 0;
       sd_steals_in = 0;
       sd_steals_out = 0;
@@ -555,13 +554,18 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
   done;
   let merged_dcg = Dcg.create () in
   Array.iter (fun sd -> Dcg.merge ~into:merged_dcg (System.dcg sd.sd_sys)) shards;
-  let latencies =
-    Array.concat
-      (Array.to_list
-         (Array.map
-            (fun sd -> Array.of_list (List.rev sd.sd_latencies_rev))
-            shards))
-  in
+  (* Every admitted session has completed, so each shard's first
+     [sd_served] tid slots are latencies (in spawn order, which the
+     order-free mean and percentiles below do not see); p100 is the
+     maximum latency. *)
+  let latencies = Array.make sessions 0 in
+  ignore
+    (Array.fold_left
+       (fun off sd ->
+         Array.blit sd.sd_lat 0 latencies off sd.sd_served;
+         off + sd.sd_served)
+       0 shards);
+  let pct = Load.percentiles latencies [| 50.0; 95.0; 99.0; 100.0 |] in
   let makespan = Array.fold_left (fun acc sd -> max acc sd.sd_busy_last) 0 shards in
   let sum_cycles =
     Array.fold_left (fun acc sd -> acc + Interp.cycles sd.sd_vm) 0 shards
@@ -623,10 +627,10 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
       sh_throughput_spmc =
         float_of_int sessions *. 1_000_000.0 /. float_of_int (max 1 makespan);
       sh_mean_latency = Load.mean latencies;
-      sh_p50 = Load.percentile latencies 50.0;
-      sh_p95 = Load.percentile latencies 95.0;
-      sh_p99 = Load.percentile latencies 99.0;
-      sh_max_latency = Array.fold_left max 0 latencies;
+      sh_p50 = pct.(0);
+      sh_p95 = pct.(1);
+      sh_p99 = pct.(2);
+      sh_max_latency = pct.(3);
       sh_steals =
         Array.fold_left (fun acc sd -> acc + sd.sd_steals_in) 0 shards;
       sh_fairness =

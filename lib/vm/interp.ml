@@ -435,10 +435,12 @@ let walk_source_stack t ~f =
    arrays born in the minor heap keep locals/stack stores on the cheap
    minor-to-minor write path and die young. (Reusing popped frames was
    tried and measured slower — long-lived frames get promoted, and every
-   pointer store into them then pays the remembered-set barrier.) *)
+   pointer store into them then pays the remembered-set barrier.)
+   A fresh thread's stack starts at 8 slots and doubles: a server spawns
+   one stack per session, and most sessions never nest 8 calls deep. *)
 let push_frame t code dcode ncode =
   (if t.depth = Array.length t.frames then begin
-     let cap = max 64 (2 * t.depth) in
+     let cap = max 8 (2 * t.depth) in
      let bigger =
        Array.make cap
          {

@@ -4,7 +4,14 @@
    AOS-free baseline run: output, cycles, counters and the whole metrics
    record. Linked with the debug runtime (see dune), so a store that
    skipped a needed write barrier shows up as a failed runtime assertion
-   or as diverging results. Exits non-zero on the first mismatch. *)
+   or as diverging results. Every frame stack here starts at 8 slots and
+   grows by doubling, so the suite's deep call chains take the growth
+   path many times. Then runs a small sharded fleet (the session workload
+   on 2 shards) under the same heap, which exercises the fleet's
+   int-vector bookkeeping and thousands of short thread stacks, and
+   checks its output checksum against the AOS-free run of one session,
+   repeated per served session, and its flow log for conservation. Exits
+   non-zero if anything differs. *)
 
 module Interp = Acsi_vm.Interp
 module System = Acsi_aos.System
@@ -13,6 +20,7 @@ module Runtime = Acsi_core.Runtime
 module Metrics = Acsi_core.Metrics
 module Policy = Acsi_policy.Policy
 module Workloads = Acsi_workloads.Workloads
+module Shards = Acsi_server.Shards
 
 let with_tier on (cfg : Config.t) =
   { cfg with Config.aos = { cfg.Config.aos with System.native_tier = on } }
@@ -48,7 +56,30 @@ let () =
       check name "metrics record (tier on vs off)"
         (on.Runtime.metrics = off.Runtime.metrics))
     (Workloads.build_all ());
+  let sessions = 2_000 in
+  let session = (Workloads.find "session").Workloads.build ~scale:1 in
+  let fleet =
+    Shards.run ~seed:7 ~pool:2 ~pool_policy:System.Hot_first ~shards:2
+      ~sessions ~period:450 ~name:"session" cfg session
+  in
+  let one = Interp.output (Runtime.run_no_aos cfg session) in
+  let served = List.map (fun h -> h.Shards.h_served) fleet.Shards.shard_stats in
+  let expected =
+    List.fold_left
+      (fun acc n ->
+        (acc * 31)
+        + Metrics.checksum (List.concat (List.init n (fun _ -> one)))
+        + 17)
+      0 served
+    land max_int
+  in
+  check "fleet" "sessions served" (List.fold_left ( + ) 0 served = sessions);
+  check "fleet" "output checksum (shards vs no AOS)"
+    (fleet.Shards.summary.Shards.sh_output_checksum = expected);
+  check "fleet" "flow conservation"
+    (Shards.flows_conserved fleet.Shards.telemetry);
   let minor = Gc.minor_words () in
   if !failures > 0 then exit 1;
-  Printf.printf "gc-stress: 8 programs agree (%.0fM minor words)\n"
-    (minor /. 1e6)
+  Printf.printf
+    "gc-stress: 8 programs and a %d-session fleet agree (%.0fM minor words)\n"
+    sessions (minor /. 1e6)

@@ -44,6 +44,23 @@ let counter_prog =
 
 let counter_program () = Compile.prog counter_prog
 
+(* Drains the scheduler, collecting what it does not keep itself, from
+   [run_slice]'s results: the completion order, and a function giving
+   how many slices each thread was resumed for. *)
+let drain_counting sched =
+  let resumes = Hashtbl.create 8 and completed_rev = ref [] in
+  let count tid = Option.value ~default:0 (Hashtbl.find_opt resumes tid) in
+  let rec go () =
+    match Sched.run_slice sched with
+    | Some (tid, status) ->
+        Hashtbl.replace resumes tid (count tid + 1);
+        if status = Interp.Done then completed_rev := tid :: !completed_rev;
+        go ()
+    | None -> ()
+  in
+  go ();
+  (List.rev !completed_rev, count)
+
 (* --- satellite 1: interleaving two threads in the same method --- *)
 
 let test_interleaved_reentrancy () =
@@ -59,19 +76,14 @@ let test_interleaved_reentrancy () =
   let sched = Sched.create ~quantum:97 ~switch_cost:3 vm in
   let t1 = Sched.spawn sched in
   let t2 = Sched.spawn sched in
-  let rec drain () =
-    match Sched.run_slice sched with Some _ -> drain () | None -> ()
-  in
-  drain ();
+  let completed, resumes = drain_counting sched in
   Alcotest.(check int) "both threads finished" 0 (Sched.live sched);
   Alcotest.(check (list int))
-    "completion order is the spawn order"
-    [ t1; t2 ]
-    (List.map fst (Sched.completions sched));
+    "completion order is the spawn order" [ t1; t2 ] completed;
   (* Interleaving actually happened: each thread needed many slices. *)
   Alcotest.(check bool)
     "threads interleaved" true
-    (Sched.resumes sched ~tid:t1 > 5 && Sched.resumes sched ~tid:t2 > 5);
+    (resumes t1 > 5 && resumes t2 > 5);
   Alcotest.(check (list int))
     "each interleaved execution computed 5050" [ 5050; 5050 ]
     (Interp.output vm)
@@ -91,12 +103,8 @@ let test_fairness_no_starvation () =
   let vm = Interp.create program in
   let sched = Sched.create ~quantum:199 ~switch_cost:5 vm in
   let tids = List.init 5 (fun _ -> Sched.spawn sched) in
-  let rec drain () =
-    match Sched.run_slice sched with Some _ -> drain () | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "all five threads completed" 5
-    (List.length (Sched.completions sched));
+  let completed, resumes = drain_counting sched in
+  Alcotest.(check int) "all five threads completed" 5 (List.length completed);
   Alcotest.(check int) "max live" 5 (Sched.max_live sched);
   (* Round-robin bound: between two resumes of one thread, at most every
      other live thread runs once — nobody waits longer than the peak
@@ -107,13 +115,45 @@ let test_fairness_no_starvation () =
     true
     (Sched.max_resume_gap sched <= Sched.max_live sched);
   (* Identical threads must get near-identical service. *)
-  let resumes = List.map (fun tid -> Sched.resumes sched ~tid) tids in
+  let resumes = List.map resumes tids in
   let mn = List.fold_left min max_int resumes in
   let mx = List.fold_left max 0 resumes in
   Alcotest.(check bool)
     (Printf.sprintf "balanced service (resumes %d..%d)" mn mx)
     true
     (mx - mn <= 2)
+
+(* The scheduler keeps no per-thread history: once every thread has
+   completed, its reachable heap is the same after 100 threads as after
+   10 000. The program prints nothing, so the VM's output does not grow
+   either. *)
+let test_sched_retains_no_history () =
+  let program =
+    Compile.prog
+      Dsl.(
+        prog []
+          [
+            let_ "s" (i 0);
+            for_ "i" (i 0) (i 20) [ let_ "s" (add (v "s") (v "i")) ];
+          ])
+  in
+  let words_after n =
+    let vm = Interp.create program in
+    let sched = Sched.create ~quantum:40 ~switch_cost:3 vm in
+    for _ = 1 to n do
+      ignore (Sched.spawn sched);
+      ignore (Sched.run_slice sched)
+    done;
+    while Sched.run_slice sched <> None do
+      ()
+    done;
+    Alcotest.(check int) (Printf.sprintf "%d threads completed" n) 0
+      (Sched.live sched);
+    Obj.reachable_words (Obj.repr sched)
+  in
+  Alcotest.(check int)
+    "reachable words after 10 000 threads = after 100" (words_after 100)
+    (words_after 10_000)
 
 (* --- satellite 2: metrics snapshot / diff --- *)
 
@@ -158,6 +198,47 @@ let test_percentiles () =
   Alcotest.(check int) "p100" 100 (Load.percentile xs 100.0);
   Alcotest.(check int) "empty" 0 (Load.percentile [||] 50.0);
   Alcotest.(check (float 1e-9)) "mean" 50.5 (Load.mean xs)
+
+(* The one-rank definition [Load.percentiles] replaced, kept as its
+   spec: copy, [Array.sort Int.compare], read the nearest rank. *)
+let spec_percentile xs p =
+  let n = Array.length xs in
+  if n = 0 then 0
+  else begin
+    let sorted = Array.copy xs in
+    Array.sort Int.compare sorted;
+    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+    sorted.(min (n - 1) (max 0 (rank - 1)))
+  end
+
+let prop_percentiles_match_spec =
+  let samples =
+    QCheck.Gen.(
+      oneof
+        [
+          array_size (int_range 0 300) (int_range (-1_000_000) 1_000_000);
+          array_size (int_range 0 3000) int;
+          (* heavy duplicates *)
+          array_size (int_range 0 3000) (int_range 0 3);
+          (* all equal *)
+          map2 Array.make (int_range 0 500) int;
+          (* already sorted / reversed *)
+          map (fun n -> Array.init n Fun.id) (int_range 0 3000);
+          map (fun n -> Array.init n (fun i -> -i)) (int_range 0 3000);
+        ])
+  in
+  QCheck.Test.make ~name:"Load.percentiles equals the one-rank spec"
+    ~count:500
+    (QCheck.make
+       ~print:(fun xs ->
+         Printf.sprintf "[|%s|]"
+           (String.concat "; " (Array.to_list (Array.map string_of_int xs))))
+       samples)
+    (fun xs ->
+      let before = Array.copy xs in
+      let ps = [| 0.0; 50.0; 95.0; 99.0; 100.0 |] in
+      Load.percentiles xs ps = Array.map (spec_percentile xs) ps
+      && xs = before)
 
 (* --- the server harness itself --- *)
 
@@ -310,6 +391,9 @@ let suite =
     Alcotest.test_case "metrics snapshot diff" `Quick test_snapshot_diff;
     Alcotest.test_case "open-loop arrivals" `Quick test_open_loop_arrivals;
     Alcotest.test_case "percentiles" `Quick test_percentiles;
+    QCheck_alcotest.to_alcotest prop_percentiles_match_spec;
+    Alcotest.test_case "scheduler retains no per-thread history" `Quick
+      test_sched_retains_no_history;
     Alcotest.test_case "async compilation overlaps mutator" `Slow
       test_async_compilation_overlaps;
     Alcotest.test_case "sync compilation path unchanged" `Slow
