@@ -3,8 +3,7 @@
    totals — one command to spot a performance regression after a change.
 
      compare.exe OLD.json NEW.json [--all] [--old-run N] [--new-run N]
-                 [--allow-cross-tier] [--allow-cross-seed]
-                 [--allow-cross-spec]
+                 [--allow-cross-seed] [--allow-cross-spec]
 
    By default the *last* run of each file is compared (a results file is
    a trajectory; see results.ml). Wall-clock deltas are informational —
@@ -12,18 +11,12 @@
    same scale factor means the simulated execution itself changed, which
    the determinism contract forbids; that exits non-zero.
 
-   Runs carry the execution tier they ran on ("interp" or "closure").
-   Comparing wall-clock across tiers at the same scale answers a
-   different question than a regression check — the delta is the tier
-   speedup, not a change in the code under test — so by default such a
-   comparison is refused; --allow-cross-tier runs it anyway (the cycle
-   identity between tiers still holds and is still enforced). When both
-   runs recorded a host-time calibration section, the per-tier
-   ns-per-virtual-cycle drift is reported informationally.
+   When both runs recorded a host-time calibration section, the
+   per-bucket ns-per-virtual-cycle drift is reported informationally.
 
-   Runs are also stamped with whether the static pre-warm oracle was on
-   (--static-seed). Unlike the tier, seeding is a measured behaviour
-   change — cycle counts legitimately differ — so comparing across the
+   Runs are stamped with whether the static pre-warm oracle was on
+   (--static-seed). Seeding is a measured behaviour change — cycle
+   counts legitimately differ — so comparing across the
    stamp at equal scale would report the oracle's effect as a
    regression; refused unless --allow-cross-seed (which also waives the
    cycle-identity check, since the identity does not hold across the
@@ -42,7 +35,7 @@
 
 let usage =
   "usage: compare.exe OLD.json NEW.json [--all] [--old-run N] [--new-run N] \
-   [--allow-cross-tier] [--slo KEY=BUDGET]...\n\
+   [--allow-cross-seed] [--allow-cross-spec] [--slo KEY=BUDGET]...\n\
    SLO keys (checked against the NEW run, violation exits 1): p99 \
    (telemetry session-latency p99), warmup (static-ablation seeded warmup \
    requests), deopts (telemetry deopt count), guards (speculation guard \
@@ -56,7 +49,6 @@ type opts = {
   mutable all : bool;
   mutable old_run : int option;  (* index into the trajectory; default last *)
   mutable new_run : int option;
-  mutable allow_cross_tier : bool;
   mutable allow_cross_seed : bool;
   mutable allow_cross_spec : bool;
   mutable slo : (string * int) list;  (* declared budgets, argv order *)
@@ -70,7 +62,6 @@ let parse_args () =
       all = false;
       old_run = None;
       new_run = None;
-      allow_cross_tier = false;
       allow_cross_seed = false;
       allow_cross_spec = false;
       slo = [];
@@ -85,9 +76,6 @@ let parse_args () =
     | [] -> ()
     | "--all" :: rest ->
         o.all <- true;
-        go rest
-    | "--allow-cross-tier" :: rest ->
-        o.allow_cross_tier <- true;
         go rest
     | "--allow-cross-seed" :: rest ->
         o.allow_cross_seed <- true;
@@ -151,16 +139,14 @@ let () =
     if r.Results.speculate then "speculative" else "guarded"
   in
   Printf.printf
-    "old: %s (run %d/%d)  jobs %d  scale %g  tier %s  %s  %s  wall_total \
-     %.2fs\n"
+    "old: %s (run %d/%d)  jobs %d  scale %g  %s  %s  wall_total %.2fs\n"
     old_path old_i (old_n - 1) old_run.Results.jobs old_run.Results.scale_factor
-    old_run.Results.tier (seed_label old_run) (spec_label old_run)
+    (seed_label old_run) (spec_label old_run)
     old_run.Results.wall_total_s;
   Printf.printf
-    "new: %s (run %d/%d)  jobs %d  scale %g  tier %s  %s  %s  wall_total \
-     %.2fs\n"
+    "new: %s (run %d/%d)  jobs %d  scale %g  %s  %s  wall_total %.2fs\n"
     new_path new_i (new_n - 1) new_run.Results.jobs new_run.Results.scale_factor
-    new_run.Results.tier (seed_label new_run) (spec_label new_run)
+    (seed_label new_run) (spec_label new_run)
     new_run.Results.wall_total_s;
   let same_scale =
     old_run.Results.scale_factor = new_run.Results.scale_factor
@@ -169,26 +155,11 @@ let () =
     print_endline
       "note: scale factors differ — cycle counts are not comparable, only \
        reporting wall-clock";
-  (* A wall-clock diff across execution tiers at equal scale measures the
-     tier speedup, not a regression in the code under test — almost never
-     what a comparison is for, so refuse unless explicitly overridden.
-     (Cycle identity across tiers is part of the determinism contract and
-     is still enforced below when the comparison proceeds.) *)
-  if
-    same_scale
-    && old_run.Results.tier <> new_run.Results.tier
-    && not o.allow_cross_tier
-  then
-    die
-      "refusing to compare runs from different execution tiers (%s vs %s) at \
-       equal scale: the wall-clock delta would measure the tier, not the \
-       change under test. Pass --allow-cross-tier to compare anyway."
-      old_run.Results.tier new_run.Results.tier;
-  (* The static-seed stamp cuts deeper than the tier: a seeded run's
-     cycle counts legitimately differ from a reactive run's, so at
-     equal scale the determinism check below would report the oracle's
-     intended effect as a violation. Refuse, and when overridden, skip
-     the cycle checks rather than fail them. *)
+  (* The static-seed stamp: a seeded run's cycle counts legitimately
+     differ from a reactive run's, so at equal scale the determinism
+     check below would report the oracle's intended effect as a
+     violation. Refuse, and when overridden, skip the cycle checks
+     rather than fail them. *)
   let cross_seed =
     old_run.Results.static_seed <> new_run.Results.static_seed
   in
@@ -218,7 +189,7 @@ let () =
       (spec_label old_run) (spec_label new_run);
   let check_cycles = same_scale && not cross_seed && not cross_spec in
   (* Cost-model drift: when both runs measured host time per charged
-     virtual cycle, report how much each tier's measured cost moved.
+     virtual cycle, report how much each bucket's measured cost moved.
      Informational only — the host is noisy — but a large drift means
      wall-clock comparisons against older trajectory points are suspect. *)
   (match (old_run.Results.calibration, new_run.Results.calibration) with

@@ -13,7 +13,6 @@
      dune exec bench/main.exe -- --speculate  guard-free speculation on
      dune exec bench/main.exe -- --micro      bechamel microbenchmarks
      dune exec bench/main.exe -- --jobs 8     domain-parallel driver
-     dune exec bench/main.exe -- --no-native-tier   interpreter tier only
      dune exec bench/main.exe -- --static-seed   static pre-warm oracle on
      dune exec bench/main.exe -- --json       append run to BENCH_results.json
      dune exec bench/main.exe -- --json-out F append run to F instead
@@ -50,22 +49,11 @@ type mode = {
   mutable json_path : string;
 }
 
-(* Execution-tier selection for every run the harness performs.
-   --no-native-tier keeps all methods on the interpreter tier; the
-   printed numbers are byte-identical either way (the closure tier is a
-   host-speed change only — test_tier pins this), so the flag exists to
-   measure the host-time difference and to let compare.exe label runs
-   with the tier they executed on. *)
-let native_tier = ref true
-
-let tier_name () = if !native_tier then "closure" else "interp"
-
 (* --static-seed: run every cell with the static pre-warm oracle on
    (summaries drive inlining at method install, before any sample).
    Cycle counts legitimately change, so the run record is stamped with
    the flag and compare.exe refuses a cross-seed comparison at equal
-   scale unless told otherwise — same shape as the tier stamp, except
-   seeding is a measured behaviour change, not a host-speed one. *)
+   scale unless told otherwise. *)
 let static_seed = ref false
 
 (* --speculate: run every cell with guard-free speculative inlining and
@@ -79,15 +67,6 @@ let speculate = ref false
 
 let config ~policy =
   let cfg = Config.default ~policy in
-  let cfg =
-    if !native_tier then cfg
-    else
-      {
-        cfg with
-        Config.aos =
-          { cfg.Config.aos with Acsi_aos.System.native_tier = false };
-      }
-  in
   let cfg =
     if not !static_seed then cfg
     else
@@ -215,12 +194,6 @@ let parse_args () =
         | None ->
             Format.eprintf "invalid --jobs value %s@." n;
             exit 2);
-        go rest
-    | "--native-tier" :: rest ->
-        native_tier := true;
-        go rest
-    | "--no-native-tier" :: rest ->
-        native_tier := false;
         go rest
     | "--static-seed" :: rest ->
         static_seed := true;
@@ -1046,7 +1019,7 @@ let traced_components mode =
     | Some _ | None -> None
   in
   let check =
-    match (ns (tier_name ()), ns "system") with
+    match (ns "closure", ns "system") with
     | Some app_ns, Some system_ns when app_ns > 0.0 ->
         let ratio = system_ns /. app_ns in
         let verdict =
@@ -1055,9 +1028,9 @@ let traced_components mode =
           else "consistent"
         in
         Format.eprintf
-          "  [calibration] system-charge sanity: system %.2f ns/cycle vs %s \
-           %.2f ns/cycle — ratio %.2f, verdict: %s@."
-          system_ns (tier_name ()) app_ns ratio verdict;
+          "  [calibration] system-charge sanity: system %.2f ns/cycle vs \
+           closure %.2f ns/cycle — ratio %.2f, verdict: %s@."
+          system_ns app_ns ratio verdict;
         Some
           {
             Results.v_app_ns = app_ns;
@@ -1102,7 +1075,6 @@ let write_json mode (s : Experiment.sweep option) server shards
       Results.jobs = mode.jobs;
       scale_factor = mode.scale_factor;
       wall_total_s;
-      tier = tier_name ();
       static_seed = !static_seed;
       speculate = !speculate;
       cells;

@@ -155,10 +155,6 @@ type run = {
   jobs : int;
   scale_factor : float;
   wall_total_s : float;
-  tier : string;
-      (* execution tier the sweep ran on: "closure" (the default
-         second tier) or "interp" (--no-native-tier); absent in files
-         written before the tier existed, which reads as "interp" *)
   static_seed : bool;
       (* whether the run's cells executed with the static pre-warm
          oracle on (--static-seed); absent in files written before the
@@ -495,15 +491,8 @@ let run_of_json j =
     jobs = int_of_float (num (field "jobs" j));
     scale_factor = num (field "scale_factor" j);
     wall_total_s = num (field "wall_total_s" j);
-    tier =
-      (* Absent in files written before the closure tier existed: those
-         runs executed on the interpreter. *)
-      (match j with
-      | Obj kvs -> (
-          match List.assoc_opt "tier" kvs with
-          | None | Some Null -> "interp"
-          | Some v -> str v)
-      | _ -> "interp");
+    (* Runs written while the closure tier could be switched off also
+       carry a "tier" key; it is ignored. *)
     static_seed =
       (* Absent in files written before the static oracle existed:
          those runs were purely reactive. *)
@@ -647,11 +636,10 @@ let output_run oc r ~last =
     \      \"jobs\": %d,\n\
     \      \"scale_factor\": %g,\n\
     \      \"wall_total_s\": %.6f,\n\
-    \      \"tier\": \"%s\",\n\
     \      \"static_seed\": %b,\n\
     \      \"speculate\": %b,\n\
     \      \"cells\": [\n"
-    r.jobs r.scale_factor r.wall_total_s (json_escape r.tier) r.static_seed
+    r.jobs r.scale_factor r.wall_total_s r.static_seed
     r.speculate;
   let last_cell = List.length r.cells - 1 in
   List.iteri

@@ -55,18 +55,6 @@ let verify_program program =
       Format.eprintf "%s@." (Acsi_analysis.Diag.to_string d);
       false
 
-(* --native-tier / --no-native-tier: [None] keeps the config default
-   (tier on). Purely a host-speed knob — metrics and output are
-   bit-identical either way, which `--no-native-tier` exists to check. *)
-let apply_tier tier (cfg : Config.t) =
-  match tier with
-  | None -> cfg
-  | Some b ->
-      {
-        cfg with
-        Config.aos = { cfg.Config.aos with Acsi_aos.System.native_tier = b };
-      }
-
 (* --static-seed: turn on the static pre-warm oracle (summary-driven
    inlining at method install time, before any sample). Default off —
    the purely reactive system all goldens are pinned to. *)
@@ -96,7 +84,7 @@ let apply_speculate spec (cfg : Config.t) =
     }
 
 let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
-    ~show_compilations ~disasm ~jobs ~verify ~tier ~static_seed ~speculate =
+    ~show_compilations ~disasm ~jobs ~verify ~static_seed ~speculate =
   match Acsi_policy.Policy.of_string policy_str with
   | None ->
       Format.eprintf
@@ -141,8 +129,7 @@ let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
                   (fun policy ->
                     Runtime.run
                       (apply_speculate speculate
-                         (apply_seed static_seed
-                            (apply_tier tier (Config.default ~policy))))
+                         (apply_seed static_seed (Config.default ~policy)))
                       program)
                   [ policy; Acsi_policy.Policy.Context_insensitive ]
               with
@@ -151,8 +138,7 @@ let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
             else
               ( Runtime.run
                   (apply_speculate speculate
-                     (apply_seed static_seed
-                        (apply_tier tier (Config.default ~policy))))
+                     (apply_seed static_seed (Config.default ~policy)))
                   program,
                 None )
           in
@@ -188,9 +174,8 @@ let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
                    Runtime.run
                      (apply_speculate speculate
                         (apply_seed static_seed
-                           (apply_tier tier
-                              (Config.default
-                                 ~policy:Acsi_policy.Policy.Context_insensitive))))
+                           (Config.default
+                              ~policy:Acsi_policy.Policy.Context_insensitive)))
                      program
              in
              let bm = base.Runtime.metrics in
@@ -283,23 +268,6 @@ let verify_flag =
             info [ "no-verify" ] ~doc:"Skip pre-run typed verification." );
         ])
 
-let tier_flag =
-  Arg.(
-    value
-    & vflag None
-        [
-          ( Some true,
-            info [ "native-tier" ]
-              ~doc:
-                "Execute optimized methods on the closure-compiled second \
-                 tier (the default)." );
-          ( Some false,
-            info [ "no-native-tier" ]
-              ~doc:
-                "Interpreter tier only; metrics and output are identical, \
-                 only host time changes." );
-        ])
-
 let static_seed_arg =
   Arg.(
     value & flag
@@ -327,12 +295,12 @@ let setup_logs verbose =
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
 let main list_only verbose bench file policy scale compare_baseline
-    show_compilations disasm jobs verify tier static_seed speculate =
+    show_compilations disasm jobs verify static_seed speculate =
   setup_logs verbose;
   if list_only then list_benchmarks ()
   else
     run_one ~bench ~file ~policy_str:policy ~scale ~compare_baseline
-      ~show_compilations ~disasm ~jobs ~verify ~tier ~static_seed ~speculate
+      ~show_compilations ~disasm ~jobs ~verify ~static_seed ~speculate
 
 (* --- trace / explain: the observability subcommands (lib/obs) --- *)
 
@@ -368,10 +336,9 @@ let qualified_name program mid =
   let c = Acsi_bytecode.Program.clazz program m.Acsi_bytecode.Meth.owner in
   c.Acsi_bytecode.Clazz.name ^ "." ^ m.Acsi_bytecode.Meth.name
 
-let run_with_obs ~policy ~obs ~tier ~static_seed ~speculate program =
+let run_with_obs ~policy ~obs ~static_seed ~speculate program =
   let cfg =
-    apply_speculate speculate
-      (apply_seed static_seed (apply_tier tier (Config.default ~policy)))
+    apply_speculate speculate (apply_seed static_seed (Config.default ~policy))
   in
   Runtime.run
     { cfg with Config.aos = { cfg.Config.aos with Acsi_aos.System.obs } }
@@ -389,7 +356,7 @@ let write_buffer path buf =
    reconciliation check: with no ring drops, every AOS component's summed
    span durations must equal its Accounting total exactly. *)
 let trace_one ~bench ~file ~policy_str ~scale ~out ~jsonl ~flame ~min_pct
-    ~capacity ~probe_on_clock ~tier ~static_seed ~speculate =
+    ~capacity ~probe_on_clock ~static_seed ~speculate =
   match Acsi_policy.Policy.of_string policy_str with
   | None ->
       Format.eprintf "unknown policy %S@." policy_str;
@@ -412,7 +379,7 @@ let trace_one ~bench ~file ~policy_str ~scale ~out ~jsonl ~flame ~min_pct
              one VM, no concurrent sweeps in this process). *)
           Metrics.reset_tier_cache_stats ();
           let result =
-            run_with_obs ~policy ~obs ~tier ~static_seed ~speculate program
+            run_with_obs ~policy ~obs ~static_seed ~speculate program
           in
           let sys = result.Runtime.sys in
           let m = result.Runtime.metrics in
@@ -507,7 +474,7 @@ let trace_one ~bench ~file ~policy_str ~scale ~out ~jsonl ~flame ~min_pct
    provenance sink installed and print every recorded inline decision —
    optionally restricted to call sites in one method (matched by
    unqualified or "Cls.name" qualified name), or to one call-site pc. *)
-let explain_one ~bench ~file ~policy_str ~scale ~query ~tier ~static_seed
+let explain_one ~bench ~file ~policy_str ~scale ~query ~static_seed
     ~speculate =
   match Acsi_policy.Policy.of_string policy_str with
   | None ->
@@ -521,7 +488,7 @@ let explain_one ~bench ~file ~policy_str ~scale ~query ~tier ~static_seed
             { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true }
           in
           let result =
-            run_with_obs ~policy ~obs ~tier ~static_seed ~speculate program
+            run_with_obs ~policy ~obs ~static_seed ~speculate program
           in
           let sys = result.Runtime.sys in
           match Acsi_aos.System.provenance sys with
@@ -1221,7 +1188,7 @@ let run_cmd_term =
   Term.(
     const main $ list_arg $ verbose_arg $ bench_arg $ file_arg $ policy_arg
     $ scale_arg $ compare_arg $ compilations_arg $ disasm_arg $ jobs_arg
-    $ verify_flag $ tier_flag $ static_seed_arg $ speculate_arg)
+    $ verify_flag $ static_seed_arg $ speculate_arg)
 
 let lint_cmd =
   let doc =
@@ -1297,10 +1264,10 @@ let trace_probe_arg =
            clock, making the tracing overhead itself visible to the run.")
 
 let trace_main verbose bench file policy scale out jsonl flame min_pct
-    capacity probe_on_clock tier static_seed speculate =
+    capacity probe_on_clock static_seed speculate =
   setup_logs verbose;
   trace_one ~bench ~file ~policy_str:policy ~scale ~out ~jsonl ~flame
-    ~min_pct ~capacity ~probe_on_clock ~tier ~static_seed ~speculate
+    ~min_pct ~capacity ~probe_on_clock ~static_seed ~speculate
 
 let trace_cmd =
   let doc =
@@ -1311,7 +1278,7 @@ let trace_cmd =
     Term.(
       const trace_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
       $ scale_arg $ trace_out_arg $ trace_jsonl_arg $ trace_flame_arg
-      $ trace_min_pct_arg $ trace_capacity_arg $ trace_probe_arg $ tier_flag
+      $ trace_min_pct_arg $ trace_capacity_arg $ trace_probe_arg
       $ static_seed_arg $ speculate_arg)
 
 let explain_query_arg =
@@ -1324,10 +1291,9 @@ let explain_query_arg =
            site in this method (unqualified or Cls.name), optionally at \
            exactly the given bytecode pc. All decisions when omitted.")
 
-let explain_main verbose bench file policy scale query tier static_seed
-    speculate =
+let explain_main verbose bench file policy scale query static_seed speculate =
   setup_logs verbose;
-  explain_one ~bench ~file ~policy_str:policy ~scale ~query ~tier ~static_seed
+  explain_one ~bench ~file ~policy_str:policy ~scale ~query ~static_seed
     ~speculate
 
 let explain_cmd =
@@ -1338,8 +1304,7 @@ let explain_cmd =
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
       const explain_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ explain_query_arg $ tier_flag $ static_seed_arg
-      $ speculate_arg)
+      $ scale_arg $ explain_query_arg $ static_seed_arg $ speculate_arg)
 
 (* `acsi-run profile`: deterministic DCG persistence. --dump writes the
    run's final dynamic call graph in the textual {!Acsi_profile.Persist}
@@ -1347,8 +1312,8 @@ let explain_cmd =
    reproducing the offline profile-directed setups the paper contrasts
    itself with (§6). Profiles are program-specific (dense method ids),
    so dump and load must name the same benchmark and scale. *)
-let profile_one ~bench ~file ~policy_str ~scale ~dump ~load ~tier
-    ~static_seed ~speculate =
+let profile_one ~bench ~file ~policy_str ~scale ~dump ~load ~static_seed
+    ~speculate =
   match Acsi_policy.Policy.of_string policy_str with
   | None ->
       Format.eprintf "unknown policy %S@." policy_str;
@@ -1372,8 +1337,7 @@ let profile_one ~bench ~file ~policy_str ~scale ~dump ~load ~tier
           | Ok profile ->
               let cfg =
                 apply_speculate speculate
-                  (apply_seed static_seed
-                     (apply_tier tier (Config.default ~policy)))
+                  (apply_seed static_seed (Config.default ~policy))
               in
               let result = Runtime.run ?profile cfg program in
               Format.printf "%s under %s:@.%a@." label
@@ -1407,11 +1371,11 @@ let profile_load_arg =
           "Seed the dynamic call graph from FILE before the run (offline \
            profile-directed inlining).")
 
-let profile_main verbose bench file policy scale dump load tier static_seed
+let profile_main verbose bench file policy scale dump load static_seed
     speculate =
   setup_logs verbose;
-  profile_one ~bench ~file ~policy_str:policy ~scale ~dump ~load ~tier
-    ~static_seed ~speculate
+  profile_one ~bench ~file ~policy_str:policy ~scale ~dump ~load ~static_seed
+    ~speculate
 
 let profile_cmd =
   let doc =
@@ -1421,8 +1385,8 @@ let profile_cmd =
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
       const profile_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ profile_dump_arg $ profile_load_arg $ tier_flag
-      $ static_seed_arg $ speculate_arg)
+      $ scale_arg $ profile_dump_arg $ profile_load_arg $ static_seed_arg
+      $ speculate_arg)
 
 let cmd =
   let doc =

@@ -48,11 +48,6 @@ type config = {
   trace_on_timer : bool;
   enable_osr : bool;
   verify_installed : bool;
-  native_tier : bool;
-      (** compile [Jit_check]-clean optimized methods onto the closure
-          execution tier ({!Acsi_vm.Tier}); purely a host-speed change —
-          virtual cycles, output and all decisions are bit-identical
-          either way *)
   static_seed : bool;
       (** static pre-warm oracle: at a method's first execution, if the
           interprocedural summaries ({!Acsi_analysis.Summary}) prove it
@@ -103,7 +98,6 @@ let default_config policy =
     trace_on_timer = false;
     enable_osr = false;
     verify_installed = true;
-    native_tier = true;
     static_seed = false;
     speculate = false;
     deopt_guard_threshold = 32;
@@ -675,7 +669,7 @@ let revert_optimized t (mid : Ids.Method_id.t) ~reason ~ev =
             }));
       let bcode = Interp.baseline_code_of t.vm mid in
       Interp.install_code t.vm mid bcode;
-      if t.cfg.native_tier then ignore (tier_install t mid bcode);
+      ignore (tier_install t mid bcode);
       charge ~ev t Accounting.Controller t.cost.Cost.controller_per_event;
       Log.info (fun m ->
           m "deopt %s: reverted to baseline (%s)"
@@ -787,9 +781,9 @@ let install_compiled t mid code stats ~rule_stamp =
      accesses, so code must re-verify to be promoted — a rejected method
      simply stays on the interpreter tier. Like the re-verification, tier
      compilation is host-side work the modeled system doesn't perform:
-     no virtual cycles are charged, so the flag can never perturb timer
+     no virtual cycles are charged, so it can never perturb timer
      samples or reported totals. *)
-  if t.cfg.native_tier && tier_gate t mid code && tier_install t mid code then
+  if tier_gate t mid code && tier_install t mid code then
     record_tier t mid Acsi_obs.Provenance.Tier_compiled;
   (if t.cfg.speculate then begin
      Hashtbl.replace t.deopt_tables
@@ -1021,11 +1015,9 @@ let adopt_compiled t mid code stats ~rule_stamp ~native =
     Acsi_analysis.Jit_check.check_exn ~facts:t.install_facts t.program code;
   Interp.install_code t.vm mid code;
   (match native with
-  | Some (fns, entry_depths) when t.cfg.native_tier ->
+  | Some (fns, entry_depths) ->
       Interp.install_native t.vm mid ~fns ~entry_depths
-  | _ ->
-      if t.cfg.native_tier && tier_gate t mid code then
-        ignore (tier_install t mid code));
+  | None -> if tier_gate t mid code then ignore (tier_install t mid code));
   Registry.record t.registry mid stats ~rule_stamp;
   t.adopted_installs <- t.adopted_installs + 1;
   Db.record_adoption t.db ~meth:mid
@@ -1114,14 +1106,13 @@ let on_first_execution t mid =
      hook fires before the frame is pushed, so even the first invocation
      runs on the closures. Host-side work only — no virtual charge beyond
      the baseline-compile cost above, which is tier-independent. *)
-  (if t.cfg.native_tier then
-     match Acsi_vm.Tier.install t.vm mid (Interp.code_of t.vm mid) with
-     | () -> record_tier t mid Acsi_obs.Provenance.Tier_compiled
-     | exception exn ->
-         let why = Printexc.to_string exn in
-         Log.debug (fun f ->
-             f "closure tier skipped baseline %s: %s" m.Meth.name why);
-         record_tier t mid (Acsi_obs.Provenance.Tier_fell_back why));
+  (match Acsi_vm.Tier.install t.vm mid (Interp.code_of t.vm mid) with
+  | () -> record_tier t mid Acsi_obs.Provenance.Tier_compiled
+  | exception exn ->
+      let why = Printexc.to_string exn in
+      Log.debug (fun f ->
+          f "closure tier skipped baseline %s: %s" m.Meth.name why);
+      record_tier t mid (Acsi_obs.Provenance.Tier_fell_back why));
   (* The static pre-warm oracle replaces the just-installed baseline code
      with summary-driven optimized code before the first frame is even
      pushed — the hook fires ahead of the push, so the very first

@@ -71,14 +71,6 @@ type config = {
           guard-domination and OSR invariants. A debug-build safety net,
           so the work happens outside the virtual clock — toggling it
           never changes cycle counts. Default [true]. *)
-  native_tier : bool;
-      (** second execution tier: compile each installed optimized method
-          into closure/threaded code ({!Acsi_vm.Tier}), gated on the same
-          {!Acsi_analysis.Jit_check} verification — a method that fails
-          the gate stays on the interpreter tier (recorded in provenance
-          as the tier-decision axis). Purely a host-speed change: virtual
-          cycles, stdout, and every adaptive decision are bit-identical
-          with the flag on or off. Default [true]. *)
   static_seed : bool;
       (** static pre-warm oracle: at method first-execution time, consult
           the interprocedural summary table ({!Acsi_analysis.Summary})
@@ -218,13 +210,13 @@ val adopt_compiled :
 (** Install optimized code compiled by another AOS instance (a shard's
     publish-once code-cache hit): the adopter pays no compile cycles,
     but the install still passes the {!config.verify_installed}
-    [Jit_check] gate. [native], when provided and {!config.native_tier}
-    is on, reuses the publisher's closure-tier compilation — closures
-    are VM-independent, runtime state flows through the interpreter's
-    window-state record. Recorded in the {!Db} adoption log and in
-    {!adopted_installs}. Raises [Invalid_argument] on assumption-carrying
-    (speculative) code: its CHA proofs hold against the publisher's
-    loaded universe, not the adopter's. *)
+    [Jit_check] gate. [native], when provided, reuses the publisher's
+    closure-tier compilation — closures are VM-independent, runtime
+    state flows through the interpreter's window-state record. Recorded
+    in the {!Db} adoption log and in {!adopted_installs}. Raises
+    [Invalid_argument] on assumption-carrying (speculative) code: its
+    CHA proofs hold against the publisher's loaded universe, not the
+    adopter's. *)
 
 val record_tier_failure : t -> Acsi_bytecode.Ids.Method_id.t -> exn -> unit
 (** A closure-tier compile of the method raised: log a warning and

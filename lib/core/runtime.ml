@@ -6,20 +6,24 @@ type result = {
   sys : Acsi_aos.System.t;
 }
 
+let create_vm (cfg : Config.t) program =
+  Interp.create ~cost:cfg.Config.cost ~sample_period:cfg.Config.sample_period
+    ~invoke_stride:cfg.Config.invoke_stride program
+
 let run ?profile ?(calibrate = false) (cfg : Config.t) program =
-  let vm =
-    Interp.create ~cost:cfg.Config.cost ~sample_period:cfg.Config.sample_period
-      ~invoke_stride:cfg.Config.invoke_stride program
-  in
+  let vm = create_vm cfg program in
   Interp.set_calibrate vm calibrate;
   let sys = Acsi_aos.System.create ?profile cfg.Config.aos vm in
   Interp.run ~cycle_limit:cfg.Config.cycle_limit vm;
   { metrics = Metrics.of_run vm sys; vm; sys }
 
+let run_reference (cfg : Config.t) program =
+  let vm = create_vm cfg program in
+  let sys = Acsi_aos.System.create cfg.Config.aos vm in
+  Interp.run_reference ~cycle_limit:cfg.Config.cycle_limit vm;
+  { metrics = Metrics.of_run vm sys; vm; sys }
+
 let run_no_aos (cfg : Config.t) program =
-  let vm =
-    Interp.create ~cost:cfg.Config.cost ~sample_period:cfg.Config.sample_period
-      ~invoke_stride:cfg.Config.invoke_stride program
-  in
+  let vm = create_vm cfg program in
   Interp.run ~cycle_limit:cfg.Config.cycle_limit vm;
   vm

@@ -22,6 +22,13 @@ val run :
     cycles and outputs are unchanged — but the sampling itself costs
     host time, so it is off outside the bench's [--trace] mode. *)
 
+val run_reference : Config.t -> Acsi_bytecode.Program.t -> result
+(** {!run} with the AOS driven from {!Acsi_vm.Interp.run_reference}, the
+    naive instruction-at-a-time loop: the executable specification the
+    production engine (decoded interpreter plus closure tier) must
+    match on output and on the whole {!Metrics.t}. Roughly 2-3x slower;
+    exists for differential testing. *)
+
 val run_no_aos : Config.t -> Acsi_bytecode.Program.t -> Acsi_vm.Interp.t
 (** Execute purely at baseline, no adaptive system (for semantics
     comparisons in tests). *)

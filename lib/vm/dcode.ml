@@ -187,7 +187,7 @@ let fuse_at instrs pc n =
   | Instr.Array_get, Some (Instr.Store j) -> Some (Arrayget_store j)
   | _ -> None
 
-let of_code ?(fuse = true) (cost : Cost.t) (code : Code.t) =
+let of_code (cost : Cost.t) (code : Code.t) =
   let icost =
     match code.Code.tier with
     | Code.Baseline -> cost.Cost.baseline_instr
@@ -196,12 +196,11 @@ let of_code ?(fuse = true) (cost : Cost.t) (code : Code.t) =
   let instrs = code.Code.instrs in
   let n = Array.length instrs in
   let ops = Array.init n (fun i -> plain instrs.(i)) in
-  if fuse then
-    for pc = 0 to n - 1 do
-      match fuse_at instrs pc n with
-      | Some op -> ops.(pc) <- op
-      | None -> ()
-    done;
+  for pc = 0 to n - 1 do
+    match fuse_at instrs pc n with
+    | Some op -> ops.(pc) <- op
+    | None -> ()
+  done;
   { ops; icost }
 
 let fused_count t =

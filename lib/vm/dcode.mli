@@ -85,10 +85,8 @@ type t = {
 val width : op -> int
 (** Number of source instructions the op covers (1 for non-fused ops). *)
 
-val of_code : ?fuse:bool -> Cost.t -> Code.t -> t
-(** Decode [code]. [fuse:false] disables the superinstruction pass
-    (used by the differential tests; execution results are identical
-    either way). *)
+val of_code : Cost.t -> Code.t -> t
+(** Decode [code], fusing every superinstruction pattern. *)
 
 val fused_count : t -> int
 (** Number of slots holding a superinstruction (for tests/inspection). *)

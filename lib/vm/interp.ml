@@ -23,7 +23,6 @@ type frame = {
 and t = {
   program : Program.t;
   cost : Cost.t;
-  fuse : bool;
   mutable cycles : int;
   globals : Value.t array;
   code_table : Code.t array;
@@ -142,17 +141,16 @@ type frame_plan = {
 type deopt_reason = Guard_storm | Cha_invalidated
 
 let create ?(cost = Cost.default) ?(sample_period = 100_000)
-    ?(invoke_stride = 2048) ?(fuse = true) program =
+    ?(invoke_stride = 2048) program =
   let methods = Program.methods program in
   let code_table = Array.map (fun m -> Code.baseline cost m) methods in
-  let dcode_table = Array.map (fun c -> Dcode.of_code ~fuse cost c) code_table in
+  let dcode_table = Array.map (Dcode.of_code cost) code_table in
   (* [w_fr] is populated by the window dispatchers before any closure
      can read it; until then it holds an unboxed dummy. *)
   let rec t =
     {
       program;
     cost;
-    fuse;
     cycles = 0;
     globals = Array.make (max 1 (Program.global_count program)) Value.zero;
     code_table;
@@ -216,7 +214,7 @@ let output t = List.rev t.output_rev
 
 let install_code t (mid : Ids.Method_id.t) code =
   t.code_table.((mid :> int)) <- code;
-  t.dcode_table.((mid :> int)) <- Dcode.of_code ~fuse:t.fuse t.cost code;
+  t.dcode_table.((mid :> int)) <- Dcode.of_code t.cost code;
   (* Any previously compiled closure tier targeted the replaced code. *)
   t.native_table.((mid :> int)) <- [||];
   t.native_depths.((mid :> int)) <- [||]

@@ -57,7 +57,6 @@ type frame = {
 and t = {
   program : Program.t;
   cost : Cost.t;
-  fuse : bool;
   mutable cycles : int;
   globals : Value.t array;
   code_table : Code.t array;
@@ -149,14 +148,11 @@ val create :
   ?cost:Cost.t ->
   ?sample_period:int ->
   ?invoke_stride:int ->
-  ?fuse:bool ->
   Program.t ->
   t
 (** A fresh VM with every method's code table entry set to its baseline
     compilation. [sample_period] defaults to 100_000 cycles;
-    [invoke_stride] to 2048 invocations. [fuse] (default [true]) controls
-    the superinstruction pass of the pre-decoder; results are identical
-    either way (used by the differential tests). *)
+    [invoke_stride] to 2048 invocations. *)
 
 val program : t -> Program.t
 val cost : t -> Cost.t

@@ -44,7 +44,7 @@ open Interp
    Exactness therefore needs no per-op argument: entry closures use the
    same prepayment inequality [step] uses for fused ops, boundary tails
    run on [step] itself, and the seven non-uniform ops are line-for-line
-   transcriptions. The differential test suite (tier on vs off, plus the
+   transcriptions. The differential test suite (the tier against the
    naive [run_reference] loop) enforces byte-identical cycles, counters,
    output and hook timing on top of that argument.
 
@@ -144,7 +144,7 @@ let[@inline] eval_cmp c a b =
 let stuck : nfn = fun _ -> rerr "execution ran past end of code"
 
 let compile (t : t) (code : Code.t) : nfn array * int array =
-  let dc = Dcode.of_code ~fuse:t.fuse t.cost code in
+  let dc = Dcode.of_code t.cost code in
   let ops = dc.Dcode.ops in
   let icost = dc.Dcode.icost in
   let n = Array.length ops in
@@ -804,11 +804,11 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
 
 (* The bench sweep runs one program under dozens of policies, and every
    run closure-compiles the same baseline bodies again. A baseline
-   body's closure code depends only on the bytecode, the cost model and
-   the fusion flag — never on the VM instance (runtime state flows in
-   through the [wst] record the closures receive) — so the compiled
-   closures can be shared across runs of the same program: one
-   (program, cost, fuse) entry maps method ids to their compiled code.
+   body's closure code depends only on the bytecode and the cost model —
+   never on the VM instance (runtime state flows in through the [wst]
+   record the closures receive) — so the compiled closures can be
+   shared across runs of the same program: one (program, cost) entry
+   maps method ids to their compiled code.
    Optimized bodies are run-specific (each run inlines differently) and
    are never cached. The entry list is capped and
    most-recently-used-first so suites that churn through thousands of
@@ -816,7 +816,6 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
 type shared_code = {
   sc_program : Program.t;
   sc_cost : Cost.t;
-  sc_fuse : bool;
   sc_methods : (nfn array * int array) option array;  (* by method id *)
 }
 
@@ -827,7 +826,7 @@ let shared_mutex = Mutex.create ()
 (* Process-global cache traffic counters, guarded by [shared_mutex]. A
    hit is a method whose closures were found compiled; a miss compiles
    them (and populates the cache); an eviction drops a whole
-   (program, cost, fuse) entry off the MRU tail. Reads outside the
+   (program, cost) entry off the MRU tail. Reads outside the
    mutex see a consistent-enough snapshot for reporting. *)
 type cache_stats = { hits : int; misses : int; evictions : int }
 
@@ -855,8 +854,7 @@ let compile_baseline_cached t (mid : Ids.Method_id.t) (code : Code.t) =
   let entry =
     match
       List.find_opt
-        (fun e ->
-          e.sc_program == t.program && e.sc_fuse = t.fuse && e.sc_cost = t.cost)
+        (fun e -> e.sc_program == t.program && e.sc_cost = t.cost)
         !shared
     with
     | Some e ->
@@ -867,7 +865,6 @@ let compile_baseline_cached t (mid : Ids.Method_id.t) (code : Code.t) =
           {
             sc_program = t.program;
             sc_cost = t.cost;
-            sc_fuse = t.fuse;
             sc_methods = Array.make (Program.method_count t.program) None;
           }
         in

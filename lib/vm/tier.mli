@@ -12,7 +12,8 @@
     inequality the interpreter's own fused fast paths use, and any run
     that no longer fits the window is handed back to {!Interp.step}, so
     cycle counts, hook firing points, counters and output stay
-    bit-identical across tiers (enforced by the differential tests).
+    bit-identical to {!Interp.run_reference} (enforced by the
+    differential tests).
 
     Installation is gated by the AOS ({!Acsi_aos}): only methods whose
     optimized code passes [Jit_check] are compiled to this tier, so the
@@ -35,7 +36,7 @@ val install : Interp.t -> Ids.Method_id.t -> Code.t -> unit
 
 (** {2 Shared baseline-compile cache statistics}
 
-    The MRU (program, cost, fuse) cache that lets concurrent VMs of the
+    The MRU (program, cost) cache that lets concurrent VMs of the
     same program share baseline closure code is process-global; so are
     its traffic counters. They are host-side observability only — they
     never feed the virtual clock — and under parallel sweeps the

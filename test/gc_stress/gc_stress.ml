@@ -1,7 +1,8 @@
-(* Runs the eight suite programs at default scale with the closure tier
-   on, under a 4096-word minor heap and [space_overhead] 20, and checks
-   every run against the same program with the tier off and against the
-   AOS-free baseline run: output, cycles, counters and the whole metrics
+(* Runs the eight suite programs at default scale on the production
+   engine (closure tier included), under a 4096-word minor heap and
+   [space_overhead] 20, and checks every run against the same program
+   driven from the naive [run_reference] loop and against the AOS-free
+   baseline run: output, cycles, counters and the whole metrics
    record. Linked with the debug runtime (see dune), so a store that
    skipped a needed write barrier shows up as a failed runtime assertion
    or as diverging results. Every frame stack here starts at 8 slots and
@@ -21,9 +22,6 @@ module Metrics = Acsi_core.Metrics
 module Policy = Acsi_policy.Policy
 module Workloads = Acsi_workloads.Workloads
 module Shards = Acsi_server.Shards
-
-let with_tier on (cfg : Config.t) =
-  { cfg with Config.aos = { cfg.Config.aos with System.native_tier = on } }
 
 let counters vm =
   ( Interp.cycles vm,
@@ -45,16 +43,16 @@ let () =
   let cfg = Config.default ~policy:(Policy.Fixed 3) in
   List.iter
     (fun (name, program) ->
-      let on = Runtime.run (with_tier true cfg) program in
-      let off = Runtime.run (with_tier false cfg) program in
+      let on = Runtime.run cfg program in
+      let reference = Runtime.run_reference cfg program in
       let base = Runtime.run_no_aos cfg program in
       let out r = Interp.output r.Runtime.vm in
-      check name "output (tier on vs off)" (out on = out off);
-      check name "output (tier on vs no AOS)" (out on = Interp.output base);
-      check name "cycles and counters (tier on vs off)"
-        (counters on.Runtime.vm = counters off.Runtime.vm);
-      check name "metrics record (tier on vs off)"
-        (on.Runtime.metrics = off.Runtime.metrics))
+      check name "output (tier vs reference)" (out on = out reference);
+      check name "output (tier vs no AOS)" (out on = Interp.output base);
+      check name "cycles and counters (tier vs reference)"
+        (counters on.Runtime.vm = counters reference.Runtime.vm);
+      check name "metrics record (tier vs reference)"
+        (on.Runtime.metrics = reference.Runtime.metrics))
     (Workloads.build_all ());
   let sessions = 2_000 in
   let session = (Workloads.find "session").Workloads.build ~scale:1 in

@@ -299,7 +299,7 @@ let observed_facts program =
   and al = Array.make n false
   and io = Array.make n false
   and ret = Array.make n false in
-  let vm = Interp.create ~fuse:false program in
+  let vm = Interp.create program in
   let th = Interp.spawn vm in
   let mark arr =
     for i = 0 to vm.Interp.depth - 1 do

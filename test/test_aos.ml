@@ -287,16 +287,17 @@ let test_system_trace_on_timer_ablation () =
 
 (* --- static pre-warm oracle: determinism matrix --- *)
 
-(* static_seed x native_tier x repetition, on real workloads: the tier
-   must stay invisible (byte-identical output and cycles) with seeding
-   on; seeding must preserve output while actually compiling something
-   before the first sample; a reactive run must seed nothing; and the
-   seeded run must be reproducible. With provenance on, every seeded
-   decision carries the Static source. *)
+(* static_seed x {run, run_reference} x repetition, on real workloads:
+   the production engine must match the naive reference loop
+   (byte-identical output and cycles) with seeding on; seeding must
+   preserve output while actually compiling something before the first
+   sample; a reactive run must seed nothing; and the seeded run must be
+   reproducible. With provenance on, every seeded decision carries the
+   Static source. *)
 let test_static_seed_matrix () =
   let module Config = Acsi_core.Config in
   let module Runtime = Acsi_core.Runtime in
-  let run ~seeded ~tier ~prov program =
+  let run ?(reference = false) ~seeded ~prov program =
     let cfg = Config.default ~policy:(Policy.Fixed 3) in
     let cfg =
       {
@@ -305,12 +306,14 @@ let test_static_seed_matrix () =
           {
             cfg.Config.aos with
             System.static_seed = seeded;
-            native_tier = tier;
             obs = { Acsi_obs.Control.off with Acsi_obs.Control.provenance = prov };
           };
       }
     in
-    let r = Runtime.run cfg program in
+    let r =
+      if reference then Runtime.run_reference cfg program
+      else Runtime.run cfg program
+    in
     ( Acsi_vm.Interp.output r.Runtime.vm,
       r.Runtime.metrics.Acsi_core.Metrics.total_cycles,
       r.Runtime.sys )
@@ -321,18 +324,18 @@ let test_static_seed_matrix () =
         (Acsi_workloads.Workloads.find name).Acsi_workloads.Workloads.build
           ~scale:1
       in
-      let out_on, cyc_on, sys_on = run ~seeded:true ~tier:true ~prov:true program in
-      let out_interp, cyc_interp, _ =
-        run ~seeded:true ~tier:false ~prov:false program
+      let out_on, cyc_on, sys_on = run ~seeded:true ~prov:true program in
+      let out_ref, cyc_ref, _ =
+        run ~reference:true ~seeded:true ~prov:false program
       in
-      let out_again, cyc_again, _ =
-        run ~seeded:true ~tier:true ~prov:false program
-      in
+      let out_again, cyc_again, _ = run ~seeded:true ~prov:false program in
       let out_react, cyc_react, sys_react =
-        run ~seeded:false ~tier:true ~prov:false program
+        run ~seeded:false ~prov:false program
       in
-      check_bool (name ^ ": tier invisible with seeding on") true
-        (out_on = out_interp && cyc_on = cyc_interp);
+      check_bool
+        (name ^ ": engine matches the reference with seeding on")
+        true
+        (out_on = out_ref && cyc_on = cyc_ref);
       check_bool (name ^ ": seeded run reproducible") true
         (out_on = out_again && cyc_on = cyc_again);
       check_bool (name ^ ": seeding preserves output") true (out_on = out_react);

@@ -58,7 +58,7 @@ let dispatch_like ~iters ~flip =
            (band (add (v "a1") (add (v "a2") (v "a3"))) (i 1073741823));
        ])
 
-let config ?(speculate = false) ?(native_tier = true) () =
+let config ?(speculate = false) () =
   let cfg = Config.default ~policy:(Policy.Fixed 3) in
   {
     cfg with
@@ -67,7 +67,6 @@ let config ?(speculate = false) ?(native_tier = true) () =
         cfg.Config.aos with
         Acsi_aos.System.speculate;
         enable_osr = speculate || cfg.Config.aos.Acsi_aos.System.enable_osr;
-        native_tier;
       };
   }
 
@@ -262,8 +261,9 @@ let test_speculation_off_is_inert () =
   check_int "no frames deoptimized" 0 b.Metrics.osr_down;
   check_int "no invalidation deopts" 0 b.Metrics.deopt_invalidate
 
-(* Both execution tiers must agree bit for bit under speculation: same
-   output, same cycle counts, same guard and deopt counters. *)
+(* The production engine must agree bit for bit with the naive
+   reference loop under speculation: same output, same cycle counts,
+   same guard and deopt counters. *)
 let test_speculation_both_tiers () =
   let program = dispatch_like ~iters:40_000 ~flip:24_000 in
   let key (m : Metrics.t) =
@@ -276,15 +276,14 @@ let test_speculation_both_tiers () =
       m.Metrics.deopt_invalidate,
       m.Metrics.output_checksum )
   in
-  let closure, c_out, _ =
-    run_with (config ~speculate:true ~native_tier:true ()) program
-  in
-  let interp, i_out, _ =
-    run_with (config ~speculate:true ~native_tier:false ()) program
-  in
-  Alcotest.(check (list int)) "identical output" c_out i_out;
+  let cfg = config ~speculate:true () in
+  let closure, c_out, _ = run_with cfg program in
+  let reference = Runtime.run_reference cfg program in
+  Alcotest.(check (list int))
+    "identical output" c_out
+    (Acsi_vm.Interp.output reference.Runtime.vm);
   check_bool "identical metrics across tiers" true
-    (key closure = key interp)
+    (key closure = key reference.Runtime.metrics)
 
 (* Class-loading invalidation corpus: workloads that demonstrably load
    classes late must keep byte-identical output under speculation, and

@@ -133,11 +133,10 @@ let test_trace_hash () =
 (* --- pre-decoded interpreter --- *)
 
 (* The decoder keeps the stream 1:1 with source pcs and actually fuses
-   something on real workloads; [~fuse:false] fuses nothing. *)
+   something on real workloads. *)
 let test_decoder_shape () =
   let program = (Workloads.find "db").Workloads.build ~scale:1 in
   let vm = Interp.create program in
-  let vm_nofuse = Interp.create ~fuse:false program in
   let total_fused = ref 0 in
   Array.iter
     (fun (m : Meth.t) ->
@@ -148,28 +147,24 @@ let test_decoder_shape () =
         (Printf.sprintf "stream 1:1 for %s" m.Meth.name)
         (Array.length code.Acsi_vm.Code.instrs)
         (Array.length dc.Dcode.ops);
-      total_fused := !total_fused + Dcode.fused_count dc;
-      check_int
-        (Printf.sprintf "no fusion when disabled for %s" m.Meth.name)
-        0
-        (Dcode.fused_count (Interp.decoded_of vm_nofuse id)))
+      total_fused := !total_fused + Dcode.fused_count dc)
     (Program.methods program);
   check_bool "superinstructions selected somewhere" true (!total_fused > 0)
 
 (* Differential property: on random programs, the batched interpreter
-   (with and without superinstructions) is indistinguishable from the
-   naive reference loop — cycles, instruction/call/guard counters,
-   output, and the exact cycle count at every timer and invoke hook
-   firing. The sample period is chosen co-prime to the instruction costs
-   so windows end both on event boundaries and mid-instruction. *)
+   is indistinguishable from the naive reference loop — cycles,
+   instruction/call/guard counters, output, and the exact cycle count at
+   every timer and invoke hook firing. The sample period is chosen
+   co-prime to the instruction costs so windows end both on event
+   boundaries and mid-instruction. A second pair runs both loops at a
+   1-cycle period, where every window admits one instruction and every
+   superinstruction takes its single-op fallback. *)
 let prop_decoded_matches_reference =
   QCheck.Test.make ~name:"pre-decoded interpreter matches naive reference"
     ~count:40 Test_props.arbitrary_program (fun ast ->
       let program = Acsi_lang.Compile.prog ast in
-      let exec ~fuse ~reference =
-        let vm =
-          Interp.create ~sample_period:997 ~invoke_stride:16 ~fuse program
-        in
+      let exec ~sample_period ~reference =
+        let vm = Interp.create ~sample_period ~invoke_stride:16 program in
         let timer_fires = ref [] in
         let invoke_fires = ref [] in
         let first_execs = ref [] in
@@ -190,9 +185,10 @@ let prop_decoded_matches_reference =
           !invoke_fires,
           !first_execs )
       in
-      let reference = exec ~fuse:true ~reference:true in
-      reference = exec ~fuse:true ~reference:false
-      && reference = exec ~fuse:false ~reference:false)
+      exec ~sample_period:997 ~reference:true
+      = exec ~sample_period:997 ~reference:false
+      && exec ~sample_period:1 ~reference:true
+         = exec ~sample_period:1 ~reference:false)
 
 (* Same property through the whole adaptive system: driving the AOS (code
    installation, OSR, decay, recompilation) from the reference loop ends
@@ -226,7 +222,7 @@ let suite =
     Alcotest.test_case "dcg: site index tracks decay/pruning" `Quick
       test_site_index;
     Alcotest.test_case "trace: cached hash" `Quick test_trace_hash;
-    Alcotest.test_case "dcode: 1:1 stream, fusion on/off" `Quick
+    Alcotest.test_case "dcode: 1:1 stream, fusion selected" `Quick
       test_decoder_shape;
     QCheck_alcotest.to_alcotest prop_decoded_matches_reference;
     QCheck_alcotest.to_alcotest prop_aos_matches_reference;

@@ -1,10 +1,12 @@
 (* The closure ("native") execution tier is required to be an exact
-   host-speed re-encoding of the interpreter: every test here runs the
-   same program with the tier on and off and demands byte-identical
-   observable state — output, cycle counts, every metric — plus the
-   negative half of the contract: code the install gate rejects stays on
-   the interpreter tier, and preemption boundaries land identically no
-   matter which tier a frame runs on. *)
+   host-speed re-encoding of the interpreter: the tests here run a
+   program on the production engine and on the naive [run_reference]
+   loop and demand byte-identical observable state — output, cycle
+   counts, every metric — plus the negative half of the contract: code
+   the install gate rejects stays on the interpreter tier, and
+   preemption boundaries land identically no matter which tier a frame
+   runs on. The per-cell check over the whole bench sweep lives in
+   test/reference_sweep. *)
 
 open Acsi_lang
 module Interp = Acsi_vm.Interp
@@ -22,43 +24,10 @@ let small_scale = 0.12
 
 let programs = lazy (Workloads.build_all ~scale_factor:small_scale ())
 
-let with_tier on (cfg : Config.t) =
-  { cfg with Config.aos = { cfg.Config.aos with System.native_tier = on } }
-
 (* Aggressive sampling so even small runs go through the full adaptive
    pipeline (optimizing compiles, hence tier installs). *)
 let aggressive (cfg : Config.t) =
   { cfg with Config.sample_period = 5_000; invoke_stride = 16 }
-
-(* --- satellite: differential equality over the whole benchmark suite --- *)
-
-(* Output AND the full metrics record (cycles, code space, samples,
-   refusal taxonomy, ...): the tier may differ from the interpreter in
-   host time only. *)
-let test_workloads_differential () =
-  List.iter
-    (fun (name, program) ->
-      List.iter
-        (fun policy ->
-          let cfg = Config.default ~policy in
-          let on = Runtime.run (with_tier true cfg) program in
-          let off = Runtime.run (with_tier false cfg) program in
-          let label what =
-            Printf.sprintf "%s under %s: %s" name (Policy.to_string policy)
-              what
-          in
-          Alcotest.(check (list int))
-            (label "output") (Interp.output off.Runtime.vm)
-            (Interp.output on.Runtime.vm);
-          Alcotest.(check int)
-            (label "total_cycles")
-            off.Runtime.metrics.Metrics.total_cycles
-            on.Runtime.metrics.Metrics.total_cycles;
-          Alcotest.(check bool)
-            (label "full metrics record") true
-            (off.Runtime.metrics = on.Runtime.metrics))
-        [ Policy.Context_insensitive; Policy.Fixed 3 ])
-    (Lazy.force programs)
 
 (* --- satellite: differential over the random-program corpus --- *)
 
@@ -69,10 +38,10 @@ let prop_tier_differential =
       let cfg =
         aggressive (Config.default ~policy:(Policy.Hybrid_param_large 5))
       in
-      let on = Runtime.run (with_tier true cfg) program in
-      let off = Runtime.run (with_tier false cfg) program in
-      Interp.output on.Runtime.vm = Interp.output off.Runtime.vm
-      && on.Runtime.metrics = off.Runtime.metrics)
+      let on = Runtime.run cfg program in
+      let reference = Runtime.run_reference cfg program in
+      Interp.output on.Runtime.vm = Interp.output reference.Runtime.vm
+      && on.Runtime.metrics = reference.Runtime.metrics)
 
 (* --- satellite: the install gate rejects malformed code --- *)
 
@@ -222,19 +191,30 @@ let test_provenance_records_tier_decisions () =
 
 (* --- satellite: preemption across tiers --- *)
 
-(* Virtual threads suspend at cycle-budget window boundaries. With the
-   tier on, those boundaries fall inside closure-compiled frames; the
-   suspension points (and hence the whole interleaving) must be
-   cycle-identical to the interpreter-tier run. *)
-let threaded_run ~tier_on program =
+(* Virtual threads suspend at cycle-budget window boundaries. On the
+   closure tier those boundaries fall inside closure-compiled frames;
+   the suspension points (and hence the whole interleaving) must be
+   cycle-identical to the interpreter-tier run. [resume] has no
+   reference loop, so one AOS run supplies each method's final code,
+   and two AOS-free VMs run that same code: one with every method on
+   the closure tier, one without. *)
+let final_code program =
   let vm = Interp.create ~sample_period:5_000 ~invoke_stride:16 program in
-  let aos =
-    {
-      (System.default_config (Policy.Fixed 3)) with
-      System.native_tier = tier_on;
-    }
-  in
-  let _sys = System.create aos vm in
+  let _sys = System.create (System.default_config (Policy.Fixed 3)) vm in
+  Interp.run vm;
+  Array.map
+    (fun (m : Acsi_bytecode.Meth.t) ->
+      Interp.code_of vm m.Acsi_bytecode.Meth.id)
+    (Acsi_bytecode.Program.methods program)
+
+let threaded_run ~tier_on program codes =
+  let vm = Interp.create ~sample_period:5_000 ~invoke_stride:16 program in
+  Array.iteri
+    (fun i code ->
+      let mid = Acsi_bytecode.Ids.Method_id.of_int i in
+      Interp.install_code vm mid code;
+      if tier_on then Tier.install vm mid code)
+    codes;
   let th1 = Interp.spawn vm in
   let th2 = Interp.spawn vm in
   let resumes = ref 0 in
@@ -251,8 +231,16 @@ let threaded_run ~tier_on program =
 
 let test_preemption_across_tiers () =
   let program = Compile.prog counter_prog in
-  let out_on, cycles_on, resumes_on, tiered = threaded_run ~tier_on:true program in
-  let out_off, cycles_off, resumes_off, _ = threaded_run ~tier_on:false program in
+  let codes = final_code program in
+  Alcotest.(check bool)
+    "the AOS run optimized some method" true
+    (Array.exists (fun c -> c.Code.tier = Code.Optimized) codes);
+  let out_on, cycles_on, resumes_on, tiered =
+    threaded_run ~tier_on:true program codes
+  in
+  let out_off, cycles_off, resumes_off, _ =
+    threaded_run ~tier_on:false program codes
+  in
   Alcotest.(check bool) "closure tier engaged" true tiered;
   Alcotest.(check bool)
     "suspensions landed mid-run" true (resumes_on > 5);
@@ -269,7 +257,7 @@ let test_cross_domain_determinism () =
   let _, program =
     List.find (fun (n, _) -> String.equal n "jess") (Lazy.force programs)
   in
-  let cfg = with_tier true (Config.default ~policy:(Policy.Fixed 3)) in
+  let cfg = Config.default ~policy:(Policy.Fixed 3) in
   let run () =
     let r = Runtime.run cfg program in
     (Interp.output r.Runtime.vm, r.Runtime.metrics)
@@ -380,28 +368,24 @@ let test_fusion_coverage () =
         (Some name) (fused_kind op);
       Alcotest.(check int)
         (Printf.sprintf "%s covers its components" name)
-        (List.length instrs) (Dcode.width op);
-      (* Fusion never crosses the off switch. *)
-      Alcotest.(check (option string))
-        (Printf.sprintf "%s not fused with fuse:false" name)
-        None
-        (fused_kind (Dcode.of_code ~fuse:false Cost.default code).Dcode.ops.(0)))
+        (List.length instrs) (Dcode.width op))
     fusion_rows
 
-(* Cost neutrality across the corpus: disabling fusion must change
-   neither the observable output nor a single virtual cycle — fused ops
-   charge exactly [width * icost] and fire hooks at the same counts, so
-   the only difference is host dispatch overhead. *)
+(* Cost neutrality across the corpus: the fused interpreter must match
+   the naive reference loop on the observable output and on every
+   virtual cycle — fused ops charge exactly [width * icost] and fire
+   hooks at the same counts, so the only difference is host dispatch
+   overhead. *)
 let test_fusion_cost_neutral () =
   List.iter
     (fun (name, program) ->
-      let run fuse =
-        let vm = Interp.create ~fuse program in
-        Interp.run vm;
+      let run exec =
+        let vm = Interp.create program in
+        exec vm;
         (Interp.output vm, Interp.cycles vm)
       in
-      let out_on, cyc_on = run true in
-      let out_off, cyc_off = run false in
+      let out_on, cyc_on = run (fun vm -> Interp.run vm) in
+      let out_off, cyc_off = run (fun vm -> Interp.run_reference vm) in
       Alcotest.(check (list int))
         (Printf.sprintf "%s: output identical" name)
         out_off out_on;
@@ -412,8 +396,6 @@ let test_fusion_cost_neutral () =
 
 let suite =
   [
-    Alcotest.test_case "workload differential, tier on vs off" `Quick
-      test_workloads_differential;
     Alcotest.test_case "fused superinstruction coverage" `Quick
       test_fusion_coverage;
     Alcotest.test_case "fusion is cost-neutral" `Quick

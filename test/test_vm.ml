@@ -14,19 +14,22 @@ let compile ?(classes = []) ?(globals = []) main =
 (* --- one program, every engine --- *)
 
 (* The three execution engines: the naive [run_reference] loop, the
-   decoded-stream interpreter (with and without superinstructions), and
-   the closure tier with every method installed before the run. Each is
-   an independent implementation of the kind checks, so each case below
-   runs on all of them and must end identically. *)
+   decoded-stream interpreter, and the closure tier with every method
+   installed before the run. The decoded interpreter also runs as the
+   [Boundary] engine, with a 1-cycle sample period: every window then
+   admits a single instruction, so every superinstruction takes its
+   single-op fallback in [step]. Each is an independent implementation
+   of the kind checks, so each case below runs on all of them and must
+   end identically. *)
 type outcome = Printed of int list | Failed of string
-type engine = Reference | Interpreter | Unfused | Closure_tier
+type engine = Reference | Interpreter | Boundary | Closure_tier
 
-let engines = [ Reference; Interpreter; Unfused; Closure_tier ]
+let engines = [ Reference; Interpreter; Boundary; Closure_tier ]
 
 let engine_name = function
   | Reference -> "reference"
   | Interpreter -> "interpreter"
-  | Unfused -> "unfused interpreter"
+  | Boundary -> "window-boundary interpreter"
   | Closure_tier -> "closure tier"
 
 let pp_outcome fmt = function
@@ -47,7 +50,10 @@ type run = {
 }
 
 let run_engine ?(prepare = ignore) engine program =
-  let vm = Interp.create ~fuse:(engine <> Unfused) program in
+  let vm =
+    if engine = Boundary then Interp.create ~sample_period:1 program
+    else Interp.create program
+  in
   prepare vm;
   if engine = Closure_tier then
     Array.iter
@@ -265,6 +271,50 @@ let test_kind_matrix () =
            (compile ~classes:kind_classes main)
            expected))
     kind_cases
+
+(* --- superinstruction fallbacks on every engine --- *)
+
+(* Code dense in superinstructions (locals and constants feeding
+   arithmetic, compares, branches, stores, field and array reads), with
+   operands chosen so that swapping or dropping one changes what is
+   printed. On the [Boundary] engine every fused op runs through its
+   single-op fallback in [step]. *)
+let test_superinstruction_fallbacks () =
+  let classes = Dsl.[ cls "P" ~fields:[ "x"; "y" ] [] ] in
+  let program =
+    compile ~classes
+      Dsl.
+        [
+          let_ "a" (i 7);
+          let_ "b" (i 3);
+          let_ "c" (sub (v "a") (v "b"));
+          print (sub (v "a") (v "b"));
+          print (sub (v "a") (i 2));
+          let_ "d" (sub (v "b") (i 10));
+          let_ "e" (v "a");
+          print (sub (mul (v "c") (v "d")) (v "e"));
+          if_ (lt (v "a") (v "b")) [ print (i 1) ] [ print (i 2) ];
+          if_ (lt (v "b") (i 5)) [ print (i 3) ] [ print (i 4) ];
+          let_ "p" (new_ "P" []);
+          setf "P" (v "p") "x" (v "a");
+          setf "P" (v "p") "y" (v "b");
+          let_ "f" (fld "P" (v "p") "y");
+          print (sub (fld "P" (v "p") "x") (v "f"));
+          let_ "arr" (arr_new (i 3));
+          arr_set (v "arr") (i 0) (v "b");
+          arr_set (v "arr") (i 1) (v "a");
+          let_ "s" (i 0);
+          for_ "k" (i 0) (i 3)
+            [
+              let_ "s"
+                (sub (mul (v "s") (i 10)) (arr_get (v "arr") (v "k")));
+            ];
+          print (v "s");
+        ]
+  in
+  ignore
+    (expect_on_all_engines "superinstruction fallbacks" program
+       (Printed [ 4; 5; -35; 2; 3; 4; -370 ]))
 
 (* --- the value representation against its specification --- *)
 
@@ -633,6 +683,8 @@ let suite =
     Alcotest.test_case "negative array size" `Quick test_negative_array_size;
     Alcotest.test_case "dispatch on integer" `Quick test_int_receiver;
     Alcotest.test_case "kind mismatches on every engine" `Quick test_kind_matrix;
+    Alcotest.test_case "superinstruction fallbacks on every engine" `Quick
+      test_superinstruction_fallbacks;
     Alcotest.test_case "deterministic cycles" `Quick test_cycle_determinism;
     Alcotest.test_case "costs move the clock" `Quick test_costs_move_the_clock;
     Alcotest.test_case "charge advances clock" `Quick test_charge_advances_clock;
