@@ -11,7 +11,6 @@
      dune exec bench/main.exe -- --trace      traced per-component sweep
      dune exec bench/main.exe -- --deopt      guards-vs-guard-free ablation
      dune exec bench/main.exe -- --speculate  guard-free speculation on
-     dune exec bench/main.exe -- --micro      bechamel microbenchmarks
      dune exec bench/main.exe -- --jobs 8     domain-parallel driver
      dune exec bench/main.exe -- --static-seed   static pre-warm oracle on
      dune exec bench/main.exe -- --json       append run to BENCH_results.json
@@ -20,8 +19,8 @@
 
    Everything is deterministic: identical invocations print identical
    numbers, whatever --jobs is — cells fan out across domains but are
-   collected and printed in serial order. Only wall-clock (recorded in
-   BENCH_results.json) depends on the parallelism. *)
+   collected and printed in serial order. Every figure is on the virtual
+   clock; host time is measured by perf/, not here. *)
 
 open Acsi_core
 module Policy = Acsi_policy.Policy
@@ -38,7 +37,6 @@ type mode = {
   mutable serve : bool;
   mutable trace : bool;
   mutable deopt : bool;
-  mutable micro : bool;
   mutable shards : int list;
       (* shard counts for the sharded-server section (--serve) *)
   mutable sessions : int;
@@ -51,8 +49,8 @@ type mode = {
 
 (* --static-seed: run every cell with the static pre-warm oracle on
    (summaries drive inlining at method install, before any sample).
-   Cycle counts legitimately change, so the run record is stamped with
-   the flag and compare.exe refuses a cross-seed comparison at equal
+   Cycle counts legitimately change, so the run record's config names
+   the knob and compare.exe refuses a cross-config comparison at equal
    scale unless told otherwise. *)
 let static_seed = ref false
 
@@ -61,9 +59,20 @@ let static_seed = ref false
    loaded-CHA-monomorphic sites inline with no guard; class loads and
    guard storms revert and deoptimize). Output checksums are unchanged
    by construction, but cycle counts legitimately move, so the run
-   record is stamped and compare.exe refuses a cross-spec comparison at
-   equal scale unless told otherwise — the static-seed shape again. *)
+   record's config names this knob too. *)
 let speculate = ref false
+
+(* The non-default knobs this run applied, as recorded in its results
+   file (sorted). *)
+let applied_config () =
+  List.filter_map
+    (fun (knob, on) -> if on then Some knob else None)
+    [ ("speculate", !speculate); ("static_seed", !static_seed) ]
+
+(* One results cell (see results.ml): figures travel as printed text. *)
+let cell section key metrics = { Results.section; key; metrics }
+let ints = List.map (fun (name, v) -> (name, string_of_int v))
+let fixed6 v = Printf.sprintf "%.6f" v
 
 let config ~policy =
   let cfg = Config.default ~policy in
@@ -100,7 +109,6 @@ let parse_args () =
       serve = false;
       trace = false;
       deopt = false;
-      micro = false;
       shards = [ 1; 2; 4 ];
       sessions = 1_000_000;
       scale_factor = 1.0;
@@ -150,10 +158,6 @@ let parse_args () =
         go rest
     | "--deopt" :: rest ->
         m.deopt <- true;
-        any := true;
-        go rest
-    | "--micro" :: rest ->
-        m.micro <- true;
         any := true;
         go rest
     | "--shards" :: v :: rest ->
@@ -214,8 +218,7 @@ let parse_args () =
   in
   go (List.tl (Array.to_list Sys.argv));
   if not !any then begin
-    (* Default: the full reproduction (micro excluded; it measures the
-       harness, not the paper). *)
+    (* Default: the full reproduction. *)
     m.table1 <- true;
     m.fig4 <- true;
     m.fig5 <- true;
@@ -565,19 +568,24 @@ let serve_mode mode =
             (Acsi_obs.Hist.quantile lat 99.0)
             (Acsi_obs.Hist.count lat)
         in
-        let cell =
-          {
-            Results.s_bench = name;
-            s_policy = s.Acsi_server.Server.sv_policy;
-            s_requests = s.Acsi_server.Server.sv_requests;
-            s_total_cycles = s.Acsi_server.Server.sv_total_cycles;
-            s_throughput_rpmc = s.Acsi_server.Server.sv_throughput_rpmc;
-            s_p50 = s.Acsi_server.Server.sv_p50;
-            s_p95 = s.Acsi_server.Server.sv_p95;
-            s_p99 = s.Acsi_server.Server.sv_p99;
-          }
-        in
-        (text, cell))
+        ( text,
+          cell "server"
+            (name ^ "/" ^ s.Acsi_server.Server.sv_policy)
+            (ints
+               [
+                 ("requests", s.Acsi_server.Server.sv_requests);
+                 ("total_cycles", s.Acsi_server.Server.sv_total_cycles);
+               ]
+            @ [
+                ( "throughput_rpmc",
+                  fixed6 s.Acsi_server.Server.sv_throughput_rpmc );
+              ]
+            @ ints
+                [
+                  ("p50", s.Acsi_server.Server.sv_p50);
+                  ("p95", s.Acsi_server.Server.sv_p95);
+                  ("p99", s.Acsi_server.Server.sv_p99);
+                ]) ))
       [ "db"; "jess"; "compress" ]
   in
   List.iter (fun (text, _) -> print_string text) cells;
@@ -596,8 +604,9 @@ let serve_mode mode =
    overloaded: queueing delay dominates p50) while four shards keep up
    (p50 is approximately the bare service time). The throughput ratio
    and that latency contrast between the cells are the scaling story;
-   every recorded figure lands in the results file's "shards" section,
-   where compare.exe holds it to the determinism contract. *)
+   every recorded figure lands in the results file's "shards" and
+   "telemetry" cells, where compare.exe holds it to the determinism
+   contract. *)
 let shard_mode mode =
   hr "Sharded server (virtual processors, work stealing, compiler pool)";
   let policy = Policy.Fixed 3 in
@@ -661,50 +670,49 @@ let shard_mode mode =
           0
           tel.Acsi_server.Shards.tel_series
       in
-      let tcell =
-        {
-          Results.t_bench = s.Acsi_server.Shards.sh_workload;
-          t_shards = s.Acsi_server.Shards.sh_shards;
-          t_sessions = s.Acsi_server.Shards.sh_sessions;
-          t_interval = tel.Acsi_server.Shards.tel_interval;
-          t_hist_p50 = p 50.0;
-          t_hist_p90 = p 90.0;
-          t_hist_p99 = p 99.0;
-          t_hist_count = Acsi_obs.Hist.count lat;
-          t_hist_sum = Acsi_obs.Hist.sum lat;
-          t_compile_wait_p99 =
-            Acsi_obs.Hist.quantile tel.Acsi_server.Shards.tel_compile_wait
-              99.0;
-          t_deopt_gap_p99 =
-            Acsi_obs.Hist.quantile tel.Acsi_server.Shards.tel_deopt_gap 99.0;
-          t_steal_flows = steal_flows;
-          t_adopt_flows = adopt_flows;
-          t_flow_conserved = conserved;
-          t_deopts = deopts;
-          t_series_checksum = series_checksum;
-        }
+      let open Acsi_server.Shards in
+      let shard_cell =
+        cell "shards"
+          (Printf.sprintf "%s/%s/shards=%d/pool=%d/%s/sessions=%d/period=%d"
+             s.sh_workload s.sh_policy s.sh_shards s.sh_pool s.sh_pool_policy
+             s.sh_sessions s.sh_period)
+          (ints [ ("makespan", s.sh_makespan) ]
+          @ [ ("throughput_spmc", fixed6 s.sh_throughput_spmc) ]
+          @ ints
+              [
+                ("p50", s.sh_p50);
+                ("p95", s.sh_p95);
+                ("p99", s.sh_p99);
+                ("steals", s.sh_steals);
+              ]
+          @ [ ("fairness", fixed6 s.sh_fairness) ]
+          @ ints [ ("published", s.sh_published); ("adopted", s.sh_adopted) ])
       in
-      ( {
-        Results.sh_bench = s.Acsi_server.Shards.sh_workload;
-        sh_policy = s.Acsi_server.Shards.sh_policy;
-        sh_shards = s.Acsi_server.Shards.sh_shards;
-        sh_pool = s.Acsi_server.Shards.sh_pool;
-        sh_pool_policy = s.Acsi_server.Shards.sh_pool_policy;
-        sh_sessions = s.Acsi_server.Shards.sh_sessions;
-        sh_period = s.Acsi_server.Shards.sh_period;
-        sh_makespan = s.Acsi_server.Shards.sh_makespan;
-        sh_throughput_spmc = s.Acsi_server.Shards.sh_throughput_spmc;
-        sh_p50 = s.Acsi_server.Shards.sh_p50;
-        sh_p95 = s.Acsi_server.Shards.sh_p95;
-        sh_p99 = s.Acsi_server.Shards.sh_p99;
-        sh_steals = s.Acsi_server.Shards.sh_steals;
-        sh_fairness = s.Acsi_server.Shards.sh_fairness;
-          sh_published = s.Acsi_server.Shards.sh_published;
-          sh_adopted = s.Acsi_server.Shards.sh_adopted;
-        },
-        tcell ))
+      let telemetry_cell =
+        cell "telemetry"
+          (Printf.sprintf "%s/shards=%d/sessions=%d/interval=%d" s.sh_workload
+             s.sh_shards s.sh_sessions tel.tel_interval)
+          (ints
+             [
+               ("hist_p50", p 50.0);
+               ("hist_p90", p 90.0);
+               ("hist_p99", p 99.0);
+               ("hist_count", Acsi_obs.Hist.count lat);
+               ("hist_sum", Acsi_obs.Hist.sum lat);
+               ( "compile_wait_p99",
+                 Acsi_obs.Hist.quantile tel.tel_compile_wait 99.0 );
+               ("deopt_gap_p99", Acsi_obs.Hist.quantile tel.tel_deopt_gap 99.0);
+               ("steal_flows", steal_flows);
+               ("adopt_flows", adopt_flows);
+             ]
+          @ [ ("flow_conserved", string_of_bool conserved) ]
+          @ ints
+              [ ("deopts", deopts); ("series_checksum", series_checksum) ])
+      in
+      (shard_cell, telemetry_cell))
     mode.shards
   |> List.split
+  |> fun (shard_cells, telemetry_cells) -> shard_cells @ telemetry_cells
 
 (* --- static pre-warm oracle: the warmup ablation (--serve) --- *)
 
@@ -741,47 +749,54 @@ let static_oracle_mode mode =
       (fun name ->
         let spec = Workloads.find name in
         let program = spec.Workloads.build ~scale:1 in
-        let off = serve ~seeded:false name program in
-        let on_ = serve ~seeded:true name program in
-        {
-          Results.p_bench = name;
-          p_policy = off.Acsi_server.Server.sv_policy;
-          p_requests = off.Acsi_server.Server.sv_requests;
-          p_warmup_off = off.Acsi_server.Server.sv_warmup_requests;
-          p_warmup_on = on_.Acsi_server.Server.sv_warmup_requests;
-          p_steady_off = off.Acsi_server.Server.sv_steady_latency;
-          p_steady_on = on_.Acsi_server.Server.sv_steady_latency;
-          p_checksum_off = off.Acsi_server.Server.sv_output_checksum;
-          p_checksum_on = on_.Acsi_server.Server.sv_output_checksum;
-        })
+        ( name,
+          serve ~seeded:false name program,
+          serve ~seeded:true name program ))
       [ "db"; "jess"; "compress"; "jack"; "javac"; "jbb"; "session" ]
   in
+  let open Acsi_server.Server in
   Format.printf "%-10s %8s %11s %11s %7s %12s %12s  %s@." "bench" "requests"
     "warmup-off" "warmup-on" "delta" "steady-off" "steady-on" "checksum";
   List.iter
-    (fun (p : Results.pcell) ->
-      Format.printf "%-10s %8d %11d %11d %+7d %12.0f %12.0f  %s@."
-        p.Results.p_bench p.Results.p_requests p.Results.p_warmup_off
-        p.Results.p_warmup_on
-        (p.Results.p_warmup_on - p.Results.p_warmup_off)
-        p.Results.p_steady_off p.Results.p_steady_on
-        (if p.Results.p_checksum_off = p.Results.p_checksum_on then
-           "identical"
+    (fun (name, off, on_) ->
+      Format.printf "%-10s %8d %11d %11d %+7d %12.0f %12.0f  %s@." name
+        off.sv_requests off.sv_warmup_requests on_.sv_warmup_requests
+        (on_.sv_warmup_requests - off.sv_warmup_requests)
+        off.sv_steady_latency on_.sv_steady_latency
+        (if off.sv_output_checksum = on_.sv_output_checksum then "identical"
          else "differs (interleaved output)"))
     cells;
   let improved =
     List.length
       (List.filter
-         (fun (p : Results.pcell) ->
-           p.Results.p_warmup_on < p.Results.p_warmup_off
-           && p.Results.p_checksum_off = p.Results.p_checksum_on)
+         (fun (_, off, on_) ->
+           on_.sv_warmup_requests < off.sv_warmup_requests
+           && off.sv_output_checksum = on_.sv_output_checksum)
          cells)
   in
   Format.printf
     "@.%d of %d workloads reach steady state earlier with the static oracle \
      (identical output)@."
     improved (List.length cells);
-  cells
+  List.map
+    (fun (name, off, on_) ->
+      cell "static" (name ^ "/" ^ off.sv_policy)
+        (ints
+           [
+             ("requests", off.sv_requests);
+             ("warmup_off", off.sv_warmup_requests);
+             ("warmup_on", on_.sv_warmup_requests);
+           ]
+        @ [
+            ("steady_off", fixed6 off.sv_steady_latency);
+            ("steady_on", fixed6 on_.sv_steady_latency);
+          ]
+        @ ints
+            [
+              ("checksum_off", off.sv_output_checksum);
+              ("checksum_on", on_.sv_output_checksum);
+            ]))
+    cells
 
 (* --- guards vs guard-free: the speculative-inlining ablation --- *)
 
@@ -821,60 +836,57 @@ let deopt_panel mode =
           in
           (Runtime.run cfg program).Runtime.metrics
         in
-        let off = half ~spec_on:false in
-        let on_ = half ~spec_on:true in
-        {
-          Results.g_bench = name;
-          g_policy = Policy.to_string policy;
-          g_hits_off = off.Metrics.guard_hits;
-          g_misses_off = off.Metrics.guard_misses;
-          g_hits_on = on_.Metrics.guard_hits;
-          g_misses_on = on_.Metrics.guard_misses;
-          g_storms_on = on_.Metrics.deopt_guard;
-          g_invalidated_on = on_.Metrics.deopt_invalidate;
-          g_cycles_off = off.Metrics.total_cycles;
-          g_cycles_on = on_.Metrics.total_cycles;
-          g_checksum_off = off.Metrics.output_checksum;
-          g_checksum_on = on_.Metrics.output_checksum;
-        })
+        (name, half ~spec_on:false, half ~spec_on:true))
       [ "javac"; "jack"; "jbb"; "dispatch" ]
   in
+  let open Metrics in
+  let checks m = m.guard_hits + m.guard_misses in
   Format.printf "%-10s %15s %15s %12s %12s %13s %s@." "bench" "guards-off"
     "guards-on" "guard-cyc-off" "guard-cyc-on" "deopts-on" "checksum";
   List.iter
-    (fun (g : Results.gcell) ->
-      let checks_off = g.Results.g_hits_off + g.Results.g_misses_off in
-      let checks_on = g.Results.g_hits_on + g.Results.g_misses_on in
+    (fun (name, off, on_) ->
       Format.printf "%-10s %7d/%-7d %7d/%-7d %12d %12d %5d st %3d inv  %s@."
-        g.Results.g_bench g.Results.g_hits_off g.Results.g_misses_off
-        g.Results.g_hits_on g.Results.g_misses_on (checks_off * guard_cost)
-        (checks_on * guard_cost) g.Results.g_storms_on
-        g.Results.g_invalidated_on
-        (if g.Results.g_checksum_off = g.Results.g_checksum_on then
-           "identical"
+        name off.guard_hits off.guard_misses on_.guard_hits on_.guard_misses
+        (checks off * guard_cost) (checks on_ * guard_cost) on_.deopt_guard
+        on_.deopt_invalidate
+        (if off.output_checksum = on_.output_checksum then "identical"
          else "DIFFERS");
-      if g.Results.g_checksum_off <> g.Results.g_checksum_on then begin
+      if off.output_checksum <> on_.output_checksum then begin
         Format.eprintf
           "SEMANTIC VIOLATION: %s output checksum changed under \
            speculation (%d vs %d)@."
-          g.Results.g_bench g.Results.g_checksum_off g.Results.g_checksum_on;
+          name off.output_checksum on_.output_checksum;
         exit 1
       end)
     cells;
   let reclaimed =
     List.fold_left
-      (fun acc (g : Results.gcell) ->
-        acc
-        + ((g.Results.g_hits_off + g.Results.g_misses_off
-            - g.Results.g_hits_on - g.Results.g_misses_on)
-          * guard_cost))
+      (fun acc (_, off, on_) -> acc + ((checks off - checks on_) * guard_cost))
       0 cells
   in
   Format.printf
     "@.%d guard cycles reclaimed across the panel (identical output \
      everywhere)@."
     reclaimed;
-  cells
+  List.map
+    (fun (name, off, on_) ->
+      cell "speculation"
+        (name ^ "/" ^ Policy.to_string policy)
+        (ints
+           [
+             ("hits_off", off.guard_hits);
+             ("misses_off", off.guard_misses);
+             ("hits_on", on_.guard_hits);
+             ("misses_on", on_.guard_misses);
+             ("guards_on", checks on_);
+             ("storms_on", on_.deopt_guard);
+             ("invalidated_on", on_.deopt_invalidate);
+             ("cycles_off", off.total_cycles);
+             ("cycles_on", on_.total_cycles);
+             ("checksum_off", off.output_checksum);
+             ("checksum_on", on_.output_checksum);
+           ]))
+    cells
 
 (* --- traced sweep: per-component overhead from tracer spans --- *)
 
@@ -882,7 +894,7 @@ let deopt_panel mode =
    cells with the structured tracer on and reconcile each AOS
    component's summed span durations against its Accounting total —
    exact equality, or the harness aborts. The breakdowns are printed
-   and recorded to the results file ("components" section) so
+   and recorded to the results file ("components" cells) so
    compare.exe can flag any drift between two runs at the same scale.
    Tracing is off-clock (no probe cost), so every cell's total_cycles
    is identical to its untraced twin in the main sweep. *)
@@ -918,7 +930,7 @@ let traced_components mode =
               };
           }
         in
-        let result = Runtime.run ~calibrate:true cfg program in
+        let result = Runtime.run cfg program in
         let sys = result.Runtime.sys in
         let tracer = Acsi_aos.System.tracer sys in
         let totals = Acsi_obs.Export.track_totals tracer in
@@ -948,248 +960,58 @@ let traced_components mode =
             rows
         in
         ( text,
-          {
-            Results.c_bench = bench;
-            c_policy = Policy.to_string policy;
-            c_components = rows;
-          },
-          Acsi_vm.Interp.calibration result.Runtime.vm ))
+          cell "components"
+            (bench ^ "/" ^ Policy.to_string policy)
+            (ints rows) ))
       (List.concat_map
          (fun b -> List.map (fun p -> (b, p)) policies)
          benches)
   in
-  List.iter (fun (text, _, _) -> print_string text) cells;
-  (* Host-time calibration, aggregated over the traced cells: how many
-     nanoseconds of host time one charged virtual cycle costs on each
-     execution tier. This is the measured (not assumed) cost model the
-     closure tier's speedup claim rests on. Host time is
-     nondeterministic, so the table goes to stderr with the other
-     diagnostics — stdout stays byte-stable — and to the results file's
-     "calibration" section for compare.exe to track drift. *)
-  let buckets = Hashtbl.create 4 in
-  List.iter
-    (fun (_, _, cal) ->
-      List.iter
-        (fun (tier, cycles, host_s) ->
-          let c0, s0 =
-            match Hashtbl.find_opt buckets tier with
-            | Some (c, s) -> (c, s)
-            | None -> (0, 0.0)
-          in
-          Hashtbl.replace buckets tier (c0 + cycles, s0 +. host_s))
-        cal)
-    cells;
-  let calibration =
-    List.filter_map
-      (fun tier ->
-        match Hashtbl.find_opt buckets tier with
-        | Some (cycles, host_s) when cycles > 0 ->
-            Some { Results.k_tier = tier; k_cycles = cycles; k_host_s = host_s }
-        | Some _ | None -> None)
-      [ "interp"; "closure"; "system" ]
-  in
-  Format.eprintf
-    "  [calibration] host ns per charged virtual cycle, over %d traced cells:@."
-    (List.length cells);
-  List.iter
-    (fun (k : Results.calib) ->
-      Format.eprintf "  [calibration]   %-8s %12d cycles  %8.3fs  %8.2f ns/cycle@."
-        k.Results.k_tier k.Results.k_cycles k.Results.k_host_s
-        (k.Results.k_host_s *. 1e9 /. float_of_int k.Results.k_cycles))
-    calibration;
-  (* Charge-constant sanity check: Cost prices system work (compilation,
-     organizer, tracing) in the same virtual currency as application
-     bytecodes, so a charged system cycle should cost roughly the same
-     host time as a charged app cycle. [0.5, 2.0] is generous — the two
-     buckets run different host code — but catches order-of-magnitude
-     drift, e.g. a new system component charging one cycle for
-     milliseconds of work. Verdict is recorded in the results file;
-     compare.exe flags a verdict flip between runs.
+  List.iter (fun (text, _) -> print_string text) cells;
+  List.map snd cells
 
-     On the closure tier the steady verdict is "undercharged" — app
-     cycles execute as compiled OCaml closures (a few ns each) while
-     system cycles cover organizer/compiler data-structure work priced
-     by the paper's constants, and tracing host time is deliberately
-     off-clock — so the check's value is the *stability* of the verdict
-     and ratio, not the verdict being green. *)
-  let ns tier =
-    match Hashtbl.find_opt buckets tier with
-    | Some (cycles, host_s) when cycles > 0 ->
-        Some (host_s *. 1e9 /. float_of_int cycles)
-    | Some _ | None -> None
-  in
-  let check =
-    match (ns "closure", ns "system") with
-    | Some app_ns, Some system_ns when app_ns > 0.0 ->
-        let ratio = system_ns /. app_ns in
-        let verdict =
-          if ratio > 2.0 then "undercharged"
-          else if ratio < 0.5 then "overcharged"
-          else "consistent"
-        in
-        Format.eprintf
-          "  [calibration] system-charge sanity: system %.2f ns/cycle vs \
-           closure %.2f ns/cycle — ratio %.2f, verdict: %s@."
-          system_ns app_ns ratio verdict;
-        Some
-          {
-            Results.v_app_ns = app_ns;
-            v_system_ns = system_ns;
-            v_ratio = ratio;
-            v_verdict = verdict;
-          }
-    | _ -> None
-  in
-  (List.map (fun (_, c, _) -> c) cells, calibration, check)
+(* --- the results file --- *)
 
-(* --- machine-readable results: per-cell wall-clock + virtual cycles --- *)
+(* The sweep's cells: one per (benchmark, policy), baselines first. *)
+let sweep_cells (s : Experiment.sweep) =
+  let total key (m : Metrics.t) =
+    cell "sweep" key (ints [ ("total_cycles", m.Metrics.total_cycles) ])
+  in
+  List.map (fun (bench, m) -> total (bench ^ "/cins") m) s.Experiment.baselines
+  @ List.map
+      (fun (p : Experiment.point) ->
+        total
+          (p.Experiment.bench ^ "/" ^ Policy.to_string p.Experiment.policy)
+          p.Experiment.metrics)
+      s.Experiment.points
 
-(* Wall-clock is the only non-deterministic number the harness produces,
-   so it goes to a side file instead of stdout (which stays byte-stable
-   run to run). The virtual cycles per cell are repeated here so a
-   results file is self-contained for plotting/regression scripts. The
-   file is a trajectory — each invocation appends its run, so the
-   wall-clock history survives in one file and compare.exe can diff any
-   two points of it (see results.ml). *)
-let write_json mode (s : Experiment.sweep option) server shards
-    telemetry_cells static_cells speculation_cells components calibration
-    calibration_check =
+(* The trajectory a --json run appends to, read before any cell runs: a
+   file that cannot be read aborts the run and is left untouched. *)
+let read_trajectory path =
+  if not (Sys.file_exists path) then []
+  else
+    try Results.read_file path
+    with Sys_error msg | Results.Parse_error msg ->
+      Format.eprintf "cannot append to %s: %s@." path msg;
+      exit 2
+
+let write_json mode prior cells =
   let path = mode.json_path in
-  let wall_total_s, cells =
-    match s with
-    | None -> (0.0, [])
-    | Some s ->
-        ( s.Experiment.wall_total_s,
-          List.map
-            (fun (t : Experiment.timing) ->
-              {
-                Results.bench = t.Experiment.t_bench;
-                policy = t.Experiment.t_policy;
-                wall_s = t.Experiment.t_wall_s;
-                total_cycles = t.Experiment.t_cycles;
-              })
-            s.Experiment.timings )
-  in
   let run =
     {
       Results.jobs = mode.jobs;
       scale_factor = mode.scale_factor;
-      wall_total_s;
-      static_seed = !static_seed;
-      speculate = !speculate;
+      config = applied_config ();
       cells;
-      server;
-      shards;
-      telemetry = telemetry_cells;
-      static = static_cells;
-      speculation = speculation_cells;
-      components;
-      calibration;
-      calibration_check;
     }
   in
-  let prior =
-    if not (Sys.file_exists path) then []
-    else
-      try Results.read_file path
-      with Sys_error msg | Results.Parse_error msg ->
-        Format.eprintf
-          "  [json] warning: could not read existing %s (%s); starting a \
-           fresh trajectory@."
-          path msg;
-        []
-  in
   Results.write_file path (prior @ [ run ]);
-  Format.eprintf
-    "  [json] appended run %d to %s (%d cells, %d server cells, %d shard \
-     cells, %d static cells, %d component cells, sweep wall %.2fs, jobs %d)@."
-    (List.length prior) path (List.length cells) (List.length server)
-    (List.length shards) (List.length static_cells) (List.length components)
-    wall_total_s mode.jobs
-
-(* --- bechamel microbenchmarks: one Test.make per table/figure kernel --- *)
-
-let micro () =
-  hr "Bechamel microbenchmarks (one kernel per table/figure)";
-  let open Bechamel in
-  let program = (Workloads.find "db").Workloads.build ~scale:2 in
-  let jess = (Workloads.find "jess").Workloads.build ~scale:4 in
-  (* Table 1 kernel: program construction + characteristics scan. *)
-  let table1_kernel =
-    Test.make ~name:"table1/build+scan"
-      (Staged.stage (fun () ->
-           let p = (Workloads.find "jack").Workloads.build ~scale:1 in
-           ignore (Acsi_bytecode.Program.total_bytecodes p)))
-  in
-  (* Figure 4 kernel: a complete adaptive run (wall-clock datum). *)
-  let fig4_kernel =
-    Test.make ~name:"fig4/adaptive-run"
-      (Staged.stage (fun () ->
-           ignore (Runtime.run (config ~policy:(Policy.Fixed 3)) jess)))
-  in
-  (* Figure 5 kernel: inline expansion + code-size accounting. *)
-  let oracle = Acsi_jit.Oracle.create program in
-  let hot_method =
-    Acsi_bytecode.Program.find_method program ~cls:"HashMap" ~name:"get"
-  in
-  let fig5_kernel =
-    Test.make ~name:"fig5/inline-expansion"
-      (Staged.stage (fun () ->
-           ignore
-             (Acsi_jit.Expand.compile program Acsi_vm.Cost.default oracle
-                ~root:hot_method)))
-  in
-  (* Figure 6 kernel: profile maintenance (the organizers' data path). *)
-  let mid = hot_method.Acsi_bytecode.Meth.id in
-  let entry = { Acsi_profile.Trace.caller = mid; callsite = 3 } in
-  let trace = Acsi_profile.Trace.make ~callee:mid ~chain:[ entry; entry ] in
-  let fig6_kernel =
-    Test.make ~name:"fig6/profile-maintenance"
-      (Staged.stage (fun () ->
-           let dcg = Acsi_profile.Dcg.create () in
-           for _ = 1 to 64 do
-             Acsi_profile.Dcg.add_sample dcg trace
-           done;
-           Acsi_profile.Dcg.decay dcg ~factor:0.95 ~prune_below:0.05;
-           ignore (Acsi_profile.Dcg.hot dcg ~threshold:0.015)))
-  in
-  (* Termination-stats kernel: the oracle's partial-match query. *)
-  let rules =
-    Acsi_profile.Rules.of_hot_traces [ (trace, 100.0); (trace, 50.0) ]
-  in
-  let term_kernel =
-    Test.make ~name:"term-stats/partial-match"
-      (Staged.stage (fun () ->
-           ignore
-             (Acsi_profile.Rules.candidates rules
-                ~site_chain:[| entry; entry; entry |])))
-  in
-  let tests =
-    Test.make_grouped ~name:"acsi"
-      [ table1_kernel; fig4_kernel; fig5_kernel; fig6_kernel; term_kernel ]
-  in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let results = benchmark () in
-  Format.printf "%-36s %16s@." "kernel" "ns/run (OLS)";
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-36s %16.1f@." name est
-      | Some _ | None -> Format.printf "%-36s %16s@." name "n/a")
-    results
+  Format.eprintf "  [json] appended run %d to %s (%d cells, jobs %d)@."
+    (List.length prior) path (List.length cells) mode.jobs
 
 let () =
   let mode = parse_args () in
+  let prior = if mode.json then read_trajectory mode.json_path else [] in
   Format.printf
     "Adaptive Online Context-Sensitive Inlining (CGO 2003) — reproduction \
      harness@.scale factor %.2f@."
@@ -1222,23 +1044,23 @@ let () =
     ablations mode;
     extended mode
   end;
-  let server_cells = if mode.serve then serve_mode mode else [] in
-  let shard_cells, telemetry_cells =
-    if mode.serve then shard_mode mode else ([], [])
+  (* Sections print as they run, so they run in this order. *)
+  let section on f = if on then f mode else [] in
+  let server = section mode.serve serve_mode in
+  let shards = section mode.serve shard_mode in
+  let static = section mode.serve static_oracle_mode in
+  let speculation = section mode.deopt deopt_panel in
+  let components = section mode.trace traced_components in
+  let cells =
+    List.concat
+      [
+        (match !the_sweep with Some s -> sweep_cells s | None -> []);
+        server;
+        shards;
+        static;
+        speculation;
+        components;
+      ]
   in
-  let static_cells = if mode.serve then static_oracle_mode mode else [] in
-  let speculation_cells = if mode.deopt then deopt_panel mode else [] in
-  let component_cells, calibration, calibration_check =
-    if mode.trace then traced_components mode else ([], [], None)
-  in
-  if mode.micro then micro ();
-  if
-    mode.json
-    && (Option.is_some !the_sweep || server_cells <> [] || shard_cells <> []
-       || static_cells <> [] || speculation_cells <> []
-       || component_cells <> [])
-  then
-    write_json mode !the_sweep server_cells shard_cells telemetry_cells
-      static_cells speculation_cells component_cells calibration
-      calibration_check;
+  if mode.json && cells <> [] then write_json mode prior cells;
   Format.printf "@.done.@."

@@ -4,19 +4,10 @@ type bench = { name : string; program : Acsi_bytecode.Program.t }
 
 type point = { bench : string; policy : Policy.t; metrics : Metrics.t }
 
-type timing = {
-  t_bench : string;
-  t_policy : string;  (* "cins" for the baseline cells *)
-  t_wall_s : float;
-  t_cycles : int;
-}
-
 type sweep = {
   bench_names : string list;
   baselines : (string * Metrics.t) list;
   points : point list;
-  timings : timing list;
-  wall_total_s : float;
 }
 
 (* One cell per (benchmark, policy) pair, baselines included; all cells
@@ -35,7 +26,6 @@ let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1)
         policies
   in
   let progress_mutex = Mutex.create () in
-  let t0 = Unix.gettimeofday () in
   let run_cell cell =
     let b, policy, label =
       match cell with
@@ -46,23 +36,14 @@ let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1)
     progress (Printf.sprintf "%s under %s" b.name label);
     Mutex.unlock progress_mutex;
     let cfg = Config.with_policy cfg policy in
-    let c0 = Unix.gettimeofday () in
     let result = Runtime.run cfg b.program in
-    let wall = Unix.gettimeofday () -. c0 in
     cell_hook ~bench:b.name ~policy result;
-    let metrics = result.Runtime.metrics in
-    ( metrics,
-      {
-        t_bench = b.name;
-        t_policy = label;
-        t_wall_s = wall;
-        t_cycles = metrics.Metrics.total_cycles;
-      } )
+    result.Runtime.metrics
   in
   let results = Parallel.map ~jobs run_cell cells in
   let baselines, points =
     List.fold_left2
-      (fun (baselines, points) cell (metrics, _) ->
+      (fun (baselines, points) cell metrics ->
         match cell with
         | Base b -> ((b.name, metrics) :: baselines, points)
         | Cell (b, policy) ->
@@ -73,8 +54,6 @@ let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1)
     bench_names = List.map (fun b -> b.name) benches;
     baselines = List.rev baselines;
     points = List.rev points;
-    timings = List.map snd results;
-    wall_total_s = Unix.gettimeofday () -. t0;
   }
 
 let find sweep ~bench ~policy =

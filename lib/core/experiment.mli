@@ -8,22 +8,11 @@ type bench = { name : string; program : Acsi_bytecode.Program.t }
 
 type point = { bench : string; policy : Policy.t; metrics : Metrics.t }
 
-type timing = {
-  t_bench : string;
-  t_policy : string;  (** ["cins"] for the baseline cells *)
-  t_wall_s : float;  (** host wall-clock of this cell's run *)
-  t_cycles : int;  (** the run's virtual cycles (deterministic) *)
-}
-
 type sweep = {
   bench_names : string list;
   baselines : (string * Metrics.t) list;
       (** context-insensitive metrics per benchmark *)
-  points : point list;
-  timings : timing list;
-      (** one per cell, in cell order: every baseline, then every
-          (policy, benchmark) point *)
-  wall_total_s : float;
+  points : point list;  (** policy-major: every benchmark per policy *)
 }
 
 val run_sweep :
@@ -40,9 +29,9 @@ val run_sweep :
     [jobs] (default 1) fans the independent (benchmark, policy) cells
     across that many domains ({!Parallel.map}); results are collected by
     cell index, so the sweep — all metrics, orderings, virtual cycles —
-    is identical for every [jobs] value. Only wall-clock ([timings],
-    [wall_total_s]) and the interleaving of [progress] callbacks (called
-    under a mutex, from worker domains) vary.
+    is identical for every [jobs] value. Only the interleaving of
+    [progress] callbacks (called under a mutex, from worker domains)
+    varies.
 
     [cell_hook] is invoked once per cell, from the worker domain that ran
     it, with the cell's full {!Runtime.result} (baseline cells pass

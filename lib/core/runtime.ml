@@ -10,9 +10,8 @@ let create_vm (cfg : Config.t) program =
   Interp.create ~cost:cfg.Config.cost ~sample_period:cfg.Config.sample_period
     ~invoke_stride:cfg.Config.invoke_stride program
 
-let run ?profile ?(calibrate = false) (cfg : Config.t) program =
+let run ?profile (cfg : Config.t) program =
   let vm = create_vm cfg program in
-  Interp.set_calibrate vm calibrate;
   let sys = Acsi_aos.System.create ?profile cfg.Config.aos vm in
   Interp.run ~cycle_limit:cfg.Config.cycle_limit vm;
   { metrics = Metrics.of_run vm sys; vm; sys }

@@ -8,19 +8,10 @@ type result = {
 }
 
 val run :
-  ?profile:Acsi_profile.Dcg.t ->
-  ?calibrate:bool ->
-  Config.t ->
-  Acsi_bytecode.Program.t ->
-  result
+  ?profile:Acsi_profile.Dcg.t -> Config.t -> Acsi_bytecode.Program.t -> result
 (** Execute the program to completion under the adaptive system.
     [profile] seeds the dynamic call graph with a previously collected
-    profile (offline profile-directed inlining). [calibrate] (default
-    [false]) samples host time around every execution window, bucketed
-    by tier; read the totals back with
-    {!Acsi_vm.Interp.calibration}. Calibration only observes — virtual
-    cycles and outputs are unchanged — but the sampling itself costs
-    host time, so it is off outside the bench's [--trace] mode. *)
+    profile (offline profile-directed inlining). *)
 
 val run_reference : Config.t -> Acsi_bytecode.Program.t -> result
 (** {!run} with the AOS driven from {!Acsi_vm.Interp.run_reference}, the

@@ -87,6 +87,13 @@ and t = {
   cal_cycles : int array;
   cal_host_s : float array;
   wst : wst;
+  (* The thread whose stack [frames]/[depth] hold: the running one, or
+     between slices the one that ran last. Hooks that fire between
+     slices (the scheduler's switch hook installs code, and an install
+     may OSR the top frames) act on that stack, so [resume] writes it
+     back into this thread before swapping the next one in. A per-VM
+     placeholder before the first [resume]. *)
+  mutable last_thread : thread;
 }
 
 (* A closure-tier entry point executes its frame from the pc the closure
@@ -113,6 +120,14 @@ and wst = {
   mutable w_sp : int;  (* absolute, like [f_sp] *)
   mutable w_rem : int;
   mutable w_nin : int;
+}
+
+(* See [resume] below. *)
+and thread = {
+  th_id : int;
+  mutable th_frames : frame array;
+  mutable th_depth : int;
+  mutable th_started : bool;
 }
 
 let cal_buckets = [| "interp"; "closure"; "system" |]
@@ -189,6 +204,8 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     cal_cycles = Array.make (Array.length cal_buckets) 0;
     cal_host_s = Array.make (Array.length cal_buckets) 0.0;
     wst;
+    last_thread =
+      { th_id = -1; th_frames = [||]; th_depth = 0; th_started = false };
   }
   and wst =
     {
@@ -1637,13 +1654,6 @@ let run_reference ?(cycle_limit = max_int) t =
    [install_code], and a frame keeps executing the [f_code]/[f_dcode] it
    started with even after a replacement. The interleaving regression
    tests pin this. *)
-type thread = {
-  th_id : int;
-  mutable th_frames : frame array;
-  mutable th_depth : int;
-  mutable th_started : bool;
-}
-
 type thread_status = Running | Done
 
 let spawn t =
@@ -1657,9 +1667,18 @@ let thread_done th = th.th_started && th.th_depth = 0
 
 let resume ?(cycle_limit = max_int) t th ~quantum =
   if quantum <= 0 then invalid_arg "Interp.resume: quantum must be positive";
-  (* Swap the thread's stack in. *)
-  t.frames <- th.th_frames;
-  t.depth <- th.th_depth;
+  (* The VM's stack belongs to the thread that ran last, and a hook
+     between slices may have changed it (an OSR merges frames and lowers
+     [t.depth]). Write it back into that thread, then swap [th] in; if
+     [th] ran last, its live stack is already in place. *)
+  if t.last_thread != th then begin
+    let prev = t.last_thread in
+    prev.th_frames <- t.frames;
+    prev.th_depth <- t.depth;
+    t.last_thread <- th;
+    t.frames <- th.th_frames;
+    t.depth <- th.th_depth
+  end;
   if not th.th_started then begin
     th.th_started <- true;
     let main = Program.main t.program in

@@ -95,6 +95,10 @@ and t = {
   cal_cycles : int array;
   cal_host_s : float array;
   wst : wst;
+  mutable last_thread : thread;
+      (** the thread whose stack [frames]/[depth] hold: the running one,
+          or between slices the one that ran last ({!resume} writes the
+          stack back into it before swapping the next thread in) *)
 }
 
 and nfn = wst -> unit
@@ -119,6 +123,9 @@ and wst = {
     (calls, returns, OSR restarts) re-populate the fields before
     jumping, so no two live uses overlap. Populated by the window
     dispatchers; nothing outside [Acsi_vm] should write it. *)
+
+and thread
+(** A virtual thread; see {!resume}. *)
 
 (** {2 Deoptimization plans}
 
@@ -314,8 +321,6 @@ val run_reference : ?cycle_limit:int -> t -> unit
     Java threads); only the call stack is per-thread. Frames of the same
     method in different threads share no mutable state: each invocation
     allocates a fresh frame, and decoded code is immutable. *)
-
-type thread
 
 type thread_status = Running | Done
 

@@ -232,6 +232,14 @@ let prop_registry_matches =
    (flag_decisions, the candidates cache, the missing-edge scan), so a
    sweep including it must stay identical when fanned across domains:
    memoization is per-system state, never shared. *)
+(* Every cell's virtual cycles, baselines first, then the points in
+   cell order. *)
+let sweep_cycles (s : Experiment.sweep) =
+  List.map (fun (_, m) -> m.Metrics.total_cycles) s.Experiment.baselines
+  @ List.map
+      (fun p -> p.Experiment.metrics.Metrics.total_cycles)
+      s.Experiment.points
+
 let test_sweep_jobs_resolving () =
   let benches =
     [
@@ -251,8 +259,7 @@ let test_sweep_jobs_resolving () =
   check_bool "baselines" true
     (s1.Experiment.baselines = s2.Experiment.baselines);
   check_bool "cell cycles" true
-    (List.map (fun t -> t.Experiment.t_cycles) s1.Experiment.timings
-    = List.map (fun t -> t.Experiment.t_cycles) s2.Experiment.timings)
+    (sweep_cycles s1 = sweep_cycles s2)
 
 let suite =
   [

@@ -381,6 +381,45 @@ let test_static_seed_warmup_reduction () =
     true
     (List.length reduced >= 3)
 
+(* --- OSR of a parked thread between slices --- *)
+
+(* With speculation and OSR on, a background install polled at a thread
+   switch can OSR the top frames of the thread that just ran, merging
+   them into one optimized frame while the thread is parked. [resume]
+   must write that stack back into the thread before swapping the next
+   one in; otherwise the thread later re-runs the popped callee, which
+   returns into the merged frame (this jess serve raised "expected an
+   array"). Every transfer must also keep the program's output. *)
+let serve_speculative ~speculate name =
+  let program = (Workloads.find name).Workloads.build ~scale:5 in
+  let cfg = Config.default ~policy:(Policy.Fixed 3) in
+  let cfg =
+    {
+      cfg with
+      Config.aos =
+        { cfg.Config.aos with System.speculate; enable_osr = speculate };
+    }
+  in
+  (Server.run ~async_compile:true
+     ~mode:
+       (Server.Closed { clients = 4; requests_per_client = 1; think = 50_000 })
+     ~name cfg program)
+    .Server.summary
+
+let test_osr_between_slices () =
+  let jess = serve_speculative ~speculate:true "jess" in
+  Alcotest.(check int) "jess: all requests served" 4 jess.Server.sv_requests;
+  Alcotest.(check bool) "jess: OSR transfers happened" true
+    (jess.Server.sv_osr > 0);
+  List.iter
+    (fun name ->
+      let off = serve_speculative ~speculate:false name in
+      let on_ = serve_speculative ~speculate:true name in
+      Alcotest.(check int)
+        (name ^ ": output checksum unchanged by speculation + OSR")
+        off.Server.sv_output_checksum on_.Server.sv_output_checksum)
+    [ "db"; "compress"; "javac"; "jack" ]
+
 let suite =
   [
     Alcotest.test_case "interleaved reentrancy (same method)" `Quick
@@ -406,4 +445,6 @@ let suite =
       test_serve_jobs_invariant;
     Alcotest.test_case "static seeding cuts warmup, output identical" `Slow
       test_static_seed_warmup_reduction;
+    Alcotest.test_case "OSR of a parked thread between slices" `Slow
+      test_osr_between_slices;
   ]

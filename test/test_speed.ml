@@ -41,6 +41,14 @@ let test_run_twice () =
 
 (* A sweep fanned across 4 domains is the same sweep as the serial one —
    the cells are independent and collected by index. *)
+(* Every cell's virtual cycles, baselines first, then the points in
+   cell order. *)
+let sweep_cycles (s : Experiment.sweep) =
+  List.map (fun (_, m) -> m.Metrics.total_cycles) s.Experiment.baselines
+  @ List.map
+      (fun p -> p.Experiment.metrics.Metrics.total_cycles)
+      s.Experiment.points
+
 let test_sweep_jobs () =
   let benches =
     List.map
@@ -63,8 +71,7 @@ let test_sweep_jobs () =
     (s1.Experiment.baselines = s4.Experiment.baselines);
   check_bool "points" true (s1.Experiment.points = s4.Experiment.points);
   check_bool "cell cycles" true
-    (List.map (fun t -> t.Experiment.t_cycles) s1.Experiment.timings
-    = List.map (fun t -> t.Experiment.t_cycles) s4.Experiment.timings)
+    (sweep_cycles s1 = sweep_cycles s4)
 
 (* --- DCG site index --- *)
 
