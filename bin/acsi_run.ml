@@ -190,6 +190,21 @@ let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
 
 open Cmdliner
 
+(* Integer options with a lower bound, checked where they are parsed: a
+   value out of range is a usage error naming the option (exit 124), not
+   an exception from deep inside a run or a silently meaningless run. *)
+let at_least lo =
+  let parse s =
+    let invalid why =
+      Error (`Msg (Printf.sprintf "invalid value '%s', %s" s why))
+    in
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ -> invalid (Printf.sprintf "must be >= %d" lo)
+    | None -> invalid "expected an integer"
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
 let bench_arg =
   Arg.(value & opt string "db" & info [ "b"; "bench" ] ~doc:"Benchmark name.")
 
@@ -205,7 +220,7 @@ let policy_arg =
 let scale_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least 1)) None
     & info [ "s"; "scale" ] ~doc:"Workload scale (default per benchmark).")
 
 let list_arg =
@@ -852,26 +867,26 @@ let serve_bench_arg =
 
 let requests_arg =
   Arg.(
-    value & opt int 8
+    value & opt (at_least 1) 8
     & info [ "requests" ]
         ~doc:
           "Requests per client (closed loop) or total requests (open loop).")
 
 let clients_arg =
   Arg.(
-    value & opt int 4
+    value & opt (at_least 1) 4
     & info [ "clients" ] ~doc:"Concurrent clients (closed loop).")
 
 let think_arg =
   Arg.(
-    value & opt int 50_000
+    value & opt (at_least 0) 50_000
     & info [ "think" ]
         ~doc:"Client think time in cycles between requests (closed loop).")
 
 let open_period_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least 2)) None
     & info [ "open" ] ~docv:"PERIOD"
         ~doc:
           "Use an open-loop arrival schedule with the given mean \
@@ -879,12 +894,12 @@ let open_period_arg =
 
 let quantum_arg =
   Arg.(
-    value & opt int 25_000
+    value & opt (at_least 1) 25_000
     & info [ "quantum" ] ~doc:"Scheduler quantum in cycles.")
 
 let switch_cost_arg =
   Arg.(
-    value & opt int 200
+    value & opt (at_least 0) 200
     & info [ "switch-cost" ] ~doc:"Context-switch cost in cycles.")
 
 let seed_arg =
@@ -910,7 +925,7 @@ let windows_arg =
 
 let shards_arg =
   Arg.(
-    value & opt int 0
+    value & opt (at_least 0) 0
     & info [ "shards" ]
         ~doc:
           "Serve across N sharded virtual processors (per-shard run \
@@ -1123,7 +1138,7 @@ let metrics_bench_arg =
 
 let metrics_shards_arg =
   Arg.(
-    value & opt int 2
+    value & opt (at_least 0) 2
     & info [ "shards" ]
         ~doc:
           "Virtual processors for the sharded server; 0 collects \
@@ -1132,7 +1147,7 @@ let metrics_shards_arg =
 let metrics_interval_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (at_least 1)) None
     & info [ "interval" ] ~docv:"CYCLES"
         ~doc:
           "Time-series sampling interval in virtual cycles (single-VM \

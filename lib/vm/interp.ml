@@ -7,7 +7,6 @@ let rerr fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 
 type frame = {
   mutable f_code : Code.t;
-  mutable f_dcode : Dcode.t;
   mutable f_ncode : nfn array;
       (* closure-tier entry points, one per source pc ([Tier]); [[||]]
          means the frame executes on the interpreter tier *)
@@ -26,7 +25,6 @@ and t = {
   mutable cycles : int;
   globals : Value.t array;
   code_table : Code.t array;
-  dcode_table : Dcode.t array;
   param_slots : int array;  (* per method, so [invoke] skips the Meth.t *)
   mutable frames : frame array;
   mutable depth : int;  (* live frames in [frames] *)
@@ -49,7 +47,6 @@ and t = {
      reconstruct source frames even after [install_code] replaced a
      method's entry with optimized code. *)
   baseline_code : Code.t array;
-  baseline_dcode : Dcode.t array;
   (* hooks *)
   mutable on_first_execution : Ids.Method_id.t -> unit;
   mutable on_invoke : t -> Ids.Method_id.t -> unit;
@@ -159,7 +156,6 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     ?(invoke_stride = 2048) program =
   let methods = Program.methods program in
   let code_table = Array.map (fun m -> Code.baseline cost m) methods in
-  let dcode_table = Array.map (Dcode.of_code cost) code_table in
   (* [w_fr] is populated by the window dispatchers before any closure
      can read it; until then it holds an unboxed dummy. *)
   let rec t =
@@ -169,7 +165,6 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     cycles = 0;
     globals = Array.make (max 1 (Program.global_count program)) Value.zero;
     code_table;
-    dcode_table;
     param_slots = Array.map Meth.param_slots methods;
     frames = Array.make 0 (Obj.magic 0);
     depth = 0;
@@ -186,7 +181,6 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     invocations = Array.make (Array.length methods) 0;
     class_loaded = Array.make (max 1 (Program.class_count program)) false;
     baseline_code = Array.copy code_table;
-    baseline_dcode = Array.copy dcode_table;
     on_first_execution = (fun _ -> ());
     on_invoke = (fun _ _ -> ());
     on_timer_sample = (fun _ -> ());
@@ -231,7 +225,6 @@ let output t = List.rev t.output_rev
 
 let install_code t (mid : Ids.Method_id.t) code =
   t.code_table.((mid :> int)) <- code;
-  t.dcode_table.((mid :> int)) <- Dcode.of_code t.cost code;
   (* Any previously compiled closure tier targeted the replaced code. *)
   t.native_table.((mid :> int)) <- [||];
   t.native_depths.((mid :> int)) <- [||]
@@ -246,7 +239,6 @@ let native_installed t (mid : Ids.Method_id.t) =
   Array.length t.native_table.((mid :> int)) > 0
 
 let code_of t (mid : Ids.Method_id.t) = t.code_table.((mid :> int))
-let decoded_of t (mid : Ids.Method_id.t) = t.dcode_table.((mid :> int))
 let was_executed t (mid : Ids.Method_id.t) = t.executed.((mid :> int))
 let set_on_first_execution t f = t.on_first_execution <- f
 let set_on_invoke t f = t.on_invoke <- f
@@ -371,7 +363,6 @@ let osr t (mid : Ids.Method_id.t) =
               Array.blit fr.f_regs 0 regs 0 (min fr.f_base base);
               Array.blit fr.f_regs fr.f_base regs base sp_rel;
               fr.f_code <- current;
-              fr.f_dcode <- t.dcode_table.((mid :> int));
               fr.f_ncode <- nc;
               fr.f_pc <- pc';
               fr.f_regs <- regs;
@@ -416,7 +407,6 @@ let osr_into t (mid : Ids.Method_id.t) ~(plans : frame_plan array) ~pc =
    end);
   let fr = t.frames.(t.depth - k) in
   fr.f_code <- code;
-  fr.f_dcode <- t.dcode_table.((mid :> int));
   fr.f_ncode <- nc;
   fr.f_pc <- pc;
   fr.f_regs <- regs;
@@ -453,14 +443,13 @@ let walk_source_stack t ~f =
    pointer store into them then pays the remembered-set barrier.)
    A fresh thread's stack starts at 8 slots and doubles: a server spawns
    one stack per session, and most sessions never nest 8 calls deep. *)
-let push_frame t code dcode ncode =
+let push_frame t code ncode =
   (if t.depth = Array.length t.frames then begin
      let cap = max 8 (2 * t.depth) in
      let bigger =
        Array.make cap
          {
            f_code = code;
-           f_dcode = dcode;
            f_ncode = [||];
            f_pc = 0;
            f_regs = [||];
@@ -476,7 +465,6 @@ let push_frame t code dcode ncode =
   let fr =
     {
       f_code = code;
-      f_dcode = dcode;
       f_ncode = ncode;
       f_pc = 0;
       f_regs = Array.make (base + max 1 code.Code.max_stack) Value.zero;
@@ -504,8 +492,7 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
   Array.iter
     (fun p ->
       let code = t.baseline_code.((p.dp_meth :> int)) in
-      let dcode = t.baseline_dcode.((p.dp_meth :> int)) in
-      let nfr = push_frame t code dcode [||] in
+      let nfr = push_frame t code [||] in
       let nl = min code.Code.max_locals (max 0 (opt_base - p.dp_base)) in
       Array.blit opt_regs p.dp_base nfr.f_regs 0 nl;
       Array.blit opt_regs (opt_base + p.dp_stack_lo) nfr.f_regs nfr.f_base
@@ -630,11 +617,7 @@ let invoke t (mid : Ids.Method_id.t) =
     + (match code.Code.tier with
       | Code.Baseline -> t.cost.Cost.call
       | Code.Optimized -> t.cost.Cost.opt_call);
-  let fr =
-    push_frame t code
-      t.dcode_table.((mid :> int))
-      t.native_table.((mid :> int))
-  in
+  let fr = push_frame t code t.native_table.((mid :> int)) in
   (* Pop arguments from the caller's stack into the callee's locals.
      Unsafe accesses are bounded by the verifier: a call site's arguments
      are on the caller's operand stack ([f_sp >= f_base + nslots]) and
@@ -689,117 +672,128 @@ let[@inline] flush t icost ninstr =
   t.instr_count <- t.instr_count + ninstr;
   t.cycles <- t.cycles + (ninstr * icost)
 
+(* The per-dispatch cost of one instruction of [code], by its tier —
+   exactly what [run_reference] charges per instruction. *)
+let[@inline] icost_of t (code : Code.t) =
+  match code.Code.tier with
+  | Code.Baseline -> t.cost.Cost.baseline_instr
+  | Code.Optimized -> t.cost.Cost.opt_instr
+
 (* The window loop is a top-level function — every piece of hot state
-   (decoded stream, per-dispatch cost, operand stack, locals) rides in the
+   (instructions, per-dispatch cost, operand stack, locals) rides in the
    argument registers of the tail call instead of a per-window closure
    environment. Calls, returns, guards and allocations settle the
    counters, apply their extra charges, and *continue* in the (possibly
    new) top frame as long as the timer is not due, so the loop only
    returns to the driver when a sample must actually be considered. *)
-let rec step t fr ops icost stack locals pc sp remaining ninstr =
+let rec step t fr instrs icost stack locals pc sp remaining ninstr =
   if remaining <= 0 then begin
     flush t icost ninstr;
     fr.f_pc <- pc;
     fr.f_sp <- sp
   end
   else begin
-    match Array.unsafe_get ops pc with
-    | Dcode.Const v ->
-        set stack sp v;
-        step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
-          (ninstr + 1)
-    | Dcode.Load i ->
+    match Array.unsafe_get instrs pc with
+    | Instr.Const n ->
+        set_int stack sp n;
+        step t fr instrs icost stack locals (pc + 1) (sp + 1)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Const_null ->
+        set stack sp Value.null;
+        step t fr instrs icost stack locals (pc + 1) (sp + 1)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Load i ->
         set stack sp (Array.unsafe_get locals i);
-        step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
-          (ninstr + 1)
-    | Dcode.Store i ->
+        step t fr instrs icost stack locals (pc + 1) (sp + 1)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Store i ->
         let sp = sp - 1 in
         set locals i (Array.unsafe_get stack sp);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Dup ->
+    | Instr.Dup ->
         set stack sp (Array.unsafe_get stack (sp - 1));
-        step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
-          (ninstr + 1)
-    | Dcode.Pop ->
-        step t fr ops icost stack locals (pc + 1) (sp - 1) (remaining - icost)
-          (ninstr + 1)
-    | Dcode.Swap ->
+        step t fr instrs icost stack locals (pc + 1) (sp + 1)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Pop ->
+        step t fr instrs icost stack locals (pc + 1) (sp - 1)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Swap ->
         let a = Array.unsafe_get stack (sp - 1) in
         set stack (sp - 1) (Array.unsafe_get stack (sp - 2));
         set stack (sp - 2) a;
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Binop op ->
+    | Instr.Binop op ->
         let b = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_int (Array.unsafe_get stack (sp - 2)) in
         let sp = sp - 1 in
         set_int stack (sp - 1) (eval_binop op a b);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Neg ->
+    | Instr.Neg ->
         set_int stack (sp - 1) (-as_int (Array.unsafe_get stack (sp - 1)));
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Not ->
+    | Instr.Not ->
         set_int stack (sp - 1)
           (if truthy (Array.unsafe_get stack (sp - 1)) then 0 else 1);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Cmp c ->
+    | Instr.Cmp c ->
         let b = Array.unsafe_get stack (sp - 1) in
         let a = Array.unsafe_get stack (sp - 2) in
         let sp = sp - 1 in
         set_int stack (sp - 1) (eval_cmp c a b);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Jump target ->
-        step t fr ops icost stack locals target sp (remaining - icost)
+    | Instr.Jump target ->
+        step t fr instrs icost stack locals target sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Jump_if target ->
+    | Instr.Jump_if target ->
         let sp = sp - 1 in
         if truthy (Array.unsafe_get stack sp) then
-          step t fr ops icost stack locals target sp (remaining - icost)
+          step t fr instrs icost stack locals target sp (remaining - icost)
             (ninstr + 1)
         else
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+          step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
-    | Dcode.Jump_ifnot target ->
+    | Instr.Jump_ifnot target ->
         let sp = sp - 1 in
         if truthy (Array.unsafe_get stack sp) then
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+          step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
             (ninstr + 1)
         else
-          step t fr ops icost stack locals target sp (remaining - icost)
+          step t fr instrs icost stack locals target sp (remaining - icost)
             (ninstr + 1)
-    | Dcode.New cid ->
+    | Instr.New cid ->
         flush t icost (ninstr + 1);
         t.cycles <- t.cycles + t.cost.Cost.alloc;
         note_class_load t cid;
         Array.unsafe_set stack sp (Value.alloc t.program cid);
-        step t fr ops icost stack locals (pc + 1) (sp + 1)
+        step t fr instrs icost stack locals (pc + 1) (sp + 1)
           (t.next_sample - t.cycles) 0
-    | Dcode.Get_field i ->
+    | Instr.Get_field i ->
         let o = as_obj (Array.unsafe_get stack (sp - 1)) in
         set stack (sp - 1) o.Value.fields.(i);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Put_field i ->
+    | Instr.Put_field i ->
         let v = Array.unsafe_get stack (sp - 1) in
         let o = as_obj (Array.unsafe_get stack (sp - 2)) in
         store o.Value.fields i v;
-        step t fr ops icost stack locals (pc + 1) (sp - 2) (remaining - icost)
-          (ninstr + 1)
-    | Dcode.Get_global i ->
+        step t fr instrs icost stack locals (pc + 1) (sp - 2)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Get_global i ->
         set stack sp t.globals.(i);
-        step t fr ops icost stack locals (pc + 1) (sp + 1) (remaining - icost)
-          (ninstr + 1)
-    | Dcode.Put_global i ->
+        step t fr instrs icost stack locals (pc + 1) (sp + 1)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Put_global i ->
         let sp = sp - 1 in
         store t.globals i (Array.unsafe_get stack sp);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Array_new ->
+    | Instr.Array_new ->
         let n = as_int (Array.unsafe_get stack (sp - 1)) in
         if n < 0 then rerr "negative array size %d" n;
         flush t icost (ninstr + 1);
@@ -807,38 +801,38 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
         Array.unsafe_set stack (sp - 1)
           (Value.of_arr (Array.make n Value.zero));
-        step t fr ops icost stack locals (pc + 1) sp
+        step t fr instrs icost stack locals (pc + 1) sp
           (t.next_sample - t.cycles) 0
-    | Dcode.Array_get ->
+    | Instr.Array_get ->
         let i = as_int (Array.unsafe_get stack (sp - 1)) in
         let a = as_arr (Array.unsafe_get stack (sp - 2)) in
         if i < 0 || i >= Array.length a then
           rerr "array index %d out of bounds (length %d)" i (Array.length a);
         let sp = sp - 1 in
         set stack (sp - 1) (Array.unsafe_get a i);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Array_set ->
+    | Instr.Array_set ->
         let v = Array.unsafe_get stack (sp - 1) in
         let i = as_int (Array.unsafe_get stack (sp - 2)) in
         let a = as_arr (Array.unsafe_get stack (sp - 3)) in
         if i < 0 || i >= Array.length a then
           rerr "array index %d out of bounds (length %d)" i (Array.length a);
         set a i v;
-        step t fr ops icost stack locals (pc + 1) (sp - 3) (remaining - icost)
-          (ninstr + 1)
-    | Dcode.Array_len ->
+        step t fr instrs icost stack locals (pc + 1) (sp - 3)
+          (remaining - icost) (ninstr + 1)
+    | Instr.Array_len ->
         let a = as_arr (Array.unsafe_get stack (sp - 1)) in
         set_int stack (sp - 1) (Array.length a);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Call mid ->
+    | Instr.Call_static mid | Instr.Call_direct mid ->
         flush t icost (ninstr + 1);
         fr.f_pc <- pc;
         fr.f_sp <- sp;
         invoke t mid;
         continue_window t
-    | Dcode.Call_virtual (sel, argc) ->
+    | Instr.Call_virtual (sel, argc) ->
         flush t icost (ninstr + 1);
         t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
         fr.f_pc <- pc;
@@ -846,7 +840,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
         let recv = Array.unsafe_get stack (sp - 1 - argc) in
         invoke t (dispatch_target t recv sel);
         continue_window t
-    | Dcode.Guard g ->
+    | Instr.Guard_method g ->
         flush t icost (ninstr + 1);
         t.cycles <- t.cycles + t.cost.Cost.guard;
         let recv = Array.unsafe_get stack (sp - 1 - g.Instr.argc) in
@@ -871,8 +865,8 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
             g.Instr.fail
           end
         in
-        step t fr ops icost stack locals pc sp (t.next_sample - t.cycles) 0
-    | Dcode.Return ->
+        step t fr instrs icost stack locals pc sp (t.next_sample - t.cycles) 0
+    | Instr.Return ->
         flush t icost (ninstr + 1);
         let result = Array.unsafe_get stack (sp - 1) in
         t.depth <- t.depth - 1;
@@ -883,7 +877,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           caller.f_pc <- caller.f_pc + 1;
           continue_window t
         end
-    | Dcode.Return_void ->
+    | Instr.Return_void ->
         flush t icost (ninstr + 1);
         t.depth <- t.depth - 1;
         if t.depth > 0 then begin
@@ -891,7 +885,7 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           caller.f_pc <- caller.f_pc + 1;
           continue_window t
         end
-    | Dcode.Instance_of cid ->
+    | Instr.Instance_of cid ->
         let v = Array.unsafe_get stack (sp - 1) in
         let r =
           (not (is_int v))
@@ -902,426 +896,16 @@ let rec step t fr ops icost stack locals pc sp remaining ninstr =
           | Value.Null_c _ | Value.Arr_c _ -> false
         in
         set_int stack (sp - 1) (if r then 1 else 0);
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Print_int ->
+    | Instr.Print_int ->
         let sp = sp - 1 in
         t.output_rev <- as_int (Array.unsafe_get stack sp) :: t.output_rev;
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    | Dcode.Nop ->
-        step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
+    | Instr.Nop ->
+        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
-    (* --- superinstructions; a fused fast path runs only when the timer
-       cannot become due before its last component
-       ([remaining > (width - 1) * icost]); otherwise it falls back to its
-       first component, so timer events land on exactly the same
-       instruction boundaries as under naive decoding --- *)
-    | Dcode.Load2_binop (i, j, op) ->
-        if remaining > 2 * icost then begin
-          let b = as_int (Array.unsafe_get locals j) in
-          let a = as_int (Array.unsafe_get locals i) in
-          set_int stack sp (eval_binop op a b);
-          step t fr ops icost stack locals (pc + 3) (sp + 1)
-            (remaining - (3 * icost))
-            (ninstr + 3)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_const_binop (i, n, op) ->
-        if remaining > 2 * icost then begin
-          let a = as_int (Array.unsafe_get locals i) in
-          set_int stack sp (eval_binop op a n);
-          step t fr ops icost stack locals (pc + 3) (sp + 1)
-            (remaining - (3 * icost))
-            (ninstr + 3)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load2_binop_store (i, j, op, d) ->
-        if remaining > 3 * icost then begin
-          let b = as_int (Array.unsafe_get locals j) in
-          let a = as_int (Array.unsafe_get locals i) in
-          set_int locals d (eval_binop op a b);
-          step t fr ops icost stack locals (pc + 4) sp
-            (remaining - (4 * icost))
-            (ninstr + 4)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_const_binop_store (i, n, op, d) ->
-        if remaining > 3 * icost then begin
-          let a = as_int (Array.unsafe_get locals i) in
-          set_int locals d (eval_binop op a n);
-          step t fr ops icost stack locals (pc + 4) sp
-            (remaining - (4 * icost))
-            (ninstr + 4)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_getfield_store (i, f, d) ->
-        if remaining > 2 * icost then begin
-          let o = as_obj (Array.unsafe_get locals i) in
-          set locals d o.Value.fields.(f);
-          step t fr ops icost stack locals (pc + 3) sp
-            (remaining - (3 * icost))
-            (ninstr + 3)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load2_cmp_jumpifnot (i, j, c, target) ->
-        if remaining > 3 * icost then begin
-          let r =
-            eval_cmp c (Array.unsafe_get locals i) (Array.unsafe_get locals j)
-          in
-          if r <> 0 then
-            step t fr ops icost stack locals (pc + 4) sp
-              (remaining - (4 * icost))
-              (ninstr + 4)
-          else
-            step t fr ops icost stack locals target sp
-              (remaining - (4 * icost))
-              (ninstr + 4)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_const_cmp_jumpifnot (i, v, c, target) ->
-        if remaining > 3 * icost then begin
-          let r = eval_cmp c (Array.unsafe_get locals i) v in
-          if r <> 0 then
-            step t fr ops icost stack locals (pc + 4) sp
-              (remaining - (4 * icost))
-              (ninstr + 4)
-          else
-            step t fr ops icost stack locals target sp
-              (remaining - (4 * icost))
-              (ninstr + 4)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_store (i, j) ->
-        if remaining > icost then begin
-          set locals j (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Const_store (v, j) ->
-        if remaining > icost then begin
-          set locals j v;
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp v;
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_getfield (i, f) ->
-        if remaining > icost then begin
-          let o = as_obj (Array.unsafe_get locals i) in
-          set stack sp o.Value.fields.(f);
-          step t fr ops icost stack locals (pc + 2) (sp + 1)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load2 (i, j) ->
-        if remaining > icost then begin
-          set stack sp (Array.unsafe_get locals i);
-          set stack (sp + 1) (Array.unsafe_get locals j);
-          step t fr ops icost stack locals (pc + 2) (sp + 2)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Cmp_jumpifnot (c, target) ->
-        let b = Array.unsafe_get stack (sp - 1) in
-        let a = Array.unsafe_get stack (sp - 2) in
-        if remaining > icost then begin
-          let sp = sp - 2 in
-          if eval_cmp c a b <> 0 then
-            step t fr ops icost stack locals (pc + 2) sp
-              (remaining - (2 * icost))
-              (ninstr + 2)
-          else
-            step t fr ops icost stack locals target sp
-              (remaining - (2 * icost))
-              (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set_int stack (sp - 1) (eval_cmp c a b);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Cmp_jumpif (c, target) ->
-        let b = Array.unsafe_get stack (sp - 1) in
-        let a = Array.unsafe_get stack (sp - 2) in
-        if remaining > icost then begin
-          let sp = sp - 2 in
-          if eval_cmp c a b <> 0 then
-            step t fr ops icost stack locals target sp
-              (remaining - (2 * icost))
-              (ninstr + 2)
-          else
-            step t fr ops icost stack locals (pc + 2) sp
-              (remaining - (2 * icost))
-              (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set_int stack (sp - 1) (eval_cmp c a b);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Binop_store (op, j) ->
-        let b = as_int (Array.unsafe_get stack (sp - 1)) in
-        let a = as_int (Array.unsafe_get stack (sp - 2)) in
-        if remaining > icost then begin
-          set_int locals j (eval_binop op a b);
-          step t fr ops icost stack locals (pc + 2) (sp - 2)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set_int stack (sp - 1) (eval_binop op a b);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Const_binop (n, op) ->
-        if remaining > icost then begin
-          (* the constant is the top operand [b]; it is an integer by
-             construction, so only [a] needs the dynamic check *)
-          let a = as_int (Array.unsafe_get stack (sp - 1)) in
-          set_int stack (sp - 1) (eval_binop op a n);
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set_int stack sp n;
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Store_load (i, j) ->
-        if remaining > icost then begin
-          set locals i (Array.unsafe_get stack (sp - 1));
-          set stack (sp - 1) (Array.unsafe_get locals j);
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set locals i (Array.unsafe_get stack sp);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Store_store (i, j) ->
-        if remaining > icost then begin
-          set locals i (Array.unsafe_get stack (sp - 1));
-          set locals j (Array.unsafe_get stack (sp - 2));
-          step t fr ops icost stack locals (pc + 2) (sp - 2)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set locals i (Array.unsafe_get stack sp);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Store_jump (i, target) ->
-        if remaining > icost then begin
-          set locals i (Array.unsafe_get stack (sp - 1));
-          step t fr ops icost stack locals target (sp - 1)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set locals i (Array.unsafe_get stack sp);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Getfield_load (f, j) ->
-        let o = as_obj (Array.unsafe_get stack (sp - 1)) in
-        if remaining > icost then begin
-          set stack (sp - 1) o.Value.fields.(f);
-          set stack sp (Array.unsafe_get locals j);
-          step t fr ops icost stack locals (pc + 2) (sp + 1)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack (sp - 1) o.Value.fields.(f);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Load_binop (i, op) ->
-        if remaining > icost then begin
-          (* the loaded local is the top operand [b] of the binop *)
-          let b = as_int (Array.unsafe_get locals i) in
-          let a = as_int (Array.unsafe_get stack (sp - 1)) in
-          set_int stack (sp - 1) (eval_binop op a b);
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_cmp (i, c) ->
-        if remaining > icost then begin
-          let b = Array.unsafe_get locals i in
-          let a = Array.unsafe_get stack (sp - 1) in
-          set_int stack (sp - 1) (eval_cmp c a b);
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Load_arrayget i ->
-        if remaining > icost then begin
-          let idx = as_int (Array.unsafe_get locals i) in
-          let a = as_arr (Array.unsafe_get stack (sp - 1)) in
-          if idx < 0 || idx >= Array.length a then
-            rerr "array index %d out of bounds (length %d)" idx
-              (Array.length a);
-          set stack (sp - 1) (Array.unsafe_get a idx);
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Binop_const (op, v) ->
-        let b = as_int (Array.unsafe_get stack (sp - 1)) in
-        let a = as_int (Array.unsafe_get stack (sp - 2)) in
-        if remaining > icost then begin
-          set_int stack (sp - 2) (eval_binop op a b);
-          set stack (sp - 1) v;
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set_int stack (sp - 1) (eval_binop op a b);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Binop_binop (op1, op2) ->
-        let b = as_int (Array.unsafe_get stack (sp - 1)) in
-        let a = as_int (Array.unsafe_get stack (sp - 2)) in
-        if remaining > icost then begin
-          (* the first result is the (always-integer) top operand of
-             the second binop, so it is never stored *)
-          let r1 = eval_binop op1 a b in
-          let a2 = as_int (Array.unsafe_get stack (sp - 3)) in
-          set_int stack (sp - 3) (eval_binop op2 a2 r1);
-          step t fr ops icost stack locals (pc + 2) (sp - 2)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set_int stack (sp - 1) (eval_binop op1 a b);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Const_cmp (v, c) ->
-        if remaining > icost then begin
-          let a = Array.unsafe_get stack (sp - 1) in
-          set_int stack (sp - 1) (eval_cmp c a v);
-          step t fr ops icost stack locals (pc + 2) sp
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          set stack sp v;
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
-    | Dcode.Arrayget_store j ->
-        let idx = as_int (Array.unsafe_get stack (sp - 1)) in
-        let a = as_arr (Array.unsafe_get stack (sp - 2)) in
-        if idx < 0 || idx >= Array.length a then
-          rerr "array index %d out of bounds (length %d)" idx (Array.length a);
-        if remaining > icost then begin
-          set locals j (Array.unsafe_get a idx);
-          step t fr ops icost stack locals (pc + 2) (sp - 2)
-            (remaining - (2 * icost))
-            (ninstr + 2)
-        end
-        else begin
-          let sp = sp - 1 in
-          set stack (sp - 1) (Array.unsafe_get a idx);
-          step t fr ops icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        end
-    | Dcode.Load_jumpifnot (i, target) ->
-        if remaining > icost then begin
-          if truthy (Array.unsafe_get locals i) then
-            step t fr ops icost stack locals (pc + 2) sp
-              (remaining - (2 * icost))
-              (ninstr + 2)
-          else
-            step t fr ops icost stack locals target sp
-              (remaining - (2 * icost))
-              (ninstr + 2)
-        end
-        else begin
-          set stack sp (Array.unsafe_get locals i);
-          step t fr ops icost stack locals (pc + 1) (sp + 1)
-            (remaining - icost) (ninstr + 1)
-        end
   end
 
 (* Resume execution after a frame switch (call or return): as long as the
@@ -1337,9 +921,8 @@ and continue_window t =
       let fr = t.frames.(t.depth - 1) in
       let nc = fr.f_ncode in
       if Array.length nc = 0 then
-        let dc = fr.f_dcode in
-        step t fr dc.Dcode.ops dc.Dcode.icost fr.f_regs fr.f_regs fr.f_pc
-          fr.f_sp remaining 0
+        step t fr fr.f_code.Code.instrs (icost_of t fr.f_code) fr.f_regs
+          fr.f_regs fr.f_pc fr.f_sp remaining 0
       else begin
         let st = t.wst in
         st.w_fr <- fr;
@@ -1355,9 +938,8 @@ and continue_window t =
 let exec_window t fr remaining =
   let nc = fr.f_ncode in
   if Array.length nc = 0 then
-    let dc = fr.f_dcode in
-    step t fr dc.Dcode.ops dc.Dcode.icost fr.f_regs fr.f_regs fr.f_pc
-      fr.f_sp remaining 0
+    step t fr fr.f_code.Code.instrs (icost_of t fr.f_code) fr.f_regs fr.f_regs
+      fr.f_pc fr.f_sp remaining 0
   else begin
     let st = t.wst in
     st.w_fr <- fr;
@@ -1407,7 +989,6 @@ let run ?(cycle_limit = max_int) t =
   ignore
     (push_frame t
        t.code_table.((main :> int))
-       t.dcode_table.((main :> int))
        t.native_table.((main :> int)));
   t.call_count <- t.call_count + 1;
   while t.depth > 0 do
@@ -1441,7 +1022,6 @@ let run_reference ?(cycle_limit = max_int) t =
   ignore
     (push_frame t
        t.code_table.((main :> int))
-       t.dcode_table.((main :> int))
        t.native_table.((main :> int)));
   t.call_count <- t.call_count + 1;
   let base_cost = t.cost.Cost.baseline_instr in
@@ -1649,9 +1229,9 @@ let run_reference ?(cycle_limit = max_int) t =
 
    Reentrancy: two suspended frames of the same method share nothing
    mutable. Each [invoke] allocates a fresh frame with its own register
-   array; the decoded instruction stream ([Dcode.t]) is immutable after
+   array; a [Code.t] and its closure-tier entry points are immutable after
    construction and only ever *replaced* (never mutated) by
-   [install_code], and a frame keeps executing the [f_code]/[f_dcode] it
+   [install_code], and a frame keeps executing the [f_code]/[f_ncode] it
    started with even after a replacement. The interleaving regression
    tests pin this. *)
 type thread_status = Running | Done
@@ -1689,7 +1269,6 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
     ignore
       (push_frame t
          t.code_table.((main :> int))
-         t.dcode_table.((main :> int))
          t.native_table.((main :> int)));
     t.call_count <- t.call_count + 1
   end;

@@ -7,12 +7,15 @@
     executing the code they started in, unless the AOS explicitly
     transfers the innermost frame with {!osr}.
 
-    Internally each installed [Code.t] is pre-decoded ({!Dcode}) and the
-    timer check is batched over windows of provably event-free
-    instructions; both are exact-equivalence transformations — cycle
-    counts, hook firing points, counters and output are bit-identical to
-    the naive instruction-at-a-time loop, which is kept as
-    {!run_reference} and differentially tested against {!run}.
+    Internally the timer check is batched over windows of provably
+    event-free instructions, and methods with closure-tier code ({!Tier})
+    run whole windows through it; both are exact-equivalence
+    transformations — cycle counts, hook firing points, counters and
+    output are bit-identical to the naive instruction-at-a-time loop,
+    which is kept as {!run_reference} and differentially tested against
+    {!run}. The plain window loop {!step} executes [Code.instrs] one
+    instruction at a time; superinstructions exist only inside the
+    closure tier.
 
     Hooks let the adaptive optimization system observe execution without
     the interpreter knowing anything about it:
@@ -36,14 +39,13 @@ exception Cycle_limit_exceeded
 (** {2 Representation}
 
     The frame and VM records are exposed (rather than abstract) for one
-    consumer: the closure-tier compiler {!Tier}, which compiles decoded
+    consumer: the closure-tier compiler {!Tier}, which compiles installed
     bytecode into chains of closures that manipulate VM state directly at
     interpreter speed. Treat them as read-only outside [Acsi_vm]; all
     invariants are documented on the implementation. *)
 
 type frame = {
   mutable f_code : Code.t;
-  mutable f_dcode : Dcode.t;
   mutable f_ncode : nfn array;
       (** closure-tier entry points, one per source pc; [[||]] means the
           frame executes on the interpreter tier *)
@@ -60,7 +62,6 @@ and t = {
   mutable cycles : int;
   globals : Value.t array;
   code_table : Code.t array;
-  dcode_table : Dcode.t array;
   param_slots : int array;
   mutable frames : frame array;
   mutable depth : int;
@@ -77,7 +78,6 @@ and t = {
   invocations : int array;
   class_loaded : bool array;
   baseline_code : Code.t array;
-  baseline_dcode : Dcode.t array;
   mutable on_first_execution : Ids.Method_id.t -> unit;
   mutable on_invoke : t -> Ids.Method_id.t -> unit;
   mutable on_timer_sample : t -> unit;
@@ -233,9 +233,6 @@ val calibration : t -> (string * int * float) list
 
 val code_of : t -> Ids.Method_id.t -> Code.t
 
-val decoded_of : t -> Ids.Method_id.t -> Dcode.t
-(** The pre-decoded form currently installed for [mid] (for tests). *)
-
 val was_executed : t -> Ids.Method_id.t -> bool
 (** Whether the method has ever been invoked (i.e. baseline-compiled). *)
 
@@ -320,7 +317,7 @@ val run_reference : ?cycle_limit:int -> t -> unit
     globals, hooks and counters are shared across threads (one JVM, many
     Java threads); only the call stack is per-thread. Frames of the same
     method in different threads share no mutable state: each invocation
-    allocates a fresh frame, and decoded code is immutable. *)
+    allocates a fresh frame, and installed code is immutable. *)
 
 type thread_status = Running | Done
 
@@ -379,7 +376,7 @@ val note_class_load : t -> Ids.Class_id.t -> unit
 val step :
   t ->
   frame ->
-  Dcode.op array ->
+  Instr.t array ->
   int ->
   Value.t array ->
   Value.t array ->
@@ -388,10 +385,13 @@ val step :
   int ->
   int ->
   unit
-(** [step t fr ops icost stack locals pc sp remaining ninstr]: the
-    interpreter's window loop. The closure tier delegates to it near
-    window ends (when a prepaid block no longer fits), inheriting the
-    exact window-boundary behaviour by construction. *)
+(** [step t fr instrs icost stack locals pc sp remaining ninstr]: the
+    interpreter's window loop, one source instruction per dispatch over
+    the frame's [Code.instrs], each charging [icost] (the code's tier
+    cost). It runs frames that have no closure-tier code, and the closure
+    tier delegates to it near window ends (when a prepaid run no longer
+    fits), inheriting the exact window-boundary behaviour by
+    construction. *)
 
 val continue_window : t -> unit
 (** Resume the (possibly new) top frame inside the current window,

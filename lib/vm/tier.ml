@@ -1,15 +1,21 @@
 open Acsi_bytecode
 open Interp
 
-(* The closure ("native") execution tier: an installed method's decoded
-   stream is compiled, once, into a chain of OCaml closures — one entry
-   closure per source pc plus one effect closure per decoded op — and the
-   interpreter dispatches whole windows into the chain instead of running
-   its fetch/decode loop.
+(* The closure ("native") execution tier: an installed method's
+   instructions are compiled, once, into a chain of OCaml closures — one
+   entry closure per source pc plus one effect closure per instruction or
+   superinstruction — and the interpreter dispatches whole windows into
+   the chain instead of running its fetch/decode loop.
 
-   The design splits each straight-line run (the ops from a pc up to and
-   including the next control transfer, stopping before any op with a
-   non-uniform charge) into
+   Superinstructions are a compile-time detail of this tier and nowhere
+   else: {!select} picks, at each pc, the longest of 27 fixed patterns of
+   plain-cost instructions ([load;load;binop], [load;const;cmp;
+   jump_ifnot], ...) and builds one closure for the whole pattern. The
+   plain interpreter loop {!Interp.step} knows none of them.
+
+   The design splits each straight-line run (the instructions from a pc
+   up to and including the next control transfer, stopping before any
+   instruction with a non-uniform charge) into
 
    - an *entry* closure, which performs the run's entire timer-window
      accounting up front: if the remaining budget provably covers the
@@ -22,7 +28,7 @@ open Interp
      window-boundary behaviour — so near-boundary execution is not
      *similar* to the interpreter tier, it *is* the interpreter tier;
 
-   - *effect* closures, one per decoded (possibly fused) op, that only
+   - *effect* closures, one per instruction or superinstruction, that only
      touch the operand array and tail-call a directly captured successor:
      no per-op budget arithmetic, no dispatch on an op code, no bounds
      logic beyond what the op itself requires. Control transfers at run
@@ -41,10 +47,11 @@ open Interp
    {!Interp} for why (unknown single-argument applications compile to a
    direct call; six arguments pay the [caml_apply6] stub per link).
 
-   Exactness therefore needs no per-op argument: entry closures use the
-   same prepayment inequality [step] uses for fused ops, boundary tails
-   run on [step] itself, and the seven non-uniform ops are line-for-line
-   transcriptions. The differential test suite (the tier against the
+   Exactness therefore needs no per-op argument: entry closures prepay
+   only what [step] would execute before its next timer check, boundary
+   tails run on [step] itself over the source instructions, and the
+   seven non-uniform instructions are line-for-line transcriptions of
+   [step]'s branches. The differential test suite (the tier against the
    naive [run_reference] loop) enforces byte-identical cycles, counters,
    output and hook timing on top of that argument.
 
@@ -143,11 +150,299 @@ let[@inline] eval_cmp c a b =
    impossible in code that passed the install gate (Jit_check). *)
 let stuck : nfn = fun _ -> rerr "execution ran past end of code"
 
+(* A superinstruction selected at some pc: its name, the source
+   instructions it covers, whether it ends its straight-line run (a
+   control transfer), and its effect closure. *)
+type fused = { name : string; width : int; ends_run : bool; fn : nfn }
+
+(* Superinstruction selection at [pc]; the longest pattern wins. Each
+   pattern is written once, here: its components, its name, and the
+   closure performing their combined effect. A straight-line closure
+   tails into [chain_at (pc + width)], the effect chain after it; a
+   control transfer re-enters through the entry closure of its target in
+   [nfns] (read at run time, so [nfns] may still be under construction).
+   The components are all plain-cost instructions (no calls, allocations
+   or guards), so a superinstruction charges exactly [width * icost] —
+   the entry closure prepays it with the rest of its run. Operand-check
+   order follows the source instructions: where a component's operand
+   is checked first in [step], it is checked first here. *)
+let select ~(nfns : nfn array) ~(chain_at : int -> nfn)
+    (instrs : Instr.t array) pc : fused option =
+  let n = Array.length instrs in
+  let at k = if pc + k < n then Some instrs.(pc + k) else None in
+  let straight name width fn = Some { name; width; ends_run = false; fn } in
+  let transfer name width fn = Some { name; width; ends_run = true; fn } in
+  match (instrs.(pc), at 1, at 2, at 3) with
+  | ( Instr.Load i,
+      Some (Instr.Load j),
+      Some (Instr.Binop op),
+      Some (Instr.Store d) ) ->
+      let k = chain_at (pc + 4) in
+      straight "load2_binop_store" 4 (fun st ->
+          let regs = st.w_regs in
+          let b = as_int (Array.unsafe_get regs j) in
+          let a = as_int (Array.unsafe_get regs i) in
+          set_int regs d (eval_binop op a b);
+          k st)
+  | Instr.Load i, Some (Instr.Load j), Some (Instr.Binop op), _ ->
+      let k = chain_at (pc + 3) in
+      straight "load2_binop" 3 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = as_int (Array.unsafe_get regs j) in
+          let a = as_int (Array.unsafe_get regs i) in
+          set_int regs sp (eval_binop op a b);
+          st.w_sp <- sp + 1;
+          k st)
+  | ( Instr.Load i,
+      Some (Instr.Load j),
+      Some (Instr.Cmp c),
+      Some (Instr.Jump_ifnot target) ) ->
+      let next = pc + 4 in
+      transfer "load2_cmp_jumpifnot" 4 (fun st ->
+          let regs = st.w_regs in
+          let r =
+            eval_cmp c (Array.unsafe_get regs i) (Array.unsafe_get regs j)
+          in
+          if r <> 0 then (Array.unsafe_get nfns next) st
+          else (Array.unsafe_get nfns target) st)
+  | Instr.Load i, Some (Instr.Load j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "load2" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          set regs sp (Array.unsafe_get regs i);
+          set regs (sp + 1) (Array.unsafe_get regs j);
+          st.w_sp <- sp + 2;
+          k st)
+  | ( Instr.Load i,
+      Some (Instr.Const c),
+      Some (Instr.Binop op),
+      Some (Instr.Store d) ) ->
+      let k = chain_at (pc + 4) in
+      straight "load_const_binop_store" 4 (fun st ->
+          let regs = st.w_regs in
+          let a = as_int (Array.unsafe_get regs i) in
+          set_int regs d (eval_binop op a c);
+          k st)
+  | Instr.Load i, Some (Instr.Const c), Some (Instr.Binop op), _ ->
+      let k = chain_at (pc + 3) in
+      straight "load_const_binop" 3 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let a = as_int (Array.unsafe_get regs i) in
+          set_int regs sp (eval_binop op a c);
+          st.w_sp <- sp + 1;
+          k st)
+  | ( Instr.Load i,
+      Some (Instr.Const c),
+      Some (Instr.Cmp cmp),
+      Some (Instr.Jump_ifnot target) ) ->
+      let v = of_int c in
+      let next = pc + 4 in
+      transfer "load_const_cmp_jumpifnot" 4 (fun st ->
+          let r = eval_cmp cmp (Array.unsafe_get st.w_regs i) v in
+          if r <> 0 then (Array.unsafe_get nfns next) st
+          else (Array.unsafe_get nfns target) st)
+  | Instr.Load i, Some (Instr.Store j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "load_store" 2 (fun st ->
+          let regs = st.w_regs in
+          set regs j (Array.unsafe_get regs i);
+          k st)
+  | Instr.Load i, Some (Instr.Get_field f), Some (Instr.Store d), _ ->
+      let k = chain_at (pc + 3) in
+      straight "load_getfield_store" 3 (fun st ->
+          let regs = st.w_regs in
+          let o = as_obj (Array.unsafe_get regs i) in
+          set regs d o.Value.fields.(f);
+          k st)
+  | Instr.Load i, Some (Instr.Get_field f), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "load_getfield" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let o = as_obj (Array.unsafe_get regs i) in
+          set regs sp o.Value.fields.(f);
+          st.w_sp <- sp + 1;
+          k st)
+  | Instr.Load i, Some (Instr.Jump_ifnot target), _, _ ->
+      let next = pc + 2 in
+      transfer "load_jumpifnot" 2 (fun st ->
+          if truthy (Array.unsafe_get st.w_regs i) then
+            (Array.unsafe_get nfns next) st
+          else (Array.unsafe_get nfns target) st)
+  | Instr.Load i, Some (Instr.Binop op), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "load_binop" 2 (fun st ->
+          (* the loaded local is the top operand [b] of the binop *)
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = as_int (Array.unsafe_get regs i) in
+          let a = as_int (Array.unsafe_get regs (sp - 1)) in
+          set_int regs (sp - 1) (eval_binop op a b);
+          k st)
+  | Instr.Load i, Some (Instr.Cmp c), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "load_cmp" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = Array.unsafe_get regs i in
+          let a = Array.unsafe_get regs (sp - 1) in
+          set_int regs (sp - 1) (eval_cmp c a b);
+          k st)
+  | Instr.Load i, Some Instr.Array_get, _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "load_arrayget" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let idx = as_int (Array.unsafe_get regs i) in
+          let a = as_arr (Array.unsafe_get regs (sp - 1)) in
+          if idx < 0 || idx >= Array.length a then
+            rerr "array index %d out of bounds (length %d)" idx
+              (Array.length a);
+          set regs (sp - 1) (Array.unsafe_get a idx);
+          k st)
+  | Instr.Store i, Some (Instr.Load j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "store_load" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          set regs i (Array.unsafe_get regs (sp - 1));
+          set regs (sp - 1) (Array.unsafe_get regs j);
+          k st)
+  | Instr.Store i, Some (Instr.Store j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "store_store" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          set regs i (Array.unsafe_get regs (sp - 1));
+          set regs j (Array.unsafe_get regs (sp - 2));
+          st.w_sp <- sp - 2;
+          k st)
+  | Instr.Store i, Some (Instr.Jump target), _, _ ->
+      transfer "store_jump" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp - 1 in
+          set regs i (Array.unsafe_get regs sp);
+          st.w_sp <- sp;
+          (Array.unsafe_get nfns target) st)
+  | Instr.Get_field f, Some (Instr.Load j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "getfield_load" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let o = as_obj (Array.unsafe_get regs (sp - 1)) in
+          set regs (sp - 1) o.Value.fields.(f);
+          set regs sp (Array.unsafe_get regs j);
+          st.w_sp <- sp + 1;
+          k st)
+  | Instr.Const c, Some (Instr.Store j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "const_store" 2 (fun st ->
+          set_int st.w_regs j c;
+          k st)
+  | Instr.Const c, Some (Instr.Binop op), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "const_binop" 2 (fun st ->
+          (* the constant is the top operand [b]; it is an integer by
+             construction, so only [a] needs the dynamic check *)
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let a = as_int (Array.unsafe_get regs (sp - 1)) in
+          set_int regs (sp - 1) (eval_binop op a c);
+          k st)
+  | Instr.Const c, Some (Instr.Cmp cmp), _, _ ->
+      let v = of_int c in
+      let k = chain_at (pc + 2) in
+      straight "const_cmp" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let a = Array.unsafe_get regs (sp - 1) in
+          set_int regs (sp - 1) (eval_cmp cmp a v);
+          k st)
+  | Instr.Cmp c, Some (Instr.Jump_ifnot target), _, _ ->
+      let next = pc + 2 in
+      transfer "cmp_jumpifnot" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = Array.unsafe_get regs (sp - 1) in
+          let a = Array.unsafe_get regs (sp - 2) in
+          st.w_sp <- sp - 2;
+          if eval_cmp c a b <> 0 then (Array.unsafe_get nfns next) st
+          else (Array.unsafe_get nfns target) st)
+  | Instr.Cmp c, Some (Instr.Jump_if target), _, _ ->
+      let next = pc + 2 in
+      transfer "cmp_jumpif" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = Array.unsafe_get regs (sp - 1) in
+          let a = Array.unsafe_get regs (sp - 2) in
+          st.w_sp <- sp - 2;
+          if eval_cmp c a b <> 0 then (Array.unsafe_get nfns target) st
+          else (Array.unsafe_get nfns next) st)
+  | Instr.Binop op, Some (Instr.Store j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "binop_store" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = as_int (Array.unsafe_get regs (sp - 1)) in
+          let a = as_int (Array.unsafe_get regs (sp - 2)) in
+          set_int regs j (eval_binop op a b);
+          st.w_sp <- sp - 2;
+          k st)
+  | Instr.Binop op, Some (Instr.Const c), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "binop_const" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = as_int (Array.unsafe_get regs (sp - 1)) in
+          let a = as_int (Array.unsafe_get regs (sp - 2)) in
+          set_int regs (sp - 2) (eval_binop op a b);
+          set_int regs (sp - 1) c;
+          k st)
+  | Instr.Binop op1, Some (Instr.Binop op2), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "binop_binop" 2 (fun st ->
+          (* the first result is the (always-integer) top operand of the
+             second binop, so it is never stored *)
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let b = as_int (Array.unsafe_get regs (sp - 1)) in
+          let a = as_int (Array.unsafe_get regs (sp - 2)) in
+          let r1 = eval_binop op1 a b in
+          let a2 = as_int (Array.unsafe_get regs (sp - 3)) in
+          set_int regs (sp - 3) (eval_binop op2 a2 r1);
+          st.w_sp <- sp - 2;
+          k st)
+  | Instr.Array_get, Some (Instr.Store j), _, _ ->
+      let k = chain_at (pc + 2) in
+      straight "arrayget_store" 2 (fun st ->
+          let regs = st.w_regs in
+          let sp = st.w_sp in
+          let idx = as_int (Array.unsafe_get regs (sp - 1)) in
+          let a = as_arr (Array.unsafe_get regs (sp - 2)) in
+          if idx < 0 || idx >= Array.length a then
+            rerr "array index %d out of bounds (length %d)" idx
+              (Array.length a);
+          set regs j (Array.unsafe_get a idx);
+          st.w_sp <- sp - 2;
+          k st)
+  | _ -> None
+
+let fuse_at instrs pc =
+  Option.map
+    (fun f -> (f.name, f.width))
+    (select ~nfns:[||] ~chain_at:(fun _ -> stuck) instrs pc)
+
 let compile (t : t) (code : Code.t) : nfn array * int array =
-  let dc = Dcode.of_code t.cost code in
-  let ops = dc.Dcode.ops in
-  let icost = dc.Dcode.icost in
-  let n = Array.length ops in
+  let instrs = code.Code.instrs in
+  let icost =
+    match code.Code.tier with
+    | Code.Baseline -> t.cost.Cost.baseline_instr
+    | Code.Optimized -> t.cost.Cost.opt_instr
+  in
+  let n = Array.length instrs in
   let nfns : nfn array = Array.make (max 1 n) stuck in
   (* [chain.(pc)]: the effect chain from [pc] to the end of its run,
      valid only when the entry closure has already prepaid the whole
@@ -157,14 +452,15 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
   let cnt = Array.make (max 1 n) 0 in
   let chain_at i = if i < n then chain.(i) else stuck in
   let cnt_at i = if i < n then cnt.(i) else 0 in
-  (* One closure per op with a non-uniform charge: a line-for-line
-     transcription of [step]'s branch, ending the prepaid regime (these
-     are entered with the budget *not* prepaid, and settle themselves).
-     Each reads the state it needs out of [st] before any re-entrant
-     dispatch ([invoke]/[continue_window]) can repopulate it. *)
-  let breaker pc op : nfn =
-    match (op : Dcode.op) with
-    | Dcode.Call mid ->
+  (* One closure per instruction with a non-uniform charge: a
+     line-for-line transcription of [step]'s branch, ending the prepaid
+     regime (these are entered with the budget *not* prepaid, and settle
+     themselves). Each reads the state it needs out of [st] before any
+     re-entrant dispatch ([invoke]/[continue_window]) can repopulate
+     it. *)
+  let breaker pc (ins : Instr.t) : nfn =
+    match ins with
+    | Instr.Call_static mid | Instr.Call_direct mid ->
         fun st ->
           let t = st.w_t in
           let fr = st.w_fr in
@@ -181,7 +477,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             invoke t mid;
             continue_window t
           end
-    | Dcode.Call_virtual (sel, argc) ->
+    | Instr.Call_virtual (sel, argc) ->
         fun st ->
           let t = st.w_t in
           let fr = st.w_fr in
@@ -201,7 +497,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             invoke t (dispatch_target t recv sel);
             continue_window t
           end
-    | Dcode.Guard g ->
+    | Instr.Guard_method g ->
         fun st ->
           let t = st.w_t in
           let nin = st.w_nin in
@@ -243,7 +539,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             st.w_nin <- 0;
             (Array.unsafe_get nfns pc') st
           end
-    | Dcode.New cid ->
+    | Instr.New cid ->
         fun st ->
           let t = st.w_t in
           let nin = st.w_nin in
@@ -264,7 +560,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             st.w_nin <- 0;
             (Array.unsafe_get nfns (pc + 1)) st
           end
-    | Dcode.Array_new ->
+    | Instr.Array_new ->
         fun st ->
           let t = st.w_t in
           let nin = st.w_nin in
@@ -289,7 +585,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             st.w_nin <- 0;
             (Array.unsafe_get nfns (pc + 1)) st
           end
-    | Dcode.Return ->
+    | Instr.Return ->
         fun st ->
           let t = st.w_t in
           let nin = st.w_nin in
@@ -311,7 +607,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
               continue_window t
             end
           end
-    | Dcode.Return_void ->
+    | Instr.Return_void ->
         fun st ->
           let t = st.w_t in
           let nin = st.w_nin in
@@ -332,45 +628,50 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           end
     | _ -> assert false
   in
-  (* Effect closure for one uniform-charge op: perform the (possibly
-     fused) effect, write back the fields it moved, and tail into the
-     captured successor — accounting untouched, the entry closure
-     prepaid it. Effects are copied from [step]'s fused fast paths,
-     including operand-check order. *)
-  let effect_link op (k : nfn) : nfn =
-    match (op : Dcode.op) with
-    | Dcode.Const v ->
+  (* Effect closure for one uniform-charge instruction: perform its
+     effect, write back the fields it moved, and tail into the captured
+     successor — accounting untouched, the entry closure prepaid it.
+     Effects are [step]'s, including operand-check order. *)
+  let effect_link (ins : Instr.t) (k : nfn) : nfn =
+    match ins with
+    | Instr.Const c ->
         fun st ->
           let sp = st.w_sp in
-          set st.w_regs sp v;
+          set_int st.w_regs sp c;
           st.w_sp <- sp + 1;
           k st
-    | Dcode.Load i ->
+    | Instr.Const_null ->
+        fun st ->
+          let sp = st.w_sp in
+          set st.w_regs sp Value.null;
+          st.w_sp <- sp + 1;
+          k st
+    | Instr.Load i ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
           set regs sp (Array.unsafe_get regs i);
           st.w_sp <- sp + 1;
           k st
-    | Dcode.Store i ->
+    | Instr.Store i ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp - 1 in
           set regs i (Array.unsafe_get regs sp);
           st.w_sp <- sp;
           k st
-    | Dcode.Dup ->
+    | Instr.Dup ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
           set regs sp (Array.unsafe_get regs (sp - 1));
           st.w_sp <- sp + 1;
           k st
-    | Dcode.Pop ->
+    | Instr.Pop ->
         fun st ->
           st.w_sp <- st.w_sp - 1;
           k st
-    | Dcode.Swap ->
+    | Instr.Swap ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
@@ -378,7 +679,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           set regs (sp - 1) (Array.unsafe_get regs (sp - 2));
           set regs (sp - 2) a;
           k st
-    | Dcode.Binop op ->
+    | Instr.Binop op ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
@@ -388,20 +689,20 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           set_int regs (sp - 1) (eval_binop op a b);
           st.w_sp <- sp;
           k st
-    | Dcode.Neg ->
+    | Instr.Neg ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
           set_int regs (sp - 1) (-as_int (Array.unsafe_get regs (sp - 1)));
           k st
-    | Dcode.Not ->
+    | Instr.Not ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
           set_int regs (sp - 1)
             (if truthy (Array.unsafe_get regs (sp - 1)) then 0 else 1);
           k st
-    | Dcode.Cmp c ->
+    | Instr.Cmp c ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
@@ -411,14 +712,14 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           set_int regs (sp - 1) (eval_cmp c a b);
           st.w_sp <- sp;
           k st
-    | Dcode.Get_field i ->
+    | Instr.Get_field i ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
           let o = as_obj (Array.unsafe_get regs (sp - 1)) in
           set regs (sp - 1) o.Value.fields.(i);
           k st
-    | Dcode.Put_field i ->
+    | Instr.Put_field i ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
@@ -427,19 +728,19 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           store o.Value.fields i v;
           st.w_sp <- sp - 2;
           k st
-    | Dcode.Get_global i ->
+    | Instr.Get_global i ->
         fun st ->
           let sp = st.w_sp in
           set st.w_regs sp st.w_t.globals.(i);
           st.w_sp <- sp + 1;
           k st
-    | Dcode.Put_global i ->
+    | Instr.Put_global i ->
         fun st ->
           let sp = st.w_sp - 1 in
           store st.w_t.globals i (Array.unsafe_get st.w_regs sp);
           st.w_sp <- sp;
           k st
-    | Dcode.Array_get ->
+    | Instr.Array_get ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
@@ -451,7 +752,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           set regs (sp - 1) (Array.unsafe_get a i);
           st.w_sp <- sp;
           k st
-    | Dcode.Array_set ->
+    | Instr.Array_set ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
@@ -463,14 +764,14 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           set a i v;
           st.w_sp <- sp - 3;
           k st
-    | Dcode.Array_len ->
+    | Instr.Array_len ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
           let a = as_arr (Array.unsafe_get regs (sp - 1)) in
           set_int regs (sp - 1) (Array.length a);
           k st
-    | Dcode.Instance_of cid ->
+    | Instr.Instance_of cid ->
         fun st ->
           let regs = st.w_regs in
           let sp = st.w_sp in
@@ -485,287 +786,73 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           in
           set_int regs (sp - 1) (if r then 1 else 0);
           k st
-    | Dcode.Print_int ->
+    | Instr.Print_int ->
         fun st ->
           let t = st.w_t in
           let sp = st.w_sp - 1 in
           t.output_rev <- as_int (Array.unsafe_get st.w_regs sp) :: t.output_rev;
           st.w_sp <- sp;
           k st
-    | Dcode.Nop -> fun st -> k st
-    (* fused, non-control *)
-    | Dcode.Load2_binop (i, j, op) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs j) in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs sp (eval_binop op a b);
-          st.w_sp <- sp + 1;
-          k st
-    | Dcode.Load_const_binop (i, c, op) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs sp (eval_binop op a c);
-          st.w_sp <- sp + 1;
-          k st
-    | Dcode.Load2_binop_store (i, j, op, d) ->
-        fun st ->
-          let regs = st.w_regs in
-          let b = as_int (Array.unsafe_get regs j) in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs d (eval_binop op a b);
-          k st
-    | Dcode.Load_const_binop_store (i, c, op, d) ->
-        fun st ->
-          let regs = st.w_regs in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs d (eval_binop op a c);
-          k st
-    | Dcode.Load_getfield_store (i, f, d) ->
-        fun st ->
-          let regs = st.w_regs in
-          let o = as_obj (Array.unsafe_get regs i) in
-          set regs d o.Value.fields.(f);
-          k st
-    | Dcode.Load_store (i, j) ->
-        fun st ->
-          let regs = st.w_regs in
-          set regs j (Array.unsafe_get regs i);
-          k st
-    | Dcode.Const_store (v, j) ->
-        fun st ->
-          set st.w_regs j v;
-          k st
-    | Dcode.Load_getfield (i, f) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let o = as_obj (Array.unsafe_get regs i) in
-          set regs sp o.Value.fields.(f);
-          st.w_sp <- sp + 1;
-          k st
-    | Dcode.Load2 (i, j) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs sp (Array.unsafe_get regs i);
-          set regs (sp + 1) (Array.unsafe_get regs j);
-          st.w_sp <- sp + 2;
-          k st
-    | Dcode.Binop_store (op, j) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          set_int regs j (eval_binop op a b);
-          st.w_sp <- sp - 2;
-          k st
-    | Dcode.Const_binop (c, op) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = as_int (Array.unsafe_get regs (sp - 1)) in
-          set_int regs (sp - 1) (eval_binop op a c);
-          k st
-    | Dcode.Store_load (i, j) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs i (Array.unsafe_get regs (sp - 1));
-          set regs (sp - 1) (Array.unsafe_get regs j);
-          k st
-    | Dcode.Store_store (i, j) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs i (Array.unsafe_get regs (sp - 1));
-          set regs j (Array.unsafe_get regs (sp - 2));
-          st.w_sp <- sp - 2;
-          k st
-    | Dcode.Getfield_load (f, j) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let o = as_obj (Array.unsafe_get regs (sp - 1)) in
-          set regs (sp - 1) o.Value.fields.(f);
-          set regs sp (Array.unsafe_get regs j);
-          st.w_sp <- sp + 1;
-          k st
-    | Dcode.Load_binop (i, op) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs i) in
-          let a = as_int (Array.unsafe_get regs (sp - 1)) in
-          set_int regs (sp - 1) (eval_binop op a b);
-          k st
-    | Dcode.Load_cmp (i, c) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = Array.unsafe_get regs i in
-          let a = Array.unsafe_get regs (sp - 1) in
-          set_int regs (sp - 1) (eval_cmp c a b);
-          k st
-    | Dcode.Load_arrayget i ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let idx = as_int (Array.unsafe_get regs i) in
-          let a = as_arr (Array.unsafe_get regs (sp - 1)) in
-          if idx < 0 || idx >= Array.length a then
-            rerr "array index %d out of bounds (length %d)" idx
-              (Array.length a);
-          set regs (sp - 1) (Array.unsafe_get a idx);
-          k st
-    | Dcode.Binop_const (op, v) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          set_int regs (sp - 2) (eval_binop op a b);
-          set regs (sp - 1) v;
-          k st
-    | Dcode.Binop_binop (op1, op2) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          let r1 = eval_binop op1 a b in
-          let a2 = as_int (Array.unsafe_get regs (sp - 3)) in
-          set_int regs (sp - 3) (eval_binop op2 a2 r1);
-          st.w_sp <- sp - 2;
-          k st
-    | Dcode.Const_cmp (v, c) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = Array.unsafe_get regs (sp - 1) in
-          set_int regs (sp - 1) (eval_cmp c a v);
-          k st
-    | Dcode.Arrayget_store j ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let idx = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_arr (Array.unsafe_get regs (sp - 2)) in
-          if idx < 0 || idx >= Array.length a then
-            rerr "array index %d out of bounds (length %d)" idx
-              (Array.length a);
-          set regs j (Array.unsafe_get a idx);
-          st.w_sp <- sp - 2;
-          k st
-    | Dcode.Jump _ | Dcode.Jump_if _ | Dcode.Jump_ifnot _
-    | Dcode.Load2_cmp_jumpifnot _ | Dcode.Load_const_cmp_jumpifnot _
-    | Dcode.Cmp_jumpifnot _ | Dcode.Cmp_jumpif _ | Dcode.Store_jump _
-    | Dcode.Load_jumpifnot _ | Dcode.Call _ | Dcode.Call_virtual _
-    | Dcode.Guard _ | Dcode.New _ | Dcode.Array_new | Dcode.Return
-    | Dcode.Return_void ->
+    | Instr.Nop -> fun st -> k st
+    | Instr.Jump _ | Instr.Jump_if _ | Instr.Jump_ifnot _ | Instr.Call_static _
+    | Instr.Call_direct _ | Instr.Call_virtual _ | Instr.Guard_method _
+    | Instr.New _ | Instr.Array_new | Instr.Return | Instr.Return_void ->
         assert false
   in
-  (* Effect closure for a run-terminating control transfer: both
-     successors re-enter through their target's *entry* closure (looked
-     up at run time in [nfns]), which re-checks the budget for its own
-     run. *)
-  let term_link op ~next : nfn =
-    match (op : Dcode.op) with
-    | Dcode.Jump target -> fun st -> (Array.unsafe_get nfns target) st
-    | Dcode.Jump_if target ->
+  (* Effect closure for a run-terminating jump: both successors re-enter
+     through their target's *entry* closure (looked up at run time in
+     [nfns]), which re-checks the budget for its own run. *)
+  let term_link (ins : Instr.t) ~next : nfn =
+    match ins with
+    | Instr.Jump target -> fun st -> (Array.unsafe_get nfns target) st
+    | Instr.Jump_if target ->
         fun st ->
           let sp = st.w_sp - 1 in
           st.w_sp <- sp;
           if truthy (Array.unsafe_get st.w_regs sp) then
             (Array.unsafe_get nfns target) st
           else (Array.unsafe_get nfns next) st
-    | Dcode.Jump_ifnot target ->
+    | Instr.Jump_ifnot target ->
         fun st ->
           let sp = st.w_sp - 1 in
           st.w_sp <- sp;
           if truthy (Array.unsafe_get st.w_regs sp) then
             (Array.unsafe_get nfns next) st
           else (Array.unsafe_get nfns target) st
-    | Dcode.Load2_cmp_jumpifnot (i, j, c, target) ->
-        fun st ->
-          let regs = st.w_regs in
-          let r =
-            eval_cmp c (Array.unsafe_get regs i) (Array.unsafe_get regs j)
-          in
-          if r <> 0 then (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st
-    | Dcode.Load_const_cmp_jumpifnot (i, v, c, target) ->
-        fun st ->
-          let r = eval_cmp c (Array.unsafe_get st.w_regs i) v in
-          if r <> 0 then (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st
-    | Dcode.Cmp_jumpifnot (c, target) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = Array.unsafe_get regs (sp - 1) in
-          let a = Array.unsafe_get regs (sp - 2) in
-          st.w_sp <- sp - 2;
-          if eval_cmp c a b <> 0 then (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st
-    | Dcode.Cmp_jumpif (c, target) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = Array.unsafe_get regs (sp - 1) in
-          let a = Array.unsafe_get regs (sp - 2) in
-          st.w_sp <- sp - 2;
-          if eval_cmp c a b <> 0 then (Array.unsafe_get nfns target) st
-          else (Array.unsafe_get nfns next) st
-    | Dcode.Store_jump (i, target) ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp - 1 in
-          set regs i (Array.unsafe_get regs sp);
-          st.w_sp <- sp;
-          (Array.unsafe_get nfns target) st
-    | Dcode.Load_jumpifnot (i, target) ->
-        fun st ->
-          if truthy (Array.unsafe_get st.w_regs i) then
-            (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st
     | _ -> assert false
   in
-  (* Pass 1, high pc to low: effect chains and prepayment counts. A
-     successor's chain is always built before its predecessors, so
-     straight-line links capture it directly — the only run-time table
-     lookups are at control transfers. *)
+  (* Pass 1, high pc to low: effect chains and prepayment counts, taking
+     a superinstruction wherever {!select} finds one. A successor's chain
+     is always built before its predecessors, so straight-line links
+     capture it directly — the only run-time table lookups are at control
+     transfers. *)
   for pc = n - 1 downto 0 do
-    let op = ops.(pc) in
-    match op with
-    | Dcode.Call _ | Dcode.Call_virtual _ | Dcode.Guard _ | Dcode.New _
-    | Dcode.Array_new | Dcode.Return | Dcode.Return_void ->
-        let b = breaker pc op in
-        nfns.(pc) <- b;
-        chain.(pc) <- b;
-        cnt.(pc) <- 0
-    | Dcode.Jump _ | Dcode.Jump_if _ | Dcode.Jump_ifnot _
-    | Dcode.Load2_cmp_jumpifnot _ | Dcode.Load_const_cmp_jumpifnot _
-    | Dcode.Cmp_jumpifnot _ | Dcode.Cmp_jumpif _ | Dcode.Store_jump _
-    | Dcode.Load_jumpifnot _ ->
-        let w = Dcode.width op in
-        chain.(pc) <- term_link op ~next:(pc + w);
-        cnt.(pc) <- w
-    | _ ->
-        let w = Dcode.width op in
-        let next = pc + w in
-        chain.(pc) <- effect_link op (chain_at next);
-        cnt.(pc) <- w + cnt_at next
+    match select ~nfns ~chain_at instrs pc with
+    | Some f ->
+        chain.(pc) <- f.fn;
+        cnt.(pc) <-
+          (if f.ends_run then f.width else f.width + cnt_at (pc + f.width))
+    | None -> (
+        match instrs.(pc) with
+        | ( Instr.Call_static _ | Instr.Call_direct _ | Instr.Call_virtual _
+          | Instr.Guard_method _ | Instr.New _ | Instr.Array_new | Instr.Return
+          | Instr.Return_void ) as ins ->
+            let b = breaker pc ins in
+            nfns.(pc) <- b;
+            chain.(pc) <- b;
+            cnt.(pc) <- 0
+        | (Instr.Jump _ | Instr.Jump_if _ | Instr.Jump_ifnot _) as ins ->
+            chain.(pc) <- term_link ins ~next:(pc + 1);
+            cnt.(pc) <- 1
+        | ins ->
+            chain.(pc) <- effect_link ins (chain_at (pc + 1));
+            cnt.(pc) <- 1 + cnt_at (pc + 1))
   done;
   (* Pass 2: entry closures for every pc inside a run. The prepayment
      inequality [rem > (c - 1) * icost] is exactly the condition under
      which [step] executes [c] more uniform-cost instructions without a
      timer check becoming due; when it fails, the window tail belongs to
-     [step] itself. *)
+     [step] itself, on the source instructions. *)
   for pc = 0 to n - 1 do
     let c = cnt.(pc) in
     if c > 0 then begin
@@ -782,7 +869,8 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           end
           else
             let regs = st.w_regs in
-            step st.w_t st.w_fr ops icost regs regs pc st.w_sp rem st.w_nin)
+            step st.w_t st.w_fr instrs icost regs regs pc st.w_sp rem
+              st.w_nin)
     end
   done;
   (* Operand-stack entry depths, for the OSR-transfer cross-check: the

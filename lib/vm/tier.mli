@@ -1,19 +1,20 @@
 (** The closure ("native") second execution tier.
 
-    Compiles a method's installed {!Code.t} — via its pre-decoded,
-    superinstruction-fused {!Dcode} form — into direct-threaded chains of
-    OCaml closures, the technique of the OCamlJIT line of work: one entry
-    closure per source pc, straight-line runs linked by directly captured
-    successor closures, control transfers re-entering through the target's
-    entry closure. Frames, operand layout, the virtual clock, hooks and
-    preemption windows are all shared with {!Interp}; the tier is an exact
-    host-speed re-encoding of the interpreter's observable semantics.
-    Window accounting is *prepaid* per straight-line run using the same
-    inequality the interpreter's own fused fast paths use, and any run
-    that no longer fits the window is handed back to {!Interp.step}, so
-    cycle counts, hook firing points, counters and output stay
-    bit-identical to {!Interp.run_reference} (enforced by the
-    differential tests).
+    Compiles a method's installed {!Code.t} into direct-threaded chains
+    of OCaml closures, the technique of the OCamlJIT line of work: one
+    entry closure per source pc, straight-line runs linked by directly
+    captured successor closures, control transfers re-entering through
+    the target's entry closure. Common straight-line sequences
+    ([load;load;binop], [load;const;cmp;jump_ifnot], ...) compile to one
+    superinstruction closure each ({!fuse_at}); superinstructions exist
+    only here, never in {!Interp.step}. Frames, operand layout, the
+    virtual clock, hooks and preemption windows are all shared with
+    {!Interp}; the tier is an exact host-speed re-encoding of the
+    interpreter's observable semantics. Window accounting is *prepaid*
+    per straight-line run, and any run that no longer fits the window is
+    handed back to {!Interp.step} on the source instructions, so cycle
+    counts, hook firing points, counters and output stay bit-identical
+    to {!Interp.run_reference} (enforced by the differential tests).
 
     Installation is gated by the AOS ({!Acsi_aos}): only methods whose
     optimized code passes [Jit_check] are compiled to this tier, so the
@@ -27,6 +28,14 @@ val compile : Interp.t -> Code.t -> Interp.nfn array * int array
     per source pc) plus the operand-stack entry depth per pc (from
     {!Verify.entry_depths}, used to cross-check OSR transfers onto
     compiled entry points). Does not install anything. *)
+
+val fuse_at : Instr.t array -> int -> (string * int) option
+(** [fuse_at instrs pc] is the superinstruction {!compile} selects at
+    [pc] — its name and the number of source instructions it covers —
+    or [None] when [pc] compiles to a plain closure. The longest
+    matching pattern wins; every component has a plain per-dispatch
+    cost, so a superinstruction charges exactly [width] instructions'
+    worth of cycles. *)
 
 val install : Interp.t -> Ids.Method_id.t -> Code.t -> unit
 (** Compile [code] — which must be what {!Interp.install_code} most

@@ -272,16 +272,13 @@ let test_cross_domain_determinism () =
 
 (* --- satellite: the fused superinstruction table, as coverage --- *)
 
-module Dcode = Acsi_vm.Dcode
-module Cost = Acsi_vm.Cost
 module Instr = Acsi_bytecode.Instr
-module Ids = Acsi_bytecode.Ids
 
-(* One row per superinstruction in Dcode's fuse table: the shortest
-   source sequence that must fuse slot 0 into exactly that op. If a
-   pattern is dropped, or longest-match priority changes, the row
-   fails; if a new superinstruction is added without a row here, the
-   count check fails. *)
+(* One row per superinstruction the closure tier selects
+   ([Tier.fuse_at]): the shortest source sequence that must fuse pc 0
+   into exactly that pattern. If a pattern is dropped, or longest-match
+   priority changes, the row fails; if a new superinstruction is added
+   without a row here, the count check fails. *)
 let fusion_rows =
   let open Instr in
   [
@@ -314,68 +311,47 @@ let fusion_rows =
     ("arrayget_store", [ Array_get; Store 0 ]);
   ]
 
-let fused_kind = function
-  | Dcode.Load2 _ -> Some "load2"
-  | Dcode.Load2_binop _ -> Some "load2_binop"
-  | Dcode.Load2_binop_store _ -> Some "load2_binop_store"
-  | Dcode.Load2_cmp_jumpifnot _ -> Some "load2_cmp_jumpifnot"
-  | Dcode.Load_const_binop _ -> Some "load_const_binop"
-  | Dcode.Load_const_binop_store _ -> Some "load_const_binop_store"
-  | Dcode.Load_const_cmp_jumpifnot _ -> Some "load_const_cmp_jumpifnot"
-  | Dcode.Load_store _ -> Some "load_store"
-  | Dcode.Load_getfield _ -> Some "load_getfield"
-  | Dcode.Load_getfield_store _ -> Some "load_getfield_store"
-  | Dcode.Load_jumpifnot _ -> Some "load_jumpifnot"
-  | Dcode.Load_binop _ -> Some "load_binop"
-  | Dcode.Load_cmp _ -> Some "load_cmp"
-  | Dcode.Load_arrayget _ -> Some "load_arrayget"
-  | Dcode.Store_load _ -> Some "store_load"
-  | Dcode.Store_store _ -> Some "store_store"
-  | Dcode.Store_jump _ -> Some "store_jump"
-  | Dcode.Getfield_load _ -> Some "getfield_load"
-  | Dcode.Const_store _ -> Some "const_store"
-  | Dcode.Const_binop _ -> Some "const_binop"
-  | Dcode.Const_cmp _ -> Some "const_cmp"
-  | Dcode.Cmp_jumpifnot _ -> Some "cmp_jumpifnot"
-  | Dcode.Cmp_jumpif _ -> Some "cmp_jumpif"
-  | Dcode.Binop_store _ -> Some "binop_store"
-  | Dcode.Binop_const _ -> Some "binop_const"
-  | Dcode.Binop_binop _ -> Some "binop_binop"
-  | Dcode.Arrayget_store _ -> Some "arrayget_store"
-  | _ -> None
+(* Sequences that start like a pattern but complete none: each pc 0
+   compiles to a plain closure. *)
+let unfused_rows =
+  let open Instr in
+  [
+    [ Load 0; Const 3 ];
+    [ Load 0; Const 3; Cmp Lt; Jump 0 ];
+    [ Const_null; Store 0 ];
+    [ Store 0; Binop Add ];
+    [ Cmp Lt; Jump 0 ];
+  ]
 
 let test_fusion_coverage () =
+  let select instrs =
+    Tier.fuse_at (Array.of_list (instrs @ [ Instr.Return_void ])) 0
+  in
   Alcotest.(check int) "every superinstruction has a row" 27
     (List.length fusion_rows);
+  Alcotest.(check int) "the rows select 27 distinct superinstructions" 27
+    (List.length
+       (List.sort_uniq compare
+          (List.filter_map (fun (_, instrs) -> select instrs) fusion_rows)));
   List.iter
     (fun (name, instrs) ->
-      let code =
-        {
-          Code.meth = Ids.Method_id.of_int 0;
-          tier = Code.Baseline;
-          instrs = Array.of_list (instrs @ [ Instr.Return_void ]);
-          max_locals = 8;
-          max_stack = 8;
-          src = None;
-          code_bytes = 0;
-          assumptions = [];
-        }
-      in
-      let dc = Dcode.of_code Cost.default code in
-      let op = dc.Dcode.ops.(0) in
-      Alcotest.(check (option string))
-        (Printf.sprintf "slot 0 fuses to %s" name)
-        (Some name) (fused_kind op);
-      Alcotest.(check int)
-        (Printf.sprintf "%s covers its components" name)
-        (List.length instrs) (Dcode.width op))
-    fusion_rows
+      Alcotest.(check (option (pair string int)))
+        (Printf.sprintf "pc 0 fuses to %s over its components" name)
+        (Some (name, List.length instrs))
+        (select instrs))
+    fusion_rows;
+  List.iteri
+    (fun i instrs ->
+      Alcotest.(check (option (pair string int)))
+        (Printf.sprintf "near miss %d stays plain" i)
+        None (select instrs))
+    unfused_rows
 
-(* Cost neutrality across the corpus: the fused interpreter must match
-   the naive reference loop on the observable output and on every
-   virtual cycle — fused ops charge exactly [width * icost] and fire
-   hooks at the same counts, so the only difference is host dispatch
-   overhead. *)
+(* Cost neutrality across the corpus: the closure tier, with its
+   superinstructions, on every baseline method must match the naive
+   reference loop on the observable output and on every virtual cycle —
+   a superinstruction charges exactly [width * icost] and hooks fire at
+   the same counts, so the only difference is host dispatch overhead. *)
 let test_fusion_cost_neutral () =
   List.iter
     (fun (name, program) ->
@@ -384,7 +360,15 @@ let test_fusion_cost_neutral () =
         exec vm;
         (Interp.output vm, Interp.cycles vm)
       in
-      let out_on, cyc_on = run (fun vm -> Interp.run vm) in
+      let fused vm =
+        Array.iter
+          (fun (m : Acsi_bytecode.Meth.t) ->
+            Tier.install vm m.Acsi_bytecode.Meth.id
+              (Interp.code_of vm m.Acsi_bytecode.Meth.id))
+          (Acsi_bytecode.Program.methods program);
+        Interp.run vm
+      in
+      let out_on, cyc_on = run fused in
       let out_off, cyc_off = run (fun vm -> Interp.run_reference vm) in
       Alcotest.(check (list int))
         (Printf.sprintf "%s: output identical" name)

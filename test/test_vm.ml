@@ -14,13 +14,13 @@ let compile ?(classes = []) ?(globals = []) main =
 (* --- one program, every engine --- *)
 
 (* The three execution engines: the naive [run_reference] loop, the
-   decoded-stream interpreter, and the closure tier with every method
-   installed before the run. The decoded interpreter also runs as the
+   batched interpreter ([step]), and the closure tier with every method
+   installed before the run. The closure tier also runs as the
    [Boundary] engine, with a 1-cycle sample period: every window then
-   admits a single instruction, so every superinstruction takes its
-   single-op fallback in [step]. Each is an independent implementation
-   of the kind checks, so each case below runs on all of them and must
-   end identically. *)
+   admits a single instruction, so no entry closure can prepay a run of
+   two or more instructions, and each such run goes to plain [step] —
+   the one fallback the tier has. Each is an independent implementation of the kind checks,
+   so each case below runs on all of them and must end identically. *)
 type outcome = Printed of int list | Failed of string
 type engine = Reference | Interpreter | Boundary | Closure_tier
 
@@ -29,7 +29,7 @@ let engines = [ Reference; Interpreter; Boundary; Closure_tier ]
 let engine_name = function
   | Reference -> "reference"
   | Interpreter -> "interpreter"
-  | Boundary -> "window-boundary interpreter"
+  | Boundary -> "window-boundary closure tier"
   | Closure_tier -> "closure tier"
 
 let pp_outcome fmt = function
@@ -55,7 +55,7 @@ let run_engine ?(prepare = ignore) engine program =
     else Interp.create program
   in
   prepare vm;
-  if engine = Closure_tier then
+  if engine = Closure_tier || engine = Boundary then
     Array.iter
       (fun (m : Meth.t) ->
         Tier.install vm m.Meth.id (Interp.code_of vm m.Meth.id))
@@ -277,8 +277,8 @@ let test_kind_matrix () =
 (* Code dense in superinstructions (locals and constants feeding
    arithmetic, compares, branches, stores, field and array reads), with
    operands chosen so that swapping or dropping one changes what is
-   printed. On the [Boundary] engine every fused op runs through its
-   single-op fallback in [step]. *)
+   printed. The [Closure_tier] engine runs them as superinstructions;
+   the [Boundary] engine hands each of their runs to plain [step]. *)
 let test_superinstruction_fallbacks () =
   let classes = Dsl.[ cls "P" ~fields:[ "x"; "y" ] [] ] in
   let program =
