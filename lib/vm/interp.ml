@@ -74,6 +74,8 @@ and t = {
      array means the method runs on the interpreter tier. *)
   native_table : nfn array array;
   native_depths : int array array;
+  (* Tier code for [baseline_code], kept for deoptimized frames. *)
+  baseline_native : (nfn array * int array) array;
   (* Per-tier host-time calibration: wall seconds and virtual cycles
      attributed per bucket (0 = interpreter-tier windows, 1 = closure-
      tier windows, 2 = timer hooks / AOS). Sampled at window granularity
@@ -93,28 +95,24 @@ and t = {
   mutable last_thread : thread;
 }
 
-(* A closure-tier entry point executes its frame from the pc the closure
-   was compiled for, reading the execution state out of the VM's one
-   [wst] record (populated by [exec_window]/[continue_window] just
-   before dispatch). Closures take the record instead of six arguments
-   because OCaml applies an unknown single-argument closure directly,
-   while six arguments go through the [caml_apply6] shuffling stub on
-   every link of every effect chain — measurably slower on the chains'
-   hot path. *)
+(* A closure-tier entry point, statement or breaker, reading the
+   execution state out of the VM's one [wst] record (populated by
+   [exec_window]/[continue_window] just before dispatch): OCaml applies
+   an unknown single-argument closure directly, while more arguments go
+   through a [caml_applyN] shuffling stub on every statement. *)
 and nfn = wst -> unit
 
-(* The closure tier's execution state, threaded through [nfn] chains by
-   mutation. One record per VM: a window is entered, run and left before
-   the driver dispatches the next one, and re-entrant dispatches (calls,
-   returns, OSR restarts inside a window) each re-populate the fields
-   before jumping, so no two live uses overlap. [w_rem] is the virtual
-   cycles until the next timer check; [w_nin] the instructions executed
-   but not yet settled (see [flush]). *)
+(* The closure tier's execution state, threaded through [nfn] closures
+   by mutation. One record per VM: a window is entered, run and left
+   before the driver dispatches the next one, and re-entrant dispatches
+   (calls, returns, OSR restarts) re-populate the fields before jumping.
+   No stack pointer: the tier's stack slots are static per pc. [w_rem]
+   is the virtual cycles until the next timer check; [w_nin] the
+   instructions executed but not yet settled (see [flush]). *)
 and wst = {
   w_t : t;
   mutable w_fr : frame;
   mutable w_regs : Value.t array;
-  mutable w_sp : int;  (* absolute, like [f_sp] *)
   mutable w_rem : int;
   mutable w_nin : int;
 }
@@ -194,6 +192,7 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     window_end = max_int;
     native_table = Array.make (Array.length methods) [||];
     native_depths = Array.make (Array.length methods) [||];
+    baseline_native = Array.make (Array.length methods) ([||], [||]);
     calibrate = false;
     cal_cycles = Array.make (Array.length cal_buckets) 0;
     cal_host_s = Array.make (Array.length cal_buckets) 0.0;
@@ -206,7 +205,6 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
       w_t = t;
       w_fr = (Obj.magic 0 : frame);
       w_regs = [||];
-      w_sp = 0;
       w_rem = 0;
       w_nin = 0;
     }
@@ -233,7 +231,9 @@ let install_native t (mid : Ids.Method_id.t) ~fns ~entry_depths =
   if Array.length fns <> Array.length t.code_table.((mid :> int)).Code.instrs
   then invalid_arg "Interp.install_native: entry count mismatch";
   t.native_table.((mid :> int)) <- fns;
-  t.native_depths.((mid :> int)) <- entry_depths
+  t.native_depths.((mid :> int)) <- entry_depths;
+  if t.code_table.((mid :> int)) == t.baseline_code.((mid :> int)) then
+    t.baseline_native.((mid :> int)) <- (fns, entry_depths)
 
 let native_installed t (mid : Ids.Method_id.t) =
   Array.length t.native_table.((mid :> int)) > 0
@@ -489,10 +489,15 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
   let opt_regs = fr.f_regs in
   let opt_base = fr.f_base in
   t.depth <- t.depth - 1;
-  Array.iter
-    (fun p ->
+  Array.iteri
+    (fun i p ->
       let code = t.baseline_code.((p.dp_meth :> int)) in
-      let nfr = push_frame t code [||] in
+      let nc, nd = t.baseline_native.((p.dp_meth :> int)) in
+      (* As in {!osr_into}; the outer frames resume after a return. *)
+      if i = Array.length plans - 1 && Array.length nc > 0
+         && nd.(p.dp_pc) <> p.dp_stack_len
+      then rerr "deopt: closure-tier entry depth mismatch at pc %d" p.dp_pc;
+      let nfr = push_frame t code nc in
       let nl = min code.Code.max_locals (max 0 (opt_base - p.dp_base)) in
       Array.blit opt_regs p.dp_base nfr.f_regs 0 nl;
       Array.blit opt_regs (opt_base + p.dp_stack_lo) nfr.f_regs nfr.f_base
@@ -927,7 +932,6 @@ and continue_window t =
         let st = t.wst in
         st.w_fr <- fr;
         st.w_regs <- fr.f_regs;
-        st.w_sp <- fr.f_sp;
         st.w_rem <- remaining;
         st.w_nin <- 0;
         (Array.unsafe_get nc fr.f_pc) st
@@ -944,7 +948,6 @@ let exec_window t fr remaining =
     let st = t.wst in
     st.w_fr <- fr;
     st.w_regs <- fr.f_regs;
-    st.w_sp <- fr.f_sp;
     st.w_rem <- remaining;
     st.w_nin <- 0;
     (Array.unsafe_get nc fr.f_pc) st

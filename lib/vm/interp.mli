@@ -14,8 +14,7 @@
     output are bit-identical to the naive instruction-at-a-time loop,
     which is kept as {!run_reference} and differentially tested against
     {!run}. The plain window loop {!step} executes [Code.instrs] one
-    instruction at a time; superinstructions exist only inside the
-    closure tier.
+    instruction at a time.
 
     Hooks let the adaptive optimization system observe execution without
     the interpreter knowing anything about it:
@@ -91,6 +90,8 @@ and t = {
   mutable window_end : int;
   native_table : nfn array array;
   native_depths : int array array;
+  baseline_native : (nfn array * int array) array;
+      (** closure-tier code for [baseline_code], for deoptimized frames *)
   mutable calibrate : bool;
   cal_cycles : int array;
   cal_host_s : float array;
@@ -102,23 +103,23 @@ and t = {
 }
 
 and nfn = wst -> unit
-(** A closure-tier entry point: resumes its frame at the pc the closure
-    was compiled for, reading the execution state out of the VM's one
-    {!wst} record. Single-argument closures apply directly in native
-    code; the previous six-argument form paid the [caml_apply6] stub on
-    every link of every effect chain. *)
+(** A closure-tier entry point, statement or breaker: resumes its frame
+    at the pc it was compiled for, reading the execution state out of
+    the VM's one {!wst} record. Single-argument closures apply directly
+    in native code, without a [caml_applyN] stub per statement. *)
 
 and wst = {
   w_t : t;
   mutable w_fr : frame;  (** the executing frame *)
   mutable w_regs : Value.t array;  (** [w_fr.f_regs] *)
-  mutable w_sp : int;  (** absolute, like [f_sp] *)
   mutable w_rem : int;  (** virtual cycles until the next timer check *)
   mutable w_nin : int;
       (** instructions executed but not yet settled (see {!flush}) *)
 }
-(** The closure tier's execution state, threaded through [nfn] chains by
-    mutation instead of arguments. One record per VM ([t.wst]): windows
+(** The closure tier's execution state, threaded through [nfn] closures
+    by mutation instead of arguments. It holds no stack pointer: the
+    tier's operand slots are static per pc ([max_locals] plus the
+    verifier's entry depth). One record per VM ([t.wst]): windows
     are entered and left one at a time, and re-entrant dispatches
     (calls, returns, OSR restarts) re-populate the fields before
     jumping, so no two live uses overlap. Populated by the window

@@ -2,64 +2,50 @@ open Acsi_bytecode
 open Interp
 
 (* The closure ("native") execution tier: an installed method's
-   instructions are compiled, once, into a chain of OCaml closures — one
-   entry closure per source pc plus one effect closure per instruction or
-   superinstruction — and the interpreter dispatches whole windows into
-   the chain instead of running its fetch/decode loop.
+   instructions are compiled, once, into OCaml closures, and the
+   interpreter dispatches whole windows into them instead of running its
+   fetch/decode loop.
 
-   Superinstructions are a compile-time detail of this tier and nowhere
-   else: {!select} picks, at each pc, the longest of 27 fixed patterns of
-   plain-cost instructions ([load;load;binop], [load;const;cmp;
-   jump_ifnot], ...) and builds one closure for the whole pattern. The
-   plain interpreter loop {!Interp.step} knows none of them.
+   Static stack slots. The verifier gives every reachable pc one stack
+   depth ({!Verify.entry_depths}), so the slot for depth [d] is the
+   constant [max_locals + d]: no closure keeps a stack pointer.
 
-   The design splits each straight-line run (the instructions from a pc
-   up to and including the next control transfer, stopping before any
-   instruction with a non-uniform charge) into
+   Expression trees. Each basic block is evaluated symbolically: value
+   instructions ([Load], [Const], [Binop], [Cmp], [Get_field], ...)
+   build a {!tree}; statements (stores, field/array/global writes,
+   [Print_int], [Pop], branches) consume trees, one closure each. Leaves
+   are read in place, interior nodes are closures specialized on their
+   operands' shapes, and only what is still on the symbolic stack at
+   the end of a block is written to its slot ("spilled"). Evaluation
+   order is exactly [step]'s:
+   - before a statement, older non-leaf entries run first, bottom to
+     top, so traps and heap reads keep source order;
+   - before a [Store] to a local, older leaves reading it are spilled;
+   - [Dup] of a non-leaf and every [Swap] spill first;
+   - at a block end the stack spills bottom to top;
+   - a node runs its operands' subtrees in source order, then checks
+     the operands in [step]'s order.
 
-   - an *entry* closure, which performs the run's entire timer-window
-     accounting up front: if the remaining budget provably covers the
-     whole run ([rem > (count - 1) * icost], the exact condition under
-     which the interpreter would execute every op of the run without a
-     timer check becoming due), it prepays [count * icost] cycles and
-     tail-calls the effect chain with the accounting already
-     settled-forward; otherwise it hands the window tail to the
-     interpreter's own {!Interp.step}, which owns the exact
-     window-boundary behaviour — so near-boundary execution is not
-     *similar* to the interpreter tier, it *is* the interpreter tier;
+   Prepayment. A run is the instructions from a pc through forward
+   jumps up to and including the next branch or backward jump, stopping
+   before any breaker (an instruction with an extra charge: calls,
+   returns, guards, allocations). If the remaining budget covers a run
+   ([rem > (count - 1) * icost], the exact condition under which [step]
+   executes all of it without a timer check coming due), its entry pays
+   [count * icost] at once. Leaders (pc 0, jump and guard-fail targets,
+   the pc after a jump or breaker) get a prepaid body; a block falling
+   or jumping forward into a leader tails into that leader's body,
+   which its run already paid for; branches and backward jumps prepay
+   their target inline ({!enter}). [step] runs in exactly two places:
+   the window tail once a run no longer fits, and the rest of a run
+   entered at a pc that starts no block (after a window ended mid-run,
+   or by OSR), which it executes with a budget of exactly that run's
+   cost before the tier takes over again at the run's end. Breakers
+   transcribe [step]'s branches line for line, including the unclipped
+   [next_sample - cycles] window restart after guards and allocations.
 
-   - *effect* closures, one per instruction or superinstruction, that only
-     touch the operand array and tail-call a directly captured successor:
-     no per-op budget arithmetic, no dispatch on an op code, no bounds
-     logic beyond what the op itself requires. Control transfers at run
-     ends re-enter through the entry closure of their target pc, and ops
-     with extra charges (calls, returns, guards, allocations) get
-     dedicated closures replicating [step]'s branch for them exactly —
-     including the unclipped [next_sample - cycles] window restart after
-     guards and allocations, which deliberately ignores [window_end]
-     just as the interpreter does.
-
-   The execution state (frame, operand array, stack pointer, remaining
-   budget, unsettled instruction count) lives in the VM's one {!wst}
-   record rather than in closure arguments: a chain link reads the
-   fields it needs, writes back the ones it changed, and applies its
-   successor to the record alone. See the [nfn] documentation in
-   {!Interp} for why (unknown single-argument applications compile to a
-   direct call; six arguments pay the [caml_apply6] stub per link).
-
-   Exactness therefore needs no per-op argument: entry closures prepay
-   only what [step] would execute before its next timer check, boundary
-   tails run on [step] itself over the source instructions, and the
-   seven non-uniform instructions are line-for-line transcriptions of
-   [step]'s branches. The differential test suite (the tier against the
-   naive [run_reference] loop) enforces byte-identical cycles, counters,
-   output and hook timing on top of that argument.
-
-   The value helpers are redefined locally (same definitions, same error
-   messages as {!Interp}'s) because dune's dev profile compiles every
-   library with [-opaque]: no call into another module is inlined, so
-   calling [Interp]'s copies would cost a call per use inside the effect
-   closures. *)
+   The value helpers repeat {!Interp}'s (dune's dev profile builds with
+   [-opaque], so calls into another module are never inlined). *)
 
 let rerr fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 
@@ -68,6 +54,8 @@ let rerr fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 let[@inline] is_int (v : Value.t) = Obj.is_int (Obj.repr v)
 let[@inline] int_of (v : Value.t) : int = Obj.magic v
 let[@inline] of_int (n : int) : Value.t = Obj.magic n
+(* Typed, so the access compiles without a float-array check. *)
+let[@inline] get (a : Value.t array) i = Array.unsafe_get a i
 
 let[@inline] truthy v =
   if is_int v then int_of v <> 0
@@ -121,6 +109,11 @@ let[@inline] as_arr v =
     | Value.Null_c _ -> rerr "null array dereference"
     | Value.Obj_c _ -> rerr "expected an array, got %a" Value.pp v
 
+let[@inline] elt a i =
+  if i < 0 || i >= Array.length a then
+    rerr "array index %d out of bounds (length %d)" i (Array.length a)
+  else Array.unsafe_get a i
+
 let[@inline] eval_binop op a b =
   match (op : Instr.binop) with
   | Instr.Add -> a + b
@@ -150,290 +143,380 @@ let[@inline] eval_cmp c a b =
    impossible in code that passed the install gate (Jit_check). *)
 let stuck : nfn = fun _ -> rerr "execution ran past end of code"
 
-(* A superinstruction selected at some pc: its name, the source
-   instructions it covers, whether it ends its straight-line run (a
-   control transfer), and its effect closure. *)
-type fused = { name : string; width : int; ends_run : bool; fn : nfn }
+(* Where control lands at [d_pc]: its static stack pointer, the run
+   the entry prepays ([d_count] instructions; 0 at a breaker, which pays
+   for itself) and the closure that runs once it is paid. *)
+type dest = {
+  d_pc : int;
+  d_sp : int;
+  d_code : Instr.t array;
+  d_icost : int;
+  d_count : int;
+  d_pre : int;  (* (d_count - 1) * icost *)
+  d_pay : int;  (* d_count * icost *)
+  mutable d_body : nfn;
+}
 
-(* Superinstruction selection at [pc]; the longest pattern wins. Each
-   pattern is written once, here: its components, its name, and the
-   closure performing their combined effect. A straight-line closure
-   tails into [chain_at (pc + width)], the effect chain after it; a
-   control transfer re-enters through the entry closure of its target in
-   [nfns] (read at run time, so [nfns] may still be under construction).
-   The components are all plain-cost instructions (no calls, allocations
-   or guards), so a superinstruction charges exactly [width * icost] —
-   the entry closure prepays it with the rest of its run. Operand-check
-   order follows the source instructions: where a component's operand
-   is checked first in [step], it is checked first here. *)
-let select ~(nfns : nfn array) ~(chain_at : int -> nfn)
-    (instrs : Instr.t array) pc : fused option =
-  let n = Array.length instrs in
-  let at k = if pc + k < n then Some instrs.(pc + k) else None in
-  let straight name width fn = Some { name; width; ends_run = false; fn } in
-  let transfer name width fn = Some { name; width; ends_run = true; fn } in
-  match (instrs.(pc), at 1, at 2, at 3) with
-  | ( Instr.Load i,
-      Some (Instr.Load j),
-      Some (Instr.Binop op),
-      Some (Instr.Store d) ) ->
-      let k = chain_at (pc + 4) in
-      straight "load2_binop_store" 4 (fun st ->
-          let regs = st.w_regs in
-          let b = as_int (Array.unsafe_get regs j) in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs d (eval_binop op a b);
-          k st)
-  | Instr.Load i, Some (Instr.Load j), Some (Instr.Binop op), _ ->
-      let k = chain_at (pc + 3) in
-      straight "load2_binop" 3 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs j) in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs sp (eval_binop op a b);
-          st.w_sp <- sp + 1;
-          k st)
-  | ( Instr.Load i,
-      Some (Instr.Load j),
-      Some (Instr.Cmp c),
-      Some (Instr.Jump_ifnot target) ) ->
-      let next = pc + 4 in
-      transfer "load2_cmp_jumpifnot" 4 (fun st ->
-          let regs = st.w_regs in
-          let r =
-            eval_cmp c (Array.unsafe_get regs i) (Array.unsafe_get regs j)
-          in
-          if r <> 0 then (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st)
-  | Instr.Load i, Some (Instr.Load j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "load2" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs sp (Array.unsafe_get regs i);
-          set regs (sp + 1) (Array.unsafe_get regs j);
-          st.w_sp <- sp + 2;
-          k st)
-  | ( Instr.Load i,
-      Some (Instr.Const c),
-      Some (Instr.Binop op),
-      Some (Instr.Store d) ) ->
-      let k = chain_at (pc + 4) in
-      straight "load_const_binop_store" 4 (fun st ->
-          let regs = st.w_regs in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs d (eval_binop op a c);
-          k st)
-  | Instr.Load i, Some (Instr.Const c), Some (Instr.Binop op), _ ->
-      let k = chain_at (pc + 3) in
-      straight "load_const_binop" 3 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = as_int (Array.unsafe_get regs i) in
-          set_int regs sp (eval_binop op a c);
-          st.w_sp <- sp + 1;
-          k st)
-  | ( Instr.Load i,
-      Some (Instr.Const c),
-      Some (Instr.Cmp cmp),
-      Some (Instr.Jump_ifnot target) ) ->
-      let v = of_int c in
-      let next = pc + 4 in
-      transfer "load_const_cmp_jumpifnot" 4 (fun st ->
-          let r = eval_cmp cmp (Array.unsafe_get st.w_regs i) v in
-          if r <> 0 then (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st)
-  | Instr.Load i, Some (Instr.Store j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "load_store" 2 (fun st ->
-          let regs = st.w_regs in
-          set regs j (Array.unsafe_get regs i);
-          k st)
-  | Instr.Load i, Some (Instr.Get_field f), Some (Instr.Store d), _ ->
-      let k = chain_at (pc + 3) in
-      straight "load_getfield_store" 3 (fun st ->
-          let regs = st.w_regs in
-          let o = as_obj (Array.unsafe_get regs i) in
-          set regs d o.Value.fields.(f);
-          k st)
-  | Instr.Load i, Some (Instr.Get_field f), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "load_getfield" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let o = as_obj (Array.unsafe_get regs i) in
-          set regs sp o.Value.fields.(f);
-          st.w_sp <- sp + 1;
-          k st)
-  | Instr.Load i, Some (Instr.Jump_ifnot target), _, _ ->
-      let next = pc + 2 in
-      transfer "load_jumpifnot" 2 (fun st ->
-          if truthy (Array.unsafe_get st.w_regs i) then
-            (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st)
-  | Instr.Load i, Some (Instr.Binop op), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "load_binop" 2 (fun st ->
-          (* the loaded local is the top operand [b] of the binop *)
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs i) in
-          let a = as_int (Array.unsafe_get regs (sp - 1)) in
-          set_int regs (sp - 1) (eval_binop op a b);
-          k st)
-  | Instr.Load i, Some (Instr.Cmp c), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "load_cmp" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = Array.unsafe_get regs i in
-          let a = Array.unsafe_get regs (sp - 1) in
-          set_int regs (sp - 1) (eval_cmp c a b);
-          k st)
-  | Instr.Load i, Some Instr.Array_get, _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "load_arrayget" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let idx = as_int (Array.unsafe_get regs i) in
-          let a = as_arr (Array.unsafe_get regs (sp - 1)) in
-          if idx < 0 || idx >= Array.length a then
-            rerr "array index %d out of bounds (length %d)" idx
-              (Array.length a);
-          set regs (sp - 1) (Array.unsafe_get a idx);
-          k st)
-  | Instr.Store i, Some (Instr.Load j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "store_load" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs i (Array.unsafe_get regs (sp - 1));
-          set regs (sp - 1) (Array.unsafe_get regs j);
-          k st)
-  | Instr.Store i, Some (Instr.Store j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "store_store" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs i (Array.unsafe_get regs (sp - 1));
-          set regs j (Array.unsafe_get regs (sp - 2));
-          st.w_sp <- sp - 2;
-          k st)
-  | Instr.Store i, Some (Instr.Jump target), _, _ ->
-      transfer "store_jump" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp - 1 in
-          set regs i (Array.unsafe_get regs sp);
-          st.w_sp <- sp;
-          (Array.unsafe_get nfns target) st)
-  | Instr.Get_field f, Some (Instr.Load j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "getfield_load" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let o = as_obj (Array.unsafe_get regs (sp - 1)) in
-          set regs (sp - 1) o.Value.fields.(f);
-          set regs sp (Array.unsafe_get regs j);
-          st.w_sp <- sp + 1;
-          k st)
-  | Instr.Const c, Some (Instr.Store j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "const_store" 2 (fun st ->
-          set_int st.w_regs j c;
-          k st)
-  | Instr.Const c, Some (Instr.Binop op), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "const_binop" 2 (fun st ->
-          (* the constant is the top operand [b]; it is an integer by
-             construction, so only [a] needs the dynamic check *)
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = as_int (Array.unsafe_get regs (sp - 1)) in
-          set_int regs (sp - 1) (eval_binop op a c);
-          k st)
-  | Instr.Const c, Some (Instr.Cmp cmp), _, _ ->
-      let v = of_int c in
-      let k = chain_at (pc + 2) in
-      straight "const_cmp" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = Array.unsafe_get regs (sp - 1) in
-          set_int regs (sp - 1) (eval_cmp cmp a v);
-          k st)
-  | Instr.Cmp c, Some (Instr.Jump_ifnot target), _, _ ->
-      let next = pc + 2 in
-      transfer "cmp_jumpifnot" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = Array.unsafe_get regs (sp - 1) in
-          let a = Array.unsafe_get regs (sp - 2) in
-          st.w_sp <- sp - 2;
-          if eval_cmp c a b <> 0 then (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st)
-  | Instr.Cmp c, Some (Instr.Jump_if target), _, _ ->
-      let next = pc + 2 in
-      transfer "cmp_jumpif" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = Array.unsafe_get regs (sp - 1) in
-          let a = Array.unsafe_get regs (sp - 2) in
-          st.w_sp <- sp - 2;
-          if eval_cmp c a b <> 0 then (Array.unsafe_get nfns target) st
-          else (Array.unsafe_get nfns next) st)
-  | Instr.Binop op, Some (Instr.Store j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "binop_store" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          set_int regs j (eval_binop op a b);
-          st.w_sp <- sp - 2;
-          k st)
-  | Instr.Binop op, Some (Instr.Const c), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "binop_const" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          set_int regs (sp - 2) (eval_binop op a b);
-          set_int regs (sp - 1) c;
-          k st)
-  | Instr.Binop op1, Some (Instr.Binop op2), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "binop_binop" 2 (fun st ->
-          (* the first result is the (always-integer) top operand of the
-             second binop, so it is never stored *)
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          let r1 = eval_binop op1 a b in
-          let a2 = as_int (Array.unsafe_get regs (sp - 3)) in
-          set_int regs (sp - 3) (eval_binop op2 a2 r1);
-          st.w_sp <- sp - 2;
-          k st)
-  | Instr.Array_get, Some (Instr.Store j), _, _ ->
-      let k = chain_at (pc + 2) in
-      straight "arrayget_store" 2 (fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let idx = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_arr (Array.unsafe_get regs (sp - 2)) in
-          if idx < 0 || idx >= Array.length a then
-            rerr "array index %d out of bounds (length %d)" idx
-              (Array.length a);
-          set regs j (Array.unsafe_get a idx);
-          st.w_sp <- sp - 2;
-          k st)
-  | _ -> None
+(* Nothing to prepay; also the placeholder at pcs that start no block. *)
+let paid_already =
+  { d_pc = 0; d_sp = 0; d_code = [||]; d_icost = 0; d_count = 0;
+    d_pre = min_int; d_pay = 0; d_body = stuck }
 
-let fuse_at instrs pc =
-  Option.map
-    (fun f -> (f.name, f.width))
-    (select ~nfns:[||] ~chain_at:(fun _ -> stuck) instrs pc)
+let[@inline never] fallback st d rem =
+  let regs = st.w_regs in
+  step st.w_t st.w_fr d.d_code d.d_icost regs regs d.d_pc d.d_sp rem st.w_nin
+
+(* Prepay [d]'s run if the budget covers it. *)
+let[@inline] prepay st d =
+  let rem = st.w_rem in
+  rem > d.d_pre
+  &&
+  (st.w_rem <- rem - d.d_pay;
+   st.w_nin <- st.w_nin + d.d_count;
+   true)
+
+(* The prepaid entry: the whole run when the budget covers it, else the
+   window tail on [step]. Inlined into every jump and branch. *)
+let[@inline] enter st d =
+  if prepay st d then d.d_body st else fallback st d st.w_rem
+
+(* A value on the symbolic stack. [Reg] is an absolute index into the
+   frame's register array: a local, or a stack slot written before the
+   block began. *)
+type tree =
+  | Reg of int
+  | Imm of Value.t
+  | Binop of Instr.binop * tree * tree
+  | Cmp of Instr.cmp * tree * tree
+  | Neg of tree
+  | Not of tree
+  | Get_field of int * tree
+  | Get_global of int
+  | Array_get of tree * tree
+  | Array_len of tree
+  | Instance_of of Ids.Class_id.t * tree
+
+let is_leaf = function Reg _ | Imm _ -> true | _ -> false
+let is_reg i = function Reg j -> i = j | _ -> false
+
+(* An operand read in place — a leaf or a field of a register — or the
+   closure of a deeper node. Nodes and statements specialize on leaf
+   operands and use these for the rest. *)
+type opd =
+  | Oreg of int
+  | Oimm of Value.t
+  | Ofield of int * int
+  | Onode of (wst -> Value.t)
+
+let[@inline] fetch st = function
+  | Oreg i -> get st.w_regs i
+  | Oimm v -> v
+  | Ofield (i, f) -> (as_obj (get st.w_regs i)).Value.fields.(f)
+  | Onode g -> g st
+
+(* Interior nodes: closures specialized on their operands' shapes, with
+   subtrees run in source order and operands checked in [step]'s. *)
+let rec ev (e : tree) : wst -> Value.t =
+  match e with
+  | Binop (op, Reg i, Reg j) ->
+      fun st ->
+        let r = st.w_regs in
+        let b = as_int (get r j) in
+        of_int (eval_binop op (as_int (get r i)) b)
+  | Binop (op, Reg i, Imm c) when is_int c ->
+      let c = int_of c in
+      fun st -> of_int (eval_binop op (as_int (get st.w_regs i)) c)
+  | Binop (op, Binop (op', Reg i, Reg j), Imm c) when is_int c ->
+      let c = int_of c in
+      fun st ->
+        let r = st.w_regs in
+        let b = as_int (get r j) in
+        of_int (eval_binop op (eval_binop op' (as_int (get r i)) b) c)
+  | Binop (op, a, Imm c) when is_int c ->
+      let a = opd a and c = int_of c in
+      fun st -> of_int (eval_binop op (as_int (fetch st a)) c)
+  | Binop (op, a, Reg j) ->
+      let a = opd a in
+      fun st ->
+        let va = fetch st a in
+        let b = as_int (get st.w_regs j) in
+        of_int (eval_binop op (as_int va) b)
+  | Binop (op, Reg i, b) ->
+      let b = opd b in
+      fun st ->
+        let b = as_int (fetch st b) in
+        of_int (eval_binop op (as_int (get st.w_regs i)) b)
+  | Binop (op, a, b) ->
+      let a = opd a and b = opd b in
+      fun st ->
+        let va = fetch st a in
+        let b = as_int (fetch st b) in
+        of_int (eval_binop op (as_int va) b)
+  | Cmp (c, Reg i, Reg j) ->
+      fun st ->
+        let r = st.w_regs in
+        of_int (eval_cmp c (get r i) (get r j))
+  | Cmp (c, a, b) ->
+      let a = opd a and b = opd b in
+      fun st ->
+        let va = fetch st a in
+        let vb = fetch st b in
+        of_int (eval_cmp c va vb)
+  | Array_get (Reg x, Reg y) ->
+      fun st ->
+        let r = st.w_regs in
+        let i = as_int (get r y) in
+        elt (as_arr (get r x)) i
+  | Array_get (a, Reg y) ->
+      let a = opd a in
+      fun st ->
+        let va = fetch st a in
+        let i = as_int (get st.w_regs y) in
+        elt (as_arr va) i
+  | Array_get (a, b) ->
+      let a = opd a and b = opd b in
+      fun st ->
+        let va = fetch st a in
+        let i = as_int (fetch st b) in
+        elt (as_arr va) i
+  | Neg a ->
+      let a = opd a in
+      fun st -> of_int (-as_int (fetch st a))
+  | Not a ->
+      let a = opd a in
+      fun st -> of_int (if truthy (fetch st a) then 0 else 1)
+  | Get_field (f, a) ->
+      let a = opd a in
+      fun st -> (as_obj (fetch st a)).Value.fields.(f)
+  | Get_global i -> fun st -> st.w_t.globals.(i)
+  | Array_len a ->
+      let a = opd a in
+      fun st -> of_int (Array.length (as_arr (fetch st a)))
+  | Instance_of (cid, a) ->
+      let a = opd a in
+      fun st ->
+        let v = fetch st a in
+        if is_int v then of_int 0
+        else (
+          match v with
+          | Value.Obj_c o ->
+              let sub = o.Value.cls in
+              of_int (Bool.to_int (Program.is_subclass st.w_t.program ~sub ~super:cid))
+          | Value.Null_c _ | Value.Arr_c _ -> of_int 0)
+  | Reg _ | Imm _ ->
+      let a = opd e in
+      fun st -> fetch st a
+
+and opd = function
+  | Reg i -> Oreg i
+  | Imm v -> Oimm v
+  | Get_field (f, Reg i) -> Ofield (i, f)
+  | e -> Onode (ev e)
+
+(* Statements: each performs its effect and tails into [k]. An assign's
+   root node runs inside the statement. *)
+
+let assign dst (e : tree) (k : nfn) : nfn =
+  match e with
+  | Reg s ->
+      fun st ->
+        let r = st.w_regs in
+        set r dst (get r s);
+        k st
+  | Imm v ->
+      fun st ->
+        set st.w_regs dst v;
+        k st
+  | Binop (op, Reg i, Imm c) when is_int c ->
+      let c = int_of c in
+      fun st ->
+        let r = st.w_regs in
+        set_int r dst (eval_binop op (as_int (get r i)) c);
+        k st
+  | Binop (op, Reg i, Reg j) ->
+      fun st ->
+        let r = st.w_regs in
+        let b = as_int (get r j) in
+        set_int r dst (eval_binop op (as_int (get r i)) b);
+        k st
+  | Binop (op, a, Imm c) when is_int c ->
+      let a = opd a and c = int_of c in
+      fun st ->
+        let a = as_int (fetch st a) in
+        set_int st.w_regs dst (eval_binop op a c);
+        k st
+  | Binop (op, a, Reg j) ->
+      let a = opd a in
+      fun st ->
+        let va = fetch st a in
+        let r = st.w_regs in
+        let b = as_int (get r j) in
+        set_int r dst (eval_binop op (as_int va) b);
+        k st
+  | Binop (op, Reg i, b) ->
+      let b = opd b in
+      fun st ->
+        let b = as_int (fetch st b) in
+        let r = st.w_regs in
+        set_int r dst (eval_binop op (as_int (get r i)) b);
+        k st
+  | Binop (op, a, b) ->
+      let a = opd a and b = opd b in
+      fun st ->
+        let va = fetch st a in
+        let b = as_int (fetch st b) in
+        set_int st.w_regs dst (eval_binop op (as_int va) b);
+        k st
+  | Get_field (f, Reg i) ->
+      fun st ->
+        let r = st.w_regs in
+        set r dst (as_obj (get r i)).Value.fields.(f);
+        k st
+  | Array_get (Reg x, Reg y) ->
+      fun st ->
+        let r = st.w_regs in
+        let i = as_int (get r y) in
+        set r dst (elt (as_arr (get r x)) i);
+        k st
+  | Array_get (a, b) ->
+      let a = opd a and b = opd b in
+      fun st ->
+        let va = fetch st a in
+        let i = as_int (fetch st b) in
+        set st.w_regs dst (elt (as_arr va) i);
+        k st
+  | e ->
+      let f = ev e in
+      fun st ->
+        let v = f st in
+        set st.w_regs dst v;
+        k st
+
+(* Consecutive leaf moves (stores of leaves, call arguments, block-end
+   spills) batched into one closure, run in order. *)
+let moves (ms : (int * tree) list) (k : nfn) : nfn =
+  match ms with
+  | [] -> k
+  | [ (d, e) ] -> assign d e k
+  | [ (d0, Reg s0); (d1, Reg s1) ] ->
+      fun st ->
+        let r = st.w_regs in
+        set r d0 (get r s0);
+        set r d1 (get r s1);
+        k st
+  | ms ->
+      let dst = Array.of_list (List.map fst ms) in
+      let src = Array.of_list (List.map (fun (_, e) -> opd e) ms) in
+      fun st ->
+        let r = st.w_regs in
+        for i = 0 to Array.length dst - 1 do
+          set r (Array.unsafe_get dst i) (fetch st (Array.unsafe_get src i))
+        done;
+        k st
+
+(* The entry of a block that starts by moving register [s] to [d]:
+   [p]'s prepayment, the move, then the rest of the block, [rests.(pc)]. *)
+let move_entry p d s (rests : nfn array) pc : nfn =
+ fun st ->
+  if prepay st p then begin
+    let r = st.w_regs in
+    set r d (get r s);
+    (Array.unsafe_get rests pc) st
+  end
+  else fallback st p st.w_rem
+
+let print_int e k : nfn =
+  let a = opd e in
+  fun st ->
+    let t = st.w_t in
+    t.output_rev <- as_int (fetch st a) :: t.output_rev;
+    k st
+
+let put_field fi o v k : nfn =
+  let o = opd o and v = opd v in
+  fun st ->
+    let vo = fetch st o in
+    let vv = fetch st v in
+    store (as_obj vo).Value.fields fi vv;
+    k st
+
+let put_global i v k : nfn =
+  let v = opd v in
+  fun st ->
+    store st.w_t.globals i (fetch st v);
+    k st
+
+let array_set a i v k : nfn =
+  let a = opd a and i = opd i and v = opd v in
+  fun st ->
+    let va = fetch st a in
+    let vi = fetch st i in
+    let vv = fetch st v in
+    let i = as_int vi in
+    let a = as_arr va in
+    ignore (elt a i);
+    set a i vv;
+    k st
+
+let discard e k : nfn =
+  let a = opd e in
+  fun st ->
+    ignore (fetch st a);
+    k st
+
+let swap s k : nfn =
+ fun st ->
+  let r = st.w_regs in
+  let a = get r s in
+  set r s (get r (s - 1));
+  set r (s - 1) a;
+  k st
+
+(* A two-way branch on [c], each side prepaying its target inline. A
+   jump into a block that is nothing but a branch runs the branch
+   itself, after prepaying that block's run ([pre]). *)
+let branch pre c ~(if_true : dest) ~(if_false : dest) : nfn =
+  match c with
+  | Cmp (cmp, Reg i, Reg j) ->
+      fun st ->
+        if prepay st pre then
+          let r = st.w_regs in
+          if eval_cmp cmp (get r i) (get r j) <> 0 then enter st if_true
+          else enter st if_false
+        else fallback st pre st.w_rem
+  | Cmp (cmp, Reg i, Imm v) ->
+      fun st ->
+        if prepay st pre then
+          if eval_cmp cmp (get st.w_regs i) v <> 0 then enter st if_true
+          else enter st if_false
+        else fallback st pre st.w_rem
+  | Cmp (cmp, a, b) ->
+      let a = opd a and b = opd b in
+      fun st ->
+        if prepay st pre then
+          let va = fetch st a in
+          let vb = fetch st b in
+          if eval_cmp cmp va vb <> 0 then enter st if_true
+          else enter st if_false
+        else fallback st pre st.w_rem
+  | c ->
+      let a = opd c in
+      fun st ->
+        if prepay st pre then
+          if truthy (fetch st a) then enter st if_true else enter st if_false
+        else fallback st pre st.w_rem
+
+let is_breaker (ins : Instr.t) =
+  match ins with
+  | Instr.Call_static _ | Instr.Call_direct _ | Instr.Call_virtual _
+  | Instr.Guard_method _ | Instr.New _ | Instr.Array_new | Instr.Return
+  | Instr.Return_void ->
+      true
+  | _ -> false
+
+(* How a block ends: falling or jumping forward into the body at a pc
+   (a leader or a breaker), jumping back, or branching. *)
+type exit = Tail of int | Goto of int | Branch of tree * int * int
 
 let compile (t : t) (code : Code.t) : nfn array * int array =
   let instrs = code.Code.instrs in
@@ -443,76 +526,101 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
     | Code.Optimized -> t.cost.Cost.opt_instr
   in
   let n = Array.length instrs in
+  (* Raises on code the verifier would reject: the install gate. *)
+  let depths =
+    let root = Program.meth t.program code.Code.meth in
+    Verify.entry_depths t.program
+      {
+        root with
+        Meth.body = instrs;
+        max_locals = code.Code.max_locals;
+        max_stack = code.Code.max_stack;
+      }
+  in
+  let base = code.Code.max_locals in
   let nfns : nfn array = Array.make (max 1 n) stuck in
-  (* [chain.(pc)]: the effect chain from [pc] to the end of its run,
-     valid only when the entry closure has already prepaid the whole
-     run. [cnt.(pc)]: source instructions that prepayment covers (0 for
-     the dedicated non-uniform closures, which pay for themselves). *)
-  let chain : nfn array = Array.make (max 1 n) stuck in
-  let cnt = Array.make (max 1 n) 0 in
-  let chain_at i = if i < n then chain.(i) else stuck in
-  let cnt_at i = if i < n then cnt.(i) else 0 in
-  (* One closure per instruction with a non-uniform charge: a
-     line-for-line transcription of [step]'s branch, ending the prepaid
-     regime (these are entered with the budget *not* prepaid, and settle
-     themselves). Each reads the state it needs out of [st] before any
-     re-entrant dispatch ([invoke]/[continue_window]) can repopulate
-     it. *)
+  (* Run lengths, high pc to low: the instructions an entry at [pc]
+     prepays. Leaders start a block. *)
+  let cnt = Array.make (n + 1) 0 in
+  let leader = Array.make (n + 1) false in
+  leader.(0) <- true;
+  for pc = n - 1 downto 0 do
+    match instrs.(pc) with
+    | Instr.Jump tg | Instr.Jump_if tg | Instr.Jump_ifnot tg ->
+        (* A run continues through a forward jump, as through a fall. *)
+        let forward = tg > pc && instrs.(pc) = Instr.Jump tg in
+        cnt.(pc) <- (if forward then 1 + cnt.(tg) else 1);
+        leader.(tg) <- true;
+        leader.(pc + 1) <- true
+    | Instr.Guard_method g ->
+        leader.(g.Instr.fail) <- true;
+        leader.(pc + 1) <- true
+    | ins when is_breaker ins -> leader.(pc + 1) <- true
+    | _ -> cnt.(pc) <- 1 + cnt.(pc + 1)
+  done;
+  let dests =
+    Array.init n (fun pc ->
+        let c = cnt.(pc) in
+        if not (leader.(pc) || is_breaker instrs.(pc)) then paid_already
+        else
+          {
+            d_pc = pc;
+            d_sp = base + depths.(pc);
+            d_code = instrs;
+            d_icost = icost;
+            d_count = c;
+            d_pre = (c - 1) * icost;
+            d_pay = c * icost;
+            d_body = stuck;
+          })
+  in
+  (* Breakers: line-for-line transcriptions of [step]'s branches,
+     entered with nothing prepaid for them. Each reads the state it
+     needs out of [st] before any re-entrant dispatch
+     ([invoke]/[continue_window]) can repopulate it. *)
   let breaker pc (ins : Instr.t) : nfn =
+    let sp = base + depths.(pc) in
+    let stop st =
+      flush st.w_t icost st.w_nin;
+      let fr = st.w_fr in
+      fr.f_pc <- pc;
+      fr.f_sp <- sp
+    in
+    let settle st =
+      flush st.w_t icost (st.w_nin + 1);
+      let fr = st.w_fr in
+      fr.f_pc <- pc;
+      fr.f_sp <- sp
+    in
     match ins with
     | Instr.Call_static mid | Instr.Call_direct mid ->
         fun st ->
-          let t = st.w_t in
-          let fr = st.w_fr in
-          let nin = st.w_nin in
-          if st.w_rem <= 0 then begin
-            flush t icost nin;
-            fr.f_pc <- pc;
-            fr.f_sp <- st.w_sp
-          end
+          if st.w_rem <= 0 then stop st
           else begin
-            flush t icost (nin + 1);
-            fr.f_pc <- pc;
-            fr.f_sp <- st.w_sp;
-            invoke t mid;
-            continue_window t
+            settle st;
+            invoke st.w_t mid;
+            continue_window st.w_t
           end
     | Instr.Call_virtual (sel, argc) ->
         fun st ->
-          let t = st.w_t in
-          let fr = st.w_fr in
-          let sp = st.w_sp in
-          let nin = st.w_nin in
-          if st.w_rem <= 0 then begin
-            flush t icost nin;
-            fr.f_pc <- pc;
-            fr.f_sp <- sp
-          end
+          if st.w_rem <= 0 then stop st
           else begin
-            flush t icost (nin + 1);
+            let t = st.w_t in
+            settle st;
             t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
-            fr.f_pc <- pc;
-            fr.f_sp <- sp;
-            let recv = Array.unsafe_get st.w_regs (sp - 1 - argc) in
+            let recv = get st.w_regs (sp - 1 - argc) in
             invoke t (dispatch_target t recv sel);
             continue_window t
           end
     | Instr.Guard_method g ->
+        let next = dests.(pc + 1) and fail = dests.(g.Instr.fail) in
         fun st ->
-          let t = st.w_t in
-          let nin = st.w_nin in
-          if st.w_rem <= 0 then begin
-            let fr = st.w_fr in
-            flush t icost nin;
-            fr.f_pc <- pc;
-            fr.f_sp <- st.w_sp
-          end
+          if st.w_rem <= 0 then stop st
           else begin
-            flush t icost (nin + 1);
+            let t = st.w_t in
+            flush t icost (st.w_nin + 1);
             t.cycles <- t.cycles + t.cost.Cost.guard;
-            let recv =
-              Array.unsafe_get st.w_regs (st.w_sp - 1 - g.Instr.argc)
-            in
+            let recv = get st.w_regs (sp - 1 - g.Instr.argc) in
             let ok =
               (not (is_int recv))
               &&
@@ -523,59 +631,46 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
                   | None -> false)
               | Value.Null_c _ | Value.Arr_c _ -> false
             in
-            let pc' =
+            let d =
               if ok then begin
                 t.guard_hits <- t.guard_hits + 1;
-                pc + 1
+                next
               end
               else begin
                 t.guard_misses <- t.guard_misses + 1;
                 t.on_guard_miss t st.w_fr.f_code.Code.meth pc;
-                g.Instr.fail
+                fail
               end
             in
             (* Unclipped restart, exactly as [step]'s Guard branch. *)
             st.w_rem <- t.next_sample - t.cycles;
             st.w_nin <- 0;
-            (Array.unsafe_get nfns pc') st
+            enter st d
           end
     | Instr.New cid ->
+        let next = dests.(pc + 1) in
         fun st ->
-          let t = st.w_t in
-          let nin = st.w_nin in
-          if st.w_rem <= 0 then begin
-            let fr = st.w_fr in
-            flush t icost nin;
-            fr.f_pc <- pc;
-            fr.f_sp <- st.w_sp
-          end
+          if st.w_rem <= 0 then stop st
           else begin
-            flush t icost (nin + 1);
+            let t = st.w_t in
+            flush t icost (st.w_nin + 1);
             t.cycles <- t.cycles + t.cost.Cost.alloc;
             note_class_load t cid;
-            let sp = st.w_sp in
             Array.unsafe_set st.w_regs sp (Value.alloc t.program cid);
-            st.w_sp <- sp + 1;
             st.w_rem <- t.next_sample - t.cycles;
             st.w_nin <- 0;
-            (Array.unsafe_get nfns (pc + 1)) st
+            enter st next
           end
     | Instr.Array_new ->
+        let next = dests.(pc + 1) in
         fun st ->
-          let t = st.w_t in
-          let nin = st.w_nin in
-          if st.w_rem <= 0 then begin
-            let fr = st.w_fr in
-            flush t icost nin;
-            fr.f_pc <- pc;
-            fr.f_sp <- st.w_sp
-          end
+          if st.w_rem <= 0 then stop st
           else begin
+            let t = st.w_t in
             let regs = st.w_regs in
-            let sp = st.w_sp in
-            let len = as_int (Array.unsafe_get regs (sp - 1)) in
+            let len = as_int (get regs (sp - 1)) in
             if len < 0 then rerr "negative array size %d" len;
-            flush t icost (nin + 1);
+            flush t icost (st.w_nin + 1);
             t.cycles <-
               t.cycles + t.cost.Cost.alloc
               + (len * t.cost.Cost.alloc_array_word);
@@ -583,21 +678,15 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
               (Value.of_arr (Array.make len Value.zero));
             st.w_rem <- t.next_sample - t.cycles;
             st.w_nin <- 0;
-            (Array.unsafe_get nfns (pc + 1)) st
+            enter st next
           end
     | Instr.Return ->
         fun st ->
-          let t = st.w_t in
-          let nin = st.w_nin in
-          if st.w_rem <= 0 then begin
-            let fr = st.w_fr in
-            flush t icost nin;
-            fr.f_pc <- pc;
-            fr.f_sp <- st.w_sp
-          end
+          if st.w_rem <= 0 then stop st
           else begin
-            flush t icost (nin + 1);
-            let result = Array.unsafe_get st.w_regs (st.w_sp - 1) in
+            let t = st.w_t in
+            flush t icost (st.w_nin + 1);
+            let result = get st.w_regs (sp - 1) in
             t.depth <- t.depth - 1;
             if t.depth > 0 then begin
               let caller = t.frames.(t.depth - 1) in
@@ -609,16 +698,10 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           end
     | Instr.Return_void ->
         fun st ->
-          let t = st.w_t in
-          let nin = st.w_nin in
-          if st.w_rem <= 0 then begin
-            let fr = st.w_fr in
-            flush t icost nin;
-            fr.f_pc <- pc;
-            fr.f_sp <- st.w_sp
-          end
+          if st.w_rem <= 0 then stop st
           else begin
-            flush t icost (nin + 1);
+            let t = st.w_t in
+            flush t icost (st.w_nin + 1);
             t.depth <- t.depth - 1;
             if t.depth > 0 then begin
               let caller = t.frames.(t.depth - 1) in
@@ -628,267 +711,181 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           end
     | _ -> assert false
   in
-  (* Effect closure for one uniform-charge instruction: perform its
-     effect, write back the fields it moved, and tail into the captured
-     successor — accounting untouched, the entry closure prepaid it.
-     Effects are [step]'s, including operand-check order. *)
-  let effect_link (ins : Instr.t) (k : nfn) : nfn =
-    match ins with
-    | Instr.Const c ->
-        fun st ->
-          let sp = st.w_sp in
-          set_int st.w_regs sp c;
-          st.w_sp <- sp + 1;
-          k st
-    | Instr.Const_null ->
-        fun st ->
-          let sp = st.w_sp in
-          set st.w_regs sp Value.null;
-          st.w_sp <- sp + 1;
-          k st
-    | Instr.Load i ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs sp (Array.unsafe_get regs i);
-          st.w_sp <- sp + 1;
-          k st
-    | Instr.Store i ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp - 1 in
-          set regs i (Array.unsafe_get regs sp);
-          st.w_sp <- sp;
-          k st
-    | Instr.Dup ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set regs sp (Array.unsafe_get regs (sp - 1));
-          st.w_sp <- sp + 1;
-          k st
-    | Instr.Pop ->
-        fun st ->
-          st.w_sp <- st.w_sp - 1;
-          k st
-    | Instr.Swap ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = Array.unsafe_get regs (sp - 1) in
-          set regs (sp - 1) (Array.unsafe_get regs (sp - 2));
-          set regs (sp - 2) a;
-          k st
-    | Instr.Binop op ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_int (Array.unsafe_get regs (sp - 2)) in
-          let sp = sp - 1 in
-          set_int regs (sp - 1) (eval_binop op a b);
-          st.w_sp <- sp;
-          k st
-    | Instr.Neg ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set_int regs (sp - 1) (-as_int (Array.unsafe_get regs (sp - 1)));
-          k st
-    | Instr.Not ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          set_int regs (sp - 1)
-            (if truthy (Array.unsafe_get regs (sp - 1)) then 0 else 1);
-          k st
-    | Instr.Cmp c ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let b = Array.unsafe_get regs (sp - 1) in
-          let a = Array.unsafe_get regs (sp - 2) in
-          let sp = sp - 1 in
-          set_int regs (sp - 1) (eval_cmp c a b);
-          st.w_sp <- sp;
-          k st
-    | Instr.Get_field i ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let o = as_obj (Array.unsafe_get regs (sp - 1)) in
-          set regs (sp - 1) o.Value.fields.(i);
-          k st
-    | Instr.Put_field i ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let v = Array.unsafe_get regs (sp - 1) in
-          let o = as_obj (Array.unsafe_get regs (sp - 2)) in
-          store o.Value.fields i v;
-          st.w_sp <- sp - 2;
-          k st
-    | Instr.Get_global i ->
-        fun st ->
-          let sp = st.w_sp in
-          set st.w_regs sp st.w_t.globals.(i);
-          st.w_sp <- sp + 1;
-          k st
-    | Instr.Put_global i ->
-        fun st ->
-          let sp = st.w_sp - 1 in
-          store st.w_t.globals i (Array.unsafe_get st.w_regs sp);
-          st.w_sp <- sp;
-          k st
-    | Instr.Array_get ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let i = as_int (Array.unsafe_get regs (sp - 1)) in
-          let a = as_arr (Array.unsafe_get regs (sp - 2)) in
-          if i < 0 || i >= Array.length a then
-            rerr "array index %d out of bounds (length %d)" i (Array.length a);
-          let sp = sp - 1 in
-          set regs (sp - 1) (Array.unsafe_get a i);
-          st.w_sp <- sp;
-          k st
-    | Instr.Array_set ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let v = Array.unsafe_get regs (sp - 1) in
-          let i = as_int (Array.unsafe_get regs (sp - 2)) in
-          let a = as_arr (Array.unsafe_get regs (sp - 3)) in
-          if i < 0 || i >= Array.length a then
-            rerr "array index %d out of bounds (length %d)" i (Array.length a);
-          set a i v;
-          st.w_sp <- sp - 3;
-          k st
-    | Instr.Array_len ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let a = as_arr (Array.unsafe_get regs (sp - 1)) in
-          set_int regs (sp - 1) (Array.length a);
-          k st
-    | Instr.Instance_of cid ->
-        fun st ->
-          let regs = st.w_regs in
-          let sp = st.w_sp in
-          let v = Array.unsafe_get regs (sp - 1) in
-          let r =
-            (not (is_int v))
-            &&
-            match v with
-            | Value.Obj_c o ->
-                Program.is_subclass st.w_t.program ~sub:o.Value.cls ~super:cid
-            | Value.Null_c _ | Value.Arr_c _ -> false
-          in
-          set_int regs (sp - 1) (if r then 1 else 0);
-          k st
-    | Instr.Print_int ->
-        fun st ->
-          let t = st.w_t in
-          let sp = st.w_sp - 1 in
-          t.output_rev <- as_int (Array.unsafe_get st.w_regs sp) :: t.output_rev;
-          st.w_sp <- sp;
-          k st
-    | Instr.Nop -> fun st -> k st
-    | Instr.Jump _ | Instr.Jump_if _ | Instr.Jump_ifnot _ | Instr.Call_static _
-    | Instr.Call_direct _ | Instr.Call_virtual _ | Instr.Guard_method _
-    | Instr.New _ | Instr.Array_new | Instr.Return | Instr.Return_void ->
-        assert false
-  in
-  (* Effect closure for a run-terminating jump: both successors re-enter
-     through their target's *entry* closure (looked up at run time in
-     [nfns]), which re-checks the budget for its own run. *)
-  let term_link (ins : Instr.t) ~next : nfn =
-    match ins with
-    | Instr.Jump target -> fun st -> (Array.unsafe_get nfns target) st
-    | Instr.Jump_if target ->
-        fun st ->
-          let sp = st.w_sp - 1 in
-          st.w_sp <- sp;
-          if truthy (Array.unsafe_get st.w_regs sp) then
-            (Array.unsafe_get nfns target) st
-          else (Array.unsafe_get nfns next) st
-    | Instr.Jump_ifnot target ->
-        fun st ->
-          let sp = st.w_sp - 1 in
-          st.w_sp <- sp;
-          if truthy (Array.unsafe_get st.w_regs sp) then
-            (Array.unsafe_get nfns next) st
-          else (Array.unsafe_get nfns target) st
-    | _ -> assert false
-  in
-  (* Pass 1, high pc to low: effect chains and prepayment counts, taking
-     a superinstruction wherever {!select} finds one. A successor's chain
-     is always built before its predecessors, so straight-line links
-     capture it directly — the only run-time table lookups are at control
-     transfers. *)
-  for pc = n - 1 downto 0 do
-    match select ~nfns ~chain_at instrs pc with
-    | Some f ->
-        chain.(pc) <- f.fn;
-        cnt.(pc) <-
-          (if f.ends_run then f.width else f.width + cnt_at (pc + f.width))
-    | None -> (
+  let stk = Array.make (max 1 code.Code.max_stack) (Imm Value.zero) in
+  (* The block from leader [l] to the next jump or branch (inclusive),
+     breaker or leader, evaluated symbolically: its leading move (see
+     [move_entry]), its other statements (last first) and its exit. *)
+  let block l =
+    let d = ref depths.(l) in
+    for k = 0 to !d - 1 do
+      stk.(k) <- Reg (base + k)
+    done;
+    let lead = ref [] and stmts = ref [] and pending = ref [] in
+    let flush_moves () =
+      (match (!pending, !lead, !stmts) with
+      | [], _, _ -> ()
+      | [ m ], [], [] -> lead := [ m ]
+      | ms, _, _ -> stmts := moves (List.rev ms) :: !stmts);
+      pending := []
+    in
+    let emit s =
+      flush_moves ();
+      stmts := s :: !stmts
+    in
+    let move dst e = pending := (dst, e) :: !pending in
+    let push e =
+      stk.(!d) <- e;
+      incr d
+    in
+    let pop () =
+      decr d;
+      stk.(!d)
+    in
+    (* Write the entries satisfying [p] to their slots, bottom to top. A
+       node may read slots above its own position (the operands it
+       consumed), so bottom to top evaluates it before they are
+       overwritten. *)
+    let spill p =
+      for k = 0 to !d - 1 do
+        let e = stk.(k) and slot = base + k in
+        if p e && not (is_reg slot e) then begin
+          if is_leaf e then move slot e else emit (assign slot e);
+          stk.(k) <- Reg slot
+        end
+      done
+    in
+    let non_leaf e = not (is_leaf e) in
+    let statement s =
+      spill non_leaf;
+      emit s
+    in
+    let rec go pc =
+      if pc > l && (leader.(pc) || is_breaker instrs.(pc)) then begin
+        spill (fun _ -> true);
+        Tail pc
+      end
+      else
         match instrs.(pc) with
-        | ( Instr.Call_static _ | Instr.Call_direct _ | Instr.Call_virtual _
-          | Instr.Guard_method _ | Instr.New _ | Instr.Array_new | Instr.Return
-          | Instr.Return_void ) as ins ->
-            let b = breaker pc ins in
-            nfns.(pc) <- b;
-            chain.(pc) <- b;
-            cnt.(pc) <- 0
-        | (Instr.Jump _ | Instr.Jump_if _ | Instr.Jump_ifnot _) as ins ->
-            chain.(pc) <- term_link ins ~next:(pc + 1);
-            cnt.(pc) <- 1
-        | ins ->
-            chain.(pc) <- effect_link ins (chain_at (pc + 1));
-            cnt.(pc) <- 1 + cnt_at (pc + 1))
-  done;
-  (* Pass 2: entry closures for every pc inside a run. The prepayment
-     inequality [rem > (c - 1) * icost] is exactly the condition under
-     which [step] executes [c] more uniform-cost instructions without a
-     timer check becoming due; when it fails, the window tail belongs to
-     [step] itself, on the source instructions. *)
+        | Instr.Const c -> next pc (push (Imm (of_int c)))
+        | Instr.Const_null -> next pc (push (Imm Value.null))
+        | Instr.Load i -> next pc (push (Reg i))
+        | Instr.Store i ->
+            let e = pop () in
+            spill (fun x -> non_leaf x || is_reg i x);
+            if is_leaf e then move i e else emit (assign i e);
+            go (pc + 1)
+        | Instr.Dup ->
+            if non_leaf stk.(!d - 1) then spill non_leaf;
+            next pc (push stk.(!d - 1))
+        | Instr.Swap ->
+            spill (fun _ -> true);
+            next pc (emit (swap (base + !d - 1)))
+        | Instr.Pop ->
+            let e = pop () in
+            if non_leaf e then statement (discard e);
+            go (pc + 1)
+        | Instr.Binop op ->
+            let b = pop () in
+            let a = pop () in
+            next pc (push (Binop (op, a, b)))
+        | Instr.Cmp c ->
+            let b = pop () in
+            let a = pop () in
+            next pc (push (Cmp (c, a, b)))
+        | Instr.Neg -> next pc (push (Neg (pop ())))
+        | Instr.Not -> next pc (push (Not (pop ())))
+        | Instr.Get_field f -> next pc (push (Get_field (f, pop ())))
+        | Instr.Get_global i -> next pc (push (Get_global i))
+        | Instr.Array_get ->
+            let i = pop () in
+            let a = pop () in
+            next pc (push (Array_get (a, i)))
+        | Instr.Array_len -> next pc (push (Array_len (pop ())))
+        | Instr.Instance_of cid -> next pc (push (Instance_of (cid, pop ())))
+        | Instr.Put_field f ->
+            let v = pop () in
+            let o = pop () in
+            next pc (statement (put_field f o v))
+        | Instr.Put_global i -> next pc (statement (put_global i (pop ())))
+        | Instr.Array_set ->
+            let v = pop () in
+            let i = pop () in
+            let a = pop () in
+            next pc (statement (array_set a i v))
+        | Instr.Print_int -> next pc (statement (print_int (pop ())))
+        | Instr.Nop -> go (pc + 1)
+        | Instr.Jump tg ->
+            spill (fun _ -> true);
+            if tg > pc then Tail tg else Goto tg
+        | Instr.Jump_if tg ->
+            let c = pop () in
+            spill (fun _ -> true);
+            Branch (c, tg, pc + 1)
+        | Instr.Jump_ifnot tg ->
+            let c = pop () in
+            spill (fun _ -> true);
+            Branch (c, pc + 1, tg)
+        | _ -> assert false (* a breaker ends the block before it *)
+    and next pc () = go (pc + 1) in
+    let exit = go l in
+    flush_moves ();
+    (!lead, !stmts, exit)
+  in
+  (* A pc that starts no block is entered only after a window ended
+     mid-run there, or by OSR: [step] runs the rest of the run with a
+     budget of exactly its cost, then the tier re-enters at its end. *)
+  let mid_run st =
+    let pc = st.w_fr.f_pc and regs = st.w_regs and rem = st.w_rem in
+    let pay = cnt.(pc) * icost and sp = base + depths.(pc) in
+    if rem > pay - icost then begin
+      step st.w_t st.w_fr instrs icost regs regs pc sp pay st.w_nin;
+      st.w_rem <- rem - pay;
+      st.w_nin <- 0;
+      (Array.unsafe_get nfns st.w_fr.f_pc) st
+    end
+    else step st.w_t st.w_fr instrs icost regs regs pc sp rem st.w_nin
+  in
+  let plans = Array.make n None and rests = Array.make n stuck in
   for pc = 0 to n - 1 do
-    let c = cnt.(pc) in
-    if c > 0 then begin
-      let pre = (c - 1) * icost in
-      let pay = c * icost in
-      let link = chain.(pc) in
-      nfns.(pc) <-
-        (fun st ->
-          let rem = st.w_rem in
-          if rem > pre then begin
-            st.w_rem <- rem - pay;
-            st.w_nin <- st.w_nin + c;
-            link st
-          end
-          else
-            let regs = st.w_regs in
-            step st.w_t st.w_fr instrs icost regs regs pc st.w_sp rem
-              st.w_nin)
+    if depths.(pc) >= 0 && leader.(pc) && not (is_breaker instrs.(pc)) then
+      plans.(pc) <- Some (block pc)
+  done;
+  (* A jump to [tg]; into a branch-only block, the branch itself. *)
+  let transfer tg : nfn =
+    match plans.(tg) with
+    | Some ([], [], Branch (c, t, f)) ->
+        branch dests.(tg) c ~if_true:dests.(t) ~if_false:dests.(f)
+    | Some ([ (d, Reg s) ], _, _) -> move_entry dests.(tg) d s rests tg
+    | _ ->
+        let d = dests.(tg) in
+        fun st -> enter st d
+  in
+  for pc = n - 1 downto 0 do
+    if depths.(pc) >= 0 && is_breaker instrs.(pc) then begin
+      let b = breaker pc instrs.(pc) in
+      nfns.(pc) <- b;
+      dests.(pc).d_body <- b
     end
   done;
-  (* Operand-stack entry depths, for the OSR-transfer cross-check: the
-     same derivation the interpreter side performs, run at compile time
-     against the code actually being installed. *)
-  let entry_depths =
-    let root = Program.meth t.program code.Code.meth in
-    let wrapper =
-      {
-        root with
-        Meth.body = code.Code.instrs;
-        max_locals = code.Code.max_locals;
-        max_stack = code.Code.max_stack;
-      }
-    in
-    Verify.entry_depths t.program wrapper
-  in
-  (nfns, entry_depths)
+  for pc = n - 1 downto 0 do
+    let d = dests.(pc) in
+    match plans.(pc) with
+    | Some (lead, stmts, exit) ->
+        let last =
+          match exit with
+          | Tail pc' -> dests.(pc').d_body
+          | Goto tg -> transfer tg
+          | Branch (c, t, f) ->
+              branch paid_already c ~if_true:dests.(t) ~if_false:dests.(f)
+        in
+        rests.(pc) <- List.fold_left (fun k s -> s k) last stmts;
+        d.d_body <- moves lead rests.(pc);
+        nfns.(pc) <- transfer pc
+    | None ->
+        if depths.(pc) >= 0 && not (is_breaker instrs.(pc)) then
+          nfns.(pc) <- mid_run
+  done;
+  (nfns, depths)
 
 (* The bench sweep runs one program under dozens of policies, and every
    run closure-compiles the same baseline bodies again. A baseline

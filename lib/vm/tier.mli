@@ -1,18 +1,24 @@
 (** The closure ("native") second execution tier.
 
-    Compiles a method's installed {!Code.t} into direct-threaded chains
-    of OCaml closures, the technique of the OCamlJIT line of work: one
-    entry closure per source pc, straight-line runs linked by directly
-    captured successor closures, control transfers re-entering through
-    the target's entry closure. Common straight-line sequences
-    ([load;load;binop], [load;const;cmp;jump_ifnot], ...) compile to one
-    superinstruction closure each ({!fuse_at}); superinstructions exist
-    only here, never in {!Interp.step}. Frames, operand layout, the
-    virtual clock, hooks and preemption windows are all shared with
-    {!Interp}; the tier is an exact host-speed re-encoding of the
-    interpreter's observable semantics. Window accounting is *prepaid*
-    per straight-line run, and any run that no longer fits the window is
-    handed back to {!Interp.step} on the source instructions, so cycle
+    Compiles a method's installed {!Code.t} into OCaml closures, in the
+    manner of the OCamlJIT line of work: each basic block is evaluated
+    symbolically into expression trees (leaves are registers and
+    constants read in place, interior nodes are closures specialized on
+    their operands' shapes), and each statement consuming a tree — a
+    store, a field, array or global write, [Print_int], [Pop], a branch
+    — is one closure tailing into the next. No closure keeps a stack
+    pointer: the slot for depth [d] at any pc is the static
+    [max_locals + d], and only values still pending at a block end are
+    written to it. Evaluation order (traps, heap reads, output)
+    is exactly {!Interp.step}'s.
+
+    Frames, operand layout, the virtual clock, hooks and preemption
+    windows are shared with {!Interp}. Window accounting is prepaid per
+    straight-line run (which continues through forward jumps), and
+    branches and backward jumps prepay their target inline. {!Interp.step} runs in exactly two places: the window tail
+    once a run no longer fits the budget, and the rest of a run entered
+    at a pc that starts no block (after a window ended mid-run, or by
+    OSR), executed with a budget of exactly that run's cost. So cycle
     counts, hook firing points, counters and output stay bit-identical
     to {!Interp.run_reference} (enforced by the differential tests).
 
@@ -28,14 +34,6 @@ val compile : Interp.t -> Code.t -> Interp.nfn array * int array
     per source pc) plus the operand-stack entry depth per pc (from
     {!Verify.entry_depths}, used to cross-check OSR transfers onto
     compiled entry points). Does not install anything. *)
-
-val fuse_at : Instr.t array -> int -> (string * int) option
-(** [fuse_at instrs pc] is the superinstruction {!compile} selects at
-    [pc] — its name and the number of source instructions it covers —
-    or [None] when [pc] compiles to a plain closure. The longest
-    matching pattern wins; every component has a plain per-dispatch
-    cost, so a superinstruction charges exactly [width] instructions'
-    worth of cycles. *)
 
 val install : Interp.t -> Ids.Method_id.t -> Code.t -> unit
 (** Compile [code] — which must be what {!Interp.install_code} most

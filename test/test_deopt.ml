@@ -172,6 +172,69 @@ let test_deopt_mechanism_direct () =
     (Acsi_vm.Interp.output plain)
     (Acsi_vm.Interp.output vm)
 
+(* The same round trip with every baseline body on the closure tier:
+   the frames [deopt_top_frame] rebuilds run on the baseline closures,
+   not on the interpreter, and the run stays cycle-identical to the
+   naive reference loop driving the same hook. *)
+let test_deopt_frames_carry_closures () =
+  let program = monolithic_program () in
+  let main_id = Program.main program in
+  let exec run =
+    let vm = Acsi_vm.Interp.create ~sample_period:50_000 program in
+    Array.iter
+      (fun (m : Meth.t) ->
+        Acsi_vm.Tier.install vm m.Meth.id
+          (Acsi_vm.Interp.code_of vm m.Meth.id))
+      (Program.methods program);
+    let rebuilt = ref [] in
+    let stage = ref `Compile in
+    Acsi_vm.Interp.set_on_timer_sample vm (fun vm ->
+        match !stage with
+        | `Compile ->
+            let oracle = Acsi_jit.Oracle.create program in
+            let code, _ =
+              Acsi_jit.Expand.compile program (Acsi_vm.Interp.cost vm) oracle
+                ~root:(Program.meth program main_id)
+            in
+            Acsi_vm.Interp.install_code vm main_id code;
+            if Acsi_vm.Interp.osr vm main_id then
+              stage := `Deopt (code, Acsi_deopt.Deopt.table_of_code program code)
+        | `Deopt (code, table) -> (
+            let depth = vm.Acsi_vm.Interp.depth in
+            let f = vm.Acsi_vm.Interp.frames.(depth - 1) in
+            if f.Acsi_vm.Interp.f_code == code then
+              match
+                Acsi_deopt.Deopt.point_at table ~pc:f.Acsi_vm.Interp.f_pc
+              with
+              | Some plans ->
+                  Acsi_vm.Interp.deopt_top_frame vm ~plans
+                    ~reason:Acsi_vm.Interp.Guard_storm;
+                  let n = Array.length plans in
+                  rebuilt :=
+                    List.init n (fun i ->
+                        Array.length
+                          vm.Acsi_vm.Interp.frames.(depth - 1 + i)
+                            .Acsi_vm.Interp.f_ncode);
+                  stage := `Done
+              | None -> ())
+        | `Done -> ());
+    run vm;
+    ( !rebuilt,
+      Acsi_vm.Interp.output vm,
+      Acsi_vm.Interp.cycles vm,
+      Acsi_vm.Interp.instructions_executed vm )
+  in
+  let rebuilt, out, cycles, instrs = exec (fun vm -> Acsi_vm.Interp.run vm) in
+  let _, out_ref, cycles_ref, instrs_ref =
+    exec (fun vm -> Acsi_vm.Interp.run_reference vm)
+  in
+  check_bool "frames were rebuilt" true (rebuilt <> []);
+  check_bool "every rebuilt frame carries closures" true
+    (List.for_all (fun n -> n > 0) rebuilt);
+  Alcotest.(check (list int)) "output as the reference" out_ref out;
+  check_int "cycles as the reference" cycles_ref cycles;
+  check_int "instructions as the reference" instrs_ref instrs
+
 (* --- pre-existence analysis --- *)
 
 let test_preexistence () =
@@ -335,6 +398,8 @@ let suite =
     Alcotest.test_case "deopt table units" `Quick test_table_units;
     Alcotest.test_case "deopt mechanism, direct" `Quick
       test_deopt_mechanism_direct;
+    Alcotest.test_case "deoptimized frames run on closures" `Quick
+      test_deopt_frames_carry_closures;
     Alcotest.test_case "pre-existence analysis" `Quick test_preexistence;
     Alcotest.test_case "speculation on dispatch shape" `Quick
       test_speculation_dispatch;

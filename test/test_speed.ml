@@ -139,21 +139,41 @@ let test_trace_hash () =
 
 (* --- batched interpreter and closure tier --- *)
 
-(* The closure tier's superinstruction selector finds something to fuse
-   in a real workload's baseline code. *)
-let test_tier_selects_superinstructions () =
-  let program = (Workloads.find "db").Workloads.build ~scale:1 in
-  let vm = Interp.create program in
-  let selected = ref 0 in
-  Array.iter
-    (fun (m : Meth.t) ->
-      let instrs = (Interp.code_of vm m.Meth.id).Acsi_vm.Code.instrs in
-      Array.iteri
-        (fun pc _ ->
-          if Option.is_some (Tier.fuse_at instrs pc) then incr selected)
-        instrs)
-    (Program.methods program);
-  check_bool "superinstructions selected somewhere" true (!selected > 0)
+type engine = Reference | Interpreter | Closure_tier
+
+(* Everything a run exposes: clock, counters, output, and the cycle
+   count at every hook firing. *)
+let observe ~sample_period engine program =
+  let vm = Interp.create ~sample_period ~invoke_stride:16 program in
+  let timer_fires = ref [] in
+  let invoke_fires = ref [] in
+  let first_execs = ref [] in
+  Interp.set_on_timer_sample vm (fun vm ->
+      timer_fires := Interp.cycles vm :: !timer_fires);
+  Interp.set_on_invoke vm (fun vm m ->
+      invoke_fires := (Interp.cycles vm, (m :> int)) :: !invoke_fires);
+  Interp.set_on_first_execution vm (fun m ->
+      first_execs := (m :> int) :: !first_execs);
+  if engine = Closure_tier then
+    Array.iter
+      (fun (m : Meth.t) ->
+        Tier.install vm m.Meth.id (Interp.code_of vm m.Meth.id))
+      (Program.methods program);
+  let failure =
+    match
+      if engine = Reference then Interp.run_reference vm else Interp.run vm
+    with
+    | () -> None
+    | exception Interp.Runtime_error msg -> Some msg
+  in
+  ( failure,
+    ( Interp.cycles vm,
+      Interp.instructions_executed vm,
+      Interp.calls_executed vm,
+      Interp.guard_hits vm,
+      Interp.guard_misses vm ),
+    Interp.output vm,
+    (!timer_fires, !invoke_fires, !first_execs) )
 
 (* Differential property: on random programs, the batched interpreter
    is indistinguishable from the naive reference loop — cycles,
@@ -168,32 +188,25 @@ let prop_decoded_matches_reference =
   QCheck.Test.make ~name:"pre-decoded interpreter matches naive reference"
     ~count:40 Test_props.arbitrary_program (fun ast ->
       let program = Acsi_lang.Compile.prog ast in
-      let exec ~sample_period ~reference =
-        let vm = Interp.create ~sample_period ~invoke_stride:16 program in
-        let timer_fires = ref [] in
-        let invoke_fires = ref [] in
-        let first_execs = ref [] in
-        Interp.set_on_timer_sample vm (fun vm ->
-            timer_fires := Interp.cycles vm :: !timer_fires);
-        Interp.set_on_invoke vm (fun vm m ->
-            invoke_fires := (Interp.cycles vm, (m :> int)) :: !invoke_fires);
-        Interp.set_on_first_execution vm (fun m ->
-            first_execs := (m :> int) :: !first_execs);
-        if reference then Interp.run_reference vm else Interp.run vm;
-        ( Interp.cycles vm,
-          Interp.instructions_executed vm,
-          Interp.calls_executed vm,
-          Interp.guard_hits vm,
-          Interp.guard_misses vm,
-          Interp.output vm,
-          !timer_fires,
-          !invoke_fires,
-          !first_execs )
+      let same sample_period =
+        observe ~sample_period Reference program
+        = observe ~sample_period Interpreter program
       in
-      exec ~sample_period:997 ~reference:true
-      = exec ~sample_period:997 ~reference:false
-      && exec ~sample_period:1 ~reference:true
-         = exec ~sample_period:1 ~reference:false)
+      same 997 && same 1)
+
+(* The closure tier on every method against the naive reference loop,
+   at a 37-cycle sample period: co-prime to both per-instruction costs
+   and shorter than most straight-line runs, so windows keep ending in
+   the middle of runs and the next window re-enters the tier at a pc
+   that starts no block, running the rest of that run on [step] before
+   the tier takes over again. *)
+let prop_tier_small_period =
+  QCheck.Test.make
+    ~name:"closure tier matches naive reference at a 37-cycle period"
+    ~count:40 Test_props.arbitrary_program (fun ast ->
+      let program = Acsi_lang.Compile.prog ast in
+      observe ~sample_period:37 Reference program
+      = observe ~sample_period:37 Closure_tier program)
 
 (* Same property through the whole adaptive system: driving the AOS (code
    installation, OSR, decay, recompilation) from the reference loop ends
@@ -220,6 +233,54 @@ let prop_aos_matches_reference =
       in
       exec ~reference:true = exec ~reference:false)
 
+(* The same comparison on one fixed program at every sample period
+   from 2 to 64 cycles, so every remainder of the budget meets every
+   run length: an entry or branch that prepays a run one instruction
+   too eagerly moves a timer sample. The program has loops, both arms
+   of an if, calls, and field and array traffic. *)
+let period_program =
+  lazy
+    Acsi_lang.(
+      Compile.prog
+        Dsl.(
+          prog
+            [
+              cls "P" ~fields:[ "x" ]
+                [
+                  static_meth "f" [ "a" ] ~returns:true
+                    [
+                      if_ (lt (v "a") (i 5))
+                        [ ret (add (v "a") (i 1)) ]
+                        [ ret (sub (v "a") (i 2)) ];
+                    ];
+                ];
+            ]
+            [
+              let_ "p" (new_ "P" []);
+              let_ "s" (i 0);
+              let_ "arr" (arr_new (i 8));
+              for_ "k" (i 0) (i 300)
+                [
+                  if_ (lt (band (v "k") (i 3)) (i 2))
+                    [ let_ "s" (add (v "s") (call "P" "f" [ band (v "k") (i 7) ])) ]
+                    [ setf "P" (v "p") "x" (add (fld "P" (v "p") "x") (v "k")) ];
+                  arr_set (v "arr") (band (v "k") (i 7)) (v "s");
+                ];
+              print (v "s");
+              print (fld "P" (v "p") "x");
+              print (arr_get (v "arr") (i 3));
+            ]))
+
+let test_tier_every_period () =
+  let program = Lazy.force period_program in
+  for sample_period = 2 to 64 do
+    check_bool
+      (Printf.sprintf "period %d" sample_period)
+      true
+      (observe ~sample_period Reference program
+      = observe ~sample_period Closure_tier program)
+  done
+
 let suite =
   [
     Alcotest.test_case "same run twice is identical" `Quick test_run_twice;
@@ -227,8 +288,9 @@ let suite =
     Alcotest.test_case "dcg: site index tracks decay/pruning" `Quick
       test_site_index;
     Alcotest.test_case "trace: cached hash" `Quick test_trace_hash;
-    Alcotest.test_case "the tier selects at least one superinstruction on db"
-      `Quick test_tier_selects_superinstructions;
     QCheck_alcotest.to_alcotest prop_decoded_matches_reference;
+    QCheck_alcotest.to_alcotest prop_tier_small_period;
+    Alcotest.test_case "closure tier matches naive reference at every period"
+      `Quick test_tier_every_period;
     QCheck_alcotest.to_alcotest prop_aos_matches_reference;
   ]

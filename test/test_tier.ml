@@ -270,87 +270,10 @@ let test_cross_domain_determinism () =
   Alcotest.(check bool) "domain 1 matches serial" true (r1 = serial);
   Alcotest.(check bool) "domain 2 matches serial" true (r2 = serial)
 
-(* --- satellite: the fused superinstruction table, as coverage --- *)
-
-module Instr = Acsi_bytecode.Instr
-
-(* One row per superinstruction the closure tier selects
-   ([Tier.fuse_at]): the shortest source sequence that must fuse pc 0
-   into exactly that pattern. If a pattern is dropped, or longest-match
-   priority changes, the row fails; if a new superinstruction is added
-   without a row here, the count check fails. *)
-let fusion_rows =
-  let open Instr in
-  [
-    ("load2", [ Load 0; Load 1 ]);
-    ("load2_binop", [ Load 0; Load 1; Binop Add ]);
-    ("load2_binop_store", [ Load 0; Load 1; Binop Add; Store 2 ]);
-    ("load2_cmp_jumpifnot", [ Load 0; Load 1; Cmp Lt; Jump_ifnot 0 ]);
-    ("load_const_binop", [ Load 0; Const 3; Binop Add ]);
-    ("load_const_binop_store", [ Load 0; Const 3; Binop Add; Store 1 ]);
-    ("load_const_cmp_jumpifnot", [ Load 0; Const 3; Cmp Lt; Jump_ifnot 0 ]);
-    ("load_store", [ Load 0; Store 1 ]);
-    ("load_getfield", [ Load 0; Get_field 0 ]);
-    ("load_getfield_store", [ Load 0; Get_field 0; Store 1 ]);
-    ("load_jumpifnot", [ Load 0; Jump_ifnot 0 ]);
-    ("load_binop", [ Load 0; Binop Add ]);
-    ("load_cmp", [ Load 0; Cmp Eq ]);
-    ("load_arrayget", [ Load 0; Array_get ]);
-    ("store_load", [ Store 0; Load 1 ]);
-    ("store_store", [ Store 0; Store 1 ]);
-    ("store_jump", [ Store 0; Jump 0 ]);
-    ("getfield_load", [ Get_field 0; Load 0 ]);
-    ("const_store", [ Const 3; Store 0 ]);
-    ("const_binop", [ Const 3; Binop Add ]);
-    ("const_cmp", [ Const 3; Cmp Eq ]);
-    ("cmp_jumpifnot", [ Cmp Lt; Jump_ifnot 0 ]);
-    ("cmp_jumpif", [ Cmp Lt; Jump_if 0 ]);
-    ("binop_store", [ Binop Add; Store 0 ]);
-    ("binop_const", [ Binop Add; Const 3 ]);
-    ("binop_binop", [ Binop Add; Binop Sub ]);
-    ("arrayget_store", [ Array_get; Store 0 ]);
-  ]
-
-(* Sequences that start like a pattern but complete none: each pc 0
-   compiles to a plain closure. *)
-let unfused_rows =
-  let open Instr in
-  [
-    [ Load 0; Const 3 ];
-    [ Load 0; Const 3; Cmp Lt; Jump 0 ];
-    [ Const_null; Store 0 ];
-    [ Store 0; Binop Add ];
-    [ Cmp Lt; Jump 0 ];
-  ]
-
-let test_fusion_coverage () =
-  let select instrs =
-    Tier.fuse_at (Array.of_list (instrs @ [ Instr.Return_void ])) 0
-  in
-  Alcotest.(check int) "every superinstruction has a row" 27
-    (List.length fusion_rows);
-  Alcotest.(check int) "the rows select 27 distinct superinstructions" 27
-    (List.length
-       (List.sort_uniq compare
-          (List.filter_map (fun (_, instrs) -> select instrs) fusion_rows)));
-  List.iter
-    (fun (name, instrs) ->
-      Alcotest.(check (option (pair string int)))
-        (Printf.sprintf "pc 0 fuses to %s over its components" name)
-        (Some (name, List.length instrs))
-        (select instrs))
-    fusion_rows;
-  List.iteri
-    (fun i instrs ->
-      Alcotest.(check (option (pair string int)))
-        (Printf.sprintf "near miss %d stays plain" i)
-        None (select instrs))
-    unfused_rows
-
-(* Cost neutrality across the corpus: the closure tier, with its
-   superinstructions, on every baseline method must match the naive
-   reference loop on the observable output and on every virtual cycle —
-   a superinstruction charges exactly [width * icost] and hooks fire at
+(* Cost neutrality across the corpus: the closure tier on every baseline
+   method must match the naive reference loop on the observable output
+   and on every virtual cycle — its statements and expression trees
+   charge exactly their source instructions' cycles and hooks fire at
    the same counts, so the only difference is host dispatch overhead. *)
 let test_fusion_cost_neutral () =
   List.iter
@@ -360,7 +283,7 @@ let test_fusion_cost_neutral () =
         exec vm;
         (Interp.output vm, Interp.cycles vm)
       in
-      let fused vm =
+      let tiered vm =
         Array.iter
           (fun (m : Acsi_bytecode.Meth.t) ->
             Tier.install vm m.Acsi_bytecode.Meth.id
@@ -368,7 +291,7 @@ let test_fusion_cost_neutral () =
           (Acsi_bytecode.Program.methods program);
         Interp.run vm
       in
-      let out_on, cyc_on = run fused in
+      let out_on, cyc_on = run tiered in
       let out_off, cyc_off = run (fun vm -> Interp.run_reference vm) in
       Alcotest.(check (list int))
         (Printf.sprintf "%s: output identical" name)
@@ -380,8 +303,6 @@ let test_fusion_cost_neutral () =
 
 let suite =
   [
-    Alcotest.test_case "fused superinstruction coverage" `Quick
-      test_fusion_coverage;
     Alcotest.test_case "fusion is cost-neutral" `Quick
       test_fusion_cost_neutral;
     QCheck_alcotest.to_alcotest prop_tier_differential;

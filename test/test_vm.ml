@@ -17,10 +17,12 @@ let compile ?(classes = []) ?(globals = []) main =
    batched interpreter ([step]), and the closure tier with every method
    installed before the run. The closure tier also runs as the
    [Boundary] engine, with a 1-cycle sample period: every window then
-   admits a single instruction, so no entry closure can prepay a run of
-   two or more instructions, and each such run goes to plain [step] —
-   the one fallback the tier has. Each is an independent implementation of the kind checks,
-   so each case below runs on all of them and must end identically. *)
+   admits a single instruction, so no entry can prepay a run of two or
+   more instructions, and each such run goes to plain [step] — the
+   window-tail use of [step]; its other use, the rest of a run entered
+   mid-block, is covered by test_speed's 37-cycle property. Each is an
+   independent implementation of the kind checks, so each case below
+   runs on all of them and must end identically. *)
 type outcome = Printed of int list | Failed of string
 type engine = Reference | Interpreter | Boundary | Closure_tier
 
@@ -45,6 +47,7 @@ let outcome = Alcotest.testable pp_outcome ( = )
    outcomes; runs that finish also report cycles and instructions. *)
 type run = {
   got : outcome;
+  printed : int list;  (* output so far, also when the run trapped *)
   guards : int * int;  (* hits, misses *)
   clock : (int * int) option;  (* cycles, instructions *)
 }
@@ -69,6 +72,7 @@ let run_engine ?(prepare = ignore) engine program =
   in
   {
     got;
+    printed = Interp.output vm;
     guards = (Interp.guard_hits vm, Interp.guard_misses vm);
     clock =
       (match got with
@@ -87,6 +91,8 @@ let expect_on_all_engines ?prepare label program expected =
         (fun (engine, r) ->
           let what = Printf.sprintf "%s on the %s" label (engine_name engine) in
           Alcotest.check outcome what expected r.got;
+          Alcotest.(check (list int))
+            (what ^ ": output before the end") reference.printed r.printed;
           check_bool (what ^ ": guard counters") true
             (r.guards = reference.guards);
           check_bool (what ^ ": cycles and instructions") true
@@ -272,12 +278,12 @@ let test_kind_matrix () =
            expected))
     kind_cases
 
-(* --- superinstruction fallbacks on every engine --- *)
+(* --- expression trees on every engine, compiled source --- *)
 
-(* Code dense in superinstructions (locals and constants feeding
+(* Code dense in expression trees (locals and constants feeding
    arithmetic, compares, branches, stores, field and array reads), with
    operands chosen so that swapping or dropping one changes what is
-   printed. The [Closure_tier] engine runs them as superinstructions;
+   printed. The [Closure_tier] engine runs them as statement closures;
    the [Boundary] engine hands each of their runs to plain [step]. *)
 let test_superinstruction_fallbacks () =
   let classes = Dsl.[ cls "P" ~fields:[ "x"; "y" ] [] ] in
@@ -315,6 +321,224 @@ let test_superinstruction_fallbacks () =
   ignore
     (expect_on_all_engines "superinstruction fallbacks" program
        (Printed [ 4; 5; -35; 2; 3; 4; -370 ]))
+
+(* --- expression-tree hazards, hand-assembled --- *)
+
+(* The closure tier evaluates each block into expression trees and
+   writes to the operand stack only what it must (see [Tier]). The
+   bodies below, installed as [main], are places where running a
+   pending tree too late, too early, twice, or with its operands checked
+   in another order would change what is printed or which trap ends the
+   run. Every body starts with [hazard_prologue]: locals 0-2 hold 7, 3
+   and 2, local 3 an [A] whose field is 5, local 4 the array
+   [|11; 22; 33|]. Jump targets in a body are relative to its start. *)
+let hazard_program =
+  lazy
+    (compile ~classes:Dsl.[ cls "A" ~fields:[ "x" ] [] ] ~globals:[ "g" ] [])
+
+let hazard_prologue ~local1 =
+  let a = (Program.find_class (Lazy.force hazard_program) "A").Clazz.id in
+  Instr.
+    [
+      Const 7; Store 0; local1; Store 1; Const 2; Store 2;
+      New a; Store 3; Load 3; Const 5; Put_field 0;
+      Const 3; Array_new; Store 4;
+      Load 4; Const 0; Const 11; Array_set;
+      Load 4; Const 1; Const 22; Array_set;
+      Load 4; Const 2; Const 33; Array_set;
+    ]
+
+let install_main ?(local1 = Instr.Const 3) body vm =
+  let program = Lazy.force hazard_program in
+  let prologue = hazard_prologue ~local1 in
+  let start = List.length prologue in
+  let body =
+    List.map (Instr.with_jump_targets ~f:(fun t -> t + start)) body
+  in
+  let main = Program.main program in
+  Interp.install_code vm main
+    {
+      Code.meth = main;
+      (* not [Baseline]: the tier shares baseline closures across runs of
+         one program, and these bodies are not the program's *)
+      tier = Code.Optimized;
+      instrs = Array.of_list (prologue @ body);
+      max_locals = 5;
+      max_stack = 8;
+      src = None;
+      code_bytes = 0;
+      assumptions = [];
+    }
+
+let hazard_cases =
+  let open Instr in
+  let null = Failed "null dereference" in
+  [
+    ( "a store over its own pending load",
+      [ Load 0; Const 9; Store 0; Print_int; Load 0; Print_int; Return_void ],
+      Printed [ 7; 9 ] );
+    ( "a store over a pending load under a pending node",
+      [
+        Load 0; Load 1; Load 0; Const 1; Binop Add; Store 1; Binop Sub;
+        Print_int; Load 1; Print_int; Return_void;
+      ],
+      Printed [ 4; 8 ] );
+    ( "a field write over a pending read of the field",
+      [
+        Load 3; Get_field 0; Load 3; Const 6; Put_field 0; Print_int;
+        Load 3; Get_field 0; Print_int; Return_void;
+      ],
+      Printed [ 5; 6 ] );
+    ( "a global write over a pending read of the global",
+      [
+        Const 4; Put_global 0; Get_global 0; Const 8; Put_global 0;
+        Print_int; Get_global 0; Print_int; Return_void;
+      ],
+      Printed [ 4; 8 ] );
+    ( "an element write over a pending read of the element",
+      [
+        Load 4; Const 1; Array_get; Load 4; Const 1; Const 99; Array_set;
+        Print_int; Load 4; Const 1; Array_get; Print_int; Return_void;
+      ],
+      Printed [ 22; 99 ] );
+    ( "dup of a node",
+      [ Load 0; Load 1; Binop Mul; Dup; Binop Add; Print_int; Return_void ],
+      Printed [ 42 ] );
+    ( "dup of a field read, then a write of the field",
+      [
+        Load 3; Get_field 0; Dup; Load 3; Const 1; Put_field 0; Binop Add;
+        Print_int; Load 3; Get_field 0; Print_int; Return_void;
+      ],
+      Printed [ 10; 1 ] );
+    ( "swap of nodes",
+      [
+        Load 0; Load 2; Binop Mul; Load 1; Const 1; Binop Add; Swap;
+        Binop Sub; Print_int; Return_void;
+      ],
+      Printed [ -10 ] );
+    ( "swap of loads, stored back crosswise",
+      [
+        Load 0; Load 1; Swap; Store 1; Store 0; Load 0; Print_int; Load 1;
+        Print_int; Return_void;
+      ],
+      Printed [ 3; 7 ] );
+    ( "a print under a pending trap",
+      [ Const_null; Get_field 0; Const 1; Print_int; Pop; Return_void ],
+      null );
+    ( "a print, then a trap",
+      [
+        Const 1; Print_int; Load 0; Const 0; Binop Div; Print_int;
+        Return_void;
+      ],
+      Failed "division by zero" );
+    ( "a binop whose operands trap differently",
+      [
+        Const_null; Get_field 0; Const_null; Neg; Binop Add; Print_int;
+        Return_void;
+      ],
+      null );
+    ( "a binop checks its right operand first",
+      [ Const_null; Load 3; Binop Add; Print_int; Return_void ],
+      Failed "expected an integer, got obj<#0>" );
+    ( "an element read checks its index first",
+      [ Const_null; Const_null; Array_get; Print_int; Return_void ],
+      Failed "expected an integer, got null" );
+    ( "a block end spills bottom to top",
+      [ Const_null; Get_field 0; Const_null; Neg; Jump 5; Pop; Pop; Return_void ],
+      null );
+  ]
+
+let test_tree_hazards () =
+  let program = Lazy.force hazard_program in
+  List.iter
+    (fun (label, body, expected) ->
+      ignore
+        (expect_on_all_engines ~prepare:(install_main body) label program
+           expected))
+    hazard_cases
+
+(* The 27 instruction sequences the closure tier once fused into
+   superinstructions, kept as inputs. Each runs after the prologue; a
+   branch's taken side ([-1]) and its fall-through print different
+   markers, then the stack left by the row and locals 0-3 are printed.
+   Each row also runs with local 1 holding null, so the trap paths of
+   the specialized closures are compared too. *)
+let former_superinstructions =
+  let open Instr in
+  [
+    [ Load 0; Load 1 ];
+    [ Load 0; Load 1; Binop Sub ];
+    [ Load 0; Load 1; Binop Sub; Store 2 ];
+    [ Load 0; Load 1; Cmp Lt; Jump_ifnot (-1) ];
+    [ Load 0; Const 3; Binop Sub ];
+    [ Load 0; Const 3; Binop Sub; Store 1 ];
+    [ Load 0; Const 3; Cmp Lt; Jump_ifnot (-1) ];
+    [ Load 0; Store 1 ];
+    [ Load 3; Get_field 0 ];
+    [ Load 3; Get_field 0; Store 1 ];
+    [ Load 1; Jump_ifnot (-1) ];
+    [ Const 10; Load 1; Binop Sub ];
+    [ Const 10; Load 1; Cmp Lt ];
+    [ Load 4; Load 2; Array_get ];
+    [ Const 9; Store 0; Load 1 ];
+    [ Const 8; Const 9; Store 0; Store 1 ];
+    [ Load 1; Store 0; Jump (-1) ];
+    [ Load 3; Get_field 0; Load 1 ];
+    [ Const 3; Store 0 ];
+    [ Load 1; Const 3; Binop Sub ];
+    [ Load 1; Const 3; Cmp Eq ];
+    [ Load 0; Load 1; Cmp Le; Jump_ifnot (-1) ];
+    [ Load 1; Load 0; Cmp Lt; Jump_if (-1) ];
+    [ Load 1; Load 0; Binop Mul; Store 2 ];
+    [ Load 0; Load 1; Binop Add; Const 3 ];
+    [ Load 2; Load 0; Load 1; Binop Sub; Binop Sub ];
+    [ Load 4; Load 1; Array_get; Store 0 ];
+  ]
+
+let depth_after row =
+  List.fold_left
+    (fun d (ins : Instr.t) ->
+      match ins with
+      | Instr.Load _ | Instr.Const _ -> d + 1
+      | Instr.Store _ | Instr.Binop _ | Instr.Cmp _ | Instr.Array_get
+      | Instr.Jump_if _ | Instr.Jump_ifnot _ ->
+          d - 1
+      | _ -> d)
+    0 row
+
+let test_former_superinstructions () =
+  let program = Lazy.force hazard_program in
+  check_int "27 rows" 27 (List.length former_superinstructions);
+  List.iteri
+    (fun n row ->
+      let len = List.length row in
+      let taken = len + 3 in
+      let row =
+        List.map
+          (Instr.with_jump_targets ~f:(fun t -> if t < 0 then taken else t))
+          row
+      in
+      let body =
+        Instr.(
+          row
+          @ [ Const 200; Print_int; Jump (taken + 2); Const 100; Print_int ]
+          @ List.concat (List.init (depth_after row) (fun _ -> [ Print_int ]))
+          @ [
+              Load 0; Print_int; Load 1; Print_int; Load 2; Print_int;
+              Load 3; Get_field 0; Print_int; Return_void;
+            ])
+      in
+      List.iter
+        (fun local1 ->
+          let prepare = install_main ~local1 body in
+          let label =
+            Printf.sprintf "former superinstruction %d, local 1 = %s" n
+              (Instr.to_string local1)
+          in
+          let reference = run_engine ~prepare Reference program in
+          ignore (expect_on_all_engines ~prepare label program reference.got))
+        Instr.[ Const 3; Const_null ])
+    former_superinstructions
 
 (* --- the value representation against its specification --- *)
 
@@ -685,6 +909,10 @@ let suite =
     Alcotest.test_case "kind mismatches on every engine" `Quick test_kind_matrix;
     Alcotest.test_case "superinstruction fallbacks on every engine" `Quick
       test_superinstruction_fallbacks;
+    Alcotest.test_case "expression-tree hazards on every engine" `Quick
+      test_tree_hazards;
+    Alcotest.test_case "former superinstructions on every engine" `Quick
+      test_former_superinstructions;
     Alcotest.test_case "deterministic cycles" `Quick test_cycle_determinism;
     Alcotest.test_case "costs move the clock" `Quick test_costs_move_the_clock;
     Alcotest.test_case "charge advances clock" `Quick test_charge_advances_clock;
