@@ -1004,7 +1004,7 @@ let poll_async_installs t =
    still passes through the same [Jit_check] gate as local installs.
    When the publisher also shipped its closure-tier compilation
    ([native]), the tier closures are reused directly: they are
-   VM-independent (runtime state flows through the [wst] record), so
+   VM-independent (runtime state flows through the frame they run), so
    re-verifying + re-compiling them per shard would be pure waste. *)
 let adopt_compiled t mid code stats ~rule_stamp ~native =
   if code.Acsi_vm.Code.assumptions <> [] then

@@ -1,7 +1,13 @@
 type t = {
   classes : Clazz.t array;
   methods : Meth.t array;
-  dispatch_table : Ids.Method_id.t option array array;  (* [class][selector] *)
+  (* Dispatch targets, row-major: [class * selector_count + selector]
+     holds the target's method id, or -1 where the class does not
+     understand the selector. Flat ints, so the VM's virtual calls and
+     guards read one word. *)
+  dispatch_ids : int array;
+  some_ids : Ids.Method_id.t option array;
+      (* [Some id] per method id, so {!dispatch} allocates nothing *)
   selector_names : string array;
   global_names : string array;
   main : Ids.Method_id.t;
@@ -21,7 +27,13 @@ let selector_name p (s : Ids.Selector.t) = p.selector_names.((s :> int))
 let selector_count p = Array.length p.selector_names
 
 let dispatch p (cid : Ids.Class_id.t) (sel : Ids.Selector.t) =
-  p.dispatch_table.((cid :> int)).((sel :> int))
+  let m =
+    p.dispatch_ids.(((cid :> int) * Array.length p.selector_names)
+                    + (sel :> int))
+  in
+  if m < 0 then None else p.some_ids.(m)
+
+let dispatch_ids p = p.dispatch_ids
 
 let implementations p (sel : Ids.Selector.t) = p.impls.((sel :> int))
 let cone p (cid : Ids.Class_id.t) = p.cones.((cid :> int))
@@ -243,26 +255,23 @@ module Builder = struct
       |> Array.of_list
     in
     let nsel = b.b_selector_count in
-    let dispatch_table =
-      Array.map
-        (fun (c : Clazz.t) ->
-          let row = Array.make nsel None in
-          (* Walk from the root down so children override inherited slots. *)
-          let rec chain (c : Clazz.t) =
-            match c.parent with
-            | None -> [ c ]
-            | Some up -> chain classes.((up :> int)) @ [ c ]
-          in
-          List.iter
-            (fun (c : Clazz.t) ->
-              List.iter
-                (fun ((sel : Ids.Selector.t), mid) ->
-                  row.((sel :> int)) <- Some mid)
-                c.own_methods)
-            (chain c);
-          row)
-        classes
-    in
+    let dispatch_ids = Array.make (Array.length classes * nsel) (-1) in
+    Array.iteri
+      (fun k (c : Clazz.t) ->
+        (* Walk from the root down so children override inherited slots. *)
+        let rec chain (c : Clazz.t) =
+          match c.parent with
+          | None -> [ c ]
+          | Some up -> chain classes.((up :> int)) @ [ c ]
+        in
+        List.iter
+          (fun (c : Clazz.t) ->
+            List.iter
+              (fun ((sel : Ids.Selector.t), (mid : Ids.Method_id.t)) ->
+                dispatch_ids.((k * nsel) + (sel :> int)) <- (mid :> int))
+              c.own_methods)
+          (chain c))
+      classes;
     let impls =
       (* A declared instance method is its own class's dispatch target,
          and every dispatch target is declared somewhere: the distinct
@@ -298,7 +307,8 @@ module Builder = struct
     {
       classes;
       methods;
-      dispatch_table;
+      dispatch_ids;
+      some_ids = Array.map (fun (m : Meth.t) -> Some m.Meth.id) methods;
       selector_names = Array.of_list (List.rev b.b_selector_names);
       global_names = Array.of_list (List.rev b.b_global_names);
       main;

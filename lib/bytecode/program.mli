@@ -22,6 +22,11 @@ val dispatch : t -> Ids.Class_id.t -> Ids.Selector.t -> Ids.Method_id.t option
 (** Dispatch target of a selector on a dynamic class, or [None] when the
     class does not understand the selector. *)
 
+val dispatch_ids : t -> int array
+(** The same table, flat: [(cid * selector_count + sel)] holds the
+    target's method id, or [-1] where {!dispatch} is [None]. Immutable
+    once sealed; the VM reads it on every virtual call and guard. *)
+
 val implementations : t -> Ids.Selector.t -> Ids.Method_id.t list
 (** Class-hierarchy analysis: every method a virtual call on this selector
     could reach in the sealed universe (distinct dispatch targets). *)

@@ -209,7 +209,7 @@ let try_osr_up vm (code : Code.t) t =
                 (c.Code.tier = Code.Baseline
                 && Ids.Method_id.equal c.Code.meth p.Interp.dp_meth
                 && fr.Interp.f_pc = p.Interp.dp_pc
-                && fr.Interp.f_sp - fr.Interp.f_base = p.Interp.dp_stack_len)
+                && fr.Interp.f_sp - c.Code.max_locals = p.Interp.dp_stack_len)
             then ok := false)
         plans;
       !ok

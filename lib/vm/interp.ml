@@ -6,17 +6,24 @@ exception Cycle_limit_exceeded
 let rerr fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 
 type frame = {
+  f_vm : t;  (* the VM the frame runs in; closure-tier code reads it here *)
   mutable f_code : Code.t;
   mutable f_ncode : nfn array;
       (* closure-tier entry points, one per source pc ([Tier]); [[||]]
          means the frame executes on the interpreter tier *)
   mutable f_pc : int;
   mutable f_regs : Value.t array;
-      (* locals in [0, f_base); operand stack grows from f_base up. One
-         allocation per call instead of two — [f_sp] is an absolute index
-         into [f_regs], so stack slot [i] lives at [f_base + i]. *)
-  mutable f_base : int;
-  mutable f_sp : int;  (* absolute; empty stack = f_base *)
+      (* locals in [0, max_locals) of [f_code]; the operand stack grows
+         from [max_locals] up. One allocation per call instead of two —
+         [f_sp] is an absolute index into [f_regs], so stack slot [i]
+         lives at [max_locals + i] ({!stack_base}). *)
+  mutable f_sp : int;  (* absolute; empty stack = [stack_base fr] *)
+  (* The closure tier's window state while this frame is on top: the
+     virtual cycles until the next timer check, and the instructions
+     executed but not yet settled (see [flush]). Set by [dispatch] on
+     every entry; ints, so no store to them pays a write barrier. *)
+  mutable f_rem : int;
+  mutable f_nin : int;
 }
 
 and t = {
@@ -26,6 +33,10 @@ and t = {
   globals : Value.t array;
   code_table : Code.t array;
   param_slots : int array;  (* per method, so [invoke] skips the Meth.t *)
+  (* [Program.dispatch_ids] and the selector count, read by every virtual
+     call without a call into [Program]. *)
+  dispatch_ids : int array;
+  nsel : int;
   mutable frames : frame array;
   mutable depth : int;  (* live frames in [frames] *)
   mutable output_rev : int list;
@@ -85,7 +96,6 @@ and t = {
   mutable calibrate : bool;
   cal_cycles : int array;
   cal_host_s : float array;
-  wst : wst;
   (* The thread whose stack [frames]/[depth] hold: the running one, or
      between slices the one that ran last. Hooks that fire between
      slices (the scheduler's switch hook installs code, and an install
@@ -95,27 +105,13 @@ and t = {
   mutable last_thread : thread;
 }
 
-(* A closure-tier entry point, statement or breaker, reading the
-   execution state out of the VM's one [wst] record (populated by
-   [exec_window]/[continue_window] just before dispatch): OCaml applies
-   an unknown single-argument closure directly, while more arguments go
-   through a [caml_applyN] shuffling stub on every statement. *)
-and nfn = wst -> unit
-
-(* The closure tier's execution state, threaded through [nfn] closures
-   by mutation. One record per VM: a window is entered, run and left
-   before the driver dispatches the next one, and re-entrant dispatches
-   (calls, returns, OSR restarts) re-populate the fields before jumping.
-   No stack pointer: the tier's stack slots are static per pc. [w_rem]
-   is the virtual cycles until the next timer check; [w_nin] the
-   instructions executed but not yet settled (see [flush]). *)
-and wst = {
-  w_t : t;
-  mutable w_fr : frame;
-  mutable w_regs : Value.t array;
-  mutable w_rem : int;
-  mutable w_nin : int;
-}
+(* A closure-tier entry point, statement or breaker, applied to the
+   frame it runs: everything it reads (the VM, registers, window state)
+   hangs off that one argument, and OCaml applies an unknown
+   single-argument closure directly, while more arguments go through a
+   [caml_applyN] shuffling stub on every statement. Closures never
+   capture a VM, so baseline code is shared across VMs and domains. *)
+and nfn = frame -> unit
 
 (* See [resume] below. *)
 and thread = {
@@ -124,6 +120,38 @@ and thread = {
   mutable th_depth : int;
   mutable th_started : bool;
 }
+
+(* Where a frame's operand stack starts: its code's [max_locals]. *)
+let[@inline] stack_base fr = fr.f_code.Code.max_locals
+
+(* A fresh register array of [n] zeros. Literal arrays up to 16 slots
+   are allocated inline on the minor heap; [Array.make] is a C call. *)
+let make_regs n : Value.t array =
+  let z = (Obj.magic 0 : Value.t) in
+  match n with
+  | 1 -> [| z |]
+  | 2 -> [| z; z |]
+  | 3 -> [| z; z; z |]
+  | 4 -> [| z; z; z; z |]
+  | 5 -> [| z; z; z; z; z |]
+  | 6 -> [| z; z; z; z; z; z |]
+  | 7 -> [| z; z; z; z; z; z; z |]
+  | 8 -> [| z; z; z; z; z; z; z; z |]
+  | 9 -> [| z; z; z; z; z; z; z; z; z |]
+  | 10 -> [| z; z; z; z; z; z; z; z; z; z |]
+  | 11 -> [| z; z; z; z; z; z; z; z; z; z; z |]
+  | 12 -> [| z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 13 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 14 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 15 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | 16 -> [| z; z; z; z; z; z; z; z; z; z; z; z; z; z; z; z |]
+  | n -> Array.make n z
+
+(* [max 1 code.max_stack] without [Stdlib.max], whose polymorphic
+   comparison is a C call. *)
+let[@inline] stack_slots (code : Code.t) =
+  let n = code.Code.max_stack in
+  if n > 1 then n else 1
 
 let cal_buckets = [| "interp"; "closure"; "system" |]
 
@@ -135,7 +163,8 @@ let max_call_depth = 200_000
    frame. Plans are listed outermost-first; all offsets index the
    *optimized* frame's [f_regs]: the region's locals live at
    [dp_base, ...) and its operand-stack slice at
-   [f_base + dp_stack_lo, f_base + dp_stack_lo + dp_stack_len).
+   [b + dp_stack_lo, b + dp_stack_lo + dp_stack_len), [b] being its
+   {!stack_base}.
    For every non-innermost plan, [dp_pc] is the call instruction the
    source frame is suspended at and [dp_stack_len] its residual stack
    depth *after* the arguments were popped — the exact invariant
@@ -154,16 +183,15 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     ?(invoke_stride = 2048) program =
   let methods = Program.methods program in
   let code_table = Array.map (fun m -> Code.baseline cost m) methods in
-  (* [w_fr] is populated by the window dispatchers before any closure
-     can read it; until then it holds an unboxed dummy. *)
-  let rec t =
-    {
-      program;
+  {
+    program;
     cost;
     cycles = 0;
     globals = Array.make (max 1 (Program.global_count program)) Value.zero;
     code_table;
     param_slots = Array.map Meth.param_slots methods;
+    dispatch_ids = Program.dispatch_ids program;
+    nsel = Program.selector_count program;
     frames = Array.make 0 (Obj.magic 0);
     depth = 0;
     output_rev = [];
@@ -196,20 +224,9 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     calibrate = false;
     cal_cycles = Array.make (Array.length cal_buckets) 0;
     cal_host_s = Array.make (Array.length cal_buckets) 0.0;
-    wst;
     last_thread =
       { th_id = -1; th_frames = [||]; th_depth = 0; th_started = false };
   }
-  and wst =
-    {
-      w_t = t;
-      w_fr = (Obj.magic 0 : frame);
-      w_regs = [||];
-      w_rem = 0;
-      w_nin = 0;
-    }
-  in
-  t
 
 let program t = t.program
 let cost t = t.cost
@@ -317,7 +334,7 @@ let osr t (mid : Ids.Method_id.t) =
         match target with
         | None -> false
         | Some pc' ->
-            let sp_rel = fr.f_sp - fr.f_base in
+            let sp_rel = fr.f_sp - stack_base fr in
             (* The target pc must expect exactly the operand-stack depth
                the suspended frame carries: the peephole optimizer can
                leave a root-level source entry on an instruction whose
@@ -356,18 +373,15 @@ let osr t (mid : Ids.Method_id.t) =
                      (interpreter expects %d)"
                     pc' sp_rel
               end;
-              let base = current.Code.max_locals in
-              let regs =
-                Array.make (base + max 1 current.Code.max_stack) Value.zero
-              in
-              Array.blit fr.f_regs 0 regs 0 (min fr.f_base base);
-              Array.blit fr.f_regs fr.f_base regs base sp_rel;
+              let old_base = stack_base fr and new_base = current.Code.max_locals in
+              let regs = make_regs (new_base + stack_slots current) in
+              Array.blit fr.f_regs 0 regs 0 (min old_base new_base);
+              Array.blit fr.f_regs old_base regs new_base sp_rel;
               fr.f_code <- current;
               fr.f_ncode <- nc;
               fr.f_pc <- pc';
               fr.f_regs <- regs;
-              fr.f_base <- base;
-              fr.f_sp <- base + sp_rel;
+              fr.f_sp <- new_base + sp_rel;
               t.osr_up <- t.osr_up + 1;
               true
             end
@@ -385,15 +399,16 @@ let osr_into t (mid : Ids.Method_id.t) ~(plans : frame_plan array) ~pc =
   if k = 0 || t.depth < k then invalid_arg "Interp.osr_into: bad plan count";
   let code = t.code_table.((mid :> int)) in
   let base = code.Code.max_locals in
-  let regs = Array.make (base + max 1 code.Code.max_stack) Value.zero in
+  let regs = make_regs (base + stack_slots code) in
   let sp_rel = ref 0 in
   Array.iteri
     (fun i p ->
       let sf = t.frames.(t.depth - k + i) in
-      let nl = min sf.f_base (max 0 (base - p.dp_base)) in
+      let sbase = stack_base sf in
+      let nl = min sbase (max 0 (base - p.dp_base)) in
       Array.blit sf.f_regs 0 regs p.dp_base nl;
-      let slen = sf.f_sp - sf.f_base in
-      Array.blit sf.f_regs sf.f_base regs (base + p.dp_stack_lo) slen;
+      let slen = sf.f_sp - sbase in
+      Array.blit sf.f_regs sbase regs (base + p.dp_stack_lo) slen;
       sp_rel := p.dp_stack_lo + slen)
     plans;
   let nc = t.native_table.((mid :> int)) in
@@ -410,7 +425,6 @@ let osr_into t (mid : Ids.Method_id.t) ~(plans : frame_plan array) ~pc =
   fr.f_ncode <- nc;
   fr.f_pc <- pc;
   fr.f_regs <- regs;
-  fr.f_base <- base;
   fr.f_sp <- base + !sp_rel;
   t.depth <- t.depth - k + 1;
   t.osr_up <- t.osr_up + 1
@@ -436,43 +450,44 @@ let walk_source_stack t ~f =
 
 (* --- frame stack management --- *)
 
-(* Frames are freshly allocated per call on purpose: records and operand
-   arrays born in the minor heap keep locals/stack stores on the cheap
-   minor-to-minor write path and die young. (Reusing popped frames was
-   tried and measured slower — long-lived frames get promoted, and every
-   pointer store into them then pays the remembered-set barrier.)
-   A fresh thread's stack starts at 8 slots and doubles: a server spawns
-   one stack per session, and most sessions never nest 8 calls deep. *)
-let push_frame t code ncode =
-  (if t.depth = Array.length t.frames then begin
-     let cap = max 8 (2 * t.depth) in
-     let bigger =
-       Array.make cap
-         {
-           f_code = code;
-           f_ncode = [||];
-           f_pc = 0;
-           f_regs = [||];
-           f_base = 0;
-           f_sp = 0;
-         }
-     in
-     Array.blit t.frames 0 bigger 0 t.depth;
-     t.frames <- bigger
-   end);
+(* A fresh thread's stack starts at 8 slots and doubles, up to
+   [max_call_depth] slots, so a full stack is the overflow: a server
+   spawns one stack per session, and most sessions never nest 8 calls
+   deep. Free slots hold an immediate and are never read. *)
+let[@inline never] grow_frames t =
   if t.depth >= max_call_depth then rerr "call stack overflow";
+  let cap = if t.depth < 4 then 8 else 2 * t.depth in
+  let cap = if cap > max_call_depth then max_call_depth else cap in
+  let bigger = Array.make cap (Obj.magic 0 : frame) in
+  Array.blit t.frames 0 bigger 0 t.depth;
+  t.frames <- bigger
+
+(* Frames are freshly allocated per call on purpose: records and register
+   arrays born in the minor heap keep locals/stack stores on the cheap
+   minor-to-minor write path and die young. The one barriered store of a
+   call is the frame's slot in [t.frames]. Reusing the popped frame at
+   the same depth and code was re-measured on 2026-10-18 (10 alternated
+   pairs of 10 s per workload, 2-core container): allocation per static
+   call 14 -> 0 words (on a build whose record was a word longer), but sweep ops_per_s -4.9% (2/10 pairs won) and
+   cell_ms_p50 +9.2% (0/10), warmup ops_per_s +4.7% (6/10, inside its
+   quartile spread). Pooled frames are promoted, and every pointer store
+   into their registers then pays the remembered-set barrier. *)
+let[@inline] push_frame t code ncode =
+  if t.depth >= Array.length t.frames then grow_frames t;
   let base = code.Code.max_locals in
   let fr =
     {
+      f_vm = t;
       f_code = code;
       f_ncode = ncode;
       f_pc = 0;
-      f_regs = Array.make (base + max 1 code.Code.max_stack) Value.zero;
-      f_base = base;
+      f_regs = make_regs (base + stack_slots code);
       f_sp = base;
+      f_rem = 0;
+      f_nin = 0;
     }
   in
-  t.frames.(t.depth) <- fr;
+  Array.unsafe_set t.frames t.depth fr;
   t.depth <- t.depth + 1;
   fr
 
@@ -487,7 +502,7 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
     invalid_arg "Interp.deopt_top_frame: nothing to transfer";
   let fr = t.frames.(t.depth - 1) in
   let opt_regs = fr.f_regs in
-  let opt_base = fr.f_base in
+  let opt_base = stack_base fr in
   t.depth <- t.depth - 1;
   Array.iteri
     (fun i p ->
@@ -500,10 +515,10 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
       let nfr = push_frame t code nc in
       let nl = min code.Code.max_locals (max 0 (opt_base - p.dp_base)) in
       Array.blit opt_regs p.dp_base nfr.f_regs 0 nl;
-      Array.blit opt_regs (opt_base + p.dp_stack_lo) nfr.f_regs nfr.f_base
-        p.dp_stack_len;
+      Array.blit opt_regs (opt_base + p.dp_stack_lo) nfr.f_regs
+        code.Code.max_locals p.dp_stack_len;
       nfr.f_pc <- p.dp_pc;
-      nfr.f_sp <- nfr.f_base + p.dp_stack_len)
+      nfr.f_sp <- code.Code.max_locals + p.dp_stack_len)
     plans;
   t.osr_down <- t.osr_down + 1;
   match reason with
@@ -608,45 +623,67 @@ let[@inline] eval_cmp c a b =
 
 (* --- execution --- *)
 
-let invoke t (mid : Ids.Method_id.t) =
+(* Push [mid]'s frame for a call from [caller], whose [f_sp] still
+   counts the arguments: charge the call, pop the arguments into the
+   callee's locals, fire the invocation hooks. The one call sequence of
+   every engine. *)
+let[@inline] invoke t caller (mid : Ids.Method_id.t) =
+  let m = (mid :> int) in
   t.call_count <- t.call_count + 1;
-  t.invocations.((mid :> int)) <- t.invocations.((mid :> int)) + 1;
-  if not t.executed.((mid :> int)) then begin
-    t.executed.((mid :> int)) <- true;
+  t.invocations.(m) <- t.invocations.(m) + 1;
+  if not t.executed.(m) then begin
+    t.executed.(m) <- true;
     t.on_first_execution mid
   end;
-  let code = t.code_table.((mid :> int)) in
+  let code = t.code_table.(m) in
   (* Frame setup cost depends on the callee's prologue quality. *)
   t.cycles <-
     t.cycles
     + (match code.Code.tier with
       | Code.Baseline -> t.cost.Cost.call
       | Code.Optimized -> t.cost.Cost.opt_call);
-  let fr = push_frame t code t.native_table.((mid :> int)) in
+  let fr = push_frame t code t.native_table.(m) in
   (* Pop arguments from the caller's stack into the callee's locals.
      Unsafe accesses are bounded by the verifier: a call site's arguments
-     are on the caller's operand stack ([f_sp >= f_base + nslots]) and
-     parameter slots fit the callee's locals ([nslots <= max_locals]). *)
-  let caller = t.frames.(t.depth - 2) in
-  let nslots = t.param_slots.((mid :> int)) in
-  for k = nslots - 1 downto 0 do
-    caller.f_sp <- caller.f_sp - 1;
-    set fr.f_regs k (Array.unsafe_get caller.f_regs caller.f_sp)
+     are on the caller's operand stack ([f_sp >= stack_base + nslots]) and
+     parameter slots fit the callee's locals ([nslots <= max_locals]).
+     The callee's registers are fresh zeros in the minor heap, so an
+     integer argument is a plain store. *)
+  let nslots = t.param_slots.(m) in
+  let regs = fr.f_regs and cregs = caller.f_regs in
+  let sp = caller.f_sp - nslots in
+  for k = 0 to nslots - 1 do
+    set regs k (Array.unsafe_get cregs (sp + k))
   done;
+  caller.f_sp <- sp;
   t.invoke_countdown <- t.invoke_countdown - 1;
   if t.invoke_countdown <= 0 then begin
     t.invoke_countdown <- t.invoke_stride;
     t.on_invoke t mid
   end
 
-let dispatch_target t (recv : Value.t) sel =
+let[@inline never] no_implementation t (o : Value.obj) sel =
+  rerr "no implementation of %s on class %s"
+    (Program.selector_name t.program (Ids.Selector.of_int sel))
+    (Program.clazz t.program o.Value.cls).Clazz.name
+
+(* The target of a virtual call on [recv]: one read of the flat table.
+   The table holds ids [Method_id.of_int] produced, and [Method_id.t] is
+   [private int], so the coercion back is the identity. *)
+let[@inline] dispatch_target t (recv : Value.t) sel : Ids.Method_id.t =
   let o = as_obj recv in
-  match Program.dispatch t.program o.Value.cls sel with
-  | Some mid -> mid
-  | None ->
-      rerr "no implementation of %s on class %s"
-        (Program.selector_name t.program sel)
-        (Program.clazz t.program o.Value.cls).Clazz.name
+  let m = t.dispatch_ids.(((o.Value.cls :> int) * t.nsel) + sel) in
+  if m < 0 then no_implementation t o sel else Obj.magic m
+
+(* Whether a guard for target [expected] of selector [sel] holds on
+   [recv]: a non-null object whose class dispatches [sel] there. *)
+let[@inline] guard_holds t (recv : Value.t) sel expected =
+  (not (is_int recv))
+  &&
+  match recv with
+  | Value.Obj_c o ->
+      t.dispatch_ids.(((o.Value.cls :> int) * t.nsel) + sel) = expected
+  | Value.Null_c _ | Value.Arr_c _ -> false
 
 (* Execute up to [budget] source instructions of the top frame without
    re-checking the virtual timer. The budget is computed so that the
@@ -683,6 +720,48 @@ let[@inline] icost_of t (code : Code.t) =
   match code.Code.tier with
   | Code.Baseline -> t.cost.Cost.baseline_instr
   | Code.Optimized -> t.cost.Cost.opt_instr
+
+(* The call and return sequences of [step] and of the closure tier's
+   breakers ({!call_breaker} and friends): settle the window's deferred
+   instructions ([nin], the call or return itself included), then switch
+   frames; the caller continues the window in the new top frame with
+   [continue_window]. [pc] and [sp] are the call instruction's; [call]
+   saves them in [fr], where the return resumes. *)
+let[@inline] call t fr pc sp icost nin mid =
+  flush t icost nin;
+  fr.f_pc <- pc;
+  fr.f_sp <- sp;
+  invoke t fr mid
+
+let[@inline] call_virtual t fr pc sp icost nin sel argc =
+  flush t icost nin;
+  t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
+  fr.f_pc <- pc;
+  fr.f_sp <- sp;
+  let recv = Array.unsafe_get fr.f_regs (sp - 1 - argc) in
+  invoke t fr (dispatch_target t recv sel)
+
+(* Pop the returning frame; [true] if a caller resumes. A value return
+   pushes [result] onto the caller's stack. *)
+let[@inline] return t icost nin =
+  flush t icost nin;
+  t.depth <- t.depth - 1;
+  t.depth > 0
+  &&
+  let caller = Array.unsafe_get t.frames (t.depth - 1) in
+  caller.f_pc <- caller.f_pc + 1;
+  true
+
+let[@inline] return_value t result icost nin =
+  flush t icost nin;
+  t.depth <- t.depth - 1;
+  t.depth > 0
+  &&
+  let caller = Array.unsafe_get t.frames (t.depth - 1) in
+  store caller.f_regs caller.f_sp result;
+  caller.f_sp <- caller.f_sp + 1;
+  caller.f_pc <- caller.f_pc + 1;
+  true
 
 (* The window loop is a top-level function — every piece of hot state
    (instructions, per-dispatch cost, operand stack, locals) rides in the
@@ -832,35 +911,19 @@ let rec step t fr instrs icost stack locals pc sp remaining ninstr =
         step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
           (ninstr + 1)
     | Instr.Call_static mid | Instr.Call_direct mid ->
-        flush t icost (ninstr + 1);
-        fr.f_pc <- pc;
-        fr.f_sp <- sp;
-        invoke t mid;
+        call t fr pc sp icost (ninstr + 1) mid;
         continue_window t
     | Instr.Call_virtual (sel, argc) ->
-        flush t icost (ninstr + 1);
-        t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
-        fr.f_pc <- pc;
-        fr.f_sp <- sp;
-        let recv = Array.unsafe_get stack (sp - 1 - argc) in
-        invoke t (dispatch_target t recv sel);
+        call_virtual t fr pc sp icost (ninstr + 1) (sel :> int) argc;
         continue_window t
     | Instr.Guard_method g ->
         flush t icost (ninstr + 1);
         t.cycles <- t.cycles + t.cost.Cost.guard;
         let recv = Array.unsafe_get stack (sp - 1 - g.Instr.argc) in
-        let ok =
-          (not (is_int recv))
-          &&
-          match recv with
-          | Value.Obj_c o -> (
-              match Program.dispatch t.program o.Value.cls g.Instr.sel with
-              | Some target -> Ids.Method_id.equal target g.Instr.expected
-              | None -> false)
-          | Value.Null_c _ | Value.Arr_c _ -> false
-        in
         let pc =
-          if ok then begin
+          if
+            guard_holds t recv (g.Instr.sel :> int) (g.Instr.expected :> int)
+          then begin
             t.guard_hits <- t.guard_hits + 1;
             pc + 1
           end
@@ -872,24 +935,10 @@ let rec step t fr instrs icost stack locals pc sp remaining ninstr =
         in
         step t fr instrs icost stack locals pc sp (t.next_sample - t.cycles) 0
     | Instr.Return ->
-        flush t icost (ninstr + 1);
-        let result = Array.unsafe_get stack (sp - 1) in
-        t.depth <- t.depth - 1;
-        if t.depth > 0 then begin
-          let caller = t.frames.(t.depth - 1) in
-          store caller.f_regs caller.f_sp result;
-          caller.f_sp <- caller.f_sp + 1;
-          caller.f_pc <- caller.f_pc + 1;
-          continue_window t
-        end
+        if return_value t (Array.unsafe_get stack (sp - 1)) icost (ninstr + 1)
+        then continue_window t
     | Instr.Return_void ->
-        flush t icost (ninstr + 1);
-        t.depth <- t.depth - 1;
-        if t.depth > 0 then begin
-          let caller = t.frames.(t.depth - 1) in
-          caller.f_pc <- caller.f_pc + 1;
-          continue_window t
-        end
+        if return t icost (ninstr + 1) then continue_window t
     | Instr.Instance_of cid ->
         let v = Array.unsafe_get stack (sp - 1) in
         let r =
@@ -914,8 +963,8 @@ let rec step t fr instrs icost stack locals pc sp remaining ninstr =
   end
 
 (* Resume execution after a frame switch (call or return): as long as the
-   timer is not due, keep interpreting the new top frame in the same
-   window instead of bouncing through the driver loop. *)
+   timer is not due, keep running the new top frame in the same window
+   instead of bouncing through the driver loop. *)
 and continue_window t =
   if t.depth > 0 then begin
     let limit =
@@ -923,18 +972,15 @@ and continue_window t =
     in
     let remaining = limit - t.cycles in
     if remaining > 0 then begin
-      let fr = t.frames.(t.depth - 1) in
+      let fr = Array.unsafe_get t.frames (t.depth - 1) in
       let nc = fr.f_ncode in
       if Array.length nc = 0 then
         step t fr fr.f_code.Code.instrs (icost_of t fr.f_code) fr.f_regs
           fr.f_regs fr.f_pc fr.f_sp remaining 0
       else begin
-        let st = t.wst in
-        st.w_fr <- fr;
-        st.w_regs <- fr.f_regs;
-        st.w_rem <- remaining;
-        st.w_nin <- 0;
-        (Array.unsafe_get nc fr.f_pc) st
+        fr.f_rem <- remaining;
+        fr.f_nin <- 0;
+        (Array.unsafe_get nc fr.f_pc) fr
       end
     end
   end
@@ -945,13 +991,64 @@ let exec_window t fr remaining =
     step t fr fr.f_code.Code.instrs (icost_of t fr.f_code) fr.f_regs fr.f_regs
       fr.f_pc fr.f_sp remaining 0
   else begin
-    let st = t.wst in
-    st.w_fr <- fr;
-    st.w_regs <- fr.f_regs;
-    st.w_rem <- remaining;
-    st.w_nin <- 0;
-    (Array.unsafe_get nc fr.f_pc) st
+    fr.f_rem <- remaining;
+    fr.f_nin <- 0;
+    (Array.unsafe_get nc fr.f_pc) fr
   end
+
+(* The closure tier's call and return breakers: [step]'s branches as
+   closures over the instruction's static pc, stack pointer and tier
+   cost. A breaker pays for itself, so it runs only while the budget is
+   positive; otherwise it ends the window there, exactly as [step] would
+   before fetching it. *)
+(* A [fun fr -> ...] directly under a function's parameters is merged
+   into that function by the compiler, and applying the partial
+   application then goes through a [caml_curryN] stub that walks one
+   closure per captured argument. Behind [Sys.opaque_identity] it stays a
+   one-argument closure. Also used by [Tier]. *)
+let closure (f : nfn) : nfn = Sys.opaque_identity f
+
+let[@inline] stop fr pc sp icost =
+  flush fr.f_vm icost fr.f_nin;
+  fr.f_pc <- pc;
+  fr.f_sp <- sp
+
+let call_breaker ~pc ~sp ~icost mid =
+  closure (fun fr ->
+      if fr.f_rem <= 0 then stop fr pc sp icost
+      else begin
+        let t = fr.f_vm in
+        call t fr pc sp icost (fr.f_nin + 1) mid;
+        continue_window t
+      end)
+
+let virtual_breaker ~pc ~sp ~icost (sel : Ids.Selector.t) argc =
+  let sel = (sel :> int) in
+  closure (fun fr ->
+      if fr.f_rem <= 0 then stop fr pc sp icost
+      else begin
+        let t = fr.f_vm in
+        call_virtual t fr pc sp icost (fr.f_nin + 1) sel argc;
+        continue_window t
+      end)
+
+let return_breaker ~pc ~sp ~icost =
+  closure (fun fr ->
+      if fr.f_rem <= 0 then stop fr pc sp icost
+      else
+        let t = fr.f_vm in
+        if
+          return_value t
+            (Array.unsafe_get fr.f_regs (sp - 1))
+            icost (fr.f_nin + 1)
+        then continue_window t)
+
+let return_void_breaker ~pc ~sp ~icost =
+  closure (fun fr ->
+      if fr.f_rem <= 0 then stop fr pc sp icost
+      else
+        let t = fr.f_vm in
+        if return t icost (fr.f_nin + 1) then continue_window t)
 
 (* The driver. The naive interpreter compares [cycles >= next_sample]
    before every instruction; here the check runs once per *window*, whose
@@ -1153,12 +1250,12 @@ let run_reference ?(cycle_limit = max_int) t =
         let a = as_arr stack.(fr.f_sp - 1) in
         stack.(fr.f_sp - 1) <- Value.of_int (Array.length a);
         fr.f_pc <- fr.f_pc + 1
-    | Instr.Call_static mid -> invoke t mid
-    | Instr.Call_direct mid -> invoke t mid
+    | Instr.Call_static mid -> invoke t fr mid
+    | Instr.Call_direct mid -> invoke t fr mid
     | Instr.Call_virtual (sel, argc) ->
         t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
         let recv = stack.(fr.f_sp - 1 - argc) in
-        invoke t (dispatch_target t recv sel)
+        invoke t fr (dispatch_target t recv (sel :> int))
     | Instr.Guard_method g ->
         t.cycles <- t.cycles + t.cost.Cost.guard;
         let recv = stack.(fr.f_sp - 1 - g.Instr.argc) in
@@ -1300,7 +1397,10 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
         end;
         if t.depth > 0 then begin
           let fr = t.frames.(t.depth - 1) in
-          let gap = min t.next_sample quantum_end - t.cycles in
+          let limit =
+            if t.next_sample < quantum_end then t.next_sample else quantum_end
+          in
+          let gap = limit - t.cycles in
           let budget = if gap <= 0 then 1 else gap in
           if t.calibrate then exec_window_calibrated t fr budget
           else exec_window t fr budget

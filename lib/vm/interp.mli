@@ -44,16 +44,29 @@ exception Cycle_limit_exceeded
     invariants are documented on the implementation. *)
 
 type frame = {
+  f_vm : t;  (** the VM the frame runs in *)
   mutable f_code : Code.t;
   mutable f_ncode : nfn array;
       (** closure-tier entry points, one per source pc; [[||]] means the
           frame executes on the interpreter tier *)
   mutable f_pc : int;
   mutable f_regs : Value.t array;
-      (** locals in [0, f_base); operand stack grows from [f_base] up *)
-  mutable f_base : int;
+      (** locals in [0, max_locals) of [f_code]; the operand stack grows
+          from [max_locals] up *)
   mutable f_sp : int;  (** absolute index into [f_regs] *)
+  mutable f_rem : int;
+      (** closure tier, while the frame is on top: virtual cycles until
+          the next timer check *)
+  mutable f_nin : int;
+      (** closure tier: instructions executed but not yet settled into
+          [cycles]/[instr_count] *)
 }
+(** One activation. The closure tier's window state ([f_rem], [f_nin])
+    lives in the frame it belongs to: a dispatch into a frame's closures
+    sets both, a call or return settles them before switching frames,
+    and each is an integer, so no store to it pays a write barrier. The
+    tier keeps no stack pointer: its operand slots are static per pc
+    ([max_locals] plus the verifier's entry depth). *)
 
 and t = {
   program : Program.t;
@@ -62,6 +75,8 @@ and t = {
   globals : Value.t array;
   code_table : Code.t array;
   param_slots : int array;
+  dispatch_ids : int array;  (** {!Program.dispatch_ids} *)
+  nsel : int;  (** {!Program.selector_count} *)
   mutable frames : frame array;
   mutable depth : int;
   mutable output_rev : int list;
@@ -95,35 +110,19 @@ and t = {
   mutable calibrate : bool;
   cal_cycles : int array;
   cal_host_s : float array;
-  wst : wst;
   mutable last_thread : thread;
       (** the thread whose stack [frames]/[depth] hold: the running one,
           or between slices the one that ran last ({!resume} writes the
           stack back into it before swapping the next thread in) *)
 }
 
-and nfn = wst -> unit
-(** A closure-tier entry point, statement or breaker: resumes its frame
-    at the pc it was compiled for, reading the execution state out of
-    the VM's one {!wst} record. Single-argument closures apply directly
-    in native code, without a [caml_applyN] stub per statement. *)
-
-and wst = {
-  w_t : t;
-  mutable w_fr : frame;  (** the executing frame *)
-  mutable w_regs : Value.t array;  (** [w_fr.f_regs] *)
-  mutable w_rem : int;  (** virtual cycles until the next timer check *)
-  mutable w_nin : int;
-      (** instructions executed but not yet settled (see {!flush}) *)
-}
-(** The closure tier's execution state, threaded through [nfn] closures
-    by mutation instead of arguments. It holds no stack pointer: the
-    tier's operand slots are static per pc ([max_locals] plus the
-    verifier's entry depth). One record per VM ([t.wst]): windows
-    are entered and left one at a time, and re-entrant dispatches
-    (calls, returns, OSR restarts) re-populate the fields before
-    jumping, so no two live uses overlap. Populated by the window
-    dispatchers; nothing outside [Acsi_vm] should write it. *)
+and nfn = frame -> unit
+(** A closure-tier entry point, statement or breaker, applied to the
+    frame it runs: it resumes that frame at the pc it was compiled for,
+    reaching the VM through [f_vm]. Single-argument closures apply
+    directly in native code, without a [caml_applyN] stub per
+    statement, and since no closure captures a VM, baseline closures
+    are shared across VMs and domains. *)
 
 and thread
 (** A virtual thread; see {!resume}. *)
@@ -136,7 +135,7 @@ and thread
     validated by the [Acsi_deopt] library from a [Code.t]'s inline map;
     the VM only executes them. All offsets index the *optimized* frame's
     register array: a region's locals live at [dp_base, ...) and its
-    operand-stack slice at [f_base + dp_stack_lo, ... + dp_stack_len).
+    operand-stack slice at [max_locals + dp_stack_lo, ... + dp_stack_len).
     For non-innermost plans, [dp_pc] is the call instruction the source
     frame is suspended at and [dp_stack_len] its residual stack depth
     after arguments were popped. *)
@@ -349,7 +348,9 @@ val resume : ?cycle_limit:int -> t -> thread -> quantum:int -> thread_status
     The tier compiler emits closures that replicate [step]'s observable
     behaviour exactly; they reuse these helpers so settlement rules,
     error messages, and cross-tier transfers have a single definition.
-    Not a stable public API. *)
+    Its call and return breakers are built here, from the same inlined
+    sequences [step] runs, so both engines share one call path. Not a
+    stable public API. *)
 
 val rerr : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
@@ -359,16 +360,6 @@ val as_obj : Value.t -> Value.obj
 val as_arr : Value.t -> Value.t array
 val eval_binop : Instr.binop -> int -> int -> int
 val eval_cmp : Instr.cmp -> Value.t -> Value.t -> int
-
-val flush : t -> int -> int -> unit
-(** [flush t icost ninstr] settles [ninstr] deferred instructions, each
-    of which charged exactly [icost]. *)
-
-val invoke : t -> Ids.Method_id.t -> unit
-(** Push a callee frame, move arguments, charge the call cost, fire the
-    invocation hooks — exactly the interpreter's call sequence. *)
-
-val dispatch_target : t -> Value.t -> Ids.Selector.t -> Ids.Method_id.t
 
 val note_class_load : t -> Ids.Class_id.t -> unit
 (** Mark the class loaded and fire [on_class_load] if this is its first
@@ -394,6 +385,27 @@ val step :
     fits), inheriting the exact window-boundary behaviour by
     construction. *)
 
-val continue_window : t -> unit
-(** Resume the (possibly new) top frame inside the current window,
-    dispatching on its tier. *)
+val closure : nfn -> nfn
+(** The identity, opaque to the compiler: a [fun fr -> ...] written
+    directly under a function's parameters is merged into that function,
+    and each application of the partial application then goes through a
+    [caml_curryN] stub. [closure (fun fr -> ...)] stays a one-argument
+    closure. *)
+
+val call_breaker : pc:int -> sp:int -> icost:int -> Ids.Method_id.t -> nfn
+(** The closure tier's [Call_static]/[Call_direct] at [pc], whose static
+    stack pointer is [sp] and per-instruction cost [icost]: [step]'s call
+    sequence (settle the window, push the callee, move the arguments,
+    charge the call, fire the invocation hooks) as a closure, continuing
+    the window in the callee. Ends the window instead if its budget is
+    spent. *)
+
+val virtual_breaker :
+  pc:int -> sp:int -> icost:int -> Ids.Selector.t -> int -> nfn
+(** [Call_virtual (sel, argc)] likewise, dispatching through
+    [dispatch_ids]. *)
+
+val return_breaker : pc:int -> sp:int -> icost:int -> nfn
+val return_void_breaker : pc:int -> sp:int -> icost:int -> nfn
+(** [Return] and [Return_void] likewise, continuing the window in the
+    caller. *)

@@ -44,8 +44,21 @@ open Interp
    transcribe [step]'s branches line for line, including the unclipped
    [next_sample - cycles] window restart after guards and allocations.
 
-   The value helpers repeat {!Interp}'s (dune's dev profile builds with
-   [-opaque], so calls into another module are never inlined). *)
+   Frames. Every closure takes the frame it runs ({!Interp.nfn}): the
+   VM ([f_vm]), the registers and the window state ([f_rem], the budget
+   left; [f_nin], the instructions not yet settled) are fields of that
+   one argument, so a closure captures no VM and baseline closures are
+   shared across VMs and domains. A dispatch into a frame sets its
+   window state; a call or return settles it and the next frame starts
+   afresh, so switching frames stores no pointer.
+
+   Calls and returns are {!Interp}'s ({!Interp.call_breaker} and
+   friends): [step] and the tier run one call path, compiled where
+   [invoke], [push_frame] and [continue_window] inline. Guards read the
+   program's flat dispatch table ({!Program.dispatch_ids}), captured at
+   compile time. The value helpers repeat {!Interp}'s (dune's dev
+   profile builds with [-opaque], so calls into another module are
+   never inlined). *)
 
 let rerr fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
 
@@ -56,6 +69,11 @@ let[@inline] int_of (v : Value.t) : int = Obj.magic v
 let[@inline] of_int (n : int) : Value.t = Obj.magic n
 (* Typed, so the access compiles without a float-array check. *)
 let[@inline] get (a : Value.t array) i = Array.unsafe_get a i
+
+(* [Interp.flush]: settle [n] deferred instructions of cost [icost]. *)
+let[@inline] settle (t : t) icost n =
+  t.instr_count <- t.instr_count + n;
+  t.cycles <- t.cycles + (n * icost)
 
 let[@inline] truthy v =
   if is_int v then int_of v <> 0
@@ -162,23 +180,23 @@ let paid_already =
   { d_pc = 0; d_sp = 0; d_code = [||]; d_icost = 0; d_count = 0;
     d_pre = min_int; d_pay = 0; d_body = stuck }
 
-let[@inline never] fallback st d rem =
-  let regs = st.w_regs in
-  step st.w_t st.w_fr d.d_code d.d_icost regs regs d.d_pc d.d_sp rem st.w_nin
+let[@inline never] fallback fr d rem =
+  let regs = fr.f_regs in
+  step fr.f_vm fr d.d_code d.d_icost regs regs d.d_pc d.d_sp rem fr.f_nin
 
 (* Prepay [d]'s run if the budget covers it. *)
-let[@inline] prepay st d =
-  let rem = st.w_rem in
+let[@inline] prepay fr d =
+  let rem = fr.f_rem in
   rem > d.d_pre
   &&
-  (st.w_rem <- rem - d.d_pay;
-   st.w_nin <- st.w_nin + d.d_count;
+  (fr.f_rem <- rem - d.d_pay;
+   fr.f_nin <- fr.f_nin + d.d_count;
    true)
 
 (* The prepaid entry: the whole run when the budget covers it, else the
    window tail on [step]. Inlined into every jump and branch. *)
-let[@inline] enter st d =
-  if prepay st d then d.d_body st else fallback st d st.w_rem
+let[@inline] enter fr d =
+  if prepay fr d then d.d_body fr else fallback fr d fr.f_rem
 
 (* A value on the symbolic stack. [Reg] is an absolute index into the
    frame's register array: a local, or a stack slot written before the
@@ -206,106 +224,106 @@ type opd =
   | Oreg of int
   | Oimm of Value.t
   | Ofield of int * int
-  | Onode of (wst -> Value.t)
+  | Onode of (frame -> Value.t)
 
-let[@inline] fetch st = function
-  | Oreg i -> get st.w_regs i
+let[@inline] fetch fr = function
+  | Oreg i -> get fr.f_regs i
   | Oimm v -> v
-  | Ofield (i, f) -> (as_obj (get st.w_regs i)).Value.fields.(f)
-  | Onode g -> g st
+  | Ofield (i, f) -> (as_obj (get fr.f_regs i)).Value.fields.(f)
+  | Onode g -> g fr
 
 (* Interior nodes: closures specialized on their operands' shapes, with
    subtrees run in source order and operands checked in [step]'s. *)
-let rec ev (e : tree) : wst -> Value.t =
+let rec ev (e : tree) : frame -> Value.t =
   match e with
   | Binop (op, Reg i, Reg j) ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         let b = as_int (get r j) in
         of_int (eval_binop op (as_int (get r i)) b)
   | Binop (op, Reg i, Imm c) when is_int c ->
       let c = int_of c in
-      fun st -> of_int (eval_binop op (as_int (get st.w_regs i)) c)
+      fun fr -> of_int (eval_binop op (as_int (get fr.f_regs i)) c)
   | Binop (op, Binop (op', Reg i, Reg j), Imm c) when is_int c ->
       let c = int_of c in
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         let b = as_int (get r j) in
         of_int (eval_binop op (eval_binop op' (as_int (get r i)) b) c)
   | Binop (op, a, Imm c) when is_int c ->
       let a = opd a and c = int_of c in
-      fun st -> of_int (eval_binop op (as_int (fetch st a)) c)
+      fun fr -> of_int (eval_binop op (as_int (fetch fr a)) c)
   | Binop (op, a, Reg j) ->
       let a = opd a in
-      fun st ->
-        let va = fetch st a in
-        let b = as_int (get st.w_regs j) in
+      fun fr ->
+        let va = fetch fr a in
+        let b = as_int (get fr.f_regs j) in
         of_int (eval_binop op (as_int va) b)
   | Binop (op, Reg i, b) ->
       let b = opd b in
-      fun st ->
-        let b = as_int (fetch st b) in
-        of_int (eval_binop op (as_int (get st.w_regs i)) b)
+      fun fr ->
+        let b = as_int (fetch fr b) in
+        of_int (eval_binop op (as_int (get fr.f_regs i)) b)
   | Binop (op, a, b) ->
       let a = opd a and b = opd b in
-      fun st ->
-        let va = fetch st a in
-        let b = as_int (fetch st b) in
+      fun fr ->
+        let va = fetch fr a in
+        let b = as_int (fetch fr b) in
         of_int (eval_binop op (as_int va) b)
   | Cmp (c, Reg i, Reg j) ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         of_int (eval_cmp c (get r i) (get r j))
   | Cmp (c, a, b) ->
       let a = opd a and b = opd b in
-      fun st ->
-        let va = fetch st a in
-        let vb = fetch st b in
+      fun fr ->
+        let va = fetch fr a in
+        let vb = fetch fr b in
         of_int (eval_cmp c va vb)
   | Array_get (Reg x, Reg y) ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         let i = as_int (get r y) in
         elt (as_arr (get r x)) i
   | Array_get (a, Reg y) ->
       let a = opd a in
-      fun st ->
-        let va = fetch st a in
-        let i = as_int (get st.w_regs y) in
+      fun fr ->
+        let va = fetch fr a in
+        let i = as_int (get fr.f_regs y) in
         elt (as_arr va) i
   | Array_get (a, b) ->
       let a = opd a and b = opd b in
-      fun st ->
-        let va = fetch st a in
-        let i = as_int (fetch st b) in
+      fun fr ->
+        let va = fetch fr a in
+        let i = as_int (fetch fr b) in
         elt (as_arr va) i
   | Neg a ->
       let a = opd a in
-      fun st -> of_int (-as_int (fetch st a))
+      fun fr -> of_int (-as_int (fetch fr a))
   | Not a ->
       let a = opd a in
-      fun st -> of_int (if truthy (fetch st a) then 0 else 1)
+      fun fr -> of_int (if truthy (fetch fr a) then 0 else 1)
   | Get_field (f, a) ->
       let a = opd a in
-      fun st -> (as_obj (fetch st a)).Value.fields.(f)
-  | Get_global i -> fun st -> st.w_t.globals.(i)
+      fun fr -> (as_obj (fetch fr a)).Value.fields.(f)
+  | Get_global i -> fun fr -> fr.f_vm.globals.(i)
   | Array_len a ->
       let a = opd a in
-      fun st -> of_int (Array.length (as_arr (fetch st a)))
+      fun fr -> of_int (Array.length (as_arr (fetch fr a)))
   | Instance_of (cid, a) ->
       let a = opd a in
-      fun st ->
-        let v = fetch st a in
+      fun fr ->
+        let v = fetch fr a in
         if is_int v then of_int 0
         else (
           match v with
           | Value.Obj_c o ->
               let sub = o.Value.cls in
-              of_int (Bool.to_int (Program.is_subclass st.w_t.program ~sub ~super:cid))
+              of_int (Bool.to_int (Program.is_subclass fr.f_vm.program ~sub ~super:cid))
           | Value.Null_c _ | Value.Arr_c _ -> of_int 0)
   | Reg _ | Imm _ ->
       let a = opd e in
-      fun st -> fetch st a
+      fun fr -> fetch fr a
 
 and opd = function
   | Reg i -> Oreg i
@@ -319,78 +337,78 @@ and opd = function
 let assign dst (e : tree) (k : nfn) : nfn =
   match e with
   | Reg s ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         set r dst (get r s);
-        k st
+        k fr
   | Imm v ->
-      fun st ->
-        set st.w_regs dst v;
-        k st
+      fun fr ->
+        set fr.f_regs dst v;
+        k fr
   | Binop (op, Reg i, Imm c) when is_int c ->
       let c = int_of c in
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         set_int r dst (eval_binop op (as_int (get r i)) c);
-        k st
+        k fr
   | Binop (op, Reg i, Reg j) ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         let b = as_int (get r j) in
         set_int r dst (eval_binop op (as_int (get r i)) b);
-        k st
+        k fr
   | Binop (op, a, Imm c) when is_int c ->
       let a = opd a and c = int_of c in
-      fun st ->
-        let a = as_int (fetch st a) in
-        set_int st.w_regs dst (eval_binop op a c);
-        k st
+      fun fr ->
+        let a = as_int (fetch fr a) in
+        set_int fr.f_regs dst (eval_binop op a c);
+        k fr
   | Binop (op, a, Reg j) ->
       let a = opd a in
-      fun st ->
-        let va = fetch st a in
-        let r = st.w_regs in
+      fun fr ->
+        let va = fetch fr a in
+        let r = fr.f_regs in
         let b = as_int (get r j) in
         set_int r dst (eval_binop op (as_int va) b);
-        k st
+        k fr
   | Binop (op, Reg i, b) ->
       let b = opd b in
-      fun st ->
-        let b = as_int (fetch st b) in
-        let r = st.w_regs in
+      fun fr ->
+        let b = as_int (fetch fr b) in
+        let r = fr.f_regs in
         set_int r dst (eval_binop op (as_int (get r i)) b);
-        k st
+        k fr
   | Binop (op, a, b) ->
       let a = opd a and b = opd b in
-      fun st ->
-        let va = fetch st a in
-        let b = as_int (fetch st b) in
-        set_int st.w_regs dst (eval_binop op (as_int va) b);
-        k st
+      fun fr ->
+        let va = fetch fr a in
+        let b = as_int (fetch fr b) in
+        set_int fr.f_regs dst (eval_binop op (as_int va) b);
+        k fr
   | Get_field (f, Reg i) ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         set r dst (as_obj (get r i)).Value.fields.(f);
-        k st
+        k fr
   | Array_get (Reg x, Reg y) ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         let i = as_int (get r y) in
         set r dst (elt (as_arr (get r x)) i);
-        k st
+        k fr
   | Array_get (a, b) ->
       let a = opd a and b = opd b in
-      fun st ->
-        let va = fetch st a in
-        let i = as_int (fetch st b) in
-        set st.w_regs dst (elt (as_arr va) i);
-        k st
+      fun fr ->
+        let va = fetch fr a in
+        let i = as_int (fetch fr b) in
+        set fr.f_regs dst (elt (as_arr va) i);
+        k fr
   | e ->
       let f = ev e in
-      fun st ->
-        let v = f st in
-        set st.w_regs dst v;
-        k st
+      fun fr ->
+        let v = f fr in
+        set fr.f_regs dst v;
+        k fr
 
 (* Consecutive leaf moves (stores of leaves, call arguments, block-end
    spills) batched into one closure, run in order. *)
@@ -399,78 +417,78 @@ let moves (ms : (int * tree) list) (k : nfn) : nfn =
   | [] -> k
   | [ (d, e) ] -> assign d e k
   | [ (d0, Reg s0); (d1, Reg s1) ] ->
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         set r d0 (get r s0);
         set r d1 (get r s1);
-        k st
+        k fr
   | ms ->
       let dst = Array.of_list (List.map fst ms) in
       let src = Array.of_list (List.map (fun (_, e) -> opd e) ms) in
-      fun st ->
-        let r = st.w_regs in
+      fun fr ->
+        let r = fr.f_regs in
         for i = 0 to Array.length dst - 1 do
-          set r (Array.unsafe_get dst i) (fetch st (Array.unsafe_get src i))
+          set r (Array.unsafe_get dst i) (fetch fr (Array.unsafe_get src i))
         done;
-        k st
+        k fr
 
 (* The entry of a block that starts by moving register [s] to [d]:
    [p]'s prepayment, the move, then the rest of the block, [rests.(pc)]. *)
-let move_entry p d s (rests : nfn array) pc : nfn =
- fun st ->
-  if prepay st p then begin
-    let r = st.w_regs in
-    set r d (get r s);
-    (Array.unsafe_get rests pc) st
-  end
-  else fallback st p st.w_rem
+let move_entry p d s (rests : nfn array) pc =
+  closure (fun fr ->
+      if prepay fr p then begin
+        let r = fr.f_regs in
+        set r d (get r s);
+        (Array.unsafe_get rests pc) fr
+      end
+      else fallback fr p fr.f_rem)
 
 let print_int e k : nfn =
   let a = opd e in
-  fun st ->
-    let t = st.w_t in
-    t.output_rev <- as_int (fetch st a) :: t.output_rev;
-    k st
+  fun fr ->
+    let t = fr.f_vm in
+    t.output_rev <- as_int (fetch fr a) :: t.output_rev;
+    k fr
 
 let put_field fi o v k : nfn =
   let o = opd o and v = opd v in
-  fun st ->
-    let vo = fetch st o in
-    let vv = fetch st v in
+  fun fr ->
+    let vo = fetch fr o in
+    let vv = fetch fr v in
     store (as_obj vo).Value.fields fi vv;
-    k st
+    k fr
 
 let put_global i v k : nfn =
   let v = opd v in
-  fun st ->
-    store st.w_t.globals i (fetch st v);
-    k st
+  fun fr ->
+    store fr.f_vm.globals i (fetch fr v);
+    k fr
 
 let array_set a i v k : nfn =
   let a = opd a and i = opd i and v = opd v in
-  fun st ->
-    let va = fetch st a in
-    let vi = fetch st i in
-    let vv = fetch st v in
+  fun fr ->
+    let va = fetch fr a in
+    let vi = fetch fr i in
+    let vv = fetch fr v in
     let i = as_int vi in
     let a = as_arr va in
     ignore (elt a i);
     set a i vv;
-    k st
+    k fr
 
 let discard e k : nfn =
   let a = opd e in
-  fun st ->
-    ignore (fetch st a);
-    k st
+  fun fr ->
+    ignore (fetch fr a);
+    k fr
 
-let swap s k : nfn =
- fun st ->
-  let r = st.w_regs in
-  let a = get r s in
-  set r s (get r (s - 1));
-  set r (s - 1) a;
-  k st
+let swap s k =
+  closure (fun fr ->
+      let r = fr.f_regs in
+      let a = get r s in
+      set r s (get r (s - 1));
+      set r (s - 1) a;
+      k fr)
 
 (* A two-way branch on [c], each side prepaying its target inline. A
    jump into a block that is nothing but a branch runs the branch
@@ -478,33 +496,33 @@ let swap s k : nfn =
 let branch pre c ~(if_true : dest) ~(if_false : dest) : nfn =
   match c with
   | Cmp (cmp, Reg i, Reg j) ->
-      fun st ->
-        if prepay st pre then
-          let r = st.w_regs in
-          if eval_cmp cmp (get r i) (get r j) <> 0 then enter st if_true
-          else enter st if_false
-        else fallback st pre st.w_rem
+      fun fr ->
+        if prepay fr pre then
+          let r = fr.f_regs in
+          if eval_cmp cmp (get r i) (get r j) <> 0 then enter fr if_true
+          else enter fr if_false
+        else fallback fr pre fr.f_rem
   | Cmp (cmp, Reg i, Imm v) ->
-      fun st ->
-        if prepay st pre then
-          if eval_cmp cmp (get st.w_regs i) v <> 0 then enter st if_true
-          else enter st if_false
-        else fallback st pre st.w_rem
+      fun fr ->
+        if prepay fr pre then
+          if eval_cmp cmp (get fr.f_regs i) v <> 0 then enter fr if_true
+          else enter fr if_false
+        else fallback fr pre fr.f_rem
   | Cmp (cmp, a, b) ->
       let a = opd a and b = opd b in
-      fun st ->
-        if prepay st pre then
-          let va = fetch st a in
-          let vb = fetch st b in
-          if eval_cmp cmp va vb <> 0 then enter st if_true
-          else enter st if_false
-        else fallback st pre st.w_rem
+      fun fr ->
+        if prepay fr pre then
+          let va = fetch fr a in
+          let vb = fetch fr b in
+          if eval_cmp cmp va vb <> 0 then enter fr if_true
+          else enter fr if_false
+        else fallback fr pre fr.f_rem
   | c ->
       let a = opd c in
-      fun st ->
-        if prepay st pre then
-          if truthy (fetch st a) then enter st if_true else enter st if_false
-        else fallback st pre st.w_rem
+      fun fr ->
+        if prepay fr pre then
+          if truthy (fetch fr a) then enter fr if_true else enter fr if_false
+        else fallback fr pre fr.f_rem
 
 let is_breaker (ins : Instr.t) =
   match ins with
@@ -575,60 +593,43 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           })
   in
   (* Breakers: line-for-line transcriptions of [step]'s branches,
-     entered with nothing prepaid for them. Each reads the state it
-     needs out of [st] before any re-entrant dispatch
-     ([invoke]/[continue_window]) can repopulate it. *)
+     entered with nothing prepaid for them. Calls and returns are
+     [Interp]'s own ([Interp.call_breaker] and friends), so [step] and
+     the tier share one call path; guards read the program's flat
+     dispatch table, captured here. *)
+  let dispatch_ids = Program.dispatch_ids t.program
+  and nsel = Program.selector_count t.program in
   let breaker pc (ins : Instr.t) : nfn =
     let sp = base + depths.(pc) in
-    let stop st =
-      flush st.w_t icost st.w_nin;
-      let fr = st.w_fr in
-      fr.f_pc <- pc;
-      fr.f_sp <- sp
-    in
-    let settle st =
-      flush st.w_t icost (st.w_nin + 1);
-      let fr = st.w_fr in
+    let stop fr =
+      settle fr.f_vm icost fr.f_nin;
       fr.f_pc <- pc;
       fr.f_sp <- sp
     in
     match ins with
     | Instr.Call_static mid | Instr.Call_direct mid ->
-        fun st ->
-          if st.w_rem <= 0 then stop st
-          else begin
-            settle st;
-            invoke st.w_t mid;
-            continue_window st.w_t
-          end
-    | Instr.Call_virtual (sel, argc) ->
-        fun st ->
-          if st.w_rem <= 0 then stop st
-          else begin
-            let t = st.w_t in
-            settle st;
-            t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
-            let recv = get st.w_regs (sp - 1 - argc) in
-            invoke t (dispatch_target t recv sel);
-            continue_window t
-          end
+        call_breaker ~pc ~sp ~icost mid
+    | Instr.Call_virtual (sel, argc) -> virtual_breaker ~pc ~sp ~icost sel argc
+    | Instr.Return -> return_breaker ~pc ~sp ~icost
+    | Instr.Return_void -> return_void_breaker ~pc ~sp ~icost
     | Instr.Guard_method g ->
         let next = dests.(pc + 1) and fail = dests.(g.Instr.fail) in
-        fun st ->
-          if st.w_rem <= 0 then stop st
+        let sel = (g.Instr.sel :> int)
+        and expected = (g.Instr.expected :> int)
+        and recv_slot = sp - 1 - g.Instr.argc in
+        fun fr ->
+          if fr.f_rem <= 0 then stop fr
           else begin
-            let t = st.w_t in
-            flush t icost (st.w_nin + 1);
+            let t = fr.f_vm in
+            settle t icost (fr.f_nin + 1);
             t.cycles <- t.cycles + t.cost.Cost.guard;
-            let recv = get st.w_regs (sp - 1 - g.Instr.argc) in
+            let recv = get fr.f_regs recv_slot in
             let ok =
               (not (is_int recv))
               &&
               match recv with
-              | Value.Obj_c o -> (
-                  match Program.dispatch t.program o.Value.cls g.Instr.sel with
-                  | Some target -> Ids.Method_id.equal target g.Instr.expected
-                  | None -> false)
+              | Value.Obj_c o ->
+                  dispatch_ids.(((o.Value.cls :> int) * nsel) + sel) = expected
               | Value.Null_c _ | Value.Arr_c _ -> false
             in
             let d =
@@ -638,76 +639,49 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
               end
               else begin
                 t.guard_misses <- t.guard_misses + 1;
-                t.on_guard_miss t st.w_fr.f_code.Code.meth pc;
+                t.on_guard_miss t fr.f_code.Code.meth pc;
                 fail
               end
             in
             (* Unclipped restart, exactly as [step]'s Guard branch. *)
-            st.w_rem <- t.next_sample - t.cycles;
-            st.w_nin <- 0;
-            enter st d
+            fr.f_rem <- t.next_sample - t.cycles;
+            fr.f_nin <- 0;
+            enter fr d
           end
     | Instr.New cid ->
         let next = dests.(pc + 1) in
-        fun st ->
-          if st.w_rem <= 0 then stop st
+        fun fr ->
+          if fr.f_rem <= 0 then stop fr
           else begin
-            let t = st.w_t in
-            flush t icost (st.w_nin + 1);
+            let t = fr.f_vm in
+            settle t icost (fr.f_nin + 1);
             t.cycles <- t.cycles + t.cost.Cost.alloc;
-            note_class_load t cid;
-            Array.unsafe_set st.w_regs sp (Value.alloc t.program cid);
-            st.w_rem <- t.next_sample - t.cycles;
-            st.w_nin <- 0;
-            enter st next
+            (* The call into [Interp] only at a class's first [New]. *)
+            if not (Array.unsafe_get t.class_loaded (cid :> int)) then
+              note_class_load t cid;
+            Array.unsafe_set fr.f_regs sp (Value.alloc t.program cid);
+            fr.f_rem <- t.next_sample - t.cycles;
+            fr.f_nin <- 0;
+            enter fr next
           end
     | Instr.Array_new ->
         let next = dests.(pc + 1) in
-        fun st ->
-          if st.w_rem <= 0 then stop st
+        fun fr ->
+          if fr.f_rem <= 0 then stop fr
           else begin
-            let t = st.w_t in
-            let regs = st.w_regs in
+            let t = fr.f_vm in
+            let regs = fr.f_regs in
             let len = as_int (get regs (sp - 1)) in
             if len < 0 then rerr "negative array size %d" len;
-            flush t icost (st.w_nin + 1);
+            settle t icost (fr.f_nin + 1);
             t.cycles <-
               t.cycles + t.cost.Cost.alloc
               + (len * t.cost.Cost.alloc_array_word);
             Array.unsafe_set regs (sp - 1)
               (Value.of_arr (Array.make len Value.zero));
-            st.w_rem <- t.next_sample - t.cycles;
-            st.w_nin <- 0;
-            enter st next
-          end
-    | Instr.Return ->
-        fun st ->
-          if st.w_rem <= 0 then stop st
-          else begin
-            let t = st.w_t in
-            flush t icost (st.w_nin + 1);
-            let result = get st.w_regs (sp - 1) in
-            t.depth <- t.depth - 1;
-            if t.depth > 0 then begin
-              let caller = t.frames.(t.depth - 1) in
-              store caller.f_regs caller.f_sp result;
-              caller.f_sp <- caller.f_sp + 1;
-              caller.f_pc <- caller.f_pc + 1;
-              continue_window t
-            end
-          end
-    | Instr.Return_void ->
-        fun st ->
-          if st.w_rem <= 0 then stop st
-          else begin
-            let t = st.w_t in
-            flush t icost (st.w_nin + 1);
-            t.depth <- t.depth - 1;
-            if t.depth > 0 then begin
-              let caller = t.frames.(t.depth - 1) in
-              caller.f_pc <- caller.f_pc + 1;
-              continue_window t
-            end
+            fr.f_rem <- t.next_sample - t.cycles;
+            fr.f_nin <- 0;
+            enter fr next
           end
     | _ -> assert false
   in
@@ -834,16 +808,16 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
   (* A pc that starts no block is entered only after a window ended
      mid-run there, or by OSR: [step] runs the rest of the run with a
      budget of exactly its cost, then the tier re-enters at its end. *)
-  let mid_run st =
-    let pc = st.w_fr.f_pc and regs = st.w_regs and rem = st.w_rem in
+  let mid_run fr =
+    let pc = fr.f_pc and regs = fr.f_regs and rem = fr.f_rem in
     let pay = cnt.(pc) * icost and sp = base + depths.(pc) in
     if rem > pay - icost then begin
-      step st.w_t st.w_fr instrs icost regs regs pc sp pay st.w_nin;
-      st.w_rem <- rem - pay;
-      st.w_nin <- 0;
-      (Array.unsafe_get nfns st.w_fr.f_pc) st
+      step fr.f_vm fr instrs icost regs regs pc sp pay fr.f_nin;
+      fr.f_rem <- rem - pay;
+      fr.f_nin <- 0;
+      (Array.unsafe_get nfns fr.f_pc) fr
     end
-    else step st.w_t st.w_fr instrs icost regs regs pc sp rem st.w_nin
+    else step fr.f_vm fr instrs icost regs regs pc sp rem fr.f_nin
   in
   let plans = Array.make n None and rests = Array.make n stuck in
   for pc = 0 to n - 1 do
@@ -858,7 +832,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
     | Some ([ (d, Reg s) ], _, _) -> move_entry dests.(tg) d s rests tg
     | _ ->
         let d = dests.(tg) in
-        fun st -> enter st d
+        fun fr -> enter fr d
   in
   for pc = n - 1 downto 0 do
     if depths.(pc) >= 0 && is_breaker instrs.(pc) then begin
@@ -890,8 +864,8 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
 (* The bench sweep runs one program under dozens of policies, and every
    run closure-compiles the same baseline bodies again. A baseline
    body's closure code depends only on the bytecode and the cost model —
-   never on the VM instance (runtime state flows in through the [wst]
-   record the closures receive) — so the compiled closures can be
+   never on the VM instance (runtime state flows in through the frame
+   the closures receive) — so the compiled closures can be
    shared across runs of the same program: one (program, cost) entry
    maps method ids to their compiled code.
    Optimized bodies are run-specific (each run inlines differently) and

@@ -141,19 +141,19 @@ let test_trace_hash () =
 
 type engine = Reference | Interpreter | Closure_tier
 
-(* Everything a run exposes: clock, counters, output, and the cycle
-   count at every hook firing. *)
-let observe ~sample_period engine program =
-  let vm = Interp.create ~sample_period ~invoke_stride:16 program in
-  let timer_fires = ref [] in
-  let invoke_fires = ref [] in
-  let first_execs = ref [] in
-  Interp.set_on_timer_sample vm (fun vm ->
-      timer_fires := Interp.cycles vm :: !timer_fires);
+(* Everything a run exposes: clock, counters, per-method invocations,
+   output, and every hook firing in order, with the cycle count it fired
+   at. *)
+type event = First of int | Invoked of int * int | Timer of int
+
+let observe ?(invoke_stride = 16) ~sample_period engine program =
+  let vm = Interp.create ~sample_period ~invoke_stride program in
+  let events = ref [] in
+  let note e = events := e :: !events in
+  Interp.set_on_timer_sample vm (fun vm -> note (Timer (Interp.cycles vm)));
   Interp.set_on_invoke vm (fun vm m ->
-      invoke_fires := (Interp.cycles vm, (m :> int)) :: !invoke_fires);
-  Interp.set_on_first_execution vm (fun m ->
-      first_execs := (m :> int) :: !first_execs);
+      note (Invoked (Interp.cycles vm, (m :> int))));
+  Interp.set_on_first_execution vm (fun m -> note (First (m :> int)));
   if engine = Closure_tier then
     Array.iter
       (fun (m : Meth.t) ->
@@ -172,8 +172,11 @@ let observe ~sample_period engine program =
       Interp.calls_executed vm,
       Interp.guard_hits vm,
       Interp.guard_misses vm ),
+    Array.map
+      (fun (m : Meth.t) -> Interp.invocation_count vm m.Meth.id)
+      (Program.methods program),
     Interp.output vm,
-    (!timer_fires, !invoke_fires, !first_execs) )
+    List.rev !events )
 
 (* Differential property: on random programs, the batched interpreter
    is indistinguishable from the naive reference loop — cycles,
@@ -281,6 +284,179 @@ let test_tier_every_period () =
       = observe ~sample_period Closure_tier program)
   done
 
+(* Deep recursion under the closure tier: a static, a virtual (with a
+   pointer argument) and a mutually recursive descent, each deeper than
+   1024 frames, so the frame stack grows through every capacity doubling
+   (8, 16, ..., 1024, 2048) mid-window, then is reused at full capacity.
+   Every observable of the run, including the order and clock of every
+   first-execution, invoke and timer hook, must equal the naive
+   reference at small and large periods and invoke strides. *)
+let deep_program =
+  lazy
+    Acsi_lang.(
+      Compile.prog
+        Dsl.(
+          prog
+            [
+              cls "R" ~fields:[ "d" ]
+                [
+                  static_meth "down" [ "n" ] ~returns:true
+                    [
+                      if_ (eq (v "n") (i 0)) [ ret (i 0) ]
+                        [ ret (add (call "R" "down" [ sub (v "n") (i 1) ]) (i 1)) ];
+                    ];
+                  static_meth "even" [ "n" ] ~returns:true
+                    [
+                      if_ (eq (v "n") (i 0)) [ ret (i 1) ]
+                        [ ret (call "R" "odd" [ sub (v "n") (i 1) ]) ];
+                    ];
+                  static_meth "odd" [ "n" ] ~returns:true
+                    [
+                      if_ (eq (v "n") (i 0)) [ ret (i 0) ]
+                        [ ret (call "R" "even" [ sub (v "n") (i 1) ]) ];
+                    ];
+                  meth "vdown" [ "o"; "n" ] ~returns:true
+                    [
+                      if_ (eq (v "n") (i 0)) [ ret (fld "R" (v "o") "d") ]
+                        [
+                          ret
+                            (add
+                               (inv this "vdown" [ v "o"; sub (v "n") (i 1) ])
+                               (i 2));
+                        ];
+                    ];
+                ];
+            ]
+            [
+              let_ "r" (new_ "R" []);
+              setf "R" (v "r") "d" (i 7);
+              print (call "R" "down" [ i 1100 ]);
+              print (inv (v "r") "vdown" [ v "r"; i 1500 ]);
+              print (call "R" "even" [ i 2049 ]);
+              print (call "R" "down" [ i 1030 ]);
+            ]))
+
+let test_frame_growth () =
+  let program = Lazy.force deep_program in
+  List.iter
+    (fun (sample_period, invoke_stride) ->
+      let reference =
+        observe ~invoke_stride ~sample_period Reference program
+      in
+      let name = Printf.sprintf "period %d, stride %d" sample_period invoke_stride in
+      check_bool name true
+        (reference = observe ~invoke_stride ~sample_period Closure_tier program);
+      check_bool (name ^ " (interpreter)") true
+        (reference = observe ~invoke_stride ~sample_period Interpreter program))
+    [ (1, 1); (37, 3); (211, 16); (4099, 1); (100_000, 2048) ];
+  let _, _, _, output, _ =
+    observe ~sample_period:100_000 Closure_tier program
+  in
+  Alcotest.(check (list int)) "output" [ 1100; 3007; 0; 1030 ] output;
+  (* The same descents under the adaptive system, which inlines and
+     recompiles them mid-recursion. *)
+  List.iter
+    (fun (sample_period, invoke_stride) ->
+      let cfg = Config.default ~policy:(Acsi_policy.Policy.Fixed 3) in
+      let cfg = { cfg with Config.sample_period; invoke_stride } in
+      let run = Runtime.run cfg program
+      and reference = Runtime.run_reference cfg program in
+      check_bool
+        (Printf.sprintf "Runtime.run, period %d, stride %d" sample_period
+           invoke_stride)
+        true
+        (Interp.output run.Runtime.vm = Interp.output reference.Runtime.vm
+        && run.Runtime.metrics = reference.Runtime.metrics))
+    [ (997, 1); (5_000, 16) ]
+
+(* Unbounded recursion fills the frame stack to its cap, every engine
+   reporting the same overflow at the same clock and counts. *)
+let test_stack_overflow () =
+  let program =
+    Acsi_lang.(
+      Compile.prog
+        Dsl.(
+          prog
+            [
+              cls "R" ~fields:[]
+                [
+                  static_meth "f" [ "n" ] ~returns:true
+                    [ ret (call "R" "f" [ add (v "n") (i 1) ]) ];
+                ];
+            ]
+            [ print (call "R" "f" [ i 0 ]) ]))
+  in
+  let ((failure, _, _, _, _) as reference) =
+    observe ~invoke_stride:4096 ~sample_period:1_000_003 Reference program
+  in
+  Alcotest.(check (option string)) "failure" (Some "call stack overflow")
+    failure;
+  List.iter
+    (fun engine ->
+      check_bool "same as the reference" true
+        (reference
+        = observe ~invoke_stride:4096 ~sample_period:1_000_003 engine program))
+    [ Interpreter; Closure_tier ]
+
+(* Allocation per warm closure-tier call, exactly. A call allocates its
+   frame record and its register array, nothing else: the record is a
+   header plus 8 fields ([f_vm], [f_code], [f_ncode], [f_pc], [f_regs],
+   [f_sp], [f_rem], [f_nin]) = 9 words, and the registers a header plus
+   [max_locals + max 1 max_stack] slots. Each callee here returns
+   [x + 1] (stack depth 2): the static one has 1 local (4 words of
+   registers, 13 per call), the virtual one [this] and [x], the
+   pointer-argument one [o] and [x] (5 words, 14 per call). The loops
+   allocate nothing else, so the difference between [2n] and [n]
+   iterations, over [n], is the per-call figure; a closure, tuple or
+   option on the call or return path shows up here as a non-integer or
+   larger count. *)
+let alloc_program callee n =
+  Acsi_lang.(
+    Compile.prog
+      Dsl.(
+        prog
+          [
+            cls "K" ~fields:[]
+              [
+                static_meth "f" [ "x" ] ~returns:true [ ret (add (v "x") (i 1)) ];
+                static_meth "g" [ "o"; "x" ] ~returns:true
+                  [ ret (add (v "x") (i 1)) ];
+              ];
+            cls "A" ~fields:[]
+              [ meth "f" [ "x" ] ~returns:true [ ret (add (v "x") (i 1)) ] ];
+          ]
+          [
+            let_ "o" (new_ "A" []);
+            let_ "s" (i 0);
+            for_ "k" (i 0) (i n) [ let_ "s" (add (v "s") (callee (v "o") (v "k"))) ];
+            print (v "s");
+          ]))
+
+let minor_words_of_run program =
+  let vm =
+    Interp.create ~sample_period:max_int ~invoke_stride:max_int program
+  in
+  Array.iter
+    (fun (m : Meth.t) -> Tier.install vm m.Meth.id (Interp.code_of vm m.Meth.id))
+    (Program.methods program);
+  let before = Gc.minor_words () in
+  Interp.run vm;
+  Gc.minor_words () -. before
+
+let test_alloc_per_call () =
+  let n = 1000 in
+  List.iter
+    (fun (name, callee, words) ->
+      let run k = minor_words_of_run (alloc_program callee k) in
+      let per_call = (run (2 * n) -. run n) /. float_of_int n in
+      Alcotest.(check (float 0.)) name words per_call)
+    Acsi_lang.Dsl.
+      [
+        ("static call", (fun _ k -> call "K" "f" [ k ]), 13.);
+        ("virtual call", (fun o k -> inv o "f" [ k ]), 14.);
+        ("pointer argument", (fun o k -> call "K" "g" [ o; k ]), 14.);
+      ]
+
 let suite =
   [
     Alcotest.test_case "same run twice is identical" `Quick test_run_twice;
@@ -292,5 +468,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tier_small_period;
     Alcotest.test_case "closure tier matches naive reference at every period"
       `Quick test_tier_every_period;
+    Alcotest.test_case "frame-stack growth matches naive reference" `Quick
+      test_frame_growth;
+    Alcotest.test_case "words allocated per closure-tier call" `Quick
+      test_alloc_per_call;
+    Alcotest.test_case "call stack overflow on every engine" `Quick
+      test_stack_overflow;
     QCheck_alcotest.to_alcotest prop_aos_matches_reference;
   ]
