@@ -616,11 +616,11 @@ let explain_one ~bench ~file ~policy_str ~scale ~query ~static_seed
                        "%d decided speculatively (guard-free, loaded-CHA + \
                         pre-existence)@."
                        speculative);
-                  (* The orthogonal decision axis: what happened when each
-                     installed optimized method was promoted to (or kept
-                     off) the closure execution tier. Only shown for
-                     whole-program queries — tier decisions are
-                     per-method, not per-call-site. *)
+                  (* The orthogonal decision axis: what happened to each
+                     code install (closure tier compiled, install refused
+                     by Jit_check, or fell back to the interpreter). Only
+                     shown for whole-program queries — install decisions
+                     are per-method, not per-call-site. *)
                   (if query = None && Acsi_obs.Provenance.tier_count prov > 0
                    then begin
                      Format.printf "@.Execution-tier decisions:@.";
@@ -630,14 +630,14 @@ let explain_one ~bench ~file ~policy_str ~scale ~query ~static_seed
                            (Acsi_obs.Provenance.pp_tier_decision ~name)
                            td)
                        (Acsi_obs.Provenance.tier_all prov);
-                     let compiled, rejected, fell_back =
+                     let compiled, refused, fell_back =
                        Acsi_obs.Provenance.tier_outcome_counts prov
                      in
                      Format.printf
-                       "%d tier decisions (%d compiled, %d rejected, %d fell \
+                       "%d tier decisions (%d compiled, %d refused, %d fell \
                         back)@."
                        (Acsi_obs.Provenance.tier_count prov)
-                       compiled rejected fell_back
+                       compiled refused fell_back
                    end);
                   0)))
 

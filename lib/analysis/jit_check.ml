@@ -346,6 +346,3 @@ let check ?facts:memo p (code : Code.t) : Diag.t list =
               compare (Option.value a.pc ~default:(-1))
                 (Option.value b.pc ~default:(-1)))
             (List.rev !diags))
-
-let check_exn ?facts p code =
-  match check ?facts p code with [] -> () | d :: _ -> raise (Diag.Error d)

@@ -48,6 +48,3 @@ val check : ?facts:facts -> Program.t -> Code.t -> Diag.t list
     carries per-program work over from earlier checks; the findings
     are the same either way. Raises [Invalid_argument] when [facts]
     were made for another program. *)
-
-val check_exn : ?facts:facts -> Program.t -> Code.t -> unit
-(** Raises {!Diag.Error} with the first finding, if any. *)

@@ -47,7 +47,6 @@ type config = {
   merge_rules_to_edges : bool;
   trace_on_timer : bool;
   enable_osr : bool;
-  verify_installed : bool;
   static_seed : bool;
       (** static pre-warm oracle: at a method's first execution, if the
           interprocedural summaries ({!Acsi_analysis.Summary}) prove it
@@ -97,7 +96,6 @@ let default_config policy =
     merge_rules_to_edges = false;
     trace_on_timer = false;
     enable_osr = false;
-    verify_installed = true;
     static_seed = false;
     speculate = false;
     deopt_guard_threshold = 32;
@@ -177,6 +175,9 @@ type t = {
   (* compilation queue: method plus its enqueue cycle (deadline input) *)
   compile_queue : (Ids.Method_id.t * int) Queue.t;
   pending : bool array;
+  (* methods whose install [Jit_check] refused: never enqueued, compiled
+     or adopted again in this run *)
+  refused : bool array;
   (* asynchronous (pool) compilation: finished code waiting for its
      virtual finish time, kept sorted by (finish, submission seq) — with
      more than one compiler, jobs submitted later can finish earlier *)
@@ -266,10 +267,11 @@ let charge ?(ev = "aos") t component cycles =
   Interp.charge t.vm cycles
 
 let enqueue_compile t (mid : Ids.Method_id.t) =
-  if not t.pending.((mid :> int)) then begin
+  if not (t.pending.((mid :> int)) || t.refused.((mid :> int))) then begin
     t.pending.((mid :> int)) <- true;
     Queue.add (mid, Interp.cycles t.vm) t.compile_queue;
-    t.max_queue_depth <- max t.max_queue_depth (Queue.length t.compile_queue);
+    t.max_queue_depth <-
+      Int.max t.max_queue_depth (Queue.length t.compile_queue);
     Acsi_obs.Tracer.counter (tracer t)
       ~track:(Accounting.component_name Accounting.Compilation)
       ~name:"queue-depth" ~t:(Interp.cycles t.vm)
@@ -603,47 +605,62 @@ let assumptions_hold t (code : Acsi_vm.Code.t) =
       | None -> false)
     code.Acsi_vm.Code.assumptions
 
-(* --- closure-tier promotion --- *)
+(* --- the install pipeline --- *)
 
 let record_tier t mid outcome =
   match t.obs.Acsi_obs.Control.prov with
   | Some prov -> Acsi_obs.Provenance.add_tier prov mid outcome
   | None -> ()
 
-let record_tier_failure t mid exn =
-  let why = Printexc.to_string exn in
-  Log.warn (fun m ->
-      m "closure tier failed on %s, staying on interpreter: %s"
-        (Program.meth t.program mid).Meth.name why);
-  record_tier t mid (Acsi_obs.Provenance.Tier_fell_back why)
+(* A refused install or a tier fall-back: logged, marked by an instant
+   on the Compilation track (charged nothing beyond the probe model
+   every tracer event follows) and recorded in provenance. *)
+let report_failure t mid ~ev ~why outcome =
+  let name = (Program.meth t.program mid).Meth.name in
+  Log.warn (fun m -> m "%s %s: %s" ev name why);
+  Acsi_obs.Tracer.instant (tracer t)
+    ~track:(Accounting.component_name Accounting.Compilation)
+    ~name:ev ~t:(Interp.cycles t.vm)
+    ~args:[ ("method", name); ("reason", why) ]
+    ();
+  record_tier t mid outcome
 
-(* A method whose tier compile raises stays on the interpreter tier,
-   and the failure is logged and recorded, never swallowed. *)
-let tier_install t mid code =
-  match Acsi_vm.Tier.install t.vm mid code with
-  | () -> true
-  | exception exn ->
-      record_tier_failure t mid exn;
+(* Every code install goes through here: baseline code at first
+   execution and on deopt reverts, compiled code (stalling, background,
+   static seed) and code adopted from another shard. [Jit_check] runs
+   once (free on baseline code, which has no source map). On a finding
+   nothing is installed on either engine, the current code keeps
+   running, and [refused] bars the method from further compiles and
+   adoptions, so a refusal never becomes a recompile loop. Otherwise
+   the code goes to the interpreter, then to the closure tier (reusing
+   the [native] closures a publisher shipped); a tier compile that
+   raises leaves the method on [Interp.step]. Both checks model
+   host-side work, so nothing here charges the virtual clock. Returns
+   whether the code was installed. *)
+let install t (mid : Ids.Method_id.t) code ~native =
+  match
+    Acsi_analysis.Jit_check.check ~facts:t.install_facts t.program code
+  with
+  | d :: _ ->
+      let why = Acsi_analysis.Diag.to_string d in
+      t.refused.((mid :> int)) <- true;
+      report_failure t mid ~ev:"install-refused" ~why
+        (Acsi_obs.Provenance.Install_refused why);
       false
-
-(* The [Jit_check] gate in front of the tier when [verify_installed] is
-   off (when it is on, install already aborted on any finding): a
-   rejected method stays on the interpreter tier. *)
-let tier_gate t mid code =
-  if t.cfg.verify_installed then true
-  else
-    match
-      Acsi_analysis.Jit_check.check ~facts:t.install_facts t.program code
-    with
-    | [] -> true
-    | d :: _ ->
-        Log.info (fun m ->
-            m "closure tier rejected %s: %s"
-              (Program.meth t.program mid).Meth.name
-              (Acsi_analysis.Diag.to_string d));
-        record_tier t mid
-          (Acsi_obs.Provenance.Tier_rejected (Acsi_analysis.Diag.to_string d));
-        false
+  | [] ->
+      Interp.install_code t.vm mid code;
+      (match
+         match native with
+         | Some (fns, entry_depths) ->
+             Interp.install_native t.vm mid ~fns ~entry_depths
+         | None -> Acsi_vm.Tier.install t.vm mid code
+       with
+      | () -> record_tier t mid Acsi_obs.Provenance.Tier_compiled
+      | exception exn ->
+          let why = Printexc.to_string exn in
+          report_failure t mid ~ev:"tier-fell-back" ~why
+            (Acsi_obs.Provenance.Tier_fell_back why));
+      true
 
 (* Take [mid] off its current optimized code: future invocations run the
    baseline again (closure tier reinstalled to match), frames still
@@ -667,9 +684,7 @@ let revert_optimized t (mid : Ids.Method_id.t) ~reason ~ev =
               at;
               invalidated = reason = Interp.Cha_invalidated;
             }));
-      let bcode = Interp.baseline_code_of t.vm mid in
-      Interp.install_code t.vm mid bcode;
-      ignore (tier_install t mid bcode);
+      ignore (install t mid (Interp.baseline_code_of t.vm mid) ~native:None);
       charge ~ev t Accounting.Controller t.cost.Cost.controller_per_event;
       Log.info (fun m ->
           m "deopt %s: reverted to baseline (%s)"
@@ -749,20 +764,14 @@ let drain_pending_deopt t vm =
         | None -> ()
       end
 
-(* Install freshly compiled code: verify, activate, optionally OSR the
+(* Install freshly compiled code ([install]), optionally OSR the
    innermost frame, and record the compilation. [rule_stamp] is the rules
    version the code was built against — for background compilations that
-   can be older than the current version at install time.
-
-   The re-verification ({!Acsi_analysis.Jit_check}) models a debug-build
-   safety net, not AOS work the paper's system performs, so it is
-   deliberately NOT charged to the virtual clock: enabling or disabling
-   it must never perturb timer samples, compilation decisions, or
-   reported cycle counts. This holds for both compilation models —
-   code produced by the background compiler thread passes through the
-   same check before activation. *)
-let install_compiled t mid code stats ~rule_stamp =
-  if t.cfg.speculate && not (assumptions_hold t code) then begin
+   can be older than the current version at install time. Code for a
+   refused method (a job compiled before the refusal) is dropped. *)
+let install_compiled t (mid : Ids.Method_id.t) code stats ~rule_stamp =
+  if t.refused.((mid :> int)) then ()
+  else if t.cfg.speculate && not (assumptions_hold t code) then begin
     (* A class load between compile and install broke an assumption
        (possible under the background model): drop the code and
        recompile against the current loaded universe. *)
@@ -772,19 +781,7 @@ let install_compiled t mid code stats ~rule_stamp =
           (Program.meth t.program mid).Meth.name);
     enqueue_compile t mid
   end
-  else begin
-  if t.cfg.verify_installed then
-    Acsi_analysis.Jit_check.check_exn ~facts:t.install_facts t.program code;
-  Interp.install_code t.vm mid code;
-  (* Closure-tier promotion, gated on {!Acsi_analysis.Jit_check}: the
-     tier's closures inherit the interpreter's verifier-bounded unsafe
-     accesses, so code must re-verify to be promoted — a rejected method
-     simply stays on the interpreter tier. Like the re-verification, tier
-     compilation is host-side work the modeled system doesn't perform:
-     no virtual cycles are charged, so it can never perturb timer
-     samples or reported totals. *)
-  if tier_gate t mid code && tier_install t mid code then
-    record_tier t mid Acsi_obs.Provenance.Tier_compiled;
+  else if install t mid code ~native:None then begin
   (if t.cfg.speculate then begin
      Hashtbl.replace t.deopt_tables
        (mid :> int)
@@ -914,7 +911,9 @@ let policy_order t jobs =
 let start_async_compiles t =
   let jobs = ref [] in
   while not (Queue.is_empty t.compile_queue) do
-    jobs := Queue.pop t.compile_queue :: !jobs
+    (* a revert may have queued a method whose in-flight job was refused *)
+    let ((mid : Ids.Method_id.t), _) as job = Queue.pop t.compile_queue in
+    if not t.refused.((mid :> int)) then jobs := job :: !jobs
   done;
   List.iter
     (fun (mid, enq) ->
@@ -932,7 +931,7 @@ let start_async_compiles t =
       let k = ref 0 in
       Array.iteri (fun i busy -> if busy < t.compilers.(!k) then k := i)
         t.compilers;
-      let start = max now t.compilers.(!k) in
+      let start = Int.max now t.compilers.(!k) in
       let finish = start + stats.Acsi_jit.Expand.compile_cycles in
       t.compilers.(!k) <- finish;
       (* Queue wait = enqueue to the moment a pool compiler picks the
@@ -1001,30 +1000,25 @@ let poll_async_installs t =
 (* Cross-shard adoption: install optimized code that was compiled (and
    published) by another shard's AOS. The adopter pays no compile cycles
    — that is the point of the publish-once code cache — but the install
-   still passes through the same [Jit_check] gate as local installs.
-   When the publisher also shipped its closure-tier compilation
-   ([native]), the tier closures are reused directly: they are
-   VM-independent (runtime state flows through the frame they run), so
-   re-verifying + re-compiling them per shard would be pure waste. *)
-let adopt_compiled t mid code stats ~rule_stamp ~native =
+   goes through the same [install] path, and its [Jit_check], as local
+   installs. When the publisher also shipped its closure-tier code
+   ([native]), the closures are reused directly: they are VM-independent
+   (runtime state flows through the frame they run), so re-compiling
+   them per shard would be pure waste. *)
+let adopt_compiled t (mid : Ids.Method_id.t) code stats ~rule_stamp ~native =
   if code.Acsi_vm.Code.assumptions <> [] then
     invalid_arg
       "System.adopt_compiled: speculative code is shard-local (its CHA \
        assumptions hold against the publisher's loaded universe, not ours)";
-  if t.cfg.verify_installed then
-    Acsi_analysis.Jit_check.check_exn ~facts:t.install_facts t.program code;
-  Interp.install_code t.vm mid code;
-  (match native with
-  | Some (fns, entry_depths) ->
-      Interp.install_native t.vm mid ~fns ~entry_depths
-  | None -> if tier_gate t mid code then ignore (tier_install t mid code));
-  Registry.record t.registry mid stats ~rule_stamp;
-  t.adopted_installs <- t.adopted_installs + 1;
-  Db.record_adoption t.db ~meth:mid
-    ~version:
-      (match Registry.entry t.registry mid with
-      | Some e -> e.Registry.version
-      | None -> 0)
+  if (not t.refused.((mid :> int))) && install t mid code ~native then begin
+    Registry.record t.registry mid stats ~rule_stamp;
+    t.adopted_installs <- t.adopted_installs + 1;
+    Db.record_adoption t.db ~meth:mid
+      ~version:
+        (match Registry.entry t.registry mid with
+        | Some e -> e.Registry.version
+        | None -> 0)
+  end
 
 let run_epoch t =
   t.epochs <- t.epochs + 1;
@@ -1098,21 +1092,13 @@ let on_first_execution t mid =
   t.baseline_methods <- t.baseline_methods + 1;
   t.baseline_bytes <-
     t.baseline_bytes + (units * t.cost.Cost.baseline_bytes_per_unit);
-  (* Lazy baseline compilation also targets the closure tier: the gate
-     here is the verification pass {!Acsi_vm.Tier.compile} runs internally
-     (its [Verify.entry_depths] worklist raises on anything the full
-     verifier would reject), so an unverifiable body silently stays on
-     the interpreter tier and fails dynamically exactly as before. The
-     hook fires before the frame is pushed, so even the first invocation
-     runs on the closures. Host-side work only — no virtual charge beyond
-     the baseline-compile cost above, which is tier-independent. *)
-  (match Acsi_vm.Tier.install t.vm mid (Interp.code_of t.vm mid) with
-  | () -> record_tier t mid Acsi_obs.Provenance.Tier_compiled
-  | exception exn ->
-      let why = Printexc.to_string exn in
-      Log.debug (fun f ->
-          f "closure tier skipped baseline %s: %s" m.Meth.name why);
-      record_tier t mid (Acsi_obs.Provenance.Tier_fell_back why));
+  (* Lazy baseline compilation also targets the closure tier. The tier
+     compiler's own verification pass ([Verify.entry_depths]) raises on
+     anything the full verifier would reject, so an unverifiable body
+     falls back to the interpreter and fails dynamically exactly as
+     before. The hook fires before the frame is pushed, so even the
+     first invocation runs on the closures. *)
+  ignore (install t mid (Interp.code_of t.vm mid) ~native:None);
   (* The static pre-warm oracle replaces the just-installed baseline code
      with summary-driven optimized code before the first frame is even
      pushed — the hook fires ahead of the push, so the very first
@@ -1178,6 +1164,7 @@ let create ?profile cfg vm =
       trace_buffer_len = 0;
       compile_queue = Queue.create ();
       pending = Array.make (Program.method_count program) false;
+      refused = Array.make (Program.method_count program) false;
       in_flight = [];
       in_flight_seq = 0;
       compilers = Array.make (max 1 cfg.compiler_pool) 0;

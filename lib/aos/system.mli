@@ -13,6 +13,10 @@
       installing optimized code;
     - the invocation stride drives the trace listener.
 
+    Every code install (baseline, compiled, adopted) goes through one
+    {!Acsi_analysis.Jit_check}-gated path: a finding is a recorded
+    refusal that keeps the current code, never an exception.
+
     All overhead cycles are charged both to the per-component accounting
     (Figure 6) and to the VM clock, so total execution time includes the
     adaptive system's own cost. *)
@@ -65,12 +69,6 @@ type config = {
       (** extension: on-stack-replace the innermost frame when its method
           gets (re)compiled; the paper's system activates new code only on
           the next invocation *)
-  verify_installed : bool;
-      (** re-verify every JIT-compiled body ({!Acsi_analysis.Jit_check})
-          before installing it: typed verification plus inline-map,
-          guard-domination and OSR invariants. A debug-build safety net,
-          so the work happens outside the virtual clock — toggling it
-          never changes cycle counts. Default [true]. *)
   static_seed : bool;
       (** static pre-warm oracle: at method first-execution time, consult
           the interprocedural summary table ({!Acsi_analysis.Summary})
@@ -209,20 +207,20 @@ val adopt_compiled :
   unit
 (** Install optimized code compiled by another AOS instance (a shard's
     publish-once code-cache hit): the adopter pays no compile cycles,
-    but the install still passes the {!config.verify_installed}
-    [Jit_check] gate. [native], when provided, reuses the publisher's
-    closure-tier compilation — closures are VM-independent, runtime
-    state flows through the interpreter's window-state record. Recorded
-    in the {!Db} adoption log and in {!adopted_installs}. Raises
+    but the code goes through the same install path as local compiles.
+    [native], when provided, reuses the publisher's closure-tier code —
+    closures are VM-independent, since runtime state, window state
+    included, flows through the frame they run. An install that
+    {!Acsi_analysis.Jit_check} refuses installs nothing, keeps the
+    current code, is recorded as
+    {!Acsi_obs.Provenance.Install_refused} (with a warning and a
+    tracer instant), and bars the method from later compiles and
+    adoptions in this run; a second attempt is a silent no-op.
+    Successful adoptions are recorded in the {!Db} adoption log, in
+    the {!registry} and in {!adopted_installs}. Raises
     [Invalid_argument] on assumption-carrying (speculative) code: its
     CHA proofs hold against the publisher's loaded universe, not the
     adopter's. *)
-
-val record_tier_failure : t -> Acsi_bytecode.Ids.Method_id.t -> exn -> unit
-(** A closure-tier compile of the method raised: log a warning and
-    record {!Acsi_obs.Provenance.Tier_fell_back} with the exception's
-    text. Every tier install the system performs reports its failures
-    this way; callers compiling for the tier themselves use it too. *)
 
 val adopted_installs : t -> int
 (** Cross-shard adoptions performed via {!adopt_compiled}. *)

@@ -30,7 +30,7 @@ type decision = {
 
 type tier_outcome =
   | Tier_compiled
-  | Tier_rejected of string
+  | Install_refused of string
   | Tier_fell_back of string
 
 type tier_decision = {
@@ -78,7 +78,7 @@ let tier_outcome_counts t =
     (fun (c, r, f) d ->
       match d.td_outcome with
       | Tier_compiled -> (c + 1, r, f)
-      | Tier_rejected _ -> (c, r + 1, f)
+      | Install_refused _ -> (c, r + 1, f)
       | Tier_fell_back _ -> (c, r, f + 1))
     (0, 0, 0) t.tier_rev
 
@@ -160,7 +160,7 @@ let pp_tier_decision ~name fmt d =
   let verdict =
     match d.td_outcome with
     | Tier_compiled -> "closure-tier COMPILED"
-    | Tier_rejected why -> "closure-tier rejected: " ^ why
+    | Install_refused why -> "install refused: " ^ why
     | Tier_fell_back why -> "closure-tier fell back: " ^ why
   in
   Format.fprintf fmt "tier #%d @@%d cycles  %s  %s" d.td_seq d.td_cycle

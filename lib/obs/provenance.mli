@@ -75,20 +75,19 @@ type decision = private {
   d_info : info;
 }
 
-(** {2 Execution-tier decisions}
+(** {2 Install decisions}
 
     A second reason axis, orthogonal to inlining: what happened when the
-    AOS tried to move a freshly installed optimized method onto the
-    closure execution tier. *)
+    AOS installed code for a method (baseline, compiled or adopted). *)
 
 type tier_outcome =
-  | Tier_compiled  (** closure-tier code installed *)
-  | Tier_rejected of string
-      (** the [Jit_check] install gate refused the code (first
-          diagnostic); the method stays on the interpreter tier *)
+  | Tier_compiled  (** installed, closure-tier code included *)
+  | Install_refused of string
+      (** [Jit_check] refused the code (first diagnostic, rendered):
+          nothing was installed, the method keeps its current code *)
   | Tier_fell_back of string
-      (** the tier compiler itself failed; the method stays on the
-          interpreter tier *)
+      (** installed on the interpreter, but the tier compiler failed;
+          the method runs on the interpreter tier *)
 
 type tier_decision = private {
   td_seq : int;  (** 0-based emission order, separate from inline seq *)
@@ -117,7 +116,7 @@ val tier_all : t -> tier_decision list
 (** Emission order. *)
 
 val tier_outcome_counts : t -> int * int * int
-(** [(compiled, rejected, fell_back)]. *)
+(** [(compiled, refused, fell_back)]. *)
 
 val at : t -> caller:Ids.Method_id.t -> ?callsite:int -> unit -> decision list
 (** Decisions whose innermost context entry is a call site in [caller]
@@ -142,4 +141,4 @@ val pp_tier_decision :
   Format.formatter ->
   tier_decision ->
   unit
-(** One-line record for an execution-tier decision. *)
+(** One-line record for an install decision. *)

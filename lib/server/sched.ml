@@ -50,7 +50,7 @@ let spawn t =
     { e_tid = tid; e_thread = th; e_enqueued_at = t.slices }
     t.ready;
   t.live <- t.live + 1;
-  t.max_live <- max t.max_live t.live;
+  t.max_live <- Int.max t.max_live t.live;
   tid
 
 let live t = t.live
@@ -63,7 +63,8 @@ let run_slice t =
   match Queue.take_opt t.ready with
   | None -> None
   | Some e ->
-      t.max_resume_gap <- max t.max_resume_gap (t.slices - e.e_enqueued_at);
+      t.max_resume_gap <-
+        Int.max t.max_resume_gap (t.slices - e.e_enqueued_at);
       if e.e_tid <> t.last_tid then begin
         if t.last_tid >= 0 && t.switch_cost > 0 then
           Interp.charge t.vm t.switch_cost;

@@ -1,5 +1,4 @@
 module Interp = Acsi_vm.Interp
-module Tier = Acsi_vm.Tier
 module System = Acsi_aos.System
 module Registry = Acsi_aos.Registry
 module Dcg = Acsi_profile.Dcg
@@ -313,8 +312,8 @@ let steal_pass shards ~seed ~round ~now ~tel =
 (* Publish-once code cache. After each round, every shard's registry is
    scanned (in shard-id order, methods ascending) for versions not seen
    at the previous barrier; the first shard to have compiled a method
-   publishes its code, stats and — when the tier took it — its closure
-   compilation. Later compiles of an already-published method stay
+   publishes its code, stats and — when the tier took it — the closures
+   it installed. Later compiles of an already-published method stay
    local. *)
 let collect_publications published shards pubs_rev =
   Array.iter
@@ -336,13 +335,9 @@ let collect_publications published shards pubs_rev =
             let code = Interp.code_of sd.sd_vm mid in
             let native =
               if Interp.native_installed sd.sd_vm mid then
-                match Tier.compile sd.sd_vm code with
-                | r -> Some r
-                | exception exn ->
-                    (* published without closures: adopters compile
-                       their own, or stay on the interpreter *)
-                    System.record_tier_failure sd.sd_sys mid exn;
-                    None
+                Some
+                  ( sd.sd_vm.Interp.native_table.((mid :> int)),
+                    sd.sd_vm.Interp.native_depths.((mid :> int)) )
               else None
             in
             let p =
@@ -380,13 +375,15 @@ let adopt_published published shards ~now ~tel =
           then begin
             System.adopt_compiled sd.sd_sys p.p_mid p.p_code p.p_stats
               ~rule_stamp:p.p_rule_stamp ~native:p.p_native;
-            tel_flow tel Adopt ~out_shard:p.p_origin ~out_t:now
-              ~in_shard:sd.sd_id ~in_t:now
-              ~key:(p.p_mid :> int);
-            sd.sd_pub_seen.((p.p_mid :> int)) <-
-              (match Registry.entry (System.registry sd.sd_sys) p.p_mid with
-              | Some e -> e.Registry.version
-              | None -> 0)
+            (* A refused adoption installs nothing and leaves no registry
+               entry; the adopter keeps its code and draws no arrow. *)
+            match Registry.entry (System.registry sd.sd_sys) p.p_mid with
+            | Some e ->
+                tel_flow tel Adopt ~out_shard:p.p_origin ~out_t:now
+                  ~in_shard:sd.sd_id ~in_t:now
+                  ~key:(p.p_mid :> int);
+                sd.sd_pub_seen.((p.p_mid :> int)) <- e.Registry.version
+            | None -> ()
           end)
         pubs)
     shards

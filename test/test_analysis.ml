@@ -740,6 +740,111 @@ let test_jit_check_domain_safe () =
     "2 domains = serial" serial
     (Parallel.map ~jobs:2 render work)
 
+(* A [Jit_check] finding on install is a recorded refusal, never an
+   exception: every rejected mutant of the corpus, adopted into a fresh
+   system before the run, installs nothing on either engine, is recorded
+   once with its first diagnostic, bars later adoptions of the method,
+   and the run completes with the AOS-free output. *)
+let test_refused_mutants_install_nothing () =
+  let module Interp = Acsi_vm.Interp in
+  let module System = Acsi_aos.System in
+  let module Provenance = Acsi_obs.Provenance in
+  let stats =
+    {
+      Acsi_jit.Expand.expanded_units = 1;
+      inline_count = 0;
+      guard_count = 0;
+      compile_cycles = 0;
+      code_bytes = 0;
+      inlined_edges = [];
+    }
+  in
+  let refusals sys =
+    match System.provenance sys with
+    | None -> Alcotest.fail "provenance store missing"
+    | Some prov ->
+        List.filter_map
+          (fun (d : Provenance.tier_decision) ->
+            match d.Provenance.td_outcome with
+            | Provenance.Install_refused why -> Some why
+            | Provenance.Tier_compiled | Provenance.Tier_fell_back _ -> None)
+          (Provenance.tier_all prov)
+  in
+  let adopted = ref 0 in
+  List.iter
+    (fun (name, scale, policy) ->
+      let p, codes = installed_codes name ~scale ~policy in
+      let cfg = Config.default ~policy in
+      let aos =
+        {
+          cfg.Config.aos with
+          Acsi_aos.System.obs =
+            { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true };
+        }
+      in
+      let expected = Interp.output (Runtime.run_no_aos cfg p) in
+      List.iter
+        (fun (code : Acsi_vm.Code.t) ->
+          let mid = code.Acsi_vm.Code.meth in
+          List.iter
+            (fun (what, mutate) ->
+              (* Adoption takes no speculative code (its CHA proofs are
+                 the publisher's), so the speculative mutants go in
+                 without their assumptions. Dropping them only removes
+                 excuses for missing guards: they stay rejected. *)
+              let adoptable (c : Acsi_vm.Code.t) =
+                { c with Acsi_vm.Code.assumptions = [] }
+              in
+              match
+                Option.map
+                  (fun c -> (adoptable c, Jit_check.check p c))
+                  (mutate code)
+              with
+              | None | Some (_, []) -> ()
+              | Some (bad, _ :: _) ->
+                  incr adopted;
+                  let d = List.hd (Jit_check.check p bad) in
+                  let label =
+                    Printf.sprintf "%s %s/%s" name
+                      (Program.meth p mid).Meth.name what
+                  in
+                  let vm = Interp.create p in
+                  let sys = System.create aos vm in
+                  let before = Interp.code_of vm mid in
+                  let adopt () =
+                    System.adopt_compiled sys mid bad stats ~rule_stamp:0
+                      ~native:None
+                  in
+                  adopt ();
+                  Alcotest.(check bool)
+                    (label ^ ": code unchanged") true
+                    (Interp.code_of vm mid == before);
+                  Alcotest.(check bool)
+                    (label ^ ": no closures") false
+                    (Interp.native_installed vm mid);
+                  Alcotest.(check (list string))
+                    (label ^ ": one refusal, first finding")
+                    [ Diag.to_string d ] (refusals sys);
+                  Interp.run ~cycle_limit:cfg.Config.cycle_limit vm;
+                  Alcotest.(check (list int))
+                    (label ^ ": output of the AOS-free run") expected
+                    (Interp.output vm);
+                  Alcotest.(check bool)
+                    (label ^ ": never installed later") false
+                    (Interp.code_of vm mid == bad);
+                  adopt ();
+                  Alcotest.(check int)
+                    (label ^ ": second attempt records nothing") 1
+                    (List.length (refusals sys));
+                  Alcotest.(check int)
+                    (label ^ ": no adoption counted") 0
+                    (System.adopted_installs sys))
+            (mutations p))
+        codes)
+    mutant_corpus;
+  (* Every rejected mutant the golden report lists (175). *)
+  Alcotest.(check int) "rejected mutants adopted" 175 !adopted
+
 let suite =
   [
     Alcotest.test_case "type clash at join" `Quick test_type_clash_at_join;
@@ -763,6 +868,8 @@ let suite =
       test_mutant_diagnostics_golden;
     Alcotest.test_case "install checks are domain-safe" `Quick
       test_jit_check_domain_safe;
+    Alcotest.test_case "refused mutant installs change nothing" `Quick
+      test_refused_mutants_install_nothing;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

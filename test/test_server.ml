@@ -288,31 +288,74 @@ let test_sync_compile_still_works () =
     s.Server.sv_overlap_instructions;
   Alcotest.(check bool) "still compiled" true (s.Server.sv_opt_compilations > 0)
 
-(* Verify-on-install runs on background-compiled code too, and stays
-   outside the virtual clock: disabling it must not move a single cycle
-   of an async serve. *)
+(* Verify-on-install stays off the virtual clock. An async serve
+   installs background-compiled code through the one install path; and
+   since adoption charges no compile cycles, an adopted install — valid
+   or refused by [Jit_check] — that moved the clock or any [Accounting]
+   component could only have paid for its verification. *)
 let test_async_verify_outside_clock () =
-  let serve ~verify_installed =
-    let program = (Workloads.find "db").Workloads.build ~scale:2 in
-    let cfg = Config.default ~policy:(Policy.Fixed 3) in
-    let cfg =
-      {
-        cfg with
-        Config.aos = { cfg.Config.aos with System.verify_installed };
-      }
-    in
+  let program = (Workloads.find "db").Workloads.build ~scale:2 in
+  let cfg = Config.default ~policy:(Policy.Fixed 3) in
+  let served =
     (Server.run ~seed:5
        ~mode:
          (Server.Closed { clients = 2; requests_per_client = 2; think = 10_000 })
        ~name:"db" cfg program)
       .Server.summary
   in
-  let on = serve ~verify_installed:true in
-  let off = serve ~verify_installed:false in
-  Alcotest.(check bool) "verification happened off the virtual clock" true
-    (on = off);
   Alcotest.(check bool) "async installs were verified" true
-    (on.Server.sv_async_installs > 0)
+    (served.Server.sv_async_installs > 0);
+  (* Optimized code a plain run left installed, with its stats. *)
+  let donor = Acsi_core.Runtime.run cfg program in
+  let compiled =
+    List.filter_map
+      (fun (m : Acsi_bytecode.Meth.t) ->
+        let mid = m.Acsi_bytecode.Meth.id in
+        let code = Interp.code_of donor.Acsi_core.Runtime.vm mid in
+        match
+          ( code.Acsi_vm.Code.tier,
+            Acsi_aos.Registry.entry
+              (System.registry donor.Acsi_core.Runtime.sys)
+              mid )
+        with
+        | Acsi_vm.Code.Optimized, Some e ->
+            Some (code, e.Acsi_aos.Registry.stats)
+        | _ -> None)
+      (Array.to_list (Acsi_bytecode.Program.methods program))
+  in
+  Alcotest.(check bool) "donor compiled methods" true (compiled <> []);
+  let vm = Interp.create program in
+  let sys = System.create cfg.Config.aos vm in
+  let clock () =
+    ( Interp.cycles vm,
+      List.map
+        (Acsi_aos.Accounting.get (System.accounting sys))
+        Acsi_aos.Accounting.all_components )
+  in
+  let adopt (code : Acsi_vm.Code.t) stats =
+    let before = clock () in
+    System.adopt_compiled sys code.Acsi_vm.Code.meth code stats ~rule_stamp:0
+      ~native:None;
+    Alcotest.(check bool) "install charged nothing" true (clock () = before)
+  in
+  List.iter (fun (code, stats) -> adopt code stats) compiled;
+  Alcotest.(check int) "valid code installed" (List.length compiled)
+    (System.adopted_installs sys);
+  (* A source map naming a pc past the end of its method: refused. *)
+  let code, stats = List.hd compiled in
+  let bad =
+    {
+      code with
+      Acsi_vm.Code.src =
+        Option.map
+          (Array.map (fun (e : Acsi_vm.Code.src_entry) ->
+               { e with Acsi_vm.Code.src_pc = 10_000 }))
+          code.Acsi_vm.Code.src;
+    }
+  in
+  adopt bad stats;
+  Alcotest.(check bool) "refused code not installed" true
+    (Interp.code_of vm code.Acsi_vm.Code.meth == code)
 
 (* --- satellite 3: determinism of full server runs --- *)
 

@@ -3,9 +3,9 @@
    program on the production engine and on the naive [run_reference]
    loop and demand byte-identical observable state — output, cycle
    counts, every metric — plus the negative half of the contract: code
-   the install gate rejects stays on the interpreter tier, and
-   preemption boundaries land identically no matter which tier a frame
-   runs on. The per-cell check over the whole bench sweep lives in
+   the install check refuses is never installed, code the tier cannot
+   compile stays on the interpreter, and preemption boundaries land
+   identically no matter which tier a frame runs on. The per-cell check over the whole bench sweep lives in
    test/reference_sweep. *)
 
 open Acsi_lang
@@ -92,7 +92,8 @@ let test_malformed_code_rejected () =
     "Jit_check rejects the code" true
     (Acsi_analysis.Jit_check.check program bad <> []);
   (* The tier compiler's own verification pass refuses it as well (the
-     gate the AOS relies on when [verify_installed] is off)... *)
+     fall-back the AOS relies on for code [Jit_check] trusts, such as
+     baseline bodies without a source map)... *)
   (match Tier.install vm main bad with
   | () -> Alcotest.fail "tier compiled stack-underflowing code"
   | exception _ -> ());
@@ -101,55 +102,118 @@ let test_malformed_code_rejected () =
     "no closure code installed" false
     (Interp.native_installed vm main)
 
-(* A tier compile that raises is never swallowed: the adopting system
-   keeps the method on the interpreter tier and records why. The code
-   carries no source map, so the install check trusts it and only the
-   tier compiler's own verification pass sees the underflow. *)
-let test_tier_failure_visible () =
+(* A counter-program VM whose system traces and records provenance, and
+   [main]'s code with its body replaced by a stack underflow under the
+   given source map. *)
+let observed_system () =
   let program = Compile.prog counter_prog in
   let vm = Interp.create program in
   let aos =
     {
       (System.default_config (Policy.Fixed 3)) with
       System.obs =
-        { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true };
+        {
+          Acsi_obs.Control.off with
+          Acsi_obs.Control.provenance = true;
+          trace = true;
+        };
     }
   in
   let sys = System.create aos vm in
   let main = Acsi_bytecode.Program.main program in
-  let bad =
+  let underflow src =
     {
       (Interp.code_of vm main) with
       Code.tier = Code.Optimized;
       Code.instrs = [| Acsi_bytecode.Instr.Pop; Acsi_bytecode.Instr.Return_void |];
-      Code.src = None;
+      Code.src = src;
     }
   in
-  let stats =
-    {
-      Acsi_jit.Expand.expanded_units = 2;
-      inline_count = 0;
-      guard_count = 0;
-      compile_cycles = 0;
-      code_bytes = 0;
-      inlined_edges = [];
-    }
-  in
-  System.adopt_compiled sys main bad stats ~rule_stamp:0 ~native:None;
-  Alcotest.(check bool)
-    "no closure code installed" false
-    (Interp.native_installed vm main);
+  (vm, sys, main, underflow)
+
+let adopt_stats =
+  {
+    Acsi_jit.Expand.expanded_units = 2;
+    inline_count = 0;
+    guard_count = 0;
+    compile_cycles = 0;
+    code_bytes = 0;
+    inlined_edges = [];
+  }
+
+(* The tracer's instants: (track, name, args), oldest first. *)
+let instants sys =
+  let acc = ref [] in
+  Acsi_obs.Tracer.iter (System.tracer sys) ~f:(function
+    | Acsi_obs.Tracer.Instant { track; name; args; _ } ->
+        acc := (track, name, args) :: !acc
+    | _ -> ());
+  List.rev !acc
+
+let the_decision sys =
   match System.provenance sys with
   | None -> Alcotest.fail "provenance store missing"
   | Some prov -> (
       match Provenance.tier_all prov with
-      | [ { Provenance.td_outcome = Provenance.Tier_fell_back why; td_meth; _ } ]
-        ->
-          Alcotest.(check int) "recorded for main" (main :> int) (td_meth :> int);
-          Alcotest.(check bool)
-            "reason names the verifier error" true
-            (Test_bytecode.contains why "stack underflow")
-      | _ -> Alcotest.fail "expected exactly one fell-back tier decision")
+      | [ d ] -> d
+      | _ -> Alcotest.fail "expected exactly one install decision")
+
+(* A tier compile that raises is never swallowed: the adopting system
+   keeps the method on the interpreter tier, records why and marks it on
+   the timeline. The code carries no source map, so the install check
+   trusts it and only the tier compiler's own verification pass sees the
+   underflow. *)
+let test_tier_failure_visible () =
+  let vm, sys, main, underflow = observed_system () in
+  System.adopt_compiled sys main (underflow None) adopt_stats ~rule_stamp:0
+    ~native:None;
+  Alcotest.(check bool)
+    "no closure code installed" false
+    (Interp.native_installed vm main);
+  (match the_decision sys with
+  | { Provenance.td_outcome = Provenance.Tier_fell_back why; td_meth; _ } ->
+      Alcotest.(check int) "recorded for main" (main :> int) (td_meth :> int);
+      Alcotest.(check bool)
+        "reason names the verifier error" true
+        (Test_bytecode.contains why "stack underflow")
+  | _ -> Alcotest.fail "expected a fell-back decision");
+  match instants sys with
+  | [ ("CompilationThread", "tier-fell-back", args) ] ->
+      Alcotest.(check (option string))
+        "instant names the method" (Some "main/0") (List.assoc_opt "method" args)
+  | _ -> Alcotest.fail "expected exactly one tier-fell-back instant"
+
+(* A refused install is one instant on the Compilation track, carrying
+   the method and the rendered diagnostic, and charges nothing: the
+   clock does not move and the current code stays installed. *)
+let test_refusal_traced () =
+  let vm, sys, main, underflow = observed_system () in
+  let before = Interp.code_of vm main and cycles = Interp.cycles vm in
+  let bad =
+    underflow
+      (Some
+         (Array.make 2 { Code.src_meth = main; Code.src_pc = -1; Code.parents = [] }))
+  in
+  let why =
+    match Acsi_analysis.Jit_check.check (Interp.program vm) bad with
+    | d :: _ -> Acsi_analysis.Diag.to_string d
+    | [] -> Alcotest.fail "Jit_check accepts the underflow"
+  in
+  System.adopt_compiled sys main bad adopt_stats ~rule_stamp:0 ~native:None;
+  Alcotest.(check bool) "current code kept" true (Interp.code_of vm main == before);
+  Alcotest.(check int) "clock unchanged" cycles (Interp.cycles vm);
+  (match the_decision sys with
+  | { Provenance.td_outcome = Provenance.Install_refused w; _ } ->
+      Alcotest.(check string) "refusal carries the diagnostic" why w
+  | _ -> Alcotest.fail "expected a refused decision");
+  Alcotest.(check bool)
+    "one install-refused instant" true
+    (instants sys
+    = [
+        ( "CompilationThread",
+          "install-refused",
+          [ ("method", "main/0"); ("reason", why) ] );
+      ])
 
 (* --- satellite: tier decisions recorded in provenance --- *)
 
@@ -176,7 +240,7 @@ let test_provenance_records_tier_decisions () =
   match System.provenance result.Runtime.sys with
   | None -> Alcotest.fail "provenance store missing"
   | Some prov ->
-      let compiled, rejected, fell_back =
+      let compiled, refused, fell_back =
         Provenance.tier_outcome_counts prov
       in
       Alcotest.(check bool)
@@ -184,10 +248,10 @@ let test_provenance_records_tier_decisions () =
         (Provenance.tier_count prov > 0);
       Alcotest.(check int)
         "decision total is consistent" (Provenance.tier_count prov)
-        (compiled + rejected + fell_back);
+        (compiled + refused + fell_back);
       Alcotest.(check bool)
         "verified workload code all compiled" true
-        (compiled > 0 && rejected = 0 && fell_back = 0)
+        (compiled > 0 && refused = 0 && fell_back = 0)
 
 (* --- satellite: preemption across tiers --- *)
 
@@ -308,6 +372,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_tier_differential;
     Alcotest.test_case "install gate rejects malformed code" `Quick
       test_malformed_code_rejected;
+    Alcotest.test_case "refused install is one traced event" `Quick
+      test_refusal_traced;
     Alcotest.test_case "tier failure is visible" `Quick
       test_tier_failure_visible;
     Alcotest.test_case "tier decisions recorded in provenance" `Quick
