@@ -1267,7 +1267,8 @@ let trace_capacity_arg =
     & opt int (1 lsl 20)
     & info [ "capacity" ]
         ~doc:
-          "Tracer ring capacity in events; drops (oldest first) void the \
+          "Most events the tracer holds; memory grows with the events \
+           recorded, up to this bound. Drops (oldest first) void the \
            reconciliation check.")
 
 let trace_probe_arg =

@@ -9,7 +9,10 @@ type config = {
   trace : bool;  (** record tracer spans/counters/instants *)
   provenance : bool;  (** record oracle decision provenance *)
   cprof : bool;  (** build the CCT profile from timer samples *)
-  capacity : int;  (** tracer ring capacity (events) *)
+  capacity : int;
+      (** most events the tracer holds (oldest dropped first beyond it);
+          an upper bound, not a preallocation: the tracer's buffer grows
+          with the events recorded *)
   probe_on_clock : bool;
       (** charge [Cost.probe] virtual cycles to the clock per recorded
           event, modelling a paid software probe; never charged to

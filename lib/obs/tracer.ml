@@ -14,7 +14,8 @@ type event =
 type t = {
   enabled : bool;
   capacity : int;
-  buf : event array;
+  mutable buf : event array;
+      (* grows by doubling up to [capacity]; [start = 0] until it is full *)
   mutable start : int;  (* index of the oldest event *)
   mutable len : int;
   mutable dropped : int;
@@ -41,7 +42,7 @@ let create ?(probe = 0) ?(charge = ignore) ~capacity () =
   {
     enabled = true;
     capacity;
-    buf = Array.make capacity dummy;
+    buf = Array.make (min capacity 256) dummy;
     start = 0;
     len = 0;
     dropped = 0;
@@ -55,7 +56,13 @@ let dropped t = t.dropped
 
 let add t e =
   if t.len < t.capacity then begin
-    t.buf.((t.start + t.len) mod t.capacity) <- e;
+    (* Not full: nothing was evicted yet, so this is a plain append. *)
+    if t.len = Array.length t.buf then begin
+      let buf = Array.make (min t.capacity (2 * t.len)) dummy in
+      Array.blit t.buf 0 buf 0 t.len;
+      t.buf <- buf
+    end;
+    t.buf.(t.len) <- e;
     t.len <- t.len + 1
   end
   else begin

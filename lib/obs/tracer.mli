@@ -1,5 +1,7 @@
-(** The structured event tracer: a fixed-capacity ring buffer of spans,
-    counters and instants, timestamped in virtual cycles.
+(** The structured event tracer: a bounded buffer of spans, counters and
+    instants, timestamped in virtual cycles. The buffer grows on demand
+    up to its capacity and then drops the oldest events first, so its
+    memory is proportional to the events it holds, not to the capacity.
 
     Every AOS component charge, scheduler slice and server request can be
     recorded here and exported ({!Export}) as a Chrome trace-event file
@@ -58,7 +60,9 @@ val null : t
 
 val create : ?probe:int -> ?charge:(int -> unit) -> capacity:int -> unit -> t
 (** An enabled tracer holding at most [capacity] events (oldest dropped
-    first once full — see {!dropped}). [probe] (default 0) is the
+    first once full — see {!dropped}). [capacity] is an upper bound, not
+    a preallocation: the buffer starts small and doubles as events
+    arrive until it reaches [capacity]. [probe] (default 0) is the
     on-clock cost charged through [charge] per recorded event. Raises
     [Invalid_argument] if [capacity <= 0]. *)
 
@@ -83,7 +87,7 @@ val length : t -> int
 (** Events currently held (<= capacity). *)
 
 val dropped : t -> int
-(** Events evicted because the ring was full. A non-zero value voids the
+(** Events evicted because the buffer was full. A non-zero value voids the
     reconciliation contract for this run; raise the capacity. *)
 
 val iter : t -> f:(event -> unit) -> unit

@@ -314,7 +314,10 @@ let steal_pass shards ~seed ~round ~now ~tel =
    at the previous barrier; the first shard to have compiled a method
    publishes its code, stats and — when the tier took it — the closures
    it installed. Later compiles of an already-published method stay
-   local. *)
+   local. Speculative code is never published: its CHA assumptions hold
+   against the publisher's loaded universe only (see
+   [System.adopt_compiled]). The version is still marked seen, so a
+   later non-speculative version of the method is published. *)
 let collect_publications published shards pubs_rev =
   Array.iter
     (fun sd ->
@@ -331,8 +334,11 @@ let collect_publications published shards pubs_rev =
       List.iter
         (fun ((mid : Acsi_bytecode.Ids.Method_id.t), entry) ->
           sd.sd_pub_seen.((mid :> int)) <- entry.Registry.version;
-          if not (Hashtbl.mem published (mid :> int)) then begin
-            let code = Interp.code_of sd.sd_vm mid in
+          let code = Interp.code_of sd.sd_vm mid in
+          if
+            (not (Hashtbl.mem published (mid :> int)))
+            && code.Acsi_vm.Code.assumptions = []
+          then begin
             let native =
               if Interp.native_installed sd.sd_vm mid then
                 Some

@@ -12,9 +12,11 @@
       ({!Acsi_profile.Dcg.merge} — the paper's per-virtual-processor
       sample buffers, §4.1);
     - newly opt-compiled methods are *published once* to a shared code
-      cache; other shards on which the method is live adopt the
-      publisher's code — including its closure-tier compilation — via
-      {!Acsi_aos.System.adopt_compiled}, paying no compile cycles;
+      cache (speculative code, whose CHA assumptions hold only on its
+      own shard, is never published); other shards on which the method
+      is live adopt the publisher's code — including its closure-tier
+      compilation — via {!Acsi_aos.System.adopt_compiled}, paying no
+      compile cycles;
     - unstarted sessions are rebalanced by deterministic work stealing
       (victim/thief selection rotates by a splitmix hash of the round,
       oldest due session moves first).

@@ -67,6 +67,50 @@ let test_ring_and_drops () =
   Tracer.span Tracer.null ~track:"t" ~name:"x" ~t0:0 ~t1:1;
   check_int "null holds nothing" 0 (Tracer.length Tracer.null)
 
+(* The tracer grows its buffer on demand; a list model of the ring it
+   must behave like: append, and once [capacity] events are held, drop
+   the oldest. Checked at the growth boundaries (capacity 256 is the
+   initial buffer) and around the point where the ring fills. *)
+let test_ring_matches_model () =
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun n ->
+          let label = Printf.sprintf "capacity %d, %d events" cap n in
+          let tr = Tracer.create ~capacity:cap () in
+          let model = ref [] and model_dropped = ref 0 in
+          for k = 1 to n do
+            Tracer.counter tr ~track:"t" ~name:"c" ~t:k ~value:k;
+            model := !model @ [ k ];
+            if List.length !model > cap then begin
+              model := List.tl !model;
+              incr model_dropped
+            end
+          done;
+          check_int (label ^ ": length") (List.length !model)
+            (Tracer.length tr);
+          check_int (label ^ ": dropped") !model_dropped (Tracer.dropped tr);
+          let held = ref [] in
+          Tracer.iter tr ~f:(function
+            | Tracer.Counter { value; _ } -> held := value :: !held
+            | _ -> held := -1 :: !held);
+          Alcotest.(check (list int)) (label ^ ": oldest first") !model
+            (List.rev !held))
+        [ 0; cap - 1; cap; cap + 1; (2 * cap) + 3 ])
+    [ 1; 3; 255; 256; 257; 1000 ]
+
+(* Memory follows the events held, not the capacity: a 2^20-event
+   tracer holding 1000 events stays far below its 8 MiB full size. *)
+let test_ring_memory_follows_events () =
+  let tr = Tracer.create ~capacity:(1 lsl 20) () in
+  for k = 1 to 1000 do
+    Tracer.counter tr ~track:"t" ~name:"c" ~t:k ~value:k
+  done;
+  let words = Obj.reachable_words (Obj.repr tr) in
+  check_bool
+    (Printf.sprintf "%d reachable words < 64k" words)
+    true (words < 65536)
+
 let test_probe_charges_clock () =
   let charged = ref 0 in
   let tr =
@@ -527,6 +571,10 @@ let test_telemetry_renderers () =
 let suite =
   [
     Alcotest.test_case "ring capacity and drops" `Quick test_ring_and_drops;
+    Alcotest.test_case "growable ring matches the ring model" `Quick
+      test_ring_matches_model;
+    Alcotest.test_case "ring memory follows events held" `Quick
+      test_ring_memory_follows_events;
     Alcotest.test_case "probe charges the clock" `Quick
       test_probe_charges_clock;
     Alcotest.test_case "tracing does not perturb metrics" `Quick

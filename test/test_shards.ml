@@ -149,6 +149,62 @@ let test_publish_once_and_adoption () =
         (origin >= 0 && origin < s.Shards.sh_shards))
     r.Shards.publications
 
+(* Speculative code is shard-local: its CHA assumptions hold against
+   the publisher's loaded universe, and [System.adopt_compiled] refuses
+   it. The hot [Pipeline.run] of the dispatch workload compiles with a
+   guard-free inline of [apply] while only [NormalHandler] is loaded.
+   Sparse arrivals make shard 1 first execute [run] after shard 0
+   compiled it, so a published speculative version would be adopted —
+   and abort the run — at the next barrier. With [flip] inside the loop
+   the class load invalidates the speculation, and the recompiled,
+   non-speculative version must still be published. *)
+let spec_program ~flip =
+  let open Acsi_lang.Dsl in
+  Acsi_lang.Compile.prog
+    (prog ~globals:Acsi_workloads.Javalib.globals
+       (Acsi_workloads.Javalib.classes @ Acsi_workloads.Dispatch.classes)
+       [
+         let_ "p" (new_ "Pipeline" []);
+         let_ "n" (new_ "NormalHandler" [ i 7 ]);
+         print (inv (v "p") "run" [ v "n"; i 5000; i flip ]);
+       ])
+
+let test_speculative_code_not_published () =
+  let run_spec ~flip =
+    let program = spec_program ~flip in
+    let cfg = Config.default ~policy:(Policy.Fixed 3) in
+    let cfg =
+      {
+        cfg with
+        Config.aos =
+          { cfg.Config.aos with System.speculate = true; enable_osr = true };
+      }
+    in
+    let r =
+      Shards.run ~seed:1 ~barrier:30_000 ~shards:2 ~sessions:8
+        ~period:2_000_000 ~name:"spec" cfg program
+    in
+    let run_mid =
+      (Acsi_bytecode.Program.find_method program ~cls:"Pipeline" ~name:"run")
+        .Acsi_bytecode.Meth.id
+    in
+    (r, List.mem_assoc run_mid r.Shards.publications)
+  in
+  let r, published = run_spec ~flip:(-1) in
+  Alcotest.(check int) "all sessions served" 8
+    (List.fold_left (fun acc h -> acc + h.Shards.h_served) 0
+       r.Shards.shard_stats);
+  Alcotest.(check bool) "a shard installed speculative code" true
+    (List.exists (fun sys -> System.speculative_installs sys > 0)
+       r.Shards.systems);
+  Alcotest.(check bool) "speculative run is not published" false published;
+  let r, published = run_spec ~flip:3000 in
+  Alcotest.(check bool) "speculative code was installed" true
+    (List.exists (fun sys -> System.speculative_installs sys > 0)
+       r.Shards.systems);
+  Alcotest.(check bool) "the non-speculative recompile is published" true
+    published
+
 (* --- DCG merge: the organizer's global view --- *)
 
 let test_merged_dcg_preserves_weight () =
@@ -380,6 +436,8 @@ let suite =
       test_throughput_scales;
     Alcotest.test_case "publish-once cache and adoption" `Quick
       test_publish_once_and_adoption;
+    Alcotest.test_case "speculative code is not published" `Quick
+      test_speculative_code_not_published;
     Alcotest.test_case "merged DCG preserves weight" `Quick
       test_merged_dcg_preserves_weight;
     Alcotest.test_case "Dcg.merge unit semantics" `Quick test_dcg_merge_unit;
