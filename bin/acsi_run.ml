@@ -20,6 +20,31 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* Read and compile a .acsi program. A malformed program is one
+   [path: message] diagnostic, never an uncaught exception. *)
+let load_acsi path =
+  match Acsi_lang.Parser.compile (read_file path) with
+  | program -> Ok program
+  | exception
+      ( Acsi_lang.Lexer.Error msg
+      | Acsi_lang.Parser.Error msg
+      | Acsi_lang.Compile.Error msg
+      | Acsi_bytecode.Verify.Error msg ) ->
+      Error (Printf.sprintf "%s: %s" path msg)
+  | exception Sys_error msg -> Error msg
+
+(* A trap or the cycle limit ends the run with one diagnostic and exit 1;
+   the limit bounds the whole run, so there is nothing to resume. *)
+let reporting_runtime_errors f =
+  match f () with
+  | code -> code
+  | exception Acsi_vm.Interp.Runtime_error msg ->
+      Format.eprintf "runtime error: %s@." msg;
+      1
+  | exception Acsi_vm.Interp.Cycle_limit_exceeded ->
+      Format.eprintf "runtime error: cycle limit exceeded@.";
+      1
+
 (* Print the installed code of every method whose (unmangled) name
    contains [pattern]: the post-run view of what the JIT produced. *)
 let disassemble program vm pattern =
@@ -105,13 +130,13 @@ let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
           in
           match
             match file with
-            | Some path -> Acsi_lang.Parser.compile (read_file path)
-            | None -> spec.Acsi_workloads.Workloads.build ~scale
+            | Some path -> load_acsi path
+            | None -> Ok (spec.Acsi_workloads.Workloads.build ~scale)
           with
-          | exception Acsi_bytecode.Verify.Error msg ->
+          | Error msg ->
               Format.eprintf "%s@." msg;
               1
-          | program ->
+          | Ok program ->
           (* Typed verification before execution: on by default for the
              textual-language pipeline, opt-in for built-in benchmarks. *)
           let verify_on =
@@ -314,8 +339,9 @@ let main list_only verbose bench file policy scale compare_baseline
   setup_logs verbose;
   if list_only then list_benchmarks ()
   else
-    run_one ~bench ~file ~policy_str:policy ~scale ~compare_baseline
-      ~show_compilations ~disasm ~jobs ~verify ~static_seed ~speculate
+    reporting_runtime_errors (fun () ->
+        run_one ~bench ~file ~policy_str:policy ~scale ~compare_baseline
+          ~show_compilations ~disasm ~jobs ~verify ~static_seed ~speculate)
 
 (* --- trace / explain: the observability subcommands (lib/obs) --- *)
 
@@ -325,11 +351,11 @@ let main list_only verbose bench file policy scale compare_baseline
 let load_program ~bench ~file ~scale =
   match file with
   | Some path -> (
-      match Acsi_lang.Parser.compile (read_file path) with
-      | exception Acsi_bytecode.Verify.Error msg ->
+      match load_acsi path with
+      | Error msg ->
           Format.eprintf "%s@." msg;
           Error 1
-      | program -> Ok (path, program))
+      | Ok program -> Ok (path, program))
   | None -> (
       match Acsi_workloads.Workloads.find bench with
       | exception Not_found ->
@@ -675,11 +701,11 @@ let lint_targets files =
   | files ->
       List.iter
         (fun path ->
-          match Acsi_lang.Parser.compile (read_file path) with
-          | exception Acsi_bytecode.Verify.Error msg ->
+          match load_acsi path with
+          | Error msg ->
               ok := false;
-              Format.printf "%s: %s@." path msg
-          | program -> lint_one path program)
+              Format.printf "%s@." msg
+          | Ok program -> lint_one path program)
         files);
   if !findings = 0 && !ok then begin
     Format.printf "lint: %d target%s clean%s@." !targets
@@ -703,20 +729,19 @@ let analyze_targets ~jobs files =
           (fun (s : Acsi_workloads.Workloads.spec) ->
             ( s.Acsi_workloads.Workloads.name,
               fun () ->
-                s.Acsi_workloads.Workloads.build
-                  ~scale:s.Acsi_workloads.Workloads.default_scale ))
+                Ok
+                  (s.Acsi_workloads.Workloads.build
+                     ~scale:s.Acsi_workloads.Workloads.default_scale) ))
           Acsi_workloads.Workloads.all
     | files ->
         List.map
-          (fun path ->
-            (path, fun () -> Acsi_lang.Parser.compile (read_file path)))
+          (fun path -> (path, fun () -> load_acsi path))
           files
   in
   let render (label, build) =
     match build () with
-    | exception Acsi_bytecode.Verify.Error msg ->
-        Error (Printf.sprintf "%s: %s" label msg)
-    | program ->
+    | Error msg -> Error msg
+    | Ok program ->
         let table = Acsi_analysis.Summary.analyze program in
         Ok
           (Format.asprintf "%s:@.%a" label
@@ -1282,8 +1307,9 @@ let trace_probe_arg =
 let trace_main verbose bench file policy scale out jsonl flame min_pct
     capacity probe_on_clock static_seed speculate =
   setup_logs verbose;
-  trace_one ~bench ~file ~policy_str:policy ~scale ~out ~jsonl ~flame
-    ~min_pct ~capacity ~probe_on_clock ~static_seed ~speculate
+  reporting_runtime_errors (fun () ->
+      trace_one ~bench ~file ~policy_str:policy ~scale ~out ~jsonl ~flame
+        ~min_pct ~capacity ~probe_on_clock ~static_seed ~speculate)
 
 let trace_cmd =
   let doc =
@@ -1309,8 +1335,9 @@ let explain_query_arg =
 
 let explain_main verbose bench file policy scale query static_seed speculate =
   setup_logs verbose;
-  explain_one ~bench ~file ~policy_str:policy ~scale ~query ~static_seed
-    ~speculate
+  reporting_runtime_errors (fun () ->
+      explain_one ~bench ~file ~policy_str:policy ~scale ~query ~static_seed
+        ~speculate)
 
 let explain_cmd =
   let doc =
@@ -1390,8 +1417,9 @@ let profile_load_arg =
 let profile_main verbose bench file policy scale dump load static_seed
     speculate =
   setup_logs verbose;
-  profile_one ~bench ~file ~policy_str:policy ~scale ~dump ~load ~static_seed
-    ~speculate
+  reporting_runtime_errors (fun () ->
+      profile_one ~bench ~file ~policy_str:policy ~scale ~dump ~load
+        ~static_seed ~speculate)
 
 let profile_cmd =
   let doc =

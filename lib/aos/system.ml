@@ -634,7 +634,8 @@ let report_failure t mid ~ev ~why outcome =
    adoptions, so a refusal never becomes a recompile loop. Otherwise
    the code goes to the interpreter, then to the closure tier (reusing
    the [native] closures a publisher shipped); a tier compile that
-   raises leaves the method on [Interp.step]. Both checks model
+   raises leaves the method without closures, so its frames run one
+   instruction at a time ([Interp.exec_until]). Both checks model
    host-side work, so nothing here charges the virtual clock. Returns
    whether the code was installed. *)
 let install t (mid : Ids.Method_id.t) code ~native =

@@ -16,10 +16,12 @@ val run :
 val run_reference : Config.t -> Acsi_bytecode.Program.t -> result
 (** {!run} with the AOS driven from {!Acsi_vm.Interp.run_reference}, the
     naive instruction-at-a-time loop: the executable specification the
-    production engine (decoded interpreter plus closure tier) must
-    match on output and on the whole {!Metrics.t}. Roughly 2-3x slower;
-    exists for differential testing. *)
+    production engine (closure tier plus one-instruction tails) must
+    match on output and on the whole {!Metrics.t}. Exists for
+    differential testing. *)
 
 val run_no_aos : Config.t -> Acsi_bytecode.Program.t -> Acsi_vm.Interp.t
 (** Execute purely at baseline, no adaptive system (for semantics
-    comparisons in tests). *)
+    comparisons in tests). Baseline code runs on the closure tier; the
+    clock, counters and output equal a bare
+    {!Acsi_vm.Interp.run_reference}. *)

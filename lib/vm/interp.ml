@@ -536,14 +536,6 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
 
 let[@inline] is_int (v : Value.t) = Obj.is_int (Obj.repr v)
 let[@inline] int_of (v : Value.t) : int = Obj.magic v
-let[@inline] of_int (n : int) : Value.t = Obj.magic n
-
-let[@inline] truthy v =
-  if is_int v then int_of v <> 0
-  else
-    match (v : Value.t) with
-    | Value.Null_c _ -> false
-    | Value.Obj_c _ | Value.Arr_c _ -> true
 
 let[@inline] equal_cmp a b =
   if is_int a || is_int b then a == b
@@ -565,11 +557,6 @@ let[@inline] set (a : Value.t array) i (v : Value.t) =
   if is_int v && is_int (Array.unsafe_get a i) then
     Array.unsafe_set (Obj.magic a : int array) i (int_of v)
   else Array.unsafe_set a i v
-
-let[@inline] set_int (a : Value.t array) i n =
-  if is_int (Array.unsafe_get a i) then
-    Array.unsafe_set (Obj.magic a : int array) i n
-  else Array.unsafe_set a i (of_int n)
 
 (* Bounds-checked [set], for indices the verifier does not bound. *)
 let[@inline] store (a : Value.t array) i (v : Value.t) =
@@ -675,54 +662,226 @@ let[@inline] dispatch_target t (recv : Value.t) sel : Ids.Method_id.t =
   let m = t.dispatch_ids.(((o.Value.cls :> int) * t.nsel) + sel) in
   if m < 0 then no_implementation t o sel else Obj.magic m
 
-(* Whether a guard for target [expected] of selector [sel] holds on
-   [recv]: a non-null object whose class dispatches [sel] there. *)
-let[@inline] guard_holds t (recv : Value.t) sel expected =
-  (not (is_int recv))
-  &&
-  match recv with
-  | Value.Obj_c o ->
-      t.dispatch_ids.(((o.Value.cls :> int) * t.nsel) + sel) = expected
-  | Value.Null_c _ | Value.Arr_c _ -> false
+(* Charge, count and execute the one instruction at [fr]'s pc with the
+   naive loop's semantics: the clock and every counter exact after each
+   instruction, every access bounds-checked. The body of the executable
+   specification ({!run_reference}), and the engine of closure-less
+   frames and of the closure tier's window tails ({!exec_until}). *)
+let exec_one t fr =
+  let instr = fr.f_code.Code.instrs.(fr.f_pc) in
+  t.instr_count <- t.instr_count + 1;
+  t.cycles <-
+    t.cycles
+    + (match fr.f_code.Code.tier with
+      | Code.Baseline -> t.cost.Cost.baseline_instr
+      | Code.Optimized -> t.cost.Cost.opt_instr);
+  let stack = fr.f_regs in
+  match instr with
+  | Instr.Const n ->
+      stack.(fr.f_sp) <- Value.of_int n;
+      fr.f_sp <- fr.f_sp + 1;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Const_null ->
+      stack.(fr.f_sp) <- Value.null;
+      fr.f_sp <- fr.f_sp + 1;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Load i ->
+      stack.(fr.f_sp) <- fr.f_regs.(i);
+      fr.f_sp <- fr.f_sp + 1;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Store i ->
+      fr.f_sp <- fr.f_sp - 1;
+      fr.f_regs.(i) <- stack.(fr.f_sp);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Dup ->
+      stack.(fr.f_sp) <- stack.(fr.f_sp - 1);
+      fr.f_sp <- fr.f_sp + 1;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Pop ->
+      fr.f_sp <- fr.f_sp - 1;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Swap ->
+      let a = stack.(fr.f_sp - 1) in
+      stack.(fr.f_sp - 1) <- stack.(fr.f_sp - 2);
+      stack.(fr.f_sp - 2) <- a;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Binop op ->
+      let b = as_int stack.(fr.f_sp - 1) in
+      let a = as_int stack.(fr.f_sp - 2) in
+      fr.f_sp <- fr.f_sp - 1;
+      stack.(fr.f_sp - 1) <- Value.of_int (eval_binop op a b);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Neg ->
+      stack.(fr.f_sp - 1) <- Value.of_int (-as_int stack.(fr.f_sp - 1));
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Not ->
+      stack.(fr.f_sp - 1) <-
+        Value.of_int (if Value.truthy stack.(fr.f_sp - 1) then 0 else 1);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Cmp c ->
+      let b = stack.(fr.f_sp - 1) in
+      let a = stack.(fr.f_sp - 2) in
+      fr.f_sp <- fr.f_sp - 1;
+      stack.(fr.f_sp - 1) <- Value.of_int (eval_cmp c a b);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Jump target -> fr.f_pc <- target
+  | Instr.Jump_if target ->
+      fr.f_sp <- fr.f_sp - 1;
+      if Value.truthy stack.(fr.f_sp) then fr.f_pc <- target
+      else fr.f_pc <- fr.f_pc + 1
+  | Instr.Jump_ifnot target ->
+      fr.f_sp <- fr.f_sp - 1;
+      if Value.truthy stack.(fr.f_sp) then fr.f_pc <- fr.f_pc + 1
+      else fr.f_pc <- target
+  | Instr.New cid ->
+      t.cycles <- t.cycles + t.cost.Cost.alloc;
+      note_class_load t cid;
+      stack.(fr.f_sp) <- Value.alloc t.program cid;
+      fr.f_sp <- fr.f_sp + 1;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Get_field i ->
+      let o = as_obj stack.(fr.f_sp - 1) in
+      stack.(fr.f_sp - 1) <- o.Value.fields.(i);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Put_field i ->
+      let v = stack.(fr.f_sp - 1) in
+      let o = as_obj stack.(fr.f_sp - 2) in
+      fr.f_sp <- fr.f_sp - 2;
+      o.Value.fields.(i) <- v;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Get_global i ->
+      stack.(fr.f_sp) <- t.globals.(i);
+      fr.f_sp <- fr.f_sp + 1;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Put_global i ->
+      fr.f_sp <- fr.f_sp - 1;
+      t.globals.(i) <- stack.(fr.f_sp);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Array_new ->
+      let n = as_int stack.(fr.f_sp - 1) in
+      if n < 0 then rerr "negative array size %d" n;
+      t.cycles <-
+        t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
+      stack.(fr.f_sp - 1) <- Value.of_arr (Array.make n Value.zero);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Array_get ->
+      let i = as_int stack.(fr.f_sp - 1) in
+      let a = as_arr stack.(fr.f_sp - 2) in
+      if i < 0 || i >= Array.length a then
+        rerr "array index %d out of bounds (length %d)" i (Array.length a);
+      fr.f_sp <- fr.f_sp - 1;
+      stack.(fr.f_sp - 1) <- a.(i);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Array_set ->
+      let v = stack.(fr.f_sp - 1) in
+      let i = as_int stack.(fr.f_sp - 2) in
+      let a = as_arr stack.(fr.f_sp - 3) in
+      if i < 0 || i >= Array.length a then
+        rerr "array index %d out of bounds (length %d)" i (Array.length a);
+      fr.f_sp <- fr.f_sp - 3;
+      a.(i) <- v;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Array_len ->
+      let a = as_arr stack.(fr.f_sp - 1) in
+      stack.(fr.f_sp - 1) <- Value.of_int (Array.length a);
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Call_static mid -> invoke t fr mid
+  | Instr.Call_direct mid -> invoke t fr mid
+  | Instr.Call_virtual (sel, argc) ->
+      t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
+      let recv = stack.(fr.f_sp - 1 - argc) in
+      invoke t fr (dispatch_target t recv (sel :> int))
+  | Instr.Guard_method g ->
+      t.cycles <- t.cycles + t.cost.Cost.guard;
+      let recv = stack.(fr.f_sp - 1 - g.Instr.argc) in
+      let ok =
+        (not (Value.is_int recv))
+        &&
+        match recv with
+        | Value.Obj_c o -> (
+            match Program.dispatch t.program o.Value.cls g.Instr.sel with
+            | Some target -> Ids.Method_id.equal target g.Instr.expected
+            | None -> false)
+        | Value.Null_c _ | Value.Arr_c _ -> false
+      in
+      if ok then begin
+        t.guard_hits <- t.guard_hits + 1;
+        fr.f_pc <- fr.f_pc + 1
+      end
+      else begin
+        t.guard_misses <- t.guard_misses + 1;
+        t.on_guard_miss t fr.f_code.Code.meth fr.f_pc;
+        fr.f_pc <- g.Instr.fail
+      end
+  | Instr.Return ->
+      let result = stack.(fr.f_sp - 1) in
+      t.depth <- t.depth - 1;
+      if t.depth > 0 then begin
+        let caller = t.frames.(t.depth - 1) in
+        caller.f_regs.(caller.f_sp) <- result;
+        caller.f_sp <- caller.f_sp + 1;
+        caller.f_pc <- caller.f_pc + 1
+      end
+  | Instr.Return_void ->
+      t.depth <- t.depth - 1;
+      if t.depth > 0 then begin
+        let caller = t.frames.(t.depth - 1) in
+        caller.f_pc <- caller.f_pc + 1
+      end
+  | Instr.Instance_of cid ->
+      let v = stack.(fr.f_sp - 1) in
+      let r =
+        if Value.is_int v then 0
+        else
+          match v with
+          | Value.Obj_c o ->
+              if Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
+              then 1
+              else 0
+          | Value.Null_c _ | Value.Arr_c _ -> 0
+      in
+      stack.(fr.f_sp - 1) <- Value.of_int r;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Print_int ->
+      fr.f_sp <- fr.f_sp - 1;
+      t.output_rev <- as_int stack.(fr.f_sp) :: t.output_rev;
+      fr.f_pc <- fr.f_pc + 1
+  | Instr.Nop -> fr.f_pc <- fr.f_pc + 1
 
-(* Execute up to [budget] source instructions of the top frame without
-   re-checking the virtual timer. The budget is computed so that the
-   skipped checks are provably no-ops (see [run]); any instruction whose
-   charge exceeds the frame's per-dispatch cost ends the window, because
-   only the uniform per-dispatch cost was accounted for when the budget
-   was sized.
+(* Execute [fr]'s instructions on [exec_one] while the clock is below
+   [limit] and [fr] is on top: frames without closure-tier code, and the
+   closure tier's window tails. An allocation or a guard moves the limit
+   to [next_sample], the unclipped restart the tier's breakers make; a
+   call or a return ends the run, and the driver starts the next window
+   in the new top frame. *)
+let rec exec_until t fr limit =
+  if t.cycles < limit then begin
+    let instr = fr.f_code.Code.instrs.(fr.f_pc) in
+    exec_one t fr;
+    if t.depth > 0 && t.frames.(t.depth - 1) == fr then
+      exec_until t fr
+        (match instr with
+        | Instr.New _ | Instr.Array_new | Instr.Guard_method _ -> t.next_sample
+        | _ -> limit)
+  end
 
-   [pc] and [sp] live in locals (function arguments of a tail-recursive
-   loop) and are flushed back to the frame at every window exit and before
-   anything that can observe or mutate the frame (calls, returns, guards,
-   allocations — all of which also end the window). Operand-stack and
-   locals accesses use unsafe reads/writes: every executed [Code.t] has
-   passed the bytecode verifier (the front end and the inline expander
-   both verify), which bounds them by [max_stack]/[max_locals]. *)
-(* Window accounting: [remaining] is the number of virtual cycles until
-   the next timer check ([t.next_sample - t.cycles], kept in a register),
-   and [ninstr] counts source instructions executed in the current frame
-   since the last settlement. Counters are settled in one step ("flush")
-   whenever an instruction charges anything beyond the frame's uniform
-   per-dispatch cost, or when the window ends — each of the [ninstr]
-   deferred instructions charged exactly [icost], so the clock can be
+(* Window accounting of the closure tier: while a frame is on top, its
+   [f_rem] is the number of virtual cycles until the window ends, and its
+   [f_nin] counts source instructions executed since the last
+   settlement. Counters are settled in one step ("flush") whenever an
+   instruction charges anything beyond the frame's uniform per-dispatch
+   cost, or when the window ends — each of the [f_nin] deferred
+   instructions charged exactly [icost], so the clock can be
    reconstructed exactly. Nothing observes the clock mid-window (hooks
-   only fire between windows), except an escaping [Runtime_error] — which
-   aborts the run, so the lag is unobservable; [run_reference] keeps exact
-   per-instruction accounting on that path. *)
+   only fire between windows), except an escaping [Runtime_error] —
+   which aborts the run, so the lag is unobservable; [exec_one] keeps
+   exact per-instruction accounting on that path. *)
 let[@inline] flush t icost ninstr =
   t.instr_count <- t.instr_count + ninstr;
   t.cycles <- t.cycles + (ninstr * icost)
 
-(* The per-dispatch cost of one instruction of [code], by its tier —
-   exactly what [run_reference] charges per instruction. *)
-let[@inline] icost_of t (code : Code.t) =
-  match code.Code.tier with
-  | Code.Baseline -> t.cost.Cost.baseline_instr
-  | Code.Optimized -> t.cost.Cost.opt_instr
-
-(* The call and return sequences of [step] and of the closure tier's
-   breakers ({!call_breaker} and friends): settle the window's deferred
+(* The call and return sequences of the closure tier's breakers
+   ({!call_breaker} and friends): settle the window's deferred
    instructions ([nin], the call or return itself included), then switch
    frames; the caller continues the window in the new top frame with
    [continue_window]. [pc] and [sp] are the call instruction's; [call]
@@ -763,209 +922,11 @@ let[@inline] return_value t result icost nin =
   caller.f_pc <- caller.f_pc + 1;
   true
 
-(* The window loop is a top-level function — every piece of hot state
-   (instructions, per-dispatch cost, operand stack, locals) rides in the
-   argument registers of the tail call instead of a per-window closure
-   environment. Calls, returns, guards and allocations settle the
-   counters, apply their extra charges, and *continue* in the (possibly
-   new) top frame as long as the timer is not due, so the loop only
-   returns to the driver when a sample must actually be considered. *)
-let rec step t fr instrs icost stack locals pc sp remaining ninstr =
-  if remaining <= 0 then begin
-    flush t icost ninstr;
-    fr.f_pc <- pc;
-    fr.f_sp <- sp
-  end
-  else begin
-    match Array.unsafe_get instrs pc with
-    | Instr.Const n ->
-        set_int stack sp n;
-        step t fr instrs icost stack locals (pc + 1) (sp + 1)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Const_null ->
-        set stack sp Value.null;
-        step t fr instrs icost stack locals (pc + 1) (sp + 1)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Load i ->
-        set stack sp (Array.unsafe_get locals i);
-        step t fr instrs icost stack locals (pc + 1) (sp + 1)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Store i ->
-        let sp = sp - 1 in
-        set locals i (Array.unsafe_get stack sp);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Dup ->
-        set stack sp (Array.unsafe_get stack (sp - 1));
-        step t fr instrs icost stack locals (pc + 1) (sp + 1)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Pop ->
-        step t fr instrs icost stack locals (pc + 1) (sp - 1)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Swap ->
-        let a = Array.unsafe_get stack (sp - 1) in
-        set stack (sp - 1) (Array.unsafe_get stack (sp - 2));
-        set stack (sp - 2) a;
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Binop op ->
-        let b = as_int (Array.unsafe_get stack (sp - 1)) in
-        let a = as_int (Array.unsafe_get stack (sp - 2)) in
-        let sp = sp - 1 in
-        set_int stack (sp - 1) (eval_binop op a b);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Neg ->
-        set_int stack (sp - 1) (-as_int (Array.unsafe_get stack (sp - 1)));
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Not ->
-        set_int stack (sp - 1)
-          (if truthy (Array.unsafe_get stack (sp - 1)) then 0 else 1);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Cmp c ->
-        let b = Array.unsafe_get stack (sp - 1) in
-        let a = Array.unsafe_get stack (sp - 2) in
-        let sp = sp - 1 in
-        set_int stack (sp - 1) (eval_cmp c a b);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Jump target ->
-        step t fr instrs icost stack locals target sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Jump_if target ->
-        let sp = sp - 1 in
-        if truthy (Array.unsafe_get stack sp) then
-          step t fr instrs icost stack locals target sp (remaining - icost)
-            (ninstr + 1)
-        else
-          step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-    | Instr.Jump_ifnot target ->
-        let sp = sp - 1 in
-        if truthy (Array.unsafe_get stack sp) then
-          step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-            (ninstr + 1)
-        else
-          step t fr instrs icost stack locals target sp (remaining - icost)
-            (ninstr + 1)
-    | Instr.New cid ->
-        flush t icost (ninstr + 1);
-        t.cycles <- t.cycles + t.cost.Cost.alloc;
-        note_class_load t cid;
-        Array.unsafe_set stack sp (Value.alloc t.program cid);
-        step t fr instrs icost stack locals (pc + 1) (sp + 1)
-          (t.next_sample - t.cycles) 0
-    | Instr.Get_field i ->
-        let o = as_obj (Array.unsafe_get stack (sp - 1)) in
-        set stack (sp - 1) o.Value.fields.(i);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Put_field i ->
-        let v = Array.unsafe_get stack (sp - 1) in
-        let o = as_obj (Array.unsafe_get stack (sp - 2)) in
-        store o.Value.fields i v;
-        step t fr instrs icost stack locals (pc + 1) (sp - 2)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Get_global i ->
-        set stack sp t.globals.(i);
-        step t fr instrs icost stack locals (pc + 1) (sp + 1)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Put_global i ->
-        let sp = sp - 1 in
-        store t.globals i (Array.unsafe_get stack sp);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Array_new ->
-        let n = as_int (Array.unsafe_get stack (sp - 1)) in
-        if n < 0 then rerr "negative array size %d" n;
-        flush t icost (ninstr + 1);
-        t.cycles <-
-          t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-        Array.unsafe_set stack (sp - 1)
-          (Value.of_arr (Array.make n Value.zero));
-        step t fr instrs icost stack locals (pc + 1) sp
-          (t.next_sample - t.cycles) 0
-    | Instr.Array_get ->
-        let i = as_int (Array.unsafe_get stack (sp - 1)) in
-        let a = as_arr (Array.unsafe_get stack (sp - 2)) in
-        if i < 0 || i >= Array.length a then
-          rerr "array index %d out of bounds (length %d)" i (Array.length a);
-        let sp = sp - 1 in
-        set stack (sp - 1) (Array.unsafe_get a i);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Array_set ->
-        let v = Array.unsafe_get stack (sp - 1) in
-        let i = as_int (Array.unsafe_get stack (sp - 2)) in
-        let a = as_arr (Array.unsafe_get stack (sp - 3)) in
-        if i < 0 || i >= Array.length a then
-          rerr "array index %d out of bounds (length %d)" i (Array.length a);
-        set a i v;
-        step t fr instrs icost stack locals (pc + 1) (sp - 3)
-          (remaining - icost) (ninstr + 1)
-    | Instr.Array_len ->
-        let a = as_arr (Array.unsafe_get stack (sp - 1)) in
-        set_int stack (sp - 1) (Array.length a);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Call_static mid | Instr.Call_direct mid ->
-        call t fr pc sp icost (ninstr + 1) mid;
-        continue_window t
-    | Instr.Call_virtual (sel, argc) ->
-        call_virtual t fr pc sp icost (ninstr + 1) (sel :> int) argc;
-        continue_window t
-    | Instr.Guard_method g ->
-        flush t icost (ninstr + 1);
-        t.cycles <- t.cycles + t.cost.Cost.guard;
-        let recv = Array.unsafe_get stack (sp - 1 - g.Instr.argc) in
-        let pc =
-          if
-            guard_holds t recv (g.Instr.sel :> int) (g.Instr.expected :> int)
-          then begin
-            t.guard_hits <- t.guard_hits + 1;
-            pc + 1
-          end
-          else begin
-            t.guard_misses <- t.guard_misses + 1;
-            t.on_guard_miss t fr.f_code.Code.meth pc;
-            g.Instr.fail
-          end
-        in
-        step t fr instrs icost stack locals pc sp (t.next_sample - t.cycles) 0
-    | Instr.Return ->
-        if return_value t (Array.unsafe_get stack (sp - 1)) icost (ninstr + 1)
-        then continue_window t
-    | Instr.Return_void ->
-        if return t icost (ninstr + 1) then continue_window t
-    | Instr.Instance_of cid ->
-        let v = Array.unsafe_get stack (sp - 1) in
-        let r =
-          (not (is_int v))
-          &&
-          match v with
-          | Value.Obj_c o ->
-              Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
-          | Value.Null_c _ | Value.Arr_c _ -> false
-        in
-        set_int stack (sp - 1) (if r then 1 else 0);
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Print_int ->
-        let sp = sp - 1 in
-        t.output_rev <- as_int (Array.unsafe_get stack sp) :: t.output_rev;
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-    | Instr.Nop ->
-        step t fr instrs icost stack locals (pc + 1) sp (remaining - icost)
-          (ninstr + 1)
-  end
-
-(* Resume execution after a frame switch (call or return): as long as the
-   timer is not due, keep running the new top frame in the same window
-   instead of bouncing through the driver loop. *)
-and continue_window t =
+(* After a call or return, keep running the new top frame in the same
+   window as long as the timer is not due, instead of bouncing through
+   the driver loop. A frame without closure-tier code ends the window;
+   the driver runs it next, with the same limit. *)
+let[@inline never] continue_window t =
   if t.depth > 0 then begin
     let limit =
       if t.window_end < t.next_sample then t.window_end else t.next_sample
@@ -974,10 +935,7 @@ and continue_window t =
     if remaining > 0 then begin
       let fr = Array.unsafe_get t.frames (t.depth - 1) in
       let nc = fr.f_ncode in
-      if Array.length nc = 0 then
-        step t fr fr.f_code.Code.instrs (icost_of t fr.f_code) fr.f_regs
-          fr.f_regs fr.f_pc fr.f_sp remaining 0
-      else begin
+      if Array.length nc > 0 then begin
         fr.f_rem <- remaining;
         fr.f_nin <- 0;
         (Array.unsafe_get nc fr.f_pc) fr
@@ -985,22 +943,11 @@ and continue_window t =
     end
   end
 
-let exec_window t fr remaining =
-  let nc = fr.f_ncode in
-  if Array.length nc = 0 then
-    step t fr fr.f_code.Code.instrs (icost_of t fr.f_code) fr.f_regs fr.f_regs
-      fr.f_pc fr.f_sp remaining 0
-  else begin
-    fr.f_rem <- remaining;
-    fr.f_nin <- 0;
-    (Array.unsafe_get nc fr.f_pc) fr
-  end
-
-(* The closure tier's call and return breakers: [step]'s branches as
-   closures over the instruction's static pc, stack pointer and tier
-   cost. A breaker pays for itself, so it runs only while the budget is
-   positive; otherwise it ends the window there, exactly as [step] would
-   before fetching it. *)
+(* The closure tier's call and return breakers: the call and return
+   sequences above as closures over the instruction's static pc, stack
+   pointer and tier cost. A breaker pays for itself, so it runs only
+   while the budget is positive; otherwise it ends the window there,
+   before the instruction executes. *)
 (* A [fun fr -> ...] directly under a function's parameters is merged
    into that function by the compiler, and applying the partial
    application then goes through a [caml_curryN] stub that walks one
@@ -1050,21 +997,9 @@ let return_void_breaker ~pc ~sp ~icost =
         let t = fr.f_vm in
         if return t icost (fr.f_nin + 1) then continue_window t)
 
-(* The driver. The naive interpreter compares [cycles >= next_sample]
-   before every instruction; here the check runs once per *window*, whose
-   size (in source instructions) is chosen so every skipped check is
-   provably false: within a window each instruction charges exactly the
-   frame's per-dispatch cost [icost], so after [k] instructions the clock
-   has advanced exactly [k * icost], and
-   [ceil((next_sample - cycles) / icost)] instructions fit before the
-   clock can reach [next_sample]. Instructions with additional charges
-   (calls, returns across tiers, allocations, guards) end the window
-   early, restoring the check before the next instruction — i.e. hooks
-   fire at bit-identical cycle counts, in bit-identical VM states, as
-   under the naive loop. *)
 (* Calibrated variants of the two driver-loop steps: same calls in the
    same order, additionally attributing the wall-time and virtual-cycle
-   deltas to a bucket. Kept out of line so the uncalibrated loops stay
+   deltas to a bucket. Kept out of line so the uncalibrated loop stays
    branch-free beyond one flag test per window. *)
 let timer_hook t =
   if t.calibrate then begin
@@ -1075,244 +1010,86 @@ let timer_hook t =
   end
   else t.on_timer_sample t
 
-let exec_window_calibrated t fr budget =
+(* One window of [budget] cycles from the top frame [fr]: its closures
+   when it has closure-tier code, [exec_until] otherwise. *)
+let window t fr budget =
+  let nc = fr.f_ncode in
+  if Array.length nc = 0 then exec_until t fr (t.cycles + budget)
+  else begin
+    fr.f_rem <- budget;
+    fr.f_nin <- 0;
+    (Array.unsafe_get nc fr.f_pc) fr
+  end
+
+let window_calibrated t fr budget =
   let b = if Array.length fr.f_ncode = 0 then 0 else 1 in
   let c0 = t.cycles and h0 = now_s () in
-  exec_window t fr budget;
+  window t fr budget;
   t.cal_cycles.(b) <- t.cal_cycles.(b) + (t.cycles - c0);
   t.cal_host_s.(b) <- t.cal_host_s.(b) +. (now_s () -. h0)
 
-let run ?(cycle_limit = max_int) t =
-  let main = Program.main t.program in
-  t.executed.((main :> int)) <- true;
-  t.on_first_execution main;
-  ignore
-    (push_frame t
-       t.code_table.((main :> int))
-       t.native_table.((main :> int)));
-  t.call_count <- t.call_count + 1;
-  while t.depth > 0 do
-    (* The timer fires before the fetch: hooks may install code or
-       on-stack-replace the top frame, so nothing is cached across
-       them. *)
+(* The driver, for a whole run ([quantum_end = max_int]) and for a
+   thread's slice. The naive loop compares [cycles >= next_sample]
+   before every instruction; here the check runs once per *window*,
+   whose limit is the next timer check or [quantum_end]. Within a
+   window, the closure tier's prepayment and [exec_until] stop before
+   the clock reaches the limit, and every instruction with an extra
+   charge (calls, returns, allocations, guards) settles the clock and
+   re-derives the window — i.e. hooks fire at bit-identical cycle
+   counts, in bit-identical VM states, as under the naive loop. The
+   timer fires before the fetch: hooks may install code or
+   on-stack-replace the top frame, so nothing is cached across them. *)
+let drive cycle_limit t quantum_end =
+  while t.depth > 0 && t.cycles < quantum_end do
     if t.cycles >= t.next_sample then begin
       t.next_sample <- t.next_sample + t.sample_period;
       if t.cycles > cycle_limit then raise Cycle_limit_exceeded;
       timer_hook t
     end;
-    let fr = t.frames.(t.depth - 1) in
-    let gap = t.next_sample - t.cycles in
-    (* Even when the clock already passed [next_sample] again (an AOS
-       hook can charge more than a whole period), the naive loop still
-       executes one instruction between consecutive checks — a 1-cycle
-       window admits exactly one instruction, every charge being >= 1. *)
-    let budget = if gap <= 0 then 1 else gap in
-    if t.calibrate then exec_window_calibrated t fr budget
-    else exec_window t fr budget
+    if t.depth > 0 then begin
+      let fr = t.frames.(t.depth - 1) in
+      let limit =
+        if t.next_sample < quantum_end then t.next_sample else quantum_end
+      in
+      let gap = limit - t.cycles in
+      (* Even when the clock already passed [next_sample] again (an AOS
+         hook can charge more than a whole period), the naive loop still
+         executes one instruction between consecutive checks — a 1-cycle
+         window admits exactly one instruction, every charge being >= 1. *)
+      let budget = if gap <= 0 then 1 else gap in
+      if t.calibrate then window_calibrated t fr budget else window t fr budget
+    end
   done
 
-(* The naive instruction-at-a-time loop, kept verbatim as the executable
-   specification of the interpreter: [run] must be observationally
-   identical (cycles, output, counters, hook timing). The differential
-   property tests in the test suite run both on random programs. *)
-let run_reference ?(cycle_limit = max_int) t =
+(* Push [main]'s frame, firing its first-execution hook the first time. *)
+let start_main t =
   let main = Program.main t.program in
-  t.executed.((main :> int)) <- true;
-  t.on_first_execution main;
+  if not t.executed.((main :> int)) then begin
+    t.executed.((main :> int)) <- true;
+    t.on_first_execution main
+  end;
   ignore
-    (push_frame t
-       t.code_table.((main :> int))
-       t.native_table.((main :> int)));
-  t.call_count <- t.call_count + 1;
-  let base_cost = t.cost.Cost.baseline_instr in
-  let opt_cost = t.cost.Cost.opt_instr in
+    (push_frame t t.code_table.((main :> int)) t.native_table.((main :> int)));
+  t.call_count <- t.call_count + 1
+
+let run ?(cycle_limit = max_int) t =
+  start_main t;
+  drive cycle_limit t max_int
+
+(* The naive instruction-at-a-time loop, kept as the executable
+   specification of the interpreter: [run] must be observationally
+   identical (cycles, output, counters, hook timing). Its loop is its
+   own; the closure tier shares only [exec_one]'s instruction semantics,
+   in its window tails. The differential tests run both. *)
+let run_reference ?(cycle_limit = max_int) t =
+  start_main t;
   while t.depth > 0 do
     if t.cycles >= t.next_sample then begin
       t.next_sample <- t.next_sample + t.sample_period;
       if t.cycles > cycle_limit then raise Cycle_limit_exceeded;
       t.on_timer_sample t
     end;
-    let fr = t.frames.(t.depth - 1) in
-    let instr = fr.f_code.Code.instrs.(fr.f_pc) in
-    t.instr_count <- t.instr_count + 1;
-    t.cycles <-
-      t.cycles
-      + (match fr.f_code.Code.tier with
-        | Code.Baseline -> base_cost
-        | Code.Optimized -> opt_cost);
-    let stack = fr.f_regs in
-    (match instr with
-    | Instr.Const n ->
-        stack.(fr.f_sp) <- Value.of_int n;
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Const_null ->
-        stack.(fr.f_sp) <- Value.null;
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Load i ->
-        stack.(fr.f_sp) <- fr.f_regs.(i);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Store i ->
-        fr.f_sp <- fr.f_sp - 1;
-        fr.f_regs.(i) <- stack.(fr.f_sp);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Dup ->
-        stack.(fr.f_sp) <- stack.(fr.f_sp - 1);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Pop ->
-        fr.f_sp <- fr.f_sp - 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Swap ->
-        let a = stack.(fr.f_sp - 1) in
-        stack.(fr.f_sp - 1) <- stack.(fr.f_sp - 2);
-        stack.(fr.f_sp - 2) <- a;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Binop op ->
-        let b = as_int stack.(fr.f_sp - 1) in
-        let a = as_int stack.(fr.f_sp - 2) in
-        fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- Value.of_int (eval_binop op a b);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Neg ->
-        stack.(fr.f_sp - 1) <- Value.of_int (-as_int stack.(fr.f_sp - 1));
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Not ->
-        stack.(fr.f_sp - 1) <-
-          Value.of_int (if Value.truthy stack.(fr.f_sp - 1) then 0 else 1);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Cmp c ->
-        let b = stack.(fr.f_sp - 1) in
-        let a = stack.(fr.f_sp - 2) in
-        fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- Value.of_int (eval_cmp c a b);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Jump target -> fr.f_pc <- target
-    | Instr.Jump_if target ->
-        fr.f_sp <- fr.f_sp - 1;
-        if Value.truthy stack.(fr.f_sp) then fr.f_pc <- target
-        else fr.f_pc <- fr.f_pc + 1
-    | Instr.Jump_ifnot target ->
-        fr.f_sp <- fr.f_sp - 1;
-        if Value.truthy stack.(fr.f_sp) then fr.f_pc <- fr.f_pc + 1
-        else fr.f_pc <- target
-    | Instr.New cid ->
-        t.cycles <- t.cycles + t.cost.Cost.alloc;
-        note_class_load t cid;
-        stack.(fr.f_sp) <- Value.alloc t.program cid;
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Get_field i ->
-        let o = as_obj stack.(fr.f_sp - 1) in
-        stack.(fr.f_sp - 1) <- o.Value.fields.(i);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Put_field i ->
-        let v = stack.(fr.f_sp - 1) in
-        let o = as_obj stack.(fr.f_sp - 2) in
-        fr.f_sp <- fr.f_sp - 2;
-        o.Value.fields.(i) <- v;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Get_global i ->
-        stack.(fr.f_sp) <- t.globals.(i);
-        fr.f_sp <- fr.f_sp + 1;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Put_global i ->
-        fr.f_sp <- fr.f_sp - 1;
-        t.globals.(i) <- stack.(fr.f_sp);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_new ->
-        let n = as_int stack.(fr.f_sp - 1) in
-        if n < 0 then rerr "negative array size %d" n;
-        t.cycles <-
-          t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-        stack.(fr.f_sp - 1) <- Value.of_arr (Array.make n Value.zero);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_get ->
-        let i = as_int stack.(fr.f_sp - 1) in
-        let a = as_arr stack.(fr.f_sp - 2) in
-        if i < 0 || i >= Array.length a then
-          rerr "array index %d out of bounds (length %d)" i (Array.length a);
-        fr.f_sp <- fr.f_sp - 1;
-        stack.(fr.f_sp - 1) <- a.(i);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_set ->
-        let v = stack.(fr.f_sp - 1) in
-        let i = as_int stack.(fr.f_sp - 2) in
-        let a = as_arr stack.(fr.f_sp - 3) in
-        if i < 0 || i >= Array.length a then
-          rerr "array index %d out of bounds (length %d)" i (Array.length a);
-        fr.f_sp <- fr.f_sp - 3;
-        a.(i) <- v;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Array_len ->
-        let a = as_arr stack.(fr.f_sp - 1) in
-        stack.(fr.f_sp - 1) <- Value.of_int (Array.length a);
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Call_static mid -> invoke t fr mid
-    | Instr.Call_direct mid -> invoke t fr mid
-    | Instr.Call_virtual (sel, argc) ->
-        t.cycles <- t.cycles + t.cost.Cost.virtual_dispatch;
-        let recv = stack.(fr.f_sp - 1 - argc) in
-        invoke t fr (dispatch_target t recv (sel :> int))
-    | Instr.Guard_method g ->
-        t.cycles <- t.cycles + t.cost.Cost.guard;
-        let recv = stack.(fr.f_sp - 1 - g.Instr.argc) in
-        let ok =
-          (not (Value.is_int recv))
-          &&
-          match recv with
-          | Value.Obj_c o -> (
-              match Program.dispatch t.program o.Value.cls g.Instr.sel with
-              | Some target -> Ids.Method_id.equal target g.Instr.expected
-              | None -> false)
-          | Value.Null_c _ | Value.Arr_c _ -> false
-        in
-        if ok then begin
-          t.guard_hits <- t.guard_hits + 1;
-          fr.f_pc <- fr.f_pc + 1
-        end
-        else begin
-          t.guard_misses <- t.guard_misses + 1;
-          t.on_guard_miss t fr.f_code.Code.meth fr.f_pc;
-          fr.f_pc <- g.Instr.fail
-        end
-    | Instr.Return ->
-        let result = stack.(fr.f_sp - 1) in
-        t.depth <- t.depth - 1;
-        if t.depth > 0 then begin
-          let caller = t.frames.(t.depth - 1) in
-          caller.f_regs.(caller.f_sp) <- result;
-          caller.f_sp <- caller.f_sp + 1;
-          caller.f_pc <- caller.f_pc + 1
-        end
-    | Instr.Return_void ->
-        t.depth <- t.depth - 1;
-        if t.depth > 0 then begin
-          let caller = t.frames.(t.depth - 1) in
-          caller.f_pc <- caller.f_pc + 1
-        end
-    | Instr.Instance_of cid ->
-        let v = stack.(fr.f_sp - 1) in
-        let r =
-          if Value.is_int v then 0
-          else
-            match v with
-            | Value.Obj_c o ->
-                if Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
-                then 1
-                else 0
-            | Value.Null_c _ | Value.Arr_c _ -> 0
-        in
-        stack.(fr.f_sp - 1) <- Value.of_int r;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Print_int ->
-        fr.f_sp <- fr.f_sp - 1;
-        t.output_rev <- as_int stack.(fr.f_sp) :: t.output_rev;
-        fr.f_pc <- fr.f_pc + 1
-    | Instr.Nop -> fr.f_pc <- fr.f_pc + 1);
-    ()
+    exec_one t t.frames.(t.depth - 1)
   done
 
 (* --- virtual threads --- *)
@@ -1321,8 +1098,8 @@ let run_reference ?(cycle_limit = max_int) t =
    *running* stack ([t.frames]/[t.depth]); [resume] swaps a thread's stack
    in, interprets it for up to [quantum] cycles, and swaps it back out.
    Suspension only ever happens at a cycle-budget window boundary, where
-   [step] has flushed [pc]/[sp] into the frame and settled the deferred
-   instruction/cycle counters — i.e. at exactly the points where the
+   the running frame's [pc]/[sp] are saved and the deferred
+   instruction/cycle counters settled — i.e. at exactly the points where the
    single-threaded driver would consider a timer sample. Everything else
    (clock, code tables, globals, heap, hooks, counters) is shared: threads
    model Java threads of one JVM, not separate VMs.
@@ -1361,16 +1138,7 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
   end;
   if not th.th_started then begin
     th.th_started <- true;
-    let main = Program.main t.program in
-    if not t.executed.((main :> int)) then begin
-      t.executed.((main :> int)) <- true;
-      t.on_first_execution main
-    end;
-    ignore
-      (push_frame t
-         t.code_table.((main :> int))
-         t.native_table.((main :> int)));
-    t.call_count <- t.call_count + 1
+    start_main t
   end;
   let quantum_end =
     if quantum >= max_int - t.cycles then max_int else t.cycles + quantum
@@ -1385,25 +1153,9 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
       th.th_frames <- t.frames;
       th.th_depth <- t.depth)
     (fun () ->
-      (* Same driver loop as [run], with the window additionally clipped
-         at the quantum boundary: preemption can only happen where a
-         timer check could have happened, so threaded execution samples
-         at exactly the yield points single-threaded execution has. *)
-      while t.depth > 0 && t.cycles < quantum_end do
-        if t.cycles >= t.next_sample then begin
-          t.next_sample <- t.next_sample + t.sample_period;
-          if t.cycles > cycle_limit then raise Cycle_limit_exceeded;
-          timer_hook t
-        end;
-        if t.depth > 0 then begin
-          let fr = t.frames.(t.depth - 1) in
-          let limit =
-            if t.next_sample < quantum_end then t.next_sample else quantum_end
-          in
-          let gap = limit - t.cycles in
-          let budget = if gap <= 0 then 1 else gap in
-          if t.calibrate then exec_window_calibrated t fr budget
-          else exec_window t fr budget
-        end
-      done;
+      (* [run]'s driver, with the window additionally clipped at the
+         quantum boundary: preemption can only happen where a timer
+         check could have happened, so threaded execution samples at
+         exactly the yield points single-threaded execution has. *)
+      drive cycle_limit t quantum_end;
       if t.depth = 0 then Done else Running)

@@ -7,14 +7,14 @@
     executing the code they started in, unless the AOS explicitly
     transfers the innermost frame with {!osr}.
 
-    Internally the timer check is batched over windows of provably
-    event-free instructions, and methods with closure-tier code ({!Tier})
-    run whole windows through it; both are exact-equivalence
-    transformations — cycle counts, hook firing points, counters and
-    output are bit-identical to the naive instruction-at-a-time loop,
-    which is kept as {!run_reference} and differentially tested against
-    {!run}. The plain window loop {!step} executes [Code.instrs] one
-    instruction at a time.
+    There are two engines. Methods with closure-tier code ({!Tier}) run
+    on it, with the timer check batched over windows of provably
+    event-free instructions. Everything else — frames without closures
+    and the tier's window tails — runs one instruction at a time on the
+    naive loop's semantics ({!exec_until}). Cycle counts, hook firing
+    points, counters and output are bit-identical to the naive
+    instruction-at-a-time loop, which is kept as {!run_reference} and
+    differentially tested against {!run}.
 
     Hooks let the adaptive optimization system observe execution without
     the interpreter knowing anything about it:
@@ -48,7 +48,7 @@ type frame = {
   mutable f_code : Code.t;
   mutable f_ncode : nfn array;
       (** closure-tier entry points, one per source pc; [[||]] means the
-          frame executes on the interpreter tier *)
+          frame executes one instruction at a time ({!exec_until}) *)
   mutable f_pc : int;
   mutable f_regs : Value.t array;
       (** locals in [0, max_locals) of [f_code]; the operand stack grows
@@ -224,12 +224,12 @@ val set_calibrate : t -> bool -> unit
 
 val calibration : t -> (string * int * float) list
 (** [(bucket, virtual_cycles, host_seconds)] accumulated while
-    calibration was on, for buckets ["interp"] (interpreter-tier
-    windows), ["closure"] (closure-tier windows) and ["system"] (timer
-    hooks, i.e. AOS work). Attribution is per window: a window that
-    crosses tiers through a call is attributed to the tier it entered
-    on. Host seconds are wall time — nondeterministic; nothing on the
-    virtual side reads them. *)
+    calibration was on, for buckets ["interp"] (windows of frames
+    without closure-tier code), ["closure"] (closure-tier windows, their
+    tails included) and ["system"] (timer hooks, i.e. AOS work).
+    Attribution is per window: a closure-tier window that calls into
+    other closure-tier code stays in one bucket. Host seconds are wall
+    time — nondeterministic; nothing on the virtual side reads them. *)
 
 val code_of : t -> Ids.Method_id.t -> Code.t
 
@@ -303,7 +303,9 @@ val run_reference : ?cycle_limit:int -> t -> unit
 (** The naive instruction-at-a-time interpreter loop, kept as the
     executable specification of {!run}: on any program and hook
     configuration both produce bit-identical cycles, counters, output and
-    hook timing. Roughly 2-3x slower; exists for differential testing. *)
+    hook timing. On the suite programs it takes about 2-5x the time of
+    {!run} with every method on the closure tier; exists for
+    differential testing. *)
 
 (** {2 Virtual threads}
 
@@ -345,12 +347,11 @@ val resume : ?cycle_limit:int -> t -> thread -> quantum:int -> thread_status
 
 (** {2 Execution internals, exposed for the closure tier ({!Tier})}
 
-    The tier compiler emits closures that replicate [step]'s observable
-    behaviour exactly; they reuse these helpers so settlement rules,
-    error messages, and cross-tier transfers have a single definition.
-    Its call and return breakers are built here, from the same inlined
-    sequences [step] runs, so both engines share one call path. Not a
-    stable public API. *)
+    The tier compiler emits closures that replicate the naive loop's
+    observable behaviour exactly; they reuse these helpers so settlement
+    rules, error messages, and cross-tier transfers have a single
+    definition. Its call and return breakers are built here, and its
+    window tails run on {!exec_until}. Not a stable public API. *)
 
 val rerr : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
@@ -365,25 +366,14 @@ val note_class_load : t -> Ids.Class_id.t -> unit
 (** Mark the class loaded and fire [on_class_load] if this is its first
     instantiation ([New] branches of all execution engines call this). *)
 
-val step :
-  t ->
-  frame ->
-  Instr.t array ->
-  int ->
-  Value.t array ->
-  Value.t array ->
-  int ->
-  int ->
-  int ->
-  int ->
-  unit
-(** [step t fr instrs icost stack locals pc sp remaining ninstr]: the
-    interpreter's window loop, one source instruction per dispatch over
-    the frame's [Code.instrs], each charging [icost] (the code's tier
-    cost). It runs frames that have no closure-tier code, and the closure
-    tier delegates to it near window ends (when a prepaid run no longer
-    fits), inheriting the exact window-boundary behaviour by
-    construction. *)
+val exec_until : t -> frame -> int -> unit
+(** [exec_until t fr limit] executes [fr]'s instructions one at a time,
+    each with the naive loop's charge and semantics, while [cycles] is
+    below [limit] and [fr] is on top of the stack. An allocation or a
+    guard moves the limit to the next timer check (the closure tier's
+    unclipped restart); a call or a return ends the run. The driver runs
+    frames without closure-tier code on it, and the closure tier its
+    window tails. *)
 
 val closure : nfn -> nfn
 (** The identity, opaque to the compiler: a [fun fr -> ...] written
@@ -394,7 +384,7 @@ val closure : nfn -> nfn
 
 val call_breaker : pc:int -> sp:int -> icost:int -> Ids.Method_id.t -> nfn
 (** The closure tier's [Call_static]/[Call_direct] at [pc], whose static
-    stack pointer is [sp] and per-instruction cost [icost]: [step]'s call
+    stack pointer is [sp] and per-instruction cost [icost]: the call
     sequence (settle the window, push the callee, move the arguments,
     charge the call, fire the invocation hooks) as a closure, continuing
     the window in the callee. Ends the window instead if its budget is

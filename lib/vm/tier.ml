@@ -17,32 +17,36 @@ open Interp
    are read in place, interior nodes are closures specialized on their
    operands' shapes, and only what is still on the symbolic stack at
    the end of a block is written to its slot ("spilled"). Evaluation
-   order is exactly [step]'s:
+   order is exactly the naive loop's ({!Interp.exec_one}):
    - before a statement, older non-leaf entries run first, bottom to
      top, so traps and heap reads keep source order;
    - before a [Store] to a local, older leaves reading it are spilled;
    - [Dup] of a non-leaf and every [Swap] spill first;
    - at a block end the stack spills bottom to top;
    - a node runs its operands' subtrees in source order, then checks
-     the operands in [step]'s order.
+     the operands in the naive loop's order.
 
    Prepayment. A run is the instructions from a pc through forward
    jumps up to and including the next branch or backward jump, stopping
    before any breaker (an instruction with an extra charge: calls,
    returns, guards, allocations). If the remaining budget covers a run
-   ([rem > (count - 1) * icost], the exact condition under which [step]
-   executes all of it without a timer check coming due), its entry pays
-   [count * icost] at once. Leaders (pc 0, jump and guard-fail targets,
-   the pc after a jump or breaker) get a prepaid body; a block falling
+   ([rem > (count - 1) * icost], the exact condition under which the
+   naive loop executes all of it without a timer check coming due), its
+   entry pays [count * icost] at once. Leaders (pc 0, jump and
+   guard-fail targets, the pc after a jump or breaker) get a prepaid
+   body; a block falling
    or jumping forward into a leader tails into that leader's body,
    which its run already paid for; branches and backward jumps prepay
-   their target inline ({!enter}). [step] runs in exactly two places:
-   the window tail once a run no longer fits, and the rest of a run
-   entered at a pc that starts no block (after a window ended mid-run,
-   or by OSR), which it executes with a budget of exactly that run's
-   cost before the tier takes over again at the run's end. Breakers
-   transcribe [step]'s branches line for line, including the unclipped
-   [next_sample - cycles] window restart after guards and allocations.
+   their target inline ({!enter}). {!Interp.exec_until} runs in exactly
+   two places: the window tail once a run no longer fits, and the rest
+   of a run entered at a pc that starts no block (after a window ended
+   mid-run, or by OSR), which it executes to the clock of exactly that
+   run's cost before the tier takes over again at the run's end. Either
+   way it executes one instruction at a time on the naive loop's
+   semantics, and a tail never reaches its run's end, so it meets no
+   breaker. Breakers charge what the naive loop charges, and after
+   guards and allocations restart the window unclipped, at
+   [next_sample - cycles].
 
    Frames. Every closure takes the frame it runs ({!Interp.nfn}): the
    VM ([f_vm]), the registers and the window state ([f_rem], the budget
@@ -53,8 +57,8 @@ open Interp
    afresh, so switching frames stores no pointer.
 
    Calls and returns are {!Interp}'s ({!Interp.call_breaker} and
-   friends): [step] and the tier run one call path, compiled where
-   [invoke], [push_frame] and [continue_window] inline. Guards read the
+   friends), compiled where [invoke] and [push_frame] inline; a callee
+   or caller without closure-tier code ends the window. Guards read the
    program's flat dispatch table ({!Program.dispatch_ids}), captured at
    compile time. The value helpers repeat {!Interp}'s (dune's dev
    profile builds with [-opaque], so calls into another module are
@@ -167,7 +171,6 @@ let stuck : nfn = fun _ -> rerr "execution ran past end of code"
 type dest = {
   d_pc : int;
   d_sp : int;
-  d_code : Instr.t array;
   d_icost : int;
   d_count : int;
   d_pre : int;  (* (d_count - 1) * icost *)
@@ -177,12 +180,19 @@ type dest = {
 
 (* Nothing to prepay; also the placeholder at pcs that start no block. *)
 let paid_already =
-  { d_pc = 0; d_sp = 0; d_code = [||]; d_icost = 0; d_count = 0;
+  { d_pc = 0; d_sp = 0; d_icost = 0; d_count = 0;
     d_pre = min_int; d_pay = 0; d_body = stuck }
 
+(* The window tail at [d], once its run no longer fits the budget [rem]:
+   settle the deferred instructions, then run the rest of the window one
+   instruction at a time. It never reaches the run's end, as the run
+   does not fit. *)
 let[@inline never] fallback fr d rem =
-  let regs = fr.f_regs in
-  step fr.f_vm fr d.d_code d.d_icost regs regs d.d_pc d.d_sp rem fr.f_nin
+  let t = fr.f_vm in
+  settle t d.d_icost fr.f_nin;
+  fr.f_pc <- d.d_pc;
+  fr.f_sp <- d.d_sp;
+  exec_until t fr (t.cycles + rem)
 
 (* Prepay [d]'s run if the budget covers it. *)
 let[@inline] prepay fr d =
@@ -194,7 +204,7 @@ let[@inline] prepay fr d =
    true)
 
 (* The prepaid entry: the whole run when the budget covers it, else the
-   window tail on [step]. Inlined into every jump and branch. *)
+   window tail. Inlined into every jump and branch. *)
 let[@inline] enter fr d =
   if prepay fr d then d.d_body fr else fallback fr d fr.f_rem
 
@@ -233,7 +243,8 @@ let[@inline] fetch fr = function
   | Onode g -> g fr
 
 (* Interior nodes: closures specialized on their operands' shapes, with
-   subtrees run in source order and operands checked in [step]'s. *)
+   subtrees run in source order and operands checked in the naive
+   loop's order. *)
 let rec ev (e : tree) : frame -> Value.t =
   match e with
   | Binop (op, Reg i, Reg j) ->
@@ -584,7 +595,6 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
           {
             d_pc = pc;
             d_sp = base + depths.(pc);
-            d_code = instrs;
             d_icost = icost;
             d_count = c;
             d_pre = (c - 1) * icost;
@@ -592,11 +602,10 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             d_body = stuck;
           })
   in
-  (* Breakers: line-for-line transcriptions of [step]'s branches,
-     entered with nothing prepaid for them. Calls and returns are
-     [Interp]'s own ([Interp.call_breaker] and friends), so [step] and
-     the tier share one call path; guards read the program's flat
-     dispatch table, captured here. *)
+  (* Breakers: the naive loop's charges and effects, settled in one
+     step, entered with nothing prepaid for them. Calls and returns are
+     [Interp]'s own ([Interp.call_breaker] and friends); guards read the
+     program's flat dispatch table, captured here. *)
   let dispatch_ids = Program.dispatch_ids t.program
   and nsel = Program.selector_count t.program in
   let breaker pc (ins : Instr.t) : nfn =
@@ -643,7 +652,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
                 fail
               end
             in
-            (* Unclipped restart, exactly as [step]'s Guard branch. *)
+            (* Unclipped restart, as after every guard and allocation. *)
             fr.f_rem <- t.next_sample - t.cycles;
             fr.f_nin <- 0;
             enter fr d
@@ -806,18 +815,19 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
     (!lead, !stmts, exit)
   in
   (* A pc that starts no block is entered only after a window ended
-     mid-run there, or by OSR: [step] runs the rest of the run with a
-     budget of exactly its cost, then the tier re-enters at its end. *)
+     mid-run there, or by OSR: [exec_until] runs the rest of the run, to
+     the clock it costs, then the tier re-enters at its end. *)
   let mid_run fr =
-    let pc = fr.f_pc and regs = fr.f_regs and rem = fr.f_rem in
-    let pay = cnt.(pc) * icost and sp = base + depths.(pc) in
+    let t = fr.f_vm and rem = fr.f_rem in
+    let pay = cnt.(fr.f_pc) * icost in
+    settle t icost fr.f_nin;
     if rem > pay - icost then begin
-      step fr.f_vm fr instrs icost regs regs pc sp pay fr.f_nin;
+      exec_until t fr (t.cycles + pay);
       fr.f_rem <- rem - pay;
       fr.f_nin <- 0;
       (Array.unsafe_get nfns fr.f_pc) fr
     end
-    else step fr.f_vm fr instrs icost regs regs pc sp rem fr.f_nin
+    else exec_until t fr (t.cycles + rem)
   in
   let plans = Array.make n None and rests = Array.make n stuck in
   for pc = 0 to n - 1 do

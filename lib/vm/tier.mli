@@ -10,22 +10,24 @@
     pointer: the slot for depth [d] at any pc is the static
     [max_locals + d], and only values still pending at a block end are
     written to it. Evaluation order (traps, heap reads, output)
-    is exactly {!Interp.step}'s.
+    is exactly the naive loop's ({!Interp.run_reference}).
 
     Frames, operand layout, the virtual clock, hooks and preemption
     windows are shared with {!Interp}. Window accounting is prepaid per
     straight-line run (which continues through forward jumps), and
-    branches and backward jumps prepay their target inline. {!Interp.step} runs in exactly two places: the window tail
-    once a run no longer fits the budget, and the rest of a run entered
-    at a pc that starts no block (after a window ended mid-run, or by
-    OSR), executed with a budget of exactly that run's cost. So cycle
-    counts, hook firing points, counters and output stay bit-identical
-    to {!Interp.run_reference} (enforced by the differential tests).
+    branches and backward jumps prepay their target inline.
+    {!Interp.exec_until} runs one instruction at a time in exactly two
+    places: the window tail once a run no longer fits the budget, and
+    the rest of a run entered at a pc that starts no block (after a
+    window ended mid-run, or by OSR), executed to the clock of exactly
+    that run's cost. So cycle counts, hook firing points, counters and
+    output stay bit-identical to {!Interp.run_reference} (enforced by
+    the differential tests).
 
     Installation is gated by the AOS ({!Acsi_aos}): only methods whose
     optimized code passes [Jit_check] are compiled to this tier, so the
-    unsafe array accesses the closures share with the interpreter remain
-    bounded by the verifier's guarantees. *)
+    unsafe array accesses of the closures and of {!Interp}'s call and
+    return sequences remain bounded by the verifier's guarantees. *)
 
 open Acsi_bytecode
 

@@ -2,7 +2,7 @@
    at scale 0.25 under the context-insensitive baseline and each policy
    of [Policy.paper_sweep], with termination statistics on, exactly as
    bench/main.exe --quick configures them — twice: through
-   [Runtime.run] (decoded interpreter plus closure tier) and through
+   [Runtime.run] (the closure tier and its one-instruction tails) and through
    [Runtime.run_reference] (the same adaptive system driven from the
    naive instruction-at-a-time loop). Each cell must agree on output,
    on the whole metrics record, which is a per-cell check of what the

@@ -425,6 +425,9 @@ let test_always_throws_traps () =
   let tbl2 = Summary.analyze p2 in
   Alcotest.(check bool) "caller inherits always-throws" true
     (Summary.get tbl2 thrower).Summary.always_throws;
+  (* The VM runs verified code only: the verifier sizes the operand
+     stack ([max_stack]) the frames are allocated with. *)
+  Verify.program p2;
   let vm = Interp.create p2 in
   Alcotest.(check bool) "execution traps, never returns" true
     (try

@@ -1,5 +1,5 @@
-(* Tests for the simulator speed overhaul: the batched interpreter
-   against the naive reference loop (bit-identical clocks,
+(* Tests for the simulator speed overhaul: the driver's windows and the
+   closure tier against the naive reference loop (bit-identical clocks,
    counters, output, and hook firing points), sweep determinism across
    domain counts, and the DCG per-site index. *)
 
@@ -137,7 +137,7 @@ let test_trace_hash () =
     (Trace.hash (trace 7 [ (1, 2) ]))
     (Trace.hash (Trace.edge t))
 
-(* --- batched interpreter and closure tier --- *)
+(* --- the closure-less driver and the closure tier --- *)
 
 type engine = Reference | Interpreter | Closure_tier
 
@@ -178,17 +178,19 @@ let observe ?(invoke_stride = 16) ~sample_period engine program =
     Interp.output vm,
     List.rev !events )
 
-(* Differential property: on random programs, the batched interpreter
-   is indistinguishable from the naive reference loop — cycles,
-   instruction/call/guard counters, output, and the exact cycle count at
-   every timer and invoke hook firing. The sample period is chosen
-   co-prime to the instruction costs so windows end both on event
-   boundaries and mid-instruction. A second pair runs both loops at a
-   1-cycle period, where every window admits exactly one instruction.
-   Nothing is installed in the closure tier, so [Interp.run] executes
-   every instruction in [Interp.step]. *)
-let prop_decoded_matches_reference =
-  QCheck.Test.make ~name:"pre-decoded interpreter matches naive reference"
+(* Differential property: on random programs, [Interp.run]'s driver with
+   nothing installed in the closure tier is indistinguishable from the
+   naive reference loop — cycles, instruction/call/guard counters,
+   output, and the exact cycle count at every timer and invoke hook
+   firing. Both execute instructions on [Interp.exec_one]; what this
+   checks is the driver's window limit: where a closure-less window
+   stops, and the unclipped restart after an allocation or a guard. The
+   sample period is chosen co-prime to the instruction costs so windows
+   end both on event boundaries and mid-instruction. A second pair runs
+   both loops at a 1-cycle period, where every window admits exactly one
+   instruction. *)
+let prop_driver_window_matches_reference =
+  QCheck.Test.make ~name:"closure-less driver windows match naive reference"
     ~count:40 Test_props.arbitrary_program (fun ast ->
       let program = Acsi_lang.Compile.prog ast in
       let same sample_period =
@@ -201,8 +203,8 @@ let prop_decoded_matches_reference =
    at a 37-cycle sample period: co-prime to both per-instruction costs
    and shorter than most straight-line runs, so windows keep ending in
    the middle of runs and the next window re-enters the tier at a pc
-   that starts no block, running the rest of that run on [step] before
-   the tier takes over again. *)
+   that starts no block, running the rest of that run on
+   [Interp.exec_until] before the tier takes over again. *)
 let prop_tier_small_period =
   QCheck.Test.make
     ~name:"closure tier matches naive reference at a 37-cycle period"
@@ -464,7 +466,7 @@ let suite =
     Alcotest.test_case "dcg: site index tracks decay/pruning" `Quick
       test_site_index;
     Alcotest.test_case "trace: cached hash" `Quick test_trace_hash;
-    QCheck_alcotest.to_alcotest prop_decoded_matches_reference;
+    QCheck_alcotest.to_alcotest prop_driver_window_matches_reference;
     QCheck_alcotest.to_alcotest prop_tier_small_period;
     Alcotest.test_case "closure tier matches naive reference at every period"
       `Quick test_tier_every_period;

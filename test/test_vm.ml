@@ -13,16 +13,19 @@ let compile ?(classes = []) ?(globals = []) main =
 
 (* --- one program, every engine --- *)
 
-(* The three execution engines: the naive [run_reference] loop, the
-   batched interpreter ([step]), and the closure tier with every method
+(* Every path a program can run on: the naive [run_reference] loop;
+   [Interpreter], [Interp.run] with nothing installed, so every frame
+   is closure-less and the driver's windows run one instruction at a
+   time ([Interp.exec_until]); and the closure tier with every method
    installed before the run. The closure tier also runs as the
    [Boundary] engine, with a 1-cycle sample period: every window then
    admits a single instruction, so no entry can prepay a run of two or
-   more instructions, and each such run goes to plain [step] — the
-   window-tail use of [step]; its other use, the rest of a run entered
-   mid-block, is covered by test_speed's 37-cycle property. Each is an
-   independent implementation of the kind checks, so each case below
-   runs on all of them and must end identically. *)
+   more instructions, and each such run goes to the window tail on
+   [Interp.exec_one]; the tail's other use, the rest of a run entered
+   mid-block, is covered by test_speed's 37-cycle property. The tails
+   and the reference share [exec_one]'s instruction semantics, so the
+   check independent of both is the closure tier's own statements: each
+   case below runs on all four and must end identically. *)
 type outcome = Printed of int list | Failed of string
 type engine = Reference | Interpreter | Boundary | Closure_tier
 
@@ -284,7 +287,8 @@ let test_kind_matrix () =
    arithmetic, compares, branches, stores, field and array reads), with
    operands chosen so that swapping or dropping one changes what is
    printed. The [Closure_tier] engine runs them as statement closures;
-   the [Boundary] engine hands each of their runs to plain [step]. *)
+   the [Boundary] engine hands each of their runs to the window tail on
+   [Interp.exec_one]. *)
 let test_superinstruction_fallbacks () =
   let classes = Dsl.[ cls "P" ~fields:[ "x"; "y" ] [] ] in
   let program =

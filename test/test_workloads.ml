@@ -52,6 +52,30 @@ let test_aos_preserves_output () =
           ])
     (Lazy.force programs)
 
+(* [run_no_aos] runs baseline code on the closure tier; a bare VM driven
+   by the naive reference loop must end with the same output, clock and
+   instruction count. *)
+let test_no_aos_matches_reference () =
+  List.iter
+    (fun (name, program) ->
+      let cfg = cfg () in
+      let tier = Runtime.run_no_aos cfg program in
+      let reference =
+        Acsi_vm.Interp.create ~cost:cfg.Config.cost
+          ~sample_period:cfg.Config.sample_period
+          ~invoke_stride:cfg.Config.invoke_stride program
+      in
+      Acsi_vm.Interp.run_reference reference;
+      let observe vm =
+        Acsi_vm.Interp.
+          (output vm, cycles vm, instructions_executed vm, calls_executed vm)
+      in
+      Alcotest.(check bool)
+        (name ^ ": output, cycles, instructions and calls")
+        true
+        (observe tier = observe reference))
+    (Lazy.force programs)
+
 let test_compress_roundtrip () =
   let _, program =
     List.find (fun (n, _) -> String.equal n "compress") (Lazy.force programs)
@@ -90,6 +114,8 @@ let suite =
     Alcotest.test_case "deterministic output" `Quick test_deterministic;
     Alcotest.test_case "AOS preserves observable behaviour" `Slow
       test_aos_preserves_output;
+    Alcotest.test_case "no-AOS run matches the reference loop" `Quick
+      test_no_aos_matches_reference;
     Alcotest.test_case "compress roundtrip is lossless" `Quick
       test_compress_roundtrip;
     Alcotest.test_case "adaptive system compiles hot methods" `Quick
