@@ -2,19 +2,7 @@
    paper's evaluation (see DESIGN.md's per-experiment index).
 
      dune exec bench/main.exe                 full reproduction
-     dune exec bench/main.exe -- --quick      ~4x smaller workloads
-     dune exec bench/main.exe -- --fig4       one artifact only
-     dune exec bench/main.exe -- --ablations  design-choice ablations
-     dune exec bench/main.exe -- --serve      server-mode (virtual threads)
-     dune exec bench/main.exe -- --serve --shards 1,4   sharded-server cells
-     dune exec bench/main.exe -- --sessions N sessions per sharded cell
-     dune exec bench/main.exe -- --trace      traced per-component sweep
-     dune exec bench/main.exe -- --deopt      guards-vs-guard-free ablation
-     dune exec bench/main.exe -- --speculate  guard-free speculation on
-     dune exec bench/main.exe -- --jobs 8     domain-parallel driver
-     dune exec bench/main.exe -- --static-seed   static pre-warm oracle on
-     dune exec bench/main.exe -- --json       append run to BENCH_results.json
-     dune exec bench/main.exe -- --json-out F append run to F instead
+     dune exec bench/main.exe -- --help       the sections and knobs
      dune exec bench/compare.exe A.json B.json   diff two results files
 
    Everything is deterministic: identical invocations print identical
@@ -23,215 +11,51 @@
    clock; host time is measured by perf/, not here. *)
 
 open Acsi_core
+module Cli = Acsi_cli.Cli
 module Policy = Acsi_policy.Policy
 module Workloads = Acsi_workloads.Workloads
 
+type section =
+  | Table1
+  | Fig4
+  | Fig5
+  | Fig6
+  | Term_stats
+  | Summary
+  | Ablations
+  | Serve
+  | Trace
+  | Deopt
+
 type mode = {
-  mutable table1 : bool;
-  mutable fig4 : bool;
-  mutable fig5 : bool;
-  mutable fig6 : bool;
-  mutable term_stats : bool;
-  mutable summary : bool;
-  mutable ablations : bool;
-  mutable serve : bool;
-  mutable trace : bool;
-  mutable deopt : bool;
-  mutable shards : int list;
-      (* shard counts for the sharded-server section (--serve) *)
-  mutable sessions : int;
-      (* open-loop sessions per sharded cell, before scale_factor *)
-  mutable scale_factor : float;
-  mutable jobs : int;
-  mutable json : bool;
-  mutable json_path : string;
+  sections : section list;
+  shards : int list;  (** shard counts for the sharded-server section *)
+  sessions : int;  (** open-loop sessions per sharded cell, before scaling *)
+  scale_factor : float;
+  jobs : int;
+  json_path : string option;  (** the results file the run is appended to *)
+  cfg : Config.t;
+      (** every cell's configuration, up to its policy: --static-seed and
+          --speculate apply to all of them *)
 }
 
-(* --static-seed: run every cell with the static pre-warm oracle on
-   (summaries drive inlining at method install, before any sample).
-   Cycle counts legitimately change, so the run record's config names
-   the knob and compare.exe refuses a cross-config comparison at equal
-   scale unless told otherwise. *)
-let static_seed = ref false
+let on mode section = List.mem section mode.sections
 
-(* --speculate: run every cell with guard-free speculative inlining and
-   the deoptimization machinery on (pre-existence-proven receivers at
-   loaded-CHA-monomorphic sites inline with no guard; class loads and
-   guard storms revert and deoptimize). Output checksums are unchanged
-   by construction, but cycle counts legitimately move, so the run
-   record's config names this knob too. *)
-let speculate = ref false
-
-(* The non-default knobs this run applied, as recorded in its results
-   file (sorted). *)
-let applied_config () =
+(* The non-default knobs of the run's configuration, as recorded in its
+   results file (sorted): compare.exe refuses a comparison across them at
+   equal scale unless told otherwise. *)
+let stamp (cfg : Config.t) =
   List.filter_map
     (fun (knob, on) -> if on then Some knob else None)
-    [ ("speculate", !speculate); ("static_seed", !static_seed) ]
+    [
+      ("speculate", cfg.Config.aos.Acsi_aos.System.speculate);
+      ("static_seed", cfg.Config.aos.Acsi_aos.System.static_seed);
+    ]
 
 (* One results cell (see results.ml): figures travel as printed text. *)
 let cell section key metrics = { Results.section; key; metrics }
 let ints = List.map (fun (name, v) -> (name, string_of_int v))
 let fixed6 v = Printf.sprintf "%.6f" v
-
-let config ~policy =
-  let cfg = Config.default ~policy in
-  let cfg =
-    if not !static_seed then cfg
-    else
-      {
-        cfg with
-        Config.aos = { cfg.Config.aos with Acsi_aos.System.static_seed = true };
-      }
-  in
-  if not !speculate then cfg
-  else
-    {
-      cfg with
-      Config.aos =
-        {
-          cfg.Config.aos with
-          Acsi_aos.System.speculate = true;
-          enable_osr = true;
-        };
-    }
-
-let parse_args () =
-  let m =
-    {
-      table1 = false;
-      fig4 = false;
-      fig5 = false;
-      fig6 = false;
-      term_stats = false;
-      summary = false;
-      ablations = false;
-      serve = false;
-      trace = false;
-      deopt = false;
-      shards = [ 1; 2; 4 ];
-      sessions = 1_000_000;
-      scale_factor = 1.0;
-      jobs = Parallel.available_cores ();
-      json = false;
-      json_path = "BENCH_results.json";
-    }
-  in
-  let any = ref false in
-  let rec go = function
-    | [] -> ()
-    | "--table1" :: rest ->
-        m.table1 <- true;
-        any := true;
-        go rest
-    | "--fig4" :: rest ->
-        m.fig4 <- true;
-        any := true;
-        go rest
-    | "--fig5" :: rest ->
-        m.fig5 <- true;
-        any := true;
-        go rest
-    | "--fig6" :: rest ->
-        m.fig6 <- true;
-        any := true;
-        go rest
-    | "--term-stats" :: rest ->
-        m.term_stats <- true;
-        any := true;
-        go rest
-    | "--summary" :: rest ->
-        m.summary <- true;
-        any := true;
-        go rest
-    | "--ablations" :: rest ->
-        m.ablations <- true;
-        any := true;
-        go rest
-    | "--serve" :: rest ->
-        m.serve <- true;
-        any := true;
-        go rest
-    | "--trace" :: rest ->
-        m.trace <- true;
-        any := true;
-        go rest
-    | "--deopt" :: rest ->
-        m.deopt <- true;
-        any := true;
-        go rest
-    | "--shards" :: v :: rest ->
-        (* Comma-separated shard counts for the --serve sharded
-           section, e.g. --shards 4 or --shards 1,8. *)
-        let parts = String.split_on_char ',' v in
-        let parsed = List.filter_map int_of_string_opt parts in
-        if
-          List.length parsed = List.length parts
-          && parsed <> []
-          && List.for_all (fun n -> n >= 1 && n <= 64) parsed
-        then m.shards <- parsed
-        else begin
-          Format.eprintf "invalid --shards value %s@." v;
-          exit 2
-        end;
-        go rest
-    | "--sessions" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some n when n >= 1 -> m.sessions <- n
-        | Some _ | None ->
-            Format.eprintf "invalid --sessions value %s@." v;
-            exit 2);
-        go rest
-    | "--quick" :: rest ->
-        m.scale_factor <- 0.25;
-        go rest
-    | "--scale-factor" :: f :: rest ->
-        (match float_of_string_opt f with
-        | Some v when v > 0.0 -> m.scale_factor <- v
-        | Some _ | None ->
-            Format.eprintf "invalid --scale-factor value %s@." f;
-            exit 2);
-        go rest
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some v -> m.jobs <- max 1 v
-        | None ->
-            Format.eprintf "invalid --jobs value %s@." n;
-            exit 2);
-        go rest
-    | "--static-seed" :: rest ->
-        static_seed := true;
-        go rest
-    | "--speculate" :: rest ->
-        speculate := true;
-        go rest
-    | "--json" :: rest ->
-        m.json <- true;
-        go rest
-    | "--json-out" :: p :: rest ->
-        m.json <- true;
-        m.json_path <- p;
-        go rest
-    | arg :: _ ->
-        Format.eprintf "unknown argument %s@." arg;
-        exit 2
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  if not !any then begin
-    (* Default: the full reproduction. *)
-    m.table1 <- true;
-    m.fig4 <- true;
-    m.fig5 <- true;
-    m.fig6 <- true;
-    m.term_stats <- true;
-    m.summary <- true;
-    m.ablations <- true;
-    m.serve <- true;
-    m.trace <- true;
-    m.deopt <- true;
-    m.json <- true
-  end;
-  m
 
 let hr title =
   Format.printf "@.%s@.%s@.@." title (String.make (String.length title) '=')
@@ -261,23 +85,20 @@ let remember ~bench ~policy result =
     Mutex.unlock run_cache_mutex
   end
 
-(* Default-config run of [program] under [policy], served from the cache
-   when the sweep already ran this cell. The sweep collects termination
-   stats (see [sweep] below); that only fills counters on the trace
-   listener, so a cached result is interchangeable with a fresh
-   default-config run for everything the consuming sections read
-   (metrics, profiles). [cfg] overrides the fallback configuration for
-   callers that need those counters populated on a cache miss. *)
-let cached_run ?cfg bench policy program =
+(* Run of [program] under [cfg], served from the cache when the sweep
+   already ran this cell. The sweep collects termination stats
+   ({!Experiment.paper_config}); that only fills counters on the trace
+   listener, so a cached result is interchangeable with a fresh run for
+   everything the consuming sections read (metrics, profiles). Callers
+   that need those counters on a cache miss pass the paper config. *)
+let cached_run (cfg : Config.t) bench program =
+  let policy = cfg.Config.aos.Acsi_aos.System.policy in
   Mutex.lock run_cache_mutex;
   let hit = Hashtbl.find_opt run_cache (bench, Policy.to_string policy) in
   Mutex.unlock run_cache_mutex;
   match hit with
   | Some r -> r
   | None ->
-      let cfg =
-        match cfg with Some c -> c | None -> config ~policy
-      in
       let r = Runtime.run cfg program in
       remember ~bench ~policy r;
       r
@@ -288,31 +109,11 @@ let sweep mode =
   match !the_sweep with
   | Some s -> s
   | None ->
-      let benches =
-        List.map
-          (fun (name, program) -> { Experiment.name; program })
-          (Workloads.build_all ~scale_factor:mode.scale_factor ())
-      in
-      let cfg = config ~policy:Policy.Context_insensitive in
-      (* Termination-stat collection only increments counters on the
-         trace listener — no virtual-time or decision effect — so every
-         figure is unchanged, and the fixed(max=5) cells double as the
-         termination-stats section's runs. *)
-      let cfg =
-        {
-          cfg with
-          Config.aos =
-            {
-              cfg.Config.aos with
-              Acsi_aos.System.collect_termination_stats = true;
-            };
-        }
-      in
       let s =
-        Experiment.run_sweep
+        Experiment.paper_sweep
           ~progress:(fun msg -> Format.eprintf "  [sweep] %s@." msg)
-          ~jobs:mode.jobs ~cell_hook:remember cfg ~benches
-          ~policies:Policy.paper_sweep
+          ~jobs:mode.jobs ~cell_hook:remember mode.cfg
+          ~scale_factor:mode.scale_factor
       in
       the_sweep := Some s;
       s
@@ -333,18 +134,12 @@ let term_stats mode =
   let rows =
     Parallel.map ~jobs:mode.jobs
       (fun (name, program) ->
-        let cfg = config ~policy:(Policy.Fixed 5) in
-        let cfg =
-          {
-            cfg with
-            Config.aos =
-              {
-                cfg.Config.aos with
-                Acsi_aos.System.collect_termination_stats = true;
-              };
-          }
+        let result =
+          cached_run
+            (Experiment.paper_config
+               (Config.with_policy mode.cfg (Policy.Fixed 5)))
+            name program
         in
-        let result = cached_run ~cfg name (Policy.Fixed 5) program in
         let st = Acsi_aos.System.trace_stats result.Runtime.sys in
         let n = max 1 st.Acsi_aos.Trace_listener.samples in
         let pct x = 100.0 *. float_of_int x /. float_of_int n in
@@ -370,7 +165,7 @@ let ablations mode =
   in
   let run ?(tweak_aos = fun c -> c) ?(tweak_oracle = fun c -> c) program
       policy =
-    let cfg = config ~policy in
+    let cfg = Config.with_policy mode.cfg policy in
     let aos = tweak_aos cfg.Config.aos in
     let aos =
       {
@@ -399,11 +194,12 @@ let ablations mode =
         let show = show fmt in
         Format.fprintf fmt "@.%s (deltas vs context-insensitive baseline):@."
           name;
-      let base =
-        (cached_run name Policy.Context_insensitive program).Runtime.metrics
+      let cached policy =
+        cached_run (Config.with_policy mode.cfg policy) name program
       in
+      let base = (cached Policy.Context_insensitive).Runtime.metrics in
       show "fixed(3), full system" base
-        (cached_run name (Policy.Fixed 3) program).Runtime.metrics;
+        (cached (Policy.Fixed 3)).Runtime.metrics;
       show "fixed(3), exact-match oracle" base
         (run
            ~tweak_oracle:(fun c ->
@@ -440,15 +236,16 @@ let ablations mode =
            program (Policy.Fixed 3));
       (* Offline profile-directed inlining: seed the run with the profile a
          previous identical run collected (see Acsi_profile.Persist). *)
-      let cfg = config ~policy:(Policy.Fixed 3) in
-      let collect = cached_run name (Policy.Fixed 3) program in
+      let collect = cached (Policy.Fixed 3) in
       let profile =
         Acsi_profile.Persist.of_string
           (Acsi_profile.Persist.to_string
              (Acsi_aos.System.dcg collect.Runtime.sys))
       in
       show "fixed(3), offline-seeded profile" base
-        (Runtime.run ~profile cfg program).Runtime.metrics;
+        (Runtime.run ~profile (Config.with_policy mode.cfg (Policy.Fixed 3))
+           program)
+          .Runtime.metrics;
         Format.pp_print_flush fmt ();
         Buffer.contents buf)
       programs
@@ -462,7 +259,9 @@ let ablations mode =
   let rows =
     Parallel.map ~jobs:mode.jobs
       (fun (name, program) ->
-        let result = cached_run name (Policy.Fixed 4) program in
+        let result =
+          cached_run (Config.with_policy mode.cfg (Policy.Fixed 4)) name program
+        in
         let dcg = Acsi_aos.System.dcg result.Runtime.sys in
         let cct = Acsi_profile.Cct.of_dcg dcg in
         Format.asprintf "  %-10s flat=%4d entries   cct=%4d nodes (depth %d)@."
@@ -484,14 +283,13 @@ let extended mode =
       (fun (spec : Workloads.spec) ->
         let buf = Buffer.create 1024 in
         let fmt = Format.formatter_of_buffer buf in
-        let scale =
-          max 1
-            (int_of_float
-               (mode.scale_factor *. float_of_int spec.Workloads.default_scale))
+        let program =
+          spec.Workloads.build
+            ~scale:(Workloads.scaled spec ~scale_factor:mode.scale_factor)
         in
-        let program = spec.Workloads.build ~scale in
         let base =
-          (Runtime.run (config ~policy:Policy.Context_insensitive)
+          (Runtime.run
+             (Config.with_policy mode.cfg Policy.Context_insensitive)
              program)
             .Runtime.metrics
         in
@@ -500,7 +298,8 @@ let extended mode =
         List.iter
           (fun policy ->
             let m =
-              (Runtime.run (config ~policy) program).Runtime.metrics
+              (Runtime.run (Config.with_policy mode.cfg policy) program)
+                .Runtime.metrics
             in
             Format.fprintf fmt
               "  %-18s speedup %+7.2f%%  code %+8.2f%%  compile %+8.2f%%               guards %d/%d@."
@@ -530,18 +329,18 @@ let serve_mode mode =
     Parallel.map ~jobs:mode.jobs
       (fun name ->
         let spec = Workloads.find name in
-        let scale =
-          max 1
-            (int_of_float
-               (mode.scale_factor *. float_of_int spec.Workloads.default_scale))
+        let program =
+          spec.Workloads.build
+            ~scale:(Workloads.scaled spec ~scale_factor:mode.scale_factor)
         in
-        let program = spec.Workloads.build ~scale in
         let result =
           Acsi_server.Server.run
             ~mode:
               (Acsi_server.Server.Closed
                  { clients = 4; requests_per_client = 6; think = 50_000 })
-            ~name (config ~policy) program
+            ~name
+            (Config.with_policy mode.cfg policy)
+            program
         in
         let s = result.Acsi_server.Server.summary in
         (* The warmup curve as a sparkline (mean latency per window,
@@ -624,7 +423,9 @@ let shard_mode mode =
       let result =
         Acsi_server.Shards.run ~jobs:mode.jobs ~pool:2
           ~pool_policy:Acsi_aos.System.Hot_first ~shards ~sessions ~period
-          ~name:spec.Workloads.name (config ~policy) program
+          ~name:spec.Workloads.name
+          (Config.with_policy mode.cfg policy)
+          program
       in
       let s = result.Acsi_server.Shards.summary in
       Format.printf "%a@.@." Acsi_server.Shards.pp_summary s;
@@ -730,7 +531,7 @@ let static_oracle_mode mode =
   hr "Static pre-warm oracle (summary-seeded inlining, warmup ablation)";
   let policy = Policy.Fixed 3 in
   let serve ~seeded name program =
-    let cfg = config ~policy in
+    let cfg = Config.with_policy mode.cfg policy in
     let cfg =
       {
         cfg with
@@ -821,7 +622,7 @@ let deopt_panel mode =
         let spec = Workloads.find name in
         let program = spec.Workloads.build ~scale:spec.Workloads.default_scale in
         let half ~spec_on =
-          let cfg = config ~policy in
+          let cfg = Config.with_policy mode.cfg policy in
           let cfg =
             {
               cfg with
@@ -908,13 +709,11 @@ let traced_components mode =
     Parallel.map ~jobs:mode.jobs
       (fun (bench, policy) ->
         let spec = Workloads.find bench in
-        let scale =
-          max 1
-            (int_of_float
-               (mode.scale_factor *. float_of_int spec.Workloads.default_scale))
+        let program =
+          spec.Workloads.build
+            ~scale:(Workloads.scaled spec ~scale_factor:mode.scale_factor)
         in
-        let program = spec.Workloads.build ~scale in
-        let cfg = config ~policy in
+        let cfg = Config.with_policy mode.cfg policy in
         let cfg =
           {
             cfg with
@@ -995,13 +794,12 @@ let read_trajectory path =
       Format.eprintf "cannot append to %s: %s@." path msg;
       exit 2
 
-let write_json mode prior cells =
-  let path = mode.json_path in
+let write_json mode path prior cells =
   let run =
     {
       Results.jobs = mode.jobs;
       scale_factor = mode.scale_factor;
-      config = applied_config ();
+      config = stamp mode.cfg;
       cells;
     }
   in
@@ -1009,48 +807,47 @@ let write_json mode prior cells =
   Format.eprintf "  [json] appended run %d to %s (%d cells, jobs %d)@."
     (List.length prior) path (List.length cells) mode.jobs
 
-let () =
-  let mode = parse_args () in
-  let prior = if mode.json then read_trajectory mode.json_path else [] in
+let run mode =
+  let prior = Option.fold ~none:[] ~some:read_trajectory mode.json_path in
   Format.printf
     "Adaptive Online Context-Sensitive Inlining (CGO 2003) — reproduction \
      harness@.scale factor %.2f@."
     mode.scale_factor;
-  if mode.table1 then begin
+  if on mode Table1 then begin
     hr "Table 1";
     Report.table1 Format.std_formatter (sweep mode);
     Format.print_newline ()
   end;
-  if mode.fig4 then begin
+  if on mode Fig4 then begin
     hr "Figure 4";
     Report.figure4 Format.std_formatter (sweep mode)
   end;
-  if mode.fig5 then begin
+  if on mode Fig5 then begin
     hr "Figure 5";
     Report.figure5 Format.std_formatter (sweep mode)
   end;
-  if mode.fig6 then begin
+  if on mode Fig6 then begin
     hr "Figure 6";
     Report.figure6 Format.std_formatter (sweep mode);
     Format.print_newline ()
   end;
-  if mode.term_stats then term_stats mode;
-  if mode.summary then begin
+  if on mode Term_stats then term_stats mode;
+  if on mode Summary then begin
     hr "Summary";
     Report.summary Format.std_formatter (sweep mode);
     Format.print_newline ()
   end;
-  if mode.ablations then begin
+  if on mode Ablations then begin
     ablations mode;
     extended mode
   end;
   (* Sections print as they run, so they run in this order. *)
-  let section on f = if on then f mode else [] in
-  let server = section mode.serve serve_mode in
-  let shards = section mode.serve shard_mode in
-  let static = section mode.serve static_oracle_mode in
-  let speculation = section mode.deopt deopt_panel in
-  let components = section mode.trace traced_components in
+  let section s f = if on mode s then f mode else [] in
+  let server = section Serve serve_mode in
+  let shards = section Serve shard_mode in
+  let static = section Serve static_oracle_mode in
+  let speculation = section Deopt deopt_panel in
+  let components = section Trace traced_components in
   let cells =
     List.concat
       [
@@ -1062,5 +859,112 @@ let () =
         components;
       ]
   in
-  if mode.json && cells <> [] then write_json mode prior cells;
+  (match mode.json_path with
+  | Some path when cells <> [] -> write_json mode path prior cells
+  | Some _ | None -> ());
   Format.printf "@.done.@."
+
+open Cmdliner
+
+(* At least one shard count, each in 1..64: "4" or "1,8". *)
+let shard_counts =
+  let parse s =
+    let counts = List.map int_of_string_opt (String.split_on_char ',' s) in
+    let valid = function Some n -> n >= 1 && n <= 64 | None -> false in
+    if List.for_all valid counts then Ok (List.filter_map Fun.id counts)
+    else
+      Error
+        (`Msg (Printf.sprintf "invalid value '%s', counts must be in 1..64" s))
+  in
+  Arg.conv
+    ( parse,
+      Format.pp_print_list
+        ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
+        Format.pp_print_int )
+
+let sections_arg =
+  let section s name doc = (s, Arg.info [ name ] ~doc) in
+  Arg.(
+    value
+    & vflag_all []
+        [
+          section Table1 "table1" "Table 1: benchmark characteristics.";
+          section Fig4 "fig4" "Figure 4: speedup over the cins baseline.";
+          section Fig5 "fig5" "Figure 5: optimized code size change.";
+          section Fig6 "fig6" "Figure 6: AOS component overhead.";
+          section Term_stats "term-stats" "Section 4's termination stats.";
+          section Summary "summary" "Headline summary over the sweep.";
+          section Ablations "ablations" "Ablations and the extended suite.";
+          section Serve "serve" "Server, sharded-server and warmup cells.";
+          section Trace "trace" "Traced per-component overhead.";
+          section Deopt "deopt" "Guards vs guard-free speculation.";
+        ])
+
+let mode_term =
+  let make sections quick scale_factor shards sessions jobs json json_out cfg =
+    (* No section flag: the full reproduction, recorded. *)
+    let all = sections = [] in
+    {
+      sections =
+        (if all then
+           [ Table1; Fig4; Fig5; Fig6; Term_stats; Summary; Ablations; Serve;
+             Trace; Deopt ]
+         else sections);
+      shards;
+      sessions;
+      scale_factor =
+        (match scale_factor with
+        | Some f -> f
+        | None -> if quick then 0.25 else 1.0);
+      jobs;
+      json_path =
+        (match json_out with
+        | Some _ -> json_out
+        | None -> if json || all then Some "BENCH_results.json" else None);
+      cfg;
+    }
+  in
+  Term.(
+    const make $ sections_arg
+    $ Arg.(
+        value & flag
+        & info [ "quick" ]
+            ~doc:"Scale factor 0.25: about 4x smaller workloads.")
+    $ Arg.(
+        value
+        & opt (some Cli.positive_float) None
+        & info [ "scale-factor" ] ~docv:"F"
+            ~doc:
+              "Multiply every workload's default scale by $(docv) (default 1; \
+               takes precedence over --quick).")
+    $ Arg.(
+        value
+        & opt shard_counts [ 1; 2; 4 ]
+        & info [ "shards" ]
+            ~doc:"Comma-separated shard counts of the sharded-server cells.")
+    $ Arg.(
+        value
+        & opt (Cli.at_least 1) 1_000_000
+        & info [ "sessions" ]
+            ~doc:
+              "Open-loop sessions per sharded cell, before the scale factor.")
+    $ Cli.jobs_arg ~names:[ "jobs" ]
+        ~default:(Parallel.available_cores ())
+        "Domains the cells fan out across; the output is the same for every \
+         value."
+    $ Arg.(
+        value & flag
+        & info [ "json" ]
+            ~doc:
+              "Append the run to BENCH_results.json (the default when no \
+               section is selected).")
+    $ Arg.(
+        value
+        & opt (some string) None
+        & info [ "json-out" ] ~docv:"FILE" ~doc:"Append the run to $(docv).")
+    $ Cli.config_term ~policy:(Term.const Policy.Context_insensitive) ())
+
+let () =
+  let doc = "regenerate the tables and figures of the paper's evaluation" in
+  exit
+    (Cmd.eval (Cmd.v (Cmd.info "main.exe" ~doc) Term.(const run $ mode_term)))

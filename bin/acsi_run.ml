@@ -3,6 +3,8 @@
    and the baseline comparison the paper's figures are built from. *)
 
 open Acsi_core
+module Cli = Acsi_cli.Cli
+module Workloads = Acsi_workloads.Workloads
 
 let list_benchmarks () =
   Format.printf "@[<v>Available benchmarks:@,";
@@ -80,173 +82,92 @@ let verify_program program =
       Format.eprintf "%s@." (Acsi_analysis.Diag.to_string d);
       false
 
-(* --static-seed: turn on the static pre-warm oracle (summary-driven
-   inlining at method install time, before any sample). Default off —
-   the purely reactive system all goldens are pinned to. *)
-let apply_seed seed (cfg : Config.t) =
-  if not seed then cfg
-  else
-    {
-      cfg with
-      Config.aos = { cfg.Config.aos with Acsi_aos.System.static_seed = true };
-    }
-
-(* --speculate: guard-free speculative inlining with deoptimization.
-   Implies --enable-osr semantics: on-stack transfers both ways, so
-   recompiles activate immediately and reverted methods drain their
-   stale frames. *)
-let apply_speculate spec (cfg : Config.t) =
-  if not spec then cfg
-  else
-    {
-      cfg with
-      Config.aos =
-        {
-          cfg.Config.aos with
-          Acsi_aos.System.speculate = true;
-          enable_osr = true;
-        };
-    }
-
-let run_one ~bench ~file ~policy_str ~scale ~compare_baseline
-    ~show_compilations ~disasm ~jobs ~verify ~static_seed ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
+(* Load the program a subcommand should run: a textual mini-language
+   file when given, a built-in benchmark otherwise. Returns a
+   human-readable label along with the program; a malformed file is one
+   diagnostic and exit 1. *)
+let load_program ~(spec : Workloads.spec) ~file ~scale =
+  match file with
+  | Some path -> (
+      match load_acsi path with
+      | Error msg ->
+          Format.eprintf "%s@." msg;
+          Error 1
+      | Ok program -> Ok (path, program))
   | None ->
-      Format.eprintf
-        "unknown policy %S (try: cins, fixed(max=3), paramLess(max=4), \
-         class, large, hybrid1, hybrid2, resolve)@."
-        policy_str;
-      2
-  | Some policy -> (
-      match Acsi_workloads.Workloads.find bench with
-      | exception Not_found ->
-          Format.eprintf "unknown benchmark %S (use --list)@." bench;
-          2
-      | spec ->
-          let scale =
-            match scale with
-            | Some s -> s
-            | None -> spec.Acsi_workloads.Workloads.default_scale
-          in
-          match
-            match file with
-            | Some path -> load_acsi path
-            | None -> Ok (spec.Acsi_workloads.Workloads.build ~scale)
-          with
-          | Error msg ->
-              Format.eprintf "%s@." msg;
-              1
-          | Ok program ->
-          (* Typed verification before execution: on by default for the
-             textual-language pipeline, opt-in for built-in benchmarks. *)
-          let verify_on =
-            match verify with Some b -> b | None -> Option.is_some file
-          in
-          if verify_on && not (verify_program program) then 1
-          else
-          (* With --jobs > 1 the baseline of --compare runs on a second
-             domain concurrently with the measured run; both runs are
-             deterministic, so the printed numbers do not depend on it. *)
-          let result, baseline_result =
-            if compare_baseline && jobs > 1 then
-              match
-                Parallel.map ~jobs
-                  (fun policy ->
-                    Runtime.run
-                      (apply_speculate speculate
-                         (apply_seed static_seed (Config.default ~policy)))
-                      program)
-                  [ policy; Acsi_policy.Policy.Context_insensitive ]
-              with
-              | [ r; b ] -> (r, Some b)
-              | _ -> assert false
-            else
-              ( Runtime.run
-                  (apply_speculate speculate
-                     (apply_seed static_seed (Config.default ~policy)))
-                  program,
-                None )
-          in
-          (match file with
-          | Some path -> Format.printf "%s:@.%a@." path Metrics.pp result.Runtime.metrics
-          | None ->
-              Format.printf "%s at scale %d:@.%a@." bench scale Metrics.pp
-                result.Runtime.metrics);
-          if show_compilations then begin
-            Format.printf "@.Compilation log:@.";
-            List.iter
-              (fun (e : Acsi_aos.Db.compilation_event) ->
-                let m =
-                  Acsi_bytecode.Program.meth program e.Acsi_aos.Db.ce_method
-                in
-                Format.printf
-                  "  %-22s v%d %4d units %5d bytes %7d cycles %2d inlines %d \
-                   guards@."
-                  m.Acsi_bytecode.Meth.name e.Acsi_aos.Db.ce_version
-                  e.Acsi_aos.Db.ce_units e.Acsi_aos.Db.ce_bytes
-                  e.Acsi_aos.Db.ce_cycles e.Acsi_aos.Db.ce_inlines
-                  e.Acsi_aos.Db.ce_guards)
-              (Acsi_aos.Db.compilations (Acsi_aos.System.db result.Runtime.sys))
-          end;
-          (match disasm with
-          | Some pattern -> disassemble program result.Runtime.vm pattern
-          | None -> ());
-          (if compare_baseline then
-             let base =
-               match baseline_result with
-               | Some base -> base
-               | None ->
-                   Runtime.run
-                     (apply_speculate speculate
-                        (apply_seed static_seed
-                           (Config.default
-                              ~policy:Acsi_policy.Policy.Context_insensitive)))
-                     program
-             in
-             let bm = base.Runtime.metrics in
-             let m = result.Runtime.metrics in
-             Format.printf
-               "@.vs context-insensitive baseline:@.  speedup %+.2f%%  code \
-                size %+.2f%%  compile time %+.2f%%@."
-               (Metrics.speedup_pct ~baseline:bm m)
-               (Metrics.code_size_change_pct ~baseline:bm m)
-               (Metrics.compile_time_change_pct ~baseline:bm m));
-          0)
+      let scale = Cli.scale_for spec scale in
+      Ok
+        ( Printf.sprintf "%s at scale %d" spec.Workloads.name scale,
+          spec.Workloads.build ~scale )
+
+let run_one ~spec ~file ~cfg ~scale ~compare_baseline ~show_compilations
+    ~disasm ~jobs ~verify =
+  match load_program ~spec ~file ~scale with
+  | Error code -> code
+  | Ok (label, program) ->
+      (* Typed verification before execution: on by default for the
+         textual-language pipeline, opt-in for built-in benchmarks. *)
+      let verify_on =
+        match verify with Some b -> b | None -> Option.is_some file
+      in
+      if verify_on && not (verify_program program) then 1
+      else
+        (* With --jobs > 1 the baseline of --compare runs on a second
+           domain concurrently with the measured run; both runs are
+           deterministic, so the printed numbers do not depend on it. *)
+        let baseline_cfg =
+          Config.with_policy cfg Acsi_policy.Policy.Context_insensitive
+        in
+        let result, baseline_result =
+          if compare_baseline && jobs > 1 then
+            match
+              Parallel.map ~jobs
+                (fun cfg -> Runtime.run cfg program)
+                [ cfg; baseline_cfg ]
+            with
+            | [ r; b ] -> (r, Some b)
+            | _ -> assert false
+          else (Runtime.run cfg program, None)
+        in
+        Format.printf "%s:@.%a@." label Metrics.pp result.Runtime.metrics;
+        if show_compilations then begin
+          Format.printf "@.Compilation log:@.";
+          List.iter
+            (fun (e : Acsi_aos.Db.compilation_event) ->
+              let m =
+                Acsi_bytecode.Program.meth program e.Acsi_aos.Db.ce_method
+              in
+              Format.printf
+                "  %-22s v%d %4d units %5d bytes %7d cycles %2d inlines %d \
+                 guards@."
+                m.Acsi_bytecode.Meth.name e.Acsi_aos.Db.ce_version
+                e.Acsi_aos.Db.ce_units e.Acsi_aos.Db.ce_bytes
+                e.Acsi_aos.Db.ce_cycles e.Acsi_aos.Db.ce_inlines
+                e.Acsi_aos.Db.ce_guards)
+            (Acsi_aos.Db.compilations (Acsi_aos.System.db result.Runtime.sys))
+        end;
+        (match disasm with
+        | Some pattern -> disassemble program result.Runtime.vm pattern
+        | None -> ());
+        (if compare_baseline then
+           let base =
+             match baseline_result with
+             | Some base -> base
+             | None -> Runtime.run baseline_cfg program
+           in
+           let bm = base.Runtime.metrics in
+           let m = result.Runtime.metrics in
+           Format.printf
+             "@.vs context-insensitive baseline:@.  speedup %+.2f%%  code \
+              size %+.2f%%  compile time %+.2f%%@."
+             (Metrics.speedup_pct ~baseline:bm m)
+             (Metrics.code_size_change_pct ~baseline:bm m)
+             (Metrics.compile_time_change_pct ~baseline:bm m));
+        0
 
 open Cmdliner
 
-(* Integer options with a lower bound, checked where they are parsed: a
-   value out of range is a usage error naming the option (exit 124), not
-   an exception from deep inside a run or a silently meaningless run. *)
-let at_least lo =
-  let parse s =
-    let invalid why =
-      Error (`Msg (Printf.sprintf "invalid value '%s', %s" s why))
-    in
-    match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | Some _ -> invalid (Printf.sprintf "must be >= %d" lo)
-    | None -> invalid "expected an integer"
-  in
-  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
-
-let bench_arg =
-  Arg.(value & opt string "db" & info [ "b"; "bench" ] ~doc:"Benchmark name.")
-
-let policy_arg =
-  Arg.(
-    value
-    & opt string "fixed(max=3)"
-    & info [ "p"; "policy" ]
-        ~doc:
-          "Context-sensitivity policy: cins, fixed, paramLess, class, large, \
-           hybrid1, hybrid2, resolve; optionally with (max=N).")
-
-let scale_arg =
-  Arg.(
-    value
-    & opt (some (at_least 1)) None
-    & info [ "s"; "scale" ] ~doc:"Workload scale (default per benchmark).")
+let bench_arg = Cli.bench_arg ~default:"db" "Benchmark name."
 
 let list_arg =
   Arg.(value & flag & info [ "list" ] ~doc:"List benchmarks and exit.")
@@ -271,19 +192,10 @@ let disasm_arg =
           "After the run, disassemble the installed code of methods whose \
            name contains the given substring.")
 
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "v"; "verbose" ]
-        ~doc:"Log adaptive-system events (compilations, rule rebuilds).")
-
 let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ]
-        ~doc:
-          "Domains to use; with --compare, 2+ runs the baseline \
-           concurrently with the measured run.")
+  Cli.jobs_arg ~default:1
+    "Domains to use; with --compare, 2+ runs the baseline concurrently with \
+     the measured run."
 
 let file_arg =
   Arg.(
@@ -308,68 +220,20 @@ let verify_flag =
             info [ "no-verify" ] ~doc:"Skip pre-run typed verification." );
         ])
 
-let static_seed_arg =
-  Arg.(
-    value & flag
-    & info [ "static-seed" ]
-        ~doc:
-          "Enable the static pre-warm oracle: interprocedural summaries \
-           computed at class-load time drive inlining at method install, \
-           before any profile sample exists (provenance records these \
-           under the static source).")
-
-let speculate_arg =
-  Arg.(
-    value & flag
-    & info [ "speculate" ]
-        ~doc:
-          "Enable guard-free speculative inlining: virtual sites \
-           monomorphic over the loaded class universe whose receiver \
-           pre-exists the activation are inlined with no guard; a class \
-           load that breaks the recorded assumption (or a guard storm) \
-           deoptimizes the method through its frame-state table. Implies \
-           on-stack replacement in both directions.")
-
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
 
-let main list_only verbose bench file policy scale compare_baseline
-    show_compilations disasm jobs verify static_seed speculate =
+let main list_only verbose spec file scale compare_baseline show_compilations
+    disasm jobs verify cfg =
   setup_logs verbose;
   if list_only then list_benchmarks ()
   else
     reporting_runtime_errors (fun () ->
-        run_one ~bench ~file ~policy_str:policy ~scale ~compare_baseline
-          ~show_compilations ~disasm ~jobs ~verify ~static_seed ~speculate)
+        run_one ~spec ~file ~cfg ~scale ~compare_baseline ~show_compilations
+          ~disasm ~jobs ~verify)
 
 (* --- trace / explain: the observability subcommands (lib/obs) --- *)
-
-(* Load the program a subcommand should run: a textual mini-language
-   file when given, a named built-in benchmark otherwise. Returns a
-   human-readable label along with the program. *)
-let load_program ~bench ~file ~scale =
-  match file with
-  | Some path -> (
-      match load_acsi path with
-      | Error msg ->
-          Format.eprintf "%s@." msg;
-          Error 1
-      | Ok program -> Ok (path, program))
-  | None -> (
-      match Acsi_workloads.Workloads.find bench with
-      | exception Not_found ->
-          Format.eprintf "unknown benchmark %S (use --list)@." bench;
-          Error 2
-      | spec ->
-          let scale =
-            match scale with
-            | Some s -> s
-            | None -> spec.Acsi_workloads.Workloads.default_scale
-          in
-          Ok
-            ( Printf.sprintf "%s at scale %d" bench scale,
-              spec.Acsi_workloads.Workloads.build ~scale ))
 
 (* "Cls.name" display names for trace/explain output. *)
 let qualified_name program mid =
@@ -377,10 +241,10 @@ let qualified_name program mid =
   let c = Acsi_bytecode.Program.clazz program m.Acsi_bytecode.Meth.owner in
   c.Acsi_bytecode.Clazz.name ^ "." ^ m.Acsi_bytecode.Meth.name
 
-let run_with_obs ~policy ~obs ~static_seed ~speculate program =
-  let cfg =
-    apply_speculate speculate (apply_seed static_seed (Config.default ~policy))
-  in
+let policy_name (cfg : Config.t) =
+  Acsi_policy.Policy.to_string cfg.Config.aos.Acsi_aos.System.policy
+
+let run_with_obs ~cfg ~obs program =
   Runtime.run
     { cfg with Config.aos = { cfg.Config.aos with Acsi_aos.System.obs } }
     program
@@ -396,276 +260,259 @@ let write_buffer path buf =
    file, and print the Figure-6-style per-component breakdown with its
    reconciliation check: with no ring drops, every AOS component's summed
    span durations must equal its Accounting total exactly. *)
-let trace_one ~bench ~file ~policy_str ~scale ~out ~jsonl ~flame ~min_pct
-    ~capacity ~probe_on_clock ~static_seed ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy -> (
-      match load_program ~bench ~file ~scale with
-      | Error code -> code
-      | Ok (label, program) ->
-          let obs =
-            {
-              Acsi_obs.Control.trace = true;
-              provenance = true;
-              cprof = true;
-              capacity;
-              probe_on_clock;
-            }
-          in
-          (* Reset the process-global tier-cache counters so the line
-             below reports exactly this run's traffic (deterministic:
-             one VM, no concurrent sweeps in this process). *)
-          Metrics.reset_tier_cache_stats ();
-          let result =
-            run_with_obs ~policy ~obs ~static_seed ~speculate program
-          in
-          let sys = result.Runtime.sys in
-          let m = result.Runtime.metrics in
-          let tracer = Acsi_aos.System.tracer sys in
-          let buf = Buffer.create 65536 in
-          Acsi_obs.Export.to_chrome_json buf tracer;
-          write_buffer out buf;
-          (match jsonl with
-          | None -> ()
-          | Some path ->
-              Buffer.clear buf;
-              Acsi_obs.Export.to_jsonl buf tracer;
-              write_buffer path buf);
-          Format.printf "%s under %s:@." label
-            (Acsi_policy.Policy.to_string policy);
-          let totals = Acsi_obs.Export.track_totals tracer in
-          Format.printf "@.%a@."
-            (Acsi_obs.Export.pp_breakdown ~total:m.Metrics.total_cycles)
-            totals;
-          let inlined, refused =
-            match Acsi_aos.System.provenance sys with
-            | Some prov -> Acsi_obs.Provenance.outcome_counts prov
-            | None -> (0, 0)
-          in
-          let dropped = Acsi_obs.Tracer.dropped tracer in
-          Format.printf
-            "@.%d events recorded (%d dropped), %d inline decisions (%d \
-             inlined, %d refused)@."
-            (Acsi_obs.Tracer.length tracer)
-            dropped (inlined + refused) inlined refused;
-          let cs = Metrics.tier_cache_stats () in
-          Format.printf
-            "tier cache: %d hits, %d misses, %d evictions (shared \
-             baseline-compile MRU)@."
-            cs.Metrics.hits cs.Metrics.misses cs.Metrics.evictions;
-          (* On-stack transfer traffic; only under --speculate (or OSR)
-             is there anything to say. *)
-          if m.Metrics.osr_count > 0 then
-            Format.printf
-              "osr: %d up / %d down (deopt: %d guard-storm, %d \
-               CHA-invalidated; %d speculative installs)@."
-              m.Metrics.osr_up m.Metrics.osr_down m.Metrics.deopt_guard
-              m.Metrics.deopt_invalidate
-              (Acsi_aos.System.speculative_installs sys);
-          (* The reconciliation contract (see Acsi_obs.Tracer): only
-             checkable when the ring kept every event. *)
-          let mismatches =
-            List.filter_map
-              (fun c ->
-                let nm = Acsi_aos.Accounting.component_name c in
-                let acct_v =
-                  Acsi_aos.Accounting.get (Acsi_aos.System.accounting sys) c
-                in
-                let span_v =
-                  match List.assoc_opt nm totals with Some v -> v | None -> 0
-                in
-                if acct_v <> span_v then Some (nm, acct_v, span_v) else None)
-              Acsi_aos.Accounting.all_components
-          in
-          (if dropped > 0 then
-             (* A wrapped ring silently undercounts spans, which could
-                mask a genuine span-vs-Accounting divergence — so drops
-                fail the check rather than skipping it. *)
+let trace_one ~spec ~file ~cfg ~scale ~out ~jsonl ~flame ~min_pct ~capacity
+    ~probe_on_clock =
+  match load_program ~spec ~file ~scale with
+  | Error code -> code
+  | Ok (label, program) ->
+      let obs =
+        {
+          Acsi_obs.Control.trace = true;
+          provenance = true;
+          cprof = true;
+          capacity;
+          probe_on_clock;
+        }
+      in
+      (* Reset the process-global tier-cache counters so the line
+         below reports exactly this run's traffic (deterministic:
+         one VM, no concurrent sweeps in this process). *)
+      Metrics.reset_tier_cache_stats ();
+      let result = run_with_obs ~cfg ~obs program in
+      let sys = result.Runtime.sys in
+      let m = result.Runtime.metrics in
+      let tracer = Acsi_aos.System.tracer sys in
+      let buf = Buffer.create 65536 in
+      Acsi_obs.Export.to_chrome_json buf tracer;
+      write_buffer out buf;
+      (match jsonl with
+      | None -> ()
+      | Some path ->
+          Buffer.clear buf;
+          Acsi_obs.Export.to_jsonl buf tracer;
+          write_buffer path buf);
+      Format.printf "%s under %s:@." label (policy_name cfg);
+      let totals = Acsi_obs.Export.track_totals tracer in
+      Format.printf "@.%a@."
+        (Acsi_obs.Export.pp_breakdown ~total:m.Metrics.total_cycles)
+        totals;
+      let inlined, refused =
+        match Acsi_aos.System.provenance sys with
+        | Some prov -> Acsi_obs.Provenance.outcome_counts prov
+        | None -> (0, 0)
+      in
+      let dropped = Acsi_obs.Tracer.dropped tracer in
+      Format.printf
+        "@.%d events recorded (%d dropped), %d inline decisions (%d \
+         inlined, %d refused)@."
+        (Acsi_obs.Tracer.length tracer)
+        dropped (inlined + refused) inlined refused;
+      let cs = Metrics.tier_cache_stats () in
+      Format.printf
+        "tier cache: %d hits, %d misses, %d evictions (shared \
+         baseline-compile MRU)@."
+        cs.Metrics.hits cs.Metrics.misses cs.Metrics.evictions;
+      (* On-stack transfer traffic; only under --speculate (or OSR)
+         is there anything to say. *)
+      if m.Metrics.osr_count > 0 then
+        Format.printf
+          "osr: %d up / %d down (deopt: %d guard-storm, %d \
+           CHA-invalidated; %d speculative installs)@."
+          m.Metrics.osr_up m.Metrics.osr_down m.Metrics.deopt_guard
+          m.Metrics.deopt_invalidate
+          (Acsi_aos.System.speculative_installs sys);
+      (* The reconciliation contract (see Acsi_obs.Tracer): only
+         checkable when the ring kept every event. *)
+      let mismatches =
+        List.filter_map
+          (fun c ->
+            let nm = Acsi_aos.Accounting.component_name c in
+            let acct_v =
+              Acsi_aos.Accounting.get (Acsi_aos.System.accounting sys) c
+            in
+            let span_v =
+              match List.assoc_opt nm totals with Some v -> v | None -> 0
+            in
+            if acct_v <> span_v then Some (nm, acct_v, span_v) else None)
+          Acsi_aos.Accounting.all_components
+      in
+      (if dropped > 0 then
+         (* A wrapped ring silently undercounts spans, which could
+            mask a genuine span-vs-Accounting divergence — so drops
+            fail the check rather than skipping it. *)
+         Format.printf
+           "reconciliation: FAILED — %d events dropped, span totals \
+            undercount (raise --capacity)@."
+           dropped
+       else if mismatches = [] then
+         Format.printf
+           "reconciliation: OK — every component's span total equals its \
+            accounting total@."
+       else
+         List.iter
+           (fun (nm, acct_v, span_v) ->
              Format.printf
-               "reconciliation: FAILED — %d events dropped, span totals \
-                undercount (raise --capacity)@."
-               dropped
-           else if mismatches = [] then
-             Format.printf
-               "reconciliation: OK — every component's span total equals its \
-                accounting total@."
-           else
-             List.iter
-               (fun (nm, acct_v, span_v) ->
-                 Format.printf
-                   "reconciliation MISMATCH: %s accounting=%d spans=%d@." nm
-                   acct_v span_v)
-               mismatches);
-          (if flame then
-             match Acsi_aos.System.cprof sys with
-             | Some cp ->
-                 Format.printf "@.%a@."
-                   (Acsi_obs.Cprof.pp_flame
-                      ~name:(qualified_name program)
-                      ~min_pct)
-                   cp
-             | None -> ());
-          Format.printf "trace written to %s@." out;
-          if mismatches <> [] || dropped > 0 then 1 else 0)
+               "reconciliation MISMATCH: %s accounting=%d spans=%d@." nm
+               acct_v span_v)
+           mismatches);
+      (if flame then
+         match Acsi_aos.System.cprof sys with
+         | Some cp ->
+             Format.printf "@.%a@."
+               (Acsi_obs.Cprof.pp_flame
+                  ~name:(qualified_name program)
+                  ~min_pct)
+               cp
+         | None -> ());
+      Format.printf "trace written to %s@." out;
+      if mismatches <> [] || dropped > 0 then 1 else 0
 
 (* `acsi-run explain [METHOD[:PC]]`: run with the oracle's decision-
    provenance sink installed and print every recorded inline decision —
    optionally restricted to call sites in one method (matched by
    unqualified or "Cls.name" qualified name), or to one call-site pc. *)
-let explain_one ~bench ~file ~policy_str ~scale ~query ~static_seed
-    ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy -> (
-      match load_program ~bench ~file ~scale with
-      | Error code -> code
-      | Ok (label, program) -> (
-          let obs =
-            { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true }
-          in
-          let result =
-            run_with_obs ~policy ~obs ~static_seed ~speculate program
-          in
-          let sys = result.Runtime.sys in
-          match Acsi_aos.System.provenance sys with
-          | None ->
-              Format.eprintf "internal error: provenance store missing@.";
-              1
-          | Some prov -> (
-              let name = qualified_name program in
-              let selected =
-                match query with
-                | None -> Ok (Acsi_obs.Provenance.all prov)
-                | Some q -> (
-                    let meth_str, pc =
-                      match String.index_opt q ':' with
-                      | None -> (q, Ok None)
-                      | Some i ->
-                          let pc_str =
-                            String.sub q (i + 1) (String.length q - i - 1)
-                          in
-                          ( String.sub q 0 i,
-                            match int_of_string_opt pc_str with
-                            | Some pc when pc >= 0 -> Ok (Some pc)
-                            | Some _ | None -> Error pc_str )
+let explain_one ~spec ~file ~cfg ~scale ~query =
+  match load_program ~spec ~file ~scale with
+  | Error code -> code
+  | Ok (label, program) -> (
+      let obs =
+        { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true }
+      in
+      let result = run_with_obs ~cfg ~obs program in
+      let sys = result.Runtime.sys in
+      match Acsi_aos.System.provenance sys with
+      | None ->
+          Format.eprintf "internal error: provenance store missing@.";
+          1
+      | Some prov -> (
+          let name = qualified_name program in
+          let selected =
+            match query with
+            | None -> Ok (Acsi_obs.Provenance.all prov)
+            | Some q -> (
+                let meth_str, pc =
+                  match String.index_opt q ':' with
+                  | None -> (q, Ok None)
+                  | Some i ->
+                      let pc_str =
+                        String.sub q (i + 1) (String.length q - i - 1)
+                      in
+                      ( String.sub q 0 i,
+                        match int_of_string_opt pc_str with
+                        | Some pc when pc >= 0 -> Ok (Some pc)
+                        | Some _ | None -> Error pc_str )
+                in
+                match pc with
+                | Error pc_str ->
+                    Format.eprintf "invalid pc %S in query %S@." pc_str q;
+                    Error 2
+                | Ok pc -> (
+                    (* Method names carry an arity suffix ("get/1");
+                       accept queries with or without it, qualified
+                       by class or not. *)
+                    let unmangled s =
+                      match String.index_opt s '/' with
+                      | Some i -> String.sub s 0 i
+                      | None -> s
                     in
-                    match pc with
-                    | Error pc_str ->
-                        Format.eprintf "invalid pc %S in query %S@." pc_str q;
+                    let callers =
+                      Array.to_list
+                        (Acsi_bytecode.Program.methods program)
+                      |> List.filter_map
+                           (fun (m : Acsi_bytecode.Meth.t) ->
+                             let mid = m.Acsi_bytecode.Meth.id in
+                             let forms =
+                               [
+                                 m.Acsi_bytecode.Meth.name;
+                                 unmangled m.Acsi_bytecode.Meth.name;
+                                 name mid;
+                                 unmangled (name mid);
+                               ]
+                             in
+                             if List.exists (String.equal meth_str) forms
+                             then Some mid
+                             else None)
+                    in
+                    match callers with
+                    | [] ->
+                        Format.eprintf
+                          "no method named %S (try a \"Cls.name\" \
+                           qualified name)@."
+                          meth_str;
                         Error 2
-                    | Ok pc -> (
-                        (* Method names carry an arity suffix ("get/1");
-                           accept queries with or without it, qualified
-                           by class or not. *)
-                        let unmangled s =
-                          match String.index_opt s '/' with
-                          | Some i -> String.sub s 0 i
-                          | None -> s
-                        in
-                        let callers =
-                          Array.to_list
-                            (Acsi_bytecode.Program.methods program)
-                          |> List.filter_map
-                               (fun (m : Acsi_bytecode.Meth.t) ->
-                                 let mid = m.Acsi_bytecode.Meth.id in
-                                 let forms =
-                                   [
-                                     m.Acsi_bytecode.Meth.name;
-                                     unmangled m.Acsi_bytecode.Meth.name;
-                                     name mid;
-                                     unmangled (name mid);
-                                   ]
-                                 in
-                                 if List.exists (String.equal meth_str) forms
-                                 then Some mid
-                                 else None)
-                        in
-                        match callers with
-                        | [] ->
-                            Format.eprintf
-                              "no method named %S (try a \"Cls.name\" \
-                               qualified name)@."
-                              meth_str;
-                            Error 2
-                        | callers ->
-                            Ok
-                              (List.concat_map
-                                 (fun caller ->
-                                   Acsi_obs.Provenance.at prov ~caller
-                                     ?callsite:pc ())
-                                 callers)))
+                    | callers ->
+                        Ok
+                          (List.concat_map
+                             (fun caller ->
+                               Acsi_obs.Provenance.at prov ~caller
+                                 ?callsite:pc ())
+                             callers)))
+          in
+          match selected with
+          | Error code -> code
+          | Ok decisions ->
+              let decisions =
+                List.sort
+                  (fun (a : Acsi_obs.Provenance.decision) b ->
+                    compare a.Acsi_obs.Provenance.d_seq
+                      b.Acsi_obs.Provenance.d_seq)
+                  decisions
               in
-              match selected with
-              | Error code -> code
-              | Ok decisions ->
-                  let decisions =
-                    List.sort
-                      (fun (a : Acsi_obs.Provenance.decision) b ->
-                        compare a.Acsi_obs.Provenance.d_seq
-                          b.Acsi_obs.Provenance.d_seq)
-                      decisions
-                  in
-                  let total = Acsi_obs.Provenance.count prov in
-                  let inlined, refused =
-                    Acsi_obs.Provenance.outcome_counts prov
-                  in
-                  Format.printf "%s under %s:@.@." label
-                    (Acsi_policy.Policy.to_string policy);
-                  if decisions = [] then
-                    Format.printf "no recorded inline decisions match@."
-                  else
-                    List.iter
-                      (fun d ->
-                        Format.printf "%a@."
-                          (Acsi_obs.Provenance.pp_decision ~name)
-                          d)
-                      decisions;
-                  Format.printf
-                    "@.%d decisions shown of %d recorded (%d inlined, %d \
-                     refused)@."
-                    (List.length decisions) total inlined refused;
-                  (let sampled, static, speculative =
-                     Acsi_obs.Provenance.source_counts prov
-                   in
-                   if static > 0 then
-                     Format.printf
-                       "%d decided by the static oracle (before any sample), \
-                        %d sample-driven@."
-                       static sampled;
-                   if speculative > 0 then
-                     Format.printf
-                       "%d decided speculatively (guard-free, loaded-CHA + \
-                        pre-existence)@."
-                       speculative);
-                  (* The orthogonal decision axis: what happened to each
-                     code install (closure tier compiled, install refused
-                     by Jit_check, or fell back to the interpreter). Only
-                     shown for whole-program queries — install decisions
-                     are per-method, not per-call-site. *)
-                  (if query = None && Acsi_obs.Provenance.tier_count prov > 0
-                   then begin
-                     Format.printf "@.Execution-tier decisions:@.";
-                     List.iter
-                       (fun td ->
-                         Format.printf "%a@."
-                           (Acsi_obs.Provenance.pp_tier_decision ~name)
-                           td)
-                       (Acsi_obs.Provenance.tier_all prov);
-                     let compiled, refused, fell_back =
-                       Acsi_obs.Provenance.tier_outcome_counts prov
-                     in
-                     Format.printf
-                       "%d tier decisions (%d compiled, %d refused, %d fell \
-                        back)@."
-                       (Acsi_obs.Provenance.tier_count prov)
-                       compiled refused fell_back
-                   end);
-                  0)))
+              let total = Acsi_obs.Provenance.count prov in
+              let inlined, refused =
+                Acsi_obs.Provenance.outcome_counts prov
+              in
+              Format.printf "%s under %s:@.@." label (policy_name cfg);
+              if decisions = [] then
+                Format.printf "no recorded inline decisions match@."
+              else
+                List.iter
+                  (fun d ->
+                    Format.printf "%a@."
+                      (Acsi_obs.Provenance.pp_decision ~name)
+                      d)
+                  decisions;
+              Format.printf
+                "@.%d decisions shown of %d recorded (%d inlined, %d \
+                 refused)@."
+                (List.length decisions) total inlined refused;
+              (let sampled, static, speculative =
+                 Acsi_obs.Provenance.source_counts prov
+               in
+               if static > 0 then
+                 Format.printf
+                   "%d decided by the static oracle (before any sample), \
+                    %d sample-driven@."
+                   static sampled;
+               if speculative > 0 then
+                 Format.printf
+                   "%d decided speculatively (guard-free, loaded-CHA + \
+                    pre-existence)@."
+                   speculative);
+              (* The orthogonal decision axis: what happened to each
+                 code install (closure tier compiled, install refused
+                 by Jit_check, or fell back to the interpreter). Only
+                 shown for whole-program queries — install decisions
+                 are per-method, not per-call-site. *)
+              (if query = None && Acsi_obs.Provenance.tier_count prov > 0
+               then begin
+                 Format.printf "@.Execution-tier decisions:@.";
+                 List.iter
+                   (fun td ->
+                     Format.printf "%a@."
+                       (Acsi_obs.Provenance.pp_tier_decision ~name)
+                       td)
+                   (Acsi_obs.Provenance.tier_all prov);
+                 let compiled, refused, fell_back =
+                   Acsi_obs.Provenance.tier_outcome_counts prov
+                 in
+                 Format.printf
+                   "%d tier decisions (%d compiled, %d refused, %d fell \
+                    back)@."
+                   (Acsi_obs.Provenance.tier_count prov)
+                   compiled refused fell_back
+               end);
+              0))
 
 (* `acsi-run lint [FILES]`: typed verification plus dead-code and
    unused-local lints over the given .acsi programs, or over every
@@ -693,11 +540,8 @@ let lint_targets files =
   (match files with
   | [] ->
       List.iter
-        (fun (s : Acsi_workloads.Workloads.spec) ->
-          lint_one s.Acsi_workloads.Workloads.name
-            (s.Acsi_workloads.Workloads.build
-               ~scale:s.Acsi_workloads.Workloads.default_scale))
-        Acsi_workloads.Workloads.all
+        (fun (name, program) -> lint_one name program)
+        (Workloads.build_all ())
   | files ->
       List.iter
         (fun path ->
@@ -726,13 +570,11 @@ let analyze_targets ~jobs files =
     match files with
     | [] ->
         List.map
-          (fun (s : Acsi_workloads.Workloads.spec) ->
-            ( s.Acsi_workloads.Workloads.name,
-              fun () ->
-                Ok
-                  (s.Acsi_workloads.Workloads.build
-                     ~scale:s.Acsi_workloads.Workloads.default_scale) ))
-          Acsi_workloads.Workloads.all
+          (fun (s : Workloads.spec) ->
+            ( s.Workloads.name,
+              fun () -> Ok (s.Workloads.build ~scale:s.Workloads.default_scale)
+            ))
+          Workloads.all
     | files ->
         List.map
           (fun path -> (path, fun () -> load_acsi path))
@@ -765,153 +607,108 @@ let analyze_targets ~jobs files =
     rendered;
   if !ok then 0 else 1
 
+(* The serving knobs serve and metrics share. *)
+type load = {
+  requests : int;
+  clients : int;
+  think : int;
+  open_period : int option;
+  quantum : int;
+  switch_cost : int;
+  seed : int;
+  pool : int;
+  pool_policy : Acsi_aos.System.compile_queue_policy;
+  barrier : int;
+  jobs : int;
+}
+
+(* Sharded serving: N virtual processors with work stealing, a
+   publish-once code cache and per-shard compiler pools. [--requests] is
+   the total session count; arrivals are always open-loop ([--open],
+   default period 2400). *)
+let run_shards l ~shards ~name cfg program =
+  Acsi_server.Shards.run ~quantum:l.quantum ~switch_cost:l.switch_cost
+    ~seed:l.seed ~jobs:l.jobs ~barrier:l.barrier ~pool:l.pool
+    ~pool_policy:l.pool_policy ~shards ~sessions:l.requests
+    ~period:(Option.value l.open_period ~default:2400)
+    ~name cfg program
+
+(* One shared VM: a closed loop of clients, or open-loop under [--open]. *)
+let run_server l ?telemetry_interval ?async_compile ~name cfg program =
+  let mode =
+    match l.open_period with
+    | Some period -> Acsi_server.Server.Open { period; requests = l.requests }
+    | None ->
+        Acsi_server.Server.Closed
+          {
+            clients = l.clients;
+            requests_per_client = l.requests;
+            think = l.think;
+          }
+  in
+  Acsi_server.Server.run ~quantum:l.quantum ~switch_cost:l.switch_cost
+    ~seed:l.seed ?telemetry_interval ?async_compile ~mode ~name cfg program
+
 (* `acsi-run serve`: server-mode execution — each benchmark's requests
    run as virtual threads over one shared VM/AOS instance, with
    background compilation, and the summary reports throughput and
    latency percentiles. Deterministic: identical invocations print
    identical summaries. *)
-let serve_benches ~benches ~policy_str ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~sync_compile ~show_windows
-    ~shards ~pool ~pool_policy_str ~barrier ~jobs ~static_seed =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy when shards > 0 -> (
-      (* Sharded serving: N virtual processors with work stealing, a
-         publish-once code cache and per-shard compiler pools.
-         [--requests] is the total session count; arrivals are always
-         open-loop ([--open], default period 2400). *)
-      match Acsi_aos.System.queue_policy_of_string pool_policy_str with
-      | None ->
-          Format.eprintf "unknown pool policy %S (fifo|hot|deadline)@."
-            pool_policy_str;
-          2
-      | Some pool_policy -> (
-          let exception Unknown_bench of string in
-          let names =
-            List.filter
-              (fun s -> String.length s > 0)
-              (String.split_on_char ',' benches)
-          in
-          match
-            List.map
-              (fun name ->
-                match Acsi_workloads.Workloads.find name with
-                | spec -> spec
-                | exception Not_found -> raise (Unknown_bench name))
-              names
-          with
-          | exception Unknown_bench name ->
-              Format.eprintf "unknown benchmark %S (use --list)@." name;
-              2
-          | specs ->
-              let first = ref true in
-              List.iter
-                (fun (spec : Acsi_workloads.Workloads.spec) ->
-                  let scale =
-                    match scale with
-                    | Some s -> s
-                    | None -> spec.Acsi_workloads.Workloads.default_scale
-                  in
-                  let program = spec.Acsi_workloads.Workloads.build ~scale in
-                  let period = Option.value open_period ~default:2400 in
-                  let result =
-                    Acsi_server.Shards.run ~quantum ~switch_cost ~seed ~jobs
-                      ~barrier ~pool ~pool_policy ~shards ~sessions:requests
-                      ~period ~name:spec.Acsi_workloads.Workloads.name
-                      (apply_seed static_seed (Config.default ~policy))
-                      program
-                  in
-                  if not !first then Format.printf "@.";
-                  first := false;
-                  Format.printf "%a@." Acsi_server.Shards.pp_summary
-                    result.Acsi_server.Shards.summary;
-                  if show_windows then
-                    Format.printf "%a@." Acsi_server.Shards.pp_shards
-                      result.Acsi_server.Shards.shard_stats)
-                specs;
-              0))
-  | Some policy -> (
-      let exception Unknown_bench of string in
-      let names =
-        List.filter
-          (fun s -> String.length s > 0)
-          (String.split_on_char ',' benches)
-      in
-      match
-        List.map
-          (fun name ->
-            match Acsi_workloads.Workloads.find name with
-            | spec -> spec
-            | exception Not_found -> raise (Unknown_bench name))
-          names
-      with
-      | exception Unknown_bench name ->
-          Format.eprintf "unknown benchmark %S (use --list)@." name;
-          2
-      | specs ->
-          let first = ref true in
-          List.iter
-            (fun (spec : Acsi_workloads.Workloads.spec) ->
-              let scale =
-                match scale with
-                | Some s -> s
-                | None -> spec.Acsi_workloads.Workloads.default_scale
-              in
-              let program = spec.Acsi_workloads.Workloads.build ~scale in
-              let mode =
-                match open_period with
-                | Some period -> Acsi_server.Server.Open { period; requests }
-                | None ->
-                    Acsi_server.Server.Closed
-                      { clients; requests_per_client = requests; think }
-              in
-              let result =
-                Acsi_server.Server.run ~quantum ~switch_cost ~seed
-                  ~async_compile:(not sync_compile) ~mode
-                  ~name:spec.Acsi_workloads.Workloads.name
-                  (apply_seed static_seed (Config.default ~policy))
-                  program
-              in
-              if not !first then Format.printf "@.";
-              first := false;
-              Format.printf "%a@." Acsi_server.Server.pp_summary
-                result.Acsi_server.Server.summary;
-              if show_windows then
-                Format.printf "%a@." Acsi_server.Server.pp_windows
-                  result.Acsi_server.Server.windows)
-            specs;
-          0)
+let serve_benches ~specs ~cfg ~scale ~load ~shards ~sync_compile
+    ~show_windows =
+  List.iteri
+    (fun i (spec : Workloads.spec) ->
+      let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
+      let name = spec.Workloads.name in
+      if i > 0 then Format.printf "@.";
+      if shards > 0 then begin
+        let result = run_shards load ~shards ~name cfg program in
+        Format.printf "%a@." Acsi_server.Shards.pp_summary
+          result.Acsi_server.Shards.summary;
+        if show_windows then
+          Format.printf "%a@." Acsi_server.Shards.pp_shards
+            result.Acsi_server.Shards.shard_stats
+      end
+      else begin
+        let result =
+          run_server load ~async_compile:(not sync_compile) ~name cfg program
+        in
+        Format.printf "%a@." Acsi_server.Server.pp_summary
+          result.Acsi_server.Server.summary;
+        if show_windows then
+          Format.printf "%a@." Acsi_server.Server.pp_windows
+            result.Acsi_server.Server.windows
+      end)
+    specs;
+  0
 
 let serve_bench_arg =
-  Arg.(
-    value
-    & opt string "db,jess,compress"
-    & info [ "b"; "bench" ] ~doc:"Comma-separated benchmark names to serve.")
+  Cli.benches_arg
+    ~default:[ "db"; "jess"; "compress" ]
+    "Comma-separated benchmark names to serve."
 
 let requests_arg =
   Arg.(
-    value & opt (at_least 1) 8
+    value & opt (Cli.at_least 1) 8
     & info [ "requests" ]
         ~doc:
           "Requests per client (closed loop) or total requests (open loop).")
 
 let clients_arg =
   Arg.(
-    value & opt (at_least 1) 4
+    value & opt (Cli.at_least 1) 4
     & info [ "clients" ] ~doc:"Concurrent clients (closed loop).")
 
 let think_arg =
   Arg.(
-    value & opt (at_least 0) 50_000
+    value & opt (Cli.at_least 0) 50_000
     & info [ "think" ]
         ~doc:"Client think time in cycles between requests (closed loop).")
 
 let open_period_arg =
   Arg.(
     value
-    & opt (some (at_least 2)) None
+    & opt (some (Cli.at_least 2)) None
     & info [ "open" ] ~docv:"PERIOD"
         ~doc:
           "Use an open-loop arrival schedule with the given mean \
@@ -919,12 +716,12 @@ let open_period_arg =
 
 let quantum_arg =
   Arg.(
-    value & opt (at_least 1) 25_000
+    value & opt (Cli.at_least 1) 25_000
     & info [ "quantum" ] ~doc:"Scheduler quantum in cycles.")
 
 let switch_cost_arg =
   Arg.(
-    value & opt (at_least 0) 200
+    value & opt (Cli.at_least 0) 200
     & info [ "switch-cost" ] ~doc:"Context-switch cost in cycles.")
 
 let seed_arg =
@@ -950,7 +747,7 @@ let windows_arg =
 
 let shards_arg =
   Arg.(
-    value & opt (at_least 0) 0
+    value & opt (Cli.at_least 0) 0
     & info [ "shards" ]
         ~doc:
           "Serve across N sharded virtual processors (per-shard run \
@@ -961,39 +758,48 @@ let shards_arg =
 
 let pool_arg =
   Arg.(
-    value & opt int 1
+    value & opt (Cli.at_least 1) 1
     & info [ "pool" ]
         ~doc:"Background compiler threads per shard (sharded mode).")
 
 let pool_policy_arg =
   Arg.(
-    value & opt string "fifo"
+    value
+    & opt Cli.pool_policy Acsi_aos.System.Fifo
     & info [ "pool-policy" ]
         ~doc:"Compiler-pool queue policy: fifo, hot or deadline.")
 
 let barrier_arg =
   Arg.(
-    value & opt int 2_000_000
+    value
+    & opt (Cli.at_least 1) 2_000_000
     & info [ "barrier" ]
         ~doc:
           "Virtual cycles between cross-shard barriers (DCG merge, code \
            publication, work stealing).")
 
 let serve_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ]
-        ~doc:
-          "Host domains running shards in parallel within a round \
-           (sharded mode); never affects results.")
+  Cli.jobs_arg ~names:[ "jobs" ] ~default:1
+    "Host domains running shards in parallel within a round (sharded \
+     mode); never affects results."
 
-let serve_main verbose benches policy scale requests clients think open_period
-    quantum switch_cost seed sync_compile show_windows shards pool
-    pool_policy_str barrier jobs static_seed =
+(* serve and metrics have no --speculate. *)
+let serve_config_arg = Cli.config_term ~speculate:(Term.const false) ()
+
+let load_arg =
+  let make requests clients think open_period quantum switch_cost seed pool
+      pool_policy barrier jobs =
+    { requests; clients; think; open_period; quantum; switch_cost; seed;
+      pool; pool_policy; barrier; jobs }
+  in
+  Term.(
+    const make $ requests_arg $ clients_arg $ think_arg $ open_period_arg
+    $ quantum_arg $ switch_cost_arg $ seed_arg $ pool_arg $ pool_policy_arg
+    $ barrier_arg $ serve_jobs_arg)
+
+let serve_main verbose specs cfg scale load shards sync_compile show_windows =
   setup_logs verbose;
-  serve_benches ~benches ~policy_str:policy ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~sync_compile ~show_windows
-    ~shards ~pool ~pool_policy_str ~barrier ~jobs ~static_seed
+  serve_benches ~specs ~cfg ~scale ~load ~shards ~sync_compile ~show_windows
 
 let serve_cmd =
   let doc =
@@ -1002,11 +808,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const serve_main $ verbose_arg $ serve_bench_arg $ policy_arg
-      $ scale_arg $ requests_arg $ clients_arg $ think_arg $ open_period_arg
-      $ quantum_arg $ switch_cost_arg $ seed_arg $ sync_compile_arg
-      $ windows_arg $ shards_arg $ pool_arg $ pool_policy_arg $ barrier_arg
-      $ serve_jobs_arg $ static_seed_arg)
+      const serve_main $ Cli.verbose_arg $ serve_bench_arg $ serve_config_arg
+      $ Cli.scale_arg $ load_arg $ shards_arg $ sync_compile_arg $ windows_arg)
 
 (* `acsi-run metrics`: run one serve cell with fleet telemetry and print
    the virtual-clock time-series plus the latency / compile-wait /
@@ -1014,156 +817,105 @@ let serve_cmd =
    Telemetry reads the virtual clock but never charges it, and sharded
    runs emit it only in the serial barrier section, so the export is
    byte-identical across --jobs and never perturbs the run it observes. *)
-let metrics_one ~bench ~policy_str ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~shards ~pool ~pool_policy_str
-    ~barrier ~jobs ~static_seed ~interval ~format ~flows_out =
+let metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out =
   let module Export = Acsi_obs.Export in
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some _ when format <> "openmetrics" && format <> "jsonl" ->
-      Format.eprintf "unknown format %S (openmetrics|jsonl)@." format;
-      2
-  | Some _ when flows_out <> None && shards <= 0 ->
-      Format.eprintf "--flows needs --shards (flow arrows link shards)@.";
-      2
-  | Some policy -> (
-      match Acsi_workloads.Workloads.find bench with
-      | exception Not_found ->
-          Format.eprintf "unknown benchmark %S (use --list)@." bench;
-          2
-      | spec -> (
-          let scale =
-            match scale with
-            | Some s -> s
-            | None -> spec.Acsi_workloads.Workloads.default_scale
-          in
-          let program = spec.Acsi_workloads.Workloads.build ~scale in
-          let name = spec.Acsi_workloads.Workloads.name in
-          let cfg = apply_seed static_seed (Config.default ~policy) in
-          let buf = Buffer.create 4096 in
-          if shards > 0 then
-            match Acsi_aos.System.queue_policy_of_string pool_policy_str with
-            | None ->
-                Format.eprintf "unknown pool policy %S (fifo|hot|deadline)@."
-                  pool_policy_str;
-                2
-            | Some pool_policy ->
-                let period = Option.value open_period ~default:2400 in
-                let result =
-                  Acsi_server.Shards.run ~quantum ~switch_cost ~seed ~jobs
-                    ~barrier ~pool ~pool_policy ~shards ~sessions:requests
-                    ~period ~name cfg program
-                in
-                let tel = result.Acsi_server.Shards.telemetry in
-                let {
-                  Acsi_server.Shards.tel_series;
-                  tel_latency_all;
-                  tel_steal_distance;
-                  tel_compile_wait;
-                  tel_deopt_gap;
-                  _
-                } =
-                  tel
-                in
-                let shard_labels i =
-                  [ ("bench", name); ("shard", string_of_int i) ]
-                in
-                let labels = [ ("bench", name) ] in
-                (match format with
-                | "openmetrics" ->
-                    Array.iteri
-                      (fun i s ->
-                        Export.series_openmetrics buf ~prefix:"acsi_"
-                          ~labels:(shard_labels i) s)
-                      tel_series;
-                    Export.hist_openmetrics buf ~name:"acsi_session_latency"
-                      ~labels tel_latency_all;
-                    Export.hist_openmetrics buf ~name:"acsi_steal_distance"
-                      ~labels tel_steal_distance;
-                    Export.hist_openmetrics buf ~name:"acsi_compile_wait"
-                      ~labels tel_compile_wait;
-                    Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
-                      tel_deopt_gap;
-                    Buffer.add_string buf "# EOF\n"
-                | _ ->
-                    Array.iteri
-                      (fun i s ->
-                        Export.series_jsonl buf ~name:"shard"
-                          ~labels:(shard_labels i) s)
-                      tel_series;
-                    Export.hist_jsonl buf ~name:"session_latency" ~labels
-                      tel_latency_all;
-                    Export.hist_jsonl buf ~name:"steal_distance" ~labels
-                      tel_steal_distance;
-                    Export.hist_jsonl buf ~name:"compile_wait" ~labels
-                      tel_compile_wait;
-                    Export.hist_jsonl buf ~name:"deopt_gap" ~labels
-                      tel_deopt_gap);
-                (match flows_out with
-                | None -> ()
-                | Some path ->
-                    let tracer = Acsi_server.Shards.telemetry_tracer tel in
-                    let fbuf = Buffer.create 4096 in
-                    Export.to_chrome_json fbuf tracer;
-                    write_buffer path fbuf;
-                    Format.eprintf "metrics: wrote flow trace to %s@." path);
-                print_string (Buffer.contents buf);
-                0
-          else begin
-            let mode =
-              match open_period with
-              | Some period -> Acsi_server.Server.Open { period; requests }
-              | None ->
-                  Acsi_server.Server.Closed
-                    { clients; requests_per_client = requests; think }
-            in
-            let result =
-              Acsi_server.Server.run ~quantum ~switch_cost ~seed
-                ?telemetry_interval:interval ~mode ~name cfg program
-            in
-            let {
-              Acsi_server.Server.tl_series;
-              tl_latency;
-              tl_compile_wait;
-              tl_deopt_gap;
-              _
-            } =
-              result.Acsi_server.Server.telemetry
-            in
-            let labels = [ ("bench", name) ] in
-            (match format with
-            | "openmetrics" ->
-                Export.series_openmetrics buf ~prefix:"acsi_" ~labels
-                  tl_series;
-                Export.hist_openmetrics buf ~name:"acsi_request_latency"
-                  ~labels tl_latency;
-                Export.hist_openmetrics buf ~name:"acsi_compile_wait" ~labels
-                  tl_compile_wait;
-                Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
-                  tl_deopt_gap;
-                Buffer.add_string buf "# EOF\n"
-            | _ ->
-                Export.series_jsonl buf ~name:"server" ~labels tl_series;
-                Export.hist_jsonl buf ~name:"request_latency" ~labels
-                  tl_latency;
-                Export.hist_jsonl buf ~name:"compile_wait" ~labels
-                  tl_compile_wait;
-                Export.hist_jsonl buf ~name:"deopt_gap" ~labels tl_deopt_gap);
-            print_string (Buffer.contents buf);
-            0
-          end))
+  if flows_out <> None && shards <= 0 then begin
+    Format.eprintf "--flows needs --shards (flow arrows link shards)@.";
+    2
+  end
+  else begin
+    let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
+    let name = spec.Workloads.name in
+    let labels = [ ("bench", name) ] in
+    let buf = Buffer.create 4096 in
+    (if shards > 0 then begin
+       let tel =
+         (run_shards load ~shards ~name cfg program)
+           .Acsi_server.Shards.telemetry
+       in
+       let {
+         Acsi_server.Shards.tel_series;
+         tel_latency_all;
+         tel_steal_distance;
+         tel_compile_wait;
+         tel_deopt_gap;
+         _;
+       } =
+         tel
+       in
+       let shard_labels i = labels @ [ ("shard", string_of_int i) ] in
+       (match format with
+       | `Openmetrics ->
+           Array.iteri
+             (fun i s ->
+               Export.series_openmetrics buf ~prefix:"acsi_"
+                 ~labels:(shard_labels i) s)
+             tel_series;
+           Export.hist_openmetrics buf ~name:"acsi_session_latency" ~labels
+             tel_latency_all;
+           Export.hist_openmetrics buf ~name:"acsi_steal_distance" ~labels
+             tel_steal_distance;
+           Export.hist_openmetrics buf ~name:"acsi_compile_wait" ~labels
+             tel_compile_wait;
+           Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
+             tel_deopt_gap;
+           Buffer.add_string buf "# EOF\n"
+       | `Jsonl ->
+           Array.iteri
+             (fun i s ->
+               Export.series_jsonl buf ~name:"shard" ~labels:(shard_labels i) s)
+             tel_series;
+           Export.hist_jsonl buf ~name:"session_latency" ~labels
+             tel_latency_all;
+           Export.hist_jsonl buf ~name:"steal_distance" ~labels
+             tel_steal_distance;
+           Export.hist_jsonl buf ~name:"compile_wait" ~labels tel_compile_wait;
+           Export.hist_jsonl buf ~name:"deopt_gap" ~labels tel_deopt_gap);
+       match flows_out with
+       | None -> ()
+       | Some path ->
+           let fbuf = Buffer.create 4096 in
+           Export.to_chrome_json fbuf (Acsi_server.Shards.telemetry_tracer tel);
+           write_buffer path fbuf;
+           Format.eprintf "metrics: wrote flow trace to %s@." path
+     end
+     else
+       let {
+         Acsi_server.Server.tl_series;
+         tl_latency;
+         tl_compile_wait;
+         tl_deopt_gap;
+         _;
+       } =
+         (run_server load ?telemetry_interval:interval ~name cfg program)
+           .Acsi_server.Server.telemetry
+       in
+       match format with
+       | `Openmetrics ->
+           Export.series_openmetrics buf ~prefix:"acsi_" ~labels tl_series;
+           Export.hist_openmetrics buf ~name:"acsi_request_latency" ~labels
+             tl_latency;
+           Export.hist_openmetrics buf ~name:"acsi_compile_wait" ~labels
+             tl_compile_wait;
+           Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
+             tl_deopt_gap;
+           Buffer.add_string buf "# EOF\n"
+       | `Jsonl ->
+           Export.series_jsonl buf ~name:"server" ~labels tl_series;
+           Export.hist_jsonl buf ~name:"request_latency" ~labels tl_latency;
+           Export.hist_jsonl buf ~name:"compile_wait" ~labels tl_compile_wait;
+           Export.hist_jsonl buf ~name:"deopt_gap" ~labels tl_deopt_gap);
+    print_string (Buffer.contents buf);
+    0
+  end
 
 let metrics_bench_arg =
-  Arg.(
-    value & opt string "session"
-    & info [ "b"; "bench" ]
-        ~doc:"Benchmark to serve while collecting telemetry.")
+  Cli.bench_arg ~default:"session"
+    "Benchmark to serve while collecting telemetry."
 
 let metrics_shards_arg =
   Arg.(
-    value & opt (at_least 0) 2
+    value & opt (Cli.at_least 0) 2
     & info [ "shards" ]
         ~doc:
           "Virtual processors for the sharded server; 0 collects \
@@ -1172,7 +924,7 @@ let metrics_shards_arg =
 let metrics_interval_arg =
   Arg.(
     value
-    & opt (some (at_least 1)) None
+    & opt (some (Cli.at_least 1)) None
     & info [ "interval" ] ~docv:"CYCLES"
         ~doc:
           "Time-series sampling interval in virtual cycles (single-VM \
@@ -1180,7 +932,10 @@ let metrics_interval_arg =
 
 let metrics_format_arg =
   Arg.(
-    value & opt string "openmetrics"
+    value
+    & opt
+        (enum [ ("openmetrics", `Openmetrics); ("jsonl", `Jsonl) ])
+        `Openmetrics
     & info [ "format" ] ~doc:"Output format: openmetrics or jsonl.")
 
 let metrics_flows_arg =
@@ -1193,13 +948,9 @@ let metrics_flows_arg =
            arrows between shard tracks) as Chrome trace-event JSON for \
            Perfetto (sharded mode).")
 
-let metrics_main verbose bench policy scale requests clients think
-    open_period quantum switch_cost seed shards pool pool_policy_str barrier
-    jobs static_seed interval format flows_out =
+let metrics_main verbose spec cfg scale load shards interval format flows_out =
   setup_logs verbose;
-  metrics_one ~bench ~policy_str:policy ~scale ~requests ~clients ~think
-    ~open_period ~quantum ~switch_cost ~seed ~shards ~pool ~pool_policy_str
-    ~barrier ~jobs ~static_seed ~interval ~format ~flows_out
+  metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out
 
 let metrics_cmd =
   let doc =
@@ -1209,12 +960,9 @@ let metrics_cmd =
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
-      const metrics_main $ verbose_arg $ metrics_bench_arg $ policy_arg
-      $ scale_arg $ requests_arg $ clients_arg $ think_arg $ open_period_arg
-      $ quantum_arg $ switch_cost_arg $ seed_arg $ metrics_shards_arg
-      $ pool_arg $ pool_policy_arg $ barrier_arg $ serve_jobs_arg
-      $ static_seed_arg $ metrics_interval_arg $ metrics_format_arg
-      $ metrics_flows_arg)
+      const metrics_main $ Cli.verbose_arg $ metrics_bench_arg
+      $ serve_config_arg $ Cli.scale_arg $ load_arg $ metrics_shards_arg
+      $ metrics_interval_arg $ metrics_format_arg $ metrics_flows_arg)
 
 let lint_files_arg =
   Arg.(
@@ -1226,9 +974,9 @@ let lint_files_arg =
 
 let run_cmd_term =
   Term.(
-    const main $ list_arg $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-    $ scale_arg $ compare_arg $ compilations_arg $ disasm_arg $ jobs_arg
-    $ verify_flag $ static_seed_arg $ speculate_arg)
+    const main $ list_arg $ Cli.verbose_arg $ bench_arg $ file_arg
+    $ Cli.scale_arg $ compare_arg $ compilations_arg $ disasm_arg $ jobs_arg
+    $ verify_flag $ Cli.config_term ())
 
 let lint_cmd =
   let doc =
@@ -1255,7 +1003,7 @@ let analyze_cmd =
      monomorphic-dispatch proofs) for programs, without executing them"
   in
   Cmd.v (Cmd.info "analyze" ~doc)
-    Term.(const analyze_main $ verbose_arg $ jobs_arg $ analyze_files_arg)
+    Term.(const analyze_main $ Cli.verbose_arg $ jobs_arg $ analyze_files_arg)
 
 let trace_out_arg =
   Arg.(
@@ -1289,7 +1037,7 @@ let trace_min_pct_arg =
 let trace_capacity_arg =
   Arg.(
     value
-    & opt int (1 lsl 20)
+    & opt (Cli.at_least 1) (1 lsl 20)
     & info [ "capacity" ]
         ~doc:
           "Most events the tracer holds; memory grows with the events \
@@ -1304,12 +1052,12 @@ let trace_probe_arg =
           "Charge the cost model's per-event probe cost to the virtual \
            clock, making the tracing overhead itself visible to the run.")
 
-let trace_main verbose bench file policy scale out jsonl flame min_pct
-    capacity probe_on_clock static_seed speculate =
+let trace_main verbose spec file cfg scale out jsonl flame min_pct capacity
+    probe_on_clock =
   setup_logs verbose;
   reporting_runtime_errors (fun () ->
-      trace_one ~bench ~file ~policy_str:policy ~scale ~out ~jsonl ~flame
-        ~min_pct ~capacity ~probe_on_clock ~static_seed ~speculate)
+      trace_one ~spec ~file ~cfg ~scale ~out ~jsonl ~flame ~min_pct ~capacity
+        ~probe_on_clock)
 
 let trace_cmd =
   let doc =
@@ -1318,10 +1066,10 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const trace_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ trace_out_arg $ trace_jsonl_arg $ trace_flame_arg
-      $ trace_min_pct_arg $ trace_capacity_arg $ trace_probe_arg
-      $ static_seed_arg $ speculate_arg)
+      const trace_main $ Cli.verbose_arg $ bench_arg $ file_arg
+      $ Cli.config_term () $ Cli.scale_arg $ trace_out_arg $ trace_jsonl_arg
+      $ trace_flame_arg $ trace_min_pct_arg $ trace_capacity_arg
+      $ trace_probe_arg)
 
 let explain_query_arg =
   Arg.(
@@ -1333,11 +1081,10 @@ let explain_query_arg =
            site in this method (unqualified or Cls.name), optionally at \
            exactly the given bytecode pc. All decisions when omitted.")
 
-let explain_main verbose bench file policy scale query static_seed speculate =
+let explain_main verbose spec file cfg scale query =
   setup_logs verbose;
   reporting_runtime_errors (fun () ->
-      explain_one ~bench ~file ~policy_str:policy ~scale ~query ~static_seed
-        ~speculate)
+      explain_one ~spec ~file ~cfg ~scale ~query)
 
 let explain_cmd =
   let doc =
@@ -1346,8 +1093,8 @@ let explain_cmd =
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const explain_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ explain_query_arg $ static_seed_arg $ speculate_arg)
+      const explain_main $ Cli.verbose_arg $ bench_arg $ file_arg
+      $ Cli.config_term () $ Cli.scale_arg $ explain_query_arg)
 
 (* `acsi-run profile`: deterministic DCG persistence. --dump writes the
    run's final dynamic call graph in the textual {!Acsi_profile.Persist}
@@ -1355,48 +1102,37 @@ let explain_cmd =
    reproducing the offline profile-directed setups the paper contrasts
    itself with (§6). Profiles are program-specific (dense method ids),
    so dump and load must name the same benchmark and scale. *)
-let profile_one ~bench ~file ~policy_str ~scale ~dump ~load ~static_seed
-    ~speculate =
-  match Acsi_policy.Policy.of_string policy_str with
-  | None ->
-      Format.eprintf "unknown policy %S@." policy_str;
-      2
-  | Some policy -> (
-      match load_program ~bench ~file ~scale with
-      | Error code -> code
-      | Ok (label, program) -> (
-          match
-            match load with
-            | None -> Ok None
-            | Some path -> (
-                try Ok (Some (Acsi_profile.Persist.load path)) with
-                | Acsi_profile.Persist.Malformed msg ->
-                    Error (Printf.sprintf "%s: malformed profile: %s" path msg)
-                | Sys_error msg -> Error msg)
-          with
-          | Error msg ->
-              Format.eprintf "%s@." msg;
-              1
-          | Ok profile ->
-              let cfg =
-                apply_speculate speculate
-                  (apply_seed static_seed (Config.default ~policy))
-              in
-              let result = Runtime.run ?profile cfg program in
-              Format.printf "%s under %s:@.%a@." label
-                (Acsi_policy.Policy.to_string policy)
-                Metrics.pp result.Runtime.metrics;
-              (match load with
-              | Some path -> Format.printf "profile seeded from %s@." path
-              | None -> ());
-              (match dump with
-              | Some path ->
-                  let dcg = Acsi_aos.System.dcg result.Runtime.sys in
-                  Acsi_profile.Persist.save path dcg;
-                  Format.printf "profile (%d traces) written to %s@."
-                    (Acsi_profile.Dcg.size dcg) path
-              | None -> ());
-              0))
+let profile_one ~spec ~file ~cfg ~scale ~dump ~load =
+  match load_program ~spec ~file ~scale with
+  | Error code -> code
+  | Ok (label, program) -> (
+      match
+        match load with
+        | None -> Ok None
+        | Some path -> (
+            try Ok (Some (Acsi_profile.Persist.load path)) with
+            | Acsi_profile.Persist.Malformed msg ->
+                Error (Printf.sprintf "%s: malformed profile: %s" path msg)
+            | Sys_error msg -> Error msg)
+      with
+      | Error msg ->
+          Format.eprintf "%s@." msg;
+          1
+      | Ok profile ->
+          let result = Runtime.run ?profile cfg program in
+          Format.printf "%s under %s:@.%a@." label (policy_name cfg) Metrics.pp
+            result.Runtime.metrics;
+          (match load with
+          | Some path -> Format.printf "profile seeded from %s@." path
+          | None -> ());
+          (match dump with
+          | Some path ->
+              let dcg = Acsi_aos.System.dcg result.Runtime.sys in
+              Acsi_profile.Persist.save path dcg;
+              Format.printf "profile (%d traces) written to %s@."
+                (Acsi_profile.Dcg.size dcg) path
+          | None -> ());
+          0)
 
 let profile_dump_arg =
   Arg.(
@@ -1414,12 +1150,10 @@ let profile_load_arg =
           "Seed the dynamic call graph from FILE before the run (offline \
            profile-directed inlining).")
 
-let profile_main verbose bench file policy scale dump load static_seed
-    speculate =
+let profile_main verbose spec file cfg scale dump load =
   setup_logs verbose;
   reporting_runtime_errors (fun () ->
-      profile_one ~bench ~file ~policy_str:policy ~scale ~dump ~load
-        ~static_seed ~speculate)
+      profile_one ~spec ~file ~cfg ~scale ~dump ~load)
 
 let profile_cmd =
   let doc =
@@ -1428,9 +1162,9 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const profile_main $ verbose_arg $ bench_arg $ file_arg $ policy_arg
-      $ scale_arg $ profile_dump_arg $ profile_load_arg $ static_seed_arg
-      $ speculate_arg)
+      const profile_main $ Cli.verbose_arg $ bench_arg $ file_arg
+      $ Cli.config_term () $ Cli.scale_arg $ profile_dump_arg
+      $ profile_load_arg)
 
 let cmd =
   let doc =

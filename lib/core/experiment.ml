@@ -56,6 +56,32 @@ let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1)
     points = List.rev points;
   }
 
+(* The paper's Figure 4-6 sweep, defined once for every driver that runs
+   it. Termination statistics only increment counters on the trace
+   listener (no virtual-time or decision effect), so every figure is the
+   same with them on, and the fixed(max=5) cells double as the
+   termination-statistics runs. *)
+let paper_config (cfg : Config.t) =
+  {
+    cfg with
+    Config.aos =
+      {
+        cfg.Config.aos with
+        Acsi_aos.System.collect_termination_stats = true;
+      };
+  }
+
+let paper_benches ~scale_factor =
+  List.map
+    (fun (name, program) -> { name; program })
+    (Acsi_workloads.Workloads.build_all ~scale_factor ())
+
+let paper_policies = Policy.Context_insensitive :: Policy.paper_sweep
+
+let paper_sweep ?progress ?jobs ?cell_hook cfg ~scale_factor =
+  run_sweep ?progress ?jobs ?cell_hook (paper_config cfg)
+    ~benches:(paper_benches ~scale_factor) ~policies:Policy.paper_sweep
+
 let find sweep ~bench ~policy =
   List.find_opt
     (fun p -> String.equal p.bench bench && p.policy = policy)

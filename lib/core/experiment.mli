@@ -40,6 +40,35 @@ val run_sweep :
     (benchmark, policy) cells later; the hook must be thread-safe when
     [jobs > 1]. *)
 
+(** {2 The paper's sweep}
+
+    Figures 4-6 and Table 1 evaluate one cell space: the eight suite
+    programs under the context-insensitive baseline and each of the 24
+    policies of {!Policy.paper_sweep}. Every driver that runs it reads
+    these definitions. *)
+
+val paper_config : Config.t -> Config.t
+(** [cfg] with termination statistics collected: they only fill counters
+    on the trace listener, so every figure is unchanged. *)
+
+val paper_benches : scale_factor:float -> bench list
+(** The suite's programs at {!Acsi_workloads.Workloads.scaled}. *)
+
+val paper_policies : Policy.t list
+(** [Context_insensitive :: Policy.paper_sweep]: every policy a suite
+    program runs under, baseline first ({!run_sweep} adds the baseline
+    itself, so {!paper_sweep} passes it the rest). *)
+
+val paper_sweep :
+  ?progress:(string -> unit) ->
+  ?jobs:int ->
+  ?cell_hook:(bench:string -> policy:Policy.t -> Runtime.result -> unit) ->
+  Config.t ->
+  scale_factor:float ->
+  sweep
+(** {!run_sweep} over {!paper_benches} and {!paper_policies} under
+    {!paper_config} [cfg]: the cells of Table 1 and Figures 4-6. *)
+
 val find : sweep -> bench:string -> policy:Policy.t -> Metrics.t option
 val baseline : sweep -> bench:string -> Metrics.t
 

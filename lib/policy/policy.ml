@@ -51,8 +51,8 @@ let of_string s =
   | Some i -> (
       let family = String.sub s 0 i in
       try
-        Scanf.sscanf (String.sub s i (String.length s - i)) "(max=%d)"
-          (fun n -> make family n)
+        Scanf.sscanf (String.sub s i (String.length s - i)) "(max=%d)%!"
+          (fun n -> if n >= 1 then make family n else None)
       with Scanf.Scan_failure _ | Failure _ | End_of_file -> None)
 
 (* The state-flow tests of §4.3, applied to the most recently added chain

@@ -43,7 +43,9 @@ val to_string : t -> string
 
 val of_string : string -> t option
 (** Parses [to_string]'s format as well as bare family names (which get
-    max = 5, except "cins"). *)
+    max = 5, except "cins"). [None] for anything else, including a max
+    below 1 (which {!max_depth} would silently raise to 1) and trailing
+    text after the closing parenthesis. *)
 
 val should_extend :
   t -> Program.t -> callee:Meth.t -> last_caller:Meth.t -> chain_len:int -> bool

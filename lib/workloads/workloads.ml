@@ -94,11 +94,8 @@ let extended =
 
 let find name = List.find (fun s -> String.equal s.name name) (all @ extended)
 
+let scaled s ~scale_factor =
+  max 1 (int_of_float (scale_factor *. float_of_int s.default_scale))
+
 let build_all ?(scale_factor = 1.0) () =
-  List.map
-    (fun s ->
-      let scale =
-        max 1 (int_of_float (scale_factor *. float_of_int s.default_scale))
-      in
-      (s.name, s.build ~scale))
-    all
+  List.map (fun s -> (s.name, s.build ~scale:(scaled s ~scale_factor))) all

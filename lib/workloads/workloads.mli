@@ -29,6 +29,11 @@ val extended : spec list
 val find : string -> spec
 (** Looks in {!all} and then {!extended}. Raises [Not_found]. *)
 
+val scaled : spec -> scale_factor:float -> int
+(** The spec's default scale multiplied by [scale_factor], truncated, and
+    at least 1: the one rule every scaled run (the bench's [--quick] and
+    [--scale-factor], the sweeps) follows. *)
+
 val build_all : ?scale_factor:float -> unit -> (string * Acsi_bytecode.Program.t) list
-(** Compile every benchmark at its default scale multiplied by
-    [scale_factor] (default 1.0; tests use small factors). *)
+(** Compile every benchmark of {!all} at {!scaled} [~scale_factor]
+    (default 1.0; tests use small factors). *)

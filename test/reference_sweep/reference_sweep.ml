@@ -1,7 +1,8 @@
-(* Runs every cell of the bench's quick sweep — the eight suite programs
-   at scale 0.25 under the context-insensitive baseline and each policy
-   of [Policy.paper_sweep], with termination statistics on, exactly as
-   bench/main.exe --quick configures them — twice: through
+(* Runs every cell of the bench's quick sweep — [Experiment]'s paper
+   sweep (the eight suite programs under the context-insensitive
+   baseline and each of the 24 policies, termination statistics on) at
+   scale factor 0.25, the definition bench/main.exe --quick reads too —
+   twice: through
    [Runtime.run] (the closure tier and its one-instruction tails) and through
    [Runtime.run_reference] (the same adaptive system driven from the
    naive instruction-at-a-time loop). Each cell must agree on output,
@@ -17,9 +18,9 @@
 module Interp = Acsi_vm.Interp
 module System = Acsi_aos.System
 module Config = Acsi_core.Config
+module Experiment = Acsi_core.Experiment
 module Parallel = Acsi_core.Parallel
 module Policy = Acsi_policy.Policy
-module Workloads = Acsi_workloads.Workloads
 module Metrics = Acsi_core.Metrics
 
 let drive run (cfg : Config.t) program =
@@ -36,21 +37,16 @@ let drive run (cfg : Config.t) program =
   (Interp.output vm, Metrics.of_run vm sys, !samples)
 
 let () =
-  let cfg = Config.default ~policy:Policy.Context_insensitive in
   let cfg =
-    {
-      cfg with
-      Config.aos =
-        { cfg.Config.aos with System.collect_termination_stats = true };
-    }
+    Experiment.paper_config (Config.default ~policy:Policy.Context_insensitive)
   in
-  let programs = Workloads.build_all ~scale_factor:0.25 () in
+  let benches = Experiment.paper_benches ~scale_factor:0.25 in
   let cells =
     List.concat_map
-      (fun policy -> List.map (fun (name, p) -> (name, policy, p)) programs)
-      (Policy.Context_insensitive :: Policy.paper_sweep)
+      (fun policy -> List.map (fun b -> (policy, b)) benches)
+      Experiment.paper_policies
   in
-  let check (name, policy, program) =
+  let check (policy, { Experiment.name; program }) =
     let cfg = Config.with_policy cfg policy in
     let out, metrics, samples =
       drive (fun ~cycle_limit vm -> Interp.run ~cycle_limit vm) cfg program
