@@ -17,7 +17,8 @@
    whose configs differ at equal scale would report a knob's intended
    effect as a regression: refused with exit 2 unless
    --allow-cross-config, which skips the identity checks. Malformed
-   input and bad arguments also exit 2, with a one-line diagnostic. *)
+   input also exits 2, with a one-line diagnostic; a bad argument is a
+   usage error (exit 124). *)
 
 (* Each SLO key reads one metric of one section of the NEW run; the
    budget holds the metric's maximum over that section's cells. *)
@@ -29,13 +30,6 @@ let slo_keys =
     ("guards", ("speculation", "guards_on"));
   ]
 
-let usage =
-  "usage: compare.exe OLD.json NEW.json [--old-run N] [--new-run N] \
-   [--allow-cross-config] [--slo KEY=BUDGET]...\n\
-   SLO keys (checked against the NEW run, violation exits 1): "
-  ^ String.concat ", "
-      (List.map (fun (k, (s, m)) -> Printf.sprintf "%s (%s %s)" k s m) slo_keys)
-
 let die fmt =
   Format.kasprintf
     (fun m ->
@@ -43,68 +37,6 @@ let die fmt =
       prerr_endline ("compare.exe: " ^ m);
       exit 2)
     fmt
-
-type opts = {
-  mutable old_file : string option;
-  mutable new_file : string option;
-  mutable old_run : int option;  (* index into the trajectory; default last *)
-  mutable new_run : int option;
-  mutable allow_cross_config : bool;
-  mutable slo : (string * int) list;  (* declared budgets, argv order *)
-}
-
-let parse_args () =
-  let o =
-    {
-      old_file = None;
-      new_file = None;
-      old_run = None;
-      new_run = None;
-      allow_cross_config = false;
-      slo = [];
-    }
-  in
-  let int_arg name v =
-    match int_of_string_opt v with
-    | Some i when i >= 0 -> i
-    | _ -> die "invalid %s value %s" name v
-  in
-  let rec go = function
-    | [] -> ()
-    | "--allow-cross-config" :: rest ->
-        o.allow_cross_config <- true;
-        go rest
-    | "--old-run" :: v :: rest ->
-        o.old_run <- Some (int_arg "--old-run" v);
-        go rest
-    | "--new-run" :: v :: rest ->
-        o.new_run <- Some (int_arg "--new-run" v);
-        go rest
-    | "--slo" :: v :: rest ->
-        (match String.index_opt v '=' with
-        | Some i ->
-            let key = String.sub v 0 i in
-            if not (List.mem_assoc key slo_keys) then
-              die "unknown SLO key %S (known: %s)" key
-                (String.concat ", " (List.map fst slo_keys));
-            let budget =
-              int_arg "--slo" (String.sub v (i + 1) (String.length v - i - 1))
-            in
-            o.slo <- o.slo @ [ (key, budget) ]
-        | None -> die "invalid --slo value %s (want KEY=BUDGET)" v);
-        go rest
-    | arg :: rest when o.old_file = None ->
-        o.old_file <- Some arg;
-        go rest
-    | arg :: rest when o.new_file = None ->
-        o.new_file <- Some arg;
-        go rest
-    | arg :: _ -> die "unexpected argument %s" arg
-  in
-  go (List.tl (Array.to_list Sys.argv));
-  match (o.old_file, o.new_file) with
-  | Some a, Some b -> (o, a, b)
-  | _ -> die "two results files required@.%s" usage
 
 let load path idx =
   let runs =
@@ -126,10 +58,9 @@ let differing_knobs a b =
     (fun k -> List.mem k a <> List.mem k b)
     (List.sort_uniq compare (a @ b))
 
-let () =
-  let o, old_path, new_path = parse_args () in
-  let old_run, old_i, old_n = load old_path o.old_run in
-  let new_run, new_i, new_n = load new_path o.new_run in
+let main old_path new_path old_run new_run allow_cross_config slo =
+  let old_run, old_i, old_n = load old_path old_run in
+  let new_run, new_i, new_n = load new_path new_run in
   let header tag path i n (r : Results.run) =
     Printf.printf "%s: %s (run %d/%d)  jobs %d  scale %g  config %s\n" tag path
       i (n - 1) r.Results.jobs r.Results.scale_factor
@@ -146,7 +77,7 @@ let () =
       "note: scale factors differ — figures are not comparable, identity \
        checks skipped";
   if same_scale && knobs <> [] then begin
-    if not o.allow_cross_config then
+    if not allow_cross_config then
       die
         "refusing to compare runs whose configs differ at equal scale (%s): \
          those knobs change figures by design. Pass --allow-cross-config to \
@@ -221,7 +152,7 @@ let () =
               Printf.printf "SLO ok: %s %d within budget %d\n" key m budget;
               None
             end)
-      o.slo
+      slo
   in
   if !mismatches <> [] then begin
     Printf.printf "\nDETERMINISM VIOLATION: %d metrics changed:\n"
@@ -247,3 +178,72 @@ let () =
       slo_violations
   end;
   if !mismatches <> [] || slo_violations <> [] then exit 1
+
+open Cmdliner
+module Cli = Acsi_cli.Cli
+
+(* KEY=BUDGET, KEY one of [slo_keys] and BUDGET an integer >= 0. *)
+let slo =
+  let parse v =
+    match String.index_opt v '=' with
+    | None ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', want KEY=BUDGET" v))
+    | Some i ->
+        let key = String.sub v 0 i in
+        if List.mem_assoc key slo_keys then
+          Result.map
+            (fun budget -> (key, budget))
+            (Arg.conv_parser (Cli.at_least 0)
+               (String.sub v (i + 1) (String.length v - i - 1)))
+        else
+          Error
+            (`Msg
+              (Printf.sprintf "unknown SLO key '%s' (known: %s)" key
+                 (String.concat ", " (List.map fst slo_keys))))
+  in
+  Arg.conv (parse, fun ppf (k, b) -> Format.fprintf ppf "%s=%d" k b)
+
+let run_arg name which =
+  Arg.(
+    value
+    & opt (some (Cli.at_least 0)) None
+    & info [ name ] ~docv:"N"
+        ~doc:
+          (Printf.sprintf "Compare run $(docv) of %s (default: its last)."
+             which))
+
+let results_arg n docv =
+  Arg.(required & pos n (some string) None & info [] ~docv)
+
+let cmd =
+  let doc = "diff two benchmark results files on the virtual clock" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"on a determinism or SLO violation."
+    :: Cmd.Exit.info 2
+         ~doc:"on unreadable or malformed input, or configs that differ."
+    :: Cmd.Exit.defaults
+  in
+  Cmd.v
+    (Cmd.info "compare.exe" ~doc ~exits)
+    Term.(
+      const main $ results_arg 0 "OLD.json" $ results_arg 1 "NEW.json"
+      $ run_arg "old-run" "OLD.json" $ run_arg "new-run" "NEW.json"
+      $ Arg.(
+          value & flag
+          & info [ "allow-cross-config" ]
+              ~doc:
+                "Compare runs whose configs differ at equal scale, skipping \
+                 the identity checks.")
+      $ Arg.(
+          value & opt_all slo []
+          & info [ "slo" ] ~docv:"KEY=BUDGET"
+              ~doc:
+                ("Exit 1 when KEY's metric in the NEW run exceeds BUDGET. \
+                  Keys: "
+                ^ String.concat ", "
+                    (List.map
+                       (fun (k, (s, m)) -> Printf.sprintf "%s (%s %s)" k s m)
+                       slo_keys)
+                ^ ".")))
+
+let () = exit (Cmd.eval cmd)

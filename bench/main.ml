@@ -785,14 +785,22 @@ let sweep_cells (s : Experiment.sweep) =
       s.Experiment.points
 
 (* The trajectory a --json run appends to, read before any cell runs: a
-   file that cannot be read aborts the run and is left untouched. *)
+   file that cannot be read aborts the run and is left untouched, and a
+   path that cannot be written is one [path: message] line and exit 1. *)
 let read_trajectory path =
-  if not (Sys.file_exists path) then []
-  else
-    try Results.read_file path
-    with Sys_error msg | Results.Parse_error msg ->
-      Format.eprintf "cannot append to %s: %s@." path msg;
-      exit 2
+  let prior =
+    if not (Sys.file_exists path) then []
+    else
+      try Results.read_file path
+      with Sys_error msg | Results.Parse_error msg ->
+        Format.eprintf "cannot append to %s: %s@." path msg;
+        exit 2
+  in
+  match Results.check_writable path with
+  | () -> prior
+  | exception Sys_error msg ->
+      Format.eprintf "%s@." msg;
+      exit 1
 
 let write_json mode path prior cells =
   let run =

@@ -300,10 +300,17 @@ let output_run oc r ~last =
     r.cells;
   Printf.fprintf oc "      ]\n    }%s\n" (if last then "" else ",")
 
+let tmp_of path = path ^ ".tmp"
+
+(* Raises [Sys_error] where [write_file path] could not write. *)
+let check_writable path =
+  close_out (open_out (tmp_of path));
+  Sys.remove (tmp_of path)
+
 (* Written to a temporary file and renamed over [path], so a failed
    write never leaves a truncated trajectory behind. *)
 let write_file path runs =
-  let tmp = path ^ ".tmp" in
+  let tmp = tmp_of path in
   let oc = open_out tmp in
   Printf.fprintf oc "{\n  \"runs\": [\n";
   let last = List.length runs - 1 in

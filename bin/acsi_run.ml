@@ -36,8 +36,9 @@ let load_acsi path =
   | exception Sys_error msg -> Error msg
 
 (* A trap or the cycle limit ends the run with one diagnostic and exit 1;
-   the limit bounds the whole run, so there is nothing to resume. *)
-let reporting_runtime_errors f =
+   the limit bounds the whole run, so there is nothing to resume. So does
+   an output file that cannot be written: one [path: message] line. *)
+let reporting_errors f =
   match f () with
   | code -> code
   | exception Acsi_vm.Interp.Runtime_error msg ->
@@ -45,6 +46,9 @@ let reporting_runtime_errors f =
       1
   | exception Acsi_vm.Interp.Cycle_limit_exceeded ->
       Format.eprintf "runtime error: cycle limit exceeded@.";
+      1
+  | exception Sys_error msg ->
+      Format.eprintf "%s@." msg;
       1
 
 (* Print the installed code of every method whose (unmangled) name
@@ -229,7 +233,7 @@ let main list_only verbose spec file scale compare_baseline show_compilations
   setup_logs verbose;
   if list_only then list_benchmarks ()
   else
-    reporting_runtime_errors (fun () ->
+    reporting_errors (fun () ->
         run_one ~spec ~file ~cfg ~scale ~compare_baseline ~show_compilations
           ~disasm ~jobs ~verify)
 
@@ -274,10 +278,6 @@ let trace_one ~spec ~file ~cfg ~scale ~out ~jsonl ~flame ~min_pct ~capacity
           probe_on_clock;
         }
       in
-      (* Reset the process-global tier-cache counters so the line
-         below reports exactly this run's traffic (deterministic:
-         one VM, no concurrent sweeps in this process). *)
-      Metrics.reset_tier_cache_stats ();
       let result = run_with_obs ~cfg ~obs program in
       let sys = result.Runtime.sys in
       let m = result.Runtime.metrics in
@@ -307,11 +307,6 @@ let trace_one ~spec ~file ~cfg ~scale ~out ~jsonl ~flame ~min_pct ~capacity
          inlined, %d refused)@."
         (Acsi_obs.Tracer.length tracer)
         dropped (inlined + refused) inlined refused;
-      let cs = Metrics.tier_cache_stats () in
-      Format.printf
-        "tier cache: %d hits, %d misses, %d evictions (shared \
-         baseline-compile MRU)@."
-        cs.Metrics.hits cs.Metrics.misses cs.Metrics.evictions;
       (* On-stack transfer traffic; only under --speculate (or OSR)
          is there anything to say. *)
       if m.Metrics.osr_count > 0 then
@@ -389,64 +384,44 @@ let explain_one ~spec ~file ~cfg ~scale ~query =
           let selected =
             match query with
             | None -> Ok (Acsi_obs.Provenance.all prov)
-            | Some q -> (
-                let meth_str, pc =
-                  match String.index_opt q ':' with
-                  | None -> (q, Ok None)
-                  | Some i ->
-                      let pc_str =
-                        String.sub q (i + 1) (String.length q - i - 1)
-                      in
-                      ( String.sub q 0 i,
-                        match int_of_string_opt pc_str with
-                        | Some pc when pc >= 0 -> Ok (Some pc)
-                        | Some _ | None -> Error pc_str )
+            | Some (meth_str, pc) -> (
+                (* Method names carry an arity suffix ("get/1"); accept
+                   queries with or without it, qualified by class or
+                   not. *)
+                let unmangled s =
+                  match String.index_opt s '/' with
+                  | Some i -> String.sub s 0 i
+                  | None -> s
                 in
-                match pc with
-                | Error pc_str ->
-                    Format.eprintf "invalid pc %S in query %S@." pc_str q;
+                let callers =
+                  Array.to_list (Acsi_bytecode.Program.methods program)
+                  |> List.filter_map (fun (m : Acsi_bytecode.Meth.t) ->
+                         let mid = m.Acsi_bytecode.Meth.id in
+                         let forms =
+                           [
+                             m.Acsi_bytecode.Meth.name;
+                             unmangled m.Acsi_bytecode.Meth.name;
+                             name mid;
+                             unmangled (name mid);
+                           ]
+                         in
+                         if List.exists (String.equal meth_str) forms then
+                           Some mid
+                         else None)
+                in
+                match callers with
+                | [] ->
+                    Format.eprintf
+                      "no method named %S (try a \"Cls.name\" qualified \
+                       name)@."
+                      meth_str;
                     Error 2
-                | Ok pc -> (
-                    (* Method names carry an arity suffix ("get/1");
-                       accept queries with or without it, qualified
-                       by class or not. *)
-                    let unmangled s =
-                      match String.index_opt s '/' with
-                      | Some i -> String.sub s 0 i
-                      | None -> s
-                    in
-                    let callers =
-                      Array.to_list
-                        (Acsi_bytecode.Program.methods program)
-                      |> List.filter_map
-                           (fun (m : Acsi_bytecode.Meth.t) ->
-                             let mid = m.Acsi_bytecode.Meth.id in
-                             let forms =
-                               [
-                                 m.Acsi_bytecode.Meth.name;
-                                 unmangled m.Acsi_bytecode.Meth.name;
-                                 name mid;
-                                 unmangled (name mid);
-                               ]
-                             in
-                             if List.exists (String.equal meth_str) forms
-                             then Some mid
-                             else None)
-                    in
-                    match callers with
-                    | [] ->
-                        Format.eprintf
-                          "no method named %S (try a \"Cls.name\" \
-                           qualified name)@."
-                          meth_str;
-                        Error 2
-                    | callers ->
-                        Ok
-                          (List.concat_map
-                             (fun caller ->
-                               Acsi_obs.Provenance.at prov ~caller
-                                 ?callsite:pc ())
-                             callers)))
+                | callers ->
+                    Ok
+                      (List.concat_map
+                         (fun caller ->
+                           Acsi_obs.Provenance.at prov ~caller ?callsite:pc ())
+                         callers))
           in
           match selected with
           | Error code -> code
@@ -950,7 +925,8 @@ let metrics_flows_arg =
 
 let metrics_main verbose spec cfg scale load shards interval format flows_out =
   setup_logs verbose;
-  metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out
+  reporting_errors (fun () ->
+      metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out)
 
 let metrics_cmd =
   let doc =
@@ -1055,7 +1031,7 @@ let trace_probe_arg =
 let trace_main verbose spec file cfg scale out jsonl flame min_pct capacity
     probe_on_clock =
   setup_logs verbose;
-  reporting_runtime_errors (fun () ->
+  reporting_errors (fun () ->
       trace_one ~spec ~file ~cfg ~scale ~out ~jsonl ~flame ~min_pct ~capacity
         ~probe_on_clock)
 
@@ -1071,10 +1047,28 @@ let trace_cmd =
       $ trace_flame_arg $ trace_min_pct_arg $ trace_capacity_arg
       $ trace_probe_arg)
 
+(* METHOD[:PC]: a method name and an optional call-site pc >= 0. *)
+let explain_query =
+  let parse q =
+    match String.index_opt q ':' with
+    | None -> Ok (q, None)
+    | Some i -> (
+        let pc = String.sub q (i + 1) (String.length q - i - 1) in
+        match int_of_string_opt pc with
+        | Some n when n >= 0 -> Ok (String.sub q 0 i, Some n)
+        | Some _ | None ->
+            Error (`Msg (Printf.sprintf "invalid pc '%s' in '%s'" pc q)))
+  in
+  let pp ppf (meth, pc) =
+    Format.pp_print_string ppf meth;
+    Option.iter (Format.fprintf ppf ":%d") pc
+  in
+  Arg.conv (parse, pp)
+
 let explain_query_arg =
   Arg.(
     value
-    & pos 0 (some string) None
+    & pos 0 (some explain_query) None
     & info [] ~docv:"METHOD[:PC]"
         ~doc:
           "Restrict to decisions whose innermost context entry is a call \
@@ -1083,7 +1077,7 @@ let explain_query_arg =
 
 let explain_main verbose spec file cfg scale query =
   setup_logs verbose;
-  reporting_runtime_errors (fun () ->
+  reporting_errors (fun () ->
       explain_one ~spec ~file ~cfg ~scale ~query)
 
 let explain_cmd =
@@ -1110,28 +1104,27 @@ let profile_one ~spec ~file ~cfg ~scale ~dump ~load =
         match load with
         | None -> Ok None
         | Some path -> (
-            try Ok (Some (Acsi_profile.Persist.load path)) with
-            | Acsi_profile.Persist.Malformed msg ->
-                Error (Printf.sprintf "%s: malformed profile: %s" path msg)
-            | Sys_error msg -> Error msg)
+            try Ok (Some (Acsi_profile.Persist.load path))
+            with Acsi_profile.Persist.Malformed msg ->
+              Error (Printf.sprintf "%s: malformed profile: %s" path msg))
       with
       | Error msg ->
           Format.eprintf "%s@." msg;
           1
       | Ok profile ->
           let result = Runtime.run ?profile cfg program in
+          let dcg = Acsi_aos.System.dcg result.Runtime.sys in
+          Option.iter (fun path -> Acsi_profile.Persist.save path dcg) dump;
           Format.printf "%s under %s:@.%a@." label (policy_name cfg) Metrics.pp
             result.Runtime.metrics;
           (match load with
           | Some path -> Format.printf "profile seeded from %s@." path
           | None -> ());
-          (match dump with
-          | Some path ->
-              let dcg = Acsi_aos.System.dcg result.Runtime.sys in
-              Acsi_profile.Persist.save path dcg;
+          Option.iter
+            (fun path ->
               Format.printf "profile (%d traces) written to %s@."
-                (Acsi_profile.Dcg.size dcg) path
-          | None -> ());
+                (Acsi_profile.Dcg.size dcg) path)
+            dump;
           0)
 
 let profile_dump_arg =
@@ -1152,7 +1145,7 @@ let profile_load_arg =
 
 let profile_main verbose spec file cfg scale dump load =
   setup_logs verbose;
-  reporting_runtime_errors (fun () ->
+  reporting_errors (fun () ->
       profile_one ~spec ~file ~cfg ~scale ~dump ~load)
 
 let profile_cmd =

@@ -234,11 +234,7 @@ let pp fmt t =
       t.osr_up t.osr_down t.deopt_guard t.deopt_invalidate;
   f fmt "output checksum      %d@]" t.output_checksum
 
-type cache_stats = Acsi_vm.Tier.cache_stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-}
+type cache_stats = { hits : int; misses : int; evictions : int }
 
-let tier_cache_stats () = Acsi_vm.Tier.cache_stats ()
-let reset_tier_cache_stats () = Acsi_vm.Tier.reset_cache_stats ()
+let tier_cache_stats () = { hits = 0; misses = 0; evictions = 0 }
+let reset_tier_cache_stats () = ()

@@ -115,22 +115,20 @@ val component_pct : t -> Accounting.component -> float
 val checksum : int list -> int
 (** Order-sensitive checksum of a VM output stream. *)
 
-(** {2 Tier cache statistics}
+(** {2 Tier cache statistics (stubs)}
 
-    Traffic counters of the process-global MRU baseline-compile cache
-    ({!Acsi_vm.Tier}). Deliberately *not* part of {!t}: the counters are
-    shared across every VM in the process and their hit/miss split
-    depends on domain interleaving under parallel sweeps, so folding
-    them into per-run metrics would break the determinism contract.
-    Single-run tools ([acsi-run trace]) report them directly. *)
+    There is no baseline-compile cache: each VM compiles a method's
+    closures at its first execution. These stubs keep the repository
+    benchmark's [vm.tier_cache_*] per-layer metrics building; they go
+    with the benchmark-definition change that drops those metrics
+    (ROADMAP.md, "Noise-free host metrics"). *)
 
-type cache_stats = Acsi_vm.Tier.cache_stats = {
-  hits : int;
-  misses : int;
-  evictions : int;
-}
+type cache_stats = { hits : int; misses : int; evictions : int }
 
 val tier_cache_stats : unit -> cache_stats
+(** Always all zeros. *)
+
 val reset_tier_cache_stats : unit -> unit
+(** Does nothing. *)
 
 val pp : Format.formatter -> t -> unit

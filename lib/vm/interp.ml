@@ -110,7 +110,7 @@ and t = {
    hangs off that one argument, and OCaml applies an unknown
    single-argument closure directly, while more arguments go through a
    [caml_applyN] shuffling stub on every statement. Closures never
-   capture a VM, so baseline code is shared across VMs and domains. *)
+   capture a VM, so a shard can adopt code another shard's VM compiled. *)
 and nfn = frame -> unit
 
 (* See [resume] below. *)

@@ -121,8 +121,8 @@ and nfn = frame -> unit
     frame it runs: it resumes that frame at the pc it was compiled for,
     reaching the VM through [f_vm]. Single-argument closures apply
     directly in native code, without a [caml_applyN] stub per
-    statement, and since no closure captures a VM, baseline closures
-    are shared across VMs and domains. *)
+    statement, and since no closure captures a VM, a shard can adopt
+    closures another shard's VM compiled. *)
 
 and thread
 (** A virtual thread; see {!resume}. *)

@@ -51,8 +51,8 @@ open Interp
    Frames. Every closure takes the frame it runs ({!Interp.nfn}): the
    VM ([f_vm]), the registers and the window state ([f_rem], the budget
    left; [f_nin], the instructions not yet settled) are fields of that
-   one argument, so a closure captures no VM and baseline closures are
-   shared across VMs and domains. A dispatch into a frame sets its
+   one argument, so a closure captures no VM, and a shard can adopt
+   closures another shard's VM compiled. A dispatch into a frame sets its
    window state; a call or return settles it and the next frame starts
    afresh, so switching frames stores no pointer.
 
@@ -871,97 +871,6 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
   done;
   (nfns, depths)
 
-(* The bench sweep runs one program under dozens of policies, and every
-   run closure-compiles the same baseline bodies again. A baseline
-   body's closure code depends only on the bytecode and the cost model —
-   never on the VM instance (runtime state flows in through the frame
-   the closures receive) — so the compiled closures can be
-   shared across runs of the same program: one (program, cost) entry
-   maps method ids to their compiled code.
-   Optimized bodies are run-specific (each run inlines differently) and
-   are never cached. The entry list is capped and
-   most-recently-used-first so suites that churn through thousands of
-   generated programs neither pin them all nor scan a long list. *)
-type shared_code = {
-  sc_program : Program.t;
-  sc_cost : Cost.t;
-  sc_methods : (nfn array * int array) option array;  (* by method id *)
-}
-
-let shared : shared_code list ref = ref []
-let shared_max = 32
-let shared_mutex = Mutex.create ()
-
-(* Process-global cache traffic counters, guarded by [shared_mutex]. A
-   hit is a method whose closures were found compiled; a miss compiles
-   them (and populates the cache); an eviction drops a whole
-   (program, cost) entry off the MRU tail. Reads outside the
-   mutex see a consistent-enough snapshot for reporting. *)
-type cache_stats = { hits : int; misses : int; evictions : int }
-
-let cache_hits = ref 0
-let cache_misses = ref 0
-let cache_evictions = ref 0
-
-let cache_stats () =
-  Mutex.lock shared_mutex;
-  let s =
-    { hits = !cache_hits; misses = !cache_misses; evictions = !cache_evictions }
-  in
-  Mutex.unlock shared_mutex;
-  s
-
-let reset_cache_stats () =
-  Mutex.lock shared_mutex;
-  cache_hits := 0;
-  cache_misses := 0;
-  cache_evictions := 0;
-  Mutex.unlock shared_mutex
-
-let compile_baseline_cached t (mid : Ids.Method_id.t) (code : Code.t) =
-  Mutex.lock shared_mutex;
-  let entry =
-    match
-      List.find_opt
-        (fun e -> e.sc_program == t.program && e.sc_cost = t.cost)
-        !shared
-    with
-    | Some e ->
-        shared := e :: List.filter (fun x -> x != e) !shared;
-        e
-    | None ->
-        let e =
-          {
-            sc_program = t.program;
-            sc_cost = t.cost;
-            sc_methods = Array.make (Program.method_count t.program) None;
-          }
-        in
-        cache_evictions :=
-          !cache_evictions + max 0 (List.length !shared - (shared_max - 1));
-        shared := e :: List.filteri (fun i _ -> i < shared_max - 1) !shared;
-        e
-  in
-  let cached = entry.sc_methods.((mid :> int)) in
-  (match cached with
-  | Some _ -> incr cache_hits
-  | None -> incr cache_misses);
-  Mutex.unlock shared_mutex;
-  match cached with
-  | Some r -> r
-  | None ->
-      (* Compile outside the lock; two domains racing on one method both
-         produce equivalent closures and the later store wins. *)
-      let r = compile t code in
-      Mutex.lock shared_mutex;
-      entry.sc_methods.((mid :> int)) <- Some r;
-      Mutex.unlock shared_mutex;
-      r
-
 let install t (mid : Ids.Method_id.t) (code : Code.t) =
-  let fns, entry_depths =
-    match code.Code.tier with
-    | Code.Baseline -> compile_baseline_cached t mid code
-    | Code.Optimized -> compile t code
-  in
+  let fns, entry_depths = compile t code in
   Interp.install_native t mid ~fns ~entry_depths

@@ -41,18 +41,6 @@ val install : Interp.t -> Ids.Method_id.t -> Code.t -> unit
 (** Compile [code] — which must be what {!Interp.install_code} most
     recently installed for [mid] — and activate it via
     {!Interp.install_native}. New invocations of [mid] then run on the
-    closure tier; frames already live keep their current tier. *)
-
-(** {2 Shared baseline-compile cache statistics}
-
-    The MRU (program, cost) cache that lets concurrent VMs of the
-    same program share baseline closure code is process-global; so are
-    its traffic counters. They are host-side observability only — they
-    never feed the virtual clock — and under parallel sweeps the
-    hit/miss split depends on domain interleaving, so they must not be
-    folded into per-run {!Metrics}-style determinism-checked output. *)
-
-type cache_stats = { hits : int; misses : int; evictions : int }
-
-val cache_stats : unit -> cache_stats
-val reset_cache_stats : unit -> unit
+    closure tier; frames already live keep their current tier. Nothing
+    is cached: each VM compiles a baseline method at its first
+    execution, and again after a deopt reverts it. *)

@@ -459,6 +459,33 @@ let test_alloc_per_call () =
         ("pointer argument", (fun o k -> call "K" "g" [ o; k ]), 14.);
       ]
 
+(* A cell's allocation depends only on the cell: nothing in [lib/] keeps
+   state from one run to the next (a process-global baseline-code cache
+   once made a program's first run allocate more than its later ones,
+   and its move-to-front made the count depend on what ran before).
+   Four programs run under Fixed 3 at default scale twice each, in two
+   orders, so db and compress each follow different cells the second
+   time. *)
+let test_alloc_per_cell () =
+  let cfg = Config.default ~policy:(Acsi_policy.Policy.Fixed 3) in
+  let build name =
+    let w = Workloads.find name in
+    (name, w.Workloads.build ~scale:w.Workloads.default_scale)
+  in
+  let db = build "db" and compress = build "compress" in
+  let jess = build "jess" and javac = build "javac" in
+  let words (name, program) =
+    let before = Gc.minor_words () in
+    ignore (Runtime.run cfg program);
+    (name, truncate (Gc.minor_words () -. before))
+  in
+  let first = List.map words [ db; jess; compress; javac ] in
+  let second = List.map words [ compress; javac; db; jess ] in
+  List.iter
+    (fun (name, w) ->
+      check_int name w (List.assoc name second))
+    first
+
 let suite =
   [
     Alcotest.test_case "same run twice is identical" `Quick test_run_twice;
@@ -474,6 +501,8 @@ let suite =
       test_frame_growth;
     Alcotest.test_case "words allocated per closure-tier call" `Quick
       test_alloc_per_call;
+    Alcotest.test_case "words allocated per cell, in any order" `Quick
+      test_alloc_per_cell;
     Alcotest.test_case "call stack overflow on every engine" `Quick
       test_stack_overflow;
     QCheck_alcotest.to_alcotest prop_aos_matches_reference;

@@ -314,9 +314,9 @@ let test_preemption_across_tiers () =
 
 (* --- satellite: determinism across concurrent domains --- *)
 
-(* The baseline compile cache is shared across VMs and domains (the
-   bench's --jobs mode); concurrent runs must neither interfere nor
-   drift from a serial run. *)
+(* VMs on concurrent domains (the bench's --jobs mode) share the program
+   and nothing mutable; concurrent runs must neither interfere nor drift
+   from a serial run. *)
 let test_cross_domain_determinism () =
   let _, program =
     List.find (fun (n, _) -> String.equal n "jess") (Lazy.force programs)

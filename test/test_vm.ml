@@ -363,8 +363,6 @@ let install_main ?(local1 = Instr.Const 3) body vm =
   Interp.install_code vm main
     {
       Code.meth = main;
-      (* not [Baseline]: the tier shares baseline closures across runs of
-         one program, and these bodies are not the program's *)
       tier = Code.Optimized;
       instrs = Array.of_list (prologue @ body);
       max_locals = 5;
