@@ -796,7 +796,7 @@ let read_trajectory path =
         Format.eprintf "cannot append to %s: %s@." path msg;
         exit 2
   in
-  match Results.check_writable path with
+  match Cli.check_writable (Results.tmp_of path) with
   | () -> prior
   | exception Sys_error msg ->
       Format.eprintf "%s@." msg;

@@ -302,11 +302,6 @@ let output_run oc r ~last =
 
 let tmp_of path = path ^ ".tmp"
 
-(* Raises [Sys_error] where [write_file path] could not write. *)
-let check_writable path =
-  close_out (open_out (tmp_of path));
-  Sys.remove (tmp_of path)
-
 (* Written to a temporary file and renamed over [path], so a failed
    write never leaves a truncated trajectory behind. *)
 let write_file path runs =

@@ -269,6 +269,7 @@ let trace_one ~spec ~file ~cfg ~scale ~out ~jsonl ~flame ~min_pct ~capacity
   match load_program ~spec ~file ~scale with
   | Error code -> code
   | Ok (label, program) ->
+      List.iter Cli.check_writable (out :: Option.to_list jsonl);
       let obs =
         {
           Acsi_obs.Control.trace = true;
@@ -370,68 +371,66 @@ let explain_one ~spec ~file ~cfg ~scale ~query =
   match load_program ~spec ~file ~scale with
   | Error code -> code
   | Ok (label, program) -> (
-      let obs =
-        { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true }
+      let name = qualified_name program in
+      (* The queried method is resolved before the run: method names
+         carry an arity suffix ("get/1"), and queries are accepted with
+         or without it, qualified by class or not. *)
+      let query =
+        match query with
+        | None -> Ok None
+        | Some (meth_str, pc) -> (
+            let unmangled s =
+              match String.index_opt s '/' with
+              | Some i -> String.sub s 0 i
+              | None -> s
+            in
+            let callers =
+              Array.to_list (Acsi_bytecode.Program.methods program)
+              |> List.filter_map (fun (m : Acsi_bytecode.Meth.t) ->
+                     let mid = m.Acsi_bytecode.Meth.id in
+                     let forms =
+                       [
+                         m.Acsi_bytecode.Meth.name;
+                         unmangled m.Acsi_bytecode.Meth.name;
+                         name mid;
+                         unmangled (name mid);
+                       ]
+                     in
+                     if List.exists (String.equal meth_str) forms then
+                       Some mid
+                     else None)
+            in
+            match callers with
+            | [] ->
+                Format.eprintf
+                  "no method named %S (try a \"Cls.name\" qualified name)@."
+                  meth_str;
+                Error 2
+            | callers -> Ok (Some (callers, pc)))
       in
-      let result = run_with_obs ~cfg ~obs program in
-      let sys = result.Runtime.sys in
-      match Acsi_aos.System.provenance sys with
-      | None ->
-          Format.eprintf "internal error: provenance store missing@.";
-          1
-      | Some prov -> (
-          let name = qualified_name program in
-          let selected =
-            match query with
-            | None -> Ok (Acsi_obs.Provenance.all prov)
-            | Some (meth_str, pc) -> (
-                (* Method names carry an arity suffix ("get/1"); accept
-                   queries with or without it, qualified by class or
-                   not. *)
-                let unmangled s =
-                  match String.index_opt s '/' with
-                  | Some i -> String.sub s 0 i
-                  | None -> s
-                in
-                let callers =
-                  Array.to_list (Acsi_bytecode.Program.methods program)
-                  |> List.filter_map (fun (m : Acsi_bytecode.Meth.t) ->
-                         let mid = m.Acsi_bytecode.Meth.id in
-                         let forms =
-                           [
-                             m.Acsi_bytecode.Meth.name;
-                             unmangled m.Acsi_bytecode.Meth.name;
-                             name mid;
-                             unmangled (name mid);
-                           ]
-                         in
-                         if List.exists (String.equal meth_str) forms then
-                           Some mid
-                         else None)
-                in
-                match callers with
-                | [] ->
-                    Format.eprintf
-                      "no method named %S (try a \"Cls.name\" qualified \
-                       name)@."
-                      meth_str;
-                    Error 2
-                | callers ->
-                    Ok
-                      (List.concat_map
-                         (fun caller ->
-                           Acsi_obs.Provenance.at prov ~caller ?callsite:pc ())
-                         callers))
+      match query with
+      | Error code -> code
+      | Ok query -> (
+          let obs =
+            { Acsi_obs.Control.off with Acsi_obs.Control.provenance = true }
           in
-          match selected with
-          | Error code -> code
-          | Ok decisions ->
+          let result = run_with_obs ~cfg ~obs program in
+          match Acsi_aos.System.provenance result.Runtime.sys with
+          | None ->
+              Format.eprintf "internal error: provenance store missing@.";
+              1
+          | Some prov ->
               let decisions =
-                List.sort
-                  (fun (a : Acsi_obs.Provenance.decision) b ->
-                    compare a.Acsi_obs.Provenance.d_seq
-                      b.Acsi_obs.Provenance.d_seq)
-                  decisions
+                (match query with
+                | None -> Acsi_obs.Provenance.all prov
+                | Some (callers, pc) ->
+                    List.concat_map
+                      (fun caller ->
+                        Acsi_obs.Provenance.at prov ~caller ?callsite:pc ())
+                      callers)
+                |> List.sort (fun (a : Acsi_obs.Provenance.decision) b ->
+                       compare a.Acsi_obs.Provenance.d_seq
+                         b.Acsi_obs.Provenance.d_seq)
               in
               let total = Acsi_obs.Provenance.count prov in
               let inlined, refused =
@@ -799,6 +798,7 @@ let metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out =
     2
   end
   else begin
+    Option.iter Cli.check_writable flows_out;
     let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
     let name = spec.Workloads.name in
     let labels = [ ("bench", name) ] in
@@ -1112,6 +1112,7 @@ let profile_one ~spec ~file ~cfg ~scale ~dump ~load =
           Format.eprintf "%s@." msg;
           1
       | Ok profile ->
+          Option.iter Cli.check_writable dump;
           let result = Runtime.run ?profile cfg program in
           let dcg = Acsi_aos.System.dcg result.Runtime.sys in
           Option.iter (fun path -> Acsi_profile.Persist.save path dcg) dump;

@@ -31,17 +31,10 @@ let queue_policy_of_string = function
 type config = {
   policy : Acsi_policy.Policy.t;
   hot_edge_threshold : float;
-  hot_method_min_samples : float;
-  hot_method_fraction : float;
-  organizer_period : int;
   ai_period : int;
   decay_period : int;
   decay_factor : float;
-  dcg_prune_below : float;
   oracle_config : Acsi_jit.Oracle.config;
-  skew_threshold : float;
-  min_context_share : float;
-  max_flag_attempts : int;
   max_opt_versions : int;
   refusal_ttl : int;
   merge_rules_to_edges : bool;
@@ -62,10 +55,6 @@ type config = {
           the {!Acsi_deopt} tables, and deopt guard-stormy methods.
           Default [false]; all goldens are pinned to the guarded
           system. *)
-  deopt_guard_threshold : int;
-      (** inline-guard failures at one (method, pc) site before the
-          method is deoptimized back to baseline and re-enqueued for
-          compilation *)
   collect_termination_stats : bool;
   async_compile : bool;
   compiler_pool : int;
@@ -80,17 +69,10 @@ let default_config policy =
   {
     policy;
     hot_edge_threshold = 0.015;
-    hot_method_min_samples = 3.0;
-    hot_method_fraction = 0.01;
-    organizer_period = 16;
     ai_period = 4;
     decay_period = 8;
     decay_factor = 0.95;
-    dcg_prune_below = 0.05;
     oracle_config = Acsi_jit.Oracle.default_config;
-    skew_threshold = 0.8;
-    min_context_share = 0.1;
-    max_flag_attempts = 8;
     max_opt_versions = 4;
     refusal_ttl = 12;
     merge_rules_to_edges = false;
@@ -98,7 +80,6 @@ let default_config policy =
     enable_osr = false;
     static_seed = false;
     speculate = false;
-    deopt_guard_threshold = 32;
     collect_termination_stats = false;
     async_compile = false;
     compiler_pool = 1;
@@ -396,15 +377,21 @@ let flag_decisions_reference dcg ~skew_threshold ~min_context_share =
     site_total;
   !acc
 
+(* A site is imprecise when its top target holds less than
+   [skew_threshold] of its weight, unless a deep context holding at
+   least [min_context_share] of that weight is itself skewed. A site
+   flagged [max_flag_attempts] times without resolving gives up. *)
+let skew_threshold = 0.8
+let min_context_share = 0.1
+let max_flag_attempts = 8
+
 let update_flags t =
   List.iter
     (fun (caller, callsite, resolve) ->
       if resolve then Flags.resolve t.flags ~caller ~callsite
       else
-        Flags.flag t.flags ~caller ~callsite
-          ~max_attempts:t.cfg.max_flag_attempts)
-    (flag_decisions t.dcg ~skew_threshold:t.cfg.skew_threshold
-       ~min_context_share:t.cfg.min_context_share)
+        Flags.flag t.flags ~caller ~callsite ~max_attempts:max_flag_attempts)
+    (flag_decisions t.dcg ~skew_threshold ~min_context_share)
 
 (* The roots worth recompiling for one missing hot edge: every optimized
    root whose current code contains the caller (so the call site lives in
@@ -529,17 +516,24 @@ let ai_organizer t =
   if Acsi_policy.Policy.is_adaptive_resolving t.cfg.policy then update_flags t;
   missing_edge_scan t
 
+(* Traces whose weight decays below this are dropped. *)
+let dcg_prune_below = 0.05
+
 let decay_organizer t =
   charge ~ev:"decay" t Accounting.Decay_organizer
     (Dcg.size t.dcg * t.cost.Cost.decay_per_trace);
-  Dcg.decay t.dcg ~factor:t.cfg.decay_factor
-    ~prune_below:t.cfg.dcg_prune_below;
+  Dcg.decay t.dcg ~factor:t.cfg.decay_factor ~prune_below:dcg_prune_below;
   Hot_methods.decay t.hot_methods ~factor:t.cfg.decay_factor
+
+(* A method is hot with at least this many (decayed) samples and this
+   share of all samples. *)
+let hot_method_min_samples = 3.0
+let hot_method_fraction = 0.01
 
 let controller t =
   let hot =
-    Hot_methods.hot t.hot_methods ~min_samples:t.cfg.hot_method_min_samples
-      ~fraction:t.cfg.hot_method_fraction
+    Hot_methods.hot t.hot_methods ~min_samples:hot_method_min_samples
+      ~fraction:hot_method_fraction
   in
   List.iter
     (fun (mid, _samples) ->
@@ -695,6 +689,10 @@ let revert_optimized t (mid : Ids.Method_id.t) ~reason ~ev =
             | Interp.Cha_invalidated -> "CHA invalidated"));
       enqueue_compile t mid
 
+(* Inline-guard failures at one (method, pc) site before the guard-storm
+   deopt reverts the method to baseline and re-enqueues it. *)
+let deopt_guard_threshold = 32
+
 let on_guard_miss t (mid : Ids.Method_id.t) pc =
   if Hashtbl.mem t.deopt_tables (mid :> int) then begin
     let old = t.guard_fails.((mid :> int)) in
@@ -710,7 +708,7 @@ let on_guard_miss t (mid : Ids.Method_id.t) pc =
     in
     let n = counts.(pc) + 1 in
     counts.(pc) <- n;
-    if n = t.cfg.deopt_guard_threshold then
+    if n = deopt_guard_threshold then
       revert_optimized t mid ~reason:Interp.Guard_storm ~ev:"deopt-guard-storm"
   end
 
@@ -1042,6 +1040,9 @@ let take_trace_sample t vm =
       t.trace_samples <- t.trace_samples + 1
   | None -> ()
 
+(* Timer samples per organizer epoch. *)
+let organizer_period = 16
+
 let on_timer_sample t vm =
   (* Stale speculative frames deoptimize at the first settled boundary,
      before this sample can observe (and attribute cycles to) code that
@@ -1076,7 +1077,7 @@ let on_timer_sample t vm =
       t.method_samples <- t.method_samples + 1
   | None -> ());
   t.samples_in_epoch <- t.samples_in_epoch + 1;
-  if t.samples_in_epoch >= t.cfg.organizer_period then begin
+  if t.samples_in_epoch >= organizer_period then begin
     t.samples_in_epoch <- 0;
     run_epoch t
   end
@@ -1110,14 +1111,7 @@ let create ?profile cfg vm =
   let program = Interp.program vm in
   let flags = Flags.create () in
   let dcg = match profile with Some d -> d | None -> Dcg.create () in
-  let oracle =
-    let ocfg =
-      if cfg.speculate then
-        { cfg.oracle_config with Acsi_jit.Oracle.speculate_unguarded = true }
-      else cfg.oracle_config
-    in
-    Acsi_jit.Oracle.create ~config:ocfg program
-  in
+  let oracle = Acsi_jit.Oracle.create ~config:cfg.oracle_config program in
   let obs =
     Acsi_obs.Control.create cfg.obs
       ~probe:(Interp.cost vm).Cost.probe

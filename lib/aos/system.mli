@@ -2,15 +2,15 @@
 
     [create] installs the three hooks the VM exposes:
     - first execution of a method charges its baseline compilation;
-    - the timer sample drives the method listener, and every
-      [organizer_period] samples runs an organizer epoch: the method
-      sample organizer and the dynamic call graph organizer drain their
-      buffers, the AI organizer periodically rebuilds inlining rules from
-      hot traces (and, for the adaptive-resolution policy, re-flags
-      insufficiently skewed polymorphic sites), the decay organizer
-      periodically decays the profile, the controller turns hot methods
-      into compilation plans, and the compilation thread drains the queue
-      installing optimized code;
+    - the timer sample drives the method listener, and every 16th
+      sample runs an organizer epoch: the method sample organizer and
+      the dynamic call graph organizer drain their buffers, the AI
+      organizer periodically rebuilds inlining rules from hot traces
+      (and, for the adaptive-resolution policy, re-flags insufficiently
+      skewed polymorphic sites), the decay organizer periodically decays
+      the profile, the controller turns hot methods into compilation
+      plans, and the compilation thread drains the queue installing
+      optimized code;
     - the invocation stride drives the trace listener.
 
     Every code install (baseline, compiled, adopted) goes through one
@@ -39,22 +39,10 @@ type config = {
   hot_edge_threshold : float;
       (** fraction of total profile weight above which a trace becomes an
           inlining rule (the paper's 1.5%) *)
-  hot_method_min_samples : float;
-  hot_method_fraction : float;
-  organizer_period : int;  (** method samples per organizer epoch *)
   ai_period : int;  (** organizer epochs between AI-organizer passes *)
   decay_period : int;  (** organizer epochs between decay passes *)
   decay_factor : float;
-  dcg_prune_below : float;  (** drop traces whose weight decays below this *)
   oracle_config : Acsi_jit.Oracle.config;
-  skew_threshold : float;
-      (** adaptive resolution: a site is imprecise when its top target
-          holds less than this fraction of the site's weight *)
-  min_context_share : float;
-      (** adaptive resolution: a deep context must hold at least this
-          fraction of its site's weight for its skew to count as a
-          resolution *)
-  max_flag_attempts : int;
   max_opt_versions : int;  (** recompilation cap per method *)
   refusal_ttl : int;
       (** AI-organizer passes before a recorded inline refusal expires and
@@ -91,13 +79,10 @@ type config = {
           reach the broken inline) plus downward frame transfers through
           the {!Acsi_deopt} tables at the next timer samples, and a
           recompile against the new universe. Methods whose inline
-          guards fail {!deopt_guard_threshold} times at one site are
-          deoptimized the same way. Also unlocks generalized multi-frame
+          guards fail 32 times at one (method, pc) site are deoptimized
+          the same way. Also unlocks generalized multi-frame
           OSR when {!enable_osr} is on. Default [false] — all goldens
           are pinned to the guarded system. *)
-  deopt_guard_threshold : int;
-      (** inline-guard failures at one (method, pc) site before the
-          guard-storm deopt fires. Default 32. *)
   collect_termination_stats : bool;
   async_compile : bool;
       (** compile on a background virtual thread whose cycles overlap

@@ -2,8 +2,8 @@
 
     An instance method receives its receiver in local 0 and its declared
     parameters in locals 1..arity; a static method receives its parameters
-    in locals 0..arity-1. [max_stack] is computed by the verifier when the
-    program is sealed. *)
+    in locals 0..arity-1. [max_stack] is [-1] until the verifier computes
+    it ({!Verify.meth}). *)
 
 type kind = Static | Instance
 

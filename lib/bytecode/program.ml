@@ -249,7 +249,7 @@ module Builder = struct
                 returns = pm.pm_returns;
                 body;
                 max_locals;
-                max_stack = 0;
+                max_stack = -1;
               })
         b.b_methods
       |> Array.of_list

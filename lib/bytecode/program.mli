@@ -91,5 +91,6 @@ module Builder : sig
 
   val seal : t -> main:Ids.Method_id.t -> program
   (** Raises [Invalid_argument] if any declared method lacks a body or
-      [main] is not a parameterless static method. *)
+      [main] is not a parameterless static method. The program is not
+      verified yet: the VM takes it only after {!Verify.program}. *)
 end

@@ -144,3 +144,8 @@ let config_term ?(policy = policy_arg) ?(speculate = speculate_arg) () =
     const (fun policy static_seed speculate ->
         config ~policy ~static_seed ~speculate)
     $ policy $ static_seed_arg $ speculate)
+
+let check_writable path =
+  let existed = Sys.file_exists path in
+  close_out (open_out_gen [ Open_wronly; Open_creat ] 0o666 path);
+  if not existed then Sys.remove path

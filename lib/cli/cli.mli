@@ -63,3 +63,10 @@ val config_term :
   Acsi_core.Config.t Term.t
 (** {!config} over [--policy], [--static-seed] and [--speculate]; a
     binary without the policy or speculate option passes a constant. *)
+
+(** {2 Output files} *)
+
+val check_writable : string -> unit
+(** Raises the [Sys_error] that opening [path] for writing would raise,
+    so a command refuses an unwritable output before its run rather than
+    after it. An existing file is left as it is, a created one removed. *)

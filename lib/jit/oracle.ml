@@ -1,30 +1,23 @@
 open Acsi_bytecode
 open Acsi_profile
 
-type config = {
-  exact_match_only : bool;
-  max_inline_depth : int;
-  extended_inline_depth : int;
-  expansion_factor : int;
-  expansion_slack : int;
-  extended_expansion_factor : int;
-  max_guarded_targets : int;
-  peephole : bool;
-  speculate_unguarded : bool;
-}
+type config = { exact_match_only : bool; peephole : bool }
 
-let default_config =
-  {
-    exact_match_only = false;
-    max_inline_depth = 5;
-    extended_inline_depth = 7;
-    expansion_factor = 4;
-    expansion_slack = 60;
-    extended_expansion_factor = 6;
-    max_guarded_targets = 2;
-    peephole = true;
-    speculate_unguarded = false;
-  }
+let default_config = { exact_match_only = false; peephole = true }
+
+(* Inline depth limit, and the extended one profile-hot small callees
+   (and every tiny one) may reach. *)
+let max_inline_depth = 5
+let extended_inline_depth = 7
+
+(* Expanded code may reach [factor * root_size + expansion_slack] units,
+   with the extended factor for the callees the extended depth admits. *)
+let expansion_factor = 4
+let extended_expansion_factor = 6
+let expansion_slack = 60
+
+(* Guarded inlinees per polymorphic virtual site. *)
+let max_guarded_targets = 2
 
 type refusal_reason =
   | Too_large
@@ -92,12 +85,11 @@ let set_on_decision t f = t.on_decision <- Some f
 let set_speculation t s = t.speculation <- s
 
 (* Whether an inlined body of [est] units fits the expansion budget. *)
-let budget_ok t ~extended ~root ~expanded_units ~est =
+let budget_ok ~extended ~root ~expanded_units ~est =
   let factor =
-    if extended then t.cfg.extended_expansion_factor else t.cfg.expansion_factor
+    if extended then extended_expansion_factor else expansion_factor
   in
-  expanded_units + est
-  <= (factor * Meth.size_units root) + t.cfg.expansion_slack
+  expanded_units + est <= (factor * Meth.size_units root) + expansion_slack
 
 (* --- decision provenance --------------------------------------------- *)
 
@@ -151,10 +143,9 @@ let emit_decision t ~root ~site_chain ~depth ~expanded_units ~const_args
           i_inline_depth = depth;
           i_expanded_units = expanded_units;
           i_est = est;
-          i_budget_limit =
-            (t.cfg.expansion_factor * base) + t.cfg.expansion_slack;
+          i_budget_limit = (expansion_factor * base) + expansion_slack;
           i_budget_ext_limit =
-            (t.cfg.extended_expansion_factor * base) + t.cfg.expansion_slack;
+            (extended_expansion_factor * base) + expansion_slack;
           i_speculative = speculative;
         }
 
@@ -176,28 +167,27 @@ let consider t ~root ~site_chain ~chain_methods ~depth ~expanded_units ~hot
     match Size.classify ~units:est with
     | Size.Large -> refuse Too_large
     | Size.Tiny ->
-        if depth >= t.cfg.extended_inline_depth then refuse Depth
-        else if
-          budget_ok t ~extended:true ~root ~expanded_units ~est
-        then Ok callee.Meth.id
+        if depth >= extended_inline_depth then refuse Depth
+        else if budget_ok ~extended:true ~root ~expanded_units ~est then
+          Ok callee.Meth.id
         else refuse Budget
     | Size.Small ->
         if
-          depth < t.cfg.max_inline_depth
-          && budget_ok t ~extended:false ~root ~expanded_units ~est
+          depth < max_inline_depth
+          && budget_ok ~extended:false ~root ~expanded_units ~est
         then Ok callee.Meth.id
         else if
           (* profile data lets small methods exceed the normal limits *)
           hot
-          && depth < t.cfg.extended_inline_depth
-          && budget_ok t ~extended:true ~root ~expanded_units ~est
+          && depth < extended_inline_depth
+          && budget_ok ~extended:true ~root ~expanded_units ~est
         then Ok callee.Meth.id
-        else if depth >= t.cfg.max_inline_depth then refuse Depth
+        else if depth >= max_inline_depth then refuse Depth
         else refuse Budget
     | Size.Medium ->
         if not hot then Error "not-hot"
-        else if depth >= t.cfg.max_inline_depth then refuse Depth
-        else if budget_ok t ~extended:false ~root ~expanded_units ~est then
+        else if depth >= max_inline_depth then refuse Depth
+        else if budget_ok ~extended:false ~root ~expanded_units ~est then
           Ok callee.Meth.id
         else refuse Budget
 
@@ -276,22 +266,18 @@ let decide t ~root ~site_chain ~chain_methods ~depth ~expanded_units ~call
              Root-level sites only: pre-existence facts are per root
              argument. *)
           let speculated =
-            if not (t.cfg.speculate_unguarded && depth = 0) then None
-            else
-              match t.speculation with
-              | None -> None
-              | Some s -> (
-                  match s.spec_mono sel with
-                  | Some mid
-                    when Array.length site_chain > 0
-                         && s.spec_preexists root
-                              site_chain.(0).Trace.callsite -> (
-                      match
-                        consider_one ~speculative:true ~guarded:false mid
-                      with
-                      | Some tgt -> Some (Inline [ tgt ])
-                      | None -> None)
-                  | _ -> None)
+            match t.speculation with
+            | Some s when depth = 0 -> (
+                match s.spec_mono sel with
+                | Some mid
+                  when Array.length site_chain > 0
+                       && s.spec_preexists root site_chain.(0).Trace.callsite
+                  -> (
+                    match consider_one ~speculative:true ~guarded:false mid with
+                    | Some tgt -> Some (Inline [ tgt ])
+                    | None -> None)
+                | _ -> None)
+            | Some _ | None -> None
           in
           (match speculated with
           | Some d -> d
@@ -308,9 +294,7 @@ let decide t ~root ~site_chain ~chain_methods ~depth ~expanded_units ~call
             (* Targets past the guard limit are refused without being
                considered; a site whose rules all died in the
                partial-match intersection gets one callee-less record. *)
-            List.filteri
-              (fun i _ -> i >= t.cfg.max_guarded_targets)
-              hot_targets
+            List.filteri (fun i _ -> i >= max_guarded_targets) hot_targets
             |> List.iter (fun (mid, _) ->
                    emit ~callee:(Some mid)
                      ~outcome:(Acsi_obs.Provenance.Refused "guard-limit")
@@ -328,7 +312,7 @@ let decide t ~root ~site_chain ~chain_methods ~depth ~expanded_units ~call
                 ()
           end;
           let chosen =
-            List.filteri (fun i _ -> i < t.cfg.max_guarded_targets) hot_targets
+            List.filteri (fun i _ -> i < max_guarded_targets) hot_targets
             |> List.filter_map (fun (mid, _) ->
                    consider_one ~guarded:true mid)
           in

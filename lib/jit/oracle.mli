@@ -3,8 +3,11 @@
     The optimizing compiler consults the oracle at every call site to learn
     which callees, if any, to inline there. The oracle combines:
 
-    - static heuristics: size classes ({!Size}), inline depth and code
-      expansion budgets, class-hierarchy analysis for static binding;
+    - static heuristics: size classes ({!Size}), inline depth (5, or 7
+      for profile-hot small and all tiny callees) and code expansion
+      budgets ([4 * root_size + 60] units, or [6 * root_size + 60]),
+      at most two guarded targets per polymorphic site, class-hierarchy
+      analysis for static binding;
     - profile-directed rules: the hot traces exported by the adaptive
       inlining organizer, matched against the compilation context with
       partial matching (paper Eq. 3).
@@ -25,22 +28,9 @@ type config = {
   exact_match_only : bool;
       (** ablation: disable Eq. 3 partial matching — a rule applies only
           when its recorded context equals the compilation context *)
-  max_inline_depth : int;
-  extended_inline_depth : int;
-      (** allowed for profile-hot small callees (limits exceeded case) *)
-  expansion_factor : int;
-      (** expanded code may reach [factor * root_size + slack] units *)
-  expansion_slack : int;
-  extended_expansion_factor : int;
-  max_guarded_targets : int;  (** guarded inlinees per virtual site *)
   peephole : bool;
       (** run classical peephole optimization on expanded code (see
           {!Peephole}); off = ablation *)
-  speculate_unguarded : bool;
-      (** inline loaded-CHA-monomorphic virtual sites with {e no} guard
-          when the receiver provably pre-exists the activation; requires
-          a {!speculation} evidence provider and an AOS prepared to
-          deoptimize on invalidation. Off by default. *)
 }
 
 val default_config : config
@@ -97,15 +87,19 @@ val set_on_refusal :
   unit
 
 val set_speculation : t -> speculation option -> unit
-(** Install (or clear) the speculation evidence providers. Without one,
-    [speculate_unguarded] never fires. *)
+(** Install (or clear) the speculation evidence providers. With one
+    installed, the oracle inlines a root-level virtual site that is
+    monomorphic over the loaded classes with {e no} guard when the
+    receiver provably pre-exists the activation, so the caller must be
+    prepared to deoptimize on invalidation. Without one it never
+    speculates. *)
 
 val set_on_decision : t -> (Acsi_obs.Provenance.info -> unit) -> unit
 (** Install a decision-provenance sink: one record per callee the oracle
     considers (inlined or refused, with the Eq. 3 match evidence and
     budget state behind the verdict), plus records the refusal callback
     never sees — ["not-hot"] medium callees, ["guard-limit"] hot targets
-    past [max_guarded_targets], and a callee-less ["no-match"] when a
+    past the two guarded targets a site may take, and a callee-less ["no-match"] when a
     polymorphic site has rules but none survive partial matching.
     Building records is pure (reads the memoized rule index only) and
     skipped entirely when no sink is installed, so installing one never

@@ -180,7 +180,12 @@ let stolen_at sd =
 (* Earliest arrival the shard still has queued (home or stolen). *)
 let next_arrival sd = Int.min (home_at sd) (stolen_at sd)
 
-let admit max_live sd =
+(* Admission control: concurrently admitted sessions per shard. Pending
+   sessions stay queued as cheap tuples, which is what makes
+   million-session backlogs affordable. *)
+let max_live = 64
+
+let admit sd =
   let now = Interp.cycles sd.sd_vm in
   let rec go () =
     if Sched.live sd.sd_sched < max_live then begin
@@ -220,10 +225,10 @@ let finish_one sd tid =
    serial barrier work. An idle shard advances its clock to the next
    arrival (or the limit) — the processor waiting, exactly as in
    {!Server}. *)
-let run_round max_live limit sd =
+let run_round limit sd =
   let vm = sd.sd_vm in
   let rec loop () =
-    admit max_live sd;
+    admit sd;
     if Interp.cycles vm < limit then
       match Sched.run_slice sd.sd_sched with
       | Some (tid, Interp.Done) ->
@@ -394,10 +399,11 @@ let adopt_published published shards ~now ~tel =
         pubs)
     shards
 
+let hot_shard_weight = 2
+
 let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
-    ?(barrier = 2_000_000) ?(max_live = 64) ?(hot_shard_weight = 2)
-    ?(pool = 1) ?(pool_policy = System.Fifo) ~shards:n_shards ~sessions
-    ~period ~name (cfg : Config.t) program =
+    ?(barrier = 2_000_000) ?(pool = 1) ?(pool_policy = System.Fifo)
+    ~shards:n_shards ~sessions ~period ~name (cfg : Config.t) program =
   if n_shards <= 0 then invalid_arg "Shards.run: shards must be positive";
   if sessions <= 0 then invalid_arg "Shards.run: no sessions";
   let barrier = max quantum barrier in
@@ -406,8 +412,7 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
      other shard one — a front-end router with a hot shard, the
      imbalance work stealing exists to fix. *)
   let arrivals = Load.open_loop_arrivals ~seed ~period ~n:sessions in
-  let weight = max 1 hot_shard_weight in
-  let total_shares = weight + (n_shards - 1) in
+  let total_shares = hot_shard_weight + (n_shards - 1) in
   let home = Array.make sessions 0 in
   let home_count = Array.make n_shards 0 in
   let st = ref (Load.next_rand (seed lxor 0x2545F4914F6CDD1D)) in
@@ -416,7 +421,8 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
     (if n_shards > 1 then
        let pick = !st mod total_shares in
        home.(rid) <-
-         (if pick < weight then 0 else 1 + ((pick - weight) mod (n_shards - 1))));
+         (if pick < hot_shard_weight then 0
+          else 1 + ((pick - hot_shard_weight) mod (n_shards - 1))));
     home_count.(home.(rid)) <- home_count.(home.(rid)) + 1
   done;
   (* Each shard's slice of the schedule, split in one pass; rids ascend,
@@ -539,7 +545,7 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
     ignore
       (Parallel.map ~jobs:(min jobs n_shards)
          (fun sd ->
-           run_round max_live limit sd;
+           run_round limit sd;
            ())
          (Array.to_list shards));
     (* Serial barrier, shard-id order: publications, adoptions, steals,

@@ -163,8 +163,6 @@ val run :
   ?seed:int ->
   ?jobs:int ->
   ?barrier:int ->
-  ?max_live:int ->
-  ?hot_shard_weight:int ->
   ?pool:int ->
   ?pool_policy:System.compile_queue_policy ->
   shards:int ->
@@ -180,13 +178,12 @@ val run :
     [jobs] (default 1) caps the host domains running shards in parallel
     within a round; it never affects results. [barrier] (default
     2_000_000) is the virtual-cycle round length between cross-shard
-    barriers. [max_live] (default 64) caps concurrently admitted
-    sessions per shard (admission control; pending sessions stay queued
-    as cheap tuples, which is what makes million-session backlogs
-    affordable). [hot_shard_weight] (default 2) over-weights shard 0 in
-    the home-shard hash — a deliberately skewed front-end router — so
-    work stealing has an imbalance to fix; 1 distributes uniformly.
-    [pool]/[pool_policy] configure each shard's background compiler
+    barriers. Each shard admits at most 64 sessions at once
+    (admission control; pending sessions stay queued as cheap tuples,
+    which is what makes million-session backlogs affordable). Shard 0
+    draws two shares of the home-shard hash and every other shard one —
+    a deliberately skewed front-end router — so work stealing has an
+    imbalance to fix. [pool]/[pool_policy] configure each shard's background compiler
     pool ({!System.config.compiler_pool}). Compilation is always
     asynchronous in sharded mode. *)
 

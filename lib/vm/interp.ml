@@ -1,6 +1,7 @@
 open Acsi_bytecode
 
 exception Runtime_error of string
+exception Unverified of string
 exception Cycle_limit_exceeded
 
 let rerr fmt = Format.kasprintf (fun msg -> raise (Runtime_error msg)) fmt
@@ -182,6 +183,10 @@ type deopt_reason = Guard_storm | Cha_invalidated
 let create ?(cost = Cost.default) ?(sample_period = 100_000)
     ?(invoke_stride = 2048) program =
   let methods = Program.methods program in
+  Array.iter
+    (fun (m : Meth.t) ->
+      if m.Meth.max_stack < 0 then raise (Unverified m.Meth.name))
+    methods;
   let code_table = Array.map (fun m -> Code.baseline cost m) methods in
   {
     program;

@@ -35,6 +35,10 @@ exception Runtime_error of string
 
 exception Cycle_limit_exceeded
 
+exception Unverified of string
+(** Raised by {!create} with the name of a method the verifier has not
+    sized ({!Acsi_bytecode.Verify.program} was not run). *)
+
 (** {2 Representation}
 
     The frame and VM records are exposed (rather than abstract) for one
@@ -159,7 +163,8 @@ val create :
   t
 (** A fresh VM with every method's code table entry set to its baseline
     compilation. [sample_period] defaults to 100_000 cycles;
-    [invoke_stride] to 2048 invocations. *)
+    [invoke_stride] to 2048 invocations. Raises {!Unverified} on a
+    program that has not been verified. *)
 
 val program : t -> Program.t
 val cost : t -> Cost.t

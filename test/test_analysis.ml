@@ -394,18 +394,9 @@ let prop_mono_proofs_match_dcg =
 
 (* --- Summary corpus: always-throws, dynamically -------------------- *)
 
-(* A division by a constant zero: the summary must prove always-throws,
-   and actually running the method must trap, not return. *)
-let test_always_throws_traps () =
-  let p, m =
-    prog_of ~max_locals:1 (fun _ ->
-        [| Instr.Const 1; Instr.Const 0; Instr.Binop Instr.Div; Instr.Pop;
-           Instr.Return_void |])
-  in
-  let tbl = Summary.analyze p in
-  let s = Summary.get tbl m.Meth.id in
-  Alcotest.(check bool) "summary proves always-throws" true s.Summary.always_throws;
-  (* Seal a twin program whose main calls m, and watch it trap. *)
+(* Static [boom] divides by zero; [main] calls it. Sealed, not
+   verified. *)
+let thrower_program () =
   let b = Program.Builder.create () in
   let cls = Program.Builder.declare_class b ~name:"T" ~parent:None ~fields:[] in
   let thrower =
@@ -421,7 +412,21 @@ let test_always_throws_traps () =
   in
   Program.Builder.set_body b main ~max_locals:1
     [| Instr.Call_static thrower; Instr.Return_void |];
-  let p2 = Program.Builder.seal b ~main in
+  (Program.Builder.seal b ~main, thrower)
+
+(* A division by a constant zero: the summary must prove always-throws,
+   and actually running the method must trap, not return. *)
+let test_always_throws_traps () =
+  let p, m =
+    prog_of ~max_locals:1 (fun _ ->
+        [| Instr.Const 1; Instr.Const 0; Instr.Binop Instr.Div; Instr.Pop;
+           Instr.Return_void |])
+  in
+  let tbl = Summary.analyze p in
+  let s = Summary.get tbl m.Meth.id in
+  Alcotest.(check bool) "summary proves always-throws" true s.Summary.always_throws;
+  (* Seal a twin program whose main calls m, and watch it trap. *)
+  let p2, thrower = thrower_program () in
   let tbl2 = Summary.analyze p2 in
   Alcotest.(check bool) "caller inherits always-throws" true
     (Summary.get tbl2 thrower).Summary.always_throws;
@@ -434,6 +439,13 @@ let test_always_throws_traps () =
        Interp.run vm;
        false
      with Interp.Runtime_error _ -> true)
+
+(* The VM refuses a program the verifier has not sized, instead of
+   running frames with one operand slot until a push overflows it. *)
+let test_unverified_program_refused () =
+  let p, _ = thrower_program () in
+  Alcotest.check_raises "create refuses" (Interp.Unverified "boom") (fun () ->
+      ignore (Interp.create p))
 
 (* --- Determinism: the analyze table is independent of --jobs ------- *)
 
@@ -865,6 +877,8 @@ let suite =
       test_osr_incompatible_stack;
     Alcotest.test_case "always-throws summary traps dynamically" `Quick
       test_always_throws_traps;
+    Alcotest.test_case "unverified program refused" `Quick
+      test_unverified_program_refused;
     Alcotest.test_case "summary table invariant under --jobs" `Quick
       test_summary_render_jobs_invariant;
     Alcotest.test_case "mutant diagnostics match golden" `Quick

@@ -301,28 +301,18 @@ let test_speculation_dispatch () =
   check_bool "generalized OSR moved frames up" true (on_.Metrics.osr_up >= 1)
 
 (* Speculation off must be inert: with [speculate] disabled no deopt
-   machinery engages, and the subsystem's other knob
-   ([deopt_guard_threshold]) must not perturb the run even at an extreme
-   setting. *)
+   machinery engages, guard storms included, although this program's
+   guards miss after the flip. *)
 let test_speculation_off_is_inert () =
   let program = dispatch_like ~iters:40_000 ~flip:24_000 in
-  let plain = Config.default ~policy:(Policy.Fixed 3) in
-  let extreme =
-    {
-      plain with
-      Config.aos =
-        { plain.Config.aos with Acsi_aos.System.deopt_guard_threshold = 1 };
-    }
-  in
-  let a, a_out, _ = run_with plain program in
-  let b, b_out, sys = run_with extreme program in
-  Alcotest.(check (list int)) "identical output" a_out b_out;
-  check_int "identical cycles" a.Metrics.total_cycles b.Metrics.total_cycles;
+  let m, _, sys = run_with (Config.default ~policy:(Policy.Fixed 3)) program in
+  check_bool "inline guards missed" true (m.Metrics.guard_misses > 0);
   check_int "no deopt tables retired" 0 (Acsi_aos.System.pending_deopts sys);
   check_int "no speculative installs" 0
     (Acsi_aos.System.speculative_installs sys);
-  check_int "no frames deoptimized" 0 b.Metrics.osr_down;
-  check_int "no invalidation deopts" 0 b.Metrics.deopt_invalidate
+  check_int "no frames deoptimized" 0 m.Metrics.osr_down;
+  check_int "no invalidation deopts" 0 m.Metrics.deopt_invalidate;
+  check_int "no guard-storm deopts" 0 m.Metrics.deopt_guard
 
 (* The production engine must agree bit for bit with the naive
    reference loop under speculation: same output, same cycle counts,

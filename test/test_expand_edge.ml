@@ -140,8 +140,8 @@ let test_call_inside_guarded_body () =
          ])
   in
   let vm = force_optimize ~roots:(Some [ ("S", "drive") ]) program in
-  (* two guarded targets at most (max_guarded_targets = 2): the third
-     receiver class must fall back through the guards *)
+  (* two guarded targets at most (the oracle's max_guarded_targets):
+     the third receiver class must fall back through the guards *)
   check_bool "guard misses cover the unguarded class" true
     (Acsi_vm.Interp.guard_misses vm > 0);
   (* helper was inlined inside H1's guarded body: never invoked *)
