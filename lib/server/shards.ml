@@ -130,9 +130,11 @@ type result = {
 (* One virtual processor. [sd_home_at]/[sd_home_rid] are the shard's
    slice of the global arrival schedule as two parallel vectors
    (ascending arrival; [sd_head] marks the next unadmitted entry) and
-   [sd_stolen] holds (arrival, rid) sessions stolen from other shards at
-   barriers. A session is two ints until admission spawns a virtual
-   thread for it — which is what keeps a million-session backlog cheap.
+   [sd_stolen_at]/[sd_stolen_rid] hold, as two int rings popped in
+   step, the sessions stolen from other shards at barriers. A session is
+   two ints until admission spawns a virtual thread for it — which is
+   what keeps a million-session backlog cheap, and which leaves the
+   minor collector nothing to promote for a queued session.
    [sd_lat] is indexed by thread id (dense per shard VM, and only
    admission spawns threads): the slot holds the session's arrival while
    it runs and its latency once it completes, so every served session
@@ -145,7 +147,8 @@ type shard = {
   sd_home_at : int array;
   sd_home_rid : int array;
   mutable sd_head : int;
-  sd_stolen : (int * int) Queue.t;
+  sd_stolen_at : int Ring.t;
+  sd_stolen_rid : int Ring.t;
   mutable sd_lat : int array;
   mutable sd_served : int;
   mutable sd_steals_in : int;
@@ -175,13 +178,13 @@ let home_at sd =
   else max_int
 
 let stolen_at sd =
-  if Queue.is_empty sd.sd_stolen then max_int else fst (Queue.peek sd.sd_stolen)
+  if Ring.is_empty sd.sd_stolen_at then max_int else Ring.peek sd.sd_stolen_at
 
 (* Earliest arrival the shard still has queued (home or stolen). *)
 let next_arrival sd = Int.min (home_at sd) (stolen_at sd)
 
 (* Admission control: concurrently admitted sessions per shard. Pending
-   sessions stay queued as cheap tuples, which is what makes
+   sessions stay queued as two ints each, which is what makes
    million-session backlogs affordable. *)
 let max_live = 64
 
@@ -192,7 +195,10 @@ let admit sd =
       let h_at = home_at sd and s_at = stolen_at sd in
       if Int.min h_at s_at <= now then begin
         let at =
-          if s_at <= h_at then fst (Queue.pop sd.sd_stolen)
+          if s_at <= h_at then begin
+            ignore (Ring.pop sd.sd_stolen_rid);
+            Ring.pop sd.sd_stolen_at
+          end
           else begin
             sd.sd_head <- sd.sd_head + 1;
             h_at
@@ -257,7 +263,7 @@ let due_home sd =
   done;
   !lo - sd.sd_head
 
-let movable sd = due_home sd + Queue.length sd.sd_stolen
+let movable sd = due_home sd + Ring.length sd.sd_stolen_at
 
 (* Deterministic work stealing at a barrier: greedily move the oldest
    due session from the most-backlogged shard to the least-backlogged
@@ -288,22 +294,26 @@ let steal_pass shards ~seed ~round ~now ~tel =
         && backlog.(!victim) >= backlog.(!thief) + 2
       then begin
         let v = shards.(!victim) and t = shards.(!thief) in
-        let session =
-          (* Oldest due session first: compare the two queue heads. *)
-          if stolen_at v <= home_at v then Queue.pop v.sd_stolen
+        (* Oldest due session first: compare the two queue heads. *)
+        let rid =
+          if stolen_at v <= home_at v then begin
+            Ring.push t.sd_stolen_at (Ring.pop v.sd_stolen_at);
+            Ring.pop v.sd_stolen_rid
+          end
           else begin
             let h = v.sd_head in
             v.sd_head <- h + 1;
-            (v.sd_home_at.(h), v.sd_home_rid.(h))
+            Ring.push t.sd_stolen_at v.sd_home_at.(h);
+            v.sd_home_rid.(h)
           end
         in
-        Queue.add session t.sd_stolen;
+        Ring.push t.sd_stolen_rid rid;
         v.sd_steals_out <- v.sd_steals_out + 1;
         t.sd_steals_in <- t.sd_steals_in + 1;
         (* Flow arrow from victim to thief at barrier time; steal
            distance is the shard-index hop the session made. *)
         tel_flow tel Steal ~out_shard:!victim ~out_t:now ~in_shard:!thief
-          ~in_t:now ~key:(snd session);
+          ~in_t:now ~key:rid;
         Acsi_obs.Hist.record tel.tc_dist (abs (!victim - !thief));
         backlog.(!victim) <- backlog.(!victim) - 1;
         mov.(!victim) <- mov.(!victim) - 1;
@@ -472,7 +482,8 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
       sd_home_at = slice_at.(id);
       sd_home_rid = slice_rid.(id);
       sd_head = 0;
-      sd_stolen = Queue.create ();
+      sd_stolen_at = Ring.create ();
+      sd_stolen_rid = Ring.create ();
       sd_lat = Array.make home_count.(id) 0;
       sd_served = 0;
       sd_steals_in = 0;

@@ -180,8 +180,10 @@ type frame_plan = {
 
 type deopt_reason = Guard_storm | Cha_invalidated
 
+let default_invoke_stride = 512
+
 let create ?(cost = Cost.default) ?(sample_period = 100_000)
-    ?(invoke_stride = 2048) program =
+    ?(invoke_stride = default_invoke_stride) program =
   let methods = Program.methods program in
   Array.iter
     (fun (m : Meth.t) ->
@@ -278,7 +280,6 @@ let note_class_load t (cid : Ids.Class_id.t) =
     t.on_class_load t cid
   end
 let charge t cycles = t.cycles <- t.cycles + cycles
-let stack_depth t = t.depth
 let set_calibrate t on = t.calibrate <- on
 
 let calibration t =
@@ -1124,8 +1125,23 @@ let spawn t =
   { th_id = id; th_frames = [||]; th_depth = 0; th_started = false }
 
 let thread_id th = th.th_id
-let thread_depth th = th.th_depth
-let thread_done th = th.th_started && th.th_depth = 0
+
+(* Overwrite with an immediate every slot above [t.depth] that still
+   holds a popped frame. Pushes fill the stack bottom-up and every free
+   slot starts as an immediate (see [grow_frames]), so popped frames sit
+   in one run directly above the live ones. A suspended thread's array
+   outlives minor collections; a stale frame left in it would be
+   promoted with its registers and everything they point to. *)
+let clear_popped t =
+  let frames = t.frames in
+  let i = ref t.depth in
+  while
+    !i < Array.length frames
+    && Obj.is_block (Obj.repr (Array.unsafe_get frames !i))
+  do
+    Array.unsafe_set frames !i (Obj.magic 0 : frame);
+    incr i
+  done
 
 let resume ?(cycle_limit = max_int) t th ~quantum =
   if quantum <= 0 then invalid_arg "Interp.resume: quantum must be positive";
@@ -1150,11 +1166,14 @@ let resume ?(cycle_limit = max_int) t th ~quantum =
   in
   (* Save the (possibly reallocated) stack back even if a runtime error or
      the cycle limit escapes mid-slice, so the scheduler's view stays
-     consistent with the VM's. *)
+     consistent with the VM's. Popped frames are cleared here, once per
+     slice, and not on each return: returns are the hot path of every
+     engine, and [run] (which never parks a stack) runs none of this. *)
   t.window_end <- quantum_end;
   Fun.protect
     ~finally:(fun () ->
       t.window_end <- max_int;
+      clear_popped t;
       th.th_frames <- t.frames;
       th.th_depth <- t.depth)
     (fun () ->

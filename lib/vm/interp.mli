@@ -155,6 +155,10 @@ type frame_plan = {
 (** Why a downward transfer happened (the deopt-reason taxonomy). *)
 type deopt_reason = Guard_storm | Cha_invalidated
 
+val default_invoke_stride : int
+(** 512 invocations between [on_invoke] firings, also the default of
+    every run configuration ([Config.default]). *)
+
 val create :
   ?cost:Cost.t ->
   ?sample_period:int ->
@@ -163,7 +167,7 @@ val create :
   t
 (** A fresh VM with every method's code table entry set to its baseline
     compilation. [sample_period] defaults to 100_000 cycles;
-    [invoke_stride] to 2048 invocations. Raises {!Unverified} on a
+    [invoke_stride] to {!default_invoke_stride}. Raises {!Unverified} on a
     program that has not been verified. *)
 
 val program : t -> Program.t
@@ -297,9 +301,6 @@ val walk_source_stack : t -> f:(Ids.Method_id.t -> int -> bool) -> unit
     each subsequent pair is a caller with the pc of its call site. [f]
     returns [false] to stop walking. *)
 
-val stack_depth : t -> int
-(** Physical frame count (for tests). *)
-
 val run : ?cycle_limit:int -> t -> unit
 (** Execute from the program's [main] until it returns. Raises
     {!Cycle_limit_exceeded} if the clock passes [cycle_limit]. *)
@@ -335,13 +336,6 @@ val spawn : t -> thread
 
 val thread_id : thread -> int
 (** Spawn-order identifier, unique within this VM. *)
-
-val thread_depth : thread -> int
-(** Physical frame count at the last suspension (0 before the first
-    resume and after completion). *)
-
-val thread_done : thread -> bool
-(** Whether the thread has started and run [main] to completion. *)
 
 val resume : ?cycle_limit:int -> t -> thread -> quantum:int -> thread_status
 (** Execute the thread for at most [quantum] virtual cycles (timer hooks

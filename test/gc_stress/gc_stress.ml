@@ -7,12 +7,15 @@
    skipped a needed write barrier shows up as a failed runtime assertion
    or as diverging results. Every frame stack here starts at 8 slots and
    grows by doubling, so the suite's deep call chains take the growth
-   path many times. Then runs a small sharded fleet (the session workload
-   on 2 shards) under the same heap, which exercises the fleet's
-   int-vector bookkeeping and thousands of short thread stacks, and
-   checks its output checksum against the AOS-free run of one session,
-   repeated per served session, and its flow log for conservation. Exits
-   non-zero if anything differs. *)
+   path many times. Then runs closed-loop serving (db and session, 4
+   clients, reactive and statically seeded) and a small sharded fleet
+   (the session workload on 2 shards) under the same heap. Both go
+   through the scheduler's ready ring and the per-slice clearing of
+   parked stacks; the fleet also exercises its int-vector bookkeeping
+   and thousands of short thread stacks. Each output checksum is checked
+   against the AOS-free run of one request, repeated per served request,
+   and the fleet's flow log for conservation. Exits non-zero if anything
+   differs. *)
 
 module Interp = Acsi_vm.Interp
 module System = Acsi_aos.System
@@ -21,6 +24,7 @@ module Runtime = Acsi_core.Runtime
 module Metrics = Acsi_core.Metrics
 module Policy = Acsi_policy.Policy
 module Workloads = Acsi_workloads.Workloads
+module Server = Acsi_server.Server
 module Shards = Acsi_server.Shards
 
 let counters vm =
@@ -54,8 +58,36 @@ let () =
       check name "metrics record (tier vs reference)"
         (on.Runtime.metrics = reference.Runtime.metrics))
     (Workloads.build_all ());
+  let build name = (Workloads.find name).Workloads.build ~scale:1 in
+  let repeated out n =
+    Metrics.checksum (List.concat (List.init n (fun _ -> out)))
+  in
+  List.iter
+    (fun name ->
+      let program = build name in
+      let one = Interp.output (Runtime.run_no_aos cfg program) in
+      List.iter
+        (fun seeded ->
+          let aos = { cfg.Config.aos with System.static_seed = seeded } in
+          let cfg = { cfg with Config.aos } in
+          let r =
+            Server.run ~seed:7 ~name
+              ~mode:
+                (Server.Closed
+                   { clients = 4; requests_per_client = 3; think = 50_000 })
+              cfg program
+          in
+          let label =
+            name ^ if seeded then " (serve, seeded)" else " (serve)"
+          in
+          let served = List.length r.Server.requests in
+          check label "requests served" (served = 12);
+          check label "output checksum (server vs no AOS)"
+            (r.Server.summary.Server.sv_output_checksum = repeated one served))
+        [ false; true ])
+    [ "db"; "session" ];
   let sessions = 2_000 in
-  let session = (Workloads.find "session").Workloads.build ~scale:1 in
+  let session = build "session" in
   let fleet =
     Shards.run ~seed:7 ~pool:2 ~pool_policy:System.Hot_first ~shards:2
       ~sessions ~period:450 ~name:"session" cfg session
@@ -64,10 +96,7 @@ let () =
   let served = List.map (fun h -> h.Shards.h_served) fleet.Shards.shard_stats in
   let expected =
     List.fold_left
-      (fun acc n ->
-        (acc * 31)
-        + Metrics.checksum (List.concat (List.init n (fun _ -> one)))
-        + 17)
+      (fun acc n -> (acc * 31) + repeated one n + 17)
       0 served
     land max_int
   in
@@ -79,5 +108,6 @@ let () =
   let minor = Gc.minor_words () in
   if !failures > 0 then exit 1;
   Printf.printf
-    "gc-stress: 8 programs and a %d-session fleet agree (%.0fM minor words)\n"
+    "gc-stress: 8 programs, 4 closed-loop servers and a %d-session fleet \
+     agree (%.0fM minor words)\n"
     sessions (minor /. 1e6)

@@ -12,6 +12,7 @@ module Config = Acsi_core.Config
 module Metrics = Acsi_core.Metrics
 module Policy = Acsi_policy.Policy
 module Sched = Acsi_server.Sched
+module Ring = Acsi_server.Ring
 module Load = Acsi_server.Load
 module Server = Acsi_server.Server
 module Workloads = Acsi_workloads.Workloads
@@ -154,6 +155,102 @@ let test_sched_retains_no_history () =
   Alcotest.(check int)
     "reachable words after 10 000 threads = after 100" (words_after 100)
     (words_after 10_000)
+
+(* The ready ring against the queue it replaced: a [Stdlib.Queue] of
+   thread ids driven by the same operations. [run_slice] must resume the
+   model's head, and a thread still running goes back to the tail. *)
+let slice_loop_program =
+  lazy
+    (Compile.prog
+       Dsl.(
+         prog []
+           [
+             let_ "s" (i 0);
+             for_ "i" (i 0) (i 20) [ let_ "s" (add (v "s") (v "i")) ];
+           ]))
+
+(* Applies [ops] (true = spawn, false = one slice) and returns the first
+   divergence from the model, if any. *)
+let sched_against_queue ~quantum ops =
+  let vm = Interp.create (Lazy.force slice_loop_program) in
+  let sched = Sched.create ~quantum ~switch_cost:3 vm in
+  let model = Queue.create () in
+  let step spawn =
+    if spawn then begin
+      Queue.add (Sched.spawn sched) model;
+      None
+    end
+    else
+      match (Sched.run_slice sched, Queue.take_opt model) with
+      | None, None -> None
+      | Some (tid, status), Some expected when tid = expected ->
+          if status = Interp.Running then Queue.add tid model;
+          None
+      | Some (tid, _), expected ->
+          Some
+            (Printf.sprintf "resumed %d, queue head %s" tid
+               (Option.fold ~none:"none" ~some:string_of_int expected))
+      | None, Some expected ->
+          Some (Printf.sprintf "ring empty, queue head %d" expected)
+  in
+  let rec go = function
+    | [] ->
+        if Sched.live sched <> Queue.length model then
+          Some "live count differs from the queue"
+        else None
+    | op :: rest -> ( match step op with None -> go rest | err -> err)
+  in
+  (go ops, sched)
+
+let prop_ring_pops_like_queue =
+  QCheck.Test.make ~name:"ready ring pops in Stdlib.Queue order" ~count:200
+    (QCheck.make
+       ~print:(fun ops ->
+         String.concat "" (List.map (fun b -> if b then "s" else ".") ops))
+       QCheck.Gen.(
+         list_size (int_range 0 400) (frequencyl [ (2, true); (3, false) ])))
+    (fun ops ->
+      match fst (sched_against_queue ~quantum:40 ops) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* The ring itself on ints, the shards' stolen-session storage: any
+   sequence of pushes and pops reads like a [Stdlib.Queue]. A free slot
+   reads as 0, so a lost element shows as a wrong value, not a crash. *)
+let prop_int_ring_is_a_queue =
+  QCheck.Test.make ~name:"Ring equals Stdlib.Queue on ints" ~count:300
+    QCheck.(list (option (int_range 1 1_000_000)))
+    (fun ops ->
+      let ring = Ring.create () and model = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some x ->
+              Ring.push ring x;
+              Queue.add x model;
+              true
+          | None -> Queue.is_empty model || Ring.pop ring = Queue.take model)
+          && Ring.length ring = Queue.length model
+          && (Queue.is_empty model || Ring.peek ring = Queue.peek model))
+        ops)
+
+(* Thousands of threads live at once: the ring doubles well past its
+   initial 16 slots and wraps many times while half the spawns arrive
+   between slices. *)
+let test_ring_grows_and_wraps () =
+  let ops =
+    List.init 3000 (fun _ -> true)
+    @ List.concat
+        (List.init 6000 (fun k ->
+             if k mod 2 = 0 then [ false; true ] else [ false ]))
+    @ List.init 60_000 (fun _ -> false)
+  in
+  (* About 7 slices per thread at this quantum. *)
+  let err, sched = sched_against_queue ~quantum:400 ops in
+  Alcotest.(check (option string)) "same order as the queue" None err;
+  Alcotest.(check bool) "thousands live at once" true
+    (Sched.max_live sched >= 3000);
+  Alcotest.(check int) "every thread completed" 0 (Sched.live sched)
 
 (* --- satellite 2: metrics snapshot / diff --- *)
 
@@ -476,6 +573,10 @@ let suite =
     QCheck_alcotest.to_alcotest prop_percentiles_match_spec;
     Alcotest.test_case "scheduler retains no per-thread history" `Quick
       test_sched_retains_no_history;
+    QCheck_alcotest.to_alcotest prop_ring_pops_like_queue;
+    QCheck_alcotest.to_alcotest prop_int_ring_is_a_queue;
+    Alcotest.test_case "ready ring grows and wraps" `Quick
+      test_ring_grows_and_wraps;
     Alcotest.test_case "async compilation overlaps mutator" `Slow
       test_async_compilation_overlaps;
     Alcotest.test_case "sync compilation path unchanged" `Slow

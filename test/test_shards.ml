@@ -424,6 +424,40 @@ let test_telemetry_tracer_export () =
     (contains "\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"flow\"");
   Alcotest.(check bool) "steal arrows are named" true (contains "\"steal\"")
 
+(* A fleet promotes only what is live at a minor collection: at most
+   [max_live] sessions per shard, each a thread, its ring entry and its
+   frames. Dead sessions must stay unreachable from the major heap: a
+   run queue that kept a link from a popped element to the next one
+   ([Stdlib.Queue]), or a parked stack that kept its popped frames,
+   turns every session into promoted words. The fleet cell of the
+   repository benchmark at 20k sessions, under a pinned 256k-word minor
+   heap (the runtime's default) reads 11.7 promoted words per session
+   (about 7 under a 4M-word heap, 20 under 32k words). With the run
+   queue back on [Stdlib.Queue] it reads 27.9, with the stacks left
+   uncleared 19.5, and with both about 95. *)
+let test_promotion_budget () =
+  let sessions = 20_000 in
+  let program = Lazy.force program in
+  let cfg = Config.default ~policy:(Policy.Fixed 3) in
+  let minor = (Gc.get ()).Gc.minor_heap_size in
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 262_144 };
+  let promoted =
+    Fun.protect
+      ~finally:(fun () ->
+        Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor })
+      (fun () ->
+        Gc.full_major ();
+        let before = (Gc.quick_stat ()).Gc.promoted_words in
+        ignore
+          (Shards.run ~seed:7 ~jobs:1 ~pool:2 ~pool_policy:System.Hot_first
+             ~shards:4 ~sessions ~period:450 ~name:"session" cfg program);
+        (Gc.quick_stat ()).Gc.promoted_words -. before)
+  in
+  let per_session = promoted /. float sessions in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f promoted words per session <= 16" per_session)
+    true (per_session <= 16.0)
+
 let suite =
   [
     Alcotest.test_case "jobs x shards determinism matrix" `Slow
@@ -448,4 +482,6 @@ let suite =
       test_telemetry_jobs_determinism;
     Alcotest.test_case "telemetry tracer chrome export" `Quick
       test_telemetry_tracer_export;
+    Alcotest.test_case "fleet promotes only live sessions" `Quick
+      test_promotion_budget;
   ]
