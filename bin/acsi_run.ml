@@ -587,8 +587,6 @@ type load = {
   clients : int;
   think : int;
   open_period : int option;
-  quantum : int;
-  switch_cost : int;
   seed : int;
   pool : int;
   pool_policy : Acsi_aos.System.compile_queue_policy;
@@ -601,35 +599,29 @@ type load = {
    the total session count; arrivals are always open-loop ([--open],
    default period 2400). *)
 let run_shards l ~shards ~name cfg program =
-  Acsi_server.Shards.run ~quantum:l.quantum ~switch_cost:l.switch_cost
-    ~seed:l.seed ~jobs:l.jobs ~barrier:l.barrier ~pool:l.pool
-    ~pool_policy:l.pool_policy ~shards ~sessions:l.requests
+  Acsi_server.Shards.run ~seed:l.seed ~jobs:l.jobs ~barrier:l.barrier
+    ~pool:l.pool ~pool_policy:l.pool_policy ~shards ~sessions:l.requests
     ~period:(Option.value l.open_period ~default:2400)
     ~name cfg program
 
-(* One shared VM: a closed loop of clients, or open-loop under [--open]. *)
-let run_server l ?telemetry_interval ?async_compile ~name cfg program =
-  let mode =
-    match l.open_period with
-    | Some period -> Acsi_server.Server.Open { period; requests = l.requests }
-    | None ->
-        Acsi_server.Server.Closed
-          {
-            clients = l.clients;
-            requests_per_client = l.requests;
-            think = l.think;
-          }
-  in
-  Acsi_server.Server.run ~quantum:l.quantum ~switch_cost:l.switch_cost
-    ~seed:l.seed ?telemetry_interval ?async_compile ~mode ~name cfg program
+(* One shared VM under a closed loop of clients. *)
+let run_server l ~name cfg program =
+  Acsi_server.Server.run
+    ~mode:
+      (Acsi_server.Server.Closed
+         {
+           clients = l.clients;
+           requests_per_client = l.requests;
+           think = l.think;
+         })
+    ~name cfg program
 
 (* `acsi-run serve`: server-mode execution — each benchmark's requests
    run as virtual threads over one shared VM/AOS instance, with
    background compilation, and the summary reports throughput and
    latency percentiles. Deterministic: identical invocations print
    identical summaries. *)
-let serve_benches ~specs ~cfg ~scale ~load ~shards ~sync_compile
-    ~show_windows =
+let serve_benches ~specs ~cfg ~scale ~load ~shards ~show_windows =
   List.iteri
     (fun i (spec : Workloads.spec) ->
       let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
@@ -644,9 +636,7 @@ let serve_benches ~specs ~cfg ~scale ~load ~shards ~sync_compile
             result.Acsi_server.Shards.shard_stats
       end
       else begin
-        let result =
-          run_server load ~async_compile:(not sync_compile) ~name cfg program
-        in
+        let result = run_server load ~name cfg program in
         Format.printf "%a@." Acsi_server.Server.pp_summary
           result.Acsi_server.Server.summary;
         if show_windows then
@@ -666,7 +656,8 @@ let requests_arg =
     value & opt (Cli.at_least 1) 8
     & info [ "requests" ]
         ~doc:
-          "Requests per client (closed loop) or total requests (open loop).")
+          "Requests per client (closed loop) or total sessions (with \
+           --shards).")
 
 let clients_arg =
   Arg.(
@@ -685,31 +676,13 @@ let open_period_arg =
     & opt (some (Cli.at_least 2)) None
     & info [ "open" ] ~docv:"PERIOD"
         ~doc:
-          "Use an open-loop arrival schedule with the given mean \
-           inter-arrival period in cycles instead of the closed loop.")
-
-let quantum_arg =
-  Arg.(
-    value & opt (Cli.at_least 1) 25_000
-    & info [ "quantum" ] ~doc:"Scheduler quantum in cycles.")
-
-let switch_cost_arg =
-  Arg.(
-    value & opt (Cli.at_least 0) 200
-    & info [ "switch-cost" ] ~doc:"Context-switch cost in cycles.")
+          "Mean inter-arrival period in cycles of the sharded server's \
+           open-loop arrivals (default 2400); needs --shards.")
 
 let seed_arg =
   Arg.(
     value & opt int 1
     & info [ "seed" ] ~doc:"Seed for the open-loop arrival schedule.")
-
-let sync_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "sync-compile" ]
-        ~doc:
-          "Compile synchronously at the sample that requested it instead \
-           of on the background compiler thread.")
 
 let windows_arg =
   Arg.(
@@ -761,19 +734,28 @@ let serve_jobs_arg =
 let serve_config_arg = Cli.config_term ~speculate:(Term.const false) ()
 
 let load_arg =
-  let make requests clients think open_period quantum switch_cost seed pool
-      pool_policy barrier jobs =
-    { requests; clients; think; open_period; quantum; switch_cost; seed;
-      pool; pool_policy; barrier; jobs }
+  let make requests clients think open_period seed pool pool_policy barrier
+      jobs =
+    { requests; clients; think; open_period; seed; pool; pool_policy;
+      barrier; jobs }
   in
   Term.(
     const make $ requests_arg $ clients_arg $ think_arg $ open_period_arg
-    $ quantum_arg $ switch_cost_arg $ seed_arg $ pool_arg $ pool_policy_arg
-    $ barrier_arg $ serve_jobs_arg)
+    $ seed_arg $ pool_arg $ pool_policy_arg $ barrier_arg $ serve_jobs_arg)
 
-let serve_main verbose specs cfg scale load shards sync_compile show_windows =
+(* Open-loop arrivals are the sharded server's: [--open] without
+   [--shards] is a usage error, refused before any run. *)
+let open_needs_shards load shards =
+  if load.open_period <> None && shards <= 0 then
+    `Error (true, "--open needs --shards (open-loop serving is sharded)")
+  else `Ok ()
+
+let serve_main verbose specs cfg scale load shards show_windows =
   setup_logs verbose;
-  serve_benches ~specs ~cfg ~scale ~load ~shards ~sync_compile ~show_windows
+  match open_needs_shards load shards with
+  | `Error _ as e -> e
+  | `Ok () ->
+      `Ok (serve_benches ~specs ~cfg ~scale ~load ~shards ~show_windows)
 
 let serve_cmd =
   let doc =
@@ -782,8 +764,33 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const serve_main $ Cli.verbose_arg $ serve_bench_arg $ serve_config_arg
-      $ Cli.scale_arg $ load_arg $ shards_arg $ sync_compile_arg $ windows_arg)
+      ret
+        (const serve_main $ Cli.verbose_arg $ serve_bench_arg
+       $ serve_config_arg $ Cli.scale_arg $ load_arg $ shards_arg
+       $ windows_arg))
+
+(* One telemetry export for both servers: every series under the JSONL
+   record name [series_name] with its own labels, then every histogram;
+   an OpenMetrics name is always "acsi_" ^ its JSONL name. *)
+let emit_telemetry buf format ~labels ~series_name series hists =
+  let module Export = Acsi_obs.Export in
+  match format with
+  | `Openmetrics ->
+      List.iter
+        (fun (labels, s) ->
+          Export.series_openmetrics buf ~prefix:"acsi_" ~labels s)
+        series;
+      List.iter
+        (fun (name, h) ->
+          Export.hist_openmetrics buf ~name:("acsi_" ^ name) ~labels h)
+        hists;
+      Buffer.add_string buf "# EOF\n"
+  | `Jsonl ->
+      List.iter
+        (fun (labels, s) ->
+          Export.series_jsonl buf ~name:series_name ~labels s)
+        series;
+      List.iter (fun (name, h) -> Export.hist_jsonl buf ~name ~labels h) hists
 
 (* `acsi-run metrics`: run one serve cell with fleet telemetry and print
    the virtual-clock time-series plus the latency / compile-wait /
@@ -791,8 +798,7 @@ let serve_cmd =
    Telemetry reads the virtual clock but never charges it, and sharded
    runs emit it only in the serial barrier section, so the export is
    byte-identical across --jobs and never perturbs the run it observes. *)
-let metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out =
-  let module Export = Acsi_obs.Export in
+let metrics_one ~spec ~cfg ~scale ~load ~shards ~format ~flows_out =
   if flows_out <> None && shards <= 0 then begin
     Format.eprintf "--flows needs --shards (flow arrows link shards)@.";
     2
@@ -808,78 +814,36 @@ let metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out =
          (run_shards load ~shards ~name cfg program)
            .Acsi_server.Shards.telemetry
        in
-       let {
-         Acsi_server.Shards.tel_series;
-         tel_latency_all;
-         tel_steal_distance;
-         tel_compile_wait;
-         tel_deopt_gap;
-         _;
-       } =
-         tel
-       in
-       let shard_labels i = labels @ [ ("shard", string_of_int i) ] in
-       (match format with
-       | `Openmetrics ->
-           Array.iteri
-             (fun i s ->
-               Export.series_openmetrics buf ~prefix:"acsi_"
-                 ~labels:(shard_labels i) s)
-             tel_series;
-           Export.hist_openmetrics buf ~name:"acsi_session_latency" ~labels
-             tel_latency_all;
-           Export.hist_openmetrics buf ~name:"acsi_steal_distance" ~labels
-             tel_steal_distance;
-           Export.hist_openmetrics buf ~name:"acsi_compile_wait" ~labels
-             tel_compile_wait;
-           Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
-             tel_deopt_gap;
-           Buffer.add_string buf "# EOF\n"
-       | `Jsonl ->
-           Array.iteri
-             (fun i s ->
-               Export.series_jsonl buf ~name:"shard" ~labels:(shard_labels i) s)
-             tel_series;
-           Export.hist_jsonl buf ~name:"session_latency" ~labels
-             tel_latency_all;
-           Export.hist_jsonl buf ~name:"steal_distance" ~labels
-             tel_steal_distance;
-           Export.hist_jsonl buf ~name:"compile_wait" ~labels tel_compile_wait;
-           Export.hist_jsonl buf ~name:"deopt_gap" ~labels tel_deopt_gap);
-       match flows_out with
-       | None -> ()
-       | Some path ->
+       emit_telemetry buf format ~labels ~series_name:"shard"
+         (List.mapi
+            (fun i s -> (labels @ [ ("shard", string_of_int i) ], s))
+            (Array.to_list tel.Acsi_server.Shards.tel_series))
+         [
+           ("session_latency", tel.tel_latency_all);
+           ("steal_distance", tel.tel_steal_distance);
+           ("compile_wait", tel.tel_compile_wait);
+           ("deopt_gap", tel.tel_deopt_gap);
+         ];
+       Option.iter
+         (fun path ->
            let fbuf = Buffer.create 4096 in
-           Export.to_chrome_json fbuf (Acsi_server.Shards.telemetry_tracer tel);
+           Acsi_obs.Export.to_chrome_json fbuf
+             (Acsi_server.Shards.telemetry_tracer tel);
            write_buffer path fbuf;
-           Format.eprintf "metrics: wrote flow trace to %s@." path
+           Format.eprintf "metrics: wrote flow trace to %s@." path)
+         flows_out
      end
      else
-       let {
-         Acsi_server.Server.tl_series;
-         tl_latency;
-         tl_compile_wait;
-         tl_deopt_gap;
-         _;
-       } =
-         (run_server load ?telemetry_interval:interval ~name cfg program)
-           .Acsi_server.Server.telemetry
+       let tel =
+         (run_server load ~name cfg program).Acsi_server.Server.telemetry
        in
-       match format with
-       | `Openmetrics ->
-           Export.series_openmetrics buf ~prefix:"acsi_" ~labels tl_series;
-           Export.hist_openmetrics buf ~name:"acsi_request_latency" ~labels
-             tl_latency;
-           Export.hist_openmetrics buf ~name:"acsi_compile_wait" ~labels
-             tl_compile_wait;
-           Export.hist_openmetrics buf ~name:"acsi_deopt_gap" ~labels
-             tl_deopt_gap;
-           Buffer.add_string buf "# EOF\n"
-       | `Jsonl ->
-           Export.series_jsonl buf ~name:"server" ~labels tl_series;
-           Export.hist_jsonl buf ~name:"request_latency" ~labels tl_latency;
-           Export.hist_jsonl buf ~name:"compile_wait" ~labels tl_compile_wait;
-           Export.hist_jsonl buf ~name:"deopt_gap" ~labels tl_deopt_gap);
+       emit_telemetry buf format ~labels ~series_name:"server"
+         [ (labels, tel.Acsi_server.Server.tl_series) ]
+         [
+           ("request_latency", tel.tl_latency);
+           ("compile_wait", tel.tl_compile_wait);
+           ("deopt_gap", tel.tl_deopt_gap);
+         ]);
     print_string (Buffer.contents buf);
     0
   end
@@ -895,15 +859,6 @@ let metrics_shards_arg =
         ~doc:
           "Virtual processors for the sharded server; 0 collects \
            single-VM server telemetry instead.")
-
-let metrics_interval_arg =
-  Arg.(
-    value
-    & opt (some (Cli.at_least 1)) None
-    & info [ "interval" ] ~docv:"CYCLES"
-        ~doc:
-          "Time-series sampling interval in virtual cycles (single-VM \
-           mode; the sharded server always samples at round barriers).")
 
 let metrics_format_arg =
   Arg.(
@@ -923,10 +878,14 @@ let metrics_flows_arg =
            arrows between shard tracks) as Chrome trace-event JSON for \
            Perfetto (sharded mode).")
 
-let metrics_main verbose spec cfg scale load shards interval format flows_out =
+let metrics_main verbose spec cfg scale load shards format flows_out =
   setup_logs verbose;
-  reporting_errors (fun () ->
-      metrics_one ~spec ~cfg ~scale ~load ~shards ~interval ~format ~flows_out)
+  match open_needs_shards load shards with
+  | `Error _ as e -> e
+  | `Ok () ->
+      `Ok
+        (reporting_errors (fun () ->
+             metrics_one ~spec ~cfg ~scale ~load ~shards ~format ~flows_out))
 
 let metrics_cmd =
   let doc =
@@ -936,9 +895,10 @@ let metrics_cmd =
   in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
-      const metrics_main $ Cli.verbose_arg $ metrics_bench_arg
-      $ serve_config_arg $ Cli.scale_arg $ load_arg $ metrics_shards_arg
-      $ metrics_interval_arg $ metrics_format_arg $ metrics_flows_arg)
+      ret
+        (const metrics_main $ Cli.verbose_arg $ metrics_bench_arg
+       $ serve_config_arg $ Cli.scale_arg $ load_arg $ metrics_shards_arg
+       $ metrics_format_arg $ metrics_flows_arg))
 
 let lint_files_arg =
   Arg.(

@@ -16,13 +16,11 @@ val meth : Program.t -> Meth.t -> Diag.t list
 val program : Program.t -> Diag.t list
 (** Findings for every method, in declaration order. *)
 
-val meth_notes : Summary.table -> Program.t -> Meth.t -> Diag.t list
-(** Advisory notes backed by interprocedural summaries — dead work the
-    intraprocedural lints cannot see: the result of a provably pure call
-    immediately discarded, a call to an always-throwing method, and a
-    virtual dispatch CHA proves monomorphic. Empty for methods that fail
-    verification (the hard findings cover those). *)
-
 val program_notes : ?summaries:Summary.table -> Program.t -> Diag.t list
-(** {!meth_notes} for every method, in declaration order, computing the
-    summary table once when not supplied. *)
+(** Advisory notes backed by interprocedural summaries, for every method
+    in declaration order — dead work the intraprocedural lints cannot
+    see: the result of a provably pure call immediately discarded, a call
+    to an always-throwing method, and a virtual dispatch CHA proves
+    monomorphic. Empty for methods that fail verification (the hard
+    findings cover those). Computes the summary table once when not
+    supplied. *)

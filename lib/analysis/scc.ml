@@ -108,10 +108,3 @@ let of_program p =
 let count t = Array.length t.comps
 let component_of t (mid : Ids.Method_id.t) = t.comp_of.((mid :> int))
 let members t c = t.comps.(c)
-
-let in_same_component t (a : Ids.Method_id.t) (b : Ids.Method_id.t) =
-  t.comp_of.((a :> int)) = t.comp_of.((b :> int))
-
-let is_recursive _p t (mid : Ids.Method_id.t) =
-  let c = t.comp_of.((mid :> int)) in
-  Array.length t.comps.(c) > 1 || t.self_edge.((mid :> int))

@@ -31,9 +31,3 @@ val component_of : t -> Ids.Method_id.t -> int
 
 val members : t -> int -> Ids.Method_id.t array
 (** Methods of one component, ascending id order. *)
-
-val in_same_component : t -> Ids.Method_id.t -> Ids.Method_id.t -> bool
-
-val is_recursive : Program.t -> t -> Ids.Method_id.t -> bool
-(** Whether the method sits on a call-graph cycle: its component has
-    more than one member, or it has a direct self-edge. *)

@@ -22,11 +22,8 @@ type meth_summary = {
   seed_sites : int;
 }
 
-type table = {
-  program : Program.t;
-  scc : Scc.t;
-  table_rows : meth_summary array;
-}
+(* Indexed by method id. *)
+type table = meth_summary array
 
 let no_effects =
   { reads_heap = false; writes_heap = false; allocates = false; io = false }
@@ -739,16 +736,11 @@ let analyze p =
   for comp = 0 to Scc.count cg - 1 do
     analyze_component ctx comp
   done;
-  { program = p; scc = cg; table_rows = ctx.rows_ }
+  ctx.rows_
 
-let get t (mid : Ids.Method_id.t) = t.table_rows.((mid :> int))
-let scc t = t.scc
-let rows t = t.table_rows
+let get t (mid : Ids.Method_id.t) = t.((mid :> int))
+let rows t = t
 let seed_worthy t mid = (get t mid).seed_sites > 0
-
-let seed_candidates t =
-  Array.to_list t.table_rows
-  |> List.filter_map (fun r -> if r.seed_sites > 0 then Some r.meth else None)
 
 let effects_to_string e =
   if is_pure e && not e.reads_heap then "pure"
@@ -800,9 +792,9 @@ let print fmt p t =
         (if r.always_throws then "yes" else "-")
         (List.length r.mono_sites)
         r.virtual_sites)
-    t.table_rows;
+    t;
   Format.fprintf fmt
     "%d methods: %d pure, %d always-throw, %d/%d virtual sites monomorphic, \
      %d static-seed candidates@."
-    (Array.length t.table_rows)
+    (Array.length t)
     !pure !throwing !mono !virt !seeds

@@ -72,7 +72,6 @@ val analyze : Program.t -> table
     happen for a verified program) gets a fully conservative row. *)
 
 val get : table -> Ids.Method_id.t -> meth_summary
-val scc : table -> Scc.t
 val rows : table -> meth_summary array
 (** Method-id (declaration) order. *)
 
@@ -80,13 +79,6 @@ val seed_worthy : table -> Ids.Method_id.t -> bool
 (** [seed_sites > 0]: the method is a provably-good static compilation
     candidate — optimizing it at install time is guaranteed to inline
     something. *)
-
-val seed_candidates : table -> Ids.Method_id.t list
-(** Every seed-worthy method, ascending id order. *)
-
-val effects_to_string : effects -> string
-(** ["pure"], or a ["+"]-joined subset of ["rd"], ["wr"], ["al"],
-    ["io"]. *)
 
 val print : Format.formatter -> Program.t -> table -> unit
 (** The deterministic per-method summary table ([acsi-run analyze]). *)

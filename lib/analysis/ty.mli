@@ -47,9 +47,6 @@ val compatible : t -> t -> bool
     the OSR compatibility check — reference kinds all share [Null], so
     only a definite int/reference disagreement is incompatible). *)
 
-val lca : Program.t -> Ids.Class_id.t -> Ids.Class_id.t -> Ids.Class_id.t option
-(** Least common ancestor in the class hierarchy. *)
-
 val cone_max_fields : Program.t -> Ids.Class_id.t -> int
 (** Max field count over the class and all its subclasses. A field
     index is definitely out of bounds for [Ref c] only when it exceeds

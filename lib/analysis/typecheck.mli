@@ -27,11 +27,6 @@ type state = {
   stack : Ty.t list;  (** top of stack first *)
 }
 
-val entry_state : Program.t -> Meth.t -> state
-(** All locals [Top] (parameters are untyped and uninitialized slots
-    are only read on paths the runtime also takes), except slot 0 of an
-    instance method, which holds [Ref owner]. *)
-
 val analyze : Program.t -> Meth.t -> state option array
 (** Converged in-state per pc; [None] for unreachable code. May raise
     {!Acsi_bytecode.Verify.Error} (shape problems) or
@@ -46,8 +41,6 @@ val meth_diags : Program.t -> Meth.t -> Diag.t list
 (** All definite type errors, in pc order. Never raises: shape and
     join failures become diagnostics. *)
 
-val check_meth : Program.t -> Meth.t -> unit
-(** Raises {!Diag.Error} with the first diagnostic, if any. *)
-
 val program : Program.t -> unit
-(** {!check_meth} over every method of the program. *)
+(** Checks every method of the program; raises {!Diag.Error} with the
+    first diagnostic, if any. *)

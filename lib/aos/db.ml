@@ -46,4 +46,3 @@ let record_adoption t ~meth ~version =
   t.adoptions_rev <- (meth, version) :: t.adoptions_rev
 
 let adoptions t = List.rev t.adoptions_rev
-let adoption_count t = List.length t.adoptions_rev

@@ -65,4 +65,3 @@ val record_adoption : t -> meth:Ids.Method_id.t -> version:int -> unit
 val adoptions : t -> (Ids.Method_id.t * int) list
 (** Oldest first. *)
 
-val adoption_count : t -> int

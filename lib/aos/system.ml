@@ -208,7 +208,6 @@ let max_compile_queue_depth t = t.max_queue_depth
 let in_flight_compiles t = List.length t.in_flight
 let async_installs t = t.async_installs
 let adopted_installs t = t.adopted_installs
-let compiler_pool_size t = Array.length t.compilers
 let async_overlap_instructions t = t.overlap_instructions
 let overlapped_aos_cycles t = t.overlapped_aos_cycles
 let static_seeded_methods t = t.static_seeds

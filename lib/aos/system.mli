@@ -180,8 +180,6 @@ val in_flight_compiles : t -> int
 val async_installs : t -> int
 (** Code installations performed by the background compilation model. *)
 
-val compiler_pool_size : t -> int
-
 val adopt_compiled :
   t ->
   Acsi_bytecode.Ids.Method_id.t ->

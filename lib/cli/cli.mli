@@ -20,9 +20,6 @@ val pool_policy : Acsi_aos.System.compile_queue_policy Arg.conv
 
 (** {2 Shared knobs} *)
 
-val policy_arg : Acsi_policy.Policy.t Term.t
-(** [-p]/[--policy], default fixed(max=3). *)
-
 val bench_arg : default:string -> string -> Acsi_workloads.Workloads.spec Term.t
 (** [-b]/[--bench] with the subcommand's default benchmark and doc. *)
 
@@ -40,8 +37,6 @@ val jobs_arg : ?names:string list -> default:int -> string -> int Term.t
 (** [--jobs] (and [-j] unless [names] says otherwise), [>= 1], with the
     binary's own default and doc string. *)
 
-val static_seed_arg : bool Term.t
-val speculate_arg : bool Term.t
 val verbose_arg : bool Term.t
 
 (** {2 The run configuration} *)

@@ -74,8 +74,6 @@ val baseline : sweep -> bench:string -> Metrics.t
 
 val speedup_pct : sweep -> bench:string -> policy:Policy.t -> float
 val code_size_pct : sweep -> bench:string -> policy:Policy.t -> float
-val compile_time_pct : sweep -> bench:string -> policy:Policy.t -> float
-
 val harmonic_mean_pct : (string -> float) -> string list -> float
 (** Harmonic mean of per-benchmark percent changes, computed on the
     underlying ratios as the paper's harMean bars are. *)

@@ -123,56 +123,6 @@ let figure6 fmt sweep =
     Accounting.all_components;
   Format.fprintf fmt "@]"
 
-(* Why the oracle said no: recorded inline refusals summed over the
-   sweep's benchmarks, one column per policy (plus the cins baseline),
-   one row per refusal-taxonomy reason. *)
-let refusal_breakdown fmt (sweep : Experiment.sweep) =
-  let columns =
-    (None, "cins", 0)
-    :: List.concat_map
-         (fun (_, make) ->
-           List.map (fun n -> (Some (make n), Policy.name (make n), n)) maxes)
-         panel_policies
-  in
-  let reasons =
-    match sweep.Experiment.baselines with
-    | (_, m) :: _ -> List.map fst m.Metrics.refusals_by_reason
-    | [] -> []
-  in
-  let count policy reason =
-    List.fold_left
-      (fun acc bench ->
-        let m =
-          match policy with
-          | None -> Some (Experiment.baseline sweep ~bench)
-          | Some policy -> Experiment.find sweep ~bench ~policy
-        in
-        match m with
-        | Some m ->
-            acc + (try List.assoc reason m.Metrics.refusals_by_reason
-                   with Not_found -> 0)
-        | None -> acc)
-      0 sweep.Experiment.bench_names
-  in
-  Format.fprintf fmt
-    "@[<v>Inline refusals by reason (sum over benchmarks)@,%-24s" "Reason";
-  List.iter
-    (fun (_, name, n) ->
-      Format.fprintf fmt " %12s"
-        (if n = 0 then name else Printf.sprintf "%s/%d" name n))
-    columns;
-  Format.fprintf fmt "@,";
-  List.iter
-    (fun reason ->
-      Format.fprintf fmt "%-24s" reason;
-      List.iter
-        (fun (policy, _, _) ->
-          Format.fprintf fmt " %12d" (count policy reason))
-        columns;
-      Format.fprintf fmt "@,")
-    reasons;
-  Format.fprintf fmt "@]"
-
 let summary fmt sweep =
   let s = Experiment.summarize sweep in
   Format.fprintf fmt

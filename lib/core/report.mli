@@ -1,7 +1,5 @@
 (** Text rendering of the paper's tables and figures from sweep data. *)
 
-open Acsi_policy
-
 val table1 : Format.formatter -> Experiment.sweep -> unit
 (** Benchmark characteristics: classes loaded, methods and bytecodes
     dynamically compiled (paper Table 1). *)
@@ -17,12 +15,5 @@ val figure6 : Format.formatter -> Experiment.sweep -> unit
 (** Percent of execution time per AOS component, averaged over
     benchmarks, for cins and each policy x depth (paper Figure 6). *)
 
-val refusal_breakdown : Format.formatter -> Experiment.sweep -> unit
-(** Recorded inline refusals by taxonomy reason (rows) per policy column,
-    summed over the sweep's benchmarks — why the oracle said no. *)
-
 val summary : Format.formatter -> Experiment.sweep -> unit
 (** The abstract's headline numbers, paper vs measured. *)
-
-val panel_policies : (string * (int -> Policy.t)) list
-(** The six figure panels in paper order: (panel title, constructor). *)

@@ -60,8 +60,3 @@ let const_args_at body ~pc =
   in
   scan (pc - 1) 0
 
-let clazz_to_string = function
-  | Tiny -> "tiny"
-  | Small -> "small"
-  | Medium -> "medium"
-  | Large -> "large"

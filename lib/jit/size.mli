@@ -34,4 +34,3 @@ val const_args_at : Instr.t array -> pc:int -> int
 (** How many of the arguments of the call at [pc] are provably constants —
     a shallow scan of the instructions that pushed them. *)
 
-val clazz_to_string : clazz -> string

@@ -28,9 +28,6 @@ val sub_bits : t -> int
 val record : t -> int -> unit
 (** Record one value. Negative values clamp to 0. *)
 
-val record_n : t -> int -> int -> unit
-(** [record_n t v n] records [v] with multiplicity [n >= 0]. *)
-
 val count : t -> int
 (** Exact number of recorded values. *)
 

@@ -170,7 +170,6 @@ let iter_sites t ~f =
       f ~caller:(Ids.Method_id.of_int caller) ~callsite site)
     t.sites
 
-let view_entry_count (v : site_view) = Trace.Table.length v.s_traces
 let view_callee_count (v : site_view) = Hashtbl.length v.s_callees
 let view_total (v : site_view) = sum_bucket v.s_traces
 
@@ -191,8 +190,6 @@ let view_deep_exists (v : site_view) ~f =
   Hashtbl.fold
     (fun _ b acc -> acc || f ~total:(sum_bucket b) ~top:(max_bucket b))
     v.s_deep false
-
-let view_deep_context_count (v : site_view) = Hashtbl.length v.s_deep
 
 let site_view t ~(caller : Ids.Method_id.t) ~callsite =
   Hashtbl.find_opt t.sites ((caller :> int), callsite)

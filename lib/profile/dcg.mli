@@ -88,17 +88,11 @@ val iter_sites :
 val site_view :
   t -> caller:Ids.Method_id.t -> callsite:int -> site_view option
 
-val view_entry_count : site_view -> int
-(** Distinct traces at the site. *)
-
 val view_callee_count : site_view -> int
 (** Distinct callees recorded at the site (over all depths). *)
 
 val view_total : site_view -> float
 (** Total weight at the site (all depths). *)
-
-val view_callee_weights : site_view -> (Ids.Method_id.t * float) list
-(** Per-callee weight, aggregated over depths; unordered. *)
 
 val view_top_callee_weight : site_view -> float
 (** The heaviest callee's aggregated weight; 0 for an empty view. *)
@@ -109,5 +103,3 @@ val view_deep_exists :
     satisfies [f], given the context's total weight and its heaviest
     single callee's weight. Short-circuits on the first hit. *)
 
-val view_deep_context_count : site_view -> int
-(** Distinct deep contexts (chains of length >= 2) rooted at the site. *)

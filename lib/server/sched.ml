@@ -22,7 +22,11 @@ type t = {
   mutable max_resume_gap : int;
 }
 
-let create ?(quantum = 25_000) ?(switch_cost = 200) ?(cycle_limit = max_int)
+let quantum = 25_000
+let switch_cost = 200
+
+let create ?(quantum = quantum) ?(switch_cost = switch_cost)
+    ?(cycle_limit = max_int)
     ?(on_switch = fun () -> ()) ?(tracer = Acsi_obs.Tracer.null) vm =
   if quantum <= 0 then invalid_arg "Sched.create: quantum must be positive";
   if switch_cost < 0 then

@@ -15,6 +15,14 @@
 
 type t
 
+val quantum : int
+(** The per-slice cycle budget of every server and shard scheduler:
+    25_000 virtual cycles. *)
+
+val switch_cost : int
+(** The context-switch tax of every server and shard scheduler: 200
+    virtual cycles. *)
+
 val create :
   ?quantum:int ->
   ?switch_cost:int ->
@@ -23,13 +31,14 @@ val create :
   ?tracer:Acsi_obs.Tracer.t ->
   Acsi_vm.Interp.t ->
   t
-(** [quantum] (default 25_000) is the per-slice cycle budget.
-    [switch_cost] (default 200) is charged to the shared clock whenever a
-    slice runs a different thread than the previous slice (the
-    context-switch tax). [on_switch] runs at the start of every slice,
-    after the switch charge and before the thread resumes — the server
-    uses it to install finished background compilations at thread-switch
-    yield points. [tracer] (default {!Acsi_obs.Tracer.null}) receives one
+(** [quantum] (default {!quantum}) is the per-slice cycle budget.
+    [switch_cost] (default {!switch_cost}) is charged to the shared clock
+    whenever a slice runs a different thread than the previous slice (the
+    context-switch tax). Servers and shards take both defaults; the
+    scheduler's own tests pass tiny quanta to force interleavings.
+    [on_switch] runs at the start of every slice, after the switch charge
+    and before the thread resumes — the server uses it to install
+    finished background compilations at thread-switch yield points. [tracer] (default {!Acsi_obs.Tracer.null}) receives one
     span per slice on a per-thread [vthread-N] track. *)
 
 val spawn : t -> int

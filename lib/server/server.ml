@@ -4,7 +4,6 @@ module Config = Acsi_core.Config
 module Metrics = Acsi_core.Metrics
 
 type mode =
-  | Open of { period : int; requests : int }
   | Closed of { clients : int; requests_per_client : int; think : int }
 
 type request = {
@@ -51,7 +50,6 @@ type summary = {
    time-series plus log-bucketed histograms, populated off the clock —
    the summary above never changes whether anyone reads these. *)
 type telemetry = {
-  tl_interval : int;
   tl_series : Acsi_obs.Timeseries.t;
   tl_latency : Acsi_obs.Hist.t;
   tl_compile_wait : Acsi_obs.Hist.t;
@@ -68,22 +66,16 @@ type result = {
   telemetry : telemetry;
 }
 
-let mode_string = function
-  | Open { period; requests } ->
-      Printf.sprintf "open(period=%d,requests=%d)" period requests
-  | Closed { clients; requests_per_client; think } ->
-      Printf.sprintf "closed(clients=%d,requests=%d,think=%d)" clients
-        requests_per_client think
+let mode_string (Closed { clients; requests_per_client; think }) =
+  Printf.sprintf "closed(clients=%d,requests=%d,think=%d)" clients
+    requests_per_client think
 
-let total_requests = function
-  | Open { requests; _ } -> requests
-  | Closed { clients; requests_per_client; _ } ->
-      clients * requests_per_client
+(* Time-series sampling period, virtual cycles. *)
+let telemetry_interval = 1_000_000
 
 (* Pending admissions, kept sorted by arrival cycle; insertion is stable
    (FIFO among equal arrivals), so the admission order — and with it
-   every thread id — is deterministic. [client] is meaningful only in
-   closed-loop mode. *)
+   every thread id — is deterministic. *)
 let insert_pending pending (arrival, client) =
   let rec go = function
     | [] -> [ (arrival, client) ]
@@ -92,43 +84,26 @@ let insert_pending pending (arrival, client) =
   in
   go pending
 
-let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1)
-    ?(async_compile = true) ?(telemetry_interval = 1_000_000) ~mode ~name
-    (cfg : Config.t) program =
-  if telemetry_interval <= 0 then
-    invalid_arg "Server.run: telemetry_interval must be positive";
-  let n_total = total_requests mode in
-  if n_total <= 0 then invalid_arg "Server.run: no requests";
+let run ~mode ~name (cfg : Config.t) program =
+  let (Closed { clients; requests_per_client; think }) = mode in
+  if clients <= 0 || requests_per_client <= 0 then
+    invalid_arg "Server.run: no requests";
+  let n_total = clients * requests_per_client in
   let vm =
     Interp.create ~cost:cfg.Config.cost ~sample_period:cfg.Config.sample_period
       ~invoke_stride:cfg.Config.invoke_stride program
   in
-  let aos = { cfg.Config.aos with System.async_compile } in
+  let aos = { cfg.Config.aos with System.async_compile = true } in
   let sys = System.create aos vm in
   let tracer = System.tracer sys in
   let sched =
-    Sched.create ~quantum ~switch_cost ~cycle_limit:cfg.Config.cycle_limit
+    Sched.create ~cycle_limit:cfg.Config.cycle_limit
       ~on_switch:(fun () -> System.poll_async_installs sys)
       ~tracer vm
   in
-  (* Initial arrival schedule. *)
-  let pending =
-    ref
-      (match mode with
-      | Open { period; requests } ->
-          Array.to_list
-            (Array.mapi
-               (fun _ at -> (at, -1))
-               (Load.open_loop_arrivals ~seed ~period ~n:requests))
-      | Closed { clients; _ } -> List.init clients (fun c -> (0, c)))
-  in
-  let remaining = Array.make (match mode with
-      | Closed { clients; _ } -> clients
-      | Open _ -> 0)
-      (match mode with
-      | Closed { requests_per_client; _ } -> requests_per_client - 1
-      | Open _ -> 0)
-  in
+  (* Every client sends its first request at cycle 0. *)
+  let pending = ref (List.init clients (fun c -> (0, c))) in
+  let remaining = Array.make clients (requests_per_client - 1) in
   let next_rid = ref 0 in
   let by_tid : (int, int * int * int) Hashtbl.t = Hashtbl.create 64 in
   (* tid -> (rid, arrival, client) *)
@@ -215,12 +190,11 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1)
         ();
     if !completed_count mod win = 0 || !completed_count = n_total then
       snaps := (!completed_count, Metrics.snapshot vm sys) :: !snaps;
-    (* Closed loop: the client thinks, then issues its next request. *)
-    match mode with
-    | Closed { think; _ } when client >= 0 && remaining.(client) > 0 ->
-        remaining.(client) <- remaining.(client) - 1;
-        pending := insert_pending !pending (finish + think, client)
-    | Closed _ | Open _ -> ()
+    (* The client thinks, then sends its next request. *)
+    if remaining.(client) > 0 then begin
+      remaining.(client) <- remaining.(client) - 1;
+      pending := insert_pending !pending (finish + think, client)
+    end
   in
   let rec serve () =
     sample_due ();
@@ -306,7 +280,6 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1)
   in
   let telemetry =
     {
-      tl_interval = telemetry_interval;
       tl_series = series;
       tl_latency = latency_hist;
       tl_compile_wait = System.compile_wait_hist sys;

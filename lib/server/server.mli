@@ -6,22 +6,23 @@
     VM (heap, globals, installed code, virtual clock) and the adaptive
     optimization system, so later requests run increasingly optimized
     code — the warmup-vs-steady-state curve the single-shot harness
-    cannot see. Recompilation happens on the background compiler thread
-    ({!Acsi_aos.System.config.async_compile}, on by default here), so
-    compile cycles overlap request execution.
+    cannot see. Recompilation always happens on the background compiler
+    thread ({!Acsi_aos.System.config.async_compile} is forced on), so
+    compile cycles overlap request execution; the stalled configuration
+    is {!Acsi_core.Runtime.run}'s.
 
-    Determinism: arrivals come from a seeded integer PRNG, scheduling
-    from the virtual clock — two identical invocations produce identical
-    schedules, latencies and summaries. *)
+    The load is a closed loop. Open-loop traffic, arrivals that come
+    whether or not the server keeps up, is {!Shards.run}'s (one shard is
+    one virtual processor).
+
+    Determinism: each arrival is a completion plus the think time, and
+    scheduling follows the virtual clock — two identical invocations
+    produce identical schedules, latencies and summaries. *)
 
 type mode =
-  | Open of { period : int; requests : int }
-      (** open loop: requests arrive on their own schedule (mean
-          inter-arrival [period] cycles) whether or not the server keeps
-          up — queueing delay counts toward latency *)
   | Closed of { clients : int; requests_per_client : int; think : int }
-      (** closed loop: [clients] concurrent clients, each issuing its
-          next request [think] cycles after its previous one completes *)
+      (** [clients] concurrent clients, each issuing its next request
+          [think] cycles after its previous one completes *)
 
 type request = {
   r_id : int;  (** admission order *)
@@ -67,12 +68,11 @@ type summary = {
 
 (** Fleet telemetry for one run, collected off the virtual clock (the
     summary and every pinned figure are identical whether or not anyone
-    consumes it): a fixed-interval {!Acsi_obs.Timeseries} over
+    consumes it): a {!Acsi_obs.Timeseries} sampled every 1M cycles over
     {!telemetry_columns}, the request-latency histogram, and the
     system's compile-queue-wait and deopt-to-recompile-gap histograms.
     Exported by [acsi-run metrics] as OpenMetrics/JSONL text. *)
 type telemetry = {
-  tl_interval : int;
   tl_series : Acsi_obs.Timeseries.t;
   tl_latency : Acsi_obs.Hist.t;
   tl_compile_wait : Acsi_obs.Hist.t;
@@ -93,11 +93,6 @@ type result = {
 }
 
 val run :
-  ?quantum:int ->
-  ?switch_cost:int ->
-  ?seed:int ->
-  ?async_compile:bool ->
-  ?telemetry_interval:int ->
   mode:mode ->
   name:string ->
   Acsi_core.Config.t ->
@@ -105,10 +100,10 @@ val run :
   result
 (** Serve the request schedule to completion. [name] labels the summary;
     [cfg] supplies the VM cost model, sampling configuration and AOS
-    configuration (its [async_compile] field is overridden by the
-    [async_compile] argument, default [true]). [telemetry_interval]
-    (virtual cycles, default 1M) sets the time-series sampling period;
-    sampling reads the clock but never charges it. *)
+    configuration (its [async_compile] field is overridden: always
+    [true]). The scheduler runs {!Sched.quantum} and
+    {!Sched.switch_cost}; telemetry sampling reads the clock but never
+    charges it. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

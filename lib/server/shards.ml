@@ -411,12 +411,12 @@ let adopt_published published shards ~now ~tel =
 
 let hot_shard_weight = 2
 
-let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
-    ?(barrier = 2_000_000) ?(pool = 1) ?(pool_policy = System.Fifo)
-    ~shards:n_shards ~sessions ~period ~name (cfg : Config.t) program =
+let run ?(seed = 1) ?(jobs = 1) ?(barrier = 2_000_000) ?(pool = 1)
+    ?(pool_policy = System.Fifo) ~shards:n_shards ~sessions ~period ~name
+    (cfg : Config.t) program =
   if n_shards <= 0 then invalid_arg "Shards.run: shards must be positive";
   if sessions <= 0 then invalid_arg "Shards.run: no sessions";
-  let barrier = max quantum barrier in
+  let barrier = max Sched.quantum barrier in
   (* Global open-loop arrival schedule, then a deliberately skewed
      home-shard hash: shard 0 draws [hot_shard_weight] shares, every
      other shard one — a front-end router with a hot shard, the
@@ -470,7 +470,7 @@ let run ?(quantum = 25_000) ?(switch_cost = 200) ?(seed = 1) ?(jobs = 1)
       (* Sharded runs outlive the single-run default cycle budget by
          design (millions of sessions), so the per-resume limit is
          effectively unbounded; the barrier loop is the budget. *)
-      Sched.create ~quantum ~switch_cost ~cycle_limit:max_int
+      Sched.create ~cycle_limit:max_int
         ~on_switch:(fun () -> System.poll_async_installs sys)
         vm
     in

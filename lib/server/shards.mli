@@ -106,8 +106,6 @@ type flow = {
   f_key : int;
 }
 
-val flow_name : flow_kind -> string
-
 type telemetry = {
   tel_interval : int;  (** = the run's barrier length *)
   tel_series : Acsi_obs.Timeseries.t array;
@@ -158,8 +156,6 @@ type result = {
 }
 
 val run :
-  ?quantum:int ->
-  ?switch_cost:int ->
   ?seed:int ->
   ?jobs:int ->
   ?barrier:int ->
@@ -172,20 +168,24 @@ val run :
   Acsi_core.Config.t ->
   Acsi_bytecode.Program.t ->
   result
-(** Serve [sessions] open-loop arrivals (mean inter-arrival [period])
-    of the program's [main] across [shards] virtual processors.
+(** Serve [sessions] open-loop arrivals (mean inter-arrival [period],
+    drawn from [seed], default 1) of the program's [main] across [shards]
+    virtual processors. This is the one open-loop engine: one shard is
+    one virtual processor serving arrivals whether or not it keeps up.
 
     [jobs] (default 1) caps the host domains running shards in parallel
     within a round; it never affects results. [barrier] (default
-    2_000_000) is the virtual-cycle round length between cross-shard
-    barriers. Each shard admits at most 64 sessions at once
-    (admission control; pending sessions stay queued as cheap tuples,
-    which is what makes million-session backlogs affordable). Shard 0
-    draws two shares of the home-shard hash and every other shard one —
-    a deliberately skewed front-end router — so work stealing has an
-    imbalance to fix. [pool]/[pool_policy] configure each shard's background compiler
-    pool ({!System.config.compiler_pool}). Compilation is always
-    asynchronous in sharded mode. *)
+    2_000_000, at least {!Sched.quantum}) is the virtual-cycle round
+    length between cross-shard barriers. Each shard's scheduler runs
+    {!Sched.quantum} and {!Sched.switch_cost}. Each shard admits at most
+    64 sessions at once (admission control; pending sessions stay queued
+    as cheap tuples, which is what makes million-session backlogs
+    affordable). Shard 0 draws two shares of the home-shard hash and
+    every other shard one — a deliberately skewed front-end router — so
+    work stealing has an imbalance to fix. [pool]/[pool_policy] configure
+    each shard's background compiler pool
+    ({!System.config.compiler_pool}). Compilation is always asynchronous
+    in sharded mode. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 val pp_shards : Format.formatter -> shard_stat list -> unit

@@ -71,7 +71,7 @@ let () =
           let aos = { cfg.Config.aos with System.static_seed = seeded } in
           let cfg = { cfg with Config.aos } in
           let r =
-            Server.run ~seed:7 ~name
+            Server.run ~name
               ~mode:
                 (Server.Closed
                    { clients = 4; requests_per_client = 3; think = 50_000 })

@@ -339,18 +339,20 @@ let prop_percentiles_match_spec =
 
 (* --- the server harness itself --- *)
 
-let serve_db ?(async_compile = true) () =
+let serve_db () =
   let program = (Workloads.find "db").Workloads.build ~scale:2 in
-  Server.run ~quantum:25_000 ~switch_cost:200 ~seed:5 ~async_compile
+  Server.run
     ~mode:
       (Server.Closed { clients = 2; requests_per_client = 2; think = 10_000 })
     ~name:"db"
     (Config.default ~policy:(Policy.Fixed 3))
     program
 
-(* Tentpole acceptance: background compilation overlaps mutator
-   progress — requests retire instructions while compiles are in
-   flight, and the finished code is installed at yield points. *)
+(* Background compilation overlaps mutator progress — requests retire
+   instructions while compiles are in flight, and the finished code is
+   installed at yield points. [Config.default] leaves [async_compile]
+   off, so this also pins that [Server.run] always compiles in the
+   background. *)
 let test_async_compilation_overlaps () =
   let r = serve_db () in
   let s = r.Server.summary in
@@ -375,16 +377,6 @@ let test_async_compilation_overlaps () =
     "window install counts telescope to the total"
     s.Server.sv_async_installs installs
 
-let test_sync_compile_still_works () =
-  let r = serve_db ~async_compile:false () in
-  let s = r.Server.summary in
-  Alcotest.(check int) "all requests served" 4 s.Server.sv_requests;
-  Alcotest.(check int) "no async installs in sync mode" 0
-    s.Server.sv_async_installs;
-  Alcotest.(check int) "no overlap in sync mode" 0
-    s.Server.sv_overlap_instructions;
-  Alcotest.(check bool) "still compiled" true (s.Server.sv_opt_compilations > 0)
-
 (* Verify-on-install stays off the virtual clock. An async serve
    installs background-compiled code through the one install path; and
    since adoption charges no compile cycles, an adopted install — valid
@@ -394,7 +386,7 @@ let test_async_verify_outside_clock () =
   let program = (Workloads.find "db").Workloads.build ~scale:2 in
   let cfg = Config.default ~policy:(Policy.Fixed 3) in
   let served =
-    (Server.run ~seed:5
+    (Server.run
        ~mode:
          (Server.Closed { clients = 2; requests_per_client = 2; think = 10_000 })
        ~name:"db" cfg program)
@@ -465,7 +457,7 @@ let test_serve_deterministic () =
 let test_serve_jobs_invariant () =
   let serve_one name =
     let program = (Workloads.find name).Workloads.build ~scale:2 in
-    (Server.run ~seed:11
+    (Server.run
        ~mode:
          (Server.Closed { clients = 2; requests_per_client = 2; think = 10_000 })
        ~name
@@ -540,7 +532,7 @@ let serve_speculative ~speculate name =
         { cfg.Config.aos with System.speculate; enable_osr = speculate };
     }
   in
-  (Server.run ~async_compile:true
+  (Server.run
      ~mode:
        (Server.Closed { clients = 4; requests_per_client = 1; think = 50_000 })
      ~name cfg program)
@@ -579,8 +571,6 @@ let suite =
       test_ring_grows_and_wraps;
     Alcotest.test_case "async compilation overlaps mutator" `Slow
       test_async_compilation_overlaps;
-    Alcotest.test_case "sync compilation path unchanged" `Slow
-      test_sync_compile_still_works;
     Alcotest.test_case "async verify-on-install off the clock" `Slow
       test_async_verify_outside_clock;
     Alcotest.test_case "server runs are deterministic" `Slow
