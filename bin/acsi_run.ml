@@ -659,16 +659,24 @@ let requests_arg =
           "Requests per client (closed loop) or total sessions (with \
            --shards).")
 
+(* An option only one of the two servers reads: its value, and whether
+   it was given, so that the other server can refuse it. *)
+let server_knob knob_conv ~default name doc =
+  let given =
+    Arg.value
+      (Arg.opt
+         (Arg.some' ~none:default knob_conv)
+         None (Arg.info [ name ] ~doc))
+  in
+  Term.(const (fun v -> (Option.value v ~default, v <> None)) $ given)
+
 let clients_arg =
-  Arg.(
-    value & opt (Cli.at_least 1) 4
-    & info [ "clients" ] ~doc:"Concurrent clients (closed loop).")
+  server_knob (Cli.at_least 1) ~default:4 "clients"
+    "Concurrent clients (closed loop)."
 
 let think_arg =
-  Arg.(
-    value & opt (Cli.at_least 0) 50_000
-    & info [ "think" ]
-        ~doc:"Client think time in cycles between requests (closed loop).")
+  server_knob (Cli.at_least 0) ~default:50_000 "think"
+    "Client think time in cycles between requests (closed loop)."
 
 let open_period_arg =
   Arg.(
@@ -680,9 +688,8 @@ let open_period_arg =
            open-loop arrivals (default 2400); needs --shards.")
 
 let seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "seed" ] ~doc:"Seed for the open-loop arrival schedule.")
+  server_knob Arg.int ~default:1 "seed"
+    "Seed for the open-loop arrival schedule."
 
 let windows_arg =
   Arg.(
@@ -704,58 +711,80 @@ let shards_arg =
            open-loop.")
 
 let pool_arg =
-  Arg.(
-    value & opt (Cli.at_least 1) 1
-    & info [ "pool" ]
-        ~doc:"Background compiler threads per shard (sharded mode).")
+  server_knob (Cli.at_least 1) ~default:1 "pool"
+    "Background compiler threads per shard (sharded mode)."
 
 let pool_policy_arg =
-  Arg.(
-    value
-    & opt Cli.pool_policy Acsi_aos.System.Fifo
-    & info [ "pool-policy" ]
-        ~doc:"Compiler-pool queue policy: fifo, hot or deadline.")
+  server_knob Cli.pool_policy ~default:Acsi_aos.System.Fifo "pool-policy"
+    "Compiler-pool queue policy: fifo, hot or deadline."
 
 let barrier_arg =
-  Arg.(
-    value
-    & opt (Cli.at_least 1) 2_000_000
-    & info [ "barrier" ]
-        ~doc:
-          "Virtual cycles between cross-shard barriers (DCG merge, code \
-           publication, work stealing).")
+  server_knob (Cli.at_least 1) ~default:2_000_000 "barrier"
+    "Virtual cycles between cross-shard barriers (DCG merge, code \
+     publication, work stealing)."
 
 let serve_jobs_arg =
-  Cli.jobs_arg ~names:[ "jobs" ] ~default:1
+  server_knob (Cli.at_least 1) ~default:1 "jobs"
     "Host domains running shards in parallel within a round (sharded \
      mode); never affects results."
 
 (* serve and metrics have no --speculate. *)
 let serve_config_arg = Cli.config_term ~speculate:(Term.const false) ()
 
-let load_arg =
-  let make requests clients think open_period seed pool pool_policy barrier
-      jobs =
-    { requests; clients; think; open_period; seed; pool; pool_policy;
-      barrier; jobs }
+(* The serving knobs and the shard count. A knob the chosen server
+   would ignore is a usage error, refused before any run: the sharded
+   server's without [--shards], the closed loop's with it. *)
+(* The serving knobs and the shard count. A knob the chosen server
+   would ignore is a usage error, refused before any run: the sharded
+   server's without [--shards], the closed loop's with it. *)
+let load_arg shards_arg =
+  let make requests (clients, clients_set) (think, think_set) open_period
+      (seed, seed_set) (pool, pool_set) (pool_policy, pool_policy_set)
+      (barrier, barrier_set) (jobs, jobs_set) shards =
+    let first_given =
+      List.find_map (fun (set, msg) -> if set then Some msg else None)
+    in
+    let needs_shards name why = Printf.sprintf "%s needs --shards (%s)" name why
+    and closed_only name =
+      name ^ " is closed-loop only (sharded arrivals are open-loop)"
+    in
+    let ignored =
+      if shards > 0 then
+        first_given
+          [
+            (clients_set, closed_only "--clients");
+            (think_set, closed_only "--think");
+          ]
+      else
+        first_given
+          [
+            ( open_period <> None,
+              needs_shards "--open" "open-loop serving is sharded" );
+            (seed_set, needs_shards "--seed" "it seeds open-loop arrivals");
+            (pool_set, needs_shards "--pool" "compiler pools are per shard");
+            ( pool_policy_set,
+              needs_shards "--pool-policy" "compiler pools are per shard" );
+            (barrier_set, needs_shards "--barrier" "barriers end shard rounds");
+            (jobs_set, needs_shards "--jobs" "host domains run shards");
+          ]
+    in
+    match ignored with
+    | Some msg -> `Error (true, msg)
+    | None ->
+        `Ok
+          ( { requests; clients; think; open_period; seed; pool; pool_policy;
+              barrier; jobs },
+            shards )
   in
   Term.(
-    const make $ requests_arg $ clients_arg $ think_arg $ open_period_arg
-    $ seed_arg $ pool_arg $ pool_policy_arg $ barrier_arg $ serve_jobs_arg)
+    ret
+      (const make $ requests_arg $ clients_arg $ think_arg $ open_period_arg
+     $ seed_arg $ pool_arg $ pool_policy_arg $ barrier_arg $ serve_jobs_arg
+     $ shards_arg))
 
-(* Open-loop arrivals are the sharded server's: [--open] without
-   [--shards] is a usage error, refused before any run. *)
-let open_needs_shards load shards =
-  if load.open_period <> None && shards <= 0 then
-    `Error (true, "--open needs --shards (open-loop serving is sharded)")
-  else `Ok ()
-
-let serve_main verbose specs cfg scale load shards show_windows =
+let serve_main verbose specs cfg scale (load, shards) show_windows =
   setup_logs verbose;
-  match open_needs_shards load shards with
-  | `Error _ as e -> e
-  | `Ok () ->
-      `Ok (serve_benches ~specs ~cfg ~scale ~load ~shards ~show_windows)
+  serve_benches ~specs ~cfg ~scale ~load ~shards ~show_windows
 
 let serve_cmd =
   let doc =
@@ -764,10 +793,8 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      ret
-        (const serve_main $ Cli.verbose_arg $ serve_bench_arg
-       $ serve_config_arg $ Cli.scale_arg $ load_arg $ shards_arg
-       $ windows_arg))
+      const serve_main $ Cli.verbose_arg $ serve_bench_arg $ serve_config_arg
+      $ Cli.scale_arg $ load_arg shards_arg $ windows_arg)
 
 (* One telemetry export for both servers: every series under the JSONL
    record name [series_name] with its own labels, then every histogram;
@@ -799,54 +826,48 @@ let emit_telemetry buf format ~labels ~series_name series hists =
    runs emit it only in the serial barrier section, so the export is
    byte-identical across --jobs and never perturbs the run it observes. *)
 let metrics_one ~spec ~cfg ~scale ~load ~shards ~format ~flows_out =
-  if flows_out <> None && shards <= 0 then begin
-    Format.eprintf "--flows needs --shards (flow arrows link shards)@.";
-    2
-  end
-  else begin
-    Option.iter Cli.check_writable flows_out;
-    let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
-    let name = spec.Workloads.name in
-    let labels = [ ("bench", name) ] in
-    let buf = Buffer.create 4096 in
-    (if shards > 0 then begin
-       let tel =
-         (run_shards load ~shards ~name cfg program)
-           .Acsi_server.Shards.telemetry
-       in
-       emit_telemetry buf format ~labels ~series_name:"shard"
-         (List.mapi
-            (fun i s -> (labels @ [ ("shard", string_of_int i) ], s))
-            (Array.to_list tel.Acsi_server.Shards.tel_series))
-         [
-           ("session_latency", tel.tel_latency_all);
-           ("steal_distance", tel.tel_steal_distance);
-           ("compile_wait", tel.tel_compile_wait);
-           ("deopt_gap", tel.tel_deopt_gap);
-         ];
-       Option.iter
-         (fun path ->
-           let fbuf = Buffer.create 4096 in
-           Acsi_obs.Export.to_chrome_json fbuf
-             (Acsi_server.Shards.telemetry_tracer tel);
-           write_buffer path fbuf;
-           Format.eprintf "metrics: wrote flow trace to %s@." path)
-         flows_out
-     end
-     else
-       let tel =
-         (run_server load ~name cfg program).Acsi_server.Server.telemetry
-       in
-       emit_telemetry buf format ~labels ~series_name:"server"
-         [ (labels, tel.Acsi_server.Server.tl_series) ]
-         [
-           ("request_latency", tel.tl_latency);
-           ("compile_wait", tel.tl_compile_wait);
-           ("deopt_gap", tel.tl_deopt_gap);
-         ]);
-    print_string (Buffer.contents buf);
-    0
-  end
+  Option.iter Cli.check_writable flows_out;
+  let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
+  let name = spec.Workloads.name in
+  let labels = [ ("bench", name) ] in
+  let buf = Buffer.create 4096 in
+  (if shards > 0 then begin
+     let tel =
+       (run_shards load ~shards ~name cfg program)
+         .Acsi_server.Shards.telemetry
+     in
+     emit_telemetry buf format ~labels ~series_name:"shard"
+       (List.mapi
+          (fun i s -> (labels @ [ ("shard", string_of_int i) ], s))
+          (Array.to_list tel.Acsi_server.Shards.tel_series))
+       [
+         ("session_latency", tel.tel_latency_all);
+         ("steal_distance", tel.tel_steal_distance);
+         ("compile_wait", tel.tel_compile_wait);
+         ("deopt_gap", tel.tel_deopt_gap);
+       ];
+     Option.iter
+       (fun path ->
+         let fbuf = Buffer.create 4096 in
+         Acsi_obs.Export.to_chrome_json fbuf
+           (Acsi_server.Shards.telemetry_tracer tel);
+         write_buffer path fbuf;
+         Format.eprintf "metrics: wrote flow trace to %s@." path)
+       flows_out
+   end
+   else
+     let tel =
+       (run_server load ~name cfg program).Acsi_server.Server.telemetry
+     in
+     emit_telemetry buf format ~labels ~series_name:"server"
+       [ (labels, tel.Acsi_server.Server.tl_series) ]
+       [
+         ("request_latency", tel.tl_latency);
+         ("compile_wait", tel.tl_compile_wait);
+         ("deopt_gap", tel.tl_deopt_gap);
+       ]);
+  print_string (Buffer.contents buf);
+  0
 
 let metrics_bench_arg =
   Cli.bench_arg ~default:"session"
@@ -878,14 +899,15 @@ let metrics_flows_arg =
            arrows between shard tracks) as Chrome trace-event JSON for \
            Perfetto (sharded mode).")
 
-let metrics_main verbose spec cfg scale load shards format flows_out =
-  setup_logs verbose;
-  match open_needs_shards load shards with
-  | `Error _ as e -> e
-  | `Ok () ->
-      `Ok
-        (reporting_errors (fun () ->
-             metrics_one ~spec ~cfg ~scale ~load ~shards ~format ~flows_out))
+let metrics_main verbose spec cfg scale (load, shards) format flows_out =
+  if flows_out <> None && shards <= 0 then
+    `Error (true, "--flows needs --shards (flow arrows link shards)")
+  else begin
+    setup_logs verbose;
+    `Ok
+      (reporting_errors (fun () ->
+           metrics_one ~spec ~cfg ~scale ~load ~shards ~format ~flows_out))
+  end
 
 let metrics_cmd =
   let doc =
@@ -897,7 +919,8 @@ let metrics_cmd =
     Term.(
       ret
         (const metrics_main $ Cli.verbose_arg $ metrics_bench_arg
-       $ serve_config_arg $ Cli.scale_arg $ load_arg $ metrics_shards_arg
+       $ serve_config_arg $ Cli.scale_arg
+       $ load_arg metrics_shards_arg
        $ metrics_format_arg $ metrics_flows_arg))
 
 let lint_files_arg =

@@ -145,7 +145,6 @@ type t = {
      baseline depths), owned here so no other domain ever sees them *)
   install_facts : Acsi_analysis.Jit_check.facts;
   mutable speculative_installs : int;
-  mutable dropped_installs : int;
   mutable rules : Rules.t;
   mutable rules_version : int;
   (* buffers *)
@@ -213,7 +212,6 @@ let overlapped_aos_cycles t = t.overlapped_aos_cycles
 let static_seeded_methods t = t.static_seeds
 let summaries t = t.summaries
 let speculative_installs t = t.speculative_installs
-let dropped_installs t = t.dropped_installs
 let pending_deopts t = List.length t.pending_deopt
 let obs t = t.obs
 let compile_wait_hist t = t.tel_compile_wait
@@ -773,7 +771,6 @@ let install_compiled t (mid : Ids.Method_id.t) code stats ~rule_stamp =
     (* A class load between compile and install broke an assumption
        (possible under the background model): drop the code and
        recompile against the current loaded universe. *)
-    t.dropped_installs <- t.dropped_installs + 1;
     Log.info (fun m ->
         m "dropping stale speculative code for %s (assumption broken before install)"
           (Program.meth t.program mid).Meth.name);
@@ -1149,7 +1146,6 @@ let create ?profile cfg vm =
       preexist_cache = Hashtbl.create 16;
       install_facts = Acsi_analysis.Jit_check.facts program;
       speculative_installs = 0;
-      dropped_installs = 0;
       rules = Rules.empty ();
       rules_version = 0;
       method_buffer = [];

@@ -145,10 +145,6 @@ val speculative_installs : t -> int
 (** Optimized codes installed carrying at least one CHA assumption
     (0 unless {!config.speculate}). *)
 
-val dropped_installs : t -> int
-(** Compiled codes discarded at install time because a class load broke
-    an assumption between compile and install (background model). *)
-
 val pending_deopts : t -> int
 (** Reverted codes whose stale frames may still await a downward
     transfer. *)

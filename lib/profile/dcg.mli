@@ -85,9 +85,6 @@ val iter_sites :
   t -> f:(caller:Ids.Method_id.t -> callsite:int -> site_view -> unit) -> unit
 (** One call per live site, in no particular order. *)
 
-val site_view :
-  t -> caller:Ids.Method_id.t -> callsite:int -> site_view option
-
 val view_callee_count : site_view -> int
 (** Distinct callees recorded at the site (over all depths). *)
 

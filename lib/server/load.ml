@@ -20,64 +20,75 @@ let open_loop_arrivals ~seed ~period ~n =
   done;
   arrivals
 
-(* In-place ascending sort of [a.(lo..hi)]: quicksort with a
-   median-of-three pivot and Hoare partitioning (runs of equal keys split
-   evenly, so all-equal samples stay n log n), insertion sort below 16
-   elements. Monomorphic, so every comparison is an inline integer
-   compare rather than a call through [Int.compare]. Recursing into the
-   smaller side first bounds the stack at log n. *)
-let rec sort_ints (a : int array) lo hi =
-  if hi - lo < 16 then
-    for i = lo + 1 to hi do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  else begin
-    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi) in
-    let pivot =
-      if x < y then if y < z then y else if x < z then z else x
-      else if x < z then x
-      else if y < z then z
-      else y
-    in
-    let i = ref lo and j = ref hi in
-    while !i <= !j do
-      while a.(!i) < pivot do incr i done;
-      while a.(!j) > pivot do decr j done;
-      if !i <= !j then begin
-        let t = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- t;
-        incr i;
-        decr j
-      end
+(* Hoare partitioning of [a.(lo..hi)], [hi - lo >= 2], around a
+   median-of-three pivot: returns [(i, j)], [j < i], with [a.(lo..j)]
+   at most the pivot, [a.(i..hi)] at least the pivot and everything in
+   between equal to it. Runs of equal keys split evenly. Monomorphic, so
+   every comparison is an inline integer compare rather than a call
+   through [Int.compare]. *)
+let partition (a : int array) lo hi =
+  let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi) in
+  let pivot =
+    if x < y then if y < z then y else if x < z then z else x
+    else if x < z then x
+    else if y < z then z
+    else y
+  in
+  let i = ref lo and j = ref hi in
+  while !i <= !j do
+    while a.(!i) < pivot do incr i done;
+    while a.(!j) > pivot do decr j done;
+    if !i <= !j then begin
+      let t = a.(!i) in
+      a.(!i) <- a.(!j);
+      a.(!j) <- t;
+      incr i;
+      decr j
+    end
+  done;
+  (!i, !j)
+
+(* In-place ascending sort of [a.(lo..hi)], insertion sort below 16
+   elements. *)
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
     done;
-    if !j - lo < hi - !i then begin
-      sort_ints a lo !j;
-      sort_ints a !i hi
-    end
-    else begin
-      sort_ints a !i hi;
-      sort_ints a lo !j
-    end
-  end
+    a.(!j + 1) <- x
+  done
+
+(* Puts the element of rank [k] (0-based) of [a.(lo..hi)] at [a.(k)],
+   with nothing larger before it and nothing smaller after it:
+   quickselect, so a pass over [n] elements costs O(n), not a sort. *)
+let rec select (a : int array) lo hi k =
+  if hi - lo < 16 then insertion_sort a lo hi
+  else
+    let i, j = partition a lo hi in
+    if k <= j then select a lo j k else if k >= i then select a i hi k
 
 let percentiles xs ps =
   let n = Array.length xs in
   if n = 0 then Array.map (fun _ -> 0) ps
   else begin
-    let sorted = Array.copy xs in
-    sort_ints sorted 0 (n - 1);
-    Array.map
-      (fun p ->
-        let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-        sorted.(min (n - 1) (max 0 (rank - 1))))
-      ps
+    let a = Array.copy xs in
+    let rank p =
+      let r = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
+      min (n - 1) (max 0 (r - 1))
+    in
+    (* Ranks in ascending order: each selection leaves everything above
+       its rank after it, so the next one searches only there. *)
+    let ranks = List.sort_uniq Int.compare (Array.to_list (Array.map rank ps)) in
+    ignore
+      (List.fold_left
+         (fun lo k ->
+           select a lo (n - 1) k;
+           k)
+         0 ranks);
+    Array.map (fun p -> a.(rank p)) ps
   end
 
 let percentile xs p = (percentiles xs [| p |]).(0)

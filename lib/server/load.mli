@@ -17,8 +17,9 @@ val open_loop_arrivals : seed:int -> period:int -> n:int -> int array
 val percentiles : int array -> float array -> int array
 (** [percentiles xs ps] is the nearest-rank percentile of the (unsorted)
     sample [xs] for each [p] in [ps], in order; 0 for every [p] on an
-    empty sample. Exact: one copy of [xs] is sorted and every rank is
-    read from it, so asking for p50/p95/p99 together costs one sort.
+    empty sample. Exact: one copy of [xs] is partitioned in place by
+    quickselect at each rank, in ascending rank order, so asking for
+    p50/p95/p99/max together costs a few linear passes, not a sort.
     This is the reference spec the log-bucketed
     {!Acsi_obs.Hist.quantile} is differentially tested against, and it
     computes the pinned summary percentiles; histograms serve the

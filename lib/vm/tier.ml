@@ -26,6 +26,23 @@ open Interp
    - a node runs its operands' subtrees in source order, then checks
      the operands in the naive loop's order.
 
+   Specialization. All closures built by one arm of a builder share
+   that arm's machine code, so whatever the arm leaves to run time
+   (which operator, which operand kind) is an indirect jump in shared
+   code: every closure of the arm takes it, each with its own operator,
+   and the branch predictor sees them all as one jump that keeps
+   changing target. So the hot (operator, operand shape) pairs of
+   [ev], [assign] and [branch] have arms of their own, chosen from
+   counts of executions per arm on the benchmark's workloads
+   (EXPERIMENTS.md "PR 34"), in which the operator is one instruction
+   and leaf operands are read in place, and [moves] is built from
+   fixed-arity register/constant arms, with no per-move dispatch. The
+   generic arms ([eval_binop]/[eval_cmp] on a captured operator,
+   [fetch] on a captured operand) serve every other pair.
+   Each specialized arm checks its operands in the naive loop's order
+   (a binop's or compare's right operand first), so traps, their
+   messages and the clock are {!Interp.run_reference}'s.
+
    Prepayment. A run is the instructions from a pc through forward
    jumps up to and including the next branch or backward jump, stopping
    before any breaker (an instruction with an extra charge: calls,
@@ -242,49 +259,61 @@ let[@inline] fetch fr = function
   | Ofield (i, f) -> (as_obj (get fr.f_regs i)).Value.fields.(f)
   | Onode g -> g fr
 
-(* Interior nodes: closures specialized on their operands' shapes, with
-   subtrees run in source order and operands checked in the naive
-   loop's order. *)
+(* Interior nodes: closures specialized on their operands' shapes and,
+   for the hot pairs, on their operator, with subtrees run in source
+   order and operands checked in the naive loop's order (a binop's or
+   compare's right operand first). The generic [Binop] and [Cmp] arms
+   serve every other pair. *)
 let rec ev (e : tree) : frame -> Value.t =
   match e with
-  | Binop (op, Reg i, Reg j) ->
+  | Binop (Instr.Add, Reg i, Reg j) ->
       fun fr ->
         let r = fr.f_regs in
         let b = as_int (get r j) in
-        of_int (eval_binop op (as_int (get r i)) b)
-  | Binop (op, Reg i, Imm c) when is_int c ->
-      let c = int_of c in
-      fun fr -> of_int (eval_binop op (as_int (get fr.f_regs i)) c)
-  | Binop (op, Binop (op', Reg i, Reg j), Imm c) when is_int c ->
-      let c = int_of c in
+        of_int (as_int (get r i) + b)
+  | Binop (Instr.Sub, Reg i, Reg j) ->
       fun fr ->
         let r = fr.f_regs in
         let b = as_int (get r j) in
-        of_int (eval_binop op (eval_binop op' (as_int (get r i)) b) c)
-  | Binop (op, a, Imm c) when is_int c ->
+        of_int (as_int (get r i) - b)
+  | Binop (Instr.Mul, Reg i, Reg j) ->
+      fun fr ->
+        let r = fr.f_regs in
+        let b = as_int (get r j) in
+        of_int (as_int (get r i) * b)
+  | Binop (Instr.Shr, Binop (Instr.Mul, Reg i, Reg j), Imm c) when is_int c ->
+      let s = int_of c land 63 in
+      fun fr ->
+        let r = fr.f_regs in
+        let b = as_int (get r j) in
+        of_int ((as_int (get r i) * b) asr s)
+  | Binop (Instr.Mul, Reg i, Imm c) when is_int c ->
+      let c = int_of c in
+      fun fr -> of_int (as_int (get fr.f_regs i) * c)
+  | Binop (Instr.And, Reg i, Imm c) when is_int c ->
+      let c = int_of c in
+      fun fr -> of_int (as_int (get fr.f_regs i) land c)
+  | Binop (Instr.Add, a, Imm c) when is_int c ->
       let a = opd a and c = int_of c in
-      fun fr -> of_int (eval_binop op (as_int (fetch fr a)) c)
-  | Binop (op, a, Reg j) ->
-      let a = opd a in
+      fun fr -> of_int (as_int (fetch fr a) + c)
+  | Binop (Instr.Mul, a, Imm c) when is_int c ->
+      let a = opd a and c = int_of c in
+      fun fr -> of_int (as_int (fetch fr a) * c)
+  | Binop (Instr.And, a, Imm c) when is_int c ->
+      let a = opd a and c = int_of c in
+      fun fr -> of_int (as_int (fetch fr a) land c)
+  | Binop (Instr.Add, a, b) ->
+      let a = opd a and b = opd b in
       fun fr ->
         let va = fetch fr a in
-        let b = as_int (get fr.f_regs j) in
-        of_int (eval_binop op (as_int va) b)
-  | Binop (op, Reg i, b) ->
-      let b = opd b in
-      fun fr ->
         let b = as_int (fetch fr b) in
-        of_int (eval_binop op (as_int (get fr.f_regs i)) b)
+        of_int (as_int va + b)
   | Binop (op, a, b) ->
       let a = opd a and b = opd b in
       fun fr ->
         let va = fetch fr a in
         let b = as_int (fetch fr b) in
         of_int (eval_binop op (as_int va) b)
-  | Cmp (c, Reg i, Reg j) ->
-      fun fr ->
-        let r = fr.f_regs in
-        of_int (eval_cmp c (get r i) (get r j))
   | Cmp (c, a, b) ->
       let a = opd a and b = opd b in
       fun fr ->
@@ -296,12 +325,6 @@ let rec ev (e : tree) : frame -> Value.t =
         let r = fr.f_regs in
         let i = as_int (get r y) in
         elt (as_arr (get r x)) i
-  | Array_get (a, Reg y) ->
-      let a = opd a in
-      fun fr ->
-        let va = fetch fr a in
-        let i = as_int (get fr.f_regs y) in
-        elt (as_arr va) i
   | Array_get (a, b) ->
       let a = opd a and b = opd b in
       fun fr ->
@@ -343,7 +366,7 @@ and opd = function
   | e -> Onode (ev e)
 
 (* Statements: each performs its effect and tails into [k]. An assign's
-   root node runs inside the statement. *)
+   root node runs inside the statement, specialized as in [ev]. *)
 
 let assign dst (e : tree) (k : nfn) : nfn =
   match e with
@@ -356,38 +379,81 @@ let assign dst (e : tree) (k : nfn) : nfn =
       fun fr ->
         set fr.f_regs dst v;
         k fr
-  | Binop (op, Reg i, Imm c) when is_int c ->
+  | Binop (Instr.Add, Reg i, Imm c) when is_int c ->
       let c = int_of c in
       fun fr ->
         let r = fr.f_regs in
-        set_int r dst (eval_binop op (as_int (get r i)) c);
+        set_int r dst (as_int (get r i) + c);
         k fr
-  | Binop (op, Reg i, Reg j) ->
+  | Binop (Instr.Sub, Reg i, Imm c) when is_int c ->
+      let c = int_of c in
+      fun fr ->
+        let r = fr.f_regs in
+        set_int r dst (as_int (get r i) - c);
+        k fr
+  | Binop (Instr.Add, Reg i, Reg j) ->
       fun fr ->
         let r = fr.f_regs in
         let b = as_int (get r j) in
-        set_int r dst (eval_binop op (as_int (get r i)) b);
+        set_int r dst (as_int (get r i) + b);
         k fr
-  | Binop (op, a, Imm c) when is_int c ->
+  | Binop (Instr.And, a, Imm c) when is_int c ->
       let a = opd a and c = int_of c in
       fun fr ->
         let a = as_int (fetch fr a) in
-        set_int fr.f_regs dst (eval_binop op a c);
+        set_int fr.f_regs dst (a land c);
         k fr
-  | Binop (op, a, Reg j) ->
+  | Binop (Instr.Shr, a, Imm c) when is_int c ->
+      let a = opd a and s = int_of c land 63 in
+      fun fr ->
+        let a = as_int (fetch fr a) in
+        set_int fr.f_regs dst (a asr s);
+        k fr
+  | Binop (Instr.Sub, a, Reg j) ->
       let a = opd a in
       fun fr ->
         let va = fetch fr a in
         let r = fr.f_regs in
         let b = as_int (get r j) in
-        set_int r dst (eval_binop op (as_int va) b);
+        set_int r dst (as_int va - b);
         k fr
-  | Binop (op, Reg i, b) ->
+  | Binop (Instr.Rem, a, Reg j) ->
+      let a = opd a in
+      fun fr ->
+        let va = fetch fr a in
+        let r = fr.f_regs in
+        let b = as_int (get r j) in
+        let a = as_int va in
+        if b = 0 then rerr "remainder by zero";
+        set_int r dst (a mod b);
+        k fr
+  | Binop (Instr.Add, Reg i, b) ->
       let b = opd b in
       fun fr ->
         let b = as_int (fetch fr b) in
         let r = fr.f_regs in
-        set_int r dst (eval_binop op (as_int (get r i)) b);
+        set_int r dst (as_int (get r i) + b);
+        k fr
+  | Binop (Instr.Sub, Reg i, b) ->
+      let b = opd b in
+      fun fr ->
+        let b = as_int (fetch fr b) in
+        let r = fr.f_regs in
+        set_int r dst (as_int (get r i) - b);
+        k fr
+  | Binop (Instr.Add, a, b) ->
+      let a = opd a and b = opd b in
+      fun fr ->
+        let va = fetch fr a in
+        let b = as_int (fetch fr b) in
+        set_int fr.f_regs dst (as_int va + b);
+        k fr
+  | Binop (Instr.Sub, a, b) ->
+      let a = opd a and b = opd b in
+      fun fr ->
+        let va = fetch fr a in
+        let b = as_int (fetch fr b) in
+        set_int fr.f_regs dst (as_int va - b);
         k fr
   | Binop (op, a, b) ->
       let a = opd a and b = opd b in
@@ -395,6 +461,20 @@ let assign dst (e : tree) (k : nfn) : nfn =
         let va = fetch fr a in
         let b = as_int (fetch fr b) in
         set_int fr.f_regs dst (eval_binop op (as_int va) b);
+        k fr
+  | Cmp (Instr.Eq, a, b) ->
+      let a = opd a and b = opd b in
+      fun fr ->
+        let va = fetch fr a in
+        let vb = fetch fr b in
+        set_int fr.f_regs dst (Bool.to_int (equal_cmp va vb));
+        k fr
+  | Cmp (Instr.Gt, a, b) ->
+      let a = opd a and b = opd b in
+      fun fr ->
+        let va = fetch fr a in
+        let b = as_int (fetch fr b) in
+        set_int fr.f_regs dst (Bool.to_int (as_int va > b));
         k fr
   | Get_field (f, Reg i) ->
       fun fr ->
@@ -422,8 +502,9 @@ let assign dst (e : tree) (k : nfn) : nfn =
         k fr
 
 (* Consecutive leaf moves (stores of leaves, call arguments, block-end
-   spills) batched into one closure, run in order. *)
-let moves (ms : (int * tree) list) (k : nfn) : nfn =
+   spills), run in order: the common two- and three-move shapes in one
+   closure each, longer runs as a chain of them. *)
+let rec moves (ms : (int * tree) list) (k : nfn) : nfn =
   match ms with
   | [] -> k
   | [ (d, e) ] -> assign d e k
@@ -433,15 +514,22 @@ let moves (ms : (int * tree) list) (k : nfn) : nfn =
         set r d0 (get r s0);
         set r d1 (get r s1);
         k fr
-  | ms ->
-      let dst = Array.of_list (List.map fst ms) in
-      let src = Array.of_list (List.map (fun (_, e) -> opd e) ms) in
+  | [ (d0, Reg s0); (d1, Reg s1); (d2, Reg s2) ] ->
       fun fr ->
         let r = fr.f_regs in
-        for i = 0 to Array.length dst - 1 do
-          set r (Array.unsafe_get dst i) (fetch fr (Array.unsafe_get src i))
-        done;
+        set r d0 (get r s0);
+        set r d1 (get r s1);
+        set r d2 (get r s2);
         k fr
+  | [ (d0, Imm v0); (d1, Reg s1); (d2, Reg s2) ] ->
+      fun fr ->
+        let r = fr.f_regs in
+        set r d0 v0;
+        set r d1 (get r s1);
+        set r d2 (get r s2);
+        k fr
+  | m0 :: m1 :: m2 :: (_ :: _ as rest) -> moves [ m0; m1; m2 ] (moves rest k)
+  | m :: rest -> assign (fst m) (snd m) (moves rest k)
 
 (* The entry of a block that starts by moving register [s] to [d]:
    [p]'s prepayment, the move, then the rest of the block, [rests.(pc)]. *)
@@ -501,23 +589,91 @@ let swap s k =
       set r (s - 1) a;
       k fr)
 
+let[@inline] pick fr b ~if_true ~if_false =
+  if b then enter fr if_true else enter fr if_false
+
 (* A two-way branch on [c], each side prepaying its target inline. A
    jump into a block that is nothing but a branch runs the branch
-   itself, after prepaying that block's run ([pre]). *)
-let branch pre c ~(if_true : dest) ~(if_false : dest) : nfn =
+   itself, after prepaying that block's run ([pre]). [Ge], [Gt] and
+   [Ne] are the negations of [Lt], [Le] and [Eq], with the same operand
+   checks in the same order, so they branch as those with the targets
+   swapped. *)
+let rec branch pre c ~(if_true : dest) ~(if_false : dest) : nfn =
   match c with
-  | Cmp (cmp, Reg i, Reg j) ->
+  | Cmp (Instr.Ge, a, b) ->
+      branch pre (Cmp (Instr.Lt, a, b)) ~if_true:if_false ~if_false:if_true
+  | Cmp (Instr.Gt, a, b) ->
+      branch pre (Cmp (Instr.Le, a, b)) ~if_true:if_false ~if_false:if_true
+  | Cmp (Instr.Ne, a, b) ->
+      branch pre (Cmp (Instr.Eq, a, b)) ~if_true:if_false ~if_false:if_true
+  | Cmp (Instr.Lt, Reg i, Reg j) ->
       fun fr ->
         if prepay fr pre then
           let r = fr.f_regs in
-          if eval_cmp cmp (get r i) (get r j) <> 0 then enter fr if_true
-          else enter fr if_false
+          let b = as_int (get r j) in
+          pick fr (as_int (get r i) < b) ~if_true ~if_false
         else fallback fr pre fr.f_rem
-  | Cmp (cmp, Reg i, Imm v) ->
+  | Cmp (Instr.Le, Reg i, Reg j) ->
       fun fr ->
         if prepay fr pre then
-          if eval_cmp cmp (get fr.f_regs i) v <> 0 then enter fr if_true
-          else enter fr if_false
+          let r = fr.f_regs in
+          let b = as_int (get r j) in
+          pick fr (as_int (get r i) <= b) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Cmp (Instr.Lt, Reg i, Imm c) when is_int c ->
+      let c = int_of c in
+      fun fr ->
+        if prepay fr pre then
+          pick fr (as_int (get fr.f_regs i) < c) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Cmp (Instr.Le, Reg i, Imm c) when is_int c ->
+      let c = int_of c in
+      fun fr ->
+        if prepay fr pre then
+          pick fr (as_int (get fr.f_regs i) <= c) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Cmp (Instr.Eq, Reg i, Imm c) when is_int c ->
+      fun fr ->
+        if prepay fr pre then pick fr (get fr.f_regs i == c) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Cmp (Instr.Lt, a, Imm c) when is_int c ->
+      let a = opd a and c = int_of c in
+      fun fr ->
+        if prepay fr pre then
+          pick fr (as_int (fetch fr a) < c) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Cmp (Instr.Eq, a, Imm c) ->
+      (* An integer equals only itself, and null only null. *)
+      let a = opd a in
+      if is_int c then fun fr ->
+        if prepay fr pre then pick fr (fetch fr a == c) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+      else fun fr ->
+        if prepay fr pre then
+          let v = fetch fr a in
+          pick fr
+            ((not (is_int v))
+            &&
+            match v with
+            | Value.Null_c _ -> true
+            | Value.Obj_c _ | Value.Arr_c _ -> false)
+            ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Cmp (Instr.Lt, a, b) ->
+      let a = opd a and b = opd b in
+      fun fr ->
+        if prepay fr pre then
+          let va = fetch fr a in
+          let b = as_int (fetch fr b) in
+          pick fr (as_int va < b) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Cmp (Instr.Eq, a, b) ->
+      let a = opd a and b = opd b in
+      fun fr ->
+        if prepay fr pre then
+          let va = fetch fr a in
+          let vb = fetch fr b in
+          pick fr (equal_cmp va vb) ~if_true ~if_false
         else fallback fr pre fr.f_rem
   | Cmp (cmp, a, b) ->
       let a = opd a and b = opd b in
@@ -525,14 +681,16 @@ let branch pre c ~(if_true : dest) ~(if_false : dest) : nfn =
         if prepay fr pre then
           let va = fetch fr a in
           let vb = fetch fr b in
-          if eval_cmp cmp va vb <> 0 then enter fr if_true
-          else enter fr if_false
+          pick fr (eval_cmp cmp va vb <> 0) ~if_true ~if_false
+        else fallback fr pre fr.f_rem
+  | Reg i ->
+      fun fr ->
+        if prepay fr pre then pick fr (truthy (get fr.f_regs i)) ~if_true ~if_false
         else fallback fr pre fr.f_rem
   | c ->
       let a = opd c in
       fun fr ->
-        if prepay fr pre then
-          if truthy (fetch fr a) then enter fr if_true else enter fr if_false
+        if prepay fr pre then pick fr (truthy (fetch fr a)) ~if_true ~if_false
         else fallback fr pre fr.f_rem
 
 let is_breaker (ins : Instr.t) =

@@ -127,8 +127,9 @@ let rec gen_stmts env fuel ~lvl =
         let* rest = gen_stmts env (fuel - 1) ~lvl in
         Gen.return (Ast.Expr e :: rest)
 
-let gen_program =
+let gen_program_then extra =
   let* body = gen_stmts [] 12 ~lvl:0 in
+  let* extra = extra in
   let open Dsl in
   Gen.return
     (prog harness_classes
@@ -146,10 +147,83 @@ let gen_program =
                    (i 1048575));
             ];
         ]
-       @ body
+       @ body @ extra
        @ [ print (i 424242) ]))
 
+(* Every binary operator and compare with register, constant and field
+   operands on each side, each printed, stored or branched on at random:
+   the shapes the closure tier builds its specialized closures for. The
+   branches also keep each straight-line run short enough to fit a
+   sample window, so it runs on closures. A divisor is never zero: [w1]
+   is odd, a divisor constant is 1-9 and the harness objects' bias
+   fields are 3 and 5. The block runs three times with [u1] moving, so
+   branches go both ways. *)
+let gen_operator_block =
+  let open Acsi_bytecode.Instr in
+  let kinds = [ `Reg; `Imm; `Field ] in
+  let operand ~divisor kind =
+    match kind with
+    | `Reg ->
+        if divisor then Gen.return (Ast.Local "w1")
+        else Gen.map (fun n -> Ast.Local n) (Gen.oneofl [ "u1"; "w1" ])
+    | `Imm ->
+        if divisor then Gen.map (fun n -> Ast.Int (n + 1)) (Gen.int_bound 8)
+        else Gen.map (fun n -> Ast.Int (n - 50)) (Gen.int_bound 100)
+    | `Field ->
+        Gen.map
+          (fun o -> Ast.Field ("A", Ast.Local o, "bias"))
+          (Gen.oneofl [ "oa"; "ob" ])
+  in
+  let place e =
+    let* k = Gen.int_bound 2 in
+    Gen.return
+      (match k with
+      | 0 -> [ Ast.Print e ]
+      | 1 -> [ Ast.Let ("r1", e); Ast.Print (Ast.Local "r1") ]
+      | _ ->
+          [ Ast.If (e, [ Ast.Print (Ast.Int 1) ], [ Ast.Print (Ast.Int 0) ]) ])
+  in
+  let every_shape mk ~divisor =
+    List.concat_map
+      (fun ka ->
+        List.map
+          (fun kb ->
+            let* a = operand ~divisor:false ka in
+            let* b = operand ~divisor kb in
+            place (mk a b))
+          kinds)
+      kinds
+  in
+  let stmts =
+    List.concat_map
+      (fun op ->
+        every_shape
+          (fun a b -> Ast.Binop (op, a, b))
+          ~divisor:(op = Div || op = Rem))
+      [ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Shr ]
+    @ List.concat_map
+        (fun c -> every_shape (fun a b -> Ast.Cmp (c, a, b)) ~divisor:false)
+        [ Eq; Ne; Lt; Le; Gt; Ge ]
+  in
+  let* body = Gen.flatten_l stmts in
+  let* u = Gen.int_bound 2000 in
+  let* w = Gen.int_bound 1000 in
+  Gen.return
+    [
+      Ast.Let ("u1", Ast.Int (u - 1000));
+      Ast.Let ("w1", Ast.Int ((2 * w) + 1));
+      Ast.For
+        ( "kk", Ast.Int 0, Ast.Int 3,
+          List.concat body
+          @ [ Ast.Let ("u1", Ast.Binop (Add, Ast.Local "u1", Ast.Int 37)) ] );
+    ]
+
+let gen_program = gen_program_then (Gen.return [])
+
 let arbitrary_program = QCheck.make gen_program
+
+let arbitrary_operator_program =
+  QCheck.make (gen_program_then gen_operator_block)
 
 let baseline_output program =
   let vm = Acsi_vm.Interp.create program in

@@ -31,17 +31,24 @@ let aggressive (cfg : Config.t) =
 
 (* --- satellite: differential over the random-program corpus --- *)
 
+(* Random programs, each with every operator over register, constant
+   and field operands (see [Test_props.gen_operator_block]). Under the
+   adaptive system hot code soon runs optimized, reshaped by inlining
+   and the peephole pass, so the baseline closures alone ([run_no_aos])
+   must print the same too. *)
 let prop_tier_differential =
   QCheck.Test.make ~name:"closure tier preserves output and cycles"
-    ~count:20 Test_props.arbitrary_program (fun ast ->
+    ~count:20 Test_props.arbitrary_operator_program (fun ast ->
       let program = Compile.prog ast in
       let cfg =
         aggressive (Config.default ~policy:(Policy.Hybrid_param_large 5))
       in
       let on = Runtime.run cfg program in
       let reference = Runtime.run_reference cfg program in
-      Interp.output on.Runtime.vm = Interp.output reference.Runtime.vm
-      && on.Runtime.metrics = reference.Runtime.metrics)
+      let expected = Interp.output reference.Runtime.vm in
+      Interp.output on.Runtime.vm = expected
+      && on.Runtime.metrics = reference.Runtime.metrics
+      && Interp.output (Runtime.run_no_aos cfg program) = expected)
 
 (* --- satellite: the install gate rejects malformed code --- *)
 

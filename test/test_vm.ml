@@ -542,6 +542,275 @@ let test_former_superinstructions () =
         Instr.[ Const 3; Const_null ])
     former_superinstructions
 
+(* --- closures specialized on operator and operand shape --- *)
+
+(* The closure tier gives each hot (operator, operand shape) pair of a
+   node, an assign and a branch its own closure (see [Tier]). The cases
+   below reach each of them, with generic neighbours, in all three
+   places: printed (a node), stored (an assign) and branched on. Each
+   runs with integer operands (the right one below, equal to and above
+   the left one, and 65, a shift count past the mask), then with a
+   non-integer on the left, on the right and on both sides. The left one is an object and the right one null, so
+   a trap names the operand checked first. A division or remainder also
+   runs with a zero divisor, alone and under a non-integer left
+   operand. *)
+type shape = R | I | F | N (* register, constant, field of a register, node *)
+type place = Node | Assign | Branch
+
+type operands =
+  | Below | Same | Above | Wide | Zero
+  | Bad_left | Bad_right | Bad_both | Bad_left_zero
+
+(* Left operands read 7000 (register [a]), -45000000 (field [x]) or 11
+   (element 1); a right operand reads [right] from register [s], field
+   [w], element 3 or a constant. *)
+let spec_program ~right body =
+  compile
+    ~classes:Dsl.[ cls "A" ~fields:[ "x"; "y"; "z"; "w" ] [] ]
+    Dsl.(
+      [
+        let_ "a" (i 7000); let_ "s" (i right); let_ "n" null;
+        let_ "o" (new_ "A" []);
+        setf "A" (v "o") "x" (i (-45_000_000));
+        setf "A" (v "o") "y" (v "o");
+        setf "A" (v "o") "z" null;
+        setf "A" (v "o") "w" (i right);
+        let_ "arr" (arr_new (i 4));
+        arr_set (v "arr") (i 0) (v "o");
+        arr_set (v "arr") (i 1) (i 11);
+        arr_set (v "arr") (i 2) null;
+        arr_set (v "arr") (i 3) (i right);
+      ]
+      @ body)
+
+let spec_left shape ~bad =
+  let open Dsl in
+  match (shape, bad) with
+  | R, false -> (v "a", 7000)
+  | R, true -> (v "o", 0)
+  | I, false -> (i 7, 7)
+  | I, true -> (null, 0)
+  | F, false -> (fld "A" (v "o") "x", -45_000_000)
+  | F, true -> (fld "A" (v "o") "y", 0)
+  | N, false -> (arr_get (v "arr") (i 1), 11)
+  | N, true -> (arr_get (v "arr") (i 0), 0)
+
+let spec_right shape ~bad ~right =
+  let open Dsl in
+  match (shape, bad) with
+  | R, false -> v "s"
+  | R, true -> v "n"
+  | I, false -> i right
+  | I, true -> null
+  | F, false -> fld "A" (v "o") "w"
+  | F, true -> fld "A" (v "o") "z"
+  | N, false -> arr_get (v "arr") (i 3)
+  | N, true -> arr_get (v "arr") (i 2)
+
+let spec_binop (op : Instr.binop) a b =
+  match op with
+  | Instr.Add -> a + b
+  | Instr.Sub -> a - b
+  | Instr.Mul -> a * b
+  | Instr.Div -> a / b
+  | Instr.Rem -> a mod b
+  | Instr.And -> a land b
+  | Instr.Or -> a lor b
+  | Instr.Xor -> a lxor b
+  | Instr.Shl -> a lsl (b land 63)
+  | Instr.Shr -> a asr (b land 63)
+
+let spec_cmp (c : Instr.cmp) a b =
+  match c with
+  | Instr.Eq -> a = b
+  | Instr.Ne -> a <> b
+  | Instr.Lt -> a < b
+  | Instr.Le -> a <= b
+  | Instr.Gt -> a > b
+  | Instr.Ge -> a >= b
+
+let spec_place place e =
+  let open Dsl in
+  match place with
+  | Node -> [ print e ]
+  | Assign -> [ let_ "r" e; print (v "r") ]
+  | Branch -> [ if_ e [ print (i 1) ] [ print (i 0) ] ]
+
+(* [op] is [`Bin] or [`Cmp]; [`Shr_mul] is the nested node
+   [(l * r) asr 2]. *)
+let spec_case place op (sl, sr) operands =
+  let bad_l = List.mem operands [ Bad_left; Bad_both; Bad_left_zero ]
+  and bad_r = List.mem operands [ Bad_right; Bad_both ] in
+  let l, a = spec_left sl ~bad:bad_l in
+  let b =
+    match operands with
+    | Same -> a
+    | Above -> a + 1
+    | Wide -> 65
+    | Zero | Bad_left_zero -> 0
+    | Below | Bad_left | Bad_right | Bad_both -> -3
+  in
+  let r = spec_right sr ~bad:bad_r ~right:b in
+  let trap =
+    if bad_r then Some "expected an integer, got null"
+    else if bad_l then Some "expected an integer, got obj<#0>"
+    else None
+  in
+  let e, expected =
+    match op with
+    | `Bin op ->
+        let zero_msg =
+          match op with
+          | Instr.Div -> Some "division by zero"
+          | Instr.Rem -> Some "remainder by zero"
+          | _ -> None
+        in
+        ( Ast.Binop (op, l, r),
+          match (trap, zero_msg) with
+          | Some m, _ -> Failed m
+          | None, Some m when b = 0 -> Failed m
+          | None, _ -> Printed [ spec_binop op a b ] )
+    | `Cmp ((Instr.Eq | Instr.Ne) as c) ->
+        (* Total on every kind: a non-integer equals no integer, and
+           the object is not null. *)
+        let equal = (not (bad_l || bad_r)) && a = b in
+        ( Ast.Cmp (c, l, r),
+          Printed [ Bool.to_int (if c = Instr.Eq then equal else not equal) ] )
+    | `Cmp c ->
+        ( Ast.Cmp (c, l, r),
+          match trap with
+          | Some m -> Failed m
+          | None -> Printed [ Bool.to_int (spec_cmp c a b) ] )
+    | `Shr_mul ->
+        ( Dsl.(shr (mul l r) (i 2)),
+          match trap with
+          | Some m -> Failed m
+          | None -> Printed [ (a * b) asr 2 ] )
+  in
+  (spec_program ~right:b (spec_place place e), expected)
+
+let spec_cases =
+  let open Instr in
+  let bin ops = List.map (fun (op, s) -> (`Bin op, s)) ops
+  and cmp cs = List.map (fun (c, s) -> (`Cmp c, s)) cs in
+  [
+    ( Node,
+      (`Shr_mul, (R, R))
+      :: bin
+           [
+             (Add, (R, R)); (Sub, (R, R)); (Mul, (R, R)); (Div, (R, R));
+             (Mul, (R, I)); (And, (R, I)); (Shl, (R, I)); (Add, (F, I));
+             (Add, (N, I)); (Mul, (F, I)); (And, (N, I)); (Or, (F, I));
+             (Add, (N, F)); (Sub, (F, R)); (Rem, (R, N));
+           ]
+      @ cmp [ (Lt, (R, R)); (Eq, (F, I)) ] );
+    ( Assign,
+      bin
+        [
+          (Add, (R, I)); (Sub, (R, I)); (Mul, (R, I)); (Add, (R, R));
+          (Xor, (R, R)); (And, (N, I)); (Shr, (F, I)); (Div, (F, I));
+          (Sub, (F, R)); (Rem, (N, R)); (Or, (F, R)); (Add, (R, N));
+          (Sub, (R, F)); (Mul, (R, N)); (Add, (N, F)); (Sub, (F, N));
+          (Shr, (F, F));
+        ]
+      @ cmp [ (Eq, (F, F)); (Eq, (R, I)); (Gt, (F, R)); (Lt, (F, I)) ] );
+    ( Branch,
+      cmp
+        [
+          (Lt, (R, R)); (Le, (R, R)); (Gt, (R, R)); (Ge, (R, R));
+          (Eq, (R, R)); (Lt, (R, I)); (Le, (R, I)); (Gt, (R, I));
+          (Ge, (R, I)); (Eq, (R, I)); (Ne, (R, I)); (Lt, (F, I));
+          (Ge, (N, I)); (Eq, (F, I)); (Ne, (N, I)); (Le, (F, I));
+          (Lt, (F, N)); (Ge, (R, F)); (Eq, (F, R)); (Ne, (N, F));
+          (Le, (F, F));
+        ] );
+  ]
+
+let test_specialized_closures () =
+  let place_name = function
+    | Node -> "node"
+    | Assign -> "assign"
+    | Branch -> "branch"
+  and shape_name = function R -> "R" | I -> "I" | F -> "F" | N -> "N"
+  and operands_name = function
+    | Below -> "right below left"
+    | Same -> "equal integers"
+    | Above -> "right above left"
+    | Wide -> "right 65"
+    | Bad_left -> "non-integer left"
+    | Bad_right -> "non-integer right"
+    | Bad_both -> "non-integers on both sides"
+    | Zero -> "zero divisor"
+    | Bad_left_zero -> "non-integer left, zero divisor"
+  in
+  List.iter
+    (fun (place, cases) ->
+      List.iter
+        (fun (op, ((sl, sr) as shape)) ->
+          let divides =
+            match op with `Bin (Instr.Div | Instr.Rem) -> true | _ -> false
+          in
+          List.iter
+            (fun operands ->
+              let program, expected = spec_case place op shape operands in
+              let label =
+                Printf.sprintf "%s %s(%s,%s), %s" (place_name place)
+                  (match op with
+                  | `Bin op -> Instr.to_string (Instr.Binop op)
+                  | `Cmp c -> Instr.to_string (Instr.Cmp c)
+                  | `Shr_mul -> "shr(mul)")
+                  (shape_name sl) (shape_name sr) (operands_name operands)
+              in
+              ignore (expect_on_all_engines label program expected))
+            ([ Below; Same; Above; Wide; Bad_left; Bad_right; Bad_both ]
+            @ if divides then [ Zero; Bad_left_zero ] else []))
+        cases)
+    spec_cases;
+  (* A register as a branch condition, and null against null. *)
+  ignore
+    (expect_on_all_engines "register conditions and null compares"
+       (spec_program ~right:0
+          Dsl.
+            [
+              if_ (v "a") [ print (i 1) ] [ print (i 0) ];
+              if_ (v "s") [ print (i 1) ] [ print (i 0) ];
+              if_ (v "n") [ print (i 1) ] [ print (i 0) ];
+              if_ (v "o") [ print (i 1) ] [ print (i 0) ];
+              if_ (eq (v "n") null) [ print (i 1) ] [ print (i 0) ];
+              if_ (ne (fld "A" (v "o") "z") null) [ print (i 1) ] [ print (i 0) ];
+              if_ (eq (v "a") null) [ print (i 1) ] [ print (i 0) ];
+              if_ (ne (v "o") null) [ print (i 1) ] [ print (i 0) ];
+              let_ "r" (eq (arr_get (v "arr") (i 2)) null);
+              print (v "r");
+            ])
+       (Printed [ 1; 0; 0; 1; 1; 0; 0; 1; 1 ]));
+  (* Runs of leaf moves: the two- and three-move closures, chains of
+     them, and moves that read what an earlier one wrote. *)
+  ignore
+    (expect_on_all_engines "runs of moves"
+       (spec_program ~right:3
+          Dsl.
+            [
+              print (i 0);
+              let_ "p" (v "a"); let_ "q" (v "s");
+              print (sub (v "p") (v "q"));
+              let_ "p" (v "s"); let_ "q" (v "a"); let_ "t" (v "a");
+              print (sub (sub (v "p") (v "q")) (v "t"));
+              let_ "p" (i 4); let_ "q" (v "s"); let_ "t" (v "a");
+              print (sub (sub (v "p") (v "q")) (v "t"));
+              let_ "p" (v "a"); let_ "q" (v "p"); let_ "t" (v "s");
+              let_ "u" (v "q"); let_ "w" (v "t");
+              print (sub (sub (v "p") (v "q")) (sub (v "u") (v "w")));
+              let_ "p" (i 9); let_ "q" (v "s"); let_ "t" (v "a");
+              let_ "u" (i 2); let_ "w" (v "q");
+              print (sub (sub (v "p") (v "q")) (sub (v "u") (v "w")));
+              let_ "p" (v "q"); let_ "q" (v "p");
+              print (sub (v "p") (v "q"));
+              let_ "p" (v "n"); let_ "q" (v "a");
+              print (v "q");
+            ])
+       (Printed [ 0; 6997; -13997; -6999; -6997; 7; 0; 7000 ]))
+
 (* --- the value representation against its specification --- *)
 
 (* The boxed representation integers had before they became immediates,
@@ -915,6 +1184,8 @@ let suite =
       test_tree_hazards;
     Alcotest.test_case "former superinstructions on every engine" `Quick
       test_former_superinstructions;
+    Alcotest.test_case "specialized closures on every engine" `Quick
+      test_specialized_closures;
     Alcotest.test_case "deterministic cycles" `Quick test_cycle_determinism;
     Alcotest.test_case "costs move the clock" `Quick test_costs_move_the_clock;
     Alcotest.test_case "charge advances clock" `Quick test_charge_advances_clock;
