@@ -548,17 +548,17 @@ let test_former_superinstructions () =
    node, an assign and a branch its own closure (see [Tier]). The cases
    below reach each of them, with generic neighbours, in all three
    places: printed (a node), stored (an assign) and branched on. Each
-   runs with integer operands (the right one below, equal to and above
-   the left one, and 65, a shift count past the mask), then with a
-   non-integer on the left, on the right and on both sides. The left one is an object and the right one null, so
-   a trap names the operand checked first. A division or remainder also
-   runs with a zero divisor, alone and under a non-integer left
-   operand. *)
+   runs with integer operands (the right one -3, equal to the left one,
+   one above it, and 65, a shift count past the mask), then with a
+   non-integer on the left, on the right and on both sides. The left
+   one is an object and the right one null, so a trap names the operand
+   checked first. A division or remainder also runs with a zero
+   divisor, alone and under a non-integer left operand. *)
 type shape = R | I | F | N (* register, constant, field of a register, node *)
 type place = Node | Assign | Branch
 
 type operands =
-  | Below | Same | Above | Wide | Zero
+  | Minus_three | Same | Above | Wide | Zero
   | Bad_left | Bad_right | Bad_both | Bad_left_zero
 
 (* Left operands read 7000 (register [a]), -45000000 (field [x]) or 11
@@ -648,7 +648,7 @@ let spec_case place op (sl, sr) operands =
     | Above -> a + 1
     | Wide -> 65
     | Zero | Bad_left_zero -> 0
-    | Below | Bad_left | Bad_right | Bad_both -> -3
+    | Minus_three | Bad_left | Bad_right | Bad_both -> -3
   in
   let r = spec_right sr ~bad:bad_r ~right:b in
   let trap =
@@ -733,7 +733,7 @@ let test_specialized_closures () =
     | Branch -> "branch"
   and shape_name = function R -> "R" | I -> "I" | F -> "F" | N -> "N"
   and operands_name = function
-    | Below -> "right below left"
+    | Minus_three -> "right -3"
     | Same -> "equal integers"
     | Above -> "right above left"
     | Wide -> "right 65"
@@ -762,7 +762,7 @@ let test_specialized_closures () =
                   (shape_name sl) (shape_name sr) (operands_name operands)
               in
               ignore (expect_on_all_engines label program expected))
-            ([ Below; Same; Above; Wide; Bad_left; Bad_right; Bad_both ]
+            ([ Minus_three; Same; Above; Wide; Bad_left; Bad_right; Bad_both ]
             @ if divides then [ Zero; Bad_left_zero ] else []))
         cases)
     spec_cases;
@@ -777,7 +777,9 @@ let test_specialized_closures () =
               if_ (v "n") [ print (i 1) ] [ print (i 0) ];
               if_ (v "o") [ print (i 1) ] [ print (i 0) ];
               if_ (eq (v "n") null) [ print (i 1) ] [ print (i 0) ];
-              if_ (ne (fld "A" (v "o") "z") null) [ print (i 1) ] [ print (i 0) ];
+              if_
+                (ne (fld "A" (v "o") "z") null)
+                [ print (i 1) ] [ print (i 0) ];
               if_ (eq (v "a") null) [ print (i 1) ] [ print (i 0) ];
               if_ (ne (v "o") null) [ print (i 1) ] [ print (i 0) ];
               let_ "r" (eq (arr_get (v "arr") (i 2)) null);
