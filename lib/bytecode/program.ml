@@ -6,6 +6,8 @@ type t = {
      understand the selector. Flat ints, so the VM's virtual calls and
      guards read one word. *)
   dispatch_ids : int array;
+  (* Field count per class, read by the VM's [New]. *)
+  field_counts : int array;
   some_ids : Ids.Method_id.t option array;
       (* [Some id] per method id, so {!dispatch} allocates nothing *)
   selector_names : string array;
@@ -34,6 +36,7 @@ let dispatch p (cid : Ids.Class_id.t) (sel : Ids.Selector.t) =
   if m < 0 then None else p.some_ids.(m)
 
 let dispatch_ids p = p.dispatch_ids
+let field_counts p = p.field_counts
 
 let implementations p (sel : Ids.Selector.t) = p.impls.((sel :> int))
 let cone p (cid : Ids.Class_id.t) = p.cones.((cid :> int))
@@ -308,6 +311,7 @@ module Builder = struct
       classes;
       methods;
       dispatch_ids;
+      field_counts = Array.map Clazz.field_count classes;
       some_ids = Array.map (fun (m : Meth.t) -> Some m.Meth.id) methods;
       selector_names = Array.of_list (List.rev b.b_selector_names);
       global_names = Array.of_list (List.rev b.b_global_names);

@@ -27,6 +27,10 @@ val dispatch_ids : t -> int array
     target's method id, or [-1] where {!dispatch} is [None]. Immutable
     once sealed; the VM reads it on every virtual call and guard. *)
 
+val field_counts : t -> int array
+(** {!Clazz.field_count} of every class, by class id. Immutable once
+    sealed; the VM reads it on every [New]. *)
+
 val implementations : t -> Ids.Selector.t -> Ids.Method_id.t list
 (** Class-hierarchy analysis: every method a virtual call on this selector
     could reach in the sealed universe (distinct dispatch targets). *)

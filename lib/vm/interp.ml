@@ -35,9 +35,11 @@ and t = {
   code_table : Code.t array;
   param_slots : int array;  (* per method, so [invoke] skips the Meth.t *)
   (* [Program.dispatch_ids] and the selector count, read by every virtual
-     call without a call into [Program]. *)
+     call, and [Program.field_counts], read by every [New], without a
+     call into [Program]. *)
   dispatch_ids : int array;
   nsel : int;
+  field_counts : int array;
   mutable frames : frame array;
   mutable depth : int;  (* live frames in [frames] *)
   mutable output_rev : int list;
@@ -199,6 +201,7 @@ let create ?(cost = Cost.default) ?(sample_period = 100_000)
     param_slots = Array.map Meth.param_slots methods;
     dispatch_ids = Program.dispatch_ids program;
     nsel = Program.selector_count program;
+    field_counts = Program.field_counts program;
     frames = Array.make 0 (Obj.magic 0);
     depth = 0;
     output_rev = [];
@@ -459,14 +462,19 @@ let walk_source_stack t ~f =
 (* A fresh thread's stack starts at 8 slots and doubles, up to
    [max_call_depth] slots, so a full stack is the overflow: a server
    spawns one stack per session, and most sessions never nest 8 calls
-   deep. Free slots hold an immediate and are never read. *)
+   deep. Free slots hold an immediate and are never read. The first
+   stack is a literal, allocated inline like [make_regs]'s. *)
 let[@inline never] grow_frames t =
   if t.depth >= max_call_depth then rerr "call stack overflow";
-  let cap = if t.depth < 4 then 8 else 2 * t.depth in
-  let cap = if cap > max_call_depth then max_call_depth else cap in
-  let bigger = Array.make cap (Obj.magic 0 : frame) in
-  Array.blit t.frames 0 bigger 0 t.depth;
-  t.frames <- bigger
+  let z = (Obj.magic 0 : frame) in
+  if t.depth = 0 then t.frames <- [| z; z; z; z; z; z; z; z |]
+  else begin
+    let cap = if t.depth < 4 then 8 else 2 * t.depth in
+    let cap = if cap > max_call_depth then max_call_depth else cap in
+    let bigger = Array.make cap z in
+    Array.blit t.frames 0 bigger 0 t.depth;
+    t.frames <- bigger
+  end
 
 (* Frames are freshly allocated per call on purpose: records and register
    arrays born in the minor heap keep locals/stack stores on the cheap
@@ -543,14 +551,9 @@ let deopt_top_frame t ~(plans : frame_plan array) ~(reason : deopt_reason) =
 let[@inline] is_int (v : Value.t) = Obj.is_int (Obj.repr v)
 let[@inline] int_of (v : Value.t) : int = Obj.magic v
 
-let[@inline] equal_cmp a b =
-  if is_int a || is_int b then a == b
-  else
-    match ((a : Value.t), (b : Value.t)) with
-    | Value.Null_c _, Value.Null_c _ -> true
-    | Value.Obj_c x, Value.Obj_c y -> x == y
-    | Value.Arr_c x, Value.Arr_c y -> x == y
-    | (Value.Null_c _ | Value.Obj_c _ | Value.Arr_c _), _ -> false
+(* [Value.equal_cmp]: every object and array is one block and [null]
+   is one shared block, so reference equality is [==]. *)
+let[@inline] equal_cmp (a : Value.t) b = a == b
 
 (* Stores into a [Value.t array]. OCaml's write barrier ([caml_modify])
    has work to do only when the new value is a block (it may need a
@@ -573,21 +576,57 @@ let[@inline] store (a : Value.t array) i (v : Value.t) =
 let[@inline never] not_int v = rerr "expected an integer, got %a" Value.pp v
 let[@inline] as_int v = if is_int v then int_of v else not_int v
 
+(* The slots of an object or an array ({!Value.slots}): slot 0 holds
+   the class id or the pad, field or element [i] is slot [i + 1]. *)
+let[@inline] slots (v : Value.t) : Value.t array = Obj.magic v
+
+let[@inline never] not_obj v =
+  if v == Value.null then rerr "null dereference"
+  else rerr "expected an object, got %a" Value.pp v
+
+let[@inline never] not_arr v =
+  if v == Value.null then rerr "null array dereference"
+  else rerr "expected an array, got %a" Value.pp v
+
 let[@inline] as_obj v =
-  if is_int v then rerr "expected an object, got %a" Value.pp v
+  if is_int v then not_obj v
   else
     match (v : Value.t) with
-    | Value.Obj_c o -> o
-    | Value.Null_c _ -> rerr "null dereference"
-    | Value.Arr_c _ -> rerr "expected an object, got %a" Value.pp v
+    | Value.Obj_c _ -> slots v
+    | Value.Null_c _ | Value.Arr_c _ -> not_obj v
 
 let[@inline] as_arr v =
-  if is_int v then rerr "expected an array, got %a" Value.pp v
+  if is_int v then not_arr v
   else
     match (v : Value.t) with
-    | Value.Arr_c a -> a
-    | Value.Null_c _ -> rerr "null array dereference"
-    | Value.Obj_c _ -> rerr "expected an array, got %a" Value.pp v
+    | Value.Arr_c _ -> slots v
+    | Value.Null_c _ | Value.Obj_c _ -> not_arr v
+
+(* Fields and elements, bounds-checked: the verifier bounds neither a
+   field index against the receiver's class nor an array index, and
+   slot 0 is never a field or an element. *)
+let[@inline never] no_field (p : Program.t) (o : Value.t array) i =
+  rerr "field %d out of bounds on an object of class %s" i
+    (Program.clazz p (Obj.magic (Array.unsafe_get o 0))).Clazz.name
+
+let[@inline] field p (o : Value.t array) i =
+  if i < 0 || i >= Array.length o - 1 then no_field p o i
+  else Array.unsafe_get o (i + 1)
+
+let[@inline] set_field p (o : Value.t array) i v =
+  if i < 0 || i >= Array.length o - 1 then no_field p o i
+  else set o (i + 1) v
+
+let[@inline never] no_elt (a : Value.t array) i =
+  rerr "array index %d out of bounds (length %d)" i (Array.length a - 1)
+
+let[@inline] elt (a : Value.t array) i =
+  if i < 0 || i >= Array.length a - 1 then no_elt a i
+  else Array.unsafe_get a (i + 1)
+
+let[@inline] set_elt (a : Value.t array) i v =
+  if i < 0 || i >= Array.length a - 1 then no_elt a i
+  else set a (i + 1) v
 
 let[@inline] eval_binop op a b =
   match (op : Instr.binop) with
@@ -655,18 +694,23 @@ let[@inline] invoke t caller (mid : Ids.Method_id.t) =
     t.on_invoke t mid
   end
 
-let[@inline never] no_implementation t (o : Value.obj) sel =
+let[@inline never] no_implementation t cls sel =
   rerr "no implementation of %s on class %s"
     (Program.selector_name t.program (Ids.Selector.of_int sel))
-    (Program.clazz t.program o.Value.cls).Clazz.name
+    (Program.clazz t.program cls).Clazz.name
 
-(* The target of a virtual call on [recv]: one read of the flat table.
-   The table holds ids [Method_id.of_int] produced, and [Method_id.t] is
+(* The target of a virtual call on [recv]: the class id in the
+   receiver's first slot, then one read of the flat table. The table
+   holds ids [Method_id.of_int] produced, and [Method_id.t] is
    [private int], so the coercion back is the identity. *)
 let[@inline] dispatch_target t (recv : Value.t) sel : Ids.Method_id.t =
-  let o = as_obj recv in
-  let m = t.dispatch_ids.(((o.Value.cls :> int) * t.nsel) + sel) in
-  if m < 0 then no_implementation t o sel else Obj.magic m
+  if is_int recv then not_obj recv
+  else
+    match recv with
+    | Value.Obj_c { cls } ->
+        let m = t.dispatch_ids.(((cls :> int) * t.nsel) + sel) in
+        if m < 0 then no_implementation t cls sel else Obj.magic m
+    | Value.Null_c _ | Value.Arr_c _ -> not_obj recv
 
 (* Charge, count and execute the one instruction at [fr]'s pc with the
    naive loop's semantics: the clock and every counter exact after each
@@ -742,18 +786,18 @@ let exec_one t fr =
   | Instr.New cid ->
       t.cycles <- t.cycles + t.cost.Cost.alloc;
       note_class_load t cid;
-      stack.(fr.f_sp) <- Value.alloc t.program cid;
+      stack.(fr.f_sp) <- Value.alloc t.field_counts.((cid :> int)) cid;
       fr.f_sp <- fr.f_sp + 1;
       fr.f_pc <- fr.f_pc + 1
   | Instr.Get_field i ->
       let o = as_obj stack.(fr.f_sp - 1) in
-      stack.(fr.f_sp - 1) <- o.Value.fields.(i);
+      stack.(fr.f_sp - 1) <- field t.program o i;
       fr.f_pc <- fr.f_pc + 1
   | Instr.Put_field i ->
       let v = stack.(fr.f_sp - 1) in
       let o = as_obj stack.(fr.f_sp - 2) in
+      set_field t.program o i v;
       fr.f_sp <- fr.f_sp - 2;
-      o.Value.fields.(i) <- v;
       fr.f_pc <- fr.f_pc + 1
   | Instr.Get_global i ->
       stack.(fr.f_sp) <- t.globals.(i);
@@ -768,28 +812,25 @@ let exec_one t fr =
       if n < 0 then rerr "negative array size %d" n;
       t.cycles <-
         t.cycles + t.cost.Cost.alloc + (n * t.cost.Cost.alloc_array_word);
-      stack.(fr.f_sp - 1) <- Value.of_arr (Array.make n Value.zero);
+      stack.(fr.f_sp - 1) <- Value.make_array n;
       fr.f_pc <- fr.f_pc + 1
   | Instr.Array_get ->
       let i = as_int stack.(fr.f_sp - 1) in
       let a = as_arr stack.(fr.f_sp - 2) in
-      if i < 0 || i >= Array.length a then
-        rerr "array index %d out of bounds (length %d)" i (Array.length a);
+      let v = elt a i in
       fr.f_sp <- fr.f_sp - 1;
-      stack.(fr.f_sp - 1) <- a.(i);
+      stack.(fr.f_sp - 1) <- v;
       fr.f_pc <- fr.f_pc + 1
   | Instr.Array_set ->
       let v = stack.(fr.f_sp - 1) in
       let i = as_int stack.(fr.f_sp - 2) in
       let a = as_arr stack.(fr.f_sp - 3) in
-      if i < 0 || i >= Array.length a then
-        rerr "array index %d out of bounds (length %d)" i (Array.length a);
+      set_elt a i v;
       fr.f_sp <- fr.f_sp - 3;
-      a.(i) <- v;
       fr.f_pc <- fr.f_pc + 1
   | Instr.Array_len ->
       let a = as_arr stack.(fr.f_sp - 1) in
-      stack.(fr.f_sp - 1) <- Value.of_int (Array.length a);
+      stack.(fr.f_sp - 1) <- Value.of_int (Array.length a - 1);
       fr.f_pc <- fr.f_pc + 1
   | Instr.Call_static mid -> invoke t fr mid
   | Instr.Call_direct mid -> invoke t fr mid
@@ -804,8 +845,8 @@ let exec_one t fr =
         (not (Value.is_int recv))
         &&
         match recv with
-        | Value.Obj_c o -> (
-            match Program.dispatch t.program o.Value.cls g.Instr.sel with
+        | Value.Obj_c { cls } -> (
+            match Program.dispatch t.program cls g.Instr.sel with
             | Some target -> Ids.Method_id.equal target g.Instr.expected
             | None -> false)
         | Value.Null_c _ | Value.Arr_c _ -> false
@@ -840,8 +881,8 @@ let exec_one t fr =
         if Value.is_int v then 0
         else
           match v with
-          | Value.Obj_c o ->
-              if Program.is_subclass t.program ~sub:o.Value.cls ~super:cid
+          | Value.Obj_c { cls } ->
+              if Program.is_subclass t.program ~sub:cls ~super:cid
               then 1
               else 0
           | Value.Null_c _ | Value.Arr_c _ -> 0

@@ -81,6 +81,7 @@ and t = {
   param_slots : int array;
   dispatch_ids : int array;  (** {!Program.dispatch_ids} *)
   nsel : int;  (** {!Program.selector_count} *)
+  field_counts : int array;  (** {!Program.field_counts} *)
   mutable frames : frame array;
   mutable depth : int;
   mutable output_rev : int list;
@@ -356,8 +357,24 @@ val rerr : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
 
 val as_int : Value.t -> int
-val as_obj : Value.t -> Value.obj
+val as_obj : Value.t -> Value.t array
+(** The object's slots ({!Value.slots}): its class id, then its fields. *)
+
 val as_arr : Value.t -> Value.t array
+(** The array's slots ({!Value.slots}): the pad, then its elements. *)
+
+val not_obj : Value.t -> 'a
+val not_arr : Value.t -> 'a
+(** The errors of {!as_obj} and {!as_arr} on a value of the wrong kind. *)
+
+val no_field : Program.t -> Value.t array -> int -> 'a
+(** [no_field p o i]: the error of a read or write of field [i] outside
+    [[0, k)] of the object whose slots are [o]. *)
+
+val no_elt : Value.t array -> int -> 'a
+(** [no_elt a i]: the error of an index [i] out of the bounds of the
+    array whose slots are [a]. *)
+
 val eval_binop : Instr.binop -> int -> int -> int
 val eval_cmp : Instr.cmp -> Value.t -> Value.t -> int
 

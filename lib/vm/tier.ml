@@ -103,14 +103,7 @@ let[@inline] truthy v =
     | Value.Null_c _ -> false
     | Value.Obj_c _ | Value.Arr_c _ -> true
 
-let[@inline] equal_cmp a b =
-  if is_int a || is_int b then a == b
-  else
-    match ((a : Value.t), (b : Value.t)) with
-    | Value.Null_c _, Value.Null_c _ -> true
-    | Value.Obj_c x, Value.Obj_c y -> x == y
-    | Value.Arr_c x, Value.Arr_c y -> x == y
-    | (Value.Null_c _ | Value.Obj_c _ | Value.Arr_c _), _ -> false
+let[@inline] equal_cmp (a : Value.t) b = a == b
 
 (* Barrier-free when both the old and the new value are immediates, the
    one case where [caml_modify] does nothing (see [Interp]'s [set]). *)
@@ -132,26 +125,37 @@ let[@inline] store (a : Value.t array) i (v : Value.t) =
 let[@inline never] not_int v = rerr "expected an integer, got %a" Value.pp v
 let[@inline] as_int v = if is_int v then int_of v else not_int v
 
+(* Objects and arrays as their slots ({!Interp.as_obj}): field or
+   element [i] is slot [i + 1]. *)
 let[@inline] as_obj v =
-  if is_int v then rerr "expected an object, got %a" Value.pp v
+  if is_int v then not_obj v
   else
     match (v : Value.t) with
-    | Value.Obj_c o -> o
-    | Value.Null_c _ -> rerr "null dereference"
-    | Value.Arr_c _ -> rerr "expected an object, got %a" Value.pp v
+    | Value.Obj_c _ -> (Obj.magic v : Value.t array)
+    | Value.Null_c _ | Value.Arr_c _ -> not_obj v
 
 let[@inline] as_arr v =
-  if is_int v then rerr "expected an array, got %a" Value.pp v
+  if is_int v then not_arr v
   else
     match (v : Value.t) with
-    | Value.Arr_c a -> a
-    | Value.Null_c _ -> rerr "null array dereference"
-    | Value.Obj_c _ -> rerr "expected an array, got %a" Value.pp v
+    | Value.Arr_c _ -> (Obj.magic v : Value.t array)
+    | Value.Null_c _ | Value.Obj_c _ -> not_arr v
 
-let[@inline] elt a i =
-  if i < 0 || i >= Array.length a then
-    rerr "array index %d out of bounds (length %d)" i (Array.length a)
-  else Array.unsafe_get a i
+let[@inline] field fr (o : Value.t array) f =
+  if f < 0 || f >= Array.length o - 1 then no_field fr.f_vm.program o f
+  else Array.unsafe_get o (f + 1)
+
+let[@inline] set_field fr (o : Value.t array) f v =
+  if f < 0 || f >= Array.length o - 1 then no_field fr.f_vm.program o f
+  else set o (f + 1) v
+
+let[@inline] elt (a : Value.t array) i =
+  if i < 0 || i >= Array.length a - 1 then no_elt a i
+  else Array.unsafe_get a (i + 1)
+
+let[@inline] set_elt (a : Value.t array) i v =
+  if i < 0 || i >= Array.length a - 1 then no_elt a i
+  else set a (i + 1) v
 
 let[@inline] eval_binop op a b =
   match (op : Instr.binop) with
@@ -256,7 +260,7 @@ type opd =
 let[@inline] fetch fr = function
   | Oreg i -> get fr.f_regs i
   | Oimm v -> v
-  | Ofield (i, f) -> (as_obj (get fr.f_regs i)).Value.fields.(f)
+  | Ofield (i, f) -> field fr (as_obj (get fr.f_regs i)) f
   | Onode g -> g fr
 
 (* Interior nodes: closures specialized on their operands' shapes and,
@@ -339,11 +343,11 @@ let rec ev (e : tree) : frame -> Value.t =
       fun fr -> of_int (if truthy (fetch fr a) then 0 else 1)
   | Get_field (f, a) ->
       let a = opd a in
-      fun fr -> (as_obj (fetch fr a)).Value.fields.(f)
+      fun fr -> field fr (as_obj (fetch fr a)) f
   | Get_global i -> fun fr -> fr.f_vm.globals.(i)
   | Array_len a ->
       let a = opd a in
-      fun fr -> of_int (Array.length (as_arr (fetch fr a)))
+      fun fr -> of_int (Array.length (as_arr (fetch fr a)) - 1)
   | Instance_of (cid, a) ->
       let a = opd a in
       fun fr ->
@@ -351,8 +355,7 @@ let rec ev (e : tree) : frame -> Value.t =
         if is_int v then of_int 0
         else (
           match v with
-          | Value.Obj_c o ->
-              let sub = o.Value.cls in
+          | Value.Obj_c { cls = sub } ->
               of_int (Bool.to_int (Program.is_subclass fr.f_vm.program ~sub ~super:cid))
           | Value.Null_c _ | Value.Arr_c _ -> of_int 0)
   | Reg _ | Imm _ ->
@@ -479,7 +482,7 @@ let assign dst (e : tree) (k : nfn) : nfn =
   | Get_field (f, Reg i) ->
       fun fr ->
         let r = fr.f_regs in
-        set r dst (as_obj (get r i)).Value.fields.(f);
+        set r dst (field fr (as_obj (get r i)) f);
         k fr
   | Array_get (Reg x, Reg y) ->
       fun fr ->
@@ -554,7 +557,7 @@ let put_field fi o v k : nfn =
   fun fr ->
     let vo = fetch fr o in
     let vv = fetch fr v in
-    store (as_obj vo).Value.fields fi vv;
+    set_field fr (as_obj vo) fi vv;
     k fr
 
 let put_global i v k : nfn =
@@ -570,9 +573,7 @@ let array_set a i v k : nfn =
     let vi = fetch fr i in
     let vv = fetch fr v in
     let i = as_int vi in
-    let a = as_arr va in
-    ignore (elt a i);
-    set a i vv;
+    set_elt (as_arr va) i vv;
     k fr
 
 let discard e k : nfn =
@@ -645,19 +646,8 @@ let rec branch pre c ~(if_true : dest) ~(if_false : dest) : nfn =
   | Cmp (Instr.Eq, a, Imm c) ->
       (* An integer equals only itself, and null only null. *)
       let a = opd a in
-      if is_int c then fun fr ->
+      fun fr ->
         if prepay fr pre then pick fr (fetch fr a == c) ~if_true ~if_false
-        else fallback fr pre fr.f_rem
-      else fun fr ->
-        if prepay fr pre then
-          let v = fetch fr a in
-          pick fr
-            ((not (is_int v))
-            &&
-            match v with
-            | Value.Null_c _ -> true
-            | Value.Obj_c _ | Value.Arr_c _ -> false)
-            ~if_true ~if_false
         else fallback fr pre fr.f_rem
   | Cmp (Instr.Lt, a, b) ->
       let a = opd a and b = opd b in
@@ -795,8 +785,8 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
               (not (is_int recv))
               &&
               match recv with
-              | Value.Obj_c o ->
-                  dispatch_ids.(((o.Value.cls :> int) * nsel) + sel) = expected
+              | Value.Obj_c { cls } ->
+                  dispatch_ids.(((cls :> int) * nsel) + sel) = expected
               | Value.Null_c _ | Value.Arr_c _ -> false
             in
             let d =
@@ -826,7 +816,8 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             (* The call into [Interp] only at a class's first [New]. *)
             if not (Array.unsafe_get t.class_loaded (cid :> int)) then
               note_class_load t cid;
-            Array.unsafe_set fr.f_regs sp (Value.alloc t.program cid);
+            Array.unsafe_set fr.f_regs sp
+              (Value.alloc (Array.unsafe_get t.field_counts (cid :> int)) cid);
             fr.f_rem <- t.next_sample - t.cycles;
             fr.f_nin <- 0;
             enter fr next
@@ -844,8 +835,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
             t.cycles <-
               t.cycles + t.cost.Cost.alloc
               + (len * t.cost.Cost.alloc_array_word);
-            Array.unsafe_set regs (sp - 1)
-              (Value.of_arr (Array.make len Value.zero));
+            Array.unsafe_set regs (sp - 1) (Value.make_array len);
             fr.f_rem <- t.next_sample - t.cycles;
             fr.f_nin <- 0;
             enter fr next

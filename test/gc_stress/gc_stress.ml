@@ -1,5 +1,6 @@
-(* Runs the eight suite programs at default scale on the production
-   engine (closure tier included), under a 4096-word minor heap and
+(* Runs the eight suite programs at default scale, and [Shapes]'
+   program of every heap shape, on the production engine (closure tier
+   included), under a 4096-word minor heap and
    [space_overhead] 20, and checks every run against the same program
    driven from the naive [run_reference] loop and against the AOS-free
    baseline run: output, cycles, counters and the whole metrics
@@ -57,7 +58,7 @@ let () =
         (counters on.Runtime.vm = counters reference.Runtime.vm);
       check name "metrics record (tier vs reference)"
         (on.Runtime.metrics = reference.Runtime.metrics))
-    (Workloads.build_all ());
+    (Workloads.build_all () @ [ ("shapes", Shapes.program ()) ]);
   let build name = (Workloads.find name).Workloads.build ~scale:1 in
   let repeated out n =
     Metrics.checksum (List.concat (List.init n (fun _ -> out)))
@@ -108,6 +109,6 @@ let () =
   let minor = Gc.minor_words () in
   if !failures > 0 then exit 1;
   Printf.printf
-    "gc-stress: 8 programs, 4 closed-loop servers and a %d-session fleet \
+    "gc-stress: 9 programs, 4 closed-loop servers and a %d-session fleet \
      agree (%.0fM minor words)\n"
     sessions (minor /. 1e6)

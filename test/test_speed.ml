@@ -459,6 +459,42 @@ let test_alloc_per_call () =
         ("pointer argument", (fun o k -> call "K" "g" [ o; k ]), 14.);
       ]
 
+(* The heap layout, as allocation on the closure tier: a [New] of a
+   [k]-field object is one block of [k + 2] words (header, class id,
+   fields) and an array of length [n] one block of [n + 2] (header, pad,
+   elements). A box around either, or fields kept in an array of their
+   own, would add words. *)
+let test_alloc_per_new () =
+  let classes =
+    List.map
+      (fun k ->
+        Acsi_lang.Dsl.cls (Printf.sprintf "K%d" k)
+          ~fields:(List.init k (Printf.sprintf "f%d"))
+          [])
+      [ 0; 1; 8; 9 ]
+  in
+  let run alloc n =
+    minor_words_of_run
+      Acsi_lang.(
+        Compile.prog
+          Dsl.(prog classes [ for_ "k" (i 0) (i n) [ let_ "o" alloc ] ]))
+  in
+  let n = 1000 in
+  List.iter
+    (fun (name, alloc, words) ->
+      let per_new = (run alloc (2 * n) -. run alloc n) /. float_of_int n in
+      Alcotest.(check (float 0.)) name words per_new)
+    Acsi_lang.Dsl.
+      [
+        ("0-field object", new_ "K0" [], 2.);
+        ("1-field object", new_ "K1" [], 3.);
+        ("8-field object", new_ "K8" [], 10.);
+        ("9-field object", new_ "K9" [], 11.);
+        ("empty array", arr_new (i 0), 2.);
+        ("1-element array", arr_new (i 1), 3.);
+        ("100-element array", arr_new (i 100), 102.);
+      ]
+
 (* A cell's allocation depends only on the cell: nothing in [lib/] keeps
    state from one run to the next (a process-global baseline-code cache
    once made a program's first run allocate more than its later ones,
@@ -501,6 +537,8 @@ let suite =
       test_frame_growth;
     Alcotest.test_case "words allocated per closure-tier call" `Quick
       test_alloc_per_call;
+    Alcotest.test_case "words allocated per New and array" `Quick
+      test_alloc_per_new;
     Alcotest.test_case "words allocated per cell, in any order" `Quick
       test_alloc_per_cell;
     Alcotest.test_case "call stack overflow on every engine" `Quick

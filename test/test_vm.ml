@@ -109,8 +109,8 @@ let expect_runtime_error program msg =
 (* --- values --- *)
 
 let test_value_equal_cmp () =
-  let o1 = Value.of_obj { Value.cls = Ids.Class_id.of_int 0; fields = [||] } in
-  let o2 = Value.of_obj { Value.cls = Ids.Class_id.of_int 0; fields = [||] } in
+  let o1 = Value.alloc 0 (Ids.Class_id.of_int 0) in
+  let o2 = Value.alloc 0 (Ids.Class_id.of_int 0) in
   check_bool "ints" true (Value.equal_cmp (Value.of_int 3) (Value.of_int 3));
   check_bool "nulls" true (Value.equal_cmp Value.null Value.null);
   check_bool "same obj" true (Value.equal_cmp o1 o1);
@@ -121,7 +121,7 @@ let test_value_truthy () =
   check_bool "zero" false (Value.truthy (Value.of_int 0));
   check_bool "null" false (Value.truthy Value.null);
   check_bool "nonzero" true (Value.truthy (Value.of_int (-2)));
-  check_bool "array" true (Value.truthy (Value.of_arr [||]))
+  check_bool "array" true (Value.truthy (Value.make_array 0))
 
 (* --- runtime errors --- *)
 
@@ -149,6 +149,89 @@ let test_negative_array_size () =
     expect_runtime_error
       (compile [ let_ "a" (arr_new (i (-3))); print (arr_len (v "a")) ])
       "negative array size -3")
+
+(* A field index checked against the receiver's own class: the type
+   checker bounds only receivers of a known class, and an array element
+   has none. Index [k] of a [k]-field object and every index of a
+   0-field one trap with one message, on reads and writes, in every
+   tree shape the closure tier compiles a field access to; index 0 of a
+   1-field object is its own field, not its class id. *)
+let test_field_bounds () =
+  let classes =
+    Dsl.
+      [
+        cls "A" ~fields:[ "x"; "y" ] [];
+        cls "B" ~fields:[ "z" ] [];
+        cls "E" ~fields:[] [];
+      ]
+  in
+  let open Dsl in
+  let boxed cls =
+    [ let_ "a" (arr_new (i 1)); arr_set (v "a") (i 0) (new_ cls []) ]
+  in
+  let o = arr_get (v "a") (i 0) in
+  let err cls n =
+    Failed
+      (Printf.sprintf "field %d out of bounds on an object of class %s" n cls)
+  in
+  List.iter
+    (fun (label, main, expected) ->
+      ignore (expect_on_all_engines label (compile ~classes main) expected))
+    [
+      ( "read past the last field",
+        boxed "B" @ [ let_ "o" o; print (fld "A" (v "o") "y") ],
+        err "B" 1 );
+      ( "read of a 0-field object",
+        boxed "E" @ [ let_ "o" o; print (fld "A" (v "o") "x") ],
+        err "E" 0 );
+      ( "read into a local",
+        boxed "E"
+        @ [ let_ "o" o; let_ "w" (fld "A" (v "o") "x"); print (v "w") ],
+        err "E" 0 );
+      ( "read of an expression",
+        boxed "B" @ [ print (add (fld "A" o "y") (i 1)) ],
+        err "B" 1 );
+      ( "write past the last field",
+        boxed "B" @ [ let_ "o" o; setf "A" (v "o") "y" (i 5) ],
+        err "B" 1 );
+      ( "write into a 0-field object",
+        boxed "E" @ [ setf "A" o "x" (new_ "E" []) ],
+        err "E" 0 );
+      ( "field 0 of a 1-field object",
+        boxed "B"
+        @ [
+            let_ "o" o;
+            setf "B" (v "o") "z" (i 9);
+            print (fld "A" (v "o") "x");
+            setf "A" (v "o") "x" (i 4);
+            print (fld "B" (v "o") "z");
+          ],
+        Printed [ 9; 4 ] );
+    ]
+
+(* Every allocation is a value of its own: empty arrays and 0-field
+   objects included, compared directly and through a branch. *)
+let test_allocation_identity () =
+  let classes = Dsl.[ cls "E" ~fields:[] [] ] in
+  let open Dsl in
+  let program =
+    compile ~classes
+      [
+        print (eq (arr_new (i 0)) (arr_new (i 0)));
+        print (ne (arr_new (i 0)) (arr_new (i 0)));
+        print (eq (arr_new (i 1)) (arr_new (i 1)));
+        print (eq (new_ "E" []) (new_ "E" []));
+        let_ "e" (arr_new (i 0));
+        let_ "f" (arr_new (i 0));
+        print (eq (v "e") (v "e"));
+        print (eq (v "e") (v "f"));
+        if_ (eq (v "e") (v "f")) [ print (i 1) ] [ print (i 2) ];
+        print (arr_len (v "e"));
+      ]
+  in
+  ignore
+    (expect_on_all_engines "allocation identity" program
+       (Printed [ 0; 1; 0; 0; 1; 0; 2; 0 ]))
 
 let test_int_receiver () =
   let classes =
@@ -815,20 +898,26 @@ let test_specialized_closures () =
 
 (* --- the value representation against its specification --- *)
 
-(* The boxed representation integers had before they became immediates,
-   kept as the specification: [of_int]/[as_int], [equal_cmp], [truthy]
-   and [pp] on the real values must agree with it. Objects and arrays
-   keep their identity through [pool], so reference equality is part of
-   what is compared. *)
+(* The boxed representation values had before integers became
+   immediates and objects and arrays single blocks, kept as the
+   specification: [of_int]/[as_int], [as_obj]/[as_arr], [equal_cmp],
+   [truthy] and [pp] on the real values must agree with it. Objects and
+   arrays have an identity of their own ([id]), so reference equality is
+   part of what is compared, and their class ids, fields and elements
+   must round-trip through the real layout. *)
 module Spec = struct
-  type t = Int of int | Null | Obj of Value.obj | Arr of t array
+  type t =
+    | Int of int
+    | Null
+    | Obj of { id : int; cls : int; fields : t array }
+    | Arr of { id : int; elts : t array }
 
   let equal_cmp a b =
     match (a, b) with
     | Int x, Int y -> x = y
     | Null, Null -> true
-    | Obj x, Obj y -> x == y
-    | Arr x, Arr y -> x == y
+    | Obj x, Obj y -> x.id = y.id
+    | Arr x, Arr y -> x.id = y.id
     | (Int _ | Null | Obj _ | Arr _), _ -> false
 
   let truthy = function Int 0 | Null -> false | Int _ | Obj _ | Arr _ -> true
@@ -836,50 +925,73 @@ module Spec = struct
   let rec pp fmt = function
     | Int n -> Format.fprintf fmt "%d" n
     | Null -> Format.fprintf fmt "null"
-    | Obj o -> Format.fprintf fmt "obj<%a>" Ids.Class_id.pp o.Value.cls
+    | Obj o ->
+        Format.fprintf fmt "obj<%a>" Ids.Class_id.pp (Ids.Class_id.of_int o.cls)
     | Arr a ->
         Format.fprintf fmt "[|";
         Array.iteri
           (fun i v ->
             if i > 0 then Format.fprintf fmt "; ";
             if i < 8 then pp fmt v else if i = 8 then Format.fprintf fmt "...")
-          a;
+          a.elts;
         Format.fprintf fmt "|]"
-
-  (* Arrays are not mapped here: they keep their identity through
-     [pool]. *)
-  let scalar_value = function
-    | Int n -> Value.of_int n
-    | Null -> Value.null
-    | Obj o -> Value.of_obj o
-    | Arr _ -> invalid_arg "Spec.scalar_value: arrays come from the pool"
 end
 
 let edge_ints = [ min_int; max_int; -129; -128; -1; 0; 1; 1023; 1024 ]
 
-(* Objects and arrays, each paired once with its real value. Two objects
-   of one class and two arrays of equal contents differ only by
-   identity; the long array exercises [pp]'s elision. *)
+(* Objects and arrays, each paired once with its real value, built on
+   the real layout from members built before it. Two objects of one
+   class and two arrays of equal contents, the empty ones included,
+   differ only by identity. Objects of 0, 1 and 8 fields are literal
+   blocks and the 9-field one goes through [Array.make]; the long
+   array exercises [pp]'s elision. *)
 let pool =
-  let obj cls fields = { Value.cls = Ids.Class_id.of_int cls; fields } in
-  let o1 = obj 0 [||] and o2 = obj 0 [||] in
-  let o3 = obj 1 [| Value.of_int 7 |] in
-  let arr spec =
-    (Spec.Arr spec, Value.of_arr (Array.map Spec.scalar_value spec))
+  let members = ref [] in
+  let real s =
+    match s with
+    | Spec.Int n -> Value.of_int n
+    | Spec.Null -> Value.null
+    | Spec.Obj _ | Spec.Arr _ -> List.assq s !members
   in
-  [
-    (Spec.Obj o1, Value.of_obj o1);
-    (Spec.Obj o2, Value.of_obj o2);
-    (Spec.Obj o3, Value.of_obj o3);
-    arr [||];
-    arr Spec.[| Int 1; Int 2; Int 3 |];
-    arr Spec.[| Int 1; Int 2; Int 3 |];
-    arr Spec.[| Null; Obj o1; Int min_int |];
-    arr (Array.init 10 (fun k -> Spec.Int (k - 5)));
-  ]
+  let add s v contents =
+    Array.iteri (fun i c -> (Value.slots v).(i + 1) <- real c) contents;
+    members := !members @ [ (s, v) ];
+    s
+  in
+  let next = ref 0 in
+  let obj cls fields =
+    incr next;
+    add (Spec.Obj { id = !next; cls; fields })
+      (Value.alloc (Array.length fields) (Ids.Class_id.of_int cls))
+      fields
+  in
+  let arr elts =
+    incr next;
+    add
+      (Spec.Arr { id = !next; elts })
+      (Value.make_array (Array.length elts))
+      elts
+  in
+  let o1 = obj 0 [||] in
+  let o2 = obj 0 [||] in
+  let o3 = obj 1 [| Spec.Int 7 |] in
+  let e1 = arr [||] in
+  ignore (arr [||]);
+  ignore (arr Spec.[| Int 1; Int 2; Int 3 |]);
+  ignore (arr Spec.[| Int 1; Int 2; Int 3 |]);
+  ignore (arr Spec.[| Null; o1; Int min_int |]);
+  let long = arr (Array.init 10 (fun k -> Spec.Int (k - 5))) in
+  ignore
+    (obj 2
+       Spec.[| Int 1; Null; o3; e1; Int max_int; Int (-1); o2; long |]);
+  ignore (obj 3 (Array.init 9 (fun k -> if k = 4 then o3 else Spec.Int k)));
+  !members
 
 let of_spec s =
-  match s with Spec.Arr _ -> List.assq s pool | _ -> Spec.scalar_value s
+  match s with
+  | Spec.Int n -> Value.of_int n
+  | Spec.Null -> Value.null
+  | Spec.Obj _ | Spec.Arr _ -> List.assq s pool
 
 let show v = Format.asprintf "%a" Value.pp v
 let show_spec s = Format.asprintf "%a" Spec.pp s
@@ -887,8 +999,17 @@ let show_spec s = Format.asprintf "%a" Spec.pp s
 let result f v =
   match f v with r -> Ok r | exception Interp.Runtime_error m -> Error m
 
+(* Whether the slots past slot 0 hold [contents]' real values. *)
+let round_trips (slots : Value.t array) contents =
+  Array.length slots = Array.length contents + 1
+  && Array.for_all2
+       (fun v c -> Value.equal_cmp v (of_spec c))
+       (Array.sub slots 1 (Array.length contents))
+       contents
+
 (* One value against the model: representation, [as_int] and the other
-   kind checks, [truthy], [pp]. *)
+   kind checks, the class id and fields of an object and the elements of
+   an array, [truthy], [pp]. *)
 let agrees_one s =
   let v = of_spec s in
   let text = show_spec s in
@@ -905,14 +1026,21 @@ let agrees_one s =
   in
   let as_obj_ok =
     match (s, result Interp.as_obj v) with
-    | Spec.Obj o, Ok o' -> o == o'
+    | Spec.Obj o, Ok slots ->
+        slots == Value.slots v
+        && Value.to_int slots.(0) = o.cls
+        && (match v with
+           | Value.Obj_c { cls } -> (cls :> int) = o.cls
+           | Value.Null_c _ | Value.Arr_c _ -> false)
+        && round_trips slots o.fields
     | Spec.Null, Error m -> m = "null dereference"
     | (Spec.Int _ | Spec.Arr _), r -> kind_error "an object" r
     | _ -> false
   in
   let as_arr_ok =
     match (s, result Interp.as_arr v) with
-    | Spec.Arr _, Ok a -> Value.equal_cmp v (Value.of_arr a)
+    | Spec.Arr a, Ok slots ->
+        slots == Value.slots v && round_trips slots a.elts
     | Spec.Null, Error m -> m = "null array dereference"
     | (Spec.Int _ | Spec.Obj _), r -> kind_error "an array" r
     | _ -> false
@@ -1179,6 +1307,9 @@ let suite =
     Alcotest.test_case "array bounds" `Quick test_array_bounds;
     Alcotest.test_case "negative array size" `Quick test_negative_array_size;
     Alcotest.test_case "dispatch on integer" `Quick test_int_receiver;
+    Alcotest.test_case "field bounds on every engine" `Quick test_field_bounds;
+    Alcotest.test_case "allocation identity on every engine" `Quick
+      test_allocation_identity;
     Alcotest.test_case "kind mismatches on every engine" `Quick test_kind_matrix;
     Alcotest.test_case "superinstruction fallbacks on every engine" `Quick
       test_superinstruction_fallbacks;
