@@ -421,7 +421,7 @@ let shard_mode mode =
   List.map
     (fun shards ->
       let result =
-        Acsi_server.Shards.run ~jobs:mode.jobs ~pool:2
+        Acsi_server.Shards.run ~seed:1 ~jobs:mode.jobs ~pool:2
           ~pool_policy:Acsi_aos.System.Hot_first ~shards ~sessions ~period
           ~name:spec.Workloads.name
           (Config.with_policy mode.cfg policy)
@@ -731,26 +731,18 @@ let traced_components mode =
         in
         let result = Runtime.run cfg program in
         let sys = result.Runtime.sys in
-        let tracer = Acsi_aos.System.tracer sys in
-        let totals = Acsi_obs.Export.track_totals tracer in
-        let acct = Acsi_aos.System.accounting sys in
+        let dropped = Acsi_obs.Tracer.dropped (Acsi_aos.System.tracer sys) in
         let rows =
           List.map
-            (fun c ->
-              let nm = Acsi_aos.Accounting.component_name c in
-              let acct_v = Acsi_aos.Accounting.get acct c in
-              let span_v =
-                match List.assoc_opt nm totals with Some v -> v | None -> 0
-              in
-              if span_v <> acct_v && Acsi_obs.Tracer.dropped tracer = 0
-              then begin
+            (fun (nm, acct_v, span_v) ->
+              if span_v <> acct_v && dropped = 0 then begin
                 Format.eprintf
                   "RECONCILIATION FAILURE: %s/%s %s spans=%d accounting=%d@."
                   bench (Policy.to_string policy) nm span_v acct_v;
                 exit 1
               end;
               (nm, acct_v))
-            Acsi_aos.Accounting.all_components
+            (Acsi_aos.System.span_rows sys)
         in
         let text =
           Format.asprintf "%s / %s:@.%a@.@." bench (Policy.to_string policy)

@@ -320,17 +320,9 @@ let trace_one ~spec ~file ~cfg ~scale ~out ~jsonl ~flame ~min_pct ~capacity
       (* The reconciliation contract (see Acsi_obs.Tracer): only
          checkable when the ring kept every event. *)
       let mismatches =
-        List.filter_map
-          (fun c ->
-            let nm = Acsi_aos.Accounting.component_name c in
-            let acct_v =
-              Acsi_aos.Accounting.get (Acsi_aos.System.accounting sys) c
-            in
-            let span_v =
-              match List.assoc_opt nm totals with Some v -> v | None -> 0
-            in
-            if acct_v <> span_v then Some (nm, acct_v, span_v) else None)
-          Acsi_aos.Accounting.all_components
+        List.filter
+          (fun (_, acct_v, span_v) -> acct_v <> span_v)
+          (Acsi_aos.System.span_rows sys)
       in
       (if dropped > 0 then
          (* A wrapped ring silently undercounts spans, which could
@@ -731,9 +723,6 @@ let serve_jobs_arg =
 (* serve and metrics have no --speculate. *)
 let serve_config_arg = Cli.config_term ~speculate:(Term.const false) ()
 
-(* The serving knobs and the shard count. A knob the chosen server
-   would ignore is a usage error, refused before any run: the sharded
-   server's without [--shards], the closed loop's with it. *)
 (* The serving knobs and the shard count. A knob the chosen server
    would ignore is a usage error, refused before any run: the sharded
    server's without [--shards], the closed loop's with it. *)

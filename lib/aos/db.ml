@@ -13,11 +13,9 @@ type compilation_event = {
 type t = {
   refusals : (int * int * int, int * Acsi_jit.Oracle.refusal_reason) Hashtbl.t;
   mutable events_rev : compilation_event list;
-  mutable adoptions_rev : (Ids.Method_id.t * int) list;
 }
 
-let create () =
-  { refusals = Hashtbl.create 64; events_rev = []; adoptions_rev = [] }
+let create () = { refusals = Hashtbl.create 64; events_rev = [] }
 
 let key ~(caller : Ids.Method_id.t) ~callsite ~(callee : Ids.Method_id.t) =
   ((caller :> int), callsite, (callee :> int))
@@ -41,8 +39,3 @@ let refusal_reasons t =
   List.map (fun r -> (r, count r)) Acsi_jit.Oracle.all_refusal_reasons
 let record_compilation t e = t.events_rev <- e :: t.events_rev
 let compilations t = List.rev t.events_rev
-
-let record_adoption t ~meth ~version =
-  t.adoptions_rev <- (meth, version) :: t.adoptions_rev
-
-let adoptions t = List.rev t.adoptions_rev

@@ -57,11 +57,3 @@ val record_compilation : t -> compilation_event -> unit
 val compilations : t -> compilation_event list
 (** Oldest first. *)
 
-val record_adoption : t -> meth:Ids.Method_id.t -> version:int -> unit
-(** Log that optimized code compiled elsewhere (another shard's AOS)
-    was adopted from the shared publish-once code cache, rather than
-    compiled locally. *)
-
-val adoptions : t -> (Ids.Method_id.t * int) list
-(** Oldest first. *)
-

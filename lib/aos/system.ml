@@ -210,7 +210,6 @@ let adopted_installs t = t.adopted_installs
 let async_overlap_instructions t = t.overlap_instructions
 let overlapped_aos_cycles t = t.overlapped_aos_cycles
 let static_seeded_methods t = t.static_seeds
-let summaries t = t.summaries
 let speculative_installs t = t.speculative_installs
 let pending_deopts t = List.length t.pending_deopt
 let obs t = t.obs
@@ -225,6 +224,15 @@ let tel_emit t e = if t.tel_events_on then t.tel_events <- e :: t.tel_events
 let tracer t = t.obs.Acsi_obs.Control.tracer
 let provenance t = t.obs.Acsi_obs.Control.prov
 let cprof t = t.obs.Acsi_obs.Control.cprof
+
+let span_rows t =
+  let totals = Acsi_obs.Export.track_totals (tracer t) in
+  List.map
+    (fun c ->
+      let nm = Accounting.component_name c in
+      let spans = Option.value (List.assoc_opt nm totals) ~default:0 in
+      (nm, Accounting.get t.accounting c, spans))
+    Accounting.all_components
 
 (* All AOS work is charged to both the component accounting (Figure 6) and
    the VM clock (total time includes the adaptive system).
@@ -1007,12 +1015,7 @@ let adopt_compiled t (mid : Ids.Method_id.t) code stats ~rule_stamp ~native =
        assumptions hold against the publisher's loaded universe, not ours)";
   if (not t.refused.((mid :> int))) && install t mid code ~native then begin
     Registry.record t.registry mid stats ~rule_stamp;
-    t.adopted_installs <- t.adopted_installs + 1;
-    Db.record_adoption t.db ~meth:mid
-      ~version:
-        (match Registry.entry t.registry mid with
-        | Some e -> e.Registry.version
-        | None -> 0)
+    t.adopted_installs <- t.adopted_installs + 1
   end
 
 let run_epoch t =

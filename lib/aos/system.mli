@@ -136,11 +136,6 @@ val static_seeded_methods : t -> int
 (** Methods compiled by the static pre-warm oracle (0 unless
     {!config.static_seed}). *)
 
-val summaries : t -> Acsi_analysis.Summary.table option
-(** The interprocedural summary table computed at [create] when
-    {!config.static_seed} or {!config.speculate} is on; [None]
-    otherwise. *)
-
 val speculative_installs : t -> int
 (** Optimized codes installed carrying at least one CHA assumption
     (0 unless {!config.speculate}). *)
@@ -195,11 +190,10 @@ val adopt_compiled :
     {!Acsi_obs.Provenance.Install_refused} (with a warning and a
     tracer instant), and bars the method from later compiles and
     adoptions in this run; a second attempt is a silent no-op.
-    Successful adoptions are recorded in the {!Db} adoption log, in
-    the {!registry} and in {!adopted_installs}. Raises
-    [Invalid_argument] on assumption-carrying (speculative) code: its
-    CHA proofs hold against the publisher's loaded universe, not the
-    adopter's. *)
+    Successful adoptions are recorded in the {!registry} and in
+    {!adopted_installs}. Raises [Invalid_argument] on
+    assumption-carrying (speculative) code: its CHA proofs hold against
+    the publisher's loaded universe, not the adopter's. *)
 
 val adopted_installs : t -> int
 (** Cross-shard adoptions performed via {!adopt_compiled}. *)
@@ -227,6 +221,13 @@ val obs : t -> Acsi_obs.Control.t
 val tracer : t -> Acsi_obs.Tracer.t
 val provenance : t -> Acsi_obs.Provenance.t option
 val cprof : t -> Acsi_obs.Cprof.t option
+
+val span_rows : t -> (string * int * int) list
+(** The reconciliation table: one (component name, {!Accounting} total,
+    summed span durations on the tracer's track of that name) row per
+    {!Accounting.all_components} entry, in that order; a component with
+    no spans reads 0. The two totals are equal whenever the tracer's
+    ring dropped nothing ({!Acsi_obs.Export.track_totals}). *)
 
 (** {2 Fleet telemetry}
 

@@ -11,7 +11,7 @@ let default ~policy =
     aos = Acsi_aos.System.default_config policy;
     cost = Acsi_vm.Cost.default;
     sample_period = 100_000;
-    invoke_stride = Acsi_vm.Interp.default_invoke_stride;
+    invoke_stride = 512;
     cycle_limit = 4_000_000_000;
   }
 

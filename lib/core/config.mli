@@ -10,6 +10,10 @@ type t = {
 }
 
 val default : policy:Acsi_policy.Policy.t -> t
+(** The paper's configuration under [policy]: {!Acsi_vm.Cost.default},
+    a timer sample every 100_000 cycles and a trace sample every 512th
+    invocation. The one place a default of these knobs is stated:
+    {!Acsi_vm.Interp.create} has none. *)
 
 val with_policy : t -> Acsi_policy.Policy.t -> t
 (** The same configuration under another policy (used by sweeps so every

@@ -7,6 +7,12 @@ type result = {
   sys : Acsi_aos.System.t;
 }
 
+val create_vm : Config.t -> Acsi_bytecode.Program.t -> Acsi_vm.Interp.t
+(** A fresh VM for the program under the configuration's cost model,
+    [sample_period] and [invoke_stride]: the one way a {!Config.t}
+    becomes a VM, for single runs, {!run_reference}, {!run_no_aos} and
+    every server and shard engine alike. *)
+
 val run :
   ?profile:Acsi_profile.Dcg.t -> Config.t -> Acsi_bytecode.Program.t -> result
 (** Execute the program to completion under the adaptive system.

@@ -89,10 +89,7 @@ let run ~mode ~name (cfg : Config.t) program =
   if clients <= 0 || requests_per_client <= 0 then
     invalid_arg "Server.run: no requests";
   let n_total = clients * requests_per_client in
-  let vm =
-    Interp.create ~cost:cfg.Config.cost ~sample_period:cfg.Config.sample_period
-      ~invoke_stride:cfg.Config.invoke_stride program
-  in
+  let vm = Acsi_core.Runtime.create_vm cfg program in
   let aos = { cfg.Config.aos with System.async_compile = true } in
   let sys = System.create aos vm in
   let tracer = System.tracer sys in

@@ -99,11 +99,11 @@ val run :
   Acsi_bytecode.Program.t ->
   result
 (** Serve the request schedule to completion. [name] labels the summary;
-    [cfg] supplies the VM cost model, sampling configuration and AOS
-    configuration (its [async_compile] field is overridden: always
-    [true]). The scheduler runs {!Sched.quantum} and
-    {!Sched.switch_cost}; telemetry sampling reads the clock but never
-    charges it. *)
+    [cfg] supplies the VM ({!Acsi_core.Runtime.create_vm}: cost model and
+    sampling knobs) and the AOS configuration (its [async_compile] field
+    is overridden: always [true]). The scheduler runs {!Sched.quantum}
+    and {!Sched.switch_cost}; telemetry sampling reads the clock but
+    never charges it. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

@@ -411,9 +411,8 @@ let adopt_published published shards ~now ~tel =
 
 let hot_shard_weight = 2
 
-let run ?(seed = 1) ?(jobs = 1) ?(barrier = 2_000_000) ?(pool = 1)
-    ?(pool_policy = System.Fifo) ~shards:n_shards ~sessions ~period ~name
-    (cfg : Config.t) program =
+let run ~seed ?(jobs = 1) ?(barrier = 2_000_000) ~pool ~pool_policy
+    ~shards:n_shards ~sessions ~period ~name (cfg : Config.t) program =
   if n_shards <= 0 then invalid_arg "Shards.run: shards must be positive";
   if sessions <= 0 then invalid_arg "Shards.run: no sessions";
   let barrier = max Sched.quantum barrier in
@@ -449,11 +448,7 @@ let run ?(seed = 1) ?(jobs = 1) ?(barrier = 2_000_000) ?(pool = 1)
   done;
   let n_methods = Acsi_bytecode.Program.method_count program in
   let mk_shard id =
-    let vm =
-      Interp.create ~cost:cfg.Config.cost
-        ~sample_period:cfg.Config.sample_period
-        ~invoke_stride:cfg.Config.invoke_stride program
-    in
+    let vm = Acsi_core.Runtime.create_vm cfg program in
     let aos =
       {
         cfg.Config.aos with

@@ -156,11 +156,11 @@ type result = {
 }
 
 val run :
-  ?seed:int ->
+  seed:int ->
   ?jobs:int ->
   ?barrier:int ->
-  ?pool:int ->
-  ?pool_policy:System.compile_queue_policy ->
+  pool:int ->
+  pool_policy:System.compile_queue_policy ->
   shards:int ->
   sessions:int ->
   period:int ->
@@ -169,7 +169,7 @@ val run :
   Acsi_bytecode.Program.t ->
   result
 (** Serve [sessions] open-loop arrivals (mean inter-arrival [period],
-    drawn from [seed], default 1) of the program's [main] across [shards]
+    drawn from [seed]) of the program's [main] across [shards]
     virtual processors. This is the one open-loop engine: one shard is
     one virtual processor serving arrivals whether or not it keeps up.
 
@@ -182,10 +182,13 @@ val run :
     as cheap tuples, which is what makes million-session backlogs
     affordable). Shard 0 draws two shares of the home-shard hash and
     every other shard one — a deliberately skewed front-end router — so
-    work stealing has an imbalance to fix. [pool]/[pool_policy] configure
-    each shard's background compiler pool
-    ({!System.config.compiler_pool}). Compilation is always asynchronous
-    in sharded mode. *)
+    work stealing has an imbalance to fix. Each shard's VM is built from
+    the configuration by {!Acsi_core.Runtime.create_vm}, so it samples
+    on the configuration's [sample_period] and [invoke_stride]. [pool]
+    and [pool_policy] set each shard's background compiler pool,
+    replacing the configuration's {!System.config.compiler_pool} and
+    [compile_queue_policy]. Compilation is always asynchronous in
+    sharded mode. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 val pp_shards : Format.formatter -> shard_stat list -> unit

@@ -31,6 +31,16 @@ let baseline (cost : Cost.t) (m : Meth.t) =
     assumptions = [];
   }
 
+let entry_depths program code =
+  let root = Program.meth program code.meth in
+  Verify.entry_depths program
+    {
+      root with
+      Meth.body = code.instrs;
+      max_locals = code.max_locals;
+      max_stack = code.max_stack;
+    }
+
 let source_at code ~pc =
   match code.src with
   | None -> ((code.meth, pc), [])

@@ -43,6 +43,12 @@ type t = {
 val baseline : Cost.t -> Meth.t -> t
 (** The baseline compilation of a method: its body verbatim. *)
 
+val entry_depths : Program.t -> t -> int array
+(** Per-pc operand-stack entry depths of the code's body, derived by the
+    bytecode verifier with the body seen as its root method (the root's
+    signature, the code's [max_locals] and [max_stack]). Raises
+    [Verify.Error] on a body the verifier rejects. *)
+
 val source_at : t -> pc:int -> (Ids.Method_id.t * int) * (Ids.Method_id.t * int) list
 (** [source_at code ~pc] is [((m, src_pc), parents)]: the source-level
     method and pc executing at [pc], plus the inline parents within this

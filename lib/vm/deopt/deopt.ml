@@ -78,19 +78,7 @@ let table_of_code ?depths:memo program (code : Code.t) =
         points = Array.make (Array.length code.Code.instrs) None;
       }
   | Some entries ->
-      let root = Program.meth program code.Code.meth in
-      (* Same wrapper trick as [Interp.osr]: the optimized body viewed as
-         a method of the root's signature, so the bytecode verifier can
-         derive per-pc operand-stack entry depths for it. *)
-      let wrapper =
-        {
-          root with
-          Meth.body = code.Code.instrs;
-          max_locals = code.Code.max_locals;
-          max_stack = code.Code.max_stack;
-        }
-      in
-      let opt_depths = Verify.entry_depths program wrapper in
+      let opt_depths = Code.entry_depths program code in
       let bases = region_bases program code entries in
       let memo = match memo with Some m -> m | None -> depths program in
       let depths_of (mid : Ids.Method_id.t) =

@@ -182,10 +182,7 @@ type frame_plan = {
 
 type deopt_reason = Guard_storm | Cha_invalidated
 
-let default_invoke_stride = 512
-
-let create ?(cost = Cost.default) ?(sample_period = 100_000)
-    ?(invoke_stride = default_invoke_stride) program =
+let create ~cost ~sample_period ~invoke_stride program =
   let methods = Program.methods program in
   Array.iter
     (fun (m : Meth.t) ->
@@ -352,17 +349,7 @@ let osr t (mid : Ids.Method_id.t) =
                there would misalign the stack. *)
             let depth_ok =
               sp_rel <= current.Code.max_stack
-              &&
-              let root = Program.meth t.program mid in
-              let wrapper =
-                {
-                  root with
-                  Meth.body = current.Code.instrs;
-                  max_locals = current.Code.max_locals;
-                  max_stack = current.Code.max_stack;
-                }
-              in
-              (Verify.entry_depths t.program wrapper).(pc') = sp_rel
+              && (Code.entry_depths t.program current).(pc') = sp_rel
             in
             if not depth_ok then false
             else begin

@@ -156,20 +156,15 @@ type frame_plan = {
 (** Why a downward transfer happened (the deopt-reason taxonomy). *)
 type deopt_reason = Guard_storm | Cha_invalidated
 
-val default_invoke_stride : int
-(** 512 invocations between [on_invoke] firings, also the default of
-    every run configuration ([Config.default]). *)
-
 val create :
-  ?cost:Cost.t ->
-  ?sample_period:int ->
-  ?invoke_stride:int ->
-  Program.t ->
-  t
+  cost:Cost.t -> sample_period:int -> invoke_stride:int -> Program.t -> t
 (** A fresh VM with every method's code table entry set to its baseline
-    compilation. [sample_period] defaults to 100_000 cycles;
-    [invoke_stride] to {!default_invoke_stride}. Raises {!Unverified} on a
-    program that has not been verified. *)
+    compilation, firing [on_timer_sample] every [sample_period] virtual
+    cycles and [on_invoke] every [invoke_stride]-th invocation. There
+    are no defaults here: a run builds its VM from a [Config.t]
+    ([Runtime.create_vm]), whose [Config.default] states the one default
+    of each knob. Raises {!Unverified} on a program that has not been
+    verified. *)
 
 val program : t -> Program.t
 val cost : t -> Cost.t

@@ -7,7 +7,7 @@ open Interp
    fetch/decode loop.
 
    Static stack slots. The verifier gives every reachable pc one stack
-   depth ({!Verify.entry_depths}), so the slot for depth [d] is the
+   depth ({!Code.entry_depths}), so the slot for depth [d] is the
    constant [max_locals + d]: no closure keeps a stack pointer.
 
    Expression trees. Each basic block is evaluated symbolically: value
@@ -704,16 +704,7 @@ let compile (t : t) (code : Code.t) : nfn array * int array =
   in
   let n = Array.length instrs in
   (* Raises on code the verifier would reject: the install gate. *)
-  let depths =
-    let root = Program.meth t.program code.Code.meth in
-    Verify.entry_depths t.program
-      {
-        root with
-        Meth.body = instrs;
-        max_locals = code.Code.max_locals;
-        max_stack = code.Code.max_stack;
-      }
-  in
+  let depths = Code.entry_depths t.program code in
   let base = code.Code.max_locals in
   let nfns : nfn array = Array.make (max 1 n) stuck in
   (* Run lengths, high pc to low: the instructions an entry at [pc]

@@ -34,7 +34,7 @@ open Acsi_bytecode
 val compile : Interp.t -> Code.t -> Interp.nfn array * int array
 (** [compile t code] builds the closure-tier entry points for [code] (one
     per source pc) plus the operand-stack entry depth per pc (from
-    {!Verify.entry_depths}, used to cross-check OSR transfers onto
+    {!Code.entry_depths}, used to cross-check OSR transfers onto
     compiled entry points). Does not install anything. *)
 
 val install : Interp.t -> Ids.Method_id.t -> Code.t -> unit

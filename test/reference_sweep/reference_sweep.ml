@@ -24,10 +24,7 @@ module Policy = Acsi_policy.Policy
 module Metrics = Acsi_core.Metrics
 
 let drive run (cfg : Config.t) program =
-  let vm =
-    Interp.create ~cost:cfg.Config.cost ~sample_period:cfg.Config.sample_period
-      ~invoke_stride:cfg.Config.invoke_stride program
-  in
+  let vm = Acsi_core.Runtime.create_vm cfg program in
   let sys = System.create cfg.Config.aos vm in
   let samples = ref [] and hook = vm.Interp.on_timer_sample in
   Interp.set_on_timer_sample vm (fun vm ->

@@ -299,7 +299,7 @@ let observed_facts program =
   and al = Array.make n false
   and io = Array.make n false
   and ret = Array.make n false in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let th = Interp.spawn vm in
   let mark arr =
     for i = 0 to vm.Interp.depth - 1 do
@@ -433,7 +433,7 @@ let test_always_throws_traps () =
   (* The VM runs verified code only: the verifier sizes the operand
      stack ([max_stack]) the frames are allocated with. *)
   Verify.program p2;
-  let vm = Interp.create p2 in
+  let vm = Bare_vm.create p2 in
   Alcotest.(check bool) "execution traps, never returns" true
     (try
        Interp.run vm;
@@ -445,7 +445,7 @@ let test_always_throws_traps () =
 let test_unverified_program_refused () =
   let p, _ = thrower_program () in
   Alcotest.check_raises "create refuses" (Interp.Unverified "boom") (fun () ->
-      ignore (Interp.create p))
+      ignore (Bare_vm.create p))
 
 (* --- Determinism: the analyze table is independent of --jobs ------- *)
 
@@ -823,7 +823,7 @@ let test_refused_mutants_install_nothing () =
                     Printf.sprintf "%s %s/%s" name
                       (Program.meth p mid).Meth.name what
                   in
-                  let vm = Interp.create p in
+                  let vm = Bare_vm.create p in
                   let sys = System.create aos vm in
                   let before = Interp.code_of vm mid in
                   let adopt () =

@@ -142,7 +142,7 @@ let deep_program () =
        ])
 
 let max_collected_depth program policy =
-  let vm = Acsi_vm.Interp.create ~invoke_stride:7 program in
+  let vm = Bare_vm.create ~invoke_stride:7 program in
   let listener =
     Trace_listener.create program ~policy ~flags:(Flags.create ())
   in
@@ -174,7 +174,7 @@ let test_listener_depth_by_policy () =
 
 let test_listener_stats_histogram () =
   let program = deep_program () in
-  let vm = Acsi_vm.Interp.create ~invoke_stride:11 program in
+  let vm = Bare_vm.create ~invoke_stride:11 program in
   let listener =
     Trace_listener.create ~collect_termination_stats:true program
       ~policy:(Policy.Fixed 4) ~flags:(Flags.create ())
@@ -194,7 +194,7 @@ let test_listener_stats_histogram () =
 
 let run_system ?(policy = Policy.Fixed 3) ?(tweak = fun c -> c) program =
   let vm =
-    Acsi_vm.Interp.create ~sample_period:20_000 ~invoke_stride:64 program
+    Bare_vm.create ~sample_period:20_000 ~invoke_stride:64 program
   in
   let sys = System.create (tweak (System.default_config policy)) vm in
   Acsi_vm.Interp.run vm;

@@ -114,7 +114,7 @@ let test_table_units () =
   check_int "point_count counts mapped pcs" (Acsi_deopt.Deopt.point_count table)
     !seen;
   (* Baseline code is its own source: nothing to map. *)
-  let vm = Acsi_vm.Interp.create program in
+  let vm = Bare_vm.create program in
   let baseline = Acsi_vm.Interp.baseline_code_of vm main_id in
   check_int "baseline table is empty" 0
     (Acsi_deopt.Deopt.point_count
@@ -125,9 +125,9 @@ let test_table_units () =
 let test_deopt_mechanism_direct () =
   let program = monolithic_program () in
   let main_id = Program.main program in
-  let plain = Acsi_vm.Interp.create program in
+  let plain = Bare_vm.create program in
   Acsi_vm.Interp.run plain;
-  let vm = Acsi_vm.Interp.create ~sample_period:50_000 program in
+  let vm = Bare_vm.create ~sample_period:50_000 program in
   let stage = ref `Compile in
   let installed = ref None in
   Acsi_vm.Interp.set_on_timer_sample vm (fun vm ->
@@ -180,7 +180,7 @@ let test_deopt_frames_carry_closures () =
   let program = monolithic_program () in
   let main_id = Program.main program in
   let exec run =
-    let vm = Acsi_vm.Interp.create ~sample_period:50_000 program in
+    let vm = Bare_vm.create ~sample_period:50_000 program in
     Array.iter
       (fun (m : Meth.t) ->
         Acsi_vm.Tier.install vm m.Meth.id

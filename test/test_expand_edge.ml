@@ -11,7 +11,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let run_program program =
-  let vm = Acsi_vm.Interp.create program in
+  let vm = Bare_vm.create program in
   Acsi_vm.Interp.run vm;
   (vm, Acsi_vm.Interp.output vm)
 
@@ -40,7 +40,7 @@ let force_optimize ?(roots = None) program =
   let oracle = Oracle.create program in
   Oracle.set_rules oracle (Rules.of_hot_traces !hot);
   let _, expected = run_program program in
-  let vm = Acsi_vm.Interp.create program in
+  let vm = Bare_vm.create program in
   let compiled =
     match roots with
     | Some names ->

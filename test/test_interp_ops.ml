@@ -19,7 +19,7 @@ let run_body ?(max_locals = 4) body =
   Program.Builder.set_body b main ~max_locals (Array.of_list body);
   let p = Program.Builder.seal b ~main in
   Verify.program p;
-  let vm = Interp.create p in
+  let vm = Bare_vm.create p in
   Interp.run vm;
   Interp.output vm
 
@@ -157,7 +157,7 @@ let test_globals () =
     |];
   let p = Program.Builder.seal b ~main in
   Verify.program p;
-  let vm = Interp.create p in
+  let vm = Bare_vm.create p in
   Interp.run vm;
   check_out "globals default to 0 then update" [ 0; 5 ] (Interp.output vm)
 
@@ -182,7 +182,7 @@ let test_objects_and_fields () =
     |];
   let p = Program.Builder.seal b ~main in
   Verify.program p;
-  let vm = Interp.create p in
+  let vm = Bare_vm.create p in
   Interp.run vm;
   check_out "fields" [ 0; 31 ] (Interp.output vm)
 
@@ -220,7 +220,7 @@ let test_instance_of_and_dispatch_depth () =
     |];
   let p = Program.Builder.seal b ~main in
   Verify.program p;
-  let vm = Interp.create p in
+  let vm = Bare_vm.create p in
   Interp.run vm;
   check_out "dispatch + instance_of" [ 1; 3; 1; 0 ] (Interp.output vm)
 
@@ -238,7 +238,7 @@ let test_call_cost_tiers () =
   in
   let f = Program.find_method program ~cls:"K" ~name:"f" in
   let run_once install =
-    let vm = Interp.create program in
+    let vm = Bare_vm.create program in
     if install then begin
       let oracle = Acsi_jit.Oracle.create program in
       let code, _ = Acsi_jit.Expand.compile program (Interp.cost vm) oracle ~root:f in
@@ -261,7 +261,7 @@ let test_instruction_counters () =
       [| Instr.Const 1; Instr.Pop; Instr.Return_void |];
     let p = Program.Builder.seal b ~main in
     Verify.program p;
-    let vm = Interp.create p in
+    let vm = Bare_vm.create p in
     Interp.run vm;
     (Interp.instructions_executed vm, Interp.cycles vm, Interp.calls_executed vm)
   in

@@ -116,9 +116,9 @@ let compile_with ?rules program root =
 (* Run the program with [code] installed for [root] and compare output to
    the baseline. *)
 let preserves_output program root code =
-  let base_vm = Interp.create program in
+  let base_vm = Bare_vm.create program in
   Interp.run base_vm;
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   Interp.install_code vm root.Meth.id code;
   Interp.run vm;
   Alcotest.(check (list int))
@@ -312,12 +312,12 @@ let test_expand_fallback_path () =
       ]
   in
   let code, _ = compile_with ~rules program caller in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   Interp.install_code vm caller.Meth.id code;
   Interp.run vm;
   (* The B receiver misses A's guard. *)
   check_bool "guard misses happened" true (Interp.guard_misses vm > 0);
-  let base = Interp.create program in
+  let base = Bare_vm.create program in
   Interp.run base;
   Alcotest.(check (list int)) "output" (Interp.output base) (Interp.output vm)
 

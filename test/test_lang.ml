@@ -10,7 +10,7 @@ let check_out = Alcotest.(check (list int))
    program's output. *)
 let run ?(classes = []) ?(globals = []) main =
   let program = Compile.prog (Dsl.prog ~globals classes main) in
-  let vm = Acsi_vm.Interp.create program in
+  let vm = Bare_vm.create program in
   Acsi_vm.Interp.run vm;
   Acsi_vm.Interp.output vm
 

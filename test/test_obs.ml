@@ -137,20 +137,12 @@ let test_metrics_unchanged_when_traced () =
 (* --- reconciliation: span totals = accounting totals, exactly --- *)
 
 let check_reconciled label sys =
-  let tracer = System.tracer sys in
-  check_int (label ^ ": no ring drops") 0 (Tracer.dropped tracer);
-  let totals = Export.track_totals tracer in
-  let acct = System.accounting sys in
+  check_int (label ^ ": no ring drops") 0 (Tracer.dropped (System.tracer sys));
   List.iter
-    (fun c ->
-      let nm = Accounting.component_name c in
-      let span_v =
-        match List.assoc_opt nm totals with Some v -> v | None -> 0
-      in
-      check_int
-        (Printf.sprintf "%s: %s spans = accounting" label nm)
-        (Accounting.get acct c) span_v)
-    Accounting.all_components
+    (fun (nm, acct_v, span_v) ->
+      check_int (Printf.sprintf "%s: %s spans = accounting" label nm) acct_v
+        span_v)
+    (System.span_rows sys)
 
 let test_reconciliation_sync () =
   let result = run_with ~obs:obs_all (db ~scale:4) in
@@ -174,11 +166,7 @@ let test_reconciliation_sync () =
 let async_run () =
   let program = db ~scale:2 in
   let cfg = Config.default ~policy:(Policy.Fixed 3) in
-  let vm =
-    Interp.create ~cost:cfg.Config.cost
-      ~sample_period:cfg.Config.sample_period
-      ~invoke_stride:cfg.Config.invoke_stride program
-  in
+  let vm = Runtime.create_vm cfg program in
   let aos =
     { cfg.Config.aos with System.async_compile = true; obs = obs_all }
   in

@@ -67,7 +67,7 @@ let test_osr_preserves_workload_outputs () =
 let test_osr_mechanism_direct () =
   let program = monolithic_program () in
   let main_id = Program.main program in
-  let vm = Acsi_vm.Interp.create ~sample_period:50_000 program in
+  let vm = Bare_vm.create ~sample_period:50_000 program in
   let fired = ref 0 in
   Acsi_vm.Interp.set_on_timer_sample vm (fun vm ->
       if !fired = 0 then begin

@@ -7,7 +7,7 @@ let check_out = Alcotest.(check (list int))
 
 let run src =
   let program = Acsi_lang.Parser.compile src in
-  let vm = Acsi_vm.Interp.create program in
+  let vm = Bare_vm.create program in
   Acsi_vm.Interp.run vm;
   Acsi_vm.Interp.output vm
 
@@ -207,7 +207,7 @@ let test_parsed_program_under_aos () =
   |}
   in
   let program = Acsi_lang.Parser.compile src in
-  let base = Acsi_vm.Interp.create program in
+  let base = Bare_vm.create program in
   Acsi_vm.Interp.run base;
   let result =
     Acsi_core.Runtime.run

@@ -165,9 +165,9 @@ let test_preserves_semantics_on_program () =
            print (v "s");
          ])
   in
-  let baseline = Acsi_vm.Interp.create program in
+  let baseline = Bare_vm.create program in
   Acsi_vm.Interp.run baseline;
-  let vm = Acsi_vm.Interp.create program in
+  let vm = Bare_vm.create program in
   Array.iter
     (fun (m : Meth.t) ->
       let optimized = Peephole.optimize_instrs m.Meth.body in

@@ -226,7 +226,7 @@ let arbitrary_operator_program =
   QCheck.make (gen_program_then gen_operator_block)
 
 let baseline_output program =
-  let vm = Acsi_vm.Interp.create program in
+  let vm = Bare_vm.create program in
   Acsi_vm.Interp.run vm;
   Acsi_vm.Interp.output vm
 
@@ -269,7 +269,7 @@ let prop_expansion_preserves_output =
         (Program.methods program);
       let oracle = Acsi_jit.Oracle.create program in
       Acsi_jit.Oracle.set_rules oracle (Acsi_profile.Rules.of_hot_traces !hot);
-      let vm = Acsi_vm.Interp.create program in
+      let vm = Bare_vm.create program in
       Array.iter
         (fun (m : Meth.t) ->
           let code, _ =

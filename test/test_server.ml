@@ -15,6 +15,7 @@ module Sched = Acsi_server.Sched
 module Ring = Acsi_server.Ring
 module Load = Acsi_server.Load
 module Server = Acsi_server.Server
+module Shards = Acsi_server.Shards
 module Workloads = Acsi_workloads.Workloads
 
 (* A self-contained program: every value it touches is a frame local or
@@ -67,13 +68,13 @@ let drain_counting sched =
 let test_interleaved_reentrancy () =
   let program = counter_program () in
   (* Reference: one plain (non-threaded) run. *)
-  let ref_vm = Interp.create program in
+  let ref_vm = Bare_vm.create program in
   Interp.run ref_vm;
   let expected = Interp.output ref_vm in
   Alcotest.(check (list int)) "reference output" [ 5050 ] expected;
   (* Two threads of the same program over one VM, with a quantum small
      enough that both are routinely suspended mid-[bump]/mid-loop. *)
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let sched = Sched.create ~quantum:97 ~switch_cost:3 vm in
   let t1 = Sched.spawn sched in
   let t2 = Sched.spawn sched in
@@ -91,7 +92,7 @@ let test_interleaved_reentrancy () =
 
 let test_resume_rejects_bad_quantum () =
   let program = counter_program () in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let th = Interp.spawn vm in
   Alcotest.check_raises "quantum must be positive"
     (Invalid_argument "Interp.resume: quantum must be positive") (fun () ->
@@ -101,7 +102,7 @@ let test_resume_rejects_bad_quantum () =
 
 let test_fairness_no_starvation () =
   let program = counter_program () in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let sched = Sched.create ~quantum:199 ~switch_cost:5 vm in
   let tids = List.init 5 (fun _ -> Sched.spawn sched) in
   let completed, resumes = drain_counting sched in
@@ -139,7 +140,7 @@ let test_sched_retains_no_history () =
           ])
   in
   let words_after n =
-    let vm = Interp.create program in
+    let vm = Bare_vm.create program in
     let sched = Sched.create ~quantum:40 ~switch_cost:3 vm in
     for _ = 1 to n do
       ignore (Sched.spawn sched);
@@ -172,7 +173,7 @@ let slice_loop_program =
 (* Applies [ops] (true = spawn, false = one slice) and returns the first
    divergence from the model, if any. *)
 let sched_against_queue ~quantum ops =
-  let vm = Interp.create (Lazy.force slice_loop_program) in
+  let vm = Bare_vm.create (Lazy.force slice_loop_program) in
   let sched = Sched.create ~quantum ~switch_cost:3 vm in
   let model = Queue.create () in
   let step spawn =
@@ -256,7 +257,7 @@ let test_ring_grows_and_wraps () =
 
 let test_snapshot_diff () =
   let program = counter_program () in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let sys = System.create (System.default_config (Policy.Fixed 3)) vm in
   let s0 = Metrics.snapshot vm sys in
   Interp.charge vm 123;
@@ -339,14 +340,12 @@ let prop_percentiles_match_spec =
 
 (* --- the server harness itself --- *)
 
-let serve_db () =
+let serve_db ?(cfg = Config.default ~policy:(Policy.Fixed 3)) () =
   let program = (Workloads.find "db").Workloads.build ~scale:2 in
   Server.run
     ~mode:
       (Server.Closed { clients = 2; requests_per_client = 2; think = 10_000 })
-    ~name:"db"
-    (Config.default ~policy:(Policy.Fixed 3))
-    program
+    ~name:"db" cfg program
 
 (* Background compilation overlaps mutator progress — requests retire
    instructions while compiles are in flight, and the finished code is
@@ -376,6 +375,62 @@ let test_async_compilation_overlaps () =
   Alcotest.(check int)
     "window install counts telescope to the total"
     s.Server.sv_async_installs installs
+
+(* --- both serving engines sample on the configuration they are given --- *)
+
+(* Each engine builds its VMs from the [Config.t] it is given
+   ([Runtime.create_vm]), so a tenth of the default timer period must
+   take several times the method samples, and a sixteenth of the
+   default invocation stride several times the trace samples; an engine
+   that built its VMs from defaults would count the same under both
+   configurations. The ratios stay below the knobs' because the denser
+   run compiles sooner and finishes in fewer cycles, and an idle shard
+   takes no sample. No run may take more than one method sample per
+   period of its clock. Each helper returns (method samples, trace
+   samples, cycles) summed over the engine's VMs. *)
+let served_samples cfg =
+  let r = serve_db ~cfg () in
+  let sum f =
+    List.fold_left (fun a w -> a + f w.Server.w_activity) 0 r.Server.windows
+  in
+  ( sum (fun s -> s.Metrics.s_method_samples),
+    sum (fun s -> s.Metrics.s_trace_samples),
+    r.Server.summary.Server.sv_total_cycles )
+
+let sharded_samples cfg =
+  let program = (Workloads.find "session").Workloads.build ~scale:1 in
+  let r =
+    Shards.run ~seed:3 ~pool:1 ~pool_policy:System.Fifo ~shards:2
+      ~sessions:300 ~period:600 ~name:"session" cfg program
+  in
+  let sum f = List.fold_left (fun a sys -> a + f sys) 0 r.Shards.systems in
+  ( sum System.method_samples_taken,
+    sum System.trace_samples_taken,
+    r.Shards.summary.Shards.sh_sum_cycles )
+
+let test_engines_sample_on_config () =
+  let base = Config.default ~policy:(Policy.Fixed 3) in
+  let dense =
+    {
+      base with
+      Config.sample_period = base.Config.sample_period / 10;
+      invoke_stride = base.Config.invoke_stride / 16;
+    }
+  in
+  List.iter
+    (fun (engine, samples) ->
+      let m0, t0, c0 = samples base and m1, t1, c1 = samples dense in
+      let check what ok =
+        Alcotest.(check bool) (engine ^ ": " ^ what) true ok
+      in
+      check "default run samples" (m0 > 0 && t0 > 0);
+      check "a tenth of the period, over 3x the method samples" (m1 > 3 * m0);
+      check "a sixteenth of the stride, over 4x the trace samples"
+        (t1 > 4 * t0);
+      check "one method sample per period at most"
+        (m0 <= c0 / base.Config.sample_period
+        && m1 <= c1 / dense.Config.sample_period))
+    [ ("server", served_samples); ("shards", sharded_samples) ]
 
 (* Verify-on-install stays off the virtual clock. An async serve
    installs background-compiled code through the one install path; and
@@ -413,7 +468,7 @@ let test_async_verify_outside_clock () =
       (Array.to_list (Acsi_bytecode.Program.methods program))
   in
   Alcotest.(check bool) "donor compiled methods" true (compiled <> []);
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let sys = System.create cfg.Config.aos vm in
   let clock () =
     ( Interp.cycles vm,
@@ -571,6 +626,8 @@ let suite =
       test_ring_grows_and_wraps;
     Alcotest.test_case "async compilation overlaps mutator" `Slow
       test_async_compilation_overlaps;
+    Alcotest.test_case "serving engines sample on their config" `Slow
+      test_engines_sample_on_config;
     Alcotest.test_case "async verify-on-install off the clock" `Slow
       test_async_verify_outside_clock;
     Alcotest.test_case "server runs are deterministic" `Slow

@@ -181,7 +181,8 @@ let test_speculative_code_not_published () =
       }
     in
     let r =
-      Shards.run ~seed:1 ~barrier:30_000 ~shards:2 ~sessions:8
+      Shards.run ~seed:1 ~barrier:30_000 ~pool:1 ~pool_policy:System.Fifo
+        ~shards:2 ~sessions:8
         ~period:2_000_000 ~name:"spec" cfg program
     in
     let run_mid =

@@ -39,7 +39,7 @@ let sample_prog =
       ])
 
 let run_program program =
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   Interp.run vm;
   (vm, Interp.output vm)
 
@@ -55,7 +55,7 @@ let test_opt_preserves_semantics () =
   (* Optimize every method with an empty rule set (static heuristics only),
      then with a fully-seeded profile; output must not change. *)
   let check_with rules label =
-    let vm = Interp.create program in
+    let vm = Bare_vm.create program in
     let oracle = Oracle.create program in
     Oracle.set_rules oracle rules;
     Array.iter

@@ -147,7 +147,7 @@ type engine = Reference | Interpreter | Closure_tier
 type event = First of int | Invoked of int * int | Timer of int
 
 let observe ?(invoke_stride = 16) ~sample_period engine program =
-  let vm = Interp.create ~sample_period ~invoke_stride program in
+  let vm = Bare_vm.create ~sample_period ~invoke_stride program in
   let events = ref [] in
   let note e = events := e :: !events in
   Interp.set_on_timer_sample vm (fun vm -> note (Timer (Interp.cycles vm)));
@@ -223,11 +223,7 @@ let prop_aos_matches_reference =
       let cfg = Config.default ~policy:(Acsi_policy.Policy.Fixed 3) in
       let cfg = { cfg with Config.sample_period = 5_000; invoke_stride = 16 } in
       let exec ~reference =
-        let vm =
-          Interp.create ~cost:cfg.Config.cost
-            ~sample_period:cfg.Config.sample_period
-            ~invoke_stride:cfg.Config.invoke_stride program
-        in
+        let vm = Runtime.create_vm cfg program in
         let sys = Acsi_aos.System.create cfg.Config.aos vm in
         (if reference then
            Interp.run_reference ~cycle_limit:cfg.Config.cycle_limit vm
@@ -436,7 +432,7 @@ let alloc_program callee n =
 
 let minor_words_of_run program =
   let vm =
-    Interp.create ~sample_period:max_int ~invoke_stride:max_int program
+    Bare_vm.create ~sample_period:max_int ~invoke_stride:max_int program
   in
   Array.iter
     (fun (m : Meth.t) -> Tier.install vm m.Meth.id (Interp.code_of vm m.Meth.id))

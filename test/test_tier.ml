@@ -77,7 +77,7 @@ let counter_prog =
 
 let test_malformed_code_rejected () =
   let program = Compile.prog counter_prog in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let main = Acsi_bytecode.Program.main program in
   let good = Interp.code_of vm main in
   (* An operand-stack underflow: pops from the empty entry stack. The
@@ -114,7 +114,7 @@ let test_malformed_code_rejected () =
    given source map. *)
 let observed_system () =
   let program = Compile.prog counter_prog in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let aos =
     {
       (System.default_config (Policy.Fixed 3)) with
@@ -270,7 +270,7 @@ let test_provenance_records_tier_decisions () =
    and two AOS-free VMs run that same code: one with every method on
    the closure tier, one without. *)
 let final_code program =
-  let vm = Interp.create ~sample_period:5_000 ~invoke_stride:16 program in
+  let vm = Bare_vm.create ~sample_period:5_000 ~invoke_stride:16 program in
   let _sys = System.create (System.default_config (Policy.Fixed 3)) vm in
   Interp.run vm;
   Array.map
@@ -279,7 +279,7 @@ let final_code program =
     (Acsi_bytecode.Program.methods program)
 
 let threaded_run ~tier_on program codes =
-  let vm = Interp.create ~sample_period:5_000 ~invoke_stride:16 program in
+  let vm = Bare_vm.create ~sample_period:5_000 ~invoke_stride:16 program in
   Array.iteri
     (fun i code ->
       let mid = Acsi_bytecode.Ids.Method_id.of_int i in
@@ -350,7 +350,7 @@ let test_fusion_cost_neutral () =
   List.iter
     (fun (name, program) ->
       let run exec =
-        let vm = Interp.create program in
+        let vm = Bare_vm.create program in
         exec vm;
         (Interp.output vm, Interp.cycles vm)
       in

@@ -57,8 +57,8 @@ type run = {
 
 let run_engine ?(prepare = ignore) engine program =
   let vm =
-    if engine = Boundary then Interp.create ~sample_period:1 program
-    else Interp.create program
+    if engine = Boundary then Bare_vm.create ~sample_period:1 program
+    else Bare_vm.create program
   in
   prepare vm;
   if engine = Closure_tier || engine = Boundary then
@@ -1111,21 +1111,21 @@ let simple_program () =
 
 let test_cycle_determinism () =
   let run () =
-    let vm = Interp.create (simple_program ()) in
+    let vm = Bare_vm.create (simple_program ()) in
     Interp.run vm;
     (Interp.cycles vm, Interp.instructions_executed vm, Interp.calls_executed vm)
   in
   check_bool "two runs agree" true (run () = run ())
 
 let test_costs_move_the_clock () =
-  let vm = Interp.create (simple_program ()) in
+  let vm = Bare_vm.create (simple_program ()) in
   Interp.run vm;
   check_bool "cycles exceed instructions x baseline cost" true
     (Interp.cycles vm
     >= Interp.instructions_executed vm * Cost.default.Cost.baseline_instr)
 
 let test_charge_advances_clock () =
-  let vm = Interp.create (simple_program ()) in
+  let vm = Bare_vm.create (simple_program ()) in
   Interp.charge vm 12345;
   check_int "charged" 12345 (Interp.cycles vm)
 
@@ -1138,7 +1138,7 @@ let test_cycle_limit () =
           while_ (ge (v "k") (i 0)) [ let_ "k" (add (v "k") (i 1)) ];
         ])
   in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   match Interp.run ~cycle_limit:500_000 vm with
   | () -> Alcotest.fail "expected cycle limit"
   | exception Interp.Cycle_limit_exceeded -> ()
@@ -1147,7 +1147,7 @@ let test_cycle_limit () =
 
 let test_first_execution_hook () =
   let program = simple_program () in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let firsts = ref 0 in
   Interp.set_on_first_execution vm (fun _ -> incr firsts);
   Interp.run vm;
@@ -1159,7 +1159,7 @@ let test_first_execution_hook () =
 
 let test_invoke_stride_hook () =
   let program = simple_program () in
-  let vm = Interp.create ~invoke_stride:10 program in
+  let vm = Bare_vm.create ~invoke_stride:10 program in
   let hits = ref 0 in
   Interp.set_on_invoke vm (fun _ _ -> incr hits);
   Interp.run vm;
@@ -1168,7 +1168,7 @@ let test_invoke_stride_hook () =
 
 let test_timer_hook () =
   let program = simple_program () in
-  let vm = Interp.create ~sample_period:1_000 program in
+  let vm = Bare_vm.create ~sample_period:1_000 program in
   let samples = ref 0 in
   Interp.set_on_timer_sample vm (fun _ -> incr samples);
   Interp.run vm;
@@ -1255,7 +1255,7 @@ let test_guard_on_non_objects () =
 
 let test_install_code_affects_next_invocation () =
   let program = guard_program () in
-  let vm = Interp.create program in
+  let vm = Bare_vm.create program in
   let tier_seen = ref [] in
   let dispatch = Program.find_method program ~cls:"D" ~name:"dispatch" in
   Interp.set_on_invoke vm (fun vm mid ->
@@ -1280,7 +1280,7 @@ let test_walk_source_stack_baseline () =
   in
   let program = compile ~classes [ print (call "W" "outer" []) ] in
   let inner = Program.find_method program ~cls:"W" ~name:"inner" in
-  let vm = Interp.create ~invoke_stride:1 program in
+  let vm = Bare_vm.create ~invoke_stride:1 program in
   let seen = ref [] in
   Interp.set_on_invoke vm (fun vm mid ->
       if Ids.Method_id.equal mid inner.Meth.id then begin

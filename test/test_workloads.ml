@@ -60,11 +60,7 @@ let test_no_aos_matches_reference () =
     (fun (name, program) ->
       let cfg = cfg () in
       let tier = Runtime.run_no_aos cfg program in
-      let reference =
-        Acsi_vm.Interp.create ~cost:cfg.Config.cost
-          ~sample_period:cfg.Config.sample_period
-          ~invoke_stride:cfg.Config.invoke_stride program
-      in
+      let reference = Runtime.create_vm cfg program in
       Acsi_vm.Interp.run_reference reference;
       let observe vm =
         Acsi_vm.Interp.
