@@ -62,47 +62,6 @@ let hr title =
 
 (* --- the main sweep, shared by table1/fig4/fig5/fig6/summary --- *)
 
-(* Runs are deterministic, so a default-config (benchmark, policy) cell
-   the sweep already executed would reproduce byte-identical results if
-   re-run. The ablation and representation sections re-visit a handful of
-   such cells; this cache lets them reuse the sweep's results instead.
-   Only the cells those sections actually re-visit are retained. *)
-let run_cache : (string * string, Runtime.result) Hashtbl.t = Hashtbl.create 16
-let run_cache_mutex = Mutex.create ()
-
-let cache_worthy bench policy =
-  match policy with
-  | Policy.Fixed 5 -> true (* the termination-stats section, every bench *)
-  | Policy.Context_insensitive | Policy.Fixed (3 | 4) -> (
-      (* the ablation / representation sections *)
-      match bench with "db" | "javac" | "jbb" -> true | _ -> false)
-  | _ -> false
-
-let remember ~bench ~policy result =
-  if cache_worthy bench policy then begin
-    Mutex.lock run_cache_mutex;
-    Hashtbl.replace run_cache (bench, Policy.to_string policy) result;
-    Mutex.unlock run_cache_mutex
-  end
-
-(* Run of [program] under [cfg], served from the cache when the sweep
-   already ran this cell. The sweep collects termination stats
-   ({!Experiment.paper_config}); that only fills counters on the trace
-   listener, so a cached result is interchangeable with a fresh run for
-   everything the consuming sections read (metrics, profiles). Callers
-   that need those counters on a cache miss pass the paper config. *)
-let cached_run (cfg : Config.t) bench program =
-  let policy = cfg.Config.aos.Acsi_aos.System.policy in
-  Mutex.lock run_cache_mutex;
-  let hit = Hashtbl.find_opt run_cache (bench, Policy.to_string policy) in
-  Mutex.unlock run_cache_mutex;
-  match hit with
-  | Some r -> r
-  | None ->
-      let r = Runtime.run cfg program in
-      remember ~bench ~policy r;
-      r
-
 let the_sweep = ref None
 
 let sweep mode =
@@ -112,7 +71,7 @@ let sweep mode =
       let s =
         Experiment.paper_sweep
           ~progress:(fun msg -> Format.eprintf "  [sweep] %s@." msg)
-          ~jobs:mode.jobs ~cell_hook:remember mode.cfg
+          ~jobs:mode.jobs mode.cfg
           ~scale_factor:mode.scale_factor
       in
       the_sweep := Some s;
@@ -135,10 +94,10 @@ let term_stats mode =
     Parallel.map ~jobs:mode.jobs
       (fun (name, program) ->
         let result =
-          cached_run
+          Runtime.run
             (Experiment.paper_config
                (Config.with_policy mode.cfg (Policy.Fixed 5)))
-            name program
+            program
         in
         let st = Acsi_aos.System.trace_stats result.Runtime.sys in
         let n = max 1 st.Acsi_aos.Trace_listener.samples in
@@ -194,12 +153,11 @@ let ablations mode =
         let show = show fmt in
         Format.fprintf fmt "@.%s (deltas vs context-insensitive baseline):@."
           name;
-      let cached policy =
-        cached_run (Config.with_policy mode.cfg policy) name program
+      let base = run program Policy.Context_insensitive in
+      let collect =
+        Runtime.run (Config.with_policy mode.cfg (Policy.Fixed 3)) program
       in
-      let base = (cached Policy.Context_insensitive).Runtime.metrics in
-      show "fixed(3), full system" base
-        (cached (Policy.Fixed 3)).Runtime.metrics;
+      show "fixed(3), full system" base collect.Runtime.metrics;
       show "fixed(3), exact-match oracle" base
         (run
            ~tweak_oracle:(fun c ->
@@ -236,7 +194,6 @@ let ablations mode =
            program (Policy.Fixed 3));
       (* Offline profile-directed inlining: seed the run with the profile a
          previous identical run collected (see Acsi_profile.Persist). *)
-      let collect = cached (Policy.Fixed 3) in
       let profile =
         Acsi_profile.Persist.of_string
           (Acsi_profile.Persist.to_string
@@ -260,7 +217,7 @@ let ablations mode =
     Parallel.map ~jobs:mode.jobs
       (fun (name, program) ->
         let result =
-          cached_run (Config.with_policy mode.cfg (Policy.Fixed 4)) name program
+          Runtime.run (Config.with_policy mode.cfg (Policy.Fixed 4)) program
         in
         let dcg = Acsi_aos.System.dcg result.Runtime.sys in
         let cct = Acsi_profile.Cct.of_dcg dcg in
@@ -347,7 +304,6 @@ let serve_mode mode =
            high blocks = slow cold windows) next to the telemetry
            histogram's quantiles — all virtual-clock figures, so the
            panel is byte-stable like the summary above it. *)
-        let tl = result.Acsi_server.Server.telemetry in
         let curve =
           Acsi_obs.Timeseries.spark
             (Array.of_list
@@ -356,7 +312,7 @@ let serve_mode mode =
                     int_of_float w.Acsi_server.Server.w_mean_latency)
                   result.Acsi_server.Server.windows))
         in
-        let lat = tl.Acsi_server.Server.tl_latency in
+        let lat = result.Acsi_server.Server.latency in
         let text =
           Format.asprintf
             "%a@.  warmup curve %s  (mean latency per window)  hist p50 %d \

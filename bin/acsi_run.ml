@@ -573,68 +573,13 @@ let analyze_targets ~jobs files =
     rendered;
   if !ok then 0 else 1
 
-(* The serving knobs serve and metrics share. *)
-type load = {
-  requests : int;
-  clients : int;
-  think : int;
-  open_period : int option;
-  seed : int;
-  pool : int;
-  pool_policy : Acsi_aos.System.compile_queue_policy;
-  barrier : int;
-  jobs : int;
-}
-
-(* Sharded serving: N virtual processors with work stealing, a
-   publish-once code cache and per-shard compiler pools. [--requests] is
-   the total session count; arrivals are always open-loop ([--open],
-   default period 2400). *)
-let run_shards l ~shards ~name cfg program =
-  Acsi_server.Shards.run ~seed:l.seed ~jobs:l.jobs ~barrier:l.barrier
-    ~pool:l.pool ~pool_policy:l.pool_policy ~shards ~sessions:l.requests
-    ~period:(Option.value l.open_period ~default:2400)
-    ~name cfg program
-
-(* One shared VM under a closed loop of clients. *)
-let run_server l ~name cfg program =
-  Acsi_server.Server.run
-    ~mode:
-      (Acsi_server.Server.Closed
-         {
-           clients = l.clients;
-           requests_per_client = l.requests;
-           think = l.think;
-         })
-    ~name cfg program
-
-(* `acsi-run serve`: server-mode execution — each benchmark's requests
-   run as virtual threads over one shared VM/AOS instance, with
-   background compilation, and the summary reports throughput and
-   latency percentiles. Deterministic: identical invocations print
-   identical summaries. *)
-let serve_benches ~specs ~cfg ~scale ~load ~shards ~show_windows =
+(* Serve each benchmark in turn, a blank line between their reports. *)
+let serve_each ~specs ~scale serve_one =
   List.iteri
     (fun i (spec : Workloads.spec) ->
-      let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
-      let name = spec.Workloads.name in
       if i > 0 then Format.printf "@.";
-      if shards > 0 then begin
-        let result = run_shards load ~shards ~name cfg program in
-        Format.printf "%a@." Acsi_server.Shards.pp_summary
-          result.Acsi_server.Shards.summary;
-        if show_windows then
-          Format.printf "%a@." Acsi_server.Shards.pp_shards
-            result.Acsi_server.Shards.shard_stats
-      end
-      else begin
-        let result = run_server load ~name cfg program in
-        Format.printf "%a@." Acsi_server.Server.pp_summary
-          result.Acsi_server.Server.summary;
-        if show_windows then
-          Format.printf "%a@." Acsi_server.Server.pp_windows
-            result.Acsi_server.Server.windows
-      end)
+      serve_one spec.Workloads.name
+        (spec.Workloads.build ~scale:(Cli.scale_for spec scale)))
     specs;
   0
 
@@ -643,154 +588,164 @@ let serve_bench_arg =
     ~default:[ "db"; "jess"; "compress" ]
     "Comma-separated benchmark names to serve."
 
-let requests_arg =
-  Arg.(
-    value & opt (Cli.at_least 1) 8
-    & info [ "requests" ]
-        ~doc:
-          "Requests per client (closed loop) or total sessions (with \
-           --shards).")
-
-(* An option only one of the two servers reads: its value, and whether
-   it was given, so that the other server can refuse it. *)
-let server_knob knob_conv ~default name doc =
-  let given =
-    Arg.value
-      (Arg.opt
-         (Arg.some' ~none:default knob_conv)
-         None (Arg.info [ name ] ~doc))
-  in
-  Term.(const (fun v -> (Option.value v ~default, v <> None)) $ given)
-
-let clients_arg =
-  server_knob (Cli.at_least 1) ~default:4 "clients"
-    "Concurrent clients (closed loop)."
-
-let think_arg =
-  server_knob (Cli.at_least 0) ~default:50_000 "think"
-    "Client think time in cycles between requests (closed loop)."
-
-let open_period_arg =
-  Arg.(
-    value
-    & opt (some (Cli.at_least 2)) None
-    & info [ "open" ] ~docv:"PERIOD"
-        ~doc:
-          "Mean inter-arrival period in cycles of the sharded server's \
-           open-loop arrivals (default 2400); needs --shards.")
-
-let seed_arg =
-  server_knob Arg.int ~default:1 "seed"
-    "Seed for the open-loop arrival schedule."
-
-let windows_arg =
-  Arg.(
-    value & flag
-    & info [ "windows" ]
-        ~doc:
-          "Also print the per-window warmup curve (or, with --shards, the \
-           per-shard breakdown).")
-
-let shards_arg =
-  Arg.(
-    value & opt (Cli.at_least 0) 0
-    & info [ "shards" ]
-        ~doc:
-          "Serve across N sharded virtual processors (per-shard run \
-           queues, deterministic work stealing, publish-once code cache). \
-           0 (default) keeps the single-VM server. With shards, \
-           --requests is the total session count and arrivals are always \
-           open-loop.")
-
-let pool_arg =
-  server_knob (Cli.at_least 1) ~default:1 "pool"
-    "Background compiler threads per shard (sharded mode)."
-
-let pool_policy_arg =
-  server_knob Cli.pool_policy ~default:Acsi_aos.System.Fifo "pool-policy"
-    "Compiler-pool queue policy: fifo, hot or deadline."
-
-let barrier_arg =
-  server_knob (Cli.at_least 1) ~default:2_000_000 "barrier"
-    "Virtual cycles between cross-shard barriers (DCG merge, code \
-     publication, work stealing)."
-
-let serve_jobs_arg =
-  server_knob (Cli.at_least 1) ~default:1 "jobs"
-    "Host domains running shards in parallel within a round (sharded \
-     mode); never affects results."
-
-(* serve and metrics have no --speculate. *)
+(* serve, fleet and metrics have no --speculate. *)
 let serve_config_arg = Cli.config_term ~speculate:(Term.const false) ()
 
-(* The serving knobs and the shard count. A knob the chosen server
-   would ignore is a usage error, refused before any run: the sharded
-   server's without [--shards], the closed loop's with it. *)
-let load_arg shards_arg =
-  let make requests (clients, clients_set) (think, think_set) open_period
-      (seed, seed_set) (pool, pool_set) (pool_policy, pool_policy_set)
-      (barrier, barrier_set) (jobs, jobs_set) shards =
-    let first_given =
-      List.find_map (fun (set, msg) -> if set then Some msg else None)
-    in
-    let needs_shards name why = Printf.sprintf "%s needs --shards (%s)" name why
-    and closed_only name =
-      name ^ " is closed-loop only (sharded arrivals are open-loop)"
-    in
-    let ignored =
-      if shards > 0 then
-        first_given
-          [
-            (clients_set, closed_only "--clients");
-            (think_set, closed_only "--think");
-          ]
-      else
-        first_given
-          [
-            ( open_period <> None,
-              needs_shards "--open" "open-loop serving is sharded" );
-            (seed_set, needs_shards "--seed" "it seeds open-loop arrivals");
-            (pool_set, needs_shards "--pool" "compiler pools are per shard");
-            ( pool_policy_set,
-              needs_shards "--pool-policy" "compiler pools are per shard" );
-            (barrier_set, needs_shards "--barrier" "barriers end shard rounds");
-            (jobs_set, needs_shards "--jobs" "host domains run shards");
-          ]
-    in
-    match ignored with
-    | Some msg -> `Error (true, msg)
-    | None ->
-        `Ok
-          ( { requests; clients; think; open_period; seed; pool; pool_policy;
-              barrier; jobs },
-            shards )
-  in
-  Term.(
-    ret
-      (const make $ requests_arg $ clients_arg $ think_arg $ open_period_arg
-     $ seed_arg $ pool_arg $ pool_policy_arg $ barrier_arg $ serve_jobs_arg
-     $ shards_arg))
+let windows_arg doc = Arg.(value & flag & info [ "windows" ] ~doc)
 
-let serve_main verbose specs cfg scale (load, shards) show_windows =
+(* `acsi-run serve`: closed-loop serving — each benchmark's requests run
+   as virtual threads over one shared VM/AOS instance, with background
+   compilation, and the summary reports throughput and latency
+   percentiles. Deterministic: identical invocations print identical
+   summaries. *)
+let serve_main verbose specs cfg scale requests_per_client clients think
+    show_windows =
   setup_logs verbose;
-  serve_benches ~specs ~cfg ~scale ~load ~shards ~show_windows
+  let mode =
+    Acsi_server.Server.Closed { clients; requests_per_client; think }
+  in
+  serve_each ~specs ~scale (fun name program ->
+      let result = Acsi_server.Server.run ~mode ~name cfg program in
+      Format.printf "%a@." Acsi_server.Server.pp_summary
+        result.Acsi_server.Server.summary;
+      if show_windows then
+        Format.printf "%a@." Acsi_server.Server.pp_windows
+          result.Acsi_server.Server.windows)
 
 let serve_cmd =
   let doc =
-    "serve a deterministic request workload over one shared VM and \
-     adaptive system, reporting throughput and latency percentiles"
+    "serve a deterministic closed-loop request workload over one shared VM \
+     and adaptive system, reporting throughput and latency percentiles"
+  in
+  let requests =
+    Arg.(
+      value & opt (Cli.at_least 1) 8
+      & info [ "requests" ] ~doc:"Requests per client.")
+  and clients =
+    Arg.(
+      value & opt (Cli.at_least 1) 4
+      & info [ "clients" ] ~doc:"Concurrent clients.")
+  and think =
+    Arg.(
+      value
+      & opt (Cli.at_least 0) 50_000
+      & info [ "think" ]
+          ~doc:"Client think time in cycles between requests.")
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve_main $ Cli.verbose_arg $ serve_bench_arg $ serve_config_arg
-      $ Cli.scale_arg $ load_arg shards_arg $ windows_arg)
+      $ Cli.scale_arg $ requests $ clients $ think
+      $ windows_arg "Also print the per-window warmup curve.")
 
-(* One telemetry export for both servers: every series under the JSONL
-   record name [series_name] with its own labels, then every histogram;
-   an OpenMetrics name is always "acsi_" ^ its JSONL name. *)
-let emit_telemetry buf format ~labels ~series_name series hists =
+(* The sharded server's knobs, applied: N virtual processors with work
+   stealing, a publish-once code cache and per-shard compiler pools,
+   serving [--sessions] open-loop arrivals. fleet and metrics share it. *)
+let fleet_arg =
+  let sessions =
+    Arg.(
+      value & opt (Cli.at_least 1) 8
+      & info [ "sessions" ] ~doc:"Sessions to serve, in total.")
+  and shards =
+    Arg.(
+      value & opt (Cli.at_least 1) 2
+      & info [ "shards" ]
+          ~doc:
+            "Sharded virtual processors (per-shard run queues, \
+             deterministic work stealing, publish-once code cache).")
+  and period =
+    Arg.(
+      value
+      & opt (Cli.at_least 2) 2400
+      & info [ "open" ] ~docv:"PERIOD"
+          ~doc:"Mean inter-arrival period in cycles of the open-loop arrivals.")
+  and seed =
+    Arg.(
+      value & opt int 1
+      & info [ "seed" ] ~doc:"Seed for the open-loop arrival schedule.")
+  and pool =
+    Arg.(
+      value & opt (Cli.at_least 1) 1
+      & info [ "pool" ] ~doc:"Background compiler threads per shard.")
+  and pool_policy =
+    Arg.(
+      value
+      & opt Cli.pool_policy Acsi_aos.System.Fifo
+      & info [ "pool-policy" ] ~doc:"Compiler-pool queue policy: fifo or hot.")
+  and barrier =
+    Arg.(
+      value
+      & opt (Cli.at_least 1) 2_000_000
+      & info [ "barrier" ]
+          ~doc:
+            "Virtual cycles between cross-shard barriers (DCG merge, code \
+             publication, work stealing).")
+  and jobs =
+    Cli.jobs_arg ~names:[ "jobs" ] ~default:1
+      "Host domains running shards in parallel within a round; never \
+       affects results."
+  in
+  let fleet sessions shards period seed pool pool_policy barrier jobs ~name
+      cfg program =
+    Acsi_server.Shards.run ~seed ~jobs ~barrier ~pool ~pool_policy ~shards
+      ~sessions ~period ~name cfg program
+  in
+  Term.(
+    const fleet $ sessions $ shards $ period $ seed $ pool $ pool_policy
+    $ barrier $ jobs)
+
+(* `acsi-run fleet`: open-loop serving across sharded virtual
+   processors; the summary reports throughput and latency percentiles.
+   Deterministic, and byte-identical across --jobs. *)
+let fleet_main verbose specs cfg scale fleet show_windows =
+  setup_logs verbose;
+  serve_each ~specs ~scale (fun name program ->
+      let result = fleet ~name cfg program in
+      Format.printf "%a@." Acsi_server.Shards.pp_summary
+        result.Acsi_server.Shards.summary;
+      if show_windows then
+        Format.printf "%a@." Acsi_server.Shards.pp_shards
+          result.Acsi_server.Shards.shard_stats)
+
+let fleet_cmd =
+  let doc =
+    "serve a deterministic open-loop session workload across sharded \
+     virtual processors, reporting throughput and latency percentiles"
+  in
+  Cmd.v (Cmd.info "fleet" ~doc)
+    Term.(
+      const fleet_main $ Cli.verbose_arg $ serve_bench_arg $ serve_config_arg
+      $ Cli.scale_arg $ fleet_arg
+      $ windows_arg "Also print the per-shard breakdown.")
+
+(* `acsi-run metrics`: run one fleet cell and print its virtual-clock
+   time-series (one per shard) plus the latency / steal-distance /
+   compile-wait / deopt-gap histograms as OpenMetrics (default) or JSONL
+   text; an OpenMetrics name is always "acsi_" ^ its JSONL name.
+   Telemetry reads the virtual clock but never charges it, and is
+   emitted only in the serial barrier section, so the export is
+   byte-identical across --jobs and never perturbs the run it observes. *)
+let metrics_one ~spec ~cfg ~scale ~fleet ~format ~flows_out =
   let module Export = Acsi_obs.Export in
-  match format with
+  Option.iter Cli.check_writable flows_out;
+  let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
+  let name = spec.Workloads.name in
+  let labels = [ ("bench", name) ] in
+  let tel = (fleet ~name cfg program).Acsi_server.Shards.telemetry in
+  let series =
+    List.mapi
+      (fun i s -> (labels @ [ ("shard", string_of_int i) ], s))
+      (Array.to_list tel.Acsi_server.Shards.tel_series)
+  and hists =
+    [
+      ("session_latency", tel.tel_latency_all);
+      ("steal_distance", tel.tel_steal_distance);
+      ("compile_wait", tel.tel_compile_wait);
+      ("deopt_gap", tel.tel_deopt_gap);
+    ]
+  in
+  let buf = Buffer.create 4096 in
+  (match format with
   | `Openmetrics ->
       List.iter
         (fun (labels, s) ->
@@ -803,114 +758,54 @@ let emit_telemetry buf format ~labels ~series_name series hists =
       Buffer.add_string buf "# EOF\n"
   | `Jsonl ->
       List.iter
-        (fun (labels, s) ->
-          Export.series_jsonl buf ~name:series_name ~labels s)
+        (fun (labels, s) -> Export.series_jsonl buf ~name:"shard" ~labels s)
         series;
-      List.iter (fun (name, h) -> Export.hist_jsonl buf ~name ~labels h) hists
-
-(* `acsi-run metrics`: run one serve cell with fleet telemetry and print
-   the virtual-clock time-series plus the latency / compile-wait /
-   deopt-gap histograms as OpenMetrics (default) or JSONL text.
-   Telemetry reads the virtual clock but never charges it, and sharded
-   runs emit it only in the serial barrier section, so the export is
-   byte-identical across --jobs and never perturbs the run it observes. *)
-let metrics_one ~spec ~cfg ~scale ~load ~shards ~format ~flows_out =
-  Option.iter Cli.check_writable flows_out;
-  let program = spec.Workloads.build ~scale:(Cli.scale_for spec scale) in
-  let name = spec.Workloads.name in
-  let labels = [ ("bench", name) ] in
-  let buf = Buffer.create 4096 in
-  (if shards > 0 then begin
-     let tel =
-       (run_shards load ~shards ~name cfg program)
-         .Acsi_server.Shards.telemetry
-     in
-     emit_telemetry buf format ~labels ~series_name:"shard"
-       (List.mapi
-          (fun i s -> (labels @ [ ("shard", string_of_int i) ], s))
-          (Array.to_list tel.Acsi_server.Shards.tel_series))
-       [
-         ("session_latency", tel.tel_latency_all);
-         ("steal_distance", tel.tel_steal_distance);
-         ("compile_wait", tel.tel_compile_wait);
-         ("deopt_gap", tel.tel_deopt_gap);
-       ];
-     Option.iter
-       (fun path ->
-         let fbuf = Buffer.create 4096 in
-         Acsi_obs.Export.to_chrome_json fbuf
-           (Acsi_server.Shards.telemetry_tracer tel);
-         write_buffer path fbuf;
-         Format.eprintf "metrics: wrote flow trace to %s@." path)
-       flows_out
-   end
-   else
-     let tel =
-       (run_server load ~name cfg program).Acsi_server.Server.telemetry
-     in
-     emit_telemetry buf format ~labels ~series_name:"server"
-       [ (labels, tel.Acsi_server.Server.tl_series) ]
-       [
-         ("request_latency", tel.tl_latency);
-         ("compile_wait", tel.tl_compile_wait);
-         ("deopt_gap", tel.tl_deopt_gap);
-       ]);
+      List.iter (fun (name, h) -> Export.hist_jsonl buf ~name ~labels h) hists);
+  Option.iter
+    (fun path ->
+      let fbuf = Buffer.create 4096 in
+      Export.to_chrome_json fbuf (Acsi_server.Shards.telemetry_tracer tel);
+      write_buffer path fbuf;
+      Format.eprintf "metrics: wrote flow trace to %s@." path)
+    flows_out;
   print_string (Buffer.contents buf);
   0
 
-let metrics_bench_arg =
-  Cli.bench_arg ~default:"session"
-    "Benchmark to serve while collecting telemetry."
-
-let metrics_shards_arg =
-  Arg.(
-    value & opt (Cli.at_least 0) 2
-    & info [ "shards" ]
-        ~doc:
-          "Virtual processors for the sharded server; 0 collects \
-           single-VM server telemetry instead.")
-
-let metrics_format_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("openmetrics", `Openmetrics); ("jsonl", `Jsonl) ])
-        `Openmetrics
-    & info [ "format" ] ~doc:"Output format: openmetrics or jsonl.")
-
-let metrics_flows_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "flows" ] ~docv:"FILE"
-        ~doc:
-          "Also write the cross-shard flow trace (steal/adopt/deopt \
-           arrows between shard tracks) as Chrome trace-event JSON for \
-           Perfetto (sharded mode).")
-
-let metrics_main verbose spec cfg scale (load, shards) format flows_out =
-  if flows_out <> None && shards <= 0 then
-    `Error (true, "--flows needs --shards (flow arrows link shards)")
-  else begin
-    setup_logs verbose;
-    `Ok
-      (reporting_errors (fun () ->
-           metrics_one ~spec ~cfg ~scale ~load ~shards ~format ~flows_out))
-  end
+let metrics_main verbose spec cfg scale fleet format flows_out =
+  setup_logs verbose;
+  reporting_errors (fun () ->
+      metrics_one ~spec ~cfg ~scale ~fleet ~format ~flows_out)
 
 let metrics_cmd =
   let doc =
-    "serve one benchmark with fleet telemetry and export the \
+    "serve one benchmark as a fleet with telemetry and export the \
      virtual-clock time-series and latency histograms as OpenMetrics or \
      JSONL (deterministic: byte-identical across --jobs)"
   in
+  let bench =
+    Cli.bench_arg ~default:"session"
+      "Benchmark to serve while collecting telemetry."
+  and format =
+    Arg.(
+      value
+      & opt
+          (enum [ ("openmetrics", `Openmetrics); ("jsonl", `Jsonl) ])
+          `Openmetrics
+      & info [ "format" ] ~doc:"Output format: openmetrics or jsonl.")
+  and flows =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "flows" ] ~docv:"FILE"
+          ~doc:
+            "Also write the cross-shard flow trace (steal/adopt/deopt \
+             arrows between shard tracks) as Chrome trace-event JSON for \
+             Perfetto.")
+  in
   Cmd.v (Cmd.info "metrics" ~doc)
     Term.(
-      ret
-        (const metrics_main $ Cli.verbose_arg $ metrics_bench_arg
-       $ serve_config_arg $ Cli.scale_arg
-       $ load_arg metrics_shards_arg
-       $ metrics_format_arg $ metrics_flows_arg))
+      const metrics_main $ Cli.verbose_arg $ bench $ serve_config_arg
+      $ Cli.scale_arg $ fleet_arg $ format $ flows)
 
 let lint_files_arg =
   Arg.(
@@ -1141,6 +1036,7 @@ let cmd =
       analyze_cmd;
       lint_cmd;
       serve_cmd;
+      fleet_cmd;
       metrics_cmd;
       trace_cmd;
       explain_cmd;

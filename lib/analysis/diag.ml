@@ -4,9 +4,6 @@ exception Error of t
 
 let make ~meth ?pc message = { meth; pc; message }
 
-let error ~meth ?pc fmt =
-  Format.kasprintf (fun message -> raise (Error { meth; pc; message })) fmt
-
 let to_string d =
   match (d.meth, d.pc) with
   | "", _ -> d.message

@@ -17,9 +17,6 @@ exception Error of t
 
 val make : meth:string -> ?pc:int -> string -> t
 
-val error : meth:string -> ?pc:int -> ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** Format and raise {!Error}. *)
-
 val to_string : t -> string
 (** [method:pc: message], or [method: message] when no pc applies. *)
 

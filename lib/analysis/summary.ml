@@ -41,12 +41,6 @@ let join_effects a b =
 
 let is_pure e = not (e.writes_heap || e.allocates || e.io)
 
-(* Size classification mirrors {!Acsi_jit.Size} without depending on it
-   (acsi_jit sits above the analysis layer): a call occupies 4 units and
-   Tiny/Small are < 2x / < 5x a call. *)
-let call_units = 4
-let small_limit = 5 * call_units
-
 (* --- constant propagation (per method) -------------------------------- *)
 
 (* Abstract operand values: a known integer constant, a definite null, or
@@ -628,10 +622,11 @@ let finalize_row ctx comp (m : Meth.t) =
         match unique_target ctx instr with
         | Some tgt when not (same_comp ctx comp tgt) ->
             let r = ctx.rows_.((tgt :> int)) in
-            if r.size_est < small_limit then begin
-              size_est := !size_est + (r.size_est - 1);
-              if not r.always_throws then incr seed_sites
-            end
+            (match Meth.classify ~units:r.size_est with
+            | Meth.Tiny | Meth.Small ->
+                size_est := !size_est + (r.size_est - 1);
+                if not r.always_throws then incr seed_sites
+            | Meth.Medium | Meth.Large -> ())
         | Some _ | None -> ())
     m.Meth.body;
   let esc_bits = ctx.w_esc.((mid :> int)) in
@@ -754,10 +749,11 @@ let effects_to_string e =
     if parts = [] then "pure" else String.concat "+" parts
 
 let size_class_name units =
-  if units < 2 * call_units then "tiny"
-  else if units < 5 * call_units then "small"
-  else if units < 25 * call_units then "medium"
-  else "large"
+  match Meth.classify ~units with
+  | Meth.Tiny -> "tiny"
+  | Meth.Small -> "small"
+  | Meth.Medium -> "medium"
+  | Meth.Large -> "large"
 
 let slots_to_string a =
   let hits = ref [] in

@@ -11,21 +11,16 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    [Fifo] preserves enqueue order (with a pool of 1 this is byte-identical
    to the original serial background thread). [Hot_first] reorders each
    drain batch by current method hotness, so the methods burning the most
-   cycles reach a free compiler first. [Deadline] is earliest-deadline-
-   first where a job's deadline is its enqueue time plus slack
-   proportional to the method's size — small methods overtake big ones
-   enqueued slightly earlier. *)
-type compile_queue_policy = Fifo | Hot_first | Deadline
+   cycles reach a free compiler first. *)
+type compile_queue_policy = Fifo | Hot_first
 
 let queue_policy_name = function
   | Fifo -> "fifo"
   | Hot_first -> "hot"
-  | Deadline -> "deadline"
 
 let queue_policy_of_string = function
   | "fifo" -> Some Fifo
   | "hot" | "hot-first" -> Some Hot_first
-  | "deadline" -> Some Deadline
   | _ -> None
 
 type config = {
@@ -152,7 +147,7 @@ type t = {
   mutable method_buffer_len : int;
   mutable trace_buffer : Trace.t list;
   mutable trace_buffer_len : int;
-  (* compilation queue: method plus its enqueue cycle (deadline input) *)
+  (* compilation queue: method plus its enqueue cycle (queue-wait input) *)
   compile_queue : (Ids.Method_id.t * int) Queue.t;
   pending : bool array;
   (* methods whose install [Jit_check] refused: never enqueued, compiled
@@ -455,10 +450,9 @@ let missing_edge_scan t =
       let callee = r.Rules.trace.Trace.callee in
       let callee_m = Program.meth t.program callee in
       let inlinable =
-        match Acsi_jit.Size.clazz_of callee_m with
-        | Acsi_jit.Size.Large -> false
-        | Acsi_jit.Size.Tiny | Acsi_jit.Size.Small | Acsi_jit.Size.Medium ->
-            true
+        match Meth.size_class callee_m with
+        | Meth.Large -> false
+        | Meth.Tiny | Meth.Small | Meth.Medium -> true
       in
       if
         inlinable
@@ -515,7 +509,7 @@ let ai_organizer t =
          ]
        ()
    end);
-  t.rules <- Rules.of_hot_traces ~version:(t.rules_version + 1) hot;
+  t.rules <- Rules.of_hot_traces hot;
   t.rules_version <- t.rules_version + 1;
   Acsi_jit.Oracle.set_rules t.oracle t.rules;
   if Acsi_policy.Policy.is_adaptive_resolving t.cfg.policy then update_flags t;
@@ -894,14 +888,6 @@ let policy_order t jobs =
           Float.compare
             (Hot_methods.samples t.hot_methods b)
             (Hot_methods.samples t.hot_methods a))
-        jobs
-  | Deadline ->
-      let deadline (mid, enq) =
-        let units = Meth.size_units (Program.meth t.program mid) in
-        enq + (units * t.cost.Cost.baseline_compile_unit)
-      in
-      List.stable_sort
-        (fun a b -> compare (deadline a) (deadline b))
         jobs
 
 (* The background compilation model: the compiler runs on its own virtual

@@ -26,10 +26,6 @@ open Acsi_profile
 type compile_queue_policy =
   | Fifo  (** enqueue order; with a pool of 1, the serial model exactly *)
   | Hot_first  (** hottest method (current sample weight) first *)
-  | Deadline
-      (** earliest-deadline-first, deadline = enqueue cycle + slack
-          proportional to method size: small methods overtake large ones
-          enqueued slightly earlier *)
 
 val queue_policy_name : compile_queue_policy -> string
 val queue_policy_of_string : string -> compile_queue_policy option

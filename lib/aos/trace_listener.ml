@@ -78,10 +78,9 @@ let record_termination_stats t vm =
       | Some d when d <= 2 -> st.class_stop_within_2 <- st.class_stop_within_2 + 1
       | Some _ | None -> ());
       let is_large m =
-        match Acsi_jit.Size.clazz_of m with
-        | Acsi_jit.Size.Large -> true
-        | Acsi_jit.Size.Tiny | Acsi_jit.Size.Small | Acsi_jit.Size.Medium ->
-            false
+        match Meth.size_class m with
+        | Meth.Large -> true
+        | Meth.Tiny | Meth.Small | Meth.Medium -> false
       in
       (match first_matching 1 is_large callers with
       | Some d when d <= 3 -> ()

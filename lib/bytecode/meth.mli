@@ -31,5 +31,20 @@ val size_units : t -> int
 (** Size of the method body in instruction units (the unit of all code-size
     estimates in this system). *)
 
+(** Method size classes (paper §3.1). Jikes RVM buckets inline
+    candidates by the estimated machine-code size of the inlined body,
+    measured in multiples of the code a method call occupies (4 units). *)
+type size_class =
+  | Tiny  (** < 2x a call: inlined unconditionally when statically bound *)
+  | Small  (** 2-5x: inlined subject to code-expansion and depth limits *)
+  | Medium  (** 5-25x: candidates for profile-directed inlining only *)
+  | Large  (** >= 25x: never inlined *)
+
+val classify : units:int -> size_class
+(** The class of a body of [units] instruction units. *)
+
+val size_class : t -> size_class
+(** The class of the method's unadjusted body ({!size_units}). *)
+
 val pp : Format.formatter -> t -> unit
 val pp_body : Format.formatter -> t -> unit

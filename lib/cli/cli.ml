@@ -63,7 +63,7 @@ let pool_policy =
   let parse s =
     match System.queue_policy_of_string s with
     | Some p -> Ok p
-    | None -> msg "unknown value '%s' (fifo|hot|deadline)" s
+    | None -> msg "unknown value '%s' (fifo|hot)" s
   in
   let pp ppf p = Format.pp_print_string ppf (System.queue_policy_name p) in
   Arg.conv (parse, pp)

@@ -17,8 +17,7 @@ type sweep = {
    driver produced them. *)
 type cell = Base of bench | Cell of bench * Policy.t
 
-let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1)
-    ?(cell_hook = fun ~bench:_ ~policy:_ _ -> ()) cfg ~benches ~policies =
+let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1) cfg ~benches ~policies =
   let cells =
     List.map (fun b -> Base b) benches
     @ List.concat_map
@@ -35,10 +34,7 @@ let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1)
     Mutex.lock progress_mutex;
     progress (Printf.sprintf "%s under %s" b.name label);
     Mutex.unlock progress_mutex;
-    let cfg = Config.with_policy cfg policy in
-    let result = Runtime.run cfg b.program in
-    cell_hook ~bench:b.name ~policy result;
-    result.Runtime.metrics
+    (Runtime.run (Config.with_policy cfg policy) b.program).Runtime.metrics
   in
   let results = Parallel.map ~jobs run_cell cells in
   let baselines, points =
@@ -59,8 +55,7 @@ let run_sweep ?(progress = fun _ -> ()) ?(jobs = 1)
 (* The paper's Figure 4-6 sweep, defined once for every driver that runs
    it. Termination statistics only increment counters on the trace
    listener (no virtual-time or decision effect), so every figure is the
-   same with them on, and the fixed(max=5) cells double as the
-   termination-statistics runs. *)
+   same with them on. *)
 let paper_config (cfg : Config.t) =
   {
     cfg with
@@ -78,8 +73,8 @@ let paper_benches ~scale_factor =
 
 let paper_policies = Policy.Context_insensitive :: Policy.paper_sweep
 
-let paper_sweep ?progress ?jobs ?cell_hook cfg ~scale_factor =
-  run_sweep ?progress ?jobs ?cell_hook (paper_config cfg)
+let paper_sweep ?progress ?jobs cfg ~scale_factor =
+  run_sweep ?progress ?jobs (paper_config cfg)
     ~benches:(paper_benches ~scale_factor) ~policies:Policy.paper_sweep
 
 let find sweep ~bench ~policy =

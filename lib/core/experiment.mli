@@ -18,7 +18,6 @@ type sweep = {
 val run_sweep :
   ?progress:(string -> unit) ->
   ?jobs:int ->
-  ?cell_hook:(bench:string -> policy:Policy.t -> Runtime.result -> unit) ->
   Config.t ->
   benches:bench list ->
   policies:Policy.t list ->
@@ -31,14 +30,7 @@ val run_sweep :
     cell index, so the sweep — all metrics, orderings, virtual cycles —
     is identical for every [jobs] value. Only the interleaving of
     [progress] callbacks (called under a mutex, from worker domains)
-    varies.
-
-    [cell_hook] is invoked once per cell, from the worker domain that ran
-    it, with the cell's full {!Runtime.result} (baseline cells pass
-    [Policy.Context_insensitive]). Since runs are deterministic, a driver
-    can retain these results and skip re-running identical
-    (benchmark, policy) cells later; the hook must be thread-safe when
-    [jobs > 1]. *)
+    varies. *)
 
 (** {2 The paper's sweep}
 
@@ -62,7 +54,6 @@ val paper_policies : Policy.t list
 val paper_sweep :
   ?progress:(string -> unit) ->
   ?jobs:int ->
-  ?cell_hook:(bench:string -> policy:Policy.t -> Runtime.result -> unit) ->
   Config.t ->
   scale_factor:float ->
   sweep

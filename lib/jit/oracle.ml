@@ -79,7 +79,6 @@ let create ?(config = default_config) program =
 
 let config t = t.cfg
 let set_rules t rules = t.rules <- rules
-let rules t = t.rules
 let set_on_refusal t f = t.on_refusal <- f
 let set_on_decision t f = t.on_decision <- Some f
 let set_speculation t s = t.speculation <- s

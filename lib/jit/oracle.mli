@@ -79,7 +79,6 @@ val create : ?config:config -> Program.t -> t
 
 val config : t -> config
 val set_rules : t -> Rules.t -> unit
-val rules : t -> Rules.t
 
 val set_on_refusal :
   t ->

@@ -1,16 +1,8 @@
 open Acsi_bytecode
 
-type clazz = Tiny | Small | Medium | Large
+type clazz = Meth.size_class = Tiny | Small | Medium | Large
 
-let call_units = 4
-
-let classify ~units =
-  if units < 2 * call_units then Tiny
-  else if units < 5 * call_units then Small
-  else if units < 25 * call_units then Medium
-  else Large
-
-let clazz_of m = classify ~units:(Meth.size_units m)
+let classify = Meth.classify
 
 let estimate m ~const_args =
   let base = Meth.size_units m in

@@ -1,15 +1,5 @@
-(** Method size classification (paper §3.1).
-
-    Jikes RVM buckets inline candidates by the estimated machine-code size
-    of the inlined body, measured in multiples of the code required for a
-    method call:
-
-    - {e tiny} (< 2x a call): unconditionally inlined when statically
-      bound without a guard;
-    - {e small} (2–5x): inlined subject to code-expansion and depth
-      heuristics;
-    - {e medium} (5–25x): candidates for profile-directed inlining only;
-    - {e large} (> 25x): never inlined.
+(** Inline size estimates for the oracle. The size classes themselves
+    (paper §3.1) are {!Acsi_bytecode.Meth.size_class}.
 
     The size estimate is adjusted downward when a call site passes constant
     arguments, modeling the expected benefit of constant folding inside the
@@ -17,15 +7,10 @@
 
 open Acsi_bytecode
 
-type clazz = Tiny | Small | Medium | Large
-
-val call_units : int
-(** Instruction units a method call occupies (the classification unit). *)
+type clazz = Meth.size_class = Tiny | Small | Medium | Large
 
 val classify : units:int -> clazz
-
-val clazz_of : Meth.t -> clazz
-(** Classification of a method's unadjusted body size. *)
+(** {!Meth.classify}. *)
 
 val estimate : Meth.t -> const_args:int -> int
 (** Inline size estimate in units, reduced for each constant argument. *)
@@ -33,4 +18,3 @@ val estimate : Meth.t -> const_args:int -> int
 val const_args_at : Instr.t array -> pc:int -> int
 (** How many of the arguments of the call at [pc] are provably constants —
     a shallow scan of the instructions that pushed them. *)
-

@@ -23,8 +23,6 @@ type t = {
   cprof : Cprof.t option;
 }
 
-let disabled = { tracer = Tracer.null; prov = None; cprof = None }
-
 let create config ~probe ~charge ~now =
   let tracer =
     if config.trace then

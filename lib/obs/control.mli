@@ -31,8 +31,6 @@ type t = {
   cprof : Cprof.t option;
 }
 
-val disabled : t
-
 val create :
   config -> probe:int -> charge:(int -> unit) -> now:(unit -> int) -> t
 (** [probe] is the per-event probe cost from the run's cost model

@@ -92,12 +92,6 @@ let merge ~into src =
     if src.min_v < into.min_v then into.min_v <- src.min_v
   end
 
-let copy t =
-  {
-    t with
-    counts = Array.copy t.counts;
-  }
-
 let quantile t p =
   if p < 0.0 || p > 100.0 then invalid_arg "Hist.quantile: p out of [0,100]";
   if t.count = 0 then 0
@@ -114,8 +108,6 @@ let quantile t p =
     let _, hi = bounds t (!i - 1) in
     min hi t.max_v
   end
-
-let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
 let iter_buckets t ~f =
   Array.iteri

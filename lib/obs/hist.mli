@@ -40,13 +40,9 @@ val max_value : t -> int
 val min_value : t -> int
 (** Exact smallest recorded value (0 when empty). *)
 
-val mean : t -> float
-
 val merge : into:t -> t -> unit
 (** Add every bucket of the source into [into]. The two histograms must
     share [sub_bits]. Equivalent to replaying the source's recordings. *)
-
-val copy : t -> t
 
 val quantile : t -> float -> int
 (** [quantile t p] for [p] in [[0,100]]: nearest-rank quantile over the

@@ -1,14 +1,12 @@
-(* Fixed-interval virtual-clock time-series.
+(* Virtual-clock time-series.
 
    A run samples a fixed column schema (gauges and cumulative counters)
-   at interval boundaries of the *virtual* clock — quantum ticks in the
-   single-VM server, round barriers in the sharded fleet — so a series
-   is a pure function of (program, config, seed) and byte-identical
-   across host parallelism. Storage is one flat growable int array
-   (row-major), allocation-light on the sampling path. *)
+   at points of the *virtual* clock — the round barriers of the sharded
+   fleet — so a series is a pure function of (program, config, seed) and
+   byte-identical across host parallelism. Storage is one flat growable
+   int array (row-major), allocation-light on the sampling path. *)
 
 type t = {
-  interval : int;
   columns : string array;
   ncols : int;
   mutable times : int array;
@@ -16,13 +14,11 @@ type t = {
   mutable len : int; (* rows *)
 }
 
-let create ~interval ~columns =
-  if interval <= 0 then invalid_arg "Timeseries.create: interval <= 0";
+let create ~columns =
   if columns = [] then invalid_arg "Timeseries.create: no columns";
   let columns = Array.of_list columns in
   let ncols = Array.length columns in
   {
-    interval;
     columns;
     ncols;
     times = Array.make 16 0;
@@ -30,7 +26,6 @@ let create ~interval ~columns =
     len = 0;
   }
 
-let interval t = t.interval
 let columns t = Array.to_list t.columns
 let length t = t.len
 

@@ -1,8 +1,7 @@
-(** Fixed-interval virtual-clock time-series.
+(** Virtual-clock time-series.
 
     Gauges and cumulative counters sampled on a fixed column schema at
-    virtual-clock interval boundaries — quantum ticks in the single-VM
-    server ({!Acsi_server.Server}), round barriers in the sharded fleet
+    points of the virtual clock — the round barriers of the sharded fleet
     ({!Acsi_server.Shards}). Because every timestamp is virtual, a
     series is a pure function of (program, config, seed): byte-identical
     across [--jobs] and across repeated runs. Rendering to JSONL and
@@ -11,11 +10,9 @@
 
 type t
 
-val create : interval:int -> columns:string list -> t
-(** Fresh series sampling the given non-empty column schema every
-    [interval > 0] virtual cycles. *)
+val create : columns:string list -> t
+(** Fresh, empty series over the given non-empty column schema. *)
 
-val interval : t -> int
 val columns : t -> string list
 
 val length : t -> int
@@ -23,8 +20,8 @@ val length : t -> int
 
 val sample : t -> now:int -> int array -> unit
 (** Append one row stamped at virtual time [now]. The value array must
-    match the column schema's arity; callers sample at interval
-    boundaries in ascending time order. *)
+    match the column schema's arity; callers sample in ascending time
+    order. *)
 
 val row : t -> int -> int * int array
 (** [row t i] is the [(time, values)] pair of row [i] (a fresh copy). *)

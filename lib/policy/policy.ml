@@ -67,9 +67,9 @@ let parameterless_stops ~callee ~last_caller ~chain_len =
 let class_method_stops ~last_caller = Meth.is_instance last_caller
 
 let large_method_stops ~last_caller =
-  match Acsi_jit.Size.clazz_of last_caller with
-  | Acsi_jit.Size.Large -> true
-  | Acsi_jit.Size.Tiny | Acsi_jit.Size.Small | Acsi_jit.Size.Medium -> false
+  match Meth.size_class last_caller with
+  | Meth.Large -> true
+  | Meth.Tiny | Meth.Small | Meth.Medium -> false
 
 let should_extend p _program ~callee ~last_caller ~chain_len =
   chain_len < max_depth p

@@ -6,8 +6,8 @@ type rule = { trace : Trace.t; weight : float }
    and recompilations revisit the same roots under the same rules — so the
    same (rules, site chain) query recurs many times between AI-organizer
    passes. Results are memoized per rules value: a fresh cache is
-   allocated with every [of_hot_traces] (and every [empty ()]), so a new
-   rules version invalidates the whole cache structurally and two
+   allocated with every [of_hot_traces] (and every [empty ()]), so new
+   rules invalidate the whole cache structurally and two
    simulated systems can never share (or race on) cached state. *)
 
 module Chain_key = struct
@@ -42,16 +42,15 @@ module Cache = Hashtbl.Make (Chain_key)
 type t = {
   by_site : (int * int, rule list) Hashtbl.t;
   count : int;
-  version : int;
   cache : (Ids.Method_id.t * float) list Cache.t;
 }
 
 let empty () =
-  { by_site = Hashtbl.create 1; count = 0; version = 0; cache = Cache.create 1 }
+  { by_site = Hashtbl.create 1; count = 0; cache = Cache.create 1 }
 
 let site_key (e : Trace.entry) = ((e.Trace.caller :> int), e.Trace.callsite)
 
-let of_hot_traces ?(version = 0) hot =
+let of_hot_traces hot =
   let by_site = Hashtbl.create 64 in
   List.iter
     (fun (trace, weight) ->
@@ -59,10 +58,9 @@ let of_hot_traces ?(version = 0) hot =
       let prev = Option.value (Hashtbl.find_opt by_site key) ~default:[] in
       Hashtbl.replace by_site key ({ trace; weight } :: prev))
     hot;
-  { by_site; count = List.length hot; version; cache = Cache.create 64 }
+  { by_site; count = List.length hot; cache = Cache.create 64 }
 
 let rule_count t = t.count
-let version t = t.version
 
 let rules_at t ~(caller : Ids.Method_id.t) ~callsite =
   Option.value

@@ -18,15 +18,11 @@ val empty : unit -> t
     carries a (mutable) memoization cache, and concurrently simulated
     systems must never alias profile state. *)
 
-val of_hot_traces : ?version:int -> (Trace.t * float) list -> t
-(** [version] stamps the rules generation (the AI organizer's counter);
-    {!candidates} results are memoized per rules value, so a new version
-    — a new [of_hot_traces] — structurally invalidates every cached
-    query. *)
+val of_hot_traces : (Trace.t * float) list -> t
+(** {!candidates} results are memoized per rules value, so a new
+    [of_hot_traces] structurally invalidates every cached query. *)
 
 val rule_count : t -> int
-
-val version : t -> int
 
 val rules_at : t -> caller:Ids.Method_id.t -> callsite:int -> rule list
 (** Every rule whose innermost chain entry is this call site. *)

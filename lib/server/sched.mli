@@ -19,10 +19,6 @@ val quantum : int
 (** The per-slice cycle budget of every server and shard scheduler:
     25_000 virtual cycles. *)
 
-val switch_cost : int
-(** The context-switch tax of every server and shard scheduler: 200
-    virtual cycles. *)
-
 val create :
   ?quantum:int ->
   ?switch_cost:int ->
@@ -32,7 +28,7 @@ val create :
   Acsi_vm.Interp.t ->
   t
 (** [quantum] (default {!quantum}) is the per-slice cycle budget.
-    [switch_cost] (default {!switch_cost}) is charged to the shared clock
+    [switch_cost] (default 200 virtual cycles) is charged to the shared clock
     whenever a slice runs a different thread than the previous slice (the
     context-switch tax). Servers and shards take both defaults; the
     scheduler's own tests pass tiny quanta to force interleavings.

@@ -46,32 +46,16 @@ type summary = {
   sv_output_checksum : int;
 }
 
-(* Fleet telemetry for one server run: a fixed-interval virtual-clock
-   time-series plus log-bucketed histograms, populated off the clock —
-   the summary above never changes whether anyone reads these. *)
-type telemetry = {
-  tl_series : Acsi_obs.Timeseries.t;
-  tl_latency : Acsi_obs.Hist.t;
-  tl_compile_wait : Acsi_obs.Hist.t;
-  tl_deopt_gap : Acsi_obs.Hist.t;
-}
-
-let telemetry_columns =
-  [ "live"; "compile_queue"; "in_flight"; "served"; "samples"; "deopts" ]
-
 type result = {
   summary : summary;
   requests : request list;
   windows : window list;
-  telemetry : telemetry;
+  latency : Acsi_obs.Hist.t;
 }
 
 let mode_string (Closed { clients; requests_per_client; think }) =
   Printf.sprintf "closed(clients=%d,requests=%d,think=%d)" clients
     requests_per_client think
-
-(* Time-series sampling period, virtual cycles. *)
-let telemetry_interval = 1_000_000
 
 (* Pending admissions, kept sorted by arrival cycle; insertion is stable
    (FIFO among equal arrivals), so the admission order — and with it
@@ -109,32 +93,7 @@ let run ~mode ~name (cfg : Config.t) program =
   (* Warmup-curve windows: counter snapshots at window boundaries. *)
   let win = max 1 ((n_total + 7) / 8) in
   let snaps = ref [ (0, Metrics.snapshot vm sys) ] in
-  (* Fleet telemetry: sampled at fixed virtual-clock boundaries as the
-     serve loop crosses them, recorded off the clock. *)
-  let series =
-    Acsi_obs.Timeseries.create ~interval:telemetry_interval
-      ~columns:telemetry_columns
-  in
-  let latency_hist = Acsi_obs.Hist.create () in
-  let sample_row at =
-    Acsi_obs.Timeseries.sample series ~now:at
-      [|
-        Sched.live sched;
-        System.compile_queue_depth sys;
-        System.in_flight_compiles sys;
-        !completed_count;
-        System.method_samples_taken sys;
-        Interp.deopt_guard_count vm + Interp.deopt_invalidate_count vm;
-      |]
-  in
-  let next_tick = ref telemetry_interval in
-  let sample_due () =
-    let now = Interp.cycles vm in
-    while !next_tick <= now do
-      sample_row !next_tick;
-      next_tick := !next_tick + telemetry_interval
-    done
-  in
+  let latency = Acsi_obs.Hist.create () in
   let admit_due () =
     let now = Interp.cycles vm in
     let rec go = function
@@ -165,7 +124,7 @@ let run ~mode ~name (cfg : Config.t) program =
       | None -> assert false
     in
     Hashtbl.remove by_tid tid;
-    Acsi_obs.Hist.record latency_hist (finish - arrival);
+    Acsi_obs.Hist.record latency (finish - arrival);
     completed_rev :=
       {
         r_id = rid;
@@ -194,7 +153,6 @@ let run ~mode ~name (cfg : Config.t) program =
     end
   in
   let rec serve () =
-    sample_due ();
     admit_due ();
     match Sched.run_slice sched with
     | Some (tid, Interp.Done) ->
@@ -211,11 +169,6 @@ let run ~mode ~name (cfg : Config.t) program =
             serve ())
   in
   serve ();
-  (* Close the series with an end-of-run row so cumulative columns end
-     at their final totals (skipped when the run ended exactly on a
-     boundary already sampled). *)
-  (if Interp.cycles vm >= !next_tick - telemetry_interval + 1 then
-     sample_row (Interp.cycles vm));
   let requests = List.rev !completed_rev in
   let latencies =
     Array.of_list (List.map (fun r -> r.r_latency) requests)
@@ -275,15 +228,7 @@ let run ~mode ~name (cfg : Config.t) program =
       sv_output_checksum = Metrics.checksum (Interp.output vm);
     }
   in
-  let telemetry =
-    {
-      tl_series = series;
-      tl_latency = latency_hist;
-      tl_compile_wait = System.compile_wait_hist sys;
-      tl_deopt_gap = System.deopt_gap_hist sys;
-    }
-  in
-  { summary; requests; windows; telemetry }
+  { summary; requests; windows; latency }
 
 let pp_summary fmt s =
   let f = Format.fprintf in

@@ -66,30 +66,11 @@ type summary = {
   sv_output_checksum : int;
 }
 
-(** Fleet telemetry for one run, collected off the virtual clock (the
-    summary and every pinned figure are identical whether or not anyone
-    consumes it): a {!Acsi_obs.Timeseries} sampled every 1M cycles over
-    {!telemetry_columns}, the request-latency histogram, and the
-    system's compile-queue-wait and deopt-to-recompile-gap histograms.
-    Exported by [acsi-run metrics] as OpenMetrics/JSONL text. *)
-type telemetry = {
-  tl_series : Acsi_obs.Timeseries.t;
-  tl_latency : Acsi_obs.Hist.t;
-  tl_compile_wait : Acsi_obs.Hist.t;
-  tl_deopt_gap : Acsi_obs.Hist.t;
-}
-
-val telemetry_columns : string list
-(** The series schema: [live] (runnable virtual threads),
-    [compile_queue], [in_flight] (pool jobs compiling), [served]
-    (cumulative completions), [samples] (cumulative method samples),
-    [deopts] (cumulative guard + invalidation deopts). *)
-
 type result = {
   summary : summary;
   requests : request list;  (** completion order *)
   windows : window list;  (** the warmup curve, 8 windows *)
-  telemetry : telemetry;
+  latency : Acsi_obs.Hist.t;  (** every request's latency *)
 }
 
 val run :
@@ -101,9 +82,8 @@ val run :
 (** Serve the request schedule to completion. [name] labels the summary;
     [cfg] supplies the VM ({!Acsi_core.Runtime.create_vm}: cost model and
     sampling knobs) and the AOS configuration (its [async_compile] field
-    is overridden: always [true]). The scheduler runs {!Sched.quantum}
-    and {!Sched.switch_cost}; telemetry sampling reads the clock but
-    never charges it. *)
+    is overridden: always [true]). The scheduler runs {!Sched.create}'s
+    default quantum and switch cost. *)
 
 val pp_summary : Format.formatter -> summary -> unit
 

@@ -496,8 +496,7 @@ let run ~seed ?(jobs = 1) ?(barrier = 2_000_000) ~pool ~pool_policy
   in
   let series =
     Array.init n_shards (fun _ ->
-        Acsi_obs.Timeseries.create ~interval:barrier
-          ~columns:telemetry_columns)
+        Acsi_obs.Timeseries.create ~columns:telemetry_columns)
   in
   (* Open deopt windows per (shard, mid): a flow arrow is emitted only
      when the matching reinstall closes the window, so every Out half

@@ -109,7 +109,10 @@ type flow = {
 type telemetry = {
   tel_interval : int;  (** = the run's barrier length *)
   tel_series : Acsi_obs.Timeseries.t array;
-      (** one per shard, one row per round over {!telemetry_columns} *)
+      (** one per shard, one row per round barrier: [live], [backlog]
+          (due movable sessions), [compile_queue], [in_flight], [served],
+          [steals_in], [steals_out], [adopted], [samples], [deopts] —
+          gauges and cumulative counters *)
   tel_latency : Acsi_obs.Hist.t array;  (** per-shard session latency *)
   tel_latency_all : Acsi_obs.Hist.t;  (** merged across shards *)
   tel_steal_distance : Acsi_obs.Hist.t;
@@ -120,12 +123,6 @@ type telemetry = {
   tel_flows : flow list;
       (** emission order; each arrow's [Out] half precedes its [In] *)
 }
-
-val telemetry_columns : string list
-(** Per-shard series schema: [live], [backlog] (due movable sessions),
-    [compile_queue], [in_flight], [served], [steals_in], [steals_out],
-    [adopted], [samples], [deopts] — gauges and cumulative counters
-    sampled at every round barrier. *)
 
 val flow_pairs : telemetry -> flow_kind -> int
 (** Number of complete arrows of a kind (= its [Out] halves). With the
@@ -177,7 +174,7 @@ val run :
     within a round; it never affects results. [barrier] (default
     2_000_000, at least {!Sched.quantum}) is the virtual-cycle round
     length between cross-shard barriers. Each shard's scheduler runs
-    {!Sched.quantum} and {!Sched.switch_cost}. Each shard admits at most
+    {!Sched.create}'s default quantum and switch cost. Each shard admits at most
     64 sessions at once (admission control; pending sessions stay queued
     as cheap tuples, which is what makes million-session backlogs
     affordable). Shard 0 draws two shares of the home-shard hash and

@@ -128,7 +128,7 @@ let test_candidates_memo () =
       (trace 3 [ (1, 0); (2, 1) ], 6.0);
     ]
   in
-  let rules = Rules.of_hot_traces ~version:1 hot in
+  let rules = Rules.of_hot_traces hot in
   let chain () = entry_array [| (1, 0) |] in
   let a = Rules.candidates rules ~site_chain:(chain ()) in
   let b = Rules.candidates rules ~site_chain:(chain ()) in
@@ -141,7 +141,7 @@ let test_candidates_memo () =
   mutated.(0) <- { Trace.caller = mid 6; callsite = 4 };
   let d = Rules.candidates rules ~site_chain:(chain ()) in
   check_bool "mutating a queried chain does not poison the cache" true (c == d);
-  let rebuilt = Rules.of_hot_traces ~version:2 hot in
+  let rebuilt = Rules.of_hot_traces hot in
   check_bool "rebuilt rules answer identically" true
     (Rules.candidates rebuilt ~site_chain:(chain ()) = a)
 

@@ -485,7 +485,7 @@ let prop_hist_merge_commutes =
 (* --- virtual-clock time-series --- *)
 
 let test_timeseries_basics () =
-  let s = Timeseries.create ~interval:10 ~columns:[ "gauge"; "total" ] in
+  let s = Timeseries.create ~columns:[ "gauge"; "total" ] in
   check_int "empty last" 0 (Timeseries.last s "total");
   for i = 1 to 40 do
     Timeseries.sample s ~now:(i * 10) [| i mod 4; i |]
@@ -498,7 +498,7 @@ let test_timeseries_basics () =
   check_int "column extraction" 40
     (Array.length (Timeseries.column s "gauge"));
   (* The checksum is order-sensitive: swapping two samples changes it. *)
-  let s2 = Timeseries.create ~interval:10 ~columns:[ "gauge"; "total" ] in
+  let s2 = Timeseries.create ~columns:[ "gauge"; "total" ] in
   for i = 40 downto 1 do
     Timeseries.sample s2 ~now:(i * 10) [| i mod 4; i |]
   done;
@@ -529,7 +529,7 @@ let test_telemetry_renderers () =
     in
     go 0
   in
-  let s = Timeseries.create ~interval:5 ~columns:[ "depth" ] in
+  let s = Timeseries.create ~columns:[ "depth" ] in
   Timeseries.sample s ~now:5 [| 3 |];
   Timeseries.sample s ~now:10 [| 4 |];
   let h = Hist.create () in

@@ -281,12 +281,12 @@ let test_pool_policies () =
            (System.queue_policy_name policy))
         4000
         a.Shards.summary.Shards.sh_sessions)
-    [ System.Fifo; System.Hot_first; System.Deadline ];
+    [ System.Fifo; System.Hot_first ];
   Alcotest.(check bool)
     "policy axis round-trips through names" true
     (List.for_all
        (fun p -> System.queue_policy_of_string (System.queue_policy_name p) = Some p)
-       [ System.Fifo; System.Hot_first; System.Deadline ])
+       [ System.Fifo; System.Hot_first ])
 
 (* --- fleet telemetry: flow conservation and aggregate identities --- *)
 
