@@ -540,7 +540,7 @@ let analyze_targets ~jobs files =
             ( s.Workloads.name,
               fun () -> Ok (s.Workloads.build ~scale:s.Workloads.default_scale)
             ))
-          Workloads.all
+          (Workloads.all @ Workloads.extended)
     | files ->
         List.map
           (fun path -> (path, fun () -> load_acsi path))

@@ -20,24 +20,28 @@ let call_targets p (instr : Instr.t) =
   | Instr.Return_void | Instr.Instance_of _ | Instr.Print_int | Instr.Nop ->
       []
 
-(* Successor method ids of one method, deduplicated and ascending — the
+(* Successor method ids of method [i], deduplicated and ascending: the
    deterministic visit order Tarjan's lowlinks (and therefore the
-   component numbering) depend on. *)
-let successors p (m : Meth.t) =
-  let seen = Hashtbl.create 8 in
-  Array.iter
-    (fun instr ->
-      List.iter
-        (fun mid -> Hashtbl.replace seen (mid : Ids.Method_id.t :> int) ())
-        (call_targets p instr))
-    m.Meth.body;
-  let succ = Hashtbl.fold (fun k () acc -> k :: acc) seen [] in
-  Array.of_list (List.sort compare succ)
+   component numbering) depend on. [mark.(j) = i] once [j] is listed. *)
+let successors p mark i (m : Meth.t) =
+  let succ = ref [] in
+  let add (mid : Ids.Method_id.t) =
+    let j = (mid :> int) in
+    if mark.(j) <> i then begin
+      mark.(j) <- i;
+      succ := j :: !succ
+    end
+  in
+  Array.iter (fun instr -> List.iter add (call_targets p instr)) m.Meth.body;
+  let succ = Array.of_list !succ in
+  Array.sort Int.compare succ;
+  succ
 
 let of_program p =
   let ms = Program.methods p in
   let n = Array.length ms in
-  let adj = Array.map (successors p) ms in
+  let mark = Array.make n (-1) in
+  let adj = Array.mapi (successors p mark) ms in
   let self_edge =
     Array.mapi (fun i row -> Array.exists (fun j -> j = i) row) adj
   in
@@ -70,7 +74,8 @@ let of_program p =
           if w = v then stop := true
     done;
     comps_rev :=
-      Array.of_list (List.map Ids.Method_id.of_int (List.sort compare !members))
+      Array.of_list
+        (List.map Ids.Method_id.of_int (List.sort Int.compare !members))
       :: !comps_rev;
     incr ncomps
   in
@@ -91,12 +96,12 @@ let of_program p =
             Stack.push (w, ref 0) work
           end
           else if on_stack.(w) then
-            lowlink.(v) <- min lowlink.(v) index.(w)
+            lowlink.(v) <- Int.min lowlink.(v) index.(w)
         end
         else begin
           ignore (Stack.pop work);
           (match Stack.top_opt work with
-          | Some (u, _) -> lowlink.(u) <- min lowlink.(u) lowlink.(v)
+          | Some (u, _) -> lowlink.(u) <- Int.min lowlink.(u) lowlink.(v)
           | None -> ());
           if lowlink.(v) = index.(v) then pop_component v
         end
@@ -108,3 +113,7 @@ let of_program p =
 let count t = Array.length t.comps
 let component_of t (mid : Ids.Method_id.t) = t.comp_of.((mid :> int))
 let members t c = t.comps.(c)
+
+let cyclic t c =
+  let ms = t.comps.(c) in
+  Array.length ms > 1 || t.self_edge.((ms.(0) :> int))

@@ -31,3 +31,7 @@ val component_of : t -> Ids.Method_id.t -> int
 
 val members : t -> int -> Ids.Method_id.t array
 (** Methods of one component, ascending id order. *)
+
+val cyclic : t -> int -> bool
+(** The component is a cycle of the call graph: more than one member, or
+    one member that calls itself. Only a cycle needs fixpoint iteration. *)

@@ -25,65 +25,197 @@ type meth_summary = {
 (* Indexed by method id. *)
 type table = meth_summary array
 
-let no_effects =
-  { reads_heap = false; writes_heap = false; allocates = false; io = false }
-
 let all_effects =
   { reads_heap = true; writes_heap = true; allocates = true; io = true }
 
-let join_effects a b =
-  {
-    reads_heap = a.reads_heap || b.reads_heap;
-    writes_heap = a.writes_heap || b.writes_heap;
-    allocates = a.allocates || b.allocates;
-    io = a.io || b.io;
-  }
-
 let is_pure e = not (e.writes_heap || e.allocates || e.io)
 
-(* --- constant propagation (per method) -------------------------------- *)
+(* Inside the pass effects are a 4-bit set, joined with [lor]. *)
+let e_read = 1
+let e_write = 2
+let e_alloc = 4
+let e_io = 8
+let e_all = 15
 
-(* Abstract operand values: a known integer constant, a definite null, or
-   anything. Folding mirrors the interpreter's [eval_binop]/[eval_cmp]
-   exactly; where the runtime would trap (division by a known zero) the
-   pc is recorded as a definite throw instead of folding. *)
-type cval = Any | Cint of int | Cnull
+let effects_of_bits b =
+  {
+    reads_heap = b land e_read <> 0;
+    writes_heap = b land e_write <> 0;
+    allocates = b land e_alloc <> 0;
+    io = b land e_io <> 0;
+  }
 
-let cjoin a b = if a = b then a else Any
+(* The body defeats the analysis: an operand-stack underflow, a local
+   index out of range, or two paths reaching one block at different
+   stack depths. None of these survives the verifier; the method gets a
+   conservative row. *)
+exception Malformed
 
-type cstate = { clocals : cval array; cstack : cval list }
+let need sp k = if sp < k then raise Malformed
+let check_local nl i = if i < 0 || i >= nl then raise Malformed
 
-module Const_lattice = struct
-  type t = cstate
+(* --- the per-method problem ------------------------------------------ *)
 
-  let equal a b = a.clocals = b.clocals && a.cstack = b.cstack
+(* Constant propagation and parameter taint run as one forward problem
+   over the blocks of the method's one {!Cfg}. A state holds three ints
+   per slot, the [nl] locals first, then the operand stack:
 
-  let join a b =
-    if List.length a.cstack <> List.length b.cstack then
-      raise (Dataflow.Mismatch "operand-stack depth");
-    {
-      clocals = Array.map2 cjoin a.clocals b.clocals;
-      cstack = List.map2 cjoin a.cstack b.cstack;
-    }
+   - a constant: a tag ([t_any], [t_null] or [t_int]) and a value, 0
+     unless the tag is [t_int], so two slots hold the same constant
+     exactly when both ints are equal;
+   - a taint: the bitset of parameter slots the value may alias.
 
-  (* Every slot moves at most twice (value -> Any), so plain joins
-     converge without widening. *)
-  let widen _old joined = joined
-end
+   A block runs on [state] with an explicit stack pointer. The entry
+   state of each reached block is a copy in [buf], made when a path first
+   reaches the block and joined in place by later paths. Every array
+   belongs to one [analyze] call and serves each method in turn. *)
+let w = 3
+let t_any = 0
+let t_null = 1
+let t_int = 2
 
-module Const_flow = Dataflow.Forward (Const_lattice)
+type ctx = {
+  p : Program.t;
+  cg : Scc.t;
+  rows_ : meth_summary array;  (* final rows, valid for comps < current *)
+  (* Per method: the working facts of the current component (grown
+     monotonically from optimistic empty sets during its fixpoint), and
+     the final facts of every lower one, its escape and returns-param
+     bitsets cut to the row's parameter slots. *)
+  eff : int array;
+  esc : int array;
+  retp : int array;
+  state : int array;  (* running state, [w] ints per slot of any method *)
+  mutable buf : int array;  (* entry states, back to back *)
+  mutable fill : int;  (* used prefix of [buf] *)
+  off : int array;  (* per block: offset of its entry state, -1 unreached *)
+  depth : int array;  (* per block: entry stack depth *)
+  pending : Bytes.t;  (* per block: on the worklist *)
+  throws : Bytes.t;  (* per pc: definitely traps *)
+  live : Bytes.t;  (* per pc: reachable, refined by throws *)
+  work : int array;  (* pc stack of [refined_reachable] *)
+  (* Read off the converged states: *)
+  mutable ev_eff : int;  (* effects of the reachable instructions *)
+  mutable ev_esc : int;  (* taints that escape *)
+  mutable ev_retp : int;  (* taints returned *)
+  mutable ev_returns : (int * int option) list;
+      (* (pc, constant) per [Return] *)
+}
 
-let cpush v st = { st with cstack = v :: st.cstack }
+(* One CFG per method, shared by every analysis of it. *)
+type frame = { m : Meth.t; body : Instr.t array; cfg : Cfg.t; nl : int }
 
-let cpop st =
-  match st.cstack with
-  | v :: rest -> (v, { st with cstack = rest })
-  | [] -> raise (Dataflow.Mismatch "operand-stack underflow")
+let frame (m : Meth.t) =
+  let body = m.Meth.body in
+  { m; body; cfg = Cfg.make body; nl = max 1 m.Meth.max_locals }
 
-let cpop_n n st =
-  let rec go n st = if n = 0 then st else go (n - 1) (snd (cpop st)) in
-  go n st
+let same_comp ctx comp (mid : Ids.Method_id.t) =
+  Scc.component_of ctx.cg mid = comp
 
+let set (c : int array) s tag v taint =
+  c.(w * s) <- tag;
+  c.((w * s) + 1) <- v;
+  c.((w * s) + 2) <- taint
+
+let move (c : int array) src dst =
+  set c dst c.(w * src) c.((w * src) + 1) c.((w * src) + 2)
+
+let set_const (c : int array) s tag v =
+  c.(w * s) <- tag;
+  c.((w * s) + 1) <- v
+
+let set_any c s = set_const c s t_any 0
+let set_bool c s b = set_const c s t_int (if b then 1 else 0)
+let is_int (c : int array) s = c.(w * s) = t_int
+let is_null (c : int array) s = c.(w * s) = t_null
+let ival (c : int array) s = c.((w * s) + 1)
+let taint (c : int array) s = c.((w * s) + 2)
+
+(* A value computed from operands rather than moved: never a parameter. *)
+let set_fresh_any c s = set c s t_any 0 0
+
+(* --- calls ----------------------------------------------------------- *)
+
+(* Operand slots a call pops: parameter [j] is the [j]th of them. *)
+let call_slots ctx (instr : Instr.t) =
+  match instr with
+  | Instr.Call_static mid -> (Program.meth ctx.p mid).Meth.arity
+  | Instr.Call_direct mid -> (Program.meth ctx.p mid).Meth.arity + 1
+  | Instr.Call_virtual (_, argc) -> argc + 1
+  | _ -> 0
+
+let call_returns ctx (instr : Instr.t) =
+  match instr with
+  | Instr.Call_static mid | Instr.Call_direct mid ->
+      (Program.meth ctx.p mid).Meth.returns
+  | Instr.Call_virtual (sel, _) -> (
+      match Program.implementations ctx.p sel with
+      | [] -> false
+      | mid :: _ -> (Program.meth ctx.p mid).Meth.returns)
+  | _ -> false
+
+(* The taints of the [k] arguments at slot [base] whose positions
+   [bits] selects. *)
+let select ctx base k bits =
+  let acc = ref 0 in
+  for j = 0 to k - 1 do
+    if bits land (1 lsl j) <> 0 then
+      acc := !acc lor taint ctx.state (base + j)
+  done;
+  !acc
+
+let rec select_all ctx (facts : int array) base k acc = function
+  | [] -> acc
+  | (mid : Ids.Method_id.t) :: rest ->
+      select_all ctx facts base k
+        (acc lor select ctx base k facts.((mid :> int)))
+        rest
+
+(* The same over every target of a call, with the targets' bitsets
+   read from [facts] ([ctx.esc] or [ctx.retp]). *)
+let call_select ctx facts base k (instr : Instr.t) =
+  match instr with
+  | Instr.Call_static mid | Instr.Call_direct mid ->
+      select ctx base k facts.((mid :> int))
+  | Instr.Call_virtual (sel, _) ->
+      select_all ctx facts base k 0 (Program.implementations ctx.p sel)
+  | _ -> 0
+
+(* A callee's constant return; calls inside the current component are
+   opaque. *)
+let const_of ctx comp (mid : Ids.Method_id.t) =
+  if same_comp ctx comp mid then None
+  else ctx.rows_.((mid :> int)).return_const
+
+let rec all_return ctx comp k = function
+  | [] -> true
+  | mid :: rest -> (
+      match const_of ctx comp mid with
+      | Some k' when k' = k -> all_return ctx comp k rest
+      | Some _ | None -> false)
+
+(* The result constant of a call whose targets are [first :: rest],
+   written to slot [s]: their common constant return, if any. *)
+let set_call_const ctx comp s first rest =
+  match const_of ctx comp first with
+  | Some k when all_return ctx comp k rest -> set_const ctx.state s t_int k
+  | Some _ | None -> set_any ctx.state s
+
+let call_const ctx comp s (instr : Instr.t) =
+  match instr with
+  | Instr.Call_static mid | Instr.Call_direct mid ->
+      set_call_const ctx comp s mid []
+  | Instr.Call_virtual (sel, _) -> (
+      match Program.implementations ctx.p sel with
+      | first :: rest -> set_call_const ctx comp s first rest
+      | [] -> set_any ctx.state s)
+  | _ -> set_any ctx.state s
+
+(* --- transfer ---------------------------------------------------------- *)
+
+(* Folding mirrors the interpreter's [eval_binop]/[eval_cmp] exactly;
+   where the runtime would trap (division by a known zero) the pc is
+   recorded as a definite throw instead of folding. *)
 let fold_binop op x y =
   match (op : Instr.binop) with
   | Instr.Add -> Some (x + y)
@@ -97,89 +229,438 @@ let fold_binop op x y =
   | Instr.Shl -> Some (x lsl (y land 63))
   | Instr.Shr -> Some (x asr (y land 63))
 
-let fold_cmp c a b =
-  match (c : Instr.cmp) with
-  | Instr.Eq -> (
-      match (a, b) with
-      | Cint x, Cint y -> Some (if x = y then 1 else 0)
-      | Cnull, Cnull -> Some 1
-      | Cint _, Cnull | Cnull, Cint _ -> Some 0
-      | Any, _ | _, Any -> None)
-  | Instr.Ne -> (
-      match (a, b) with
-      | Cint x, Cint y -> Some (if x <> y then 1 else 0)
-      | Cnull, Cnull -> Some 0
-      | Cint _, Cnull | Cnull, Cint _ -> Some 1
-      | Any, _ | _, Any -> None)
-  | Instr.Lt -> (
-      match (a, b) with Cint x, Cint y -> Some (if x < y then 1 else 0) | _ -> None)
-  | Instr.Le -> (
-      match (a, b) with Cint x, Cint y -> Some (if x <= y then 1 else 0) | _ -> None)
-  | Instr.Gt -> (
-      match (a, b) with Cint x, Cint y -> Some (if x > y then 1 else 0) | _ -> None)
-  | Instr.Ge -> (
-      match (a, b) with Cint x, Cint y -> Some (if x >= y then 1 else 0) | _ -> None)
+(* Slots [a] and [b] compared, the constant result written over [a]. *)
+let fold_cmp c (cmp : Instr.cmp) a b =
+  let ints = is_int c a && is_int c b in
+  let x = ival c a and y = ival c b in
+  match cmp with
+  | Instr.Eq | Instr.Ne ->
+      let ne = match cmp with Instr.Ne -> true | _ -> false in
+      if ints then set_bool c a ((x = y) <> ne)
+      else if is_null c a && is_null c b then set_bool c a (not ne)
+      else if (is_int c a && is_null c b) || (is_null c a && is_int c b) then
+        set_bool c a ne
+      else set_any c a
+  | Instr.Lt -> if ints then set_bool c a (x < y) else set_any c a
+  | Instr.Le -> if ints then set_bool c a (x <= y) else set_any c a
+  | Instr.Gt -> if ints then set_bool c a (x > y) else set_any c a
+  | Instr.Ge -> if ints then set_bool c a (x >= y) else set_any c a
 
-(* --- parameter-taint (escape) analysis -------------------------------- *)
+(* Runs the instruction at [pc] on [state] at stack depth [sp]; returns
+   the new depth. Taint propagates only through moves (loads, stores,
+   dup/swap) and through callees' returns-its-parameter bitsets:
+   arithmetic produces fresh integers and heap reads produce heap values,
+   neither of which IS a parameter. *)
+let step ctx comp fr sp pc =
+  let c = ctx.state in
+  let nl = fr.nl in
+  let top = nl + sp - 1 in
+  match fr.body.(pc) with
+  | Instr.Const n ->
+      set c (top + 1) t_int n 0;
+      sp + 1
+  | Instr.Const_null ->
+      set c (top + 1) t_null 0 0;
+      sp + 1
+  | Instr.New _ | Instr.Get_global _ ->
+      set_fresh_any c (top + 1);
+      sp + 1
+  | Instr.Load i ->
+      check_local nl i;
+      move c i (top + 1);
+      sp + 1
+  | Instr.Store i ->
+      need sp 1;
+      check_local nl i;
+      move c top i;
+      sp - 1
+  | Instr.Dup ->
+      need sp 1;
+      move c top (top + 1);
+      sp + 1
+  | Instr.Pop | Instr.Jump_if _ | Instr.Jump_ifnot _ | Instr.Put_global _
+  | Instr.Return | Instr.Print_int ->
+      need sp 1;
+      sp - 1
+  | Instr.Swap ->
+      need sp 2;
+      let tag = c.(w * top) and v = c.((w * top) + 1) in
+      let t = taint c top in
+      move c (top - 1) top;
+      set c (top - 1) tag v t;
+      sp
+  | Instr.Binop op ->
+      need sp 2;
+      let a = top - 1 in
+      (if is_int c a && is_int c top then
+         match fold_binop op (ival c a) (ival c top) with
+         | Some r -> set c a t_int r 0
+         | None -> set_fresh_any c a
+       else set_fresh_any c a);
+      sp - 1
+  | Instr.Cmp cmp ->
+      need sp 2;
+      fold_cmp c cmp (top - 1) top;
+      c.((w * (top - 1)) + 2) <- 0;
+      sp - 1
+  | Instr.Neg ->
+      need sp 1;
+      if is_int c top then set c top t_int (-ival c top) 0
+      else set_fresh_any c top;
+      sp
+  | Instr.Not ->
+      need sp 1;
+      (* [Value.truthy]: null and 0 are falsy, everything else truthy. *)
+      if is_int c top then set c top t_int (if ival c top = 0 then 1 else 0) 0
+      else if is_null c top then set c top t_int 1 0
+      else set_fresh_any c top;
+      sp
+  | Instr.Instance_of _ ->
+      need sp 1;
+      if is_null c top then set c top t_int 0 0 else set_fresh_any c top;
+      sp
+  | Instr.Get_field _ | Instr.Array_new | Instr.Array_len ->
+      need sp 1;
+      set_fresh_any c top;
+      sp
+  | Instr.Array_get ->
+      need sp 2;
+      set_fresh_any c (top - 1);
+      sp - 1
+  | Instr.Put_field _ ->
+      need sp 2;
+      sp - 2
+  | Instr.Array_set ->
+      need sp 3;
+      sp - 3
+  | Instr.Jump _ | Instr.Return_void | Instr.Guard_method _ | Instr.Nop -> sp
+  | (Instr.Call_static _ | Instr.Call_direct _ | Instr.Call_virtual _) as
+    instr ->
+      let k = call_slots ctx instr in
+      need sp k;
+      let base = nl + sp - k in
+      if call_returns ctx instr then begin
+        (* A target that may return its parameter [j] passes argument
+           [j]'s taint through. *)
+        let t = call_select ctx ctx.retp base k instr in
+        call_const ctx comp base instr;
+        c.((w * base) + 2) <- t;
+        sp - k + 1
+      end
+      else sp - k
 
-(* Each abstract value is the bitset of parameter slots it may alias.
-   Taint propagates only through moves (loads, stores, dup/swap) and
-   through callees' returns-its-parameter summaries: arithmetic produces
-   fresh integers and heap reads produce heap values, neither of which
-   IS a parameter. *)
-type tstate = { tlocals : int array; tstack : int list }
+let rec callee_effects ctx acc = function
+  | [] -> acc
+  | (mid : Ids.Method_id.t) :: rest ->
+      callee_effects ctx (acc lor ctx.eff.((mid :> int))) rest
 
-module Taint_lattice = struct
-  type t = tstate
+(* Direct (one-instruction) effects joined with those of every possible
+   callee. *)
+let instr_effects ctx (instr : Instr.t) =
+  match instr with
+  | Instr.Get_field _ | Instr.Array_get | Instr.Array_len | Instr.Get_global _
+    ->
+      e_read
+  | Instr.Put_field _ | Instr.Array_set | Instr.Put_global _ -> e_write
+  | Instr.New _ | Instr.Array_new -> e_alloc
+  | Instr.Print_int -> e_io
+  | Instr.Call_static mid | Instr.Call_direct mid -> ctx.eff.((mid :> int))
+  | Instr.Guard_method g -> ctx.eff.((g.Instr.expected :> int))
+  | Instr.Call_virtual (sel, _) ->
+      callee_effects ctx 0 (Program.implementations ctx.p sel)
+  | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
+  | Instr.Dup | Instr.Pop | Instr.Swap | Instr.Binop _ | Instr.Neg
+  | Instr.Not | Instr.Cmp _ | Instr.Jump _ | Instr.Jump_if _
+  | Instr.Jump_ifnot _ | Instr.Return | Instr.Return_void
+  | Instr.Instance_of _ | Instr.Nop ->
+      0
 
-  let equal a b = a.tlocals = b.tlocals && a.tstack = b.tstack
+(* The events of the instruction at [pc], read off its converged
+   in-state: definite throws (division or remainder by a known zero,
+   dereference of a definite null, a negative constant array size);
+   values stored into heap objects, arrays or globals escape, and so do
+   values passed at a parameter position the callee lets escape; a
+   returned taint feeds [returns_param], a returned constant
+   [return_const]; and the instruction's effects. *)
+let throw_if ctx pc b = if b then Bytes.set ctx.throws pc '\001'
+let escape ctx s = ctx.ev_esc <- ctx.ev_esc lor taint ctx.state s
 
-  let join a b =
-    if List.length a.tstack <> List.length b.tstack then
-      raise (Dataflow.Mismatch "operand-stack depth");
-    {
-      tlocals = Array.map2 ( lor ) a.tlocals b.tlocals;
-      tstack = List.map2 ( lor ) a.tstack b.tstack;
-    }
+let events ctx fr sp pc =
+  let c = ctx.state in
+  let top = fr.nl + sp - 1 in
+  let instr = fr.body.(pc) in
+  ctx.ev_eff <- ctx.ev_eff lor instr_effects ctx instr;
+  match instr with
+  | Instr.Binop (Instr.Div | Instr.Rem) ->
+      throw_if ctx pc (is_int c top && ival c top = 0)
+  | Instr.Get_field _ | Instr.Array_len -> throw_if ctx pc (is_null c top)
+  | Instr.Array_get -> throw_if ctx pc (is_null c (top - 1))
+  | Instr.Put_field _ ->
+      throw_if ctx pc (is_null c (top - 1));
+      escape ctx top
+  | Instr.Array_set ->
+      throw_if ctx pc (is_null c (top - 2));
+      escape ctx top
+  | Instr.Put_global _ -> escape ctx top
+  | Instr.Array_new -> throw_if ctx pc (is_int c top && ival c top < 0)
+  | Instr.Return ->
+      ctx.ev_retp <- ctx.ev_retp lor taint c top;
+      ctx.ev_returns <-
+        (pc, if is_int c top then Some (ival c top) else None)
+        :: ctx.ev_returns
+  | (Instr.Call_static _ | Instr.Call_direct _ | Instr.Call_virtual _) as
+    instr ->
+      let k = call_slots ctx instr in
+      ctx.ev_esc <-
+        ctx.ev_esc lor call_select ctx ctx.esc (fr.nl + sp - k) k instr
+  | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
+  | Instr.Dup | Instr.Pop | Instr.Swap
+  | Instr.Binop
+      ( Instr.Add | Instr.Sub | Instr.Mul | Instr.And | Instr.Or | Instr.Xor
+      | Instr.Shl | Instr.Shr )
+  | Instr.Neg | Instr.Not | Instr.Cmp _ | Instr.Jump _ | Instr.Jump_if _
+  | Instr.Jump_ifnot _ | Instr.New _ | Instr.Get_global _
+  | Instr.Return_void | Instr.Instance_of _ | Instr.Guard_method _
+  | Instr.Print_int | Instr.Nop ->
+      ()
 
-  let widen _old joined = joined
-end
+(* --- the worklist ---------------------------------------------------- *)
 
-module Taint_flow = Dataflow.Forward (Taint_lattice)
+let copy (src : int array) so (dst : int array) d len =
+  for i = 0 to len - 1 do
+    dst.(d + i) <- src.(so + i)
+  done
 
-let tpush v st = { st with tstack = v :: st.tstack }
+(* Joins [state] into the entry state at [buf.(off)]: a constant that
+   differs becomes [t_any] (every slot moves at most twice, so plain joins
+   converge without widening), taints union. True when it grew. *)
+let join ctx off len =
+  let buf = ctx.buf and c = ctx.state in
+  let grew = ref false in
+  let i = ref 0 in
+  while !i < len do
+    let d = off + !i in
+    if buf.(d) <> t_any && (buf.(d) <> c.(!i) || buf.(d + 1) <> c.(!i + 1))
+    then begin
+      buf.(d) <- t_any;
+      buf.(d + 1) <- 0;
+      grew := true
+    end;
+    let t = buf.(d + 2) lor c.(!i + 2) in
+    if t <> buf.(d + 2) then begin
+      buf.(d + 2) <- t;
+      grew := true
+    end;
+    i := !i + w
+  done;
+  !grew
 
-let tpop st =
-  match st.tstack with
-  | v :: rest -> (v, { st with tstack = rest })
-  | [] -> raise (Dataflow.Mismatch "operand-stack underflow")
+(* Merges the running state at depth [sp] into block [b]'s entry state
+   (a first arrival copies it); true when that entry state is new or
+   grew. *)
+let enter ctx fr b sp =
+  let len = w * (fr.nl + sp) in
+  if ctx.off.(b) < 0 then begin
+    if ctx.fill + len > Array.length ctx.buf then begin
+      let buf = Array.make (2 * (ctx.fill + len)) 0 in
+      copy ctx.buf 0 buf 0 ctx.fill;
+      ctx.buf <- buf
+    end;
+    copy ctx.state 0 ctx.buf ctx.fill len;
+    ctx.off.(b) <- ctx.fill;
+    ctx.depth.(b) <- sp;
+    ctx.fill <- ctx.fill + len;
+    true
+  end
+  else if ctx.depth.(b) <> sp then raise Malformed
+  else join ctx ctx.off.(b) len
 
-let tpop_n n st =
-  let rec go n acc st =
-    if n = 0 then (acc, st)
-    else
-      let v, st = tpop st in
-      go (n - 1) (v :: acc) st
-  in
-  (* Returns taints in parameter order: slot 0 first (pushed deepest). *)
-  go n [] st
+(* Runs block [b] from its entry state, reading events off each
+   instruction when [replay]; returns the exit stack depth. *)
+let run_block ctx comp fr ~replay b =
+  let sp = ref ctx.depth.(b) in
+  copy ctx.buf ctx.off.(b) ctx.state 0 (w * (fr.nl + !sp));
+  let blk = fr.cfg.Cfg.blocks.(b) in
+  for pc = blk.Cfg.first to blk.Cfg.last do
+    if replay then events ctx fr !sp pc;
+    sp := step ctx comp fr !sp pc
+  done;
+  !sp
+
+(* Enters each successor; returns the lowest one newly queued. *)
+let rec flow ctx fr sp low = function
+  | [] -> low
+  | s :: rest ->
+      let low =
+        if enter ctx fr s sp then begin
+          Bytes.set ctx.pending s '\001';
+          Int.min s low
+        end
+        else low
+      in
+      flow ctx fr sp low rest
+
+let reset_events ctx fr =
+  Bytes.fill ctx.throws 0 (Array.length fr.body) '\000';
+  ctx.ev_eff <- 0;
+  ctx.ev_esc <- 0;
+  ctx.ev_retp <- 0;
+  ctx.ev_returns <- []
+
+(* The method's problem: a worklist fixpoint over its blocks in
+   ascending pc order, a back edge whose state grew moving the cursor
+   back. Events are read while the cursor only moves forward: each block
+   then runs exactly once, after all its predecessors, so from its
+   converged entry state (code without loops needs nothing more). Once
+   a block is queued again, the events are dropped and read off one
+   replay of every reached block after convergence instead. Leaves the
+   events in [ctx]. *)
+let solve ctx comp fr =
+  let nb = Array.length fr.cfg.Cfg.blocks in
+  let slots = Meth.param_slots fr.m in
+  Array.fill ctx.off 0 nb (-1);
+  Bytes.fill ctx.pending 0 nb '\000';
+  ctx.fill <- 0;
+  reset_events ctx fr;
+  for s = 0 to fr.nl - 1 do
+    set ctx.state s t_any 0 (if s < slots then 1 lsl s else 0)
+  done;
+  if nb > 0 then begin
+    ignore (enter ctx fr 0 0);
+    Bytes.set ctx.pending 0 '\001';
+    let cursor = ref 0 in
+    let looped = ref false in
+    while !cursor < nb do
+      let b = !cursor in
+      incr cursor;
+      if Bytes.get ctx.pending b <> '\000' then begin
+        Bytes.set ctx.pending b '\000';
+        let sp = run_block ctx comp fr ~replay:(not !looped) b in
+        let low = flow ctx fr sp max_int fr.cfg.Cfg.blocks.(b).Cfg.succs in
+        if low <= b then begin
+          if not !looped then reset_events ctx fr;
+          looped := true;
+          cursor := low
+        end
+      end
+    done;
+    if !looped then begin
+      for b = 0 to nb - 1 do
+        if ctx.off.(b) >= 0 then ignore (run_block ctx comp fr ~replay:true b)
+      done
+    end
+  end
+
+let solves ctx comp fr =
+  match solve ctx comp fr with () -> true | exception Malformed -> false
+
+(* --- facts and rows ---------------------------------------------------- *)
 
 (* Maximum parameter count the int bitset can carry; beyond it the
    method gets a conservative all-escape row (never hit in practice). *)
 let max_taint_params = 60
 
-(* --- the bottom-up pass ----------------------------------------------- *)
+(* The effects of every reachable instruction, for a body {!solve}
+   cannot run; otherwise [ctx.ev_eff] holds them. *)
+let effects ctx fr =
+  let reachable = fr.cfg.Cfg.reachable and block_of = fr.cfg.Cfg.block_of in
+  let eff = ref 0 in
+  for pc = 0 to Array.length fr.body - 1 do
+    if reachable.(block_of.(pc)) then
+      eff := !eff lor instr_effects ctx fr.body.(pc)
+  done;
+  !eff
 
-type ctx = {
-  p : Program.t;
-  cg : Scc.t;
-  rows_ : meth_summary array;  (* final rows, valid for comps < current *)
-  (* working facts, optimistically initialized and monotonically grown
-     during the current component's fixpoint *)
-  w_eff : effects array;
-  w_esc : int array;  (* escape bitsets *)
-  w_retp : int array;  (* returns-parameter bitsets *)
-}
+(* The monotone facts of one method from the current working facts:
+   effects, escape and returns-param bitsets. [solved] tells whether
+   {!solve} ran to completion. *)
+let facts ctx fr ~solved =
+  let slots = Meth.param_slots fr.m in
+  if slots > max_taint_params then
+    ((if solved then ctx.ev_eff else effects ctx fr), -1, -1)
+  else if (not solved) || slots > fr.nl then (e_all, -1, -1)
+  else (ctx.ev_eff, ctx.ev_esc, ctx.ev_retp)
+
+(* Fills [ctx.live]: reachability refined by definite throws and by
+   calls whose every target is proven always-throwing; neither falls
+   through. *)
+let refined_reachable ctx comp fr =
+  let body = fr.body in
+  let n = Array.length body in
+  let rec all_throw = function
+    | [] -> true
+    | (mid : Ids.Method_id.t) :: rest ->
+        (not (same_comp ctx comp mid))
+        && ctx.rows_.((mid :> int)).always_throws
+        && all_throw rest
+  in
+  Bytes.fill ctx.live 0 n '\000';
+  let top = ref 0 in
+  let visit pc =
+    if pc >= 0 && pc < n && Bytes.get ctx.live pc = '\000' then begin
+      Bytes.set ctx.live pc '\001';
+      ctx.work.(!top) <- pc;
+      incr top
+    end
+  in
+  (* Whether control falls through from [pc], after queueing its branch
+     targets. *)
+  let falls pc =
+    Bytes.get ctx.throws pc = '\000'
+    &&
+    match body.(pc) with
+    | Instr.Jump t ->
+        visit t;
+        false
+    | Instr.Jump_if t | Instr.Jump_ifnot t ->
+        visit t;
+        true
+    | Instr.Guard_method g ->
+        visit g.Instr.fail;
+        true
+    | Instr.Return | Instr.Return_void -> false
+    | Instr.Call_static mid | Instr.Call_direct mid ->
+        same_comp ctx comp mid || not ctx.rows_.((mid :> int)).always_throws
+    | Instr.Call_virtual (sel, _) -> (
+        match Program.implementations ctx.p sel with
+        | [] -> true
+        | targets -> not (all_throw targets))
+    | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
+    | Instr.Dup | Instr.Pop | Instr.Swap | Instr.Binop _ | Instr.Neg
+    | Instr.Not | Instr.Cmp _ | Instr.New _ | Instr.Get_field _
+    | Instr.Put_field _ | Instr.Get_global _ | Instr.Put_global _
+    | Instr.Array_new | Instr.Array_get | Instr.Array_set
+    | Instr.Array_len | Instr.Instance_of _ | Instr.Print_int | Instr.Nop ->
+        true
+  in
+  visit 0;
+  while !top > 0 do
+    decr top;
+    (* Straight-line code runs on without the stack. *)
+    let pc = ref ctx.work.(!top) in
+    while falls !pc && !pc + 1 < n && Bytes.get ctx.live (!pc + 1) = '\000' do
+      incr pc;
+      Bytes.set ctx.live !pc '\001'
+    done
+  done
+
+let live ctx pc = Bytes.get ctx.live pc <> '\000'
+
+(* The one possible target of a call site: statically bound, or a
+   CHA-monomorphic virtual. *)
+let unique_target ctx (instr : Instr.t) =
+  match instr with
+  | Instr.Call_static mid | Instr.Call_direct mid -> Some mid
+  | Instr.Call_virtual (sel, _) -> Program.monomorphic_target ctx.p sel
+  | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
+  | Instr.Dup | Instr.Pop | Instr.Swap | Instr.Binop _ | Instr.Neg
+  | Instr.Not | Instr.Cmp _ | Instr.Jump _ | Instr.Jump_if _
+  | Instr.Jump_ifnot _ | Instr.New _ | Instr.Get_field _ | Instr.Put_field _
+  | Instr.Get_global _ | Instr.Put_global _ | Instr.Array_new
+  | Instr.Array_get | Instr.Array_set | Instr.Array_len | Instr.Return
+  | Instr.Return_void | Instr.Instance_of _ | Instr.Guard_method _
+  | Instr.Print_int | Instr.Nop ->
+      None
 
 let conservative_row (m : Meth.t) =
   let slots = Meth.param_slots m in
@@ -202,530 +683,170 @@ let conservative_row (m : Meth.t) =
     seed_sites = 0;
   }
 
-let same_comp ctx comp (mid : Ids.Method_id.t) =
-  Scc.component_of ctx.cg mid = comp
-
-(* Abstract result value of a call, from callee summaries; calls inside
-   the current component are opaque. *)
-let ret_cval ctx comp targets =
-  let one mid =
-    if same_comp ctx comp mid then Any
-    else
-      match ctx.rows_.((mid :> int)).return_const with
-      | Some k -> Cint k
-      | None -> Any
-  in
-  match targets with
-  | [] -> Any
-  | first :: rest ->
-      List.fold_left (fun acc mid -> cjoin acc (one mid)) (one first) rest
-
-let const_transfer ctx comp ~pc:_ (instr : Instr.t) st =
-  match instr with
-  | Instr.Const n -> cpush (Cint n) st
-  | Instr.Const_null -> cpush Cnull st
-  | Instr.Load i -> cpush st.clocals.(i) st
-  | Instr.Store i ->
-      let v, st = cpop st in
-      let clocals = Array.copy st.clocals in
-      clocals.(i) <- v;
-      { st with clocals }
-  | Instr.Dup ->
-      let v, _ = cpop st in
-      cpush v st
-  | Instr.Pop -> snd (cpop st)
-  | Instr.Swap ->
-      let b, st = cpop st in
-      let a, st = cpop st in
-      cpush a (cpush b st)
-  | Instr.Binop op ->
-      let b, st = cpop st in
-      let a, st = cpop st in
-      let v =
-        match (a, b) with
-        | Cint x, Cint y -> (
-            match fold_binop op x y with Some r -> Cint r | None -> Any)
-        | (Any | Cnull | Cint _), _ -> Any
-      in
-      cpush v st
-  | Instr.Neg ->
-      let a, st = cpop st in
-      cpush (match a with Cint x -> Cint (-x) | Any | Cnull -> Any) st
-  | Instr.Not ->
-      let a, st = cpop st in
-      (* [Value.truthy]: null and 0 are falsy, everything else truthy. *)
-      cpush
-        (match a with
-        | Cint x -> Cint (if x = 0 then 1 else 0)
-        | Cnull -> Cint 1
-        | Any -> Any)
-        st
-  | Instr.Cmp c ->
-      let b, st = cpop st in
-      let a, st = cpop st in
-      cpush (match fold_cmp c a b with Some r -> Cint r | None -> Any) st
-  | Instr.Jump _ -> st
-  | Instr.Jump_if _ | Instr.Jump_ifnot _ -> snd (cpop st)
-  | Instr.New _ -> cpush Any st
-  | Instr.Get_field _ ->
-      let _, st = cpop st in
-      cpush Any st
-  | Instr.Put_field _ -> cpop_n 2 st
-  | Instr.Get_global _ -> cpush Any st
-  | Instr.Put_global _ -> snd (cpop st)
-  | Instr.Array_new ->
-      let _, st = cpop st in
-      cpush Any st
-  | Instr.Array_get -> cpush Any (cpop_n 2 st)
-  | Instr.Array_set -> cpop_n 3 st
-  | Instr.Array_len ->
-      let _, st = cpop st in
-      cpush Any st
-  | Instr.Call_static mid ->
-      let callee = Program.meth ctx.p mid in
-      let st = cpop_n callee.Meth.arity st in
-      if callee.Meth.returns then cpush (ret_cval ctx comp [ mid ]) st else st
-  | Instr.Call_direct mid ->
-      let callee = Program.meth ctx.p mid in
-      let st = cpop_n (callee.Meth.arity + 1) st in
-      if callee.Meth.returns then cpush (ret_cval ctx comp [ mid ]) st else st
-  | Instr.Call_virtual (sel, argc) ->
-      let impls = Program.implementations ctx.p sel in
-      let st = cpop_n (argc + 1) st in
-      let returns =
-        match impls with
-        | [] -> false
-        | mid :: _ -> (Program.meth ctx.p mid).Meth.returns
-      in
-      if returns then cpush (ret_cval ctx comp impls) st else st
-  | Instr.Return -> snd (cpop st)
-  | Instr.Return_void -> st
-  | Instr.Instance_of _ ->
-      let a, st = cpop st in
-      cpush (match a with Cnull -> Cint 0 | Any | Cint _ -> Any) st
-  | Instr.Guard_method _ -> st
-  | Instr.Print_int -> snd (cpop st)
-  | Instr.Nop -> st
-
-(* Pcs where execution definitely traps given the converged constant
-   states: division/remainder by a known zero, dereference of a definite
-   null, a negative constant array size. *)
-let definite_throws (m : Meth.t) (states : cstate option array) =
-  let body = m.Meth.body in
-  let throws = Array.make (Array.length body) false in
-  let peek n st = List.nth st.cstack n in
-  Array.iteri
-    (fun pc st ->
-      match st with
-      | None -> ()
-      | Some st -> (
-          match body.(pc) with
-          | Instr.Binop (Instr.Div | Instr.Rem) ->
-              if peek 0 st = Cint 0 then throws.(pc) <- true
-          | Instr.Get_field _ | Instr.Array_len ->
-              if peek 0 st = Cnull then throws.(pc) <- true
-          | Instr.Put_field _ | Instr.Array_get ->
-              if peek 1 st = Cnull then throws.(pc) <- true
-          | Instr.Array_set ->
-              if peek 2 st = Cnull then throws.(pc) <- true
-          | Instr.Array_new -> (
-              match peek 0 st with
-              | Cint k when k < 0 -> throws.(pc) <- true
-              | Cint _ | Any | Cnull -> ())
-          | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
-          | Instr.Dup | Instr.Pop | Instr.Swap
-          | Instr.Binop
-              ( Instr.Add | Instr.Sub | Instr.Mul | Instr.And | Instr.Or
-              | Instr.Xor | Instr.Shl | Instr.Shr )
-          | Instr.Neg | Instr.Not | Instr.Cmp _ | Instr.Jump _
-          | Instr.Jump_if _ | Instr.Jump_ifnot _ | Instr.New _
-          | Instr.Get_global _ | Instr.Put_global _ | Instr.Call_static _
-          | Instr.Call_virtual _ | Instr.Call_direct _ | Instr.Return
-          | Instr.Return_void | Instr.Instance_of _ | Instr.Guard_method _
-          | Instr.Print_int | Instr.Nop ->
-              ()))
-    states;
-  throws
-
-(* Reachability refined by definite throws and by calls whose every
-   target is proven always-throwing: neither falls through. *)
-let refined_reachable ctx comp (m : Meth.t) throws =
-  let body = m.Meth.body in
-  let n = Array.length body in
-  let callee_throws mid =
-    (not (same_comp ctx comp mid)) && ctx.rows_.((mid :> int)).always_throws
-  in
-  let live = Array.make n false in
-  let q = Queue.create () in
-  let visit pc =
-    if pc >= 0 && pc < n && not live.(pc) then begin
-      live.(pc) <- true;
-      Queue.add pc q
-    end
-  in
-  visit 0;
-  while not (Queue.is_empty q) do
-    let pc = Queue.pop q in
-    let instr = body.(pc) in
-    List.iter visit (Instr.jump_targets instr);
-    let falls =
-      Cfg.falls_through instr
-      && (not throws.(pc))
-      &&
-      if Instr.is_call instr then
-        match Scc.call_targets ctx.p instr with
-        | [] -> true
-        | targets -> not (List.for_all callee_throws targets)
-      else true
-    in
-    if falls then visit (pc + 1)
-  done;
-  live
-
-let taint_transfer ctx comp ~pc:_ (instr : Instr.t) st =
-  let call_result targets arg_taints =
-    List.fold_left
-      (fun acc mid ->
-        let retp =
-          if same_comp ctx comp mid then ctx.w_retp.((mid :> int))
-          else
-            let r = ctx.rows_.((mid :> int)) in
-            let bits = ref 0 in
-            Array.iteri
-              (fun j b -> if b then bits := !bits lor (1 lsl j))
-              r.returns_param;
-            !bits
-        in
-        let t = ref acc in
-        List.iteri
-          (fun j taint -> if retp land (1 lsl j) <> 0 then t := !t lor taint)
-          arg_taints;
-        !t)
-      0 targets
-  in
-  match instr with
-  | Instr.Const _ | Instr.Const_null | Instr.New _ | Instr.Get_global _ ->
-      tpush 0 st
-  | Instr.Load i -> tpush st.tlocals.(i) st
-  | Instr.Store i ->
-      let v, st = tpop st in
-      let tlocals = Array.copy st.tlocals in
-      tlocals.(i) <- v;
-      { st with tlocals }
-  | Instr.Dup ->
-      let v, _ = tpop st in
-      tpush v st
-  | Instr.Pop | Instr.Put_global _ | Instr.Print_int | Instr.Return ->
-      snd (tpop st)
-  | Instr.Swap ->
-      let b, st = tpop st in
-      let a, st = tpop st in
-      tpush a (tpush b st)
-  | Instr.Binop _ | Instr.Cmp _ -> tpush 0 (snd (tpop (snd (tpop st))))
-  | Instr.Neg | Instr.Not | Instr.Instance_of _ | Instr.Array_len
-  | Instr.Array_new ->
-      tpush 0 (snd (tpop st))
-  | Instr.Get_field _ -> tpush 0 (snd (tpop st))
-  | Instr.Jump _ | Instr.Return_void | Instr.Guard_method _ | Instr.Nop -> st
-  | Instr.Jump_if _ | Instr.Jump_ifnot _ -> snd (tpop st)
-  | Instr.Put_field _ -> snd (tpop (snd (tpop st)))
-  | Instr.Array_get -> tpush 0 (snd (tpop (snd (tpop st))))
-  | Instr.Array_set -> snd (tpop (snd (tpop (snd (tpop st)))))
-  | Instr.Call_static mid ->
-      let callee = Program.meth ctx.p mid in
-      let args, st = tpop_n callee.Meth.arity st in
-      if callee.Meth.returns then tpush (call_result [ mid ] args) st else st
-  | Instr.Call_direct mid ->
-      let callee = Program.meth ctx.p mid in
-      let args, st = tpop_n (callee.Meth.arity + 1) st in
-      if callee.Meth.returns then tpush (call_result [ mid ] args) st else st
-  | Instr.Call_virtual (sel, argc) ->
-      let impls = Program.implementations ctx.p sel in
-      let args, st = tpop_n (argc + 1) st in
-      let returns =
-        match impls with
-        | [] -> false
-        | mid :: _ -> (Program.meth ctx.p mid).Meth.returns
-      in
-      if returns then tpush (call_result impls args) st else st
-
-(* Escape and returns-parameter events, read off the converged taint
-   states: values stored into heap objects, arrays or globals escape;
-   values passed at a parameter position the callee lets escape do too;
-   a returned taint feeds [returns_param]. *)
-let taint_events ctx comp (m : Meth.t) (states : tstate option array) =
-  let body = m.Meth.body in
-  let esc = ref 0 in
-  let retp = ref 0 in
-  let callee_esc mid =
-    if same_comp ctx comp mid then ctx.w_esc.((mid :> int))
-    else begin
-      let r = ctx.rows_.((mid :> int)) in
-      let bits = ref 0 in
-      Array.iteri (fun j b -> if b then bits := !bits lor (1 lsl j)) r.escapes;
-      !bits
-    end
-  in
-  let call_escapes targets nslots st =
-    (* Parameter j sits at stack depth [nslots - 1 - j]. *)
-    List.iter
-      (fun mid ->
-        let ce = callee_esc mid in
-        for j = 0 to nslots - 1 do
-          if ce land (1 lsl j) <> 0 then
-            esc := !esc lor List.nth st.tstack (nslots - 1 - j)
-        done)
-      targets
-  in
-  Array.iteri
-    (fun pc st ->
-      match st with
-      | None -> ()
-      | Some st -> (
-          match body.(pc) with
-          | Instr.Put_field _ | Instr.Put_global _ | Instr.Array_set ->
-              esc := !esc lor List.hd st.tstack
-          | Instr.Return -> retp := !retp lor List.hd st.tstack
-          | Instr.Call_static mid ->
-              call_escapes [ mid ] (Program.meth ctx.p mid).Meth.arity st
-          | Instr.Call_direct mid ->
-              call_escapes [ mid ] ((Program.meth ctx.p mid).Meth.arity + 1) st
-          | Instr.Call_virtual (sel, argc) ->
-              call_escapes (Program.implementations ctx.p sel) (argc + 1) st
-          | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
-          | Instr.Dup | Instr.Pop | Instr.Swap | Instr.Binop _ | Instr.Neg
-          | Instr.Not | Instr.Cmp _ | Instr.Jump _ | Instr.Jump_if _
-          | Instr.Jump_ifnot _ | Instr.New _ | Instr.Get_field _
-          | Instr.Get_global _ | Instr.Array_new | Instr.Array_get
-          | Instr.Array_len | Instr.Return_void | Instr.Instance_of _
-          | Instr.Guard_method _ | Instr.Print_int | Instr.Nop ->
-              ()))
-    states;
-  (!esc, !retp)
-
-(* Direct (one-instruction) effects plus the transitive join over every
-   possible callee of every reachable call. *)
-let effects_pass ctx comp (m : Meth.t) reachable =
-  let eff = ref no_effects in
-  Array.iteri
-    (fun pc instr ->
-      if reachable.(pc) then begin
-        (match (instr : Instr.t) with
-        | Instr.Get_field _ | Instr.Array_get | Instr.Array_len
-        | Instr.Get_global _ ->
-            eff := { !eff with reads_heap = true }
-        | Instr.Put_field _ | Instr.Array_set | Instr.Put_global _ ->
-            eff := { !eff with writes_heap = true }
-        | Instr.New _ | Instr.Array_new -> eff := { !eff with allocates = true }
-        | Instr.Print_int -> eff := { !eff with io = true }
-        | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
-        | Instr.Dup | Instr.Pop | Instr.Swap | Instr.Binop _ | Instr.Neg
-        | Instr.Not | Instr.Cmp _ | Instr.Jump _ | Instr.Jump_if _
-        | Instr.Jump_ifnot _ | Instr.Call_static _ | Instr.Call_virtual _
-        | Instr.Call_direct _ | Instr.Return | Instr.Return_void
-        | Instr.Instance_of _ | Instr.Guard_method _ | Instr.Nop ->
-            ());
-        List.iter
-          (fun mid ->
-            let callee_eff =
-              if same_comp ctx comp mid then ctx.w_eff.((mid :> int))
-              else ctx.rows_.((mid :> int)).effects
-            in
-            eff := join_effects !eff callee_eff)
-          (Scc.call_targets ctx.p instr)
-      end)
-    m.Meth.body;
-  !eff
-
-(* The call sites the static oracle provably benefits from: a single
-   possible target (statically bound, or a CHA-monomorphic virtual) that
-   lives outside the method's own component, whose post-inlining size is
-   Tiny or Small. [for_seed] additionally excludes always-throwing
-   targets — inlining those wins nothing at install time. *)
-let unique_target ctx (instr : Instr.t) =
-  match instr with
-  | Instr.Call_static mid | Instr.Call_direct mid -> Some mid
-  | Instr.Call_virtual (sel, _) -> Program.monomorphic_target ctx.p sel
-  | Instr.Const _ | Instr.Const_null | Instr.Load _ | Instr.Store _
-  | Instr.Dup | Instr.Pop | Instr.Swap | Instr.Binop _ | Instr.Neg
-  | Instr.Not | Instr.Cmp _ | Instr.Jump _ | Instr.Jump_if _
-  | Instr.Jump_ifnot _ | Instr.New _ | Instr.Get_field _ | Instr.Put_field _
-  | Instr.Get_global _ | Instr.Put_global _ | Instr.Array_new
-  | Instr.Array_get | Instr.Array_set | Instr.Array_len | Instr.Return
-  | Instr.Return_void | Instr.Instance_of _ | Instr.Guard_method _
-  | Instr.Print_int | Instr.Nop ->
-      None
-
-let finalize_row ctx comp (m : Meth.t) =
-  let mid = m.Meth.id in
-  let slots = Meth.param_slots m in
+(* The row of one method after {!solve} ran to completion on its
+   converged facts. Calls inside the component are opaque for constness,
+   size and always-throws, matching the oracle, which never inlines
+   recursive edges. *)
+let finalize_row ctx comp fr =
+  let m = fr.m in
+  let body = fr.body in
+  let i = (m.Meth.id :> int) in
   let units = Meth.size_units m in
-  let cfg = Cfg.make m.Meth.body in
-  let init =
-    { clocals = Array.make (max 1 m.Meth.max_locals) Any; cstack = [] }
-  in
-  let cstates =
-    Const_flow.run cfg ~init ~transfer:(const_transfer ctx comp) ()
-  in
-  let throws = definite_throws m cstates in
-  let live = refined_reachable ctx comp m throws in
-  let always_throws =
-    let has_return = ref false in
-    Array.iteri
-      (fun pc instr ->
-        match (instr : Instr.t) with
-        | Instr.Return | Instr.Return_void ->
-            if live.(pc) && not throws.(pc) then has_return := true
-        | _ -> ())
-      m.Meth.body;
-    not !has_return
-  in
-  let return_const =
-    if not m.Meth.returns then None
-    else begin
-      let acc = ref None in
-      (* [None] = no return seen yet; [Some Any] = conflicting. *)
-      Array.iteri
-        (fun pc instr ->
-          match (instr : Instr.t) with
-          | Instr.Return when live.(pc) && not throws.(pc) -> (
-              let v =
-                match cstates.(pc) with
-                | Some st -> List.hd st.cstack
-                | None -> Any
-              in
-              match !acc with
-              | None -> acc := Some v
-              | Some prev -> acc := Some (cjoin prev v))
-          | _ -> ())
-        m.Meth.body;
-      match !acc with Some (Cint k) -> Some k | Some (Any | Cnull) | None -> None
-    end
-  in
+  refined_reachable ctx comp fr;
+  let has_return = ref false in
   let mono_sites = ref [] in
   let virtual_sites = ref 0 in
-  Array.iteri
-    (fun pc instr ->
-      match (instr : Instr.t) with
-      | Instr.Call_virtual (sel, _) ->
-          incr virtual_sites;
-          (match Program.monomorphic_target ctx.p sel with
-          | Some target -> mono_sites := (pc, target) :: !mono_sites
-          | None -> ())
-      | _ -> ())
-    m.Meth.body;
   let size_est = ref units in
   let seed_sites = ref 0 in
-  Array.iteri
-    (fun pc instr ->
-      if live.(pc) then
-        match unique_target ctx instr with
-        | Some tgt when not (same_comp ctx comp tgt) ->
-            let r = ctx.rows_.((tgt :> int)) in
-            (match Meth.classify ~units:r.size_est with
-            | Meth.Tiny | Meth.Small ->
-                size_est := !size_est + (r.size_est - 1);
-                if not r.always_throws then incr seed_sites
-            | Meth.Medium | Meth.Large -> ())
-        | Some _ | None -> ())
-    m.Meth.body;
-  let esc_bits = ctx.w_esc.((mid :> int)) in
-  let retp_bits = ctx.w_retp.((mid :> int)) in
+  for pc = Array.length body - 1 downto 0 do
+    let instr = body.(pc) in
+    (match instr with
+    | Instr.Return | Instr.Return_void ->
+        if live ctx pc then has_return := true
+    | Instr.Call_virtual (sel, _) -> (
+        incr virtual_sites;
+        match Program.monomorphic_target ctx.p sel with
+        | Some target -> mono_sites := (pc, target) :: !mono_sites
+        | None -> ())
+    | _ -> ());
+    if live ctx pc then
+      match unique_target ctx instr with
+      | Some tgt when not (same_comp ctx comp tgt) -> (
+          let r = ctx.rows_.((tgt :> int)) in
+          match Meth.classify ~units:r.size_est with
+          | Meth.Tiny | Meth.Small ->
+              size_est := !size_est + (r.size_est - 1);
+              if not r.always_throws then incr seed_sites
+          | Meth.Medium | Meth.Large -> ())
+      | Some _ | None -> ()
+  done;
+  (* A constant only when every live [Return] yields the same one. *)
+  let return_const =
+    match List.filter (fun (pc, _) -> live ctx pc) ctx.ev_returns with
+    | (_, Some k) :: rest
+      when m.Meth.returns && List.for_all (fun (_, v) -> v = Some k) rest ->
+        Some k
+    | _ -> None
+  in
+  let slots = Meth.param_slots m in
+  let bools bits = Array.init slots (fun j -> bits land (1 lsl j) <> 0) in
+  let effects = effects_of_bits ctx.eff.(i) in
   {
-    meth = mid;
+    meth = m.Meth.id;
     units;
     size_est = !size_est;
-    effects = ctx.w_eff.((mid :> int));
-    pure = is_pure ctx.w_eff.((mid :> int));
-    escapes = Array.init slots (fun j -> esc_bits land (1 lsl j) <> 0);
-    returns_param = Array.init slots (fun j -> retp_bits land (1 lsl j) <> 0);
+    effects;
+    pure = is_pure effects;
+    escapes = bools ctx.esc.(i);
+    returns_param = bools ctx.retp.(i);
     return_const;
-    always_throws;
-    mono_sites = List.rev !mono_sites;
+    always_throws = not !has_return;
+    mono_sites = !mono_sites;
     virtual_sites = !virtual_sites;
     seed_sites = !seed_sites;
   }
 
+(* The bitset of the [true] slots, as callers read it. *)
+let bits_of bools =
+  let bits = ref 0 in
+  for j = 0 to Array.length bools - 1 do
+    if bools.(j) then bits := !bits lor (1 lsl j)
+  done;
+  !bits
+
 let analyze_component ctx comp =
   let members = Scc.members ctx.cg comp in
-  let conservative m =
-    let i = (m.Meth.id :> int) in
-    ctx.w_eff.(i) <- all_effects;
-    ctx.w_esc.(i) <- -1;
-    ctx.w_retp.(i) <- -1;
-    ctx.rows_.(i) <- conservative_row m
+  let frame_of mid = frame (Program.meth ctx.p mid) in
+  (* Joins one method's fresh facts into its working facts; true when
+     they grew. *)
+  let record fr (eff, esc, retp) =
+    let i = (fr.m.Meth.id :> int) in
+    let eff' = eff lor ctx.eff.(i) in
+    let esc' = esc lor ctx.esc.(i) and retp' = retp lor ctx.retp.(i) in
+    let grew =
+      eff' <> ctx.eff.(i) || esc' <> ctx.esc.(i) || retp' <> ctx.retp.(i)
+    in
+    ctx.eff.(i) <- eff';
+    ctx.esc.(i) <- esc';
+    ctx.retp.(i) <- retp';
+    grew
   in
-  (* Fixpoint on the monotone facts (effects, escape, returns-param). *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  let finish fr ~solved =
+    let i = (fr.m.Meth.id :> int) in
+    let row =
+      if solved then finalize_row ctx comp fr
+      else begin
+        ctx.eff.(i) <- e_all;
+        conservative_row fr.m
+      end
+    in
+    ctx.rows_.(i) <- row;
+    ctx.esc.(i) <- bits_of row.escapes;
+    ctx.retp.(i) <- bits_of row.returns_param
+  in
+  (* Only a cycle reads its own working facts, so only a cycle iterates
+     to a fixpoint from the optimistic empty facts, and then solves each
+     member once more for its row. Any other component is one method,
+     final after one solve. *)
+  if Scc.cyclic ctx.cg comp then begin
+    let frames = Array.map frame_of members in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iter
+        (fun fr ->
+          let solved = solves ctx comp fr in
+          if record fr (facts ctx fr ~solved) then changed := true)
+        frames
+    done;
+    Array.iter (fun fr -> finish fr ~solved:(solves ctx comp fr)) frames
+  end
+  else
     Array.iter
       (fun mid ->
-        let m = Program.meth ctx.p mid in
-        let i = (mid :> int) in
-        try
-          let reachable = Cfg.reachable_instrs m.Meth.body in
-          let eff = effects_pass ctx comp m reachable in
-          let esc, retp =
-            if Meth.param_slots m > max_taint_params then (-1, -1)
-            else begin
-              let cfg = Cfg.make m.Meth.body in
-              let tlocals = Array.make (max 1 m.Meth.max_locals) 0 in
-              for j = 0 to Meth.param_slots m - 1 do
-                tlocals.(j) <- 1 lsl j
-              done;
-              let states =
-                Taint_flow.run cfg ~init:{ tlocals; tstack = [] }
-                  ~transfer:(taint_transfer ctx comp) ()
-              in
-              taint_events ctx comp m states
-            end
-          in
-          let eff' = join_effects eff ctx.w_eff.(i) in
-          let esc' = ctx.w_esc.(i) lor esc in
-          let retp' = ctx.w_retp.(i) lor retp in
-          if
-            eff' <> ctx.w_eff.(i) || esc' <> ctx.w_esc.(i)
-            || retp' <> ctx.w_retp.(i)
-          then begin
-            changed := true;
-            ctx.w_eff.(i) <- eff';
-            ctx.w_esc.(i) <- esc';
-            ctx.w_retp.(i) <- retp'
-          end
-        with _ ->
-          if
-            ctx.w_eff.(i) <> all_effects || ctx.w_esc.(i) <> -1
-            || ctx.w_retp.(i) <> -1
-          then begin
-            changed := true;
-            ctx.w_eff.(i) <- all_effects;
-            ctx.w_esc.(i) <- -1;
-            ctx.w_retp.(i) <- -1
-          end)
+        let fr = frame_of mid in
+        let solved = solves ctx comp fr in
+        ignore (record fr (facts ctx fr ~solved));
+        finish fr ~solved)
       members
-  done;
-  Array.iter
-    (fun mid ->
-      let m = Program.meth ctx.p mid in
-      match finalize_row ctx comp m with
-      | row -> ctx.rows_.((mid :> int)) <- row
-      | exception _ -> conservative m)
-    members
 
 let analyze p =
   let ms = Program.methods p in
   let n = Array.length ms in
   let cg = Scc.of_program p in
   let dummy = conservative_row ms.(0) in
+  (* A stack is never deeper than the body is long: each instruction
+     pushes at most one slot net, and a block's entry depth is that of
+     the first path reaching it. *)
+  let longest = ref 1 and slots = ref 0 in
+  Array.iter
+    (fun (m : Meth.t) ->
+      let n = Array.length m.Meth.body in
+      longest := Int.max !longest n;
+      slots := Int.max !slots (Int.max 1 m.Meth.max_locals + n + 1))
+    ms;
+  let longest = !longest and slots = !slots in
   let ctx =
     {
       p;
       cg;
       rows_ = Array.make n dummy;
-      w_eff = Array.make n no_effects;
-      w_esc = Array.make n 0;
-      w_retp = Array.make n 0;
+      eff = Array.make n 0;
+      esc = Array.make n 0;
+      retp = Array.make n 0;
+      state = Array.make (w * slots) 0;
+      buf = Array.make (4 * w * slots) 0;
+      fill = 0;
+      off = Array.make longest 0;
+      depth = Array.make longest 0;
+      pending = Bytes.create longest;
+      throws = Bytes.create longest;
+      live = Bytes.create longest;
+      work = Array.make longest 0;
+      ev_eff = 0;
+      ev_esc = 0;
+      ev_retp = 0;
+      ev_returns = [];
     }
   in
   for comp = 0 to Scc.count cg - 1 do
@@ -734,7 +855,6 @@ let analyze p =
   ctx.rows_
 
 let get t (mid : Ids.Method_id.t) = t.((mid :> int))
-let rows t = t
 let seed_worthy t mid = (get t mid).seed_sites > 0
 
 let effects_to_string e =

@@ -22,15 +22,19 @@
     - {e monomorphic dispatch}: per virtual call site, the CHA proof
       that the sealed class universe admits exactly one target.
 
-    Within one SCC the pass iterates to a fixpoint from optimistic
-    assumptions (effect and escape flags only grow); calls that stay
-    inside the component are treated as opaque for constness, size and
-    always-throws — matching the oracle, which never inlines recursive
-    edges. Per-method constness and escape run as forward dataflow
-    problems on the {!Dataflow} engine.
+    Only a cyclic SCC (several methods, or one that calls itself)
+    iterates to a fixpoint from optimistic assumptions (effect and
+    escape flags only grow); every other component is analyzed once.
+    Calls that stay inside the component are treated as opaque for
+    constness, size and always-throws — matching the oracle, which never
+    inlines recursive edges. Per method, constness and parameter escape
+    run as one forward problem over the method's one {!Cfg}, on mutable
+    int-array block states, and every fact is read off one run of each
+    block from its converged entry state.
 
     The whole table is a pure, deterministic function of the sealed
-    program: same program, same table, independent of parallelism. *)
+    program: same program, same table, independent of parallelism. It
+    is computed eagerly, with no cache or state kept between calls. *)
 
 open Acsi_bytecode
 
@@ -68,12 +72,12 @@ type meth_summary = {
 type table
 
 val analyze : Program.t -> table
-(** Never raises: a method whose body defeats the analysis (it cannot
-    happen for a verified program) gets a fully conservative row. *)
+(** A method whose body defeats the analysis — an operand-stack
+    underflow, a local index out of range, or two paths joining at
+    different stack depths, none of which a verified program has — gets
+    a fully conservative row. *)
 
 val get : table -> Ids.Method_id.t -> meth_summary
-val rows : table -> meth_summary array
-(** Method-id (declaration) order. *)
 
 val seed_worthy : table -> Ids.Method_id.t -> bool
 (** [seed_sites > 0]: the method is a provably-good static compilation

@@ -462,6 +462,208 @@ let test_summary_render_jobs_invariant () =
   let pooled = Parallel.map ~jobs:3 render benches in
   Alcotest.(check (list string)) "tables independent of --jobs" serial pooled
 
+(* --- Summary against its specification ----------------------------- *)
+
+(* [Summary_spec] is the bottom-up pass as it stood before the
+   single-pass rewrite; every row must match it field by field. *)
+let spec_row (r : Summary_spec.meth_summary) : Summary.meth_summary =
+  let e = r.Summary_spec.effects in
+  {
+    Summary.meth = r.Summary_spec.meth;
+    units = r.Summary_spec.units;
+    size_est = r.Summary_spec.size_est;
+    effects =
+      {
+        Summary.reads_heap = e.Summary_spec.reads_heap;
+        writes_heap = e.Summary_spec.writes_heap;
+        allocates = e.Summary_spec.allocates;
+        io = e.Summary_spec.io;
+      };
+    pure = r.Summary_spec.pure;
+    escapes = r.Summary_spec.escapes;
+    returns_param = r.Summary_spec.returns_param;
+    return_const = r.Summary_spec.return_const;
+    always_throws = r.Summary_spec.always_throws;
+    mono_sites = r.Summary_spec.mono_sites;
+    virtual_sites = r.Summary_spec.virtual_sites;
+    seed_sites = r.Summary_spec.seed_sites;
+  }
+
+let row_to_string (r : Summary.meth_summary) =
+  let bits a =
+    String.concat ""
+      (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))
+  in
+  let e = r.Summary.effects in
+  let flag b c = if b then c else '-' in
+  Printf.sprintf
+    "{units %d est %d eff %c%c%c%c pure %b esc %s retp %s const %s throws %b \
+     mono [%s] virt %d seed %d}"
+    r.Summary.units r.Summary.size_est
+    (flag e.Summary.reads_heap 'r')
+    (flag e.Summary.writes_heap 'w')
+    (flag e.Summary.allocates 'a')
+    (flag e.Summary.io 'o') r.Summary.pure (bits r.Summary.escapes)
+    (bits r.Summary.returns_param)
+    (match r.Summary.return_const with Some k -> string_of_int k | None -> "-")
+    r.Summary.always_throws
+    (String.concat ";"
+       (List.map
+          (fun (pc, (t : Ids.Method_id.t)) ->
+            Printf.sprintf "%d:%d" pc (t :> int))
+          r.Summary.mono_sites))
+    r.Summary.virtual_sites r.Summary.seed_sites
+
+(* The first method whose row differs from the specification's. *)
+let spec_mismatch program =
+  let spec = Summary_spec.analyze program and t = Summary.analyze program in
+  Array.fold_left
+    (fun found (m : Meth.t) ->
+      match found with
+      | Some _ -> found
+      | None ->
+          let want = spec_row (Summary_spec.get spec m.Meth.id) in
+          let got = Summary.get t m.Meth.id in
+          if want = got then None
+          else
+            Some
+              (Printf.sprintf "%s: spec %s, got %s" m.Meth.name
+                 (row_to_string want) (row_to_string got)))
+    None (Program.methods program)
+
+let check_against_spec label program =
+  match spec_mismatch program with
+  | None -> ()
+  | Some msg -> Alcotest.failf "%s %s" label msg
+
+let test_summary_spec_programs () =
+  List.iter
+    (fun (w : Acsi_workloads.Workloads.spec) ->
+      check_against_spec w.Acsi_workloads.Workloads.name
+        (w.Acsi_workloads.Workloads.build
+           ~scale:w.Acsi_workloads.Workloads.default_scale))
+    Acsi_workloads.Workloads.(all @ extended);
+  List.iter
+    (fun name ->
+      let path = "../examples/programs/" ^ name in
+      check_against_spec name
+        (Acsi_lang.Parser.compile
+           (In_channel.with_open_bin path In_channel.input_all)))
+    [ "collatz.acsi"; "shapes.acsi" ]
+
+let prop_summary_matches_spec =
+  QCheck.Test.make ~name:"summary rows equal the specification's" ~count:60
+    Test_props.arbitrary_program (fun ast ->
+      match spec_mismatch (Acsi_lang.Compile.prog ast) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* Shapes the generators never produce: a self-recursive method; a
+   three-method cycle whose escape and returns-param facts reach [a]
+   only in a third round; an always-throwing callee reached from inside
+   a cycle ([p] <-> [q]); a method with 64 parameter slots, past the
+   taint bitset, and its caller. Verified like any program the VM
+   runs. *)
+let summary_corpus () =
+  let b = Program.Builder.create () in
+  let cls = Program.Builder.declare_class b ~name:"C" ~parent:None ~fields:[] in
+  let g = Program.Builder.declare_global b "g" in
+  let decl name arity returns =
+    Program.Builder.declare_method b ~owner:cls ~name ~kind:Meth.Static ~arity
+      ~returns
+  in
+  let main = decl "main" 0 false and fact = decl "fact" 1 true in
+  let a = decl "a" 1 true and bb = decl "b" 1 true and c = decl "c" 1 true in
+  let boom = decl "boom" 0 false in
+  let p = decl "p" 1 true and q = decl "q" 1 true in
+  let wide = decl "wide" 64 true and wide_caller = decl "wide_caller" 1 true in
+  let body m ~max_locals instrs =
+    Program.Builder.set_body b m ~max_locals instrs
+  in
+  Instr.(
+    body fact ~max_locals:1
+      [| Load 0; Const 0; Cmp Eq; Jump_ifnot 6; Const 1; Return; Load 0;
+         Load 0; Const 1; Binop Sub; Call_static fact; Binop Mul; Return |];
+    body a ~max_locals:1 [| Load 0; Call_static bb; Return |];
+    body bb ~max_locals:1 [| Load 0; Call_static c; Return |];
+    body c ~max_locals:1
+      [| Load 0; Put_global g; Load 0; Const 0; Cmp Gt; Jump_ifnot 9;
+         Load 0; Call_static a; Return; Load 0; Return |];
+    body boom ~max_locals:1
+      [| Const 1; Const 0; Binop Div; Pop; Return_void |];
+    body p ~max_locals:1
+      [| Load 0; Jump_ifnot 5; Call_static boom; Const 1; Return; Load 0;
+         Call_static q; Pop; Const 2; Return |];
+    body q ~max_locals:1 [| Call_static boom; Load 0; Call_static p; Return |];
+    body wide ~max_locals:64 [| Load 63; Put_global g; Load 62; Return |];
+    body wide_caller ~max_locals:1
+      (Array.concat
+         [
+           [| Load 0 |];
+           Array.make 63 (Const 0);
+           [| Call_static wide; Return |];
+         ]);
+    body main ~max_locals:1
+      [| Const 5; Call_static fact; Print_int; Const 3; Call_static a; Pop;
+         Const 0; Call_static p; Pop; Const 1; Call_static wide_caller; Pop;
+         Return_void |]);
+  let program = Program.Builder.seal b ~main in
+  Verify.program program;
+  (program, a, p, q, wide)
+
+let test_summary_spec_corpus () =
+  let program, a, p, q, wide = summary_corpus () in
+  check_against_spec "corpus" program;
+  (* The corpus reaches what it is for. *)
+  let t = Summary.analyze program in
+  let row mid = Summary.get t mid in
+  Alcotest.(check (array bool)) "a's argument escapes through c" [| true |]
+    (row a).Summary.escapes;
+  Alcotest.(check (array bool)) "a may return its argument" [| true |]
+    (row a).Summary.returns_param;
+  Alcotest.(check bool) "q always throws" true (row q).Summary.always_throws;
+  Alcotest.(check (option int)) "p's only live return" (Some 2)
+    (row p).Summary.return_const;
+  Alcotest.(check (pair bool bool)) "wide's row is conservative" (true, true)
+    ((row wide).Summary.returns_param.(0), (row wide).Summary.escapes.(0))
+
+(* A sealed, unverified body the analysis cannot run gets the
+   conservative row, like the specification's, and nothing escapes
+   [analyze]. *)
+let test_summary_malformed_conservative () =
+  List.iter
+    (fun (name, max_locals, instrs) ->
+      let p, m = prog_of ~arity:1 ~returns:true ~max_locals (fun _ -> instrs) in
+      check_against_spec name p;
+      let r = Summary.get (Summary.analyze p) m.Meth.id in
+      Alcotest.(check string)
+        name
+        (row_to_string
+           {
+             r with
+             Summary.size_est = Meth.size_units m;
+             effects =
+               {
+                 Summary.reads_heap = true;
+                 writes_heap = true;
+                 allocates = true;
+                 io = true;
+               };
+             pure = false;
+             escapes = [| true |];
+             returns_param = [| true |];
+             return_const = None;
+             always_throws = false;
+             mono_sites = [];
+             seed_sites = 0;
+           })
+        (row_to_string r))
+    Instr.
+      [
+        ("operand-stack underflow", 2, [| Pop; Pop; Const 1; Return |]);
+        ("local out of range", 2, [| Load 5; Return |]);
+      ]
+
 (* --- Exact diagnostics over a mutation corpus ---------------------- *)
 
 (* Real installs: every optimized code left installed after a
@@ -881,6 +1083,12 @@ let suite =
       test_unverified_program_refused;
     Alcotest.test_case "summary table invariant under --jobs" `Quick
       test_summary_render_jobs_invariant;
+    Alcotest.test_case "summary rows equal the spec on every program" `Quick
+      test_summary_spec_programs;
+    Alcotest.test_case "summary rows equal the spec on the corpus" `Quick
+      test_summary_spec_corpus;
+    Alcotest.test_case "unanalyzable bodies get conservative rows" `Quick
+      test_summary_malformed_conservative;
     Alcotest.test_case "mutant diagnostics match golden" `Quick
       test_mutant_diagnostics_golden;
     Alcotest.test_case "install checks are domain-safe" `Quick
@@ -893,4 +1101,5 @@ let suite =
         prop_installed_code_reverifies;
         prop_summaries_sound_dynamically;
         prop_mono_proofs_match_dcg;
+        prop_summary_matches_spec;
       ]

@@ -518,6 +518,26 @@ let test_alloc_per_cell () =
       check_int name w (List.assoc name second))
     first
 
+(* [Summary.analyze] runs for every system built with static seeding or
+   speculation, so its allocation is pinned: minor words per bytecode of
+   one analysis of each suite program at default scale. This pass
+   allocates 30.2 (the one it replaced, 190: a copy of the locals per
+   [Store], list stacks and a [Some] state per pc); a copy of the locals
+   per [Store] alone would add 1.3 or more. *)
+let test_alloc_per_summary () =
+  let words = ref 0. and bytecodes = ref 0 in
+  List.iter
+    (fun (w : Workloads.spec) ->
+      let program = w.Workloads.build ~scale:w.Workloads.default_scale in
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Acsi_analysis.Summary.analyze program));
+      words := !words +. (Gc.minor_words () -. before);
+      bytecodes := !bytecodes + Program.total_bytecodes program)
+    Workloads.all;
+  let per_bytecode = !words /. float_of_int !bytecodes in
+  if per_bytecode > 31.0 then
+    Alcotest.failf "%.2f minor words per bytecode, bound 31.0" per_bytecode
+
 let suite =
   [
     Alcotest.test_case "same run twice is identical" `Quick test_run_twice;
@@ -537,6 +557,8 @@ let suite =
       test_alloc_per_new;
     Alcotest.test_case "words allocated per cell, in any order" `Quick
       test_alloc_per_cell;
+    Alcotest.test_case "words allocated per Summary.analyze" `Quick
+      test_alloc_per_summary;
     Alcotest.test_case "call stack overflow on every engine" `Quick
       test_stack_overflow;
     QCheck_alcotest.to_alcotest prop_aos_matches_reference;
